@@ -157,40 +157,6 @@ let bench_layered_second =
     now := !now +. 1.;
     Netsim.Engine.run ~until:!now e
 
-(* One datagram through the real-time loopback fabric: Env.send ->
-   codec encode (+pad to packet size) -> impairment shim -> wheel timer
-   -> decode -> deliver hook.  The rt counterpart of "trace: tx+deliver
-   event pair"; the pair bounds the per-packet overhead of running
-   TFMCC over the runtime instead of the simulator. *)
-let bench_rt_frame_pair =
-  let loop = Rt.Loop.create () in
-  let net = Rt.Net.create loop () in
-  let a = Rt.Net.endpoint net ~session:1 in
-  let b = Rt.Net.endpoint net ~session:1 in
-  Rt.Net.set_deliver b (fun ~size:_ _ -> ());
-  let env_a = Rt.Net.env a in
-  let dst = Rt.Net.endpoint_id b in
-  let data =
-    {
-      Tfmcc_core.Wire.session = 1;
-      seq = 0;
-      ts = 0.;
-      rate = 1e5;
-      round = 1;
-      round_duration = 0.5;
-      max_rtt = 0.05;
-      clr = -1;
-      in_slowstart = false;
-      echo = None;
-      fb = None;
-      app = -1;
-    }
-  in
-  fun () ->
-    env_a.Tfmcc_core.Env.send ~dest:(Tfmcc_core.Env.To_node dst) ~flow:1
-      ~size:1000 (Tfmcc_core.Wire.Data data);
-    Rt.Loop.run loop
-
 (* One simulated second of a live 4-receiver TFMCC session hosted on the
    real-time runtime (turbo clock, loopback fabric, 1% loss): the
    end-to-end rt cost to hold against "full stack: 1 simulated second"
@@ -298,7 +264,6 @@ let micro_tests =
     t "layered: 1 simulated second" bench_layered_second;
     t "full stack: 1 simulated second" bench_simulated_second;
     t "full stack +obs: 1 simulated second" bench_simulated_second_obs;
-    t "rt loopback: tx+deliver frame pair" bench_rt_frame_pair;
     t "rt loopback: 1 simulated second" bench_rt_simulated_second;
     t "rt loopback +chaos: 1 simulated second" bench_rt_simulated_second_chaos;
   ]

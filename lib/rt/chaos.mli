@@ -3,7 +3,7 @@
     The rt port of the {!Netsim.Fault} repertoire (DESIGN.md §15): a
     [plan] is a list of timed impairment windows that {!apply} compiles
     into ordinary loop timers against a {!Net.t}'s chaos hooks.  Because
-    every mutation fires from the wheel and every random choice (churn
+    every mutation fires from a loop timer and every random choice (churn
     victim selection) draws from a stream split off the loop's master
     RNG at [apply] time, a turbo-mode chaos run is exactly as
     deterministic as a clean one — two runs with the same seed and the

@@ -4,7 +4,7 @@ type mode = Turbo | Realtime
 
 type t = {
   mode : mode;
-  wheel : Wheel.t;
+  timers : Timer_heap.t;
   mutable vnow : float; (* turbo clock; realtime: last sampled value *)
   mutable clock : unit -> float; (* realtime monotonic clock *)
   obs : Obs.Sink.t;
@@ -21,6 +21,7 @@ type t = {
      handler, and the remaining timers keep firing. *)
   mutable exn_handler : (exn -> Printexc.raw_backtrace -> unit) option;
   mutable exns_caught : int;
+  fire : (unit -> unit) -> unit; (* [protect t], built once for every timer *)
 }
 
 (* Same metric family as Tfmcc_core.Env.clock_anomaly, registered
@@ -33,13 +34,30 @@ let anomaly t ~kind =
        ~labels:[ ("kind", kind) ]
        "tfmcc_rt_clock_anomaly_total")
 
+(* Every timer and fd callback runs through [protect].  The handler is
+   consulted at fire time, not schedule time: installing it after timers
+   are queued still protects them.  The metric is registered lazily so
+   an exception-free run leaves the registry untouched. *)
+let protect t fn =
+  match t.exn_handler with
+  | None -> fn ()
+  | Some handler -> (
+      try fn ()
+      with e ->
+        let bt = Printexc.get_raw_backtrace () in
+        t.exns_caught <- t.exns_caught + 1;
+        Obs.Metrics.Counter.inc
+          (Obs.Metrics.counter t.obs.Obs.Sink.metrics
+             "tfmcc_rt_loop_exceptions_total");
+        handler e bt)
+
 let create ?(mode = Turbo) ?(epoch = 0.) ?obs ?(seed = 42)
     ?(late_tolerance_s = 0.05) () =
   let obs = match obs with Some s -> s | None -> Obs.Sink.create () in
-  let t =
+  let rec t =
     {
       mode;
-      wheel = Wheel.create ~start:epoch ();
+      timers = Timer_heap.create ();
       vnow = epoch;
       clock = (fun () -> epoch);
       obs;
@@ -50,6 +68,7 @@ let create ?(mode = Turbo) ?(epoch = 0.) ?obs ?(seed = 42)
       anomalies = 0;
       exn_handler = None;
       exns_caught = 0;
+      fire = (fun fn -> protect t fn);
     }
   in
   (match mode with
@@ -77,24 +96,7 @@ let obs t = t.obs
 
 let split_rng t = Stats.Rng.split t.rng
 
-let timer_of e = { Tfmcc_core.Env.cancel = (fun () -> Wheel.cancel e) }
-
-(* The handler is consulted at fire time, not schedule time: installing
-   it after timers are queued still protects them.  The metric is
-   registered lazily so an exception-free run leaves the registry
-   untouched. *)
-let protect t fn () =
-  match t.exn_handler with
-  | None -> fn ()
-  | Some handler -> (
-      try fn ()
-      with e ->
-        let bt = Printexc.get_raw_backtrace () in
-        t.exns_caught <- t.exns_caught + 1;
-        Obs.Metrics.Counter.inc
-          (Obs.Metrics.counter t.obs.Obs.Sink.metrics
-             "tfmcc_rt_loop_exceptions_total");
-        handler e bt)
+let timer_of e = { Tfmcc_core.Env.cancel = (fun () -> Timer_heap.cancel e) }
 
 let set_exn_handler t h = t.exn_handler <- Some h
 
@@ -108,7 +110,7 @@ let after t ~delay fn =
       0.
     end
   in
-  timer_of (Wheel.schedule t.wheel ~at:(now t +. delay) (protect t fn))
+  timer_of (Timer_heap.schedule t.timers ~at:(now t +. delay) fn)
 
 let at t ~time fn =
   let time =
@@ -118,13 +120,12 @@ let at t ~time fn =
       now t
     end
   in
-  timer_of (Wheel.schedule t.wheel ~at:time (protect t fn))
+  timer_of (Timer_heap.schedule t.timers ~at:time fn)
 
-(* Self-rescheduling periodic timer.  The chain survives a callback
-   exception when an exn handler is installed ([protect] runs inside the
-   scheduled closure, after the next occurrence is queued), and cancel
-   works mid-chain: the [cancelled] flag mutes whichever wheel entry is
-   current. *)
+(* Self-rescheduling periodic timer.  The next occurrence is queued
+   before [fn] runs, so the chain survives a callback exception when an
+   exn handler is installed, and cancel works mid-chain: the [cancelled]
+   flag mutes whichever heap entry is current. *)
 let every t ~interval fn =
   if not (Float.is_finite interval && interval > 0.) then
     invalid_arg "Loop.every: interval must be finite and positive";
@@ -132,10 +133,10 @@ let every t ~interval fn =
   let cur = ref None in
   let rec arm ~time =
     let e =
-      Wheel.schedule t.wheel ~at:time (fun () ->
+      Timer_heap.schedule t.timers ~at:time (fun () ->
           if not !cancelled then begin
             arm ~time:(time +. interval);
-            protect t fn ()
+            fn ()
           end)
     in
     cur := Some e
@@ -145,7 +146,7 @@ let every t ~interval fn =
     Tfmcc_core.Env.cancel =
       (fun () ->
         cancelled := true;
-        match !cur with None -> () | Some e -> Wheel.cancel e);
+        match !cur with None -> () | Some e -> Timer_heap.cancel e);
   }
 
 let watch_fd t fd cb = t.fds <- (fd, cb) :: List.remove_assoc fd t.fds
@@ -157,7 +158,7 @@ let stop t = t.running <- false
 let run_turbo ?until t =
   let continue_ = ref true in
   while !continue_ && t.running do
-    match Wheel.next_due t.wheel with
+    match Timer_heap.next_due t.timers with
     | None ->
         (match until with Some u -> t.vnow <- max t.vnow u | None -> ());
         continue_ := false
@@ -167,20 +168,20 @@ let run_turbo ?until t =
             t.vnow <- max t.vnow u;
             continue_ := false
         | _ ->
-            t.vnow <- max t.vnow due;
-            ignore (Wheel.advance t.wheel ~now:t.vnow ()))
+            if due > t.vnow then t.vnow <- due;
+            ignore (Timer_heap.advance t.timers ~now:t.vnow ~fire:t.fire ()))
   done
 
 let run_realtime ?until t =
   let stop_at = match until with Some u -> u | None -> infinity in
-  let late d = if d > t.late_tolerance then anomaly t ~kind:"late-timer" in
+  let late at = if now t -. at > t.late_tolerance then anomaly t ~kind:"late-timer" in
   let continue_ = ref true in
   while !continue_ && t.running do
     let nw = now t in
     if nw >= stop_at then continue_ := false
     else begin
-      ignore (Wheel.advance t.wheel ~now:nw ~late ());
-      match (Wheel.next_due t.wheel, t.fds) with
+      ignore (Timer_heap.advance t.timers ~now:nw ~late ~fire:t.fire ());
+      match (Timer_heap.next_due t.timers, t.fds) with
       | None, [] -> continue_ := false
       | next, fds -> (
           let target =
@@ -197,7 +198,7 @@ let run_realtime ?until t =
                   List.iter
                     (fun fd ->
                       match List.assoc_opt fd t.fds with
-                      | Some cb -> protect t cb ()
+                      | Some cb -> protect t cb
                       | None -> ())
                     ready
               | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()))
@@ -213,8 +214,8 @@ let run ?until t =
 
 let run_for t ~duration = run ~until:(now t +. duration) t
 
-let timers_fired t = Wheel.fired t.wheel
+let timers_fired t = Timer_heap.fired t.timers
 
-let timers_pending t = Wheel.pending t.wheel
+let timers_pending t = Timer_heap.pending t.timers
 
 let clock_anomalies t = t.anomalies

@@ -1,9 +1,11 @@
 (** Single-process, single-thread event loop for the real-time runtime.
 
-    One loop owns one {!Wheel.t}, one clock, one {!Obs.Sink.t} and one
-    master RNG; every TFMCC endpoint hosted on it runs its timers and
-    datagram callbacks on this loop, run-to-completion, with no other
-    thread touching protocol state (DESIGN.md §13).
+    One loop owns one {!Timer_heap.t}, one clock, one {!Obs.Sink.t} and
+    one master RNG; every TFMCC endpoint hosted on it runs its timers
+    and datagram callbacks on this loop, run-to-completion, with no
+    other thread touching protocol state (DESIGN.md §13).  Timers fire
+    one at a time in (deadline, insertion) order, each popped off the
+    heap before its callback runs.
 
     Two modes:
 
@@ -43,7 +45,7 @@ val split_rng : t -> Stats.Rng.t
 val after : t -> delay:float -> (unit -> unit) -> Tfmcc_core.Env.timer
 (** Non-finite or negative delays are clamped to zero and counted as a
     clock anomaly (kind ["bad-delay"]) rather than corrupting the
-    wheel. *)
+    timer heap. *)
 
 val at : t -> time:float -> (unit -> unit) -> Tfmcc_core.Env.timer
 
@@ -57,9 +59,9 @@ val set_exn_handler : t -> (exn -> Printexc.raw_backtrace -> unit) -> unit
 (** Installs the crash backstop: an exception escaping a timer or fd
     callback is caught, counted under [tfmcc_rt_loop_exceptions_total],
     and handed to the handler instead of tearing down {!run}.  Without a
-    handler (the default) exceptions propagate as before — and, because
-    the wheel processes due timers in batches, may silently cancel
-    same-tick siblings; supervised harnesses should always install one.
+    handler (the default) exceptions propagate out of {!run}: the
+    raising timer is consumed, and every other due timer, same-deadline
+    siblings included, stays pending and fires on the next {!run}.
     Consulted at fire time, so timers scheduled before installation are
     covered too. *)
 

@@ -28,7 +28,7 @@ and t = {
   base_impair : impairment; (* as configured at creation (chaos restores to it) *)
   rng : Stats.Rng.t; (* impairment draws, split off the loop's master *)
   endpoints : (int, endpoint) Hashtbl.t;
-  groups : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* session -> member ids *)
+  groups : (int, int list) Hashtbl.t; (* session -> member ids, ascending *)
   last_arrival : (int * int, float) Hashtbl.t; (* (src,dst) -> FIFO horizon *)
   loss_from : float; (* loop time the loss dice start rolling *)
   (* Chaos state (DESIGN.md §15).  [blocked] refcounts endpoints taken
@@ -142,27 +142,23 @@ let set_deliver ep f = ep.deliver <- Some f
 
 let endpoint_id ep = ep.ep_id
 
-let members t session =
-  match Hashtbl.find_opt t.groups session with
-  | None -> []
-  | Some g -> List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) g [])
+(* Group sends read the member list; only join and leave rebuild it. *)
+let members t session = Option.value (Hashtbl.find_opt t.groups session) ~default:[]
 
 let join ep =
   let t = ep.net in
-  let g =
-    match Hashtbl.find_opt t.groups ep.session with
-    | Some g -> g
-    | None ->
-        let g = Hashtbl.create 16 in
-        Hashtbl.replace t.groups ep.session g;
-        g
+  let rec insert = function
+    | x :: rest when x < ep.ep_id -> x :: insert rest
+    | x :: _ as l when x = ep.ep_id -> l
+    | l -> ep.ep_id :: l
   in
-  Hashtbl.replace g ep.ep_id ()
+  Hashtbl.replace t.groups ep.session (insert (members t ep.session))
 
 let leave ep =
-  match Hashtbl.find_opt ep.net.groups ep.session with
+  let t = ep.net in
+  match Hashtbl.find_opt t.groups ep.session with
   | None -> ()
-  | Some g -> Hashtbl.remove g ep.ep_id
+  | Some ids -> Hashtbl.replace t.groups ep.session (List.filter (( <> ) ep.ep_id) ids)
 
 let deliver_frame t dst frame =
   match Hashtbl.find_opt t.endpoints dst with
@@ -207,57 +203,54 @@ let send ep ~dest ~flow:_ ~size msg =
       t.enc_drops <- t.enc_drops + 1;
       Obs.Metrics.Counter.inc t.m_enc
   | (_ : int) ->
-      let dests =
-        match dest with
-        | Env.To_node id -> if id = ep.ep_id then [] else [ id ]
-        | Env.To_group ->
-            List.filter (fun id -> id <> ep.ep_id) (members t ep.session)
-      in
       (* Chaos checks happen at send time: frames already in flight when
          a partition or flap begins still land, like packets on the wire
          when a real link goes down behind them. *)
       let src_blocked = is_blocked t ep.ep_id in
-      List.iter
-        (fun dst ->
-          t.sent <- t.sent + 1;
-          Obs.Metrics.Counter.inc t.m_sent;
-          if not t.fabric_up then begin
-            t.flap_drops <- t.flap_drops + 1;
-            Obs.Metrics.Counter.inc t.m_flap
-          end
-          else if src_blocked || is_blocked t dst then begin
-            t.partition_drops <- t.partition_drops + 1;
-            Obs.Metrics.Counter.inc t.m_partition
-          end
-          else if
-            t.impair.loss > 0.
-            && Loop.now t.loop >= t.loss_from
-            && Stats.Rng.uniform t.rng < t.impair.loss
-          then begin
-            t.lost <- t.lost + 1;
-            Obs.Metrics.Counter.inc t.m_lost
-          end
-          else begin
-            let extra =
-              if t.impair.jitter > 0. then t.impair.jitter *. Stats.Rng.uniform t.rng
-              else 0.
-            in
-            (* Jitter must not reorder a path: like a netem-shaped FIFO
-               link (and like the simulator's queues), an arrival never
-               precedes the previous arrival on the same (src,dst). *)
-            let now = Loop.now t.loop in
-            let arrival = now +. t.impair.delay +. extra in
-            let key = (ep.ep_id, dst) in
-            let arrival =
-              match Hashtbl.find_opt t.last_arrival key with
-              | Some prev when prev > arrival -> prev
-              | _ -> arrival
-            in
-            Hashtbl.replace t.last_arrival key arrival;
-            ignore
-              (Loop.at t.loop ~time:arrival (fun () -> deliver_frame t dst frame))
-          end)
-        dests
+      let send_to dst =
+        t.sent <- t.sent + 1;
+        Obs.Metrics.Counter.inc t.m_sent;
+        if not t.fabric_up then begin
+          t.flap_drops <- t.flap_drops + 1;
+          Obs.Metrics.Counter.inc t.m_flap
+        end
+        else if src_blocked || is_blocked t dst then begin
+          t.partition_drops <- t.partition_drops + 1;
+          Obs.Metrics.Counter.inc t.m_partition
+        end
+        else if
+          t.impair.loss > 0.
+          && Loop.now t.loop >= t.loss_from
+          && Stats.Rng.uniform t.rng < t.impair.loss
+        then begin
+          t.lost <- t.lost + 1;
+          Obs.Metrics.Counter.inc t.m_lost
+        end
+        else begin
+          let extra =
+            if t.impair.jitter > 0. then t.impair.jitter *. Stats.Rng.uniform t.rng
+            else 0.
+          in
+          (* Jitter must not reorder a path: like a netem-shaped FIFO
+             link (and like the simulator's queues), an arrival never
+             precedes the previous arrival on the same (src,dst). *)
+          let now = Loop.now t.loop in
+          let arrival = now +. t.impair.delay +. extra in
+          let key = (ep.ep_id, dst) in
+          let arrival =
+            match Hashtbl.find_opt t.last_arrival key with
+            | Some prev when prev > arrival -> prev
+            | _ -> arrival
+          in
+          Hashtbl.replace t.last_arrival key arrival;
+          ignore
+            (Loop.at t.loop ~time:arrival (fun () -> deliver_frame t dst frame))
+        end
+      in
+      match dest with
+      | Env.To_node id -> if id <> ep.ep_id then send_to id
+      | Env.To_group ->
+          List.iter (fun id -> if id <> ep.ep_id then send_to id) (members t ep.session)
 
 let env ep =
   {
