@@ -160,8 +160,16 @@ let bench_layered_second =
 (* One simulated second of a live 4-receiver TFMCC session hosted on the
    real-time runtime (turbo clock, loopback fabric, 1% loss): the
    end-to-end rt cost to hold against "full stack: 1 simulated second"
-   above, which runs the identical protocol over the simulator. *)
-let bench_rt_simulated_second =
+   above, which runs the identical protocol over the simulator.
+
+   With [chaos], the plan is applied to the fabric before the warm-up.
+   The "+chaos" variant applies a plan whose only event lies far beyond
+   the measured window, so the pair quantifies the per-frame cost of the
+   chaos hooks on the fabric send path (fabric_up check +
+   blocked-endpoint guard) when no impairment is active — the bench
+   guard holds the two keys to the same relative tolerance, so an
+   idle-overhead regression fails CI. *)
+let rt_simulated_second ?chaos () =
   let loop = Rt.Loop.create ~seed:77 () in
   let net =
     Rt.Net.create loop
@@ -184,55 +192,25 @@ let bench_rt_simulated_second =
     rx_eps
     (Tfmcc_core.Session.receivers s);
   Tfmcc_core.Session.start s ~at:0.;
+  Option.iter (fun plan -> ignore (Rt.Chaos.apply net plan)) chaos;
   Rt.Loop.run ~until:30. loop;
   let now = ref 30. in
   fun () ->
     now := !now +. 1.;
     Rt.Loop.run ~until:!now loop
 
-(* Identical star session, but with a chaos plan applied whose only
-   event lies far beyond the measured window.  The pair quantifies the
-   per-frame cost of the chaos hooks on the fabric send path (fabric_up
-   check + blocked-endpoint guard) when no impairment is active — the
-   bench guard holds the two keys to the same relative tolerance, so an
-   idle-overhead regression fails CI. *)
+let bench_rt_simulated_second = rt_simulated_second ()
+
 let bench_rt_simulated_second_chaos =
-  let loop = Rt.Loop.create ~seed:77 () in
-  let net =
-    Rt.Net.create loop
-      ~impair:(Rt.Net.impairment ~loss:0.01 ~delay:0.02 ~warmup:2. ())
-      ()
-  in
-  let cfg = Tfmcc_core.Config.default in
-  let s_ep = Rt.Net.endpoint net ~session:1 in
-  let rx_eps = List.init 4 (fun _ -> Rt.Net.endpoint net ~session:1) in
-  let s =
-    Tfmcc_core.Session.create ~sender_env:(Rt.Net.env s_ep) ~cfg ~session:1
-      ~receiver_envs:(List.map Rt.Net.env rx_eps) ()
-  in
-  let snd = Tfmcc_core.Session.sender s in
-  Rt.Net.set_deliver s_ep (fun ~size:_ msg -> Tfmcc_core.Sender.deliver snd msg);
-  List.iter2
-    (fun ep r ->
-      Rt.Net.set_deliver ep (fun ~size msg ->
-          Tfmcc_core.Receiver.deliver r ~size msg))
-    rx_eps
-    (Tfmcc_core.Session.receivers s);
-  Tfmcc_core.Session.start s ~at:0.;
-  let _chaos =
-    Rt.Chaos.apply net [ Rt.Chaos.Flap { down_at = 1e6; up_at = 1e6 +. 1. } ]
-  in
-  Rt.Loop.run ~until:30. loop;
-  let now = ref 30. in
-  fun () ->
-    now := !now +. 1.;
-    Rt.Loop.run ~until:!now loop
+  rt_simulated_second
+    ~chaos:[ Rt.Chaos.Flap { down_at = 1e6; up_at = 1e6 +. 1. } ]
+    ()
 
 (* Allocation rate of the full stack, measured directly rather than via
    bechamel (we count words, not nanoseconds): minor-heap words allocated
    per simulated second of the same warmed-up star session as "full
    stack: 1 simulated second".  This is the number the zero-alloc engine
-   work (packet arena, pooled events, batched dispatch) drives down;
+   work (packet arena, unboxed heap keys) drives down;
    wall-clock benchmarks alone can hide an allocation regression behind
    CPU noise, and minor words are exactly reproducible. *)
 let measure_minor_words_per_simsec () =
@@ -376,26 +354,11 @@ let run_figures () =
   Printf.printf "sweep (serial): %.1fs compute (%.1fs incl. printing)\n%!"
     serial_compute serial_wall;
   if jobs > 1 then begin
-    (* Longest-job-first: the pool hands tasks out in list order, so in
-       registry order a heavyweight figure drawn last runs alone while
-       the other domains sit idle — at -j 2 that tail can eat the whole
-       speedup.  Scheduling the figures by descending measured serial
-       cost bounds the tail by the longest single figure.  Results stay
-       deterministic (order only affects scheduling, not output). *)
-    let by_cost =
-      List.stable_sort
-        (fun a b ->
-          compare
-            (figure_cost b.Experiments.Registry.id)
-            (figure_cost a.Experiments.Registry.id))
-        Experiments.Registry.all
-    in
+    (* [Sweep.run] submits costliest-first itself, so the parallel pass
+       sweeps the registry in its own order. *)
     let t0 = Unix.gettimeofday () in
-    let results =
-      Experiments.Sweep.run ~experiments:by_cost ~jobs ~mode ~seed:42 ()
-    in
+    ignore (Experiments.Sweep.run ~jobs ~mode ~seed:42 () : _ list);
     let parallel_wall = Unix.gettimeofday () -. t0 in
-    ignore results;
     record "sweep: parallel total wall" (parallel_wall *. 1e9);
     record "sweep: parallel jobs" (float_of_int jobs);
     record "sweep: parallel speedup"

@@ -130,9 +130,9 @@ let run_cmd =
 
 let sweep_cmd =
   let doc =
-    "Run experiments fanned out over a pool of OCaml domains.  Output is \
-     deterministic: for a given seed it is byte-identical whatever $(b,-j) \
-     is (timings go to stderr)."
+    "Run experiments fanned out over a pool of OCaml domains, costliest \
+     experiment first.  Output is deterministic: for a given seed it is \
+     byte-identical whatever $(b,-j) is (timings go to stderr)."
   in
   let jobs_arg =
     let doc = "Worker domains (1 = serial in the calling domain)." in
@@ -144,24 +144,6 @@ let sweep_cmd =
        experiment reports the per-cell mean/stddev aggregate across seeds."
     in
     Arg.(value & opt int 1 & info [ "seeds" ] ~doc ~docv:"K")
-  in
-  let schedule_arg =
-    let doc =
-      "Task schedule: $(b,fifo) (grid order, one shared queue), $(b,lpt) \
-       (longest figure first, by measured serial cost) or $(b,steal) \
-       (per-worker deques with work stealing).  Pure wall-clock policy: \
-       output is byte-identical whichever is chosen."
-    in
-    let sched_conv =
-      Arg.enum
-        [
-          ("fifo", Experiments.Sweep.Fifo);
-          ("lpt", Experiments.Sweep.Lpt);
-          ("steal", Experiments.Sweep.Steal);
-        ]
-    in
-    Arg.(value & opt sched_conv Experiments.Sweep.Fifo
-         & info [ "schedule" ] ~doc ~docv:"SCHED")
   in
   let replicates_arg =
     let doc = "With --seeds, also print every per-seed series." in
@@ -223,7 +205,7 @@ let sweep_cmd =
     let doc = "Write the sweep report (failures, summary, series) as JSON to $(docv)." in
     Arg.(value & opt (some string) None & info [ "failure-report" ] ~doc ~docv:"FILE")
   in
-  let run full seed csv jobs seeds schedule replicates strict json task_timeout
+  let run full seed csv jobs seeds replicates strict json task_timeout
       retries retry_delay stall_events max_events checkpoint resume task_budget
       failure_report ids =
     if jobs < 1 then begin
@@ -265,8 +247,8 @@ let sweep_cmd =
     in
     let t0 = Unix.gettimeofday () in
     let report =
-      Experiments.Sweep.run_supervised ~experiments ~strict ~policy ~schedule
-        ~jobs ~mode:(mode_of_full full) ~seed ~seeds ()
+      Experiments.Sweep.run_supervised ~experiments ~strict ~policy ~jobs
+        ~mode:(mode_of_full full) ~seed ~seeds ()
     in
     let wall = Unix.gettimeofday () -. t0 in
     if json then
@@ -285,11 +267,8 @@ let sweep_cmd =
     | None -> ());
     if report.Experiments.Sweep.failures <> [] then
       prerr_string (Experiments.Sweep.render_failures report);
-    Printf.eprintf
-      "sweep: %d experiments x %d seed(s), -j %d (%s): %.1fs wall\n%!"
-      (List.length experiments) seeds jobs
-      (Experiments.Sweep.schedule_label schedule)
-      wall;
+    Printf.eprintf "sweep: %d experiments x %d seed(s), -j %d: %.1fs wall\n%!"
+      (List.length experiments) seeds jobs wall;
     if report.Experiments.Sweep.resumed > 0 then
       Printf.eprintf "sweep: %d task(s) resumed from checkpoints\n%!"
         report.Experiments.Sweep.resumed;
@@ -305,7 +284,7 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(const run $ full_arg $ seed_arg $ csv_arg $ jobs_arg $ seeds_arg
-          $ schedule_arg $ replicates_arg $ strict_arg $ json_arg
+          $ replicates_arg $ strict_arg $ json_arg
           $ task_timeout_arg $ retries_arg $ retry_delay_arg $ stall_events_arg
           $ max_events_arg $ checkpoint_arg $ resume_arg $ task_budget_arg
           $ failure_report_arg $ ids_arg)

@@ -96,18 +96,13 @@ let aggregate per_seed =
         with Shape_mismatch -> None
       end
 
-(* ------------------------------------------------------------ schedule *)
+(* ---------------------------------------------------------- task order *)
 
-type schedule = Fifo | Lpt | Steal
-
-let schedule_label = function Fifo -> "fifo" | Lpt -> "lpt" | Steal -> "steal"
-
-let par_mode = function Fifo | Lpt -> Par.Fifo | Steal -> Par.Steal
-
-(* LPT permutation over task slots: [order.(k)] is the original index of
-   the k-th task to submit.  Descending measured cost ({!Sweep_costs}),
-   ties broken by original index, so the permutation is a pure function
-   of the task list — no clocks, no racing. *)
+(* LPT (longest processing time first) permutation over task slots:
+   [order.(k)] is the original index of the k-th task to submit.
+   Descending measured cost ({!Sweep_costs}), ties broken by original
+   index, so the permutation is a pure function of the task list — no
+   clocks, no racing. *)
 let lpt_order ids =
   let n = Array.length ids in
   let cost = Array.map Sweep_costs.cost ids in
@@ -117,39 +112,19 @@ let lpt_order ids =
     order;
   order
 
-let inverse order =
-  let inv = Array.make (Array.length order) 0 in
-  Array.iteri (fun k i -> inv.(i) <- k) order;
-  inv
-
-(* Run [tasks] under [schedule] and hand results back in the tasks' own
-   (grid) order whatever permutation was submitted — the schedule moves
-   wall-clock time around, never bytes.  [ids] names each task's
-   experiment (same length as [tasks]) for the LPT cost lookup. *)
-let scheduled_map ~schedule ~jobs ids tasks =
-  match schedule with
-  | Fifo | Steal -> Par.map ~mode:(par_mode schedule) ~jobs tasks
-  | Lpt ->
-      let arr = Array.of_list tasks in
-      let order = lpt_order (Array.of_list ids) in
-      let results =
-        Array.of_list (Par.map ~jobs (List.map (fun i -> arr.(i)) (Array.to_list order)))
-      in
-      let inv = inverse order in
-      List.init (Array.length arr) (fun i -> results.(inv.(i)))
-
-let scheduled_map_outcomes ~schedule ~jobs ids tasks =
-  match schedule with
-  | Fifo | Steal -> Par.map_outcomes ~mode:(par_mode schedule) ~jobs tasks
-  | Lpt ->
-      let arr = Array.of_list tasks in
-      let order = lpt_order (Array.of_list ids) in
-      let outcomes =
-        Array.of_list
-          (Par.map_outcomes ~jobs (List.map (fun i -> arr.(i)) (Array.to_list order)))
-      in
-      let inv = inverse order in
-      List.init (Array.length arr) (fun i -> outcomes.(inv.(i)))
+(* Submit [(id, task)] cells costliest-first and hand the outcomes back
+   in grid order: the permutation moves wall-clock time around, never
+   bytes.  [id] names the cell's experiment for the cost lookup. *)
+let lpt_map_outcomes ~jobs cells =
+  let cells = Array.of_list cells in
+  let order = lpt_order (Array.map fst cells) in
+  let submitted =
+    Par.map_outcomes ~jobs
+      (Array.to_list (Array.map (fun i -> snd cells.(i)) order))
+  in
+  let outcomes = Array.of_list submitted in
+  List.iteri (fun k o -> outcomes.(order.(k)) <- o) submitted;
+  Array.to_list outcomes
 
 (* ------------------------------------------------------------------ run *)
 
@@ -164,21 +139,21 @@ let rec chunk n = function
       let head, rest = take n [] l in
       head :: chunk n rest
 
-let run ?(experiments = Registry.all) ?(strict = false) ?(schedule = Fifo)
-    ~jobs ~mode ~seed ?(seeds = 1) () =
+let run ?(experiments = Registry.all) ?(strict = false) ~jobs ~mode ~seed
+    ?(seeds = 1) () =
   if seeds < 1 then invalid_arg "Sweep.run: seeds must be >= 1";
   let seed_list = List.init seeds (fun i -> seed + i) in
-  let tasks =
+  let cells =
     List.concat_map
-      (fun e -> List.map (fun s () -> run_one ~strict e ~mode ~seed:s) seed_list)
+      (fun e ->
+        List.map
+          (fun s -> (e.Registry.id, fun _control -> run_one ~strict e ~mode ~seed:s))
+          seed_list)
       experiments
   in
-  let ids =
-    List.concat_map
-      (fun e -> List.map (fun _ -> e.Registry.id) seed_list)
-      experiments
-  in
-  let replicates = chunk seeds (scheduled_map ~schedule ~jobs ids tasks) in
+  (* Outcomes are back in grid order before [unwrap_all], so a failing
+     sweep re-raises its grid-first failure, not the costliest one. *)
+  let replicates = chunk seeds (Par.unwrap_all (lpt_map_outcomes ~jobs cells)) in
   List.map2
     (fun experiment replicates ->
       {
@@ -336,8 +311,8 @@ let pool_failure (e : Registry.experiment) seed cause detail =
     }
 
 let run_supervised ?(experiments = Registry.all) ?(strict = false)
-    ?(policy = default_policy) ?(obs = Obs.Sink.null) ?(schedule = Fifo) ~jobs
-    ~mode ~seed ?(seeds = 1) () =
+    ?(policy = default_policy) ?(obs = Obs.Sink.null) ~jobs ~mode ~seed
+    ?(seeds = 1) () =
   if seeds < 1 then invalid_arg "Sweep.run_supervised: seeds must be >= 1";
   if policy.retries < 0 then
     invalid_arg "Sweep.run_supervised: retries must be >= 0";
@@ -385,15 +360,15 @@ let run_supervised ?(experiments = Registry.all) ?(strict = false)
       tagged
   in
   let outcomes =
-    scheduled_map_outcomes ~schedule ~jobs
-      (List.map (fun (e, _) -> e.Registry.id) to_run)
+    lpt_map_outcomes ~jobs
       (List.map
-         (fun (e, s) control -> run_task ~strict ~policy e ~mode ~seed:s control)
+         (fun (e, s) ->
+           (e.Registry.id, fun control -> run_task ~strict ~policy e ~mode ~seed:s control))
          to_run)
   in
-  (* Stitch pool outcomes back into grid order; [scheduled_map_outcomes]
-     returns slots in [to_run] order whatever the submission permutation
-     or pool mode, so one pass over [tagged] consumes them in
+  (* Stitch pool outcomes back into grid order; [lpt_map_outcomes]
+     returns slots in [to_run] order whatever the submission
+     permutation, so one pass over [tagged] consumes them in
      sequence. *)
   let rem = ref outcomes in
   let statuses =

@@ -37,30 +37,9 @@ val aggregate : Series.t list list -> Series.t list option
     [l sd] (sample stddev; NaN cells are skipped per point).  [None]
     when fewer than two replicates are given or any shapes disagree. *)
 
-(** How the (experiment × seed) task grid is laid onto the worker pool.
-    Pure wall-clock policy: every schedule runs every task exactly once
-    and returns results in grid order, so sweep output is byte-identical
-    across schedules and job counts — the determinism tests assert
-    exactly this.
-
-    - [Fifo]: submit in grid order to one shared queue (the historical
-      behaviour).
-    - [Lpt]: longest processing time first — submit in descending
-      measured per-figure serial cost ({!Sweep_costs}), the classic
-      greedy makespan heuristic.  Keeps a multi-minute figure from
-      starting last and pinning the sweep's tail on one domain.
-    - [Steal]: grid-order submission dealt round-robin onto per-worker
-      work-stealing deques ({!Par.mode}); idle workers steal the oldest
-      task from a busy one. *)
-type schedule = Fifo | Lpt | Steal
-
-val schedule_label : schedule -> string
-(** ["fifo" | "lpt" | "steal"]. *)
-
 val run :
   ?experiments:Registry.experiment list ->
   ?strict:bool ->
-  ?schedule:schedule ->
   jobs:int ->
   mode:Scenario.mode ->
   seed:int ->
@@ -69,14 +48,17 @@ val run :
   result list
 (** Sweeps [experiments] (default {!Registry.all}) × [seeds] replicate
     seeds (default 1; seed list is [seed, seed+1, …]) as one flat task
-    batch over [jobs] workers ({!Par.map}; [jobs <= 1] runs serially in
-    the calling domain).  Results preserve the input experiment order
-    whatever the [schedule] (default [Fifo]).  [strict] (default false)
-    runs every cell under a strict invariant checker ({!run_one}); a
-    violating cell's {!Check.Invariant.Violation} propagates out of the
-    sweep (under [Lpt] the lowest *submission*-indexed failure wins the
-    re-raise race, i.e. the costliest failing cell rather than the
-    grid-first one). *)
+    batch over [jobs] workers ({!Par.map_outcomes}; [jobs <= 1] runs
+    serially in the calling domain).  Cells are submitted longest
+    processing time first — descending measured per-experiment cost
+    ({!Sweep_costs}) — so a multi-second figure does not start last and
+    pin the sweep's tail on one domain.  The order moves wall-clock time
+    only: results come back in input experiment order, byte-identical
+    whatever [jobs].  [strict] (default false) runs every cell under a
+    strict invariant checker ({!run_one}).  Every cell runs; if any
+    raised, the exception of the grid-first failing cell (a violating
+    cell's {!Check.Invariant.Violation}, say) is re-raised with its
+    backtrace. *)
 
 (** {1 Supervised sweeps (DESIGN.md §12)}
 
@@ -156,7 +138,6 @@ val run_supervised :
   ?strict:bool ->
   ?policy:policy ->
   ?obs:Obs.Sink.t ->
-  ?schedule:schedule ->
   jobs:int ->
   mode:Scenario.mode ->
   seed:int ->
@@ -169,9 +150,9 @@ val run_supervised :
     tasks checkpoint before the sweep finishes, so a killed sweep
     resumes.  [obs] (default {!Obs.Sink.null}) receives sweep-level
     [sweep_task_*] counters and one journal [Task] entry per failed or
-    skipped cell.  [schedule] (default [Fifo]) only reorders execution;
-    the report — results, failures, counters — is byte-identical across
-    schedules.  Raises [Invalid_argument] on nonsensical policies
+    skipped cell.  Cells run in the same costliest-first order as
+    {!run}; the report — results, failures, counters — is in grid order
+    and byte-identical whatever [jobs].  Raises [Invalid_argument] on nonsensical policies
     (negative retries/delay/budget, non-positive timeout, [resume]
     without [checkpoint]). *)
 

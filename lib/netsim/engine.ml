@@ -1,11 +1,10 @@
 (* The clock is an {!Event_heap.time_cell}: an all-float record storing
    a raw double, so the per-event [now] update — written directly by
-   [Event_heap.pop_due] — is a plain store.  A [mutable float] in the
+   [Event_heap.step] — is a plain store.  A [mutable float] in the
    mixed engine record would allocate a fresh boxed float on every one
    of the millions of events. *)
 type t = {
   heap : Event_heap.t;
-  batch : Event_heap.batch;  (* same-timestamp dispatch scratch, reused *)
   links : Link_table.t;  (* SoA busy/busy-time state for all links *)
   clock : Event_heap.time_cell;
   rng : Stats.Rng.t;
@@ -27,7 +26,6 @@ type handle = Event_heap.handle
 let create ?(seed = 42) ?(obs = Obs.Sink.null) () =
   {
     heap = Event_heap.create ();
-    batch = Event_heap.batch ();
     links = Link_table.create ();
     clock = { Event_heap.cell_time = 0. };
     rng = Stats.Rng.create seed;
@@ -117,80 +115,30 @@ let every t ?start ?until ~interval callback =
   in
   tick (Float.max t.clock.Event_heap.cell_time start)
 
+(* Per-event accounting, run by [Event_heap.step] between the clock
+   write and the callback. *)
+let count t () =
+  t.processed <- t.processed + 1;
+  Obs.Metrics.Counter.inc t.ev_counter
+
 let step t =
-  let time = Event_heap.next_time t.heap in
-  if Float.is_nan time then false
-  else begin
-    t.clock.Event_heap.cell_time <- time;
-    t.processed <- t.processed + 1;
-    Obs.Metrics.Counter.inc t.ev_counter;
-    ignore (Event_heap.pop_fire t.heap ~into:t.clock : bool);
-    wd_tick t;
-    true
-  end
+  Event_heap.step t.heap ~limit:infinity ~into:t.clock ~pre:(count t)
+  && begin
+       wd_tick t;
+       true
+     end
 
 let run ?until t =
   t.stopped <- false;
-  (* [infinity] admits every event (including ones scheduled at
-     [infinity], matching the unbounded behaviour of the old loop). *)
+  (* [infinity] admits every event, including ones scheduled at
+     [infinity]. *)
   let limit = match until with Some l -> l | None -> infinity in
-  let batch = t.batch in
-  (* Per-event accounting for the fused single-event fast path; one
-     closure per [run], not per event. *)
-  let pre () =
-    t.processed <- t.processed + 1;
-    Obs.Metrics.Counter.inc t.ev_counter
-  in
-  let continue = ref true in
-  while !continue do
-    if t.stopped then continue := false
-    else begin
-      (* Dispatch: a due event whose timestamp no other event shares is
-         popped and fired in one fused call (no batch traffic).  Exact
-         timestamp ties — multicast fan-outs, synchronized timers — are
-         drained into the flat scratch buffer and dispatched in one
-         loop, one root comparison per event instead of a full
-         pop-with-sift.  Dispatch order (time, then schedule order) is
-         identical to the one-at-a-time loop: events scheduled at the
-         same timestamp by a batch member land in the heap and drain
-         after this batch, and their insertion seq is newer than every
-         drained event's. *)
-      let n = Event_heap.drain_or_fire t.heap ~limit ~into:t.clock batch ~pre in
-      if n = 0 then continue := false
-      else if n < 0 then wd_tick t
-      else begin
-        let i = ref 0 in
-        (try
-           while !i < n do
-             if t.stopped then begin
-               (* [stop] from inside a batch: park the unfired tail back
-                  in the heap so it stays pending, as it would have under
-                  one-at-a-time dispatch. *)
-               Event_heap.requeue t.heap batch ~from:!i
-                 ~time:t.clock.Event_heap.cell_time;
-               i := n
-             end
-             else begin
-               if Event_heap.batch_claim batch !i then begin
-                 t.processed <- t.processed + 1;
-                 Obs.Metrics.Counter.inc t.ev_counter;
-                 Event_heap.batch_run batch !i;
-                 wd_tick t
-               end;
-               incr i
-             end
-           done
-         with e ->
-           (* A callback (or the watchdog) aborted the run: the unfired
-              tail must survive in the heap, exactly like events it had
-              not yet popped under the old loop. *)
-           Event_heap.requeue t.heap batch ~from:(!i + 1)
-             ~time:t.clock.Event_heap.cell_time;
-           Event_heap.batch_clear t.heap batch;
-           raise e);
-        Event_heap.batch_clear t.heap batch
-      end
-    end
+  let pre = count t in
+  (* One event per iteration in (time, seq) order.  [stop], or an
+     exception from a callback or the watchdog, leaves every event not
+     yet popped — including the rest of a timestamp tie — pending. *)
+  while (not t.stopped) && Event_heap.step t.heap ~limit ~into:t.clock ~pre do
+    wd_tick t
   done;
   match until with
   | Some limit when (not t.stopped) && t.clock.Event_heap.cell_time < limit -> t.clock.Event_heap.cell_time <- limit

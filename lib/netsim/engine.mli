@@ -47,19 +47,16 @@ val after : t -> delay:float -> (unit -> unit) -> handle
 (** Schedules a callback [delay] seconds from now (delay ≥ 0). *)
 
 val after_unit : t -> delay:float -> (unit -> unit) -> unit
-(** Fire-and-forget {!after}: no handle (the event cannot be cancelled),
-    and the event record is recycled through the heap's freelist — zero
-    record allocation in the steady state.  Use whenever the handle
-    would be [ignore]d. *)
+(** Fire-and-forget {!after}: no handle (the event cannot be cancelled).
+    Use whenever the handle would be [ignore]d. *)
 
 val after_pkt : t -> delay:float -> (Packet.t -> unit) -> Packet.t -> unit
 (** Fire-and-forget packet event: applies the function to the packet
     after [delay].  With a preallocated per-object function this
-    schedules a delivery without allocating a per-packet closure; the
-    record is recycled like {!after_unit}'s. *)
+    schedules a delivery without allocating a per-packet closure. *)
 
 val at_unit : t -> time:float -> (unit -> unit) -> unit
-(** Fire-and-forget {!at} (same freelist recycling as {!after_unit}). *)
+(** Fire-and-forget {!at}: no handle, like {!after_unit}. *)
 
 val cancel : t -> handle -> unit
 
@@ -71,9 +68,13 @@ val every :
     [run ~until].  Used by periodic fault schedules ({!Fault}). *)
 
 val run : ?until:float -> t -> unit
-(** Processes events in time order until the queue empties, [until] is
-    reached (events at t > until stay queued and [now] becomes [until]),
-    or {!stop} is called from inside a callback. *)
+(** Processes events in (time, schedule order) until the queue empties,
+    [until] is reached (events at t > until stay queued and [now] becomes
+    [until]), or {!stop} is called from inside a callback.  An event
+    scheduled at the current time fires after the events already
+    pending at that time.  After {!stop} or an exception out of a
+    callback or the watchdog, every event not yet fired stays pending
+    and the next [run] resumes in the same order. *)
 
 val step : t -> bool
 (** Processes a single event; [false] when the queue is empty. *)

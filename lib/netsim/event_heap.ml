@@ -2,7 +2,7 @@
    array (unboxed storage, no per-key float box) holding the sort keys,
    [events] holds the payload records (callback, tie-break seq, cancel
    flag).  Sifts move a hole instead of swapping, and the engine-facing
-   fast path ([next_time] / [pop_exn]) allocates nothing per event. *)
+   dispatch step ([step]) allocates nothing per event. *)
 
 (* An event is either a plain closure ([callback]) or a packet callback
    pair ([pcb] applied to [parg]) — the latter lets the link layer
@@ -22,15 +22,10 @@
    more than the bump allocation it saves.  Don't reintroduce it. *)
 type event = {
   mutable seq : int;
-  mutable callback : unit -> unit;
-  mutable pcb : Packet.t -> unit;
-  mutable parg : Packet.t;
+  callback : unit -> unit;
+  pcb : Packet.t -> unit;
+  parg : Packet.t;
   mutable cancelled : bool;
-  (* True while the record sits in the heap arrays; false once popped or
-     drained into a batch.  Lets [cancel] know whether the live count
-     still covers this event: a batched-but-unfired event is cancellable
-     (the dispatch loop skips it) without touching [live]. *)
-  mutable in_heap : bool;
 }
 
 type handle = event
@@ -52,10 +47,9 @@ let dummy_event =
     pcb = ignore_pcb;
     parg = Packet.dummy;
     cancelled = true;
-    in_heap = false;
   }
 
-(* All-float cell (raw double storage): [pop_due] writes the popped time
+(* All-float cell (raw double storage): [step] writes the popped time
    here so the caller's clock update is a plain store. *)
 type time_cell = { mutable cell_time : float }
 
@@ -162,8 +156,6 @@ let schedule t time ev =
 let add t ~time callback =
   if Float.is_nan time then invalid_arg "Event_heap.add: NaN time";
   ensure_capacity t;
-  (* Permanent record: the returned handle may outlive the firing, so
-     this one can never go back to the freelist. *)
   let ev =
     {
       seq = 0;
@@ -171,7 +163,6 @@ let add t ~time callback =
       pcb = ignore_pcb;
       parg = Packet.dummy;
       cancelled = false;
-      in_heap = true;
     }
   in
   schedule t time ev;
@@ -187,24 +178,19 @@ let add_unit t ~time callback =
       pcb = ignore_pcb;
       parg = Packet.dummy;
       cancelled = false;
-      in_heap = true;
     }
 
 let add_pkt t ~time pcb p =
   if Float.is_nan time then invalid_arg "Event_heap.add_pkt: NaN time";
   ensure_capacity t;
   schedule t time
-    { seq = 0; callback = ignore; pcb; parg = p; cancelled = false; in_heap = true }
+    { seq = 0; callback = ignore; pcb; parg = p; cancelled = false }
 
 let cancel t ev =
   if not ev.cancelled then begin
     ev.cancelled <- true;
-    (* An event drained into a dispatch batch has already left the live
-       count; cancelling it only tells the dispatch loop to skip it. *)
-    if ev.in_heap then t.live <- t.live - 1
+    t.live <- t.live - 1
   end
-
-let is_cancelled ev = ev.cancelled
 
 (* Remove the root, refilling the hole with the last element. *)
 let remove_root t =
@@ -215,223 +201,52 @@ let remove_root t =
    heap empty) on return. *)
 let purge t =
   while t.len > 0 && t.events.(0).cancelled do
-    let ev = t.events.(0) in
-    remove_root t;
-    ev.in_heap <- false
+    remove_root t
   done
 
-let next_time t =
-  purge t;
-  if t.len = 0 then Float.nan else t.times.(0)
-
-let pop_exn t =
-  purge t;
-  if t.len = 0 then invalid_arg "Event_heap.pop_exn: empty heap";
-  let ev = t.events.(0) in
-  remove_root t;
-  t.live <- t.live - 1;
-  ev.in_heap <- false;
-  (* Mark fired events so cancelling them later is a no-op that does not
-     disturb the live count. *)
-  ev.cancelled <- true;
-  (* Extract the action before recycling the record.  Packet-form events
-     need a wrapper closure here; the engine's hot loops use the batch /
-     [pop_fire] paths instead, so this only costs on the generic API. *)
-  if ev.parg != Packet.dummy then begin
-    let f = ev.pcb and p = ev.parg in
-    fun () -> f p
-  end
-  else ev.callback
-
-(* Engine fast path: pop the root if it is due at or before [limit],
-   writing its time into [into] (an all-float cell, so the store does
-   not box) — one call, no boxed float return, instead of a
-   [next_time] / [pop_exn] pair. *)
-let pop_due t ~limit ~into =
-  purge t;
-  if t.len = 0 then None
-  else begin
-    let time = Array.unsafe_get t.times 0 in
-    if time > limit then None
-    else begin
-      let ev = t.events.(0) in
-      remove_root t;
-      t.live <- t.live - 1;
-      ev.in_heap <- false;
-      ev.cancelled <- true;
-      into.cell_time <- time;
-      if ev.parg != Packet.dummy then begin
-        let f = ev.pcb and p = ev.parg in
-        Some (fun () -> f p)
-      end
-      else Some ev.callback
-    end
-  end
-
-(* Pop-and-fire for [Engine.step]: removes the earliest live event
-   (writing its time into [into]) and runs it.  Returns [false] on an
-   empty heap. *)
-let pop_fire t ~into =
+(* The engine's one dispatch step: purge cancelled events, pop the root
+   if it is due at or before [limit], write its time into [into] (an
+   all-float cell, so the store does not box), then run [pre] (the
+   engine's per-event accounting) and fire.  Returns [false] when
+   nothing is due.  The popped record is marked cancelled, so cancelling
+   a fired event later is a no-op that leaves the live count alone. *)
+let step t ~limit ~into ~pre =
   purge t;
   if t.len = 0 then false
   else begin
     let time = Array.unsafe_get t.times 0 in
-    let ev = t.events.(0) in
-    remove_root t;
-    t.live <- t.live - 1;
-    ev.in_heap <- false;
-    ev.cancelled <- true;
-    into.cell_time <- time;
-    if ev.parg != Packet.dummy then ev.pcb ev.parg else ev.callback ();
-    true
-  end
-
-(* ------------------------------------------------- batched dispatch *)
-
-(* [drain_or_fire] (below) needs the tie test before committing to a
-   batch: in a binary heap the second-smallest key is one of the root's
-   two children, so two float loads decide whether the due root shares
-   its timestamp with any other event. *)
-
-(* Scratch buffer the engine drains same-timestamp events into.  Reused
-   across batches; [clear] drops the event references so fired closures
-   are not pinned between runs. *)
-type batch = { mutable b_evs : event array; mutable b_n : int }
-
-let batch () = { b_evs = Array.make 16 dummy_event; b_n = 0 }
-
-let batch_length b = b.b_n
-
-let batch_push b ev =
-  if b.b_n = Array.length b.b_evs then begin
-    let evs = Array.make (2 * b.b_n) dummy_event in
-    Array.blit b.b_evs 0 evs 0 b.b_n;
-    b.b_evs <- evs
-  end;
-  Array.unsafe_set b.b_evs b.b_n ev;
-  b.b_n <- b.b_n + 1
-
-(* Drops the event references so a parked batch does not pin fired
-   closures (or their packets) between runs. *)
-let batch_clear (_ : t) b =
-  for i = 0 to b.b_n - 1 do
-    Array.unsafe_set b.b_evs i dummy_event
-  done;
-  b.b_n <- 0
-
-(* Drain every live event sharing the earliest due timestamp into [b],
-   in (time, seq) dispatch order, writing that timestamp into [into].
-   Amortizes the heap sifts: one batch of k events costs k sifts but a
-   single root-time comparison per event afterwards, and events drained
-   together are dispatched without re-touching the heap.  Returns the
-   batch size (0 when nothing is due at or before [limit]).
-
-   Drained events leave the live count but are NOT marked cancelled —
-   an earlier callback in the same batch may still cancel a later one,
-   which must remain observable to the dispatch loop. *)
-let drain_due t ~limit ~into b =
-  b.b_n <- 0;
-  purge t;
-  if t.len = 0 then 0
-  else begin
-    let t0 = Array.unsafe_get t.times 0 in
-    if t0 > limit then 0
-    else begin
-      into.cell_time <- t0;
-      let continue = ref true in
-      while !continue do
-        let ev = Array.unsafe_get t.events 0 in
-        remove_root t;
-        t.live <- t.live - 1;
-        ev.in_heap <- false;
-        batch_push b ev;
-        purge t;
-        if t.len = 0 || Array.unsafe_get t.times 0 <> t0 then continue := false
-      done;
-      b.b_n
-    end
-  end
-
-(* Fused engine-loop step.  Exact timestamp ties are rare in a
-   continuous-time simulator, so paying the batch machinery (push,
-   claim, clear, the abort handler) on every event would cost more than
-   the sifts it amortizes.  When the due root's timestamp is unique —
-   neither heap child shares it — this pops and fires directly, zero
-   batch traffic; only a real tie falls back to [drain_due].  [pre] is
-   the engine's per-event accounting, run between the clock write and
-   the callback so observable order matches the batch path
-   (claim, account, fire).  Returns [-1] after firing a lone event, [0]
-   when nothing is due, and the batch length (>= 1) after draining a
-   tie into [b] with nothing fired yet.  A cancelled child at the root's
-   timestamp can force the batch path spuriously; [drain_due] purges it
-   and the batch just comes back short. *)
-let drain_or_fire t ~limit ~into b ~pre =
-  purge t;
-  if t.len = 0 then 0
-  else begin
-    let t0 = Array.unsafe_get t.times 0 in
-    if t0 > limit then 0
-    else if
-      (t.len > 1 && Array.unsafe_get t.times 1 = t0)
-      || (t.len > 2 && Array.unsafe_get t.times 2 = t0)
-    then drain_due t ~limit ~into b
+    if time > limit then false
     else begin
       let ev = Array.unsafe_get t.events 0 in
       remove_root t;
       t.live <- t.live - 1;
-      ev.in_heap <- false;
       ev.cancelled <- true;
-      into.cell_time <- t0;
+      into.cell_time <- time;
       pre ();
       if ev.parg != Packet.dummy then ev.pcb ev.parg else ev.callback ();
-      -1
+      true
     end
   end
-
-(* Claim the [i]-th batched event for dispatch: marks it fired and
-   reports whether it was still live.  Split from [batch_run] so the
-   engine can do its per-event accounting between claim and call,
-   matching the ordering of the single-event pop path. *)
-let batch_claim b i =
-  let ev = Array.unsafe_get b.b_evs i in
-  if ev.cancelled then false
-  else begin
-    ev.cancelled <- true;
-    true
-  end
-
-let batch_run b i =
-  let ev = Array.unsafe_get b.b_evs i in
-  if ev.parg != Packet.dummy then ev.pcb ev.parg else ev.callback ()
-
-(* Put batched-but-undispatched events back in the heap at [time] (the
-   timestamp they were drained at): [stop] or an exception can abort a
-   batch mid-dispatch, and the survivors must stay pending.  Their
-   original seq values ride along, so dispatch order on the next drain
-   is exactly what it would have been. *)
-let requeue t b ~from ~time =
-  for i = from to b.b_n - 1 do
-    let ev = Array.unsafe_get b.b_evs i in
-    if not ev.cancelled then begin
-      ensure_capacity t;
-      t.len <- t.len + 1;
-      t.live <- t.live + 1;
-      ev.in_heap <- true;
-      sift_up t (t.len - 1) time ev
-    end
-  done
 
 let pop t =
   purge t;
   if t.len = 0 then None
   else begin
     let time = t.times.(0) in
-    Some (time, pop_exn t)
+    let ev = t.events.(0) in
+    remove_root t;
+    t.live <- t.live - 1;
+    ev.cancelled <- true;
+    if ev.parg != Packet.dummy then begin
+      let f = ev.pcb and p = ev.parg in
+      Some (time, fun () -> f p)
+    end
+    else Some (time, ev.callback)
   end
 
 let peek_time t =
-  let time = next_time t in
-  if Float.is_nan time then None else Some time
+  purge t;
+  if t.len = 0 then None else Some t.times.(0)
 
 let size t = t.live
 
@@ -450,9 +265,6 @@ let well_formed t =
     let stored_live = ref 0 in
     for i = 0 to t.len - 1 do
       if Float.is_nan t.times.(i) then ok := false;
-      (* Every record physically in the arrays must carry the flag; a
-         false flag here means a batch drain leaked one back. *)
-      if not t.events.(i).in_heap then ok := false;
       if not t.events.(i).cancelled then incr stored_live;
       if i > 0 then begin
         let p = (i - 1) / 2 in

@@ -3,10 +3,9 @@
     order so simulations are deterministic.
 
     Representation: the time keys live in a flat (unboxed) [float array]
-    parallel to the payload array, so neither insertion nor the
-    {!next_time}/{!pop_exn} fast path boxes a float or allocates per
-    event — the engine's inner loop runs allocation-free between
-    callbacks. *)
+    parallel to the payload array, so neither insertion nor the engine's
+    dispatch {!step} boxes a float or allocates per event — the engine's
+    inner loop runs allocation-free between callbacks. *)
 
 type t
 
@@ -32,8 +31,6 @@ val add_pkt : t -> time:float -> (Packet.t -> unit) -> Packet.t -> unit
 val cancel : t -> handle -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)
 
-val is_cancelled : handle -> bool
-
 val pop : t -> (float * (unit -> unit)) option
 (** Removes and returns the earliest live event, skipping cancelled ones.
     [None] when no live events remain. *)
@@ -41,77 +38,18 @@ val pop : t -> (float * (unit -> unit)) option
 val peek_time : t -> float option
 (** Time of the earliest live event without removing it. *)
 
-val next_time : t -> float
-(** Allocation-free {!peek_time}: the time of the earliest live event,
-    or [nan] when none remain (cancelled events surfacing at the root
-    are discarded).  Test with [Float.is_nan]; NaN is never a stored key
-    ({!add} rejects it). *)
-
-val pop_exn : t -> unit -> unit
-(** Allocation-free {!pop}: removes the earliest live event and returns
-    its callback (the corresponding time is what {!next_time} just
-    returned).  Raises [Invalid_argument] when no live events remain. *)
-
 type time_cell = { mutable cell_time : float }
 (** All-float record (raw double storage): writes to it never box. *)
 
-val pop_due : t -> limit:float -> into:time_cell -> (unit -> unit) option
-(** Removes the earliest live event if its time is [<= limit], writing
-    that time into [into] and returning the callback; [None] when the
-    heap is empty or the next event is after [limit].  One call on the
-    engine's inner loop in place of a {!next_time}/{!pop_exn} pair, with
-    no boxed float crossing the boundary. *)
-
-type batch
-(** Reusable scratch buffer for batched dispatch ({!drain_due}).  One per
-    engine; never shared across domains. *)
-
-val batch : unit -> batch
-
-val batch_length : batch -> int
-
-val drain_due : t -> limit:float -> into:time_cell -> batch -> int
-(** Drains {e every} live event sharing the earliest due timestamp
-    (≤ [limit]) into the batch, in dispatch order, writing that
-    timestamp into [into]; returns the batch size (0 when nothing is
-    due).  Drained events leave the heap and its live count but stay
-    cancellable until claimed — cancelling one makes {!batch_claim} skip
-    it.  Replaces a {!pop_due} call per event with one drain per
-    distinct timestamp. *)
-
-val drain_or_fire :
-  t -> limit:float -> into:time_cell -> batch -> pre:(unit -> unit) -> int
-(** Fused engine-loop step.  If the earliest due event's timestamp is
-    {e unique} (no other live event shares it — the overwhelmingly
-    common case in continuous time), pops it, runs [pre] (the caller's
-    per-event accounting) after writing [into], fires it, and returns
-    [-1]; the batch is untouched.  On an exact timestamp tie, behaves
-    exactly like {!drain_due} (returns the batch length ≥ 1, nothing
-    fired).  Returns [0] when nothing is due at or before [limit]. *)
-
-val batch_claim : batch -> int -> bool
-(** Marks the [i]-th batched event fired; [false] if it was cancelled
-    after the drain (the dispatch loop must then skip it without
-    accounting).  [i < batch_length] is the caller's invariant. *)
-
-val batch_run : batch -> int -> unit
-(** Runs the [i]-th batched event's callback (after {!batch_claim}
-    returned [true]). *)
-
-val requeue : t -> batch -> from:int -> time:float -> unit
-(** Re-inserts batched events [from ..] that were never claimed back
-    into the heap at [time] — used when [stop] or an exception aborts a
-    batch mid-dispatch.  Original insertion order is preserved, so the
-    next drain dispatches them exactly as the aborted one would have. *)
-
-val batch_clear : t -> batch -> unit
-(** Drops the event references so a parked batch does not pin fired
-    callbacks (or their packets) between runs. *)
-
-val pop_fire : t -> into:time_cell -> bool
-(** Removes the earliest live event, writes its time into [into], and
-    runs it; [false] on an empty heap.  The single-event analogue of the
-    drain/dispatch pair, for [Engine.step]. *)
+val step : t -> limit:float -> into:time_cell -> pre:(unit -> unit) -> bool
+(** The engine's dispatch step.  Discards cancelled events surfacing at
+    the root; if the earliest live event is due at or before [limit],
+    removes it, writes its time into [into], runs [pre] (the caller's
+    per-event accounting) and then the event's callback, and returns
+    [true].  Returns [false] when the heap is empty or the next event is
+    after [limit].  Events fire in (time, insertion order), so an event
+    added at the current time by a callback fires after every existing
+    event sharing that time. *)
 
 val size : t -> int
 (** Number of live (non-cancelled) events. *)

@@ -85,126 +85,38 @@ let collect ?timeout outcomes tasks i =
     | exception Cancelled (Stall reason) -> Stalled { reason }
     | exception exn -> Failed { exn; backtrace = Printexc.get_raw_backtrace () })
 
-(* Legacy [map] semantics on top of outcomes: every task ran; re-raise
-   the lowest-indexed failure (with its backtrace) if any, else unwrap.
+(* [map] semantics on top of outcomes: every task ran; re-raise the
+   lowest-indexed failure (with its backtrace) if any, else unwrap.
    [Timed_out]/[Stalled] cannot occur without a timeout or an external
    cancel, but are re-raised faithfully if a task leaks a [Cancelled]. *)
-let finish outcomes =
-  Array.iter
+let unwrap_all outcomes =
+  List.map
     (function
+      | Ok v -> v
       | Failed { exn; backtrace } -> Printexc.raise_with_backtrace exn backtrace
       | Timed_out { after } -> raise (Cancelled (Timeout after))
-      | Stalled { reason } -> raise (Cancelled (Stall reason))
-      | Ok _ -> ())
-    outcomes;
-  Array.map (function Ok v -> v | _ -> assert false) outcomes |> Array.to_list
-
-(* ---------------------------------------------------------------- deque *)
-
-(* Work-stealing double-ended queue: the owning worker pushes and pops at
-   the bottom (LIFO — freshly submitted work stays cache-warm), thieves
-   take from the top (FIFO — the oldest, and under LPT submission the
-   longest, task migrates first).  All operations happen under the pool
-   mutex — the unit of work here is a whole simulation run, so per-task
-   locking cost is noise and the lock-free Chase–Lev dance (atomics,
-   fences, ABA counters) would buy nothing but risk.  Indices grow
-   monotonically; slot [i] lives at [buf.(i land (len - 1))] with [len] a
-   power of two, so grow is a straight re-index copy. *)
-module Deque = struct
-  type 'a t = {
-    dummy : 'a;  (* slot filler: consumed entries are overwritten so the
-                    deque never retains a task (and its closure) *)
-    mutable buf : 'a array;
-    mutable top : int;  (* next slot thieves take *)
-    mutable bottom : int;  (* next free slot at the owner's end *)
-  }
-
-  let create dummy = { dummy; buf = Array.make 16 dummy; top = 0; bottom = 0 }
-  let size t = t.bottom - t.top
-  let is_empty t = size t = 0
-
-  let grow t =
-    let old = t.buf in
-    let old_mask = Array.length old - 1 in
-    let buf = Array.make (2 * Array.length old) t.dummy in
-    let mask = Array.length buf - 1 in
-    for i = t.top to t.bottom - 1 do
-      buf.(i land mask) <- old.(i land old_mask)
-    done;
-    t.buf <- buf
-
-  let push_bottom t x =
-    if size t = Array.length t.buf then grow t;
-    t.buf.(t.bottom land (Array.length t.buf - 1)) <- x;
-    t.bottom <- t.bottom + 1
-
-  let pop_bottom t =
-    if is_empty t then None
-    else begin
-      t.bottom <- t.bottom - 1;
-      let i = t.bottom land (Array.length t.buf - 1) in
-      let x = t.buf.(i) in
-      t.buf.(i) <- t.dummy;
-      Some x
-    end
-
-  let steal_top t =
-    if is_empty t then None
-    else begin
-      let i = t.top land (Array.length t.buf - 1) in
-      let x = t.buf.(i) in
-      t.buf.(i) <- t.dummy;
-      t.top <- t.top + 1;
-      Some x
-    end
-end
-
-type mode = Fifo | Steal
+      | Stalled { reason } -> raise (Cancelled (Stall reason)))
+    outcomes
 
 module Pool = struct
   type t = {
     jobs : int;
-    mode : mode;
     m : Mutex.t;
     work_available : Condition.t;  (* workers: queue non-empty or stopping *)
     batch_done : Condition.t;  (* map callers: a task of theirs finished *)
-    queue : (unit -> unit) Queue.t;  (* Fifo: the single shared queue *)
-    deques : (unit -> unit) Deque.t array;  (* Steal: one per worker *)
-    mutable next_worker : int;  (* Steal: round-robin submission cursor *)
+    queue : (unit -> unit) Queue.t;
     mutable stopping : bool;
     mutable workers : unit Domain.t array;
   }
 
   let jobs t = t.jobs
-  let mode t = t.mode
 
-  (* Called with the pool mutex held.  Worker [i] prefers the bottom of
-     its own deque, then sweeps the others starting after itself (so
-     thieves spread instead of all hammering deque 0), stealing from the
-     top.  In Fifo mode all workers share one queue. *)
-  let take_work pool i =
-    match pool.mode with
-    | Fifo -> if Queue.is_empty pool.queue then None else Some (Queue.pop pool.queue)
-    | Steal -> (
-        match Deque.pop_bottom pool.deques.(i) with
-        | Some _ as r -> r
-        | None ->
-            let n = Array.length pool.deques in
-            let rec scan k =
-              if k = n then None
-              else
-                match Deque.steal_top pool.deques.((i + 1 + k) mod n) with
-                | Some _ as r -> r
-                | None -> scan (k + 1)
-            in
-            scan 0)
-
-  let worker pool i () =
+  let worker pool () =
     let rec loop () =
       Mutex.lock pool.m;
       wait ()
     and wait () =
-      match take_work pool i with
+      match Queue.take_opt pool.queue with
       | Some task ->
           Mutex.unlock pool.m;
           (* [task] is a wrapper built by [map_outcomes]: it never raises
@@ -221,24 +133,21 @@ module Pool = struct
     in
     loop ()
 
-  let create ?(mode = Fifo) ~jobs () =
+  let create ~jobs () =
     if jobs < 1 || jobs > 256 then
       invalid_arg (Printf.sprintf "Par.Pool.create: jobs %d not in [1, 256]" jobs);
     let pool =
       {
         jobs;
-        mode;
         m = Mutex.create ();
         work_available = Condition.create ();
         batch_done = Condition.create ();
         queue = Queue.create ();
-        deques = Array.init jobs (fun _ -> Deque.create ignore);
-        next_worker = 0;
         stopping = false;
         workers = [||];
       }
     in
-    pool.workers <- Array.init jobs (fun i -> Domain.spawn (worker pool i));
+    pool.workers <- Array.init jobs (fun _ -> Domain.spawn (worker pool));
     pool
 
   let reject_nested who =
@@ -276,20 +185,9 @@ module Pool = struct
         Mutex.unlock pool.m;
         invalid_arg "Par.Pool.map_outcomes: pool is shut down"
       end;
-      (match pool.mode with
-      | Fifo ->
-          for i = 0 to n - 1 do
-            Queue.push (wrap i) pool.queue
-          done
-      | Steal ->
-          (* Deal tasks round-robin across the worker deques, preserving
-             submission order within each deque.  Thieves drain from the
-             top, so the earliest-submitted (under LPT: costliest) tasks
-             migrate first — the load balancer the schedule relies on. *)
-          for i = 0 to n - 1 do
-            Deque.push_bottom pool.deques.(pool.next_worker) (wrap i);
-            pool.next_worker <- (pool.next_worker + 1) mod pool.jobs
-          done);
+      for i = 0 to n - 1 do
+        Queue.push (wrap i) pool.queue
+      done;
       Condition.broadcast pool.work_available;
       while !remaining > 0 do
         Condition.wait pool.batch_done pool.m
@@ -305,7 +203,7 @@ module Pool = struct
     let outcomes =
       map_outcomes pool (List.map (fun task _control -> task ()) tasks)
     in
-    finish (Array.of_list outcomes)
+    unwrap_all outcomes
 
   let shutdown pool =
     let joinable =
@@ -319,7 +217,7 @@ module Pool = struct
     if joinable then Array.iter Domain.join pool.workers
 end
 
-let map_outcomes ?mode ~jobs ?timeout tasks =
+let map_outcomes ~jobs ?timeout tasks =
   let n = List.length tasks in
   if n = 0 then []
   else if jobs <= 1 then begin
@@ -334,14 +232,11 @@ let map_outcomes ?mode ~jobs ?timeout tasks =
     Array.to_list outcomes
   end
   else begin
-    let pool = Pool.create ?mode ~jobs:(min jobs n) () in
+    let pool = Pool.create ~jobs:(min jobs n) () in
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
       (fun () -> Pool.map_outcomes pool ?timeout tasks)
   end
 
-let map ?mode ~jobs tasks =
-  let outcomes =
-    map_outcomes ?mode ~jobs (List.map (fun task _control -> task ()) tasks)
-  in
-  finish (Array.of_list outcomes)
+let map ~jobs tasks =
+  unwrap_all (map_outcomes ~jobs (List.map (fun task _control -> task ()) tasks))

@@ -97,36 +97,25 @@ val outcome_detail : _ outcome -> string
 (** Human-readable cause (exception text, timeout, stall reason); [""]
     for [Ok]. *)
 
-(** How a pool distributes a batch across its workers.
-
-    - [Fifo]: one shared queue; workers dequeue strictly in submission
-      order.  The historical default, and the mode LPT submission
-      ordering relies on (first submitted = first started).
-    - [Steal]: per-worker double-ended queues.  Tasks are dealt
-      round-robin at submission; a worker pops its own deque LIFO and,
-      when empty, steals the oldest task from another worker's deque.
-      Under skewed task costs this keeps every domain busy until the
-      batch drains without a central queue hand-off per task.
-
-    Both modes run every task exactly once and report outcomes in
-    submission-slot order, so results — and anything deterministic
-    derived from them — are byte-identical across modes; only the
-    execution interleaving differs. *)
-type mode = Fifo | Steal
+val unwrap_all : 'a outcome list -> 'a list
+(** {!val-map}'s result semantics over supervised outcomes: re-raises
+    the first non-[Ok] slot in list order ([Failed] with its original
+    backtrace, [Timed_out]/[Stalled] as {!Cancelled}), else returns
+    every value.  A caller that reorders tasks before submitting maps
+    the outcomes back to its own order first, so the failure it
+    re-raises is the lowest-indexed in that order. *)
 
 module Pool : sig
   type t
-  (** A fixed set of worker domains fed from one FIFO queue ([Fifo]
-      mode) or per-worker work-stealing deques ([Steal] mode). *)
+  (** A fixed set of worker domains fed from one FIFO queue: workers
+      start tasks strictly in submission order. *)
 
-  val create : ?mode:mode -> jobs:int -> unit -> t
+  val create : jobs:int -> unit -> t
   (** Spawns [jobs] worker domains (1 ≤ jobs ≤ 256; raises
       [Invalid_argument] otherwise).  Workers idle on a condition
-      variable until work arrives.  [mode] defaults to [Fifo]. *)
+      variable until work arrives. *)
 
   val jobs : t -> int
-
-  val mode : t -> mode
 
   val map : t -> (unit -> 'a) list -> 'a list
   (** [map pool tasks] runs every task on the pool and blocks until all
@@ -157,7 +146,7 @@ module Pool : sig
       Idempotent. *)
 end
 
-val map : ?mode:mode -> jobs:int -> (unit -> 'a) list -> 'a list
+val map : jobs:int -> (unit -> 'a) list -> 'a list
 (** One-shot convenience.  [jobs <= 1] runs the tasks sequentially in
     the calling domain — no domains are spawned, but the ordering and
     run-every-task-then-raise-the-lowest-index-failure semantics of
@@ -167,8 +156,7 @@ val map : ?mode:mode -> jobs:int -> (unit -> 'a) list -> 'a list
     down. *)
 
 val map_outcomes :
-  ?mode:mode -> jobs:int -> ?timeout:float -> (Control.t -> 'a) list ->
-  'a outcome list
+  jobs:int -> ?timeout:float -> (Control.t -> 'a) list -> 'a outcome list
 (** One-shot supervised map, same serial/parallel split as {!val-map}.
     [jobs <= 1] runs in the calling domain with identical outcome
     semantics (and permits nested fan-out, serving as the in-task

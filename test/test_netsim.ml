@@ -85,32 +85,34 @@ let test_heap_grows () =
 
 let test_heap_fast_path () =
   let h = Netsim.Event_heap.create () in
-  Alcotest.(check bool) "empty -> nan" true (Float.is_nan (Netsim.Event_heap.next_time h));
-  let fired = ref [] in
+  let cell = { Netsim.Event_heap.cell_time = 0. } in
+  let log = ref [] in
+  let pre () = log := Printf.sprintf "pre@%g" cell.Netsim.Event_heap.cell_time :: !log in
+  let step limit = Netsim.Event_heap.step h ~limit ~into:cell ~pre in
+  Alcotest.(check bool) "empty -> false" false (step infinity);
   let add time tag =
-    ignore (Netsim.Event_heap.add h ~time (fun () -> fired := tag :: !fired))
+    ignore (Netsim.Event_heap.add h ~time (fun () -> log := tag :: !log))
   in
   add 2.0 "b";
   add 1.0 "a";
-  check_float "next_time is min" 1.0 (Netsim.Event_heap.next_time h);
-  (Netsim.Event_heap.pop_exn h) ();
-  check_float "next_time after pop" 2.0 (Netsim.Event_heap.next_time h);
-  (Netsim.Event_heap.pop_exn h) ();
-  Alcotest.(check (list string)) "pop_exn order" [ "a"; "b" ] (List.rev !fired);
-  Alcotest.(check bool) "drained -> nan" true
-    (Float.is_nan (Netsim.Event_heap.next_time h));
-  Alcotest.(check bool) "pop_exn on empty raises" true
-    (try
-       let (_ : unit -> unit) = Netsim.Event_heap.pop_exn h in
-       false
-     with Invalid_argument _ -> true)
+  Alcotest.(check bool) "nothing due before 0.5" false (step 0.5);
+  Alcotest.(check (list string)) "nothing ran" [] !log;
+  Alcotest.(check bool) "fires the min" true (step 1.0);
+  check_float "clock written" 1.0 cell.Netsim.Event_heap.cell_time;
+  Alcotest.(check bool) "b not due at 1.5" false (step 1.5);
+  Alcotest.(check bool) "fires b" true (step infinity);
+  Alcotest.(check (list string)) "pre runs after the clock write, before the callback"
+    [ "pre@1"; "a"; "pre@2"; "b" ] (List.rev !log);
+  Alcotest.(check bool) "drained -> false" false (step infinity);
+  Alcotest.(check int) "size zero" 0 (Netsim.Event_heap.size h)
 
-let test_heap_next_time_skips_cancelled () =
+let test_heap_peek_time_skips_cancelled () =
   let h = Netsim.Event_heap.create () in
   let cancelled = Netsim.Event_heap.add h ~time:1.0 ignore in
   ignore (Netsim.Event_heap.add h ~time:2.0 ignore);
   Netsim.Event_heap.cancel h cancelled;
-  check_float "cancelled root skipped" 2.0 (Netsim.Event_heap.next_time h);
+  Alcotest.(check (option (float 1e-9)))
+    "cancelled root skipped" (Some 2.0) (Netsim.Event_heap.peek_time h);
   Alcotest.(check int) "one live" 1 (Netsim.Event_heap.size h)
 
 (* --------------------------------------------------------------- Engine *)
@@ -165,6 +167,80 @@ let test_engine_nested_schedule () =
   Netsim.Engine.run e;
   Alcotest.(check (list string)) "nested events run" [ "outer"; "inner" ] (List.rev !log);
   check_float "final time" 2.0 (Netsim.Engine.now e)
+
+(* Dispatch order under exact timestamp ties: (time, seq), and every
+   way out of [run] mid-tie (cancel, stop, exception, watchdog) leaves
+   the unfired siblings pending in that order. *)
+
+exception Tie_abort
+
+(* Three events at t = 1 logging "a", "b", "c" in schedule order; [a]
+   runs [first] before logging.  Returns the log and c's handle. *)
+let tied_triple e ~first =
+  let log = ref [] in
+  let push tag () = log := tag :: !log in
+  ignore
+    (Netsim.Engine.at e ~time:1.0 (fun () ->
+         first ();
+         push "a" ()));
+  ignore (Netsim.Engine.at e ~time:1.0 (push "b"));
+  let c = Netsim.Engine.at e ~time:1.0 (push "c") in
+  (log, c)
+
+let test_engine_tie_cancel () =
+  let e = Netsim.Engine.create () in
+  let c = ref None in
+  let log, handle =
+    tied_triple e ~first:(fun () -> Netsim.Engine.cancel e (Option.get !c))
+  in
+  c := Some handle;
+  Netsim.Engine.run e;
+  Alcotest.(check (list string)) "cancelled tie suppressed" [ "a"; "b" ]
+    (List.rev !log);
+  Alcotest.(check int) "nothing pending" 0 (Netsim.Engine.pending_events e)
+
+let test_engine_tie_stop () =
+  let e = Netsim.Engine.create () in
+  let log, _ = tied_triple e ~first:(fun () -> Netsim.Engine.stop e) in
+  Netsim.Engine.run e;
+  Alcotest.(check (list string)) "stopped after first" [ "a" ] (List.rev !log);
+  Alcotest.(check int) "two pending" 2 (Netsim.Engine.pending_events e);
+  check_float "clock at the tie" 1.0 (Netsim.Engine.now e);
+  Netsim.Engine.run e;
+  Alcotest.(check (list string)) "siblings in seq order" [ "a"; "b"; "c" ]
+    (List.rev !log)
+
+let test_engine_tie_exception () =
+  let e = Netsim.Engine.create () in
+  let armed = ref true in
+  let log, _ =
+    tied_triple e ~first:(fun () ->
+        if !armed then begin
+          armed := false;
+          raise Tie_abort
+        end)
+  in
+  Alcotest.check_raises "callback exception propagates" Tie_abort (fun () ->
+      Netsim.Engine.run e);
+  Alcotest.(check (list string)) "nothing logged" [] !log;
+  Alcotest.(check int) "siblings pending" 2 (Netsim.Engine.pending_events e);
+  Netsim.Engine.run e;
+  Alcotest.(check (list string)) "siblings fire on next run" [ "b"; "c" ]
+    (List.rev !log)
+
+let test_engine_tie_watchdog () =
+  let e = Netsim.Engine.create () in
+  let log, _ = tied_triple e ~first:ignore in
+  Netsim.Engine.set_watchdog e ~every_events:2 (fun () -> raise Tie_abort);
+  Alcotest.check_raises "watchdog raise propagates" Tie_abort (fun () ->
+      Netsim.Engine.run e);
+  Alcotest.(check (list string)) "two fired" [ "a"; "b" ] (List.rev !log);
+  Alcotest.(check int) "events processed" 2 (Netsim.Engine.events_processed e);
+  Alcotest.(check int) "third pending" 1 (Netsim.Engine.pending_events e);
+  Netsim.Engine.clear_watchdog e;
+  Netsim.Engine.run e;
+  Alcotest.(check (list string)) "third fires on next run" [ "a"; "b"; "c" ]
+    (List.rev !log)
 
 (* ----------------------------------------------------------- Queue_disc *)
 
@@ -989,8 +1065,8 @@ let () =
           Alcotest.test_case "cancel idempotent" `Quick test_heap_cancel_idempotent;
           Alcotest.test_case "growth + order" `Quick test_heap_grows;
           Alcotest.test_case "allocation-free fast path" `Quick test_heap_fast_path;
-          Alcotest.test_case "next_time skips cancelled" `Quick
-            test_heap_next_time_skips_cancelled;
+          Alcotest.test_case "peek_time skips cancelled" `Quick
+            test_heap_peek_time_skips_cancelled;
         ] );
       ( "engine",
         [
@@ -999,6 +1075,14 @@ let () =
           Alcotest.test_case "stop" `Quick test_engine_stop;
           Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
+          Alcotest.test_case "tie: cancel suppresses sibling" `Quick
+            test_engine_tie_cancel;
+          Alcotest.test_case "tie: stop leaves siblings pending" `Quick
+            test_engine_tie_stop;
+          Alcotest.test_case "tie: exception keeps siblings" `Quick
+            test_engine_tie_exception;
+          Alcotest.test_case "tie: watchdog raise keeps siblings" `Quick
+            test_engine_tie_watchdog;
         ] );
       ( "queue_disc",
         [

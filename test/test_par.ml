@@ -83,51 +83,6 @@ let test_empty_and_shutdown () =
   | _ -> Alcotest.fail "map after shutdown should raise"
   | exception Invalid_argument _ -> ()
 
-let test_steal_mode_order_and_reuse () =
-  (* Steal mode must have identical observable semantics: every task runs
-     exactly once, results come back in submission-slot order, the pool
-     is reusable across batches.  Uneven sleeps force actual stealing
-     (worker 0's deque gets the long tasks under round-robin dealing). *)
-  let pool = Par.Pool.create ~mode:Par.Steal ~jobs:3 () in
-  Fun.protect
-    ~finally:(fun () -> Par.Pool.shutdown pool)
-    (fun () ->
-      Alcotest.(check bool) "mode" true (Par.Pool.mode pool = Par.Steal);
-      let ran = Atomic.make 0 in
-      let tasks =
-        List.init 24 (fun i () ->
-            Atomic.incr ran;
-            if i mod 3 = 0 then Unix.sleepf 0.02;
-            i * 7)
-      in
-      Alcotest.(check (list int))
-        "steal results in input order"
-        (List.init 24 (fun i -> i * 7))
-        (Par.Pool.map pool tasks);
-      Alcotest.(check int) "each task ran exactly once" 24 (Atomic.get ran);
-      Alcotest.(check (list int)) "second batch" [ 9; 8 ]
-        (Par.Pool.map pool [ (fun () -> 9); (fun () -> 8) ]))
-
-let test_steal_mode_exceptions () =
-  let tasks =
-    List.init 12 (fun i () -> if i = 2 || i = 9 then raise (Boom i) else i)
-  in
-  (match Par.map ~mode:Par.Steal ~jobs:4 tasks with
-  | _ -> Alcotest.fail "expected Boom"
-  | exception Boom i -> Alcotest.(check int) "lowest failing slot wins" 2 i);
-  (* Supervised variant: outcomes in slot order, failures captured. *)
-  let outcomes =
-    Par.map_outcomes ~mode:Par.Steal ~jobs:4
-      (List.init 12 (fun i _control -> if i = 5 then raise (Boom i) else i))
-  in
-  List.iteri
-    (fun i o ->
-      match o with
-      | Par.Ok v -> Alcotest.(check int) "slot value" i v
-      | Par.Failed { exn = Boom 5; _ } when i = 5 -> ()
-      | _ -> Alcotest.fail (Printf.sprintf "unexpected outcome in slot %d" i))
-    outcomes
-
 let test_create_validates_jobs () =
   (match Par.Pool.create ~jobs:0 () with
   | _ -> Alcotest.fail "jobs=0 should raise"
@@ -150,10 +105,6 @@ let () =
           Alcotest.test_case "nested submit rejected" `Quick
             test_nested_submit_rejected;
           Alcotest.test_case "empty batch + shutdown" `Quick test_empty_and_shutdown;
-          Alcotest.test_case "steal mode: order + reuse" `Quick
-            test_steal_mode_order_and_reuse;
-          Alcotest.test_case "steal mode: exceptions + outcomes" `Quick
-            test_steal_mode_exceptions;
           Alcotest.test_case "create validates jobs" `Quick test_create_validates_jobs;
         ] );
     ]

@@ -222,6 +222,34 @@ let test_serial_parallel_agree () =
          Experiments.Sweep.cause_label f.f_cause)
        b.failures)
 
+(* The unsupervised [Sweep.run] submits costliest-first, yet a failure
+   must still surface as the grid-first failing cell.  The ids borrow
+   the cost table's entries so the submission order is the reverse of
+   grid order: fig04 is among the cheapest figures, fig12 the costliest. *)
+exception Cell_failed of string
+
+let test_run_raises_grid_first_failure () =
+  let failing id =
+    {
+      Experiments.Registry.id;
+      figure = id;
+      title = "always fails";
+      run = (fun ~mode:_ ~seed:_ -> raise (Cell_failed id));
+    }
+  in
+  let experiments = [ failing "fig04"; failing "fig12" ] in
+  List.iter
+    (fun jobs ->
+      match
+        Experiments.Sweep.run ~experiments ~jobs ~mode:quick ~seed:42 ()
+      with
+      | _ -> Alcotest.fail "expected Cell_failed"
+      | exception Cell_failed id ->
+          Alcotest.(check string)
+            (Printf.sprintf "grid-first failure wins (-j %d)" jobs)
+            "fig04" id)
+    [ 1; 2 ]
+
 (* -------------------------------------------------- report and metrics *)
 
 let test_failure_report_json_shape () =
@@ -360,6 +388,8 @@ let () =
             test_partial_sweep_keeps_successes;
           Alcotest.test_case "serial = parallel" `Quick
             test_serial_parallel_agree;
+          Alcotest.test_case "run raises the grid-first failure" `Quick
+            test_run_raises_grid_first_failure;
         ] );
       ( "report",
         [

@@ -79,12 +79,11 @@ let test_multi_seed_aggregate () =
     serial;
   check_same_results "seeds=2 serial vs -j 4" serial parallel
 
-(* Scheduler invariance: fifo, lpt and steal reorder execution only, so
-   the rendered sweep — the exact bytes `tfmcc-sim sweep` prints — must
-   be identical across every (schedule, jobs) combination.  The subset
-   mixes the costliest and cheapest figures in the cost table so LPT's
-   permutation and steal's deque dealing actually differ from grid
-   order. *)
+(* Every sweep submits its cells costliest-first, so the execution
+   schedule differs between the serial run and a 4-domain one; the
+   rendered sweep — the exact bytes `tfmcc-sim sweep` prints — must not.
+   The subset mixes the costliest and cheapest figures in the cost table
+   so the costliest-first permutation differs from grid order. *)
 let sched_subset () =
   List.filter
     (fun e ->
@@ -94,47 +93,45 @@ let sched_subset () =
 
 let test_schedules_byte_identical () =
   let experiments = sched_subset () in
-  let render schedule jobs =
+  let render jobs =
     let report =
-      Experiments.Sweep.run_supervised ~experiments ~schedule ~jobs
+      Experiments.Sweep.run_supervised ~experiments ~jobs
         ~mode:Experiments.Scenario.Quick ~seed:42 ~seeds:2 ()
     in
     Alcotest.(check int)
-      (Printf.sprintf "no failures (%s, -j %d)"
-         (Experiments.Sweep.schedule_label schedule)
-         jobs)
+      (Printf.sprintf "no failures (-j %d)" jobs)
       0
       (List.length report.Experiments.Sweep.failures);
     Experiments.Sweep.render ~csv:true ~replicates:true ~seeds:2
       report.Experiments.Sweep.results
   in
-  let reference = render Experiments.Sweep.Fifo 1 in
+  let reference = render 1 in
   Alcotest.(check bool) "reference output non-empty" true (reference <> "");
-  List.iter
-    (fun schedule ->
-      List.iter
-        (fun jobs ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s -j %d vs fifo -j 1"
-               (Experiments.Sweep.schedule_label schedule)
-               jobs)
-            reference (render schedule jobs))
-        [ 1; 4 ])
-    [ Experiments.Sweep.Fifo; Experiments.Sweep.Lpt; Experiments.Sweep.Steal ]
+  Alcotest.(check string) "-j 4 vs -j 1" reference (render 4)
 
+(* The reference runs each cell directly, in grid order. *)
 let test_schedules_unsupervised_identical () =
   let experiments = sched_subset () in
-  let reference = run ~experiments ~jobs:1 () in
+  let reference =
+    List.map
+      (fun experiment ->
+        {
+          Experiments.Sweep.experiment;
+          replicates =
+            [
+              Experiments.Sweep.run_one experiment
+                ~mode:Experiments.Scenario.Quick ~seed:42;
+            ];
+          aggregate = None;
+        })
+      experiments
+  in
   List.iter
-    (fun schedule ->
-      let got =
-        Experiments.Sweep.run ~experiments ~schedule ~jobs:4
-          ~mode:Experiments.Scenario.Quick ~seed:42 ()
-      in
+    (fun jobs ->
       check_same_results
-        (Experiments.Sweep.schedule_label schedule ^ " -j 4 vs fifo -j 1")
-        reference got)
-    [ Experiments.Sweep.Lpt; Experiments.Sweep.Steal ]
+        (Printf.sprintf "-j %d vs grid-order serial" jobs)
+        reference (run ~experiments ~jobs ()))
+    [ 1; 4 ]
 
 let () =
   Alcotest.run "sweep determinism"
