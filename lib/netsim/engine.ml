@@ -84,7 +84,7 @@ let after t ~delay callback =
 
 (* Fire-and-forget scheduling: no handle is allocated or returned, so
    the engine-internal hot paths (link transmissions/arrivals) schedule
-   with one short-lived minor-heap record per event and nothing else. *)
+   without allocating (the payload goes into the heap's slot tables). *)
 let after_unit t ~delay callback =
   if delay < 0. then invalid_arg "Engine.after_unit: negative delay";
   Event_heap.add_unit t.heap ~time:(t.clock.Event_heap.cell_time +. delay) callback

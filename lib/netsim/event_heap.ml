@@ -1,53 +1,51 @@
-(* The heap is stored as two parallel arrays: [times] is a flat float
-   array (unboxed storage, no per-key float box) holding the sort keys,
-   [events] holds the payload records (callback, tie-break seq, cancel
-   flag).  Sifts move a hole instead of swapping, and the engine-facing
-   dispatch step ([step]) allocates nothing per event. *)
+(* Binary min-heap of events on (time, seq) (see event_heap.mli).
 
-(* An event is either a plain closure ([callback]) or a packet callback
-   pair ([pcb] applied to [parg]) — the latter lets the link layer
-   schedule a packet delivery with one preallocated per-link function
-   instead of a fresh closure per in-flight packet.  [parg] doubles as
-   the discriminator: the [Packet.dummy] sentinel means closure form.
+   The heap proper is three parallel unboxed arrays — [times], [seqs]
+   and [slots] — so a sift moves only floats and ints: no pointer
+   chasing to compare two entries and no write barrier per level.  Each
+   heap position names a slot; the event's payload lives in per-slot
+   tables, either a closure ([fns]) or a packet callback applied to its
+   packet ([pcbs]/[pargs]).  The packet form lets the link layer
+   schedule a delivery with one preallocated per-link function instead
+   of a fresh closure per in-flight packet; [pargs] doubles as the
+   discriminator ([Packet.dummy] means closure form).
 
-   Records handed out by [add] are permanent (the caller holds a
-   [handle] and may [cancel] it at any point after firing), but most of
-   the engine's traffic — link transmissions and arrivals — never keeps
-   a handle; those go through [add_unit]/[add_pkt].  All records are
-   freshly allocated with initializing stores.  A freelist of recycled
-   records was tried here and measured ~25 ns/event SLOWER than minor
-   allocation: parked records promote to the major heap, so every field
-   store on reuse goes through the [caml_modify] write barrier (young
-   closure into old record = remembered-set traffic), which costs far
-   more than the bump allocation it saves.  Don't reintroduce it. *)
-type event = {
-  mutable seq : int;
-  callback : unit -> unit;
-  pcb : Packet.t -> unit;
-  parg : Packet.t;
-  mutable cancelled : bool;
-}
+   A slot's payload is written once when its event is scheduled and
+   cleared once when the event leaves the heap, so a fired event's
+   closure or packet is not kept alive by the tables.  [owner] holds the
+   seq of the event occupying each slot, or -1 once that event fired or
+   was cancelled: an entry is live exactly when its seq matches its
+   slot's owner.  A cancel handle carries (slot, seq), so a handle whose
+   event has fired can never cancel the slot's next occupant.
 
-type handle = event
+   Cancellation is lazy: the entry stays in the heap (with its slot)
+   until it surfaces at the root, where [purge] drops it.  Every heap
+   position owns one slot, so the slot tables never outgrow the heap
+   arrays, and with no free slot the slots in use are 0 .. len-1.
+
+   No event record is allocated per schedule — only [add] allocates its
+   small handle — which is why this is not the freelist of recycled
+   records DESIGN.md §14 rejects: no record is refilled, and a sift
+   stores no pointer. *)
+
+type handle = { h_slot : int; h_seq : int }
 
 type t = {
-  mutable times : float array;
-  mutable events : event array;
+  mutable times : float array; (* heap order: time *)
+  mutable seqs : int array; (* heap order: insertion seq, the tie-break *)
+  mutable slots : int array; (* heap order: payload slot *)
   mutable len : int;
   mutable live : int;
   mutable next_seq : int;
+  mutable owner : int array; (* by slot: seq of the live occupant, or -1 *)
+  mutable fns : (unit -> unit) array; (* by slot: closure payload *)
+  mutable pcbs : (Packet.t -> unit) array; (* by slot: packet callback *)
+  mutable pargs : Packet.t array; (* by slot: its packet, or Packet.dummy *)
+  mutable free : int array; (* stack of free slots *)
+  mutable nfree : int;
 }
 
 let ignore_pcb (_ : Packet.t) = ()
-
-let dummy_event =
-  {
-    seq = -1;
-    callback = ignore;
-    pcb = ignore_pcb;
-    parg = Packet.dummy;
-    cancelled = true;
-  }
 
 (* All-float cell (raw double storage): [step] writes the popped time
    here so the caller's clock update is a plain store. *)
@@ -56,151 +54,164 @@ type time_cell = { mutable cell_time : float }
 let initial_capacity = 64
 
 let create () =
+  let cap = initial_capacity in
   {
-    times = Array.make initial_capacity 0.;
-    events = Array.make initial_capacity dummy_event;
+    times = Array.make cap 0.;
+    seqs = Array.make cap 0;
+    slots = Array.make cap 0;
     len = 0;
     live = 0;
     next_seq = 0;
+    owner = Array.make cap (-1);
+    fns = Array.make cap ignore;
+    pcbs = Array.make cap ignore_pcb;
+    pargs = Array.make cap Packet.dummy;
+    free = Array.make cap 0;
+    nfree = 0;
   }
 
-(* The sift loops keep every float comparison inside one function body:
-   without flambda a float passed to a helper (even a tiny [before]
-   predicate) is boxed at each call, which costs an allocation per heap
-   level per operation — so the comparisons are hand-inlined and the
-   keys stay in FP registers.  Indices are bounded by [t.len] (a local
-   invariant of each loop), so array accesses use the unsafe
-   primitives. *)
+let grow t =
+  let cap = 2 * Array.length t.times in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  t.times <- extend t.times 0.;
+  t.seqs <- extend t.seqs 0;
+  t.slots <- extend t.slots 0;
+  t.owner <- extend t.owner (-1);
+  t.fns <- extend t.fns ignore;
+  t.pcbs <- extend t.pcbs ignore_pcb;
+  t.pargs <- extend t.pargs Packet.dummy;
+  t.free <- extend t.free 0
 
-(* Move the hole at [i] up until (time, seq) fits, then drop the event in. *)
-let sift_up t i time ev =
-  let times = t.times and events = t.events in
-  let seq = ev.seq in
-  let i = ref i in
+(* The sift loops keep every float comparison inside one function body:
+   without flambda a float passed to a helper is boxed at each call, so
+   the comparisons are hand-inlined and the keys stay in FP registers.
+   Indices are bounded by [t.len] (a local invariant of each loop), so
+   array accesses use the unsafe primitives. *)
+
+(* Claim a slot for a new event with time [time] and sift it up.  The
+   new seq is the largest, so only a strictly later parent moves down.
+   Returns the slot; the caller writes the payload. *)
+let insert t time =
+  if t.len = Array.length t.times then grow t;
+  let s =
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      Array.unsafe_get t.free t.nfree
+    end
+    else t.len
+  in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  Array.unsafe_set t.owner s seq;
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let i = ref t.len in
+  t.len <- t.len + 1;
+  t.live <- t.live + 1;
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
     let tp = Array.unsafe_get times parent in
-    if time < tp || (time = tp && seq < (Array.unsafe_get events parent).seq)
-    then begin
+    if time < tp then begin
       Array.unsafe_set times !i tp;
-      Array.unsafe_set events !i (Array.unsafe_get events parent);
+      Array.unsafe_set seqs !i (Array.unsafe_get seqs parent);
+      Array.unsafe_set slots !i (Array.unsafe_get slots parent);
       i := parent
     end
     else continue := false
   done;
   Array.unsafe_set times !i time;
-  Array.unsafe_set events !i ev
-
-(* Refill the hole at the root with the element at index [t.len] (the
-   old last element, already outside the tree), sifting it down.  The
-   key is loaded here rather than passed as an argument so it is never
-   boxed. *)
-let sift_down_root t =
-  let times = t.times and events = t.events in
-  let len = t.len in
-  let time = Array.unsafe_get times len in
-  let ev = Array.unsafe_get events len in
-  Array.unsafe_set events len dummy_event;
-  let seq = ev.seq in
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 in
-    if l >= len then continue := false
-    else begin
-      let r = l + 1 in
-      let child =
-        if r >= len then l
-        else begin
-          let tl = Array.unsafe_get times l and tr = Array.unsafe_get times r in
-          if tr < tl then r
-          else if tl < tr then l
-          else if
-            (Array.unsafe_get events r).seq < (Array.unsafe_get events l).seq
-          then r
-          else l
-        end
-      in
-      let tc = Array.unsafe_get times child in
-      if time < tc || (time = tc && seq < (Array.unsafe_get events child).seq)
-      then continue := false
-      else begin
-        Array.unsafe_set times !i tc;
-        Array.unsafe_set events !i (Array.unsafe_get events child);
-        i := child
-      end
-    end
-  done;
-  Array.unsafe_set times !i time;
-  Array.unsafe_set events !i ev
-
-let ensure_capacity t =
-  if t.len = Array.length t.events then begin
-    let cap = 2 * Array.length t.events in
-    let times = Array.make cap 0. in
-    let events = Array.make cap dummy_event in
-    Array.blit t.times 0 times 0 t.len;
-    Array.blit t.events 0 events 0 t.len;
-    t.times <- times;
-    t.events <- events
-  end
-
-let schedule t time ev =
-  ev.seq <- t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  t.len <- t.len + 1;
-  t.live <- t.live + 1;
-  sift_up t (t.len - 1) time ev
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set slots !i s;
+  s
 
 let add t ~time callback =
   if Float.is_nan time then invalid_arg "Event_heap.add: NaN time";
-  ensure_capacity t;
-  let ev =
-    {
-      seq = 0;
-      callback;
-      pcb = ignore_pcb;
-      parg = Packet.dummy;
-      cancelled = false;
-    }
-  in
-  schedule t time ev;
-  ev
+  let s = insert t time in
+  Array.unsafe_set t.fns s callback;
+  { h_slot = s; h_seq = Array.unsafe_get t.owner s }
 
 let add_unit t ~time callback =
   if Float.is_nan time then invalid_arg "Event_heap.add_unit: NaN time";
-  ensure_capacity t;
-  schedule t time
-    {
-      seq = 0;
-      callback;
-      pcb = ignore_pcb;
-      parg = Packet.dummy;
-      cancelled = false;
-    }
+  let s = insert t time in
+  Array.unsafe_set t.fns s callback
 
 let add_pkt t ~time pcb p =
   if Float.is_nan time then invalid_arg "Event_heap.add_pkt: NaN time";
-  ensure_capacity t;
-  schedule t time
-    { seq = 0; callback = ignore; pcb; parg = p; cancelled = false }
+  let s = insert t time in
+  Array.unsafe_set t.pcbs s pcb;
+  Array.unsafe_set t.pargs s p
 
-let cancel t ev =
-  if not ev.cancelled then begin
-    ev.cancelled <- true;
+let cancel t h =
+  if t.owner.(h.h_slot) = h.h_seq then begin
+    t.owner.(h.h_slot) <- -1;
     t.live <- t.live - 1
   end
 
-(* Remove the root, refilling the hole with the last element. *)
+(* Remove the root: free its slot, clear its payload, and refill the
+   hole with the last entry, sifting it down.  The moved entry's key is
+   loaded here rather than passed in, so it is never boxed. *)
 let remove_root t =
-  t.len <- t.len - 1;
-  if t.len > 0 then sift_down_root t else t.events.(0) <- dummy_event
+  let s0 = Array.unsafe_get t.slots 0 in
+  Array.unsafe_set t.owner s0 (-1);
+  if Array.unsafe_get t.pargs s0 != Packet.dummy then begin
+    Array.unsafe_set t.pargs s0 Packet.dummy;
+    Array.unsafe_set t.pcbs s0 ignore_pcb
+  end
+  else Array.unsafe_set t.fns s0 ignore;
+  Array.unsafe_set t.free t.nfree s0;
+  t.nfree <- t.nfree + 1;
+  let len = t.len - 1 in
+  t.len <- len;
+  if len > 0 then begin
+    let times = t.times and seqs = t.seqs and slots = t.slots in
+    let time = Array.unsafe_get times len in
+    let seq = Array.unsafe_get seqs len in
+    let s = Array.unsafe_get slots len in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= len then continue := false
+      else begin
+        let r = l + 1 in
+        let child =
+          if r >= len then l
+          else begin
+            let tl = Array.unsafe_get times l and tr = Array.unsafe_get times r in
+            if tr < tl then r
+            else if tl < tr then l
+            else if Array.unsafe_get seqs r < Array.unsafe_get seqs l then r
+            else l
+          end
+        in
+        let tc = Array.unsafe_get times child in
+        if time < tc || (time = tc && seq < Array.unsafe_get seqs child) then
+          continue := false
+        else begin
+          Array.unsafe_set times !i tc;
+          Array.unsafe_set seqs !i (Array.unsafe_get seqs child);
+          Array.unsafe_set slots !i (Array.unsafe_get slots child);
+          i := child
+        end
+      end
+    done;
+    Array.unsafe_set times !i time;
+    Array.unsafe_set seqs !i seq;
+    Array.unsafe_set slots !i s
+  end
+
+let root_live t =
+  Array.unsafe_get t.owner (Array.unsafe_get t.slots 0)
+  = Array.unsafe_get t.seqs 0
 
 (* Drop cancelled events as they surface so the root is live (or the
    heap empty) on return. *)
 let purge t =
-  while t.len > 0 && t.events.(0).cancelled do
+  while t.len > 0 && not (root_live t) do
     remove_root t
   done
 
@@ -208,8 +219,8 @@ let purge t =
    if it is due at or before [limit], write its time into [into] (an
    all-float cell, so the store does not box), then run [pre] (the
    engine's per-event accounting) and fire.  Returns [false] when
-   nothing is due.  The popped record is marked cancelled, so cancelling
-   a fired event later is a no-op that leaves the live count alone. *)
+   nothing is due.  The payload is read before [remove_root] frees the
+   slot, so a callback may schedule into it straight away. *)
 let step t ~limit ~into ~pre =
   purge t;
   if t.len = 0 then false
@@ -217,13 +228,15 @@ let step t ~limit ~into ~pre =
     let time = Array.unsafe_get t.times 0 in
     if time > limit then false
     else begin
-      let ev = Array.unsafe_get t.events 0 in
+      let s = Array.unsafe_get t.slots 0 in
+      let p = Array.unsafe_get t.pargs s in
+      let pcb = Array.unsafe_get t.pcbs s in
+      let fn = Array.unsafe_get t.fns s in
       remove_root t;
       t.live <- t.live - 1;
-      ev.cancelled <- true;
       into.cell_time <- time;
       pre ();
-      if ev.parg != Packet.dummy then ev.pcb ev.parg else ev.callback ();
+      if p != Packet.dummy then pcb p else fn ();
       true
     end
   end
@@ -233,15 +246,11 @@ let pop t =
   if t.len = 0 then None
   else begin
     let time = t.times.(0) in
-    let ev = t.events.(0) in
+    let s = t.slots.(0) in
+    let p = t.pargs.(s) and pcb = t.pcbs.(s) and fn = t.fns.(s) in
     remove_root t;
     t.live <- t.live - 1;
-    ev.cancelled <- true;
-    if ev.parg != Packet.dummy then begin
-      let f = ev.pcb and p = ev.parg in
-      Some (time, fun () -> f p)
-    end
-    else Some (time, ev.callback)
+    if p != Packet.dummy then Some (time, fun () -> pcb p) else Some (time, fn)
   end
 
 let peek_time t =
@@ -254,23 +263,28 @@ let is_empty t = t.live = 0
 
 (* O(n) structural audit for the invariant checker: every stored key is a
    real float, the (time, seq) heap order holds on every parent/child
-   edge, and the live count matches the stored non-cancelled events. *)
+   edge, every entry names an in-range slot, and the live count matches
+   the entries whose seq still owns their slot. *)
 let well_formed t =
-  if t.len < 0 || t.len > Array.length t.times
-     || Array.length t.times <> Array.length t.events
+  let cap = Array.length t.times in
+  if t.len < 0 || t.len > cap
+     || Array.length t.seqs <> cap || Array.length t.slots <> cap
+     || Array.length t.owner <> cap || Array.length t.fns <> cap
+     || Array.length t.pcbs <> cap || Array.length t.pargs <> cap
+     || t.nfree < 0 || t.len + t.nfree > cap
      || t.live < 0 || t.live > t.len
   then false
   else begin
     let ok = ref true in
     let stored_live = ref 0 in
     for i = 0 to t.len - 1 do
-      if Float.is_nan t.times.(i) then ok := false;
-      if not t.events.(i).cancelled then incr stored_live;
+      let s = t.slots.(i) in
+      if Float.is_nan t.times.(i) || s < 0 || s >= cap then ok := false
+      else if t.owner.(s) = t.seqs.(i) then incr stored_live;
       if i > 0 then begin
         let p = (i - 1) / 2 in
         let tp = t.times.(p) and ti = t.times.(i) in
-        if tp > ti || (tp = ti && t.events.(p).seq > t.events.(i).seq) then
-          ok := false
+        if tp > ti || (tp = ti && t.seqs.(p) > t.seqs.(i)) then ok := false
       end
     done;
     !ok && !stored_live = t.live

@@ -2,10 +2,14 @@
     cancellation (lazy deletion).  Ties in time are broken by insertion
     order so simulations are deterministic.
 
-    Representation: the time keys live in a flat (unboxed) [float array]
-    parallel to the payload array, so neither insertion nor the engine's
-    dispatch {!step} boxes a float or allocates per event — the engine's
-    inner loop runs allocation-free between callbacks. *)
+    Representation: the heap is three parallel unboxed arrays (time,
+    insertion seq, payload slot), so a sift moves only floats and ints.
+    Payloads sit in per-slot tables — a closure, or a packet callback
+    plus its packet — written once at schedule and cleared at pop.  No
+    record is allocated per event: {!add_unit}, {!add_pkt} and the
+    engine's dispatch {!step} allocate nothing, and {!add} allocates
+    only its small cancel handle.  [lib/rt]'s timer heap uses the same
+    layout (DESIGN.md §13). *)
 
 type t
 
@@ -18,10 +22,8 @@ val add : t -> time:float -> (unit -> unit) -> handle
 (** Schedules a callback.  [time] may equal the current minimum. *)
 
 val add_unit : t -> time:float -> (unit -> unit) -> unit
-(** Like {!add} for fire-and-forget events: no handle is returned.
-    (Event records are always freshly allocated: recycling them through
-    a freelist was measured slower than minor allocation — see the
-    implementation note in event_heap.ml.) *)
+(** Like {!add} for fire-and-forget events: no handle is returned and
+    nothing is allocated. *)
 
 val add_pkt : t -> time:float -> (Packet.t -> unit) -> Packet.t -> unit
 (** Fire-and-forget packet event: at [time], applies the given function
@@ -29,7 +31,8 @@ val add_pkt : t -> time:float -> (Packet.t -> unit) -> Packet.t -> unit
     a delivery without a per-packet closure. *)
 
 val cancel : t -> handle -> unit
-(** Cancelling an already-fired or already-cancelled event is a no-op. *)
+(** Cancelling an already-fired or already-cancelled event is a no-op,
+    also once its slot holds a later event. *)
 
 val pop : t -> (float * (unit -> unit)) option
 (** Removes and returns the earliest live event, skipping cancelled ones.

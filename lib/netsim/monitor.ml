@@ -55,23 +55,22 @@ and flow_state_slow t flow =
       t.hot_state <- Some st;
       st
 
-let record_delay st d =
-  let cap = Array.length st.delays in
-  if st.delay_len >= cap && cap < max_delay_samples then begin
-    let bigger = Array.make (Stdlib.min max_delay_samples (2 * cap)) 0. in
-    Array.blit st.delays 0 bigger 0 cap;
-    st.delays <- bigger
-  end;
-  st.delays.(st.delay_len mod Array.length st.delays) <- d;
-  st.delay_len <- st.delay_len + 1
-
 let tap t (p : Packet.t) =
   let st = flow_state t p.flow in
   st.packets <- st.packets + 1;
   (* Raw clock-cell read: [Engine.now] would box the float per packet. *)
   let now = (Engine.time_cell t.engine).Event_heap.cell_time in
   let delay = now -. p.created in
-  record_delay st delay;
+  (* The delay ring is filled here rather than in a helper, which would
+     box [delay] for the call. *)
+  let cap = Array.length st.delays in
+  if st.delay_len >= cap && cap < max_delay_samples then begin
+    let bigger = Array.make (Stdlib.min max_delay_samples (2 * cap)) 0. in
+    Array.blit st.delays 0 bigger 0 cap;
+    st.delays <- bigger
+  end;
+  st.delays.(st.delay_len mod Array.length st.delays) <- delay;
+  st.delay_len <- st.delay_len + 1;
   Obs.Metrics.Counter.inc st.m_packets;
   Obs.Metrics.Counter.add st.m_bytes p.size;
   Obs.Metrics.Histogram.observe st.m_delay delay;

@@ -18,7 +18,15 @@ let detach_all t = t.handlers <- []
 
 let handler_count t = List.length t.handlers
 
-let deliver_local t p = List.iter (fun h -> h p) t.handlers
+(* A direct loop rather than [List.iter (fun h -> h p)], which would
+   allocate a closure over [p] for every delivered packet. *)
+let rec deliver_each p = function
+  | [] -> ()
+  | h :: tl ->
+      h p;
+      deliver_each p tl
+
+let deliver_local t p = deliver_each p t.handlers
 
 let receive t p =
   t.received <- t.received + 1;

@@ -1,5 +1,14 @@
 module Int_tbl = Hashtbl.Make (Int)
 
+(* A cached (group, src) distribution tree as dense tables indexed by
+   node id: the child links to send on, in tree order, and a membership
+   byte.  The tables cover every node that existed when the tree was
+   built; adding a node invalidates every tree. *)
+type tree = {
+  children : Link.t array array;  (* [||] off the tree and at leaves *)
+  member : Bytes.t;  (* '\001' for members of the group *)
+}
+
 type t = {
   engine : Engine.t;
   mutable nodes : Node.t array;
@@ -10,19 +19,23 @@ type t = {
   groups : (int, unit Int_tbl.t) Hashtbl.t;  (* group -> member ids *)
   (* dst id -> parent.(v) = next node from v toward dst (-1 at dst/unreachable) *)
   route_cache : (int, int array) Hashtbl.t;
-  (* (group, src) -> node id -> child links *)
-  tree_cache : (int * int, Link.t list Int_tbl.t) Hashtbl.t;
+  (* (group, src) -> its tree *)
+  tree_cache : (int * int, tree) Hashtbl.t;
   (* One-entry cache in front of [tree_cache]: every data packet of a
      session looks up the same (group, src) tree, so the hot path skips
-     the tuple allocation and hashing of the table lookup entirely. *)
+     the tuple allocation and hashing of the table lookup entirely, and
+     a hop then costs two array reads by node id.  [no_tree] marks the
+     entry empty. *)
   mutable hot_group : int;
   mutable hot_src : int;
-  mutable hot_tree : Link.t list Int_tbl.t option;
+  mutable hot_tree : tree;
   (* Scratch for branch-point duplication ([forward_multicast]): clones
      park here between the clone pass and the send pass, so fanning out
      allocates no (link, packet) pair list per packet. *)
   mutable mc_scratch : Packet.t array;
 }
+
+let no_tree = { children = [||]; member = Bytes.empty }
 
 let create engine =
   {
@@ -36,7 +49,7 @@ let create engine =
     tree_cache = Hashtbl.create 8;
     hot_group = -1;
     hot_src = -1;
-    hot_tree = None;
+    hot_tree = no_tree;
     mc_scratch = Array.make 8 Packet.dummy;
   }
 
@@ -52,14 +65,14 @@ let node t id =
 let invalidate_routes t =
   Hashtbl.reset t.route_cache;
   Hashtbl.reset t.tree_cache;
-  t.hot_tree <- None
+  t.hot_tree <- no_tree
 
 let invalidate_group_trees t group =
   Hashtbl.to_seq_keys t.tree_cache
   |> Seq.filter (fun (g, _) -> g = group)
   |> List.of_seq
   |> List.iter (Hashtbl.remove t.tree_cache);
-  if t.hot_group = group then t.hot_tree <- None
+  if t.hot_group = group then t.hot_tree <- no_tree
 
 (* BFS rooted at [root]: parent.(v) is the neighbor of v on the shortest
    path from v toward root (-1 for root itself and unreachable nodes).
@@ -148,74 +161,68 @@ let build_tree t ~group ~src_id =
   | Some g -> Int_tbl.iter (fun m () -> walk m) g);
   children
 
-let tree_children t ~group ~src_id node_id =
-  let tree =
-    match t.hot_tree with
-    | Some tr when t.hot_group = group && t.hot_src = src_id -> tr
-    | _ ->
-        let key = (group, src_id) in
-        let tr =
-          match Hashtbl.find_opt t.tree_cache key with
-          | Some tr -> tr
-          | None ->
-              let tr = build_tree t ~group ~src_id in
-              Hashtbl.add t.tree_cache key tr;
-              tr
-        in
-        t.hot_group <- group;
-        t.hot_src <- src_id;
-        t.hot_tree <- Some tr;
+(* The dense form of [build_tree]'s result: each node's child list
+   becomes an array in the same order, so send order is unchanged. *)
+let dense_tree t ~group ~src_id =
+  let children = Array.make t.node_count [||] in
+  Int_tbl.iter
+    (fun u links -> children.(u) <- Array.of_list links)
+    (build_tree t ~group ~src_id);
+  let member = Bytes.make t.node_count '\000' in
+  (match Hashtbl.find_opt t.groups group with
+  | None -> ()
+  | Some g -> Int_tbl.iter (fun m () -> Bytes.set member m '\001') g);
+  { children; member }
+
+let tree_slow t ~group ~src_id =
+  let key = (group, src_id) in
+  let tr =
+    match Hashtbl.find_opt t.tree_cache key with
+    | Some tr -> tr
+    | None ->
+        let tr = dense_tree t ~group ~src_id in
+        Hashtbl.add t.tree_cache key tr;
         tr
   in
-  match Int_tbl.find tree node_id with
-  | l -> l
-  | exception Not_found -> []
+  t.hot_group <- group;
+  t.hot_src <- src_id;
+  t.hot_tree <- tr;
+  tr
 
-(* The two passes over a branch point's child list.  Top-level (not
-   closures) so the per-packet fan-out allocates nothing: clones park in
-   [mc_scratch] between the passes. *)
-let rec mc_clone_rest scratch p i = function
-  | [] -> ()
-  | _ :: tl ->
-      Array.unsafe_set scratch i (Packet.clone p);
-      mc_clone_rest scratch p (i + 1) tl
-
-let rec mc_send_rest scratch i = function
-  | [] -> ()
-  | link :: tl ->
-      let q = Array.unsafe_get scratch i in
-      Array.unsafe_set scratch i Packet.dummy;
-      Link.send link q;
-      mc_send_rest scratch (i + 1) tl
-
-let rec list_length_at acc = function
-  | [] -> acc
-  | _ :: tl -> list_length_at (acc + 1) tl
+let tree t ~group ~src_id =
+  if t.hot_tree != no_tree && t.hot_group = group && t.hot_src = src_id then
+    t.hot_tree
+  else tree_slow t ~group ~src_id
 
 let forward_multicast t ~at_id (p : Packet.t) ~group =
-  let links = tree_children t ~group ~src_id:p.src at_id in
-  match links with
-  | [] ->
-      (* Terminal point with no subscribers downstream: the packet's
-         journey ends here, recycle its arena slot. *)
-      Packet.release p
-  | [ link ] -> Link.send link p
-  | link0 :: rest ->
-      (* Branch point: duplicate for every child beyond the first.  All
-         clones are taken before any send — [Link.send] may drop and
-         release [p] (down link, TTL, full queue), after which it must
-         not be read again.  Send order (first child, then the rest in
-         tree order) is part of the deterministic event ordering. *)
-      let n = list_length_at 0 rest in
-      if n > Array.length t.mc_scratch then
-        t.mc_scratch <-
-          Array.make
-            (max n (2 * Array.length t.mc_scratch))
-            Packet.dummy;
-      let scratch = t.mc_scratch in
-      mc_clone_rest scratch p 0 rest;
-      Link.send link0 p;
-      mc_send_rest scratch 0 rest
+  let links = (tree t ~group ~src_id:p.src).children.(at_id) in
+  let n = Array.length links in
+  if n = 0 then
+    (* Terminal point with no subscribers downstream: the packet's
+       journey ends here, recycle its arena slot. *)
+    Packet.release p
+  else if n = 1 then Link.send (Array.unsafe_get links 0) p
+  else begin
+    (* Branch point: duplicate for every child beyond the first.  All
+       clones are taken before any send — [Link.send] may drop and
+       release [p] (down link, TTL, full queue), after which it must
+       not be read again.  Clones park in [mc_scratch] between the two
+       passes, so fanning out allocates no list.  Send order (first
+       child, then the rest in tree order) is part of the deterministic
+       event ordering. *)
+    if n > Array.length t.mc_scratch then
+      t.mc_scratch <- Array.make (max n (2 * Array.length t.mc_scratch)) Packet.dummy;
+    let scratch = t.mc_scratch in
+    for i = 1 to n - 1 do
+      Array.unsafe_set scratch i (Packet.clone p)
+    done;
+    Link.send (Array.unsafe_get links 0) p;
+    for i = 1 to n - 1 do
+      let q = Array.unsafe_get scratch i in
+      Array.unsafe_set scratch i Packet.dummy;
+      Link.send (Array.unsafe_get links i) q
+    done
+  end
 
 let route_from t node_obj (p : Packet.t) ~local =
   let here = Node.id node_obj in
@@ -231,7 +238,11 @@ let route_from t node_obj (p : Packet.t) ~local =
           Logs.debug (fun m -> m "Topology: no route %d -> %d, dropping" here d);
           Packet.release p)
   | Packet.Multicast g ->
-      if local && is_member t ~group:g node_obj then Node.deliver_local node_obj p;
+      (* Membership is read before local delivery and the children after
+         it ([forward_multicast] looks the tree up again): a handler may
+         join or leave, which invalidates the tree. *)
+      if local && Bytes.get (tree t ~group:g ~src_id:p.src).member here = '\001'
+      then Node.deliver_local node_obj p;
       forward_multicast t ~at_id:here p ~group:g
 
 let install_hook t node_obj =

@@ -1,23 +1,32 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives in an 8-byte buffer rather than a
+   [mutable int64] field: the field would hold a boxed [Int64] and
+   allocate a fresh one per draw, while [Bytes.get/set_int64_ne] are
+   primitives that load and store the raw 64 bits.  With [mix64] and the
+   step inlined, a draw allocates only what its result needs boxed. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let copy = Bytes.copy
 
-let split t =
-  let s = bits64 t in
-  { state = mix64 s }
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let split t = of_state (mix64 (bits64 t))
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

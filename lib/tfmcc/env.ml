@@ -6,8 +6,8 @@ type t = {
   id : int;
   now : unit -> float;
   after : delay:float -> (unit -> unit) -> timer;
-  (* Fire-and-forget [after]: no timer handle, so the runtime can recycle
-     the event record (zero allocation in the steady state).  Callbacks
+  (* Fire-and-forget [after]: no timer handle, so the runtime need not
+     allocate one (the simulator schedules it allocation-free).  Callbacks
      that may outlive their purpose must guard themselves (generation
      counter or [running] flag) instead of cancelling. *)
   after_unit : delay:float -> (unit -> unit) -> unit;

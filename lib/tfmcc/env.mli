@@ -40,8 +40,8 @@ type t = {
   now : unit -> float;
   after : delay:float -> (unit -> unit) -> timer;
   after_unit : delay:float -> (unit -> unit) -> unit;
-      (** Fire-and-forget [after]: no timer handle, so the runtime can
-          recycle the event record (zero allocation in the steady state).
+      (** Fire-and-forget [after]: no timer handle, so the runtime need
+          not allocate one (the simulator schedules it allocation-free).
           Callbacks that may outlive their purpose guard themselves
           (generation counter or running flag) instead of cancelling. *)
   at : time:float -> (unit -> unit) -> timer;

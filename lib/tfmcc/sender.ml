@@ -57,7 +57,7 @@ type t = {
   (* Pacing rides fire-and-forget events ([Env.after_unit]): the one
      closure per [start] is stored here and re-scheduled for every
      packet, so steady-state pacing allocates neither a closure nor a
-     cancellable event record.  [stop] bumps [pacing_gen] instead of
+     cancel handle.  [stop] bumps [pacing_gen] instead of
      cancelling; a stale event fires into a generation check and dies. *)
   mutable pacing_gen : int;
   mutable pacing_cb : unit -> unit;

@@ -104,7 +104,192 @@ let test_heap_fast_path () =
   Alcotest.(check (list string)) "pre runs after the clock write, before the callback"
     [ "pre@1"; "a"; "pre@2"; "b" ] (List.rev !log);
   Alcotest.(check bool) "drained -> false" false (step infinity);
-  Alcotest.(check int) "size zero" 0 (Netsim.Event_heap.size h)
+  Alcotest.(check int) "size zero" 0 (Netsim.Event_heap.size h);
+  (* Steady state: one schedule and one dispatch per event on a heap
+     with a backlog, so neither growth nor the empty heap is measured.
+     The only allocation allowed is the boxed [~time] argument. *)
+  let h = Netsim.Event_heap.create () in
+  let cb () = () and pcb (_ : Netsim.Packet.t) = () in
+  let p =
+    Netsim.Packet.make ~flow:1 ~size:100 ~src:0 ~dst:(Netsim.Packet.Unicast 1)
+      ~created:0. (Netsim.Packet.Raw 0)
+  in
+  for i = 0 to 999 do
+    Netsim.Event_heap.add_unit h ~time:(float_of_int i) cb
+  done;
+  let words_per_event schedule =
+    let n = 10_000 in
+    let before = Gc.minor_words () in
+    for i = 1 to n do
+      schedule (float_of_int (1000 + i));
+      ignore (Netsim.Event_heap.step h ~limit:infinity ~into:cell ~pre:ignore)
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let check_words what w =
+    if w > 2.0 then
+      Alcotest.failf "%s+step allocates %.2f words per event (max 2)" what w
+  in
+  check_words "add_pkt"
+    (words_per_event (fun time -> Netsim.Event_heap.add_pkt h ~time pcb p));
+  check_words "add_unit"
+    (words_per_event (fun time -> Netsim.Event_heap.add_unit h ~time cb));
+  Alcotest.(check bool) "still well-formed" true (Netsim.Event_heap.well_formed h)
+
+(* A handle outlives its event: once the event fired (or was cancelled)
+   its slot is reused, and the stale handle must not cancel the new
+   occupant. *)
+let test_heap_stale_handle () =
+  let h = Netsim.Event_heap.create () in
+  let fired = ref [] in
+  let add time tag = Netsim.Event_heap.add h ~time (fun () -> fired := tag :: !fired) in
+  let rec run () =
+    match Netsim.Event_heap.pop h with
+    | Some (_, f) ->
+        f ();
+        run ()
+    | None -> ()
+  in
+  let a = add 1.0 "a" in
+  run ();
+  (* b takes a's slot *)
+  let b = add 2.0 "b" in
+  Netsim.Event_heap.cancel h a;
+  Alcotest.(check int) "fired handle cancels nothing" 1 (Netsim.Event_heap.size h);
+  Netsim.Event_heap.cancel h b;
+  let _c = add 3.0 "c" in
+  (* purging the cancelled root frees b's slot, and d takes it *)
+  ignore (Netsim.Event_heap.peek_time h);
+  let _d = add 4.0 "d" in
+  Netsim.Event_heap.cancel h b;
+  Netsim.Event_heap.cancel h a;
+  Alcotest.(check int) "cancelled handle cancels nothing" 2 (Netsim.Event_heap.size h);
+  run ();
+  Alcotest.(check (list string)) "fire order" [ "a"; "c"; "d" ] (List.rev !fired)
+
+(* Model-based check of the heap against a list sorted by (time, seq):
+   random add / add_unit / add_pkt / cancel / step ~limit / pop
+   sequences, cancelling through any handle ever returned (pending,
+   fired, cancelled, or naming a slot since reused).  After every
+   operation the fire log, [size] and [well_formed] must agree with the
+   model.  Integer times make ties common. *)
+type heap_op =
+  | Op_add of int
+  | Op_add_unit of int
+  | Op_add_pkt of int
+  | Op_cancel of int
+  | Op_step of int option
+  | Op_pop
+
+let show_heap_op = function
+  | Op_add t -> Printf.sprintf "add %d" t
+  | Op_add_unit t -> Printf.sprintf "add_unit %d" t
+  | Op_add_pkt t -> Printf.sprintf "add_pkt %d" t
+  | Op_cancel k -> Printf.sprintf "cancel #%d" k
+  | Op_step None -> "step inf"
+  | Op_step (Some l) -> Printf.sprintf "step %d" l
+  | Op_pop -> "pop"
+
+let heap_op_gen =
+  QCheck.Gen.(
+    let time = int_range 0 12 in
+    frequency
+      [
+        (3, map (fun t -> Op_add t) time);
+        (2, map (fun t -> Op_add_unit t) time);
+        (2, map (fun t -> Op_add_pkt t) time);
+        (3, map (fun k -> Op_cancel k) (int_range 0 1000));
+        (3, map (fun l -> Op_step l) (opt ~ratio:0.8 time));
+        (1, return Op_pop);
+      ])
+
+let prop_heap_model =
+  QCheck.Test.make ~name:"event heap matches a sorted-list model" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_heap_op ops))
+        Gen.(list_size (int_range 0 200) heap_op_gen))
+    (fun ops ->
+      let h = Netsim.Event_heap.create () in
+      let cell = { Netsim.Event_heap.cell_time = 0. } in
+      let fired = ref [] in
+      let pcb (p : Netsim.Packet.t) =
+        match p.payload with Netsim.Packet.Raw id -> fired := id :: !fired | _ -> ()
+      in
+      (* model: pending (time, id) in (time, id) order; ids are schedule
+         order, so they double as the tie-break seq *)
+      let pending = ref [] in
+      let handles = ref [||] in
+      let next_id = ref 0 in
+      let expected = ref [] in
+      let schedule t add =
+        let id = !next_id in
+        incr next_id;
+        add (float_of_int t) id;
+        pending := List.merge compare !pending [ (t, id) ];
+        id
+      in
+      let pop_model limit =
+        match !pending with
+        | (t, id) :: rest when t <= limit ->
+            pending := rest;
+            expected := id :: !expected;
+            Some (float_of_int t)
+        | _ -> None
+      in
+      let apply = function
+        | Op_add t ->
+            ignore
+              (schedule t (fun time id ->
+                   let hd =
+                     Netsim.Event_heap.add h ~time (fun () -> fired := id :: !fired)
+                   in
+                   handles := Array.append !handles [| (hd, id) |]))
+        | Op_add_unit t ->
+            ignore
+              (schedule t (fun time id ->
+                   Netsim.Event_heap.add_unit h ~time (fun () -> fired := id :: !fired)))
+        | Op_add_pkt t ->
+            ignore
+              (schedule t (fun time id ->
+                   Netsim.Event_heap.add_pkt h ~time pcb
+                     (Netsim.Packet.make ~flow:0 ~size:1 ~src:0
+                        ~dst:(Netsim.Packet.Unicast 0) ~created:0.
+                        (Netsim.Packet.Raw id))))
+        | Op_cancel k ->
+            let n = Array.length !handles in
+            if n > 0 then begin
+              let hd, id = !handles.(k mod n) in
+              Netsim.Event_heap.cancel h hd;
+              pending := List.filter (fun (_, i) -> i <> id) !pending
+            end
+        | Op_step limit ->
+            let limit = Option.fold ~none:max_int ~some:Fun.id limit in
+            let flimit = if limit = max_int then infinity else float_of_int limit in
+            let want = pop_model limit in
+            let got =
+              Netsim.Event_heap.step h ~limit:flimit ~into:cell ~pre:ignore
+            in
+            if got <> Option.is_some want then failwith "step: due mismatch";
+            Option.iter
+              (fun t -> if cell.cell_time <> t then failwith "step: clock")
+              want
+        | Op_pop -> (
+            let want = pop_model max_int in
+            match (Netsim.Event_heap.pop h, want) with
+            | None, None -> ()
+            | Some (t, f), Some t' ->
+                if t <> t' then failwith "pop: time";
+                f ()
+            | _ -> failwith "pop: emptiness mismatch")
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          !fired = !expected
+          && Netsim.Event_heap.size h = List.length !pending
+          && Netsim.Event_heap.well_formed h)
+        ops)
 
 let test_heap_peek_time_skips_cancelled () =
   let h = Netsim.Event_heap.create () in
@@ -661,6 +846,130 @@ let test_multicast_membership_api () =
   Alcotest.(check int) "join idempotent" 2
     (List.length (Netsim.Topology.members topo ~group:5))
 
+(* Fan-out under tree-cache invalidation.  Topology: sources s1, s2 and
+   members hang off router r; a and b and c are r's leaves, d sits
+   behind a.  Every node logs "name<-tag" on local delivery, so the log
+   pins both the delivery set and the order (same-time arrivals fire in
+   send order, i.e. tree child order).  The expected logs pin that
+   behaviour: a change to the tree cache must reproduce them. *)
+let fan_topo () =
+  let e = Netsim.Engine.create () in
+  let topo = Netsim.Topology.create e in
+  let names = [| "s1"; "s2"; "r"; "a"; "b"; "c"; "d" |] in
+  let nodes = Array.map (fun _ -> Netsim.Topology.add_node topo) names in
+  let connect i j =
+    ignore
+      (Netsim.Topology.connect topo ~bandwidth_bps:1e7 ~delay_s:0.001 nodes.(i)
+         nodes.(j))
+  in
+  List.iter (fun (i, j) -> connect i j) [ (0, 2); (1, 2); (2, 3); (2, 4); (2, 5); (3, 6) ];
+  let log = ref [] in
+  let logger name (p : Netsim.Packet.t) =
+    let tag = match p.payload with Netsim.Packet.Raw k -> k | _ -> -1 in
+    log := Printf.sprintf "%s<-%d" name tag :: !log
+  in
+  Array.iteri (fun i n -> Netsim.Node.attach n (logger names.(i))) nodes;
+  let send ~src ~group tag =
+    Netsim.Topology.inject topo
+      (Netsim.Packet.make ~flow:1 ~size:500 ~src:(Netsim.Node.id src)
+         ~dst:(Netsim.Packet.Multicast group) ~created:(Netsim.Engine.now e)
+         (Netsim.Packet.Raw tag))
+  in
+  let drain () =
+    let l = List.rev !log in
+    log := [];
+    l
+  in
+  (e, topo, nodes, send, drain)
+
+let check_log = Alcotest.(check (list string))
+
+let test_fanout_leave_in_handler () =
+  let e, topo, nodes, send, drain = fan_topo () in
+  let s1 = nodes.(0) and r = nodes.(2) and a = nodes.(3) and c = nodes.(5) in
+  let g = 1 in
+  Array.iteri (fun i n -> if i >= 2 then Netsim.Topology.join topo ~group:g n) nodes;
+  (* a leaves on its first packet: it still gets that packet (membership
+     is read before delivery) and keeps forwarding to d.  r, an interior
+     member, removes c while handling packet 1: r's children are read
+     after its handlers ran, so packet 1 no longer reaches c. *)
+  Netsim.Node.attach a (fun _ -> Netsim.Topology.leave topo ~group:g a);
+  Netsim.Node.attach r (fun p ->
+      match p.Netsim.Packet.payload with
+      | Netsim.Packet.Raw 1 -> Netsim.Topology.leave topo ~group:g c
+      | _ -> ());
+  List.iter
+    (fun tag ->
+      send ~src:s1 ~group:g tag;
+      Netsim.Engine.run e)
+    [ 0; 1; 2 ];
+  check_log "deliveries"
+    [ "r<-0"; "b<-0"; "c<-0"; "a<-0"; "d<-0"; "r<-1"; "b<-1"; "d<-1"; "r<-2";
+      "b<-2"; "d<-2" ]
+    (drain ())
+
+let test_fanout_node_added_after_cache () =
+  let e, topo, nodes, send, drain = fan_topo () in
+  let s1 = nodes.(0) and r = nodes.(2) and b = nodes.(4) in
+  let g = 3 in
+  Netsim.Topology.join topo ~group:g b;
+  let round tag =
+    send ~src:s1 ~group:g tag;
+    Netsim.Engine.run e
+  in
+  let late = ref [] in
+  let add_late name =
+    let n = Netsim.Topology.add_node topo in
+    Netsim.Node.attach n (fun p ->
+        match p.Netsim.Packet.payload with
+        | Netsim.Packet.Raw k -> late := Printf.sprintf "%s<-%d" name k :: !late
+        | _ -> ());
+    n
+  in
+  (* Each step below follows a send that cached the tree. *)
+  round 0;
+  let n = add_late "n" in
+  round 1;
+  ignore (Netsim.Topology.connect topo ~bandwidth_bps:1e7 ~delay_s:0.001 r n);
+  round 2;
+  Netsim.Topology.join topo ~group:g n;
+  round 3;
+  (* A second late node behind the first, joined before it is
+     connected. *)
+  let m = add_late "m" in
+  Netsim.Topology.join topo ~group:g m;
+  round 4;
+  ignore (Netsim.Topology.connect topo ~bandwidth_bps:1e7 ~delay_s:0.001 n m);
+  round 5;
+  check_log "existing members" [ "b<-0"; "b<-1"; "b<-2"; "b<-3"; "b<-4"; "b<-5" ] (drain ());
+  check_log "late nodes" [ "n<-3"; "n<-4"; "n<-5"; "m<-5" ] (List.rev !late)
+
+let test_fanout_alternating_trees () =
+  let e, topo, nodes, send, drain = fan_topo () in
+  let s1 = nodes.(0) and s2 = nodes.(1) in
+  let g1 = 1 and g2 = 2 in
+  List.iter (fun i -> Netsim.Topology.join topo ~group:g1 nodes.(i)) [ 1; 3; 4; 6 ];
+  List.iter (fun i -> Netsim.Topology.join topo ~group:g2 nodes.(i)) [ 0; 4; 5 ];
+  (* Tag = 10 * round + index; (src, group) alternate packet by packet,
+     so consecutive fan-outs at r never hit the same tree. *)
+  let round k =
+    List.iteri
+      (fun i (src, group) -> send ~src ~group ((10 * k) + i))
+      [ (s1, g1); (s2, g1); (s1, g2); (s2, g2); (s2, g1); (s1, g1) ];
+    Netsim.Engine.run e
+  in
+  round 0;
+  Netsim.Topology.leave topo ~group:g1 nodes.(4);
+  Netsim.Topology.join topo ~group:g2 nodes.(6);
+  round 1;
+  check_log "deliveries"
+    [ "s2<-0"; "b<-0"; "a<-0"; "c<-2"; "s1<-3"; "b<-1"; "a<-1"; "s2<-5"; "c<-3";
+      "b<-2"; "a<-5"; "b<-3"; "a<-4"; "d<-0"; "b<-5"; "d<-1"; "b<-4"; "d<-5";
+      "d<-4"; "s2<-10"; "a<-10"; "b<-12"; "c<-12"; "s1<-13"; "a<-11"; "s2<-15";
+      "b<-13"; "c<-13"; "d<-10"; "a<-15"; "d<-11"; "a<-14"; "d<-12"; "d<-13";
+      "d<-15"; "d<-14" ]
+    (drain ())
+
 (* -------------------------------------------------------------- Monitor *)
 
 let test_monitor_accounting () =
@@ -1065,6 +1374,7 @@ let () =
           Alcotest.test_case "cancel idempotent" `Quick test_heap_cancel_idempotent;
           Alcotest.test_case "growth + order" `Quick test_heap_grows;
           Alcotest.test_case "allocation-free fast path" `Quick test_heap_fast_path;
+          Alcotest.test_case "stale handle" `Quick test_heap_stale_handle;
           Alcotest.test_case "peek_time skips cancelled" `Quick
             test_heap_peek_time_skips_cancelled;
         ] );
@@ -1125,6 +1435,10 @@ let () =
             test_multicast_shared_link_single_copy;
           Alcotest.test_case "join/leave" `Quick test_multicast_join_leave;
           Alcotest.test_case "membership api" `Quick test_multicast_membership_api;
+          Alcotest.test_case "fan-out: leave in handler" `Quick test_fanout_leave_in_handler;
+          Alcotest.test_case "fan-out: node added after cache" `Quick
+            test_fanout_node_added_after_cache;
+          Alcotest.test_case "fan-out: alternating trees" `Quick test_fanout_alternating_trees;
         ] );
       ( "monitor",
         [
@@ -1151,7 +1465,7 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_heap_sorted; prop_droptail_never_exceeds;
+            prop_heap_sorted; prop_heap_model; prop_droptail_never_exceeds;
             prop_random_graph_all_reachable; prop_random_graph_unicast_delivery;
             prop_random_graph_multicast_exactly_once;
           ] );

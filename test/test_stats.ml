@@ -31,6 +31,56 @@ let test_rng_copy () =
   Alcotest.(check int64) "copy continues identically" (Stats.Rng.bits64 a)
     (Stats.Rng.bits64 b)
 
+(* The splitmix64 stream itself, not just agreement between generators:
+   these are the outputs of [create 42], of a [split] child and of a
+   [copy] taken after three draws, so a change to the state's storage
+   cannot alter every stream the same way unnoticed. *)
+let bits8 g = List.init 8 (fun _ -> Stats.Rng.bits64 g)
+
+let test_rng_pinned_stream () =
+  Alcotest.(check (list int64)) "create 42"
+    [ 0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L;
+      0xc4b6b24ef01890eL; 0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L;
+      0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L ]
+    (bits8 (Stats.Rng.create 42));
+  let g = Stats.Rng.create 42 in
+  let child = Stats.Rng.split g in
+  Alcotest.(check (list int64)) "split child"
+    [ 0x33d3b3229fe0c44dL; 0xcc0aaf5e8d84aac2L; 0xa539e214256b51ecL;
+      0xa57c77288d9504f0L; 0x6a1a5b4564f0f705L; 0x9be523348b643085L;
+      0xd77a5e377fecdf84L; 0x3cf0ccbc39ddd1f9L ]
+    (bits8 child);
+  Alcotest.(check (list int64)) "split advanced the parent by one"
+    [ 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L; 0xc4b6b24ef01890eL;
+      0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L; 0x4782c4b4c4fdf7c9L;
+      0x272404a0a3926552L; 0xc2bc249e28760ccdL ]
+    (bits8 g);
+  let g = Stats.Rng.create 42 in
+  for _ = 1 to 3 do
+    ignore (Stats.Rng.bits64 g)
+  done;
+  let c = Stats.Rng.copy g in
+  let expected =
+    [ 0xc4b6b24ef01890eL; 0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L;
+      0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L; 0xc2bc249e28760ccdL;
+      0x3e69c285108dbb77L; 0xc3b2b51fc61ec914L ]
+  in
+  Alcotest.(check (list int64)) "copy" expected (bits8 c);
+  Alcotest.(check (list int64)) "original after copy" expected (bits8 g)
+
+(* A draw boxes its float result and nothing else: the generator state
+   is stored unboxed. *)
+let test_rng_uniform_alloc () =
+  let rng = Stats.Rng.create 3 in
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Stats.Rng.uniform rng))
+  done;
+  let per_draw = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_draw > 2.0 then
+    Alcotest.failf "uniform allocates %.2f words per draw (max 2)" per_draw
+
 let test_rng_uniform_range () =
   let rng = Stats.Rng.create 5 in
   for _ = 1 to 10_000 do
@@ -346,6 +396,9 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "split independence" `Quick test_rng_split_independence;
           Alcotest.test_case "copy" `Quick test_rng_copy;
+          Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream;
+          Alcotest.test_case "uniform allocates only its result" `Quick
+            test_rng_uniform_alloc;
           Alcotest.test_case "uniform range" `Quick test_rng_uniform_range;
           Alcotest.test_case "uniform mean" `Quick test_rng_uniform_mean;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
