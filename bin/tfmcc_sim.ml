@@ -365,19 +365,6 @@ let verify_golden_cmd =
   Cmd.v (Cmd.info "verify-golden" ~doc)
     Term.(const run $ seed_arg $ jobs_arg $ regen_arg $ file_arg)
 
-let all_cmd =
-  let doc = "Run every experiment in figure order." in
-  let run full seed csv =
-    List.iter
-      (fun e ->
-        Printf.printf "--- %s: %s ---\n%!" e.Experiments.Registry.figure
-          e.Experiments.Registry.title;
-        let series = e.Experiments.Registry.run ~mode:(mode_of_full full) ~seed in
-        print_series ~csv series)
-      Experiments.Registry.all
-  in
-  Cmd.v (Cmd.info "all" ~doc) Term.(const run $ full_arg $ seed_arg $ csv_arg)
-
 let chaos_cmd =
   let doc =
     "Run the robustness suite back to back: fault injection (rob01 CLR \
@@ -558,6 +545,18 @@ let dot_cmd =
   in
   Cmd.v (Cmd.info "dot" ~doc) Term.(const run $ kind_arg $ size_arg $ seed_arg)
 
+(* Run the rt harness on the config [config ()] builds.  Bad arguments
+   surface as [Invalid_argument] from [Net.impairment] and from
+   [Harness.run]'s up-front checks; report them like the other commands
+   report theirs.  Faults inside a run never get here: the session guards
+   and the loop backstop catch them. *)
+let harness_run cmd ~obs config =
+  match Rt.Harness.run ~obs (config ()) with
+  | r -> r
+  | exception Invalid_argument msg ->
+      Printf.eprintf "%s: %s\n" cmd msg;
+      exit 1
+
 let loopback_cmd =
   let doc =
     "Drive concurrent TFMCC sessions over the real-time runtime (event loop + \
@@ -621,22 +620,22 @@ let loopback_cmd =
   let run sessions receivers duration loss delay jitter warmup realtime udp
       epoch rtt_initial seed json metrics_out =
     let cfg = { Tfmcc_core.Config.default with rtt_initial } in
-    let hc =
-      {
-        Rt.Harness.default with
-        Rt.Harness.sessions;
-        receivers;
-        duration;
-        impair = Rt.Net.impairment ~loss ~delay ~jitter ~warmup ();
-        cfg;
-        mode = (if realtime || udp then Rt.Loop.Realtime else Rt.Loop.Turbo);
-        transport = (if udp then Rt.Harness.Udp_sockets else Rt.Harness.Loopback);
-        epoch;
-        seed;
-      }
-    in
     let sink = Obs.Sink.create () in
-    let r = Rt.Harness.run ~obs:sink hc in
+    let r =
+      harness_run "loopback" ~obs:sink (fun () ->
+          {
+            Rt.Harness.default with
+            Rt.Harness.sessions;
+            receivers;
+            duration;
+            impair = Rt.Net.impairment ~loss ~delay ~jitter ~warmup ();
+            cfg;
+            mode = (if realtime || udp then Rt.Loop.Realtime else Rt.Loop.Turbo);
+            transport = (if udp then Rt.Harness.Udp_sockets else Rt.Harness.Loopback);
+            epoch;
+            seed;
+          })
+    in
     (match metrics_out with
     | Some file -> write_metrics_out ~file sink
     | None -> ());
@@ -862,21 +861,21 @@ let chaos_rt_cmd =
         [ Rt.Harness.Kill_session { session = kill_session; at = kill_at } ]
       else []
     in
-    let hc =
-      {
-        Rt.Harness.default with
-        Rt.Harness.sessions;
-        receivers;
-        duration;
-        impair = Rt.Net.impairment ~loss ~delay ~jitter ~warmup ();
-        cfg;
-        seed;
-        chaos = plan;
-        faults;
-      }
-    in
     let sink = Obs.Sink.create () in
-    let r = Rt.Harness.run ~obs:sink hc in
+    let r =
+      harness_run "chaos-rt" ~obs:sink (fun () ->
+          {
+            Rt.Harness.default with
+            Rt.Harness.sessions;
+            receivers;
+            duration;
+            impair = Rt.Net.impairment ~loss ~delay ~jitter ~warmup ();
+            cfg;
+            seed;
+            chaos = plan;
+            faults;
+          })
+    in
     (match metrics_out with
     | Some file -> write_metrics_out ~file sink
     | None -> ());
@@ -1031,6 +1030,6 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; run_cmd; all_cmd; sweep_cmd; verify_golden_cmd;
+          [ list_cmd; run_cmd; sweep_cmd; verify_golden_cmd;
             chaos_cmd; scatter_cmd; trace_cmd; dot_cmd; loopback_cmd;
             chaos_rt_cmd ]))

@@ -383,6 +383,31 @@ let test_rtt_measurements_spread () =
     true
     (with_rtt >= n / 2)
 
+(* Allocation budget of the whole simulated stack: minor-heap words per
+   simulated second of a warmed-up 4-receiver star at 1 Mbit/s (20 ms
+   links).  Warm up to 30 s, settle one more second so lazy growth
+   (tables, the packet arena) lands outside the window, then average 60
+   s.  Minor words are exactly reproducible, so the budget is absolute and
+   machine-independent: 1.10x the words measured when the guard was
+   introduced, 19786.15 with the null sink and 19848.10 with collection
+   enabled.  It assumes the domain's packet arena is not drained (earlier
+   tests leave most of its 4096 records free): a drained arena sends
+   every packet down the heap path, about 25300 words. *)
+let test_minor_words_budget ~obs ~budget () =
+  let st =
+    Experiments.Scenario.star ~seed:77 ~obs ~link_bps:1e6
+      ~link_delays:(Array.make 4 0.02) ()
+  in
+  Tfmcc_core.Session.start st.Experiments.Scenario.s_session ~at:0.;
+  run st.Experiments.Scenario.s_sc 31.;
+  let w0 = Gc.minor_words () in
+  for t = 32 to 91 do
+    run st.Experiments.Scenario.s_sc (float_of_int t)
+  done;
+  let w = (Gc.minor_words () -. w0) /. 60. in
+  if w > budget then
+    Alcotest.failf "%.2f minor words per simulated second (budget %.0f)" w budget
+
 let () =
   Alcotest.run "integration"
     [
@@ -401,6 +426,10 @@ let () =
           Alcotest.test_case "multicast delivery" `Quick test_all_receivers_get_data;
           Alcotest.test_case "stop halts" `Quick test_sender_stop_halts;
           Alcotest.test_case "RTT measurements spread" `Slow test_rtt_measurements_spread;
+          Alcotest.test_case "minor words budget, null sink" `Quick
+            (test_minor_words_budget ~obs:Obs.Sink.null ~budget:21_764.);
+          Alcotest.test_case "minor words budget, enabled sink" `Quick
+            (test_minor_words_budget ~obs:(Obs.Sink.create ()) ~budget:21_832.);
         ] );
       ( "tcp-friendliness",
         [

@@ -583,6 +583,40 @@ let test_loopback_warmup_holds_loss () =
   Alcotest.(check bool) "losses from t0 otherwise" true
     (unleashed.Harness.frames_lost > 0)
 
+(* Allocation budget of the rt twin of the simulator's star session
+   (test_integration): one TFMCC session with 4 receivers on the turbo
+   loopback fabric at 1% loss and 20 ms delay, wired straight to the
+   endpoints without the harness's supervision.  Minor-heap words per
+   loop-second, averaged over 60 s after a warm-up to 30 s and one
+   settling second.  The budget is 1.10x the 107728.67 words measured
+   when the guard was introduced. *)
+let test_loopback_minor_words_budget () =
+  let loop = Loop.create ~seed:77 () in
+  let net =
+    Net.create loop ~impair:(Net.impairment ~loss:0.01 ~delay:0.02 ~warmup:2. ()) ()
+  in
+  let s_ep = Net.endpoint net ~session:1 in
+  let rx_eps = List.init 4 (fun _ -> Net.endpoint net ~session:1) in
+  let s =
+    Tfmcc_core.Session.create ~sender_env:(Net.env s_ep) ~cfg ~session:1
+      ~receiver_envs:(List.map Net.env rx_eps) ()
+  in
+  let snd = Tfmcc_core.Session.sender s in
+  Net.set_deliver s_ep (fun ~size:_ msg -> Tfmcc_core.Sender.deliver snd msg);
+  List.iter2
+    (fun ep r -> Net.set_deliver ep (fun ~size msg -> Tfmcc_core.Receiver.deliver r ~size msg))
+    rx_eps (Tfmcc_core.Session.receivers s);
+  Tfmcc_core.Session.start s ~at:0.;
+  Loop.run ~until:31. loop;
+  let w0 = Gc.minor_words () in
+  for t = 32 to 91 do
+    Loop.run ~until:(float_of_int t) loop
+  done;
+  let w = (Gc.minor_words () -. w0) /. 60. in
+  let budget = 118_501. in
+  if w > budget then
+    Alcotest.failf "%.2f minor words per loop-second (budget %.0f)" w budget
+
 (* ------------------------------------------------------------------ *)
 (* Realtime mode                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -694,6 +728,7 @@ let () =
         [
           Alcotest.test_case "convergence smoke" `Quick test_loopback_convergence;
           Alcotest.test_case "warmup holds loss" `Quick test_loopback_warmup_holds_loss;
+          Alcotest.test_case "minor words budget" `Quick test_loopback_minor_words_budget;
         ] );
       ( "realtime",
         [
