@@ -10,7 +10,9 @@ type experiment = {
 }
 
 val all : experiment list
-(** In figure order. *)
+(** In figure order.  Each [run] first refills the calling domain's
+    packet arena ({!Netsim.Packet.Pool.reclaim}), so what an experiment
+    allocates does not depend on what ran before it in that domain. *)
 
 val hidden : experiment list
 (** Fault-injecting supervisor probes ({!Fault_inject}): excluded from

@@ -42,7 +42,7 @@ let dummy_payload = Raw (-1)
 module Pool = struct
   type pool = {
     slots : t array;  (* free records, [0, top) *)
-    capacity : int;
+    owned : t array;  (* every record of this arena, for [reclaim] *)
     mutable top : int;
     mutable debug : bool;
     mutable acquired : int;
@@ -68,9 +68,10 @@ module Pool = struct
 
   let create ?(capacity = default_capacity) () =
     if capacity < 1 then invalid_arg "Packet.Pool.create: capacity must be >= 1";
+    let owned = Array.init capacity (fun _ -> blank ()) in
     {
-      slots = Array.init capacity (fun _ -> blank ());
-      capacity;
+      slots = Array.copy owned;
+      owned;
       top = capacity;
       debug = false;
       acquired = 0;
@@ -85,15 +86,28 @@ module Pool = struct
 
   let domain () = Domain.DLS.get key
 
+  (* Records still held by a dropped engine (packets in flight when its
+     run ended) never come back through [release]; this takes them back.
+     Allocation-free, and the arena's free list after it is always the
+     same, whatever ran on this domain before. *)
+  let reclaim pl =
+    for i = 0 to Array.length pl.owned - 1 do
+      let p = Array.unsafe_get pl.owned i in
+      p.live <- false;
+      p.payload <- dummy_payload;
+      Array.unsafe_set pl.slots i p
+    done;
+    pl.top <- Array.length pl.owned
+
   let set_debug pl on = pl.debug <- on
 
   let debug pl = pl.debug
 
-  let capacity pl = pl.capacity
+  let capacity pl = Array.length pl.slots
 
   let free pl = pl.top
 
-  let in_use pl = pl.capacity - pl.top
+  let in_use pl = capacity pl - pl.top
 
   let acquired pl = pl.acquired
 
@@ -170,7 +184,7 @@ let release p =
       end;
       (* [top = capacity] can only be exceeded by records released into a
          different domain's arena; drop those to the GC instead. *)
-      if pl.Pool.top < pl.Pool.capacity then begin
+      if pl.Pool.top < Array.length pl.Pool.slots then begin
         Array.unsafe_set pl.Pool.slots pl.Pool.top p;
         pl.Pool.top <- pl.Pool.top + 1;
         pl.Pool.recycled <- pl.Pool.recycled + 1

@@ -108,6 +108,15 @@ module Pool : sig
   val domain : unit -> pool
   (** The calling domain's arena (created on first use). *)
 
+  val reclaim : pool -> unit
+  (** Returns every record of the arena to its free list, including the
+      ones a dropped engine still held (packets in flight when its run
+      ended, which are never released).  Without it those slots leak
+      and later engines in the domain fall back to heap records, by an
+      amount that depends on what ran there before.  Only call it when
+      no simulation that drew from this arena will run again: between
+      experiments, as the experiment registry does. *)
+
   val set_debug : pool -> bool -> unit
   (** Debug mode: poison released records and raise {!Use_after_free} on
       double release.  Off by default. *)

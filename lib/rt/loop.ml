@@ -22,6 +22,7 @@ type t = {
   mutable exn_handler : (exn -> Printexc.raw_backtrace -> unit) option;
   mutable exns_caught : int;
   fire : (unit -> unit) -> unit; (* [protect t], built once for every timer *)
+  fire_frame : (bytes -> int -> unit) -> bytes -> int -> unit; (* [protect_frame t] *)
 }
 
 (* Same metric family as Tfmcc_core.Env.clock_anomaly, registered
@@ -34,22 +35,31 @@ let anomaly t ~kind =
        ~labels:[ ("kind", kind) ]
        "tfmcc_rt_clock_anomaly_total")
 
-(* Every timer and fd callback runs through [protect].  The handler is
-   consulted at fire time, not schedule time: installing it after timers
-   are queued still protects them.  The metric is registered lazily so
-   an exception-free run leaves the registry untouched. *)
+(* Every timer and fd callback runs through [protect], and every frame
+   delivery through [protect_frame].  The handler is consulted at fire
+   time, not schedule time: installing it after timers are queued still
+   protects them.  The metric is registered lazily so an exception-free
+   run leaves the registry untouched. *)
+let caught t handler e bt =
+  t.exns_caught <- t.exns_caught + 1;
+  Obs.Metrics.Counter.inc
+    (Obs.Metrics.counter t.obs.Obs.Sink.metrics "tfmcc_rt_loop_exceptions_total");
+  handler e bt
+
 let protect t fn =
   match t.exn_handler with
   | None -> fn ()
   | Some handler -> (
-      try fn ()
-      with e ->
-        let bt = Printexc.get_raw_backtrace () in
-        t.exns_caught <- t.exns_caught + 1;
-        Obs.Metrics.Counter.inc
-          (Obs.Metrics.counter t.obs.Obs.Sink.metrics
-             "tfmcc_rt_loop_exceptions_total");
-        handler e bt)
+      try fn () with e -> caught t handler e (Printexc.get_raw_backtrace ()))
+
+(* The same backstop around a direct call: a wrapper closure per frame
+   would cost 6 words. *)
+let protect_frame t deliver frame size =
+  match t.exn_handler with
+  | None -> deliver frame size
+  | Some handler -> (
+      try deliver frame size
+      with e -> caught t handler e (Printexc.get_raw_backtrace ()))
 
 let create ?(mode = Turbo) ?(epoch = 0.) ?obs ?(seed = 42)
     ?(late_tolerance_s = 0.05) () =
@@ -69,6 +79,7 @@ let create ?(mode = Turbo) ?(epoch = 0.) ?obs ?(seed = 42)
       exn_handler = None;
       exns_caught = 0;
       fire = (fun fn -> protect t fn);
+      fire_frame = (fun deliver frame size -> protect_frame t deliver frame size);
     }
   in
   (match mode with
@@ -102,7 +113,7 @@ let set_exn_handler t h = t.exn_handler <- Some h
 
 let exceptions_caught t = t.exns_caught
 
-let after t ~delay fn =
+let schedule_after t ~delay fn =
   let delay =
     if Float.is_finite delay && delay >= 0. then delay
     else begin
@@ -110,7 +121,11 @@ let after t ~delay fn =
       0.
     end
   in
-  timer_of (Timer_heap.schedule t.timers ~at:(now t +. delay) fn)
+  Timer_heap.schedule t.timers ~at:(now t +. delay) fn
+
+let after t ~delay fn = timer_of (schedule_after t ~delay fn)
+
+let after_unit t ~delay fn = ignore (schedule_after t ~delay fn : Timer_heap.timer)
 
 let at t ~time fn =
   let time =
@@ -121,6 +136,9 @@ let at t ~time fn =
     end
   in
   timer_of (Timer_heap.schedule t.timers ~at:time fn)
+
+let frame_at t ~time deliver frame size =
+  Timer_heap.schedule_frame t.timers ~at:time deliver frame size
 
 (* Self-rescheduling periodic timer.  The next occurrence is queued
    before [fn] runs, so the chain survives a callback exception when an
@@ -169,7 +187,9 @@ let run_turbo ?until t =
             continue_ := false
         | _ ->
             if due > t.vnow then t.vnow <- due;
-            ignore (Timer_heap.advance t.timers ~now:t.vnow ~fire:t.fire ()))
+            ignore
+              (Timer_heap.advance t.timers ~now:t.vnow ~fire:t.fire
+                 ~fire_frame:t.fire_frame ()))
   done
 
 let run_realtime ?until t =
@@ -180,7 +200,9 @@ let run_realtime ?until t =
     let nw = now t in
     if nw >= stop_at then continue_ := false
     else begin
-      ignore (Timer_heap.advance t.timers ~now:nw ~late ~fire:t.fire ());
+      ignore
+        (Timer_heap.advance t.timers ~now:nw ~late ~fire:t.fire
+           ~fire_frame:t.fire_frame ());
       match (Timer_heap.next_due t.timers, t.fds) with
       | None, [] -> continue_ := false
       | next, fds -> (

@@ -47,7 +47,23 @@ val after : t -> delay:float -> (unit -> unit) -> Tfmcc_core.Env.timer
     clock anomaly (kind ["bad-delay"]) rather than corrupting the
     timer heap. *)
 
+val after_unit : t -> delay:float -> (unit -> unit) -> unit
+(** {!after} without the {!Tfmcc_core.Env.timer} handle, for
+    [Env.after_unit]: the callback cannot be cancelled, so the loop
+    builds no cancel closure for it.  The sender's pacing timer, one per
+    data packet, takes this path.  Same clamping as {!after}. *)
+
 val at : t -> time:float -> (unit -> unit) -> Tfmcc_core.Env.timer
+
+val frame_at : t -> time:float -> (bytes -> int -> unit) -> bytes -> int -> unit
+(** [frame_at t ~time deliver frame size] calls [deliver frame size]
+    at [time]: a datagram in flight, queued with
+    {!Timer_heap.schedule_frame}, so it allocates no closure, timer or
+    handle.  It fires in the same (deadline, seq) order as every other
+    timer, under the {!set_exn_handler} backstop, and counts in
+    {!timers_fired}.  It cannot be cancelled.  Unlike {!at}, [time] is
+    not clamped: the fabric only computes finite arrival times.
+    @raise Invalid_argument on a NaN [time]. *)
 
 val every : t -> interval:float -> (unit -> unit) -> Tfmcc_core.Env.timer
 (** Periodic timer: first fires [interval] seconds from now, then every

@@ -20,7 +20,16 @@ type endpoint = {
   session : int;
   net : t;
   mutable deliver : (size:int -> Wire.msg -> unit) option;
+  on_frame : bytes -> int -> unit;
+      (* [deliver_frame] bound to this endpoint, built once: what the
+         loop's frame slots fire for a copy addressed here *)
+  mutable paths : (int, horizon) Hashtbl.t option;
+      (* dst id -> FIFO horizon from here; made on the first send, so
+         building thousands of endpoints allocates no table *)
 }
+
+(* Latest arrival time scheduled on one (src, dst) path. *)
+and horizon = { mutable last : float }
 
 and t = {
   loop : Loop.t;
@@ -29,7 +38,6 @@ and t = {
   rng : Stats.Rng.t; (* impairment draws, split off the loop's master *)
   endpoints : (int, endpoint) Hashtbl.t;
   groups : (int, int list) Hashtbl.t; (* session -> member ids, ascending *)
-  last_arrival : (int * int, float) Hashtbl.t; (* (src,dst) -> FIFO horizon *)
   loss_from : float; (* loop time the loss dice start rolling *)
   (* Chaos state (DESIGN.md §15).  [blocked] refcounts endpoints taken
      out by partitions/churn — overlapping windows may block the same
@@ -65,7 +73,6 @@ let create loop ?(impair = impairment ()) () =
     rng = Loop.split_rng loop;
     endpoints = Hashtbl.create 64;
     groups = Hashtbl.create 16;
-    last_arrival = Hashtbl.create 64;
     loss_from = Loop.now loop +. impair.warmup;
     blocked = Hashtbl.create 16;
     blocked_n = 0;
@@ -132,8 +139,32 @@ let is_blocked t id = t.blocked_n > 0 && Hashtbl.mem t.blocked id
 
 let blocked_count t = t.blocked_n
 
+(* Decoded per copy, as each UDP receiver would decode its own. *)
+let deliver_frame ep frame size =
+  match ep.deliver with
+  | None -> ()
+  | Some f -> (
+      let t = ep.net in
+      match Wire.decode frame with
+      | Ok msg ->
+          t.delivered <- t.delivered + 1;
+          Obs.Metrics.Counter.inc t.m_delivered;
+          f ~size msg
+      | Error _ ->
+          t.dec_errors <- t.dec_errors + 1;
+          Obs.Metrics.Counter.inc t.m_dec)
+
 let endpoint t ~session =
-  let ep = { ep_id = t.next_id; session; net = t; deliver = None } in
+  let rec ep =
+    {
+      ep_id = t.next_id;
+      session;
+      net = t;
+      deliver = None;
+      on_frame = (fun frame size -> deliver_frame ep frame size);
+      paths = None;
+    }
+  in
   t.next_id <- t.next_id + 1;
   Hashtbl.replace t.endpoints ep.ep_id ep;
   ep
@@ -143,7 +174,8 @@ let set_deliver ep f = ep.deliver <- Some f
 let endpoint_id ep = ep.ep_id
 
 (* Group sends read the member list; only join and leave rebuild it. *)
-let members t session = Option.value (Hashtbl.find_opt t.groups session) ~default:[]
+let members t session =
+  match Hashtbl.find t.groups session with ids -> ids | exception Not_found -> []
 
 let join ep =
   let t = ep.net in
@@ -160,38 +192,94 @@ let leave ep =
   | None -> ()
   | Some ids -> Hashtbl.replace t.groups ep.session (List.filter (( <> ) ep.ep_id) ids)
 
-let deliver_frame t dst frame =
-  match Hashtbl.find_opt t.endpoints dst with
-  | None -> ()
-  | Some ep -> (
-      match ep.deliver with
-      | None -> ()
-      | Some f -> (
-          match Wire.decode frame with
-          | Ok msg ->
-              t.delivered <- t.delivered + 1;
-              Obs.Metrics.Counter.inc t.m_delivered;
-              f ~size:(Bytes.length frame) msg
-          | Error _ ->
-              t.dec_errors <- t.dec_errors + 1;
-              Obs.Metrics.Counter.inc t.m_dec))
+(* A copy addressed to an unknown id still fires, as a no-op, so the
+   loop's timer count does not depend on whether the id exists. *)
+let no_endpoint (_ : bytes) (_ : int) = ()
+
+let horizon ep dst =
+  let paths =
+    match ep.paths with
+    | Some paths -> paths
+    | None ->
+        let paths = Hashtbl.create 8 in
+        ep.paths <- Some paths;
+        paths
+  in
+  match Hashtbl.find paths dst with
+  | h -> h
+  | exception Not_found ->
+      let h = { last = neg_infinity } in
+      Hashtbl.add paths dst h;
+      h
+
+(* One copy of [frame] offered to the path from [ep] to [dst].  Chaos
+   checks happen at send time: frames already in flight when a
+   partition or flap begins still land, like packets on the wire when
+   a real link goes down behind them. *)
+let send_copy ep frame dsize ~src_blocked dst =
+  let t = ep.net in
+  t.sent <- t.sent + 1;
+  Obs.Metrics.Counter.inc t.m_sent;
+  if not t.fabric_up then begin
+    t.flap_drops <- t.flap_drops + 1;
+    Obs.Metrics.Counter.inc t.m_flap
+  end
+  else if src_blocked || is_blocked t dst then begin
+    t.partition_drops <- t.partition_drops + 1;
+    Obs.Metrics.Counter.inc t.m_partition
+  end
+  else if
+    t.impair.loss > 0.
+    && Loop.now t.loop >= t.loss_from
+    && Stats.Rng.uniform t.rng < t.impair.loss
+  then begin
+    t.lost <- t.lost + 1;
+    Obs.Metrics.Counter.inc t.m_lost
+  end
+  else begin
+    let extra =
+      if t.impair.jitter > 0. then t.impair.jitter *. Stats.Rng.uniform t.rng else 0.
+    in
+    (* Jitter must not reorder a path: like a netem-shaped FIFO link
+       (and like the simulator's queues), an arrival never precedes the
+       previous arrival on the same (src,dst). *)
+    let arrival = Loop.now t.loop +. t.impair.delay +. extra in
+    let h = horizon ep dst in
+    let arrival = if h.last > arrival then h.last else arrival in
+    h.last <- arrival;
+    (* Endpoints are never removed, so resolving [dst] now finds the
+       endpoint a lookup at delivery time would. *)
+    let deliver =
+      match Hashtbl.find t.endpoints dst with
+      | d -> d.on_frame
+      | exception Not_found -> no_endpoint
+    in
+    Loop.frame_at t.loop ~time:arrival deliver frame dsize
+  end
+
+let rec fan_out ep frame dsize ~src_blocked = function
+  | [] -> ()
+  | id :: rest ->
+      if id <> ep.ep_id then send_copy ep frame dsize ~src_blocked id;
+      fan_out ep frame dsize ~src_blocked rest
 
 let send ep ~dest ~flow:_ ~size msg =
   let t = ep.net in
-  (* Encode straight into the final padded datagram: data frames ride
-     datagrams of the configured packet size with the codec header as a
-     prefix (decode ignores the tail), report frames are never padded —
-     their wire size is exact.  One allocation per frame, no
-     encode-then-pad blit.  The buffer cannot be a reusable scratch
-     here: it is captured by the delivery timer closure (shared by every
-     multicast destination) and must stay immutable until the last
-     in-flight copy lands. *)
-  let enc_len =
-    match msg with
-    | Wire.Report _ -> Wire.encoded_report_size
-    | Wire.Data _ -> Wire.encoded_data_size
+  (* A frame holds the codec bytes only, and the datagram size rides
+     beside it into every copy's frame slot: a data frame stands for a
+     datagram of the configured packet size, whose tail nobody reads
+     ([Wire.decode_data] ignores it), and a report frame keeps its
+     exact length, the only one [Wire.decode_report] accepts.  Each
+     send allocates one fresh frame, shared by all its copies; it must
+     not be a reused scratch buffer, since it stays immutable until the
+     last copy in flight lands. *)
+  let frame =
+    Bytes.create
+      (match msg with
+      | Wire.Report _ -> Wire.encoded_report_size
+      | Wire.Data _ -> Wire.encoded_data_size)
   in
-  let frame = Bytes.make (if size > enc_len then size else enc_len) '\000' in
+  let dsize = if size > Bytes.length frame then size else Bytes.length frame in
   match
     match msg with
     | Wire.Report r -> Wire.encode_report_into frame r
@@ -202,64 +290,18 @@ let send ep ~dest ~flow:_ ~size msg =
          frame, as a real transport would, and make it visible. *)
       t.enc_drops <- t.enc_drops + 1;
       Obs.Metrics.Counter.inc t.m_enc
-  | (_ : int) ->
-      (* Chaos checks happen at send time: frames already in flight when
-         a partition or flap begins still land, like packets on the wire
-         when a real link goes down behind them. *)
+  | (_ : int) -> (
       let src_blocked = is_blocked t ep.ep_id in
-      let send_to dst =
-        t.sent <- t.sent + 1;
-        Obs.Metrics.Counter.inc t.m_sent;
-        if not t.fabric_up then begin
-          t.flap_drops <- t.flap_drops + 1;
-          Obs.Metrics.Counter.inc t.m_flap
-        end
-        else if src_blocked || is_blocked t dst then begin
-          t.partition_drops <- t.partition_drops + 1;
-          Obs.Metrics.Counter.inc t.m_partition
-        end
-        else if
-          t.impair.loss > 0.
-          && Loop.now t.loop >= t.loss_from
-          && Stats.Rng.uniform t.rng < t.impair.loss
-        then begin
-          t.lost <- t.lost + 1;
-          Obs.Metrics.Counter.inc t.m_lost
-        end
-        else begin
-          let extra =
-            if t.impair.jitter > 0. then t.impair.jitter *. Stats.Rng.uniform t.rng
-            else 0.
-          in
-          (* Jitter must not reorder a path: like a netem-shaped FIFO
-             link (and like the simulator's queues), an arrival never
-             precedes the previous arrival on the same (src,dst). *)
-          let now = Loop.now t.loop in
-          let arrival = now +. t.impair.delay +. extra in
-          let key = (ep.ep_id, dst) in
-          let arrival =
-            match Hashtbl.find_opt t.last_arrival key with
-            | Some prev when prev > arrival -> prev
-            | _ -> arrival
-          in
-          Hashtbl.replace t.last_arrival key arrival;
-          ignore
-            (Loop.at t.loop ~time:arrival (fun () -> deliver_frame t dst frame))
-        end
-      in
       match dest with
-      | Env.To_node id -> if id <> ep.ep_id then send_to id
-      | Env.To_group ->
-          List.iter (fun id -> if id <> ep.ep_id then send_to id) (members t ep.session)
+      | Env.To_node id -> if id <> ep.ep_id then send_copy ep frame dsize ~src_blocked id
+      | Env.To_group -> fan_out ep frame dsize ~src_blocked (members t ep.session))
 
 let env ep =
   {
     Env.id = ep.ep_id;
     now = (fun () -> Loop.now ep.net.loop);
     after = (fun ~delay fn -> Loop.after ep.net.loop ~delay fn);
-    after_unit =
-      (fun ~delay fn ->
-        ignore (Loop.after ep.net.loop ~delay fn : Tfmcc_core.Env.timer));
+    after_unit = (fun ~delay fn -> Loop.after_unit ep.net.loop ~delay fn);
     at = (fun ~time fn -> Loop.at ep.net.loop ~time fn);
     send = (fun ~dest ~flow ~size msg -> send ep ~dest ~flow ~size msg);
     join = (fun () -> join ep);

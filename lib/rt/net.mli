@@ -66,9 +66,11 @@ val env : endpoint -> Tfmcc_core.Env.t
 
 val set_deliver : endpoint -> (size:int -> Tfmcc_core.Wire.msg -> unit) -> unit
 (** Installs the inbound hook ([Sender.deliver] / [Receiver.deliver]).
-    [size] is the on-the-wire frame length in bytes (data frames are
-    padded up to the [size] the sender passed, mirroring the simulated
-    packet size). *)
+    [size] is the datagram size in bytes: the [size] the sender passed,
+    raised to the codec length when smaller (data frames keep the
+    configured packet size, mirroring the simulated packet; reports
+    arrive at their codec length).  The fabric carries only the codec
+    bytes and this size beside them, not a zero-padded datagram. *)
 
 val endpoint_id : endpoint -> int
 

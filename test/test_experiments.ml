@@ -118,6 +118,33 @@ let test_smoke_fig07 () = smoke "fig07"
 
 let test_smoke_fig17 () = smoke "fig17"
 
+(* What an experiment allocates must not depend on what ran before it in
+   the domain.  A drained packet arena (every record held by engines
+   that were dropped mid-flight) used to push the next experiment onto
+   heap packets; a parallel sweep's allocation then changed with the
+   order in which domains picked up experiments. *)
+let test_run_allocation_ignores_arena_state () =
+  match Experiments.Registry.find "rob01" with
+  | None -> Alcotest.fail "experiment rob01 missing"
+  | Some e ->
+      let words () =
+        let w0 = Gc.minor_words () in
+        ignore (e.Experiments.Registry.run ~mode:Experiments.Scenario.Quick ~seed:3 : _ list);
+        Gc.minor_words () -. w0
+      in
+      ignore (words () : float);
+      let full = words () in
+      let pl = Netsim.Packet.Pool.domain () in
+      let held = ref [] in
+      while Netsim.Packet.Pool.free pl > 0 do
+        held :=
+          Netsim.Packet.alloc ~flow:0 ~size:100 ~src:0 ~dst:(Netsim.Packet.Unicast 1)
+            ~created:0. (Netsim.Packet.Raw 0)
+          :: !held
+      done;
+      let drained = words () in
+      Alcotest.(check (float 0.)) "same minor words after draining the arena" full drained
+
 (* ---------------------------------------------------- scenario builders *)
 
 let test_dumbbell_structure () =
@@ -176,6 +203,8 @@ let () =
           Alcotest.test_case "unique ids" `Quick test_registry_ids_unique;
           Alcotest.test_case "covers all figures" `Quick test_registry_covers_all_figures;
           Alcotest.test_case "find" `Quick test_registry_find_case_insensitive;
+          Alcotest.test_case "run allocation ignores arena state" `Quick
+            test_run_allocation_ignores_arena_state;
         ] );
       ( "smoke",
         [

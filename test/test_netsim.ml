@@ -1339,6 +1339,37 @@ let prop_pool_uaf_guard_fires =
       | () -> false
       | exception Netsim.Packet.Use_after_free _ -> true)
 
+let test_pool_reclaim () =
+  let pl = Netsim.Packet.Pool.domain () in
+  let cap = Netsim.Packet.Pool.capacity pl in
+  let alloc flow i =
+    Netsim.Packet.alloc ~flow ~size:100 ~src:0 ~dst:(Netsim.Packet.Unicast 1)
+      ~created:0. (Netsim.Packet.Raw i)
+  in
+  Netsim.Packet.Pool.reclaim pl;
+  (* Five records are dropped without release, as by an engine whose
+     run ended with packets in flight. *)
+  let held = List.init 5 (alloc 1) in
+  Alcotest.(check int) "five held" (cap - 5) (Netsim.Packet.Pool.free pl);
+  let w0 = Gc.minor_words () in
+  Netsim.Packet.Pool.reclaim pl;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "allocation-free" 0. (w1 -. w0);
+  Alcotest.(check int) "arena full again" cap (Netsim.Packet.Pool.free pl);
+  Alcotest.(check bool) "held records are free, not live" true
+    (List.for_all (fun p -> not (Netsim.Packet.is_live p)) held);
+  (* Every slot is a distinct arena record: drawing all of them takes
+     no heap fallback and never hands out one record twice (a repeat
+     would carry the later index). *)
+  let before = Netsim.Packet.Pool.exhausted pl in
+  let drawn = List.init cap (alloc 2) in
+  List.iteri (fun i p -> Netsim.Packet.set_hops p i) drawn;
+  Alcotest.(check int) "no fallback" before (Netsim.Packet.Pool.exhausted pl);
+  Alcotest.(check bool) "all pooled" true (List.for_all (fun p -> p.Netsim.Packet.pooled) drawn);
+  Alcotest.(check bool) "distinct records" true
+    (List.for_all Fun.id (List.mapi (fun i p -> p.Netsim.Packet.hops = i) drawn));
+  List.iter Netsim.Packet.release drawn
+
 let test_pool_debug_double_release () =
   let pl = Netsim.Packet.Pool.domain () in
   let was = Netsim.Packet.Pool.debug pl in
@@ -1457,6 +1488,7 @@ let () =
       ( "pool",
         Alcotest.test_case "debug poison + double release" `Quick
           test_pool_debug_double_release
+        :: Alcotest.test_case "reclaim takes back held records" `Quick test_pool_reclaim
         :: List.map QCheck_alcotest.to_alcotest
              [
                prop_pool_recycle_no_stale; prop_pool_exhaustion_falls_back;

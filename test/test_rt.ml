@@ -12,9 +12,11 @@ let cfg = Tfmcc_core.Config.default
 (* Timer heap                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* [Timer_heap.advance] hands every callback to a [fire] wrapper; the
-   tests call it straight. *)
+(* [Timer_heap.advance] hands every callback to a [fire] wrapper and
+   every frame delivery to [fire_frame]; the tests call them straight. *)
 let fire f = f ()
+
+let fire_frame deliver frame size = deliver frame size
 
 (* Callbacks fire in nondecreasing deadline order; ties break by
    insertion sequence. *)
@@ -28,7 +30,7 @@ let test_wheel_order () =
   add "tie2" 0.020;
   add "b" 0.015;
   Alcotest.(check int) "pending" 5 (Timer_heap.pending w);
-  let n = Timer_heap.advance w ~now:1.0 ~fire () in
+  let n = Timer_heap.advance w ~now:1.0 ~fire ~fire_frame () in
   Alcotest.(check int) "fired count" 5 n;
   Alcotest.(check (list string))
     "deadline order, ties by insertion"
@@ -43,7 +45,7 @@ let test_wheel_cancel () =
   let t2 = Timer_heap.schedule w ~at:0.02 (fun () -> incr hits) in
   Timer_heap.cancel t1;
   Timer_heap.cancel t1 (* idempotent *);
-  ignore (Timer_heap.advance w ~now:0.05 ~fire ());
+  ignore (Timer_heap.advance w ~now:0.05 ~fire ~fire_frame ());
   Alcotest.(check int) "only t2 fired" 1 !hits;
   Timer_heap.cancel t2 (* after fire: no-op *);
   Alcotest.(check int) "fired total" 1 (Timer_heap.fired w)
@@ -58,10 +60,10 @@ let test_wheel_overflow_migration () =
   add "farther" 100.0;
   add "near" 0.5;
   Alcotest.(check (option (float 1e-9))) "next_due is near" (Some 0.5) (Timer_heap.next_due w);
-  ignore (Timer_heap.advance w ~now:1.0 ~fire ());
+  ignore (Timer_heap.advance w ~now:1.0 ~fire ~fire_frame ());
   Alcotest.(check (option (float 1e-9))) "then far" (Some 10.0) (Timer_heap.next_due w);
-  ignore (Timer_heap.advance w ~now:50.0 ~fire ());
-  ignore (Timer_heap.advance w ~now:200.0 ~fire ());
+  ignore (Timer_heap.advance w ~now:50.0 ~fire ~fire_frame ());
+  ignore (Timer_heap.advance w ~now:200.0 ~fire ~fire_frame ());
   Alcotest.(check (list string)) "all fired in order" [ "near"; "far"; "farther" ]
     (List.rev !fired);
   Alcotest.(check (option (float 1e-9))) "empty" None (Timer_heap.next_due w)
@@ -74,7 +76,7 @@ let test_wheel_cancel_overflow () =
   Timer_heap.cancel t;
   Alcotest.(check (option (float 1e-9))) "tombstone skipped" (Some 20.0)
     (Timer_heap.next_due w);
-  ignore (Timer_heap.advance w ~now:30.0 ~fire ());
+  ignore (Timer_heap.advance w ~now:30.0 ~fire ~fire_frame ());
   Alcotest.(check int) "one fired" 1 (Timer_heap.fired w)
 
 (* Callbacks scheduling already-due timers: the chain fires within the
@@ -87,7 +89,7 @@ let test_wheel_zero_delay_chain () =
     if n < 5 then ignore (Timer_heap.schedule w ~at:0.01 (chain (n + 1)))
   in
   ignore (Timer_heap.schedule w ~at:0.01 (chain 1));
-  let n = Timer_heap.advance w ~now:0.01 ~fire () in
+  let n = Timer_heap.advance w ~now:0.01 ~fire ~fire_frame () in
   Alcotest.(check int) "whole chain fired in one advance" 5 n;
   Alcotest.(check int) "chain depth" 5 !depth
 
@@ -96,7 +98,7 @@ let test_wheel_past_deadline () =
   let w = Timer_heap.create () in
   let hit = ref false in
   ignore (Timer_heap.schedule w ~at:1.0 (fun () -> hit := true));
-  ignore (Timer_heap.advance w ~now:100.0 ~fire ());
+  ignore (Timer_heap.advance w ~now:100.0 ~fire ~fire_frame ());
   Alcotest.(check bool) "past deadline fired" true !hit
 
 let test_wheel_nan_deadline_rejected () =
@@ -109,17 +111,28 @@ let test_wheel_nan_deadline_rejected () =
    advance steps run against the heap and against a sorted list of
    pending (deadline, id) pairs; both must fire the same timers in the
    same order.  Callbacks act too: they schedule at or after [now]
-   (zero-delay chains included) and cancel other timers, fired, pending
-   or not yet scheduled.  Deadlines sit on a 0.25 s grid so ties are
-   common, and a scheduled offset may be negative (already due). *)
-type heap_action = Quiet | Spawn of float * int | Cancel_id of int
+   (zero-delay chains included), queue frame deliveries and cancel
+   other timers, fired, pending or not yet scheduled.  Frame
+   deliveries ([Timer_heap.schedule_frame]) interleave with closure
+   timers; they have no handle, so a cancel aimed at one is a no-op,
+   and some raise.  A raising entry is consumed and ends its advance,
+   and every other due entry stays pending for the next one.
+   Deadlines sit on a 0.25 s grid so ties are common, and a scheduled
+   offset may be negative (already due). *)
+type heap_action = Quiet | Spawn of float * int | Cancel_id of int | Emit of float
 
-type heap_op = Sched of float * heap_action | Cancel of int | Advance of float
+type heap_op =
+  | Sched of float * heap_action
+  | Frame of float * bool (* offset, raises *)
+  | Cancel of int
+  | Advance of float
 
 let show_heap_op = function
   | Sched (off, Quiet) -> Printf.sprintf "sched %+g" off
   | Sched (off, Spawn (d, k)) -> Printf.sprintf "sched %+g spawn(%g,%d)" off d k
   | Sched (off, Cancel_id j) -> Printf.sprintf "sched %+g cancel(%d)" off j
+  | Sched (off, Emit d) -> Printf.sprintf "sched %+g emit(%g)" off d
+  | Frame (off, raises) -> Printf.sprintf "frame %+g%s" off (if raises then " raises" else "")
   | Cancel j -> Printf.sprintf "cancel %d" j
   | Advance d -> Printf.sprintf "advance %g" d
 
@@ -132,12 +145,14 @@ let gen_heap_ops =
         (3, return Quiet);
         (1, map2 (fun d k -> Spawn (quarter d, k)) (int_bound 2) (int_bound 3));
         (1, map (fun j -> Cancel_id j) (int_bound 40));
+        (1, map (fun d -> Emit (quarter d)) (int_bound 2));
       ]
   in
   let op =
     frequency
       [
         (4, map2 (fun o a -> Sched (quarter (o - 2), a)) (int_bound 14) action);
+        (2, map2 (fun o r -> Frame (quarter (o - 2), r = 0)) (int_bound 14) (int_bound 5));
         (1, map (fun j -> Cancel j) (int_bound 40));
         (2, map (fun d -> Advance (quarter d)) (int_bound 3));
       ]
@@ -146,12 +161,30 @@ let gen_heap_ops =
 
 let child = function Spawn (d, k) when k > 0 -> Spawn (d, k - 1) | _ -> Quiet
 
-(* Both interpreters number timers in schedule order, so an id is also
-   the heap's insertion seq.  A final long advance drains everything. *)
+exception Boom
+
+(* Both interpreters number timers and frames in schedule order, so an
+   id is also the heap's insertion seq.  The trace records each fired
+   id, -2 where a raise ended an advance and -1 after each advance,
+   and the pending count after each advance is kept beside it.  The
+   final drain advances until nothing is due. *)
 let run_heap ops =
   let h = Timer_heap.create () in
   let handles = Hashtbl.create 64 in
-  let fired = ref [] and next_id = ref 0 and now = ref 0. in
+  let fired = ref [] and pend = ref [] and next_id = ref 0 and now = ref 0. in
+  (* One deliver fn for every frame, as one endpoint's: the size
+     carries the id and the frame's one byte whether to raise. *)
+  let deliver frame id =
+    fired := id :: !fired;
+    if Bytes.get frame 0 = 'x' then raise Boom
+  in
+  let frame at raises =
+    let id = !next_id in
+    incr next_id;
+    Timer_heap.schedule_frame h ~at deliver
+      (Bytes.make 1 (if raises then 'x' else '.'))
+      id
+  in
   let rec sched at action =
     let id = !next_id in
     incr next_id;
@@ -163,59 +196,85 @@ let run_heap ops =
     | Quiet -> ()
     | Spawn (d, _) as a -> sched (!now +. d) (child a)
     | Cancel_id j -> Option.iter Timer_heap.cancel (Hashtbl.find_opt handles j)
+    | Emit d -> frame (!now +. d) false
   in
-  let advance d =
-    now := !now +. d;
-    ignore (Timer_heap.advance h ~now:!now ~fire ())
+  let advance () =
+    match Timer_heap.advance h ~now:!now ~fire ~fire_frame () with
+    | (_ : int) -> ()
+    | exception Boom -> fired := -2 :: !fired
   in
   List.iter
     (function
       | Sched (off, a) -> sched (!now +. off) a
+      | Frame (off, raises) -> frame (!now +. off) raises
       | Cancel j -> Option.iter Timer_heap.cancel (Hashtbl.find_opt handles j)
       | Advance d ->
-          advance d;
-          fired := -1 :: !fired)
+          now := !now +. d;
+          advance ();
+          fired := -1 :: !fired;
+          pend := Timer_heap.pending h :: !pend)
     ops;
   let mid_pending = Timer_heap.pending h and mid_due = Timer_heap.next_due h in
-  advance 1000.;
-  (List.rev !fired, mid_pending, mid_due, Timer_heap.fired h)
+  now := !now +. 1000.;
+  while match Timer_heap.next_due h with Some at -> at <= !now | None -> false do
+    advance ()
+  done;
+  (List.rev !fired, List.rev !pend, mid_pending, mid_due, Timer_heap.fired h)
+
+type model_entry = Timer of heap_action | Frame_entry of bool
 
 let run_model ops =
   let pending = ref [] (* sorted by (at, id) *) in
-  let fired = ref [] and next_id = ref 0 and now = ref 0. and total = ref 0 in
-  let rec sched at action =
+  let fired = ref [] and pend = ref [] and next_id = ref 0 and now = ref 0. in
+  let total = ref 0 in
+  let add at entry =
     let id = !next_id in
     incr next_id;
-    pending := List.merge compare !pending [ (at, id, action) ]
-  and act = function
+    pending := List.merge compare !pending [ (at, id, entry) ]
+  in
+  let rec act = function
     | Quiet -> ()
-    | Spawn (d, _) as a -> sched (!now +. d) (child a)
+    | Spawn (d, _) as a -> add (!now +. d) (Timer (child a))
     | Cancel_id j -> cancel j
-  and cancel j = pending := List.filter (fun (_, id, _) -> id <> j) !pending in
+    | Emit d -> add (!now +. d) (Frame_entry false)
+  and cancel j =
+    pending :=
+      List.filter
+        (function _, id, Timer _ -> id <> j | _, _, Frame_entry _ -> true)
+        !pending
+  in
   let rec advance () =
     match !pending with
-    | (at, id, action) :: rest when at <= !now ->
+    | (at, id, entry) :: rest when at <= !now -> (
         pending := rest;
         fired := id :: !fired;
         incr total;
-        act action;
-        advance ()
+        match entry with
+        | Timer action ->
+            act action;
+            advance ()
+        | Frame_entry true -> fired := -2 :: !fired
+        | Frame_entry false -> advance ())
     | _ -> ()
   in
   List.iter
     (function
-      | Sched (off, a) -> sched (!now +. off) a
+      | Sched (off, a) -> add (!now +. off) (Timer a)
+      | Frame (off, raises) -> add (!now +. off) (Frame_entry raises)
       | Cancel j -> cancel j
       | Advance d ->
           now := !now +. d;
           advance ();
-          fired := -1 :: !fired)
+          fired := -1 :: !fired;
+          pend := List.length !pending :: !pend)
     ops;
   let mid_pending = List.length !pending
   and mid_due = match !pending with (at, _, _) :: _ -> Some at | [] -> None in
   now := !now +. 1000.;
-  advance ();
-  (List.rev !fired, mid_pending, mid_due, !total)
+  while List.exists (fun (at, _, _) -> at <= !now) !pending do
+    advance ()
+  done;
+  (List.rev !fired, List.rev !pend, mid_pending, mid_due, !total)
 
 let prop_heap_matches_model =
   QCheck.Test.make ~name:"fires in exact (deadline, seq) order vs a sorted-list model"
@@ -269,6 +328,39 @@ let test_loop_raise_keeps_siblings () =
   Alcotest.(check (list string)) "siblings fired on the next run"
     [ "a"; "boom"; "b"; "c" ] (List.rev !fired);
   Alcotest.(check int) "drained" 0 (Loop.timers_pending loop)
+
+(* A raising frame delivery meets the same backstop as a timer: with a
+   handler it is caught and counted and its siblings land in the same
+   run; without one it escapes [run], and only it is consumed. *)
+let test_loop_frame_backstop () =
+  let got = ref [] in
+  let deliver frame size =
+    got := size :: !got;
+    if Bytes.get frame 0 = 'x' then failwith "boom"
+  in
+  let queue loop =
+    List.iter
+      (fun (size, c) -> Loop.frame_at loop ~time:0.1 deliver (Bytes.make 1 c) size)
+      [ (1, '.'); (2, 'x'); (3, '.') ]
+  in
+  let loop = Loop.create () in
+  let seen = ref [] in
+  Loop.set_exn_handler loop (fun e _ -> seen := e :: !seen);
+  queue loop;
+  Loop.run loop;
+  Alcotest.(check (list int)) "all delivered" [ 1; 2; 3 ] (List.rev !got);
+  Alcotest.(check int) "caught once" 1 (Loop.exceptions_caught loop);
+  Alcotest.(check bool) "handler saw it" true (!seen = [ Failure "boom" ]);
+  Alcotest.(check int) "frames count as timers" 3 (Loop.timers_fired loop);
+  let loop = Loop.create () in
+  got := [];
+  queue loop;
+  Alcotest.check_raises "escapes run" (Failure "boom") (fun () -> Loop.run loop);
+  Alcotest.(check (list int)) "stopped at the raise" [ 1; 2 ] (List.rev !got);
+  Alcotest.(check int) "sibling still pending" 1 (Loop.timers_pending loop);
+  Loop.run loop;
+  Alcotest.(check (list int)) "sibling delivered on the next run" [ 1; 2; 3 ]
+    (List.rev !got)
 
 (* ------------------------------------------------------------------ *)
 (* Clock hardening (ISSUE 7 satellite: non-monotonic now, late timers)  *)
@@ -583,13 +675,142 @@ let test_loopback_warmup_holds_loss () =
   Alcotest.(check bool) "losses from t0 otherwise" true
     (unleashed.Harness.frames_lost > 0)
 
+(* A data packet as the sender would send it, minus echo and feedback. *)
+let data ~seq ~ts ~clr =
+    {
+      Tfmcc_core.Wire.session = 1;
+      seq;
+      ts;
+      rate = 1e5;
+      round = 1;
+      round_duration = 0.5;
+      max_rtt = 0.1;
+      clr;
+      in_slowstart = false;
+      echo = None;
+      fb = None;
+      app = -1;
+    }
+
+let data_msg ~seq ~ts ~clr = Tfmcc_core.Wire.Data (data ~seq ~ts ~clr)
+
+(* Jitter must not reorder a path, even when the base delay drops under
+   frames already in flight: two sources fan data out to three group
+   members, which unicast back to the first source, under 5 ms jitter,
+   and the delay is cut from 100 ms to 10 ms mid-stream.  On every
+   (src, dst) path, arrivals must be in send order at nondecreasing
+   times, with none lost; and some frames sent after the cut must have
+   been held back behind the 100 ms ones, or the test proves nothing. *)
+let test_net_fifo_horizon () =
+  let loop = Loop.create () in
+  let net = Net.create loop ~impair:(Net.impairment ~delay:0.1 ~jitter:0.005 ()) () in
+  let srcs = List.init 2 (fun _ -> Net.endpoint net ~session:1) in
+  let dsts = List.init 3 (fun _ -> Net.endpoint net ~session:1) in
+  let cut = 0.2 in
+  let sent = Hashtbl.create 8 and arrivals = Hashtbl.create 8 and held = ref 0 in
+  let record dst = function
+    | Tfmcc_core.Wire.Data d ->
+        let key = (d.clr, Net.endpoint_id dst) and now = Loop.now loop in
+        let l = Option.value (Hashtbl.find_opt arrivals key) ~default:[] in
+        Hashtbl.replace arrivals key ((d.seq, now) :: l);
+        if d.ts > cut && now -. d.ts > 0.015 +. 1e-9 then incr held
+    | Tfmcc_core.Wire.Report _ -> Alcotest.fail "unexpected report"
+  in
+  List.iter (fun ep -> Net.set_deliver ep (fun ~size:_ msg -> record ep msg)) (srcs @ dsts);
+  List.iter (fun ep -> (Net.env ep).Tfmcc_core.Env.join ()) dsts;
+  let send src dest ~n ~dsts =
+    let env = Net.env src and id = Net.endpoint_id src in
+    env.Tfmcc_core.Env.send ~dest ~flow:0 ~size:1000
+      (data_msg ~seq:n ~ts:(Loop.now loop) ~clr:id);
+    List.iter (fun d -> Hashtbl.replace sent (id, Net.endpoint_id d) (n + 1)) dsts
+  in
+  for n = 0 to 199 do
+    let time = 0.002 *. float_of_int n in
+    ignore
+      (Loop.at loop ~time (fun () ->
+           List.iter (fun src -> send src Tfmcc_core.Env.To_group ~n ~dsts) srcs;
+           List.iter
+             (fun dst ->
+               let src = List.hd srcs in
+               send dst (Tfmcc_core.Env.To_node (Net.endpoint_id src)) ~n ~dsts:[ src ])
+             dsts)
+        : Tfmcc_core.Env.timer)
+  done;
+  ignore
+    (Loop.at loop ~time:cut (fun () ->
+         Net.set_impair net (Net.impairment ~delay:0.01 ~jitter:0.005 ()))
+      : Tfmcc_core.Env.timer);
+  Loop.run loop;
+  Alcotest.(check int) "paths" 9 (Hashtbl.length sent);
+  Hashtbl.iter
+    (fun (src, dst) n ->
+      let got = List.rev (Option.value (Hashtbl.find_opt arrivals (src, dst)) ~default:[]) in
+      let path = Printf.sprintf "%d->%d" src dst in
+      Alcotest.(check (list int))
+        (path ^ " in send order") (List.init n Fun.id) (List.map fst got);
+      ignore
+        (List.fold_left
+           (fun prev (seq, at) ->
+             if at < prev then Alcotest.failf "%s: frame %d arrived at %g before %g" path seq at prev;
+             at)
+           neg_infinity got))
+    sent;
+  Alcotest.(check bool) "the cut held frames behind the horizon" true (!held > 0)
+
+(* Allocation of one steady-state data frame from send to delivery: a
+   sender fans it out to 4 group members over a 20 ms path and the loop
+   delivers every copy.  The fabric may allocate the frame's codec
+   bytes once, and per copy one decode (every copy is decoded, as each
+   UDP receiver would decode its own) plus the boxed arrival time;
+   what the codec's encoder allocates and 8 words of loop bookkeeping
+   per frame come on top.  Nothing sized like the padded 1000-byte
+   datagram, and no closure, timer or handle per copy. *)
+let test_loopback_frame_words () =
+  let loop = Loop.create () in
+  let net = Net.create loop ~impair:(Net.impairment ~delay:0.02 ()) () in
+  let s_env = Net.env (Net.endpoint net ~session:1) in
+  let got = ref 0 in
+  for _ = 1 to 4 do
+    let ep = Net.endpoint net ~session:1 in
+    (Net.env ep).Tfmcc_core.Env.join ();
+    Net.set_deliver ep (fun ~size _ -> if size = 1000 then incr got)
+  done;
+  let d = data ~seq:0 ~ts:0. ~clr:1 in
+  let msg = Tfmcc_core.Wire.Data d in
+  let send () =
+    s_env.Tfmcc_core.Env.send ~dest:Tfmcc_core.Env.To_group ~flow:0 ~size:1000 msg;
+    Loop.run loop
+  in
+  (* Warm up: per-path state, heap arrays. *)
+  for _ = 1 to 3 do
+    send ()
+  done;
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let frame = Tfmcc_core.Wire.encode_data d in
+  let codec = float_of_int (1 + (Bytes.length frame / 8) + 1) in
+  let encode = words (fun () -> ignore (Tfmcc_core.Wire.encode_data_into frame d)) in
+  let decode = words (fun () -> ignore (Tfmcc_core.Wire.decode frame)) in
+  let w = words send in
+  Alcotest.(check int) "every copy delivered at the datagram size" 16 !got;
+  let bound = codec +. encode +. (4. *. (decode +. 4.)) +. 8. in
+  if w > bound then
+    Alcotest.failf
+      "%.0f minor words for one frame to 4 receivers (bound %.0f = %.0f codec bytes + %.0f \
+       encode + 4 x (%.0f decode + 4) + 8)"
+      w bound codec encode decode
+
 (* Allocation budget of the rt twin of the simulator's star session
    (test_integration): one TFMCC session with 4 receivers on the turbo
    loopback fabric at 1% loss and 20 ms delay, wired straight to the
    endpoints without the harness's supervision.  Minor-heap words per
    loop-second, averaged over 60 s after a warm-up to 30 s and one
-   settling second.  The budget is 1.10x the 107728.67 words measured
-   when the guard was introduced. *)
+   settling second.  The budget is 1.10x the 70537.30 words measured
+   once frames were delivered from heap slots instead of closures
+   (107728.67 before). *)
 let test_loopback_minor_words_budget () =
   let loop = Loop.create ~seed:77 () in
   let net =
@@ -613,7 +834,7 @@ let test_loopback_minor_words_budget () =
     Loop.run ~until:(float_of_int t) loop
   done;
   let w = (Gc.minor_words () -. w0) /. 60. in
-  let budget = 118_501. in
+  let budget = 77_591. in
   if w > budget then
     Alcotest.failf "%.2f minor words per loop-second (budget %.0f)" w budget
 
@@ -694,6 +915,8 @@ let () =
           Alcotest.test_case "bad delays clamped" `Quick test_loop_bad_delay;
           Alcotest.test_case "raise keeps same-deadline siblings" `Quick
             test_loop_raise_keeps_siblings;
+          Alcotest.test_case "frame raise meets the backstop" `Quick
+            test_loop_frame_backstop;
         ] );
       ( "clock hardening",
         [
@@ -729,6 +952,8 @@ let () =
           Alcotest.test_case "convergence smoke" `Quick test_loopback_convergence;
           Alcotest.test_case "warmup holds loss" `Quick test_loopback_warmup_holds_loss;
           Alcotest.test_case "minor words budget" `Quick test_loopback_minor_words_budget;
+          Alcotest.test_case "FIFO horizon across a delay cut" `Quick test_net_fifo_horizon;
+          Alcotest.test_case "words per delivered frame" `Quick test_loopback_frame_words;
         ] );
       ( "realtime",
         [
