@@ -55,21 +55,6 @@ let strict_arg =
   in
   Arg.(value & flag & info [ "strict" ] ~doc)
 
-(* Run one experiment with a fresh sink installed, so every engine the
-   experiment builds reports into it; with [strict] a fresh strict
-   invariant checker rides along. *)
-let run_with_sink ?(strict = false) e ~mode ~seed =
-  let sink = Obs.Sink.create () in
-  let series =
-    Experiments.Scenario.with_obs sink (fun () ->
-        if strict then
-          let checker = Check.Invariant.create ~strict:true () in
-          Experiments.Scenario.with_checks checker (fun () ->
-              e.Experiments.Registry.run ~mode ~seed)
-        else e.Experiments.Registry.run ~mode ~seed)
-  in
-  (sink, series)
-
 let handle_violation f =
   try f () with
   | Check.Invariant.Violation msg ->
@@ -109,7 +94,8 @@ let run_cmd =
     | Some e ->
         let sink, series =
           handle_violation (fun () ->
-              run_with_sink ~strict e ~mode:(mode_of_full full) ~seed)
+              Experiments.Sweep.run_cell ~strict e ~mode:(mode_of_full full)
+                ~seed)
         in
         if json then
           print_endline (Obs.Json.to_string (json_document ~id sink series))
@@ -194,20 +180,13 @@ let sweep_cmd =
     in
     Arg.(value & opt (some string) None & info [ "resume" ] ~doc ~docv:"DIR")
   in
-  let task_budget_arg =
-    let doc =
-      "Run at most $(docv) tasks and skip the rest (exit 3).  Deterministic \
-       mid-sweep interruption, for testing --resume."
-    in
-    Arg.(value & opt (some int) None & info [ "task-budget" ] ~doc ~docv:"N")
-  in
   let failure_report_arg =
     let doc = "Write the sweep report (failures, summary, series) as JSON to $(docv)." in
     Arg.(value & opt (some string) None & info [ "failure-report" ] ~doc ~docv:"FILE")
   in
   let run full seed csv jobs seeds replicates strict json task_timeout
-      retries retry_delay stall_events max_events checkpoint resume task_budget
-      failure_report ids =
+      retries retry_delay stall_events max_events checkpoint resume failure_report
+      ids =
     if jobs < 1 then begin
       Printf.eprintf "sweep: -j must be >= 1\n";
       exit 1
@@ -220,6 +199,16 @@ let sweep_cmd =
       Printf.eprintf "sweep: --retries must be >= 0\n";
       exit 1
     end;
+    let checkpoint =
+      match (checkpoint, resume) with
+      | Some a, Some b when a <> b ->
+          Printf.eprintf
+            "sweep: --checkpoint %s and --resume %s are different directories\n"
+            a b;
+          exit 1
+      | _, Some dir | Some dir, None -> Some dir
+      | None, None -> None
+    in
     let experiments =
       match ids with
       | [] -> Experiments.Registry.all
@@ -240,14 +229,13 @@ let sweep_cmd =
         retry_delay;
         stall_events;
         max_events;
-        checkpoint = (match resume with Some dir -> Some dir | None -> checkpoint);
+        checkpoint;
         resume = resume <> None;
-        budget = task_budget;
       }
     in
     let t0 = Unix.gettimeofday () in
     let report =
-      Experiments.Sweep.run_supervised ~experiments ~strict ~policy ~jobs
+      Experiments.Sweep.run ~experiments ~strict ~policy ~jobs
         ~mode:(mode_of_full full) ~seed ~seeds ()
     in
     let wall = Unix.gettimeofday () -. t0 in
@@ -272,9 +260,6 @@ let sweep_cmd =
     if report.Experiments.Sweep.resumed > 0 then
       Printf.eprintf "sweep: %d task(s) resumed from checkpoints\n%!"
         report.Experiments.Sweep.resumed;
-    if report.Experiments.Sweep.skipped > 0 then
-      Printf.eprintf "sweep: %d task(s) skipped (task budget)\n%!"
-        report.Experiments.Sweep.skipped;
     if report.Experiments.Sweep.failures <> [] then
       Printf.eprintf "sweep: %d of %d task(s) failed\n%!"
         (List.length report.Experiments.Sweep.failures)
@@ -286,7 +271,7 @@ let sweep_cmd =
     Term.(const run $ full_arg $ seed_arg $ csv_arg $ jobs_arg $ seeds_arg
           $ replicates_arg $ strict_arg $ json_arg
           $ task_timeout_arg $ retries_arg $ retry_delay_arg $ stall_events_arg
-          $ max_events_arg $ checkpoint_arg $ resume_arg $ task_budget_arg
+          $ max_events_arg $ checkpoint_arg $ resume_arg
           $ failure_report_arg $ ids_arg)
 
 let verify_golden_cmd =
@@ -385,7 +370,7 @@ let chaos_cmd =
         | None -> assert false
         | Some e ->
             Printf.printf "--- %s: %s ---\n%!" id e.Experiments.Registry.title;
-            let sink, series = run_with_sink e ~mode ~seed in
+            let sink, series = Experiments.Sweep.run_cell e ~mode ~seed in
             print_series ~csv series;
             if plot then
               List.iter
@@ -422,7 +407,7 @@ let chaos_cmd =
         | None -> assert false
         | Some e ->
             Printf.printf "--- %s: %s ---\n%!" id e.Experiments.Registry.title;
-            let _, series = run_with_sink e ~mode ~seed in
+            let _, series = Experiments.Sweep.run_cell e ~mode ~seed in
             print_series ~csv series;
             if plot then
               List.iter

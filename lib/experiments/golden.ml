@@ -1,8 +1,5 @@
 let digest_experiment (e : Registry.experiment) ~mode ~seed =
-  let sink = Obs.Sink.create () in
-  let series =
-    Scenario.with_obs sink (fun () -> e.Registry.run ~mode ~seed)
-  in
+  let sink, series = Sweep.run_cell e ~mode ~seed in
   let d = Check.Digest.create () in
   Check.Digest.add_string d e.Registry.id;
   Check.Digest.add_char d '\n';

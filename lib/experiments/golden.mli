@@ -10,8 +10,9 @@
 
 val digest_experiment :
   Registry.experiment -> mode:Scenario.mode -> seed:int -> string
-(** Runs the experiment on a fresh private sink and returns the 16-hex
-    FNV-1a digest of its id, series CSVs and sink JSON. *)
+(** Runs the experiment as one cell ({!Sweep.run_cell}: fresh sink, no
+    checker, no watchdog) and returns the 16-hex FNV-1a digest of its
+    id, series CSVs and sink JSON. *)
 
 val compute :
   ?experiments:Registry.experiment list ->

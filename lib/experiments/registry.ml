@@ -282,41 +282,8 @@ let all =
     };
   ]
 
-(* Fault-injecting supervisor probes (Fault_inject): reachable by id so
-   tests and the CI resilience smoke can sweep them, but excluded from
-   [all] — and therefore from default sweeps, golden digests and
-   `tfmcc-sim list` — because they fail by design. *)
-let hidden =
-  List.map full_arena
-  [
-    {
-      id = "xcrash";
-      figure = "Supervisor";
-      title = "Fault injection: task crashes deterministically";
-      run = Fault_inject.run_crash;
-    };
-    {
-      id = "xflaky";
-      figure = "Supervisor";
-      title = "Fault injection: task fails once, succeeds on retry";
-      run = Fault_inject.run_flaky;
-    };
-    {
-      id = "xstall";
-      figure = "Supervisor";
-      title = "Fault injection: simulated time livelocks";
-      run = Fault_inject.run_stall;
-    };
-    {
-      id = "xsleep";
-      figure = "Supervisor";
-      title = "Fault injection: task burns wall clock on few events";
-      run = Fault_inject.run_sleep;
-    };
-  ]
-
 let find id =
   let id = String.lowercase_ascii id in
-  List.find_opt (fun e -> e.id = id) (all @ hidden)
+  List.find_opt (fun e -> e.id = id) all
 
 let ids () = List.map (fun e -> e.id) all

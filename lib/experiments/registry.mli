@@ -1,6 +1,7 @@
 (** Index of every reproduced figure: one entry per figure of the paper,
     with a uniform run signature.  This is what both the benchmark
-    harness and the CLI iterate over. *)
+    harness and the CLI iterate over.  A run is a pure function of
+    (mode, seed); {!Sweep.run_cell} runs one on a fresh sink. *)
 
 type experiment = {
   id : string;  (** e.g. "fig09" *)
@@ -14,13 +15,7 @@ val all : experiment list
     packet arena ({!Netsim.Packet.Pool.reclaim}), so what an experiment
     allocates does not depend on what ran before it in that domain. *)
 
-val hidden : experiment list
-(** Fault-injecting supervisor probes ({!Fault_inject}): excluded from
-    {!all} (they fail by design, so default sweeps, golden digests and
-    the listing must not include them) but resolvable by {!find} so
-    tests and CI can sweep them explicitly. *)
-
 val find : string -> experiment option
-(** Lookup by id (case-insensitive), over {!all} and {!hidden}. *)
+(** Lookup by id (case-insensitive) in {!all}. *)
 
 val ids : unit -> string list

@@ -9,81 +9,48 @@ type t = {
   obs : Obs.Sink.t;
 }
 
-(* Sink installed for scenarios built while a [with_obs] callback runs.
-   Experiment entry points have a fixed signature (Registry.run), so the
-   CLI threads its sink through here instead of through every builder.
-   Domain-local: each parallel sweep worker installs its own sink for
-   its own runs without seeing (or racing with) any other domain's —
-   sinks are single-domain objects and must never be shared. *)
-let installed_obs : Obs.Sink.t option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+(* The cell every scenario built while a [with_cell] callback runs
+   reports into: its sink, and optionally the strict run's invariant
+   checker and the sweep supervisor's watchdog.  Experiment entry points
+   have a fixed signature (Registry.run), so the cell runner threads
+   these through here instead of through every builder.  Domain-local:
+   each parallel sweep worker installs its own cell for its own runs
+   without seeing (or racing with) any other domain's -- sinks are
+   single-domain objects and must never be shared. *)
+type cell = {
+  c_obs : Obs.Sink.t;
+  c_checks : Check.Invariant.t option;
+  c_watchdog : Netsim.Watchdog.config option;
+}
 
-let with_obs sink f =
-  let saved = Domain.DLS.get installed_obs in
-  Domain.DLS.set installed_obs (Some sink);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set installed_obs saved) f
+let installed : cell option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let ambient_obs () = Domain.DLS.get installed_obs
+let with_cell ?checks ?watchdog obs f =
+  let saved = Domain.DLS.get installed in
+  Domain.DLS.set installed
+    (Some { c_obs = obs; c_checks = checks; c_watchdog = watchdog });
+  Fun.protect ~finally:(fun () -> Domain.DLS.set installed saved) f
 
-(* Same ambient-install pattern for the runtime invariant checker
-   (Check.Invariant): the CLI's --strict flag installs a checker here
-   and every scenario built under it self-registers its engine, links
-   and TFMCC session.  Domain-local for the same reason as the sink. *)
-let installed_checks : Check.Invariant.t option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+let ambient_obs () = Option.map (fun c -> c.c_obs) (Domain.DLS.get installed)
 
-let with_checks checker f =
-  let saved = Domain.DLS.get installed_checks in
-  Domain.DLS.set installed_checks (Some checker);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set installed_checks saved) f
-
-let ambient_checks () = Domain.DLS.get installed_checks
-
-(* And again for the sweep supervisor's progress watchdog: every engine
-   built under [with_watchdog] gets the config's stall/deadline probes
-   installed ({!Netsim.Watchdog.install}), so a supervised task is
-   bounded no matter how many scenarios the experiment builds. *)
-let installed_watchdog : Netsim.Watchdog.config option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let with_watchdog cfg f =
-  let saved = Domain.DLS.get installed_watchdog in
-  Domain.DLS.set installed_watchdog (Some cfg);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set installed_watchdog saved) f
-
-let ambient_watchdog () = Domain.DLS.get installed_watchdog
-
-(* Retry attempt number of the enclosing supervised task (1-based).
-   Exists so deterministic fault-injection experiments (Fault_inject)
-   can fail on attempt 1 and succeed on retry without wall-clock or
-   cross-domain state. *)
-let installed_attempt : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 1)
-
-let with_attempt n f =
-  if n < 1 then invalid_arg "Scenario.with_attempt: attempt must be >= 1";
-  let saved = Domain.DLS.get installed_attempt in
-  Domain.DLS.set installed_attempt n;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set installed_attempt saved) f
-
-let ambient_attempt () = Domain.DLS.get installed_attempt
+let ambient_checker () =
+  Option.bind (Domain.DLS.get installed) (fun c -> c.c_checks)
 
 let base ?(seed = 42) ?obs () =
+  let cell = Domain.DLS.get installed in
   let obs =
-    match obs with
-    | Some s -> s
-    | None -> (
-        match Domain.DLS.get installed_obs with
-        | Some s -> s
-        | None -> Obs.Sink.create ())
+    match (obs, cell) with
+    | Some s, _ -> s
+    | None, Some c -> c.c_obs
+    | None, None -> Obs.Sink.create ()
   in
   let engine = Netsim.Engine.create ~seed ~obs () in
   let topo = Netsim.Topology.create engine in
   let monitor = Netsim.Monitor.create engine in
-  (match Domain.DLS.get installed_checks with
-  | Some checker -> Check.Invariant.watch_engine checker engine
-  | None -> ());
-  (match Domain.DLS.get installed_watchdog with
-  | Some cfg -> Netsim.Watchdog.install cfg engine
+  (match cell with
+  | Some { c_checks; c_watchdog; _ } ->
+      Option.iter (fun ch -> Check.Invariant.watch_engine ch engine) c_checks;
+      Option.iter (fun cfg -> Netsim.Watchdog.install cfg engine) c_watchdog
   | None -> ());
   { engine; topo; monitor; obs }
 
@@ -147,7 +114,7 @@ let dumbbell ?seed ?obs ?(cfg = Tfmcc_core.Config.default) ~bottleneck_bps
         let src = mk_left () and dst = mk_right () in
         add_tcp sc ~conn:(1000 + i) ~flow:(tcp_flow i) ~src ~dst ~at:tcp_start)
   in
-  (match Domain.DLS.get installed_checks with
+  (match ambient_checker () with
   | Some checker ->
       Check.Invariant.watch_link checker sc.engine ~name:"bottleneck" bottleneck;
       Check.Invariant.watch_session checker sc.engine ~cfg session
@@ -232,7 +199,7 @@ let star ?seed ?obs ?(cfg = Tfmcc_core.Config.default) ?uplink_bps
           add_tcp sc ~conn:(2000 + i) ~flow:(tcp_flow i) ~src ~dst:rx_nodes.(i)
             ~at:tcp_start)
   in
-  (match Domain.DLS.get installed_checks with
+  (match ambient_checker () with
   | Some checker ->
       Array.iteri
         (fun i (ab, ba) ->

@@ -15,57 +15,36 @@ type t = {
   obs : Obs.Sink.t;  (** the sink every component of this scenario reports into *)
 }
 
-val with_obs : Obs.Sink.t -> (unit -> 'a) -> 'a
-(** [with_obs sink f] runs [f]; scenarios built inside it (without an
-    explicit [?obs]) attach [sink] to their engine.  Lets callers with a
-    fixed entry-point signature (e.g. {!Registry.run}) collect metrics
-    and journal entries without widening every experiment.  Restores the
-    previous installation on return or exception.
+val with_cell :
+  ?checks:Check.Invariant.t ->
+  ?watchdog:Netsim.Watchdog.config ->
+  Obs.Sink.t ->
+  (unit -> 'a) ->
+  'a
+(** [with_cell ?checks ?watchdog sink f] runs [f] as one experiment
+    cell: every scenario built inside it (without an explicit [?obs])
+    attaches [sink] to its engine; with [checks], it also registers its
+    engine ({!Check.Invariant.watch_engine}), key links and TFMCC
+    session with that checker; with [watchdog], every engine {!base}
+    builds gets the config's probes armed ({!Netsim.Watchdog.install}).
+    Lets callers with a fixed entry-point signature ({!Registry.run})
+    observe, check and bound a run without widening every experiment.
+    {!Sweep.run_cell} is the one caller outside the tests.  Restores
+    the previous cell on return or exception.
 
     The installation is domain-local: each {!Par} sweep worker installs
-    and observes only its own sink.  Sinks are single-domain objects —
+    and observes only its own cell.  Sinks are single-domain objects —
     never install one domain's sink from another. *)
 
 val ambient_obs : unit -> Obs.Sink.t option
-(** The sink installed by the innermost active {!with_obs}, if any.
-    For experiments that deliberately run sub-scenarios on private
-    sinks (the Byzantine robustness cells) and still want to surface
-    summary counters through the CLI's [--json] / [--metrics-out]
-    export. *)
-
-val with_checks : Check.Invariant.t -> (unit -> 'a) -> 'a
-(** Same ambient-install pattern as {!with_obs}, for the runtime
-    invariant checker: scenarios built inside [f] register their engine
-    ({!Check.Invariant.watch_engine}), their key links and their TFMCC
-    session with [checker].  Domain-local, restored on return or
-    exception.  The CLI's [--strict] flag threads a strict checker
-    through here. *)
-
-val ambient_checks : unit -> Check.Invariant.t option
-(** The checker installed by the innermost active {!with_checks}. *)
-
-val with_watchdog : Netsim.Watchdog.config -> (unit -> 'a) -> 'a
-(** Ambient-install pattern for the sweep supervisor's progress
-    watchdog: every engine built by {!base} inside [f] gets the
-    config's probes armed ({!Netsim.Watchdog.install}) — wall-clock
-    deadline polls, livelock and event-storm detection.  Domain-local,
-    restored on return or exception.  {!Sweep.run_supervised} threads a
-    per-task config through here. *)
-
-val ambient_watchdog : unit -> Netsim.Watchdog.config option
-
-val with_attempt : int -> (unit -> 'a) -> 'a
-(** Installs the 1-based retry-attempt number of the enclosing
-    supervised task (default 1 when none is installed).  Raises
-    [Invalid_argument] for [n < 1].  Read by the deterministic
-    fault-injection experiments ({!Fault_inject}) to fail on early
-    attempts and succeed on retry. *)
-
-val ambient_attempt : unit -> int
+(** The sink of the innermost active {!with_cell}, if any.  For
+    experiments that deliberately run sub-scenarios on private sinks
+    (the Byzantine robustness cells) and still want to surface summary
+    counters through the CLI's [--json] / [--metrics-out] export. *)
 
 val base : ?seed:int -> ?obs:Obs.Sink.t -> unit -> t
 (** Fresh engine + topology + monitor.  [obs] defaults to the sink
-    installed by {!with_obs}, else a private enabled sink (so protocol
+    installed by {!with_cell}, else a private enabled sink (so protocol
     journals and registry metrics are always being collected; pass
     [Obs.Sink.null] explicitly to opt out, e.g. in benchmarks). *)
 

@@ -6,23 +6,19 @@ type result = {
   aggregate : Series.t list option;
 }
 
-let seeds ~base ~count =
-  if count < 1 then invalid_arg "Sweep.seeds: count must be >= 1";
-  List.init count (fun i -> base + i)
-
-let run_one ?(strict = false) (e : Registry.experiment) ~mode ~seed =
-  let sink = Obs.Sink.create () in
-  let series =
-    Scenario.with_obs sink (fun () ->
-        if strict then
-          (* Fresh checker per task: probes hold engine references, and
-             a strict violation must abort exactly this (experiment,
-             seed) cell with its own journal window. *)
-          let checker = Check.Invariant.create ~strict:true () in
-          Scenario.with_checks checker (fun () -> e.Registry.run ~mode ~seed)
-        else e.Registry.run ~mode ~seed)
+let run_cell ?(strict = false) ?watchdog ?(sink = Obs.Sink.create ())
+    (e : Registry.experiment) ~mode ~seed =
+  (* Fresh checker per cell: probes hold engine references, and a strict
+     violation must abort exactly this (experiment, seed) cell with its
+     own journal window. *)
+  let checks =
+    if strict then Some (Check.Invariant.create ~strict:true ()) else None
   in
-  { seed; series }
+  let series =
+    Scenario.with_cell ?checks ?watchdog sink (fun () ->
+        e.Registry.run ~mode ~seed)
+  in
+  (sink, series)
 
 (* ------------------------------------------------------------ aggregate *)
 
@@ -126,8 +122,6 @@ let lpt_map_outcomes ~jobs cells =
   List.iteri (fun k o -> outcomes.(order.(k)) <- o) submitted;
   Array.to_list outcomes
 
-(* ------------------------------------------------------------------ run *)
-
 let rec chunk n = function
   | [] -> []
   | l ->
@@ -138,30 +132,6 @@ let rec chunk n = function
       in
       let head, rest = take n [] l in
       head :: chunk n rest
-
-let run ?(experiments = Registry.all) ?(strict = false) ~jobs ~mode ~seed
-    ?(seeds = 1) () =
-  if seeds < 1 then invalid_arg "Sweep.run: seeds must be >= 1";
-  let seed_list = List.init seeds (fun i -> seed + i) in
-  let cells =
-    List.concat_map
-      (fun e ->
-        List.map
-          (fun s -> (e.Registry.id, fun _control -> run_one ~strict e ~mode ~seed:s))
-          seed_list)
-      experiments
-  in
-  (* Outcomes are back in grid order before [unwrap_all], so a failing
-     sweep re-raises its grid-first failure, not the costliest one. *)
-  let replicates = chunk seeds (Par.unwrap_all (lpt_map_outcomes ~jobs cells)) in
-  List.map2
-    (fun experiment replicates ->
-      {
-        experiment;
-        replicates;
-        aggregate = aggregate (List.map (fun r -> r.series) replicates);
-      })
-    experiments replicates
 
 (* ------------------------------------------------------- supervision *)
 
@@ -190,7 +160,6 @@ type policy = {
   max_events : int option;
   checkpoint : string option;
   resume : bool;
-  budget : int option;
 }
 
 let default_policy =
@@ -202,7 +171,6 @@ let default_policy =
     max_events = None;
     checkpoint = None;
     resume = false;
-    budget = None;
   }
 
 type report = {
@@ -211,43 +179,31 @@ type report = {
   tasks : int;
   executed : int;
   resumed : int;
-  skipped : int;
   retried : int;
 }
 
-type task_status = T_ok of replicate * int | T_failed of failure | T_skipped
+type task_status = T_ok of replicate * int | T_failed of failure
 
 let task_label f = Checkpoint.task_name ~experiment:f.f_experiment ~seed:f.f_seed
 
 (* One attempt of one (experiment, seed) cell: re-arm the task's control
-   (fresh deadline, cleared cancellation), then run the experiment under
-   a fresh private sink + watchdog config + attempt number.  Everything
-   the attempt observes is attempt-local, so a retry is indistinguishable
-   from a first try except for {!Scenario.ambient_attempt}. *)
+   (fresh deadline, cleared cancellation), then run the cell under a
+   fresh sink and watchdog config.  Everything the attempt observes is
+   attempt-local, so a retry is indistinguishable from a first try. *)
 let attempt_cell ~strict ~policy ~control ~attempt (e : Registry.experiment)
     ~mode ~seed =
   Par.Control.arm control ?timeout:policy.task_timeout ();
   let sink = Obs.Sink.create () in
-  let wd =
-    let d = Netsim.Watchdog.default in
+  let watchdog =
     {
-      d with
+      Netsim.Watchdog.default with
       Netsim.Watchdog.control;
       stall_events = policy.stall_events;
       max_events = policy.max_events;
     }
   in
-  match
-    Scenario.with_obs sink (fun () ->
-        Scenario.with_watchdog wd (fun () ->
-            Scenario.with_attempt attempt (fun () ->
-                if strict then
-                  let checker = Check.Invariant.create ~strict:true () in
-                  Scenario.with_checks checker (fun () ->
-                      e.Registry.run ~mode ~seed)
-                else e.Registry.run ~mode ~seed)))
-  with
-  | series -> Ok { seed; series }
+  match run_cell ~strict ~watchdog ~sink e ~mode ~seed with
+  | _, series -> Ok { seed; series }
   | exception exn ->
       let cause, detail =
         match exn with
@@ -295,8 +251,6 @@ let run_task ~strict ~policy (e : Registry.experiment) ~mode ~seed control =
   in
   go 1
 
-type task_tag = Tag_run | Tag_resumed of Series.t list | Tag_skipped
-
 (* Defensive only: [run_task] catches every exception itself, so the
    pool-level outcome is [Ok] unless the supervisor plumbing raised. *)
 let pool_failure (e : Registry.experiment) seed cause detail =
@@ -310,110 +264,76 @@ let pool_failure (e : Registry.experiment) seed cause detail =
       f_journal = "(journal unavailable)\n";
     }
 
-let run_supervised ?(experiments = Registry.all) ?(strict = false)
+let run ?(experiments = Registry.all) ?(strict = false)
     ?(policy = default_policy) ?(obs = Obs.Sink.null) ~jobs ~mode ~seed
     ?(seeds = 1) () =
-  if seeds < 1 then invalid_arg "Sweep.run_supervised: seeds must be >= 1";
-  if policy.retries < 0 then
-    invalid_arg "Sweep.run_supervised: retries must be >= 0";
+  if seeds < 1 then invalid_arg "Sweep.run: seeds must be >= 1";
+  if policy.retries < 0 then invalid_arg "Sweep.run: retries must be >= 0";
   if policy.retry_delay < 0. then
-    invalid_arg "Sweep.run_supervised: retry_delay must be >= 0";
+    invalid_arg "Sweep.run: retry_delay must be >= 0";
   (match policy.task_timeout with
-  | Some t when t <= 0. ->
-      invalid_arg "Sweep.run_supervised: task_timeout must be > 0"
-  | _ -> ());
-  (match policy.budget with
-  | Some b when b < 0 -> invalid_arg "Sweep.run_supervised: budget must be >= 0"
+  | Some t when t <= 0. -> invalid_arg "Sweep.run: task_timeout must be > 0"
   | _ -> ());
   if policy.resume && policy.checkpoint = None then
-    invalid_arg "Sweep.run_supervised: resume requires a checkpoint directory";
+    invalid_arg "Sweep.run: resume requires a checkpoint directory";
   let seed_list = List.init seeds (fun i -> seed + i) in
-  let cells =
-    List.concat_map (fun e -> List.map (fun s -> (e, s)) seed_list) experiments
-  in
   (* Resume pass (coordinator-side, before any fan-out): a cell with a
-     valid checkpoint is satisfied from disk; the task budget then caps
-     how many of the remaining cells actually run. *)
-  let budget = ref (match policy.budget with Some b -> b | None -> max_int) in
-  let tagged =
-    List.map
-      (fun (e, s) ->
-        let resumed =
-          match policy.checkpoint with
-          | Some dir when policy.resume ->
-              Checkpoint.load ~dir ~experiment:e.Registry.id ~seed:s
-          | _ -> None
-        in
-        match resumed with
-        | Some entry -> (e, s, Tag_resumed entry.Checkpoint.c_series)
-        | None ->
-            if !budget > 0 then begin
-              decr budget;
-              (e, s, Tag_run)
-            end
-            else (e, s, Tag_skipped))
-      cells
+     valid checkpoint is satisfied from disk. *)
+  let cells =
+    List.concat_map
+      (fun e ->
+        List.map
+          (fun s ->
+            match policy.checkpoint with
+            | Some dir when policy.resume ->
+                (e, s, Checkpoint.load ~dir ~experiment:e.Registry.id ~seed:s)
+            | _ -> (e, s, None))
+          seed_list)
+      experiments
   in
   let to_run =
     List.filter_map
-      (fun (e, s, tag) -> match tag with Tag_run -> Some (e, s) | _ -> None)
-      tagged
+      (fun (e, s, resumed) -> if Option.is_none resumed then Some (e, s) else None)
+      cells
   in
   let outcomes =
-    lpt_map_outcomes ~jobs
-      (List.map
-         (fun (e, s) ->
-           (e.Registry.id, fun control -> run_task ~strict ~policy e ~mode ~seed:s control))
-         to_run)
+    ref
+      (lpt_map_outcomes ~jobs
+         (List.map
+            (fun (e, s) ->
+              ( e.Registry.id,
+                fun control -> run_task ~strict ~policy e ~mode ~seed:s control ))
+            to_run))
   in
   (* Stitch pool outcomes back into grid order; [lpt_map_outcomes]
      returns slots in [to_run] order whatever the submission
-     permutation, so one pass over [tagged] consumes them in
-     sequence. *)
-  let rem = ref outcomes in
+     permutation, so one pass over [cells] consumes them in sequence. *)
   let statuses =
     List.map
-      (fun (e, s, tag) ->
-        match tag with
-        | Tag_resumed series -> (e, s, T_ok ({ seed = s; series }, 0))
-        | Tag_skipped -> (e, s, T_skipped)
-        | Tag_run ->
-            let o =
-              match !rem with
-              | [] -> assert false
-              | o :: tl ->
-                  rem := tl;
-                  o
-            in
-            let status =
-              match o with
-              | Par.Ok st -> st
-              | Par.Failed { exn; _ } ->
-                  pool_failure e s Crashed
-                    ("supervisor: " ^ Printexc.to_string exn)
-              | Par.Timed_out { after } ->
-                  pool_failure e s Timeout
-                    (Printf.sprintf "wall-clock timeout after %gs" after)
-              | Par.Stalled { reason } -> pool_failure e s Stall reason
-            in
-            (e, s, status))
-      tagged
+      (fun (e, s, resumed) ->
+        match resumed with
+        | Some entry -> T_ok ({ seed = s; series = entry.Checkpoint.c_series }, 0)
+        | None -> (
+            let o = List.hd !outcomes in
+            outcomes := List.tl !outcomes;
+            match o with
+            | Par.Ok st -> st
+            | Par.Failed { exn; _ } ->
+                pool_failure e s Crashed ("supervisor: " ^ Printexc.to_string exn)
+            | Par.Timed_out { after } ->
+                pool_failure e s Timeout
+                  (Printf.sprintf "wall-clock timeout after %gs" after)
+            | Par.Stalled { reason } -> pool_failure e s Stall reason))
+      cells
   in
   let failures =
-    List.filter_map
-      (fun (_, _, st) -> match st with T_failed f -> Some f | _ -> None)
-      statuses
+    List.filter_map (function T_failed f -> Some f | T_ok _ -> None) statuses
   in
-  let resumed =
-    List.length
-      (List.filter (fun (_, _, t) -> t <> Tag_run && t <> Tag_skipped) tagged)
-  in
-  let skipped =
-    List.length (List.filter (fun (_, _, t) -> t = Tag_skipped) tagged)
-  in
+  let executed = List.length to_run in
+  let resumed = List.length cells - executed in
   let retried =
     List.fold_left
-      (fun acc (_, _, st) ->
+      (fun acc st ->
         match st with
         | T_ok (_, a) when a > 1 -> acc + (a - 1)
         | T_failed f when f.f_attempts > 1 -> acc + (f.f_attempts - 1)
@@ -421,16 +341,14 @@ let run_supervised ?(experiments = Registry.all) ?(strict = false)
       0 statuses
   in
   (* Sweep-level observability: counters plus one journal Task entry per
-     non-ok task, recorded into the coordinator's sink (default null). *)
+     failed task, recorded into the coordinator's sink (default null). *)
   let m = obs.Obs.Sink.metrics in
   let bump ?labels name n =
     if n > 0 then Obs.Metrics.Counter.add (Obs.Metrics.counter m ?labels name) n
   in
   bump "sweep_tasks_total" (List.length cells);
-  bump "sweep_task_ok_total"
-    (List.length statuses - List.length failures - skipped - resumed);
+  bump "sweep_task_ok_total" (executed - List.length failures);
   bump "sweep_task_resumed_total" resumed;
-  bump "sweep_task_skipped_total" skipped;
   bump "sweep_task_retried_total" retried;
   List.iter
     (fun f ->
@@ -446,59 +364,33 @@ let run_supervised ?(experiments = Registry.all) ?(strict = false)
              detail = f.f_detail;
            }))
     failures;
-  List.iter
-    (fun (e, s, st) ->
-      match st with
-      | T_skipped ->
-          Obs.Sink.event obs ~time:0. ~severity:Obs.Journal.Warn
-            (Obs.Journal.scope "sweep")
-            (Obs.Journal.Task
-               {
-                 id = Checkpoint.task_name ~experiment:e.Registry.id ~seed:s;
-                 outcome = "skipped";
-                 attempts = 0;
-                 detail = "task budget exhausted";
-               })
-      | _ -> ())
-    statuses;
   let results =
-    List.concat_map
-      (fun group ->
-        match group with
-        | [] -> []
-        | (e, _, _) :: _ ->
-            let reps =
-              List.filter_map
-                (fun (_, _, st) ->
-                  match st with T_ok (rep, _) -> Some rep | _ -> None)
-                group
-            in
-            if reps = [] then []
-            else
-              [
-                {
-                  experiment = e;
-                  replicates = reps;
-                  aggregate = aggregate (List.map (fun r -> r.series) reps);
-                };
-              ])
-      (chunk seeds statuses)
+    List.concat
+      (List.map2
+         (fun experiment group ->
+           match
+             List.filter_map
+               (function T_ok (rep, _) -> Some rep | T_failed _ -> None)
+               group
+           with
+           | [] -> []
+           | reps ->
+               [
+                 {
+                   experiment;
+                   replicates = reps;
+                   aggregate = aggregate (List.map (fun r -> r.series) reps);
+                 };
+               ])
+         experiments (chunk seeds statuses))
   in
-  {
-    results;
-    failures;
-    tasks = List.length cells;
-    executed = List.length to_run;
-    resumed;
-    skipped;
-    retried;
-  }
+  { results; failures; tasks = List.length cells; executed; resumed; retried }
 
 (* -------------------------------------------------------- reporting *)
 
 let exit_code report =
   if List.exists (fun f -> f.f_cause = Violation) report.failures then 2
-  else if report.failures <> [] || report.skipped > 0 then 3
+  else if report.failures <> [] then 3
   else 0
 
 let render ?(csv = false) ?(replicates = false) ~seeds results =
@@ -592,7 +484,6 @@ let report_to_json report =
             ("tasks", Obs.Json.Int report.tasks);
             ("executed", Obs.Json.Int report.executed);
             ("resumed", Obs.Json.Int report.resumed);
-            ("skipped", Obs.Json.Int report.skipped);
             ("retried", Obs.Json.Int report.retried);
             ("failed", Obs.Json.Int (List.length report.failures));
             ("exit_code", Obs.Json.Int (exit_code report));

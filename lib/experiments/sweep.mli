@@ -1,78 +1,54 @@
-(** Parallel experiment sweeps and multi-seed replication.
+(** Running experiments: one cell at a time ({!run_cell}) or as a
+    supervised, parallel sweep over an (experiment × seed) grid
+    ({!run}; DESIGN.md §9, §12).
 
     Every experiment run is seed-deterministic and owns its engine, RNG
-    and observability sink, so the (experiment × seed) grid fans out
-    over a {!Par.Pool} with no shared mutable state.  Results come back
-    in deterministic (registry, seed) order regardless of the job count:
-    a [~jobs:8] sweep prints byte-identically to a [~jobs:1] one. *)
+    and observability sink, so the grid fans out over a {!Par.Pool}
+    with no shared mutable state.  Results come back in deterministic
+    (experiment, seed) order regardless of the job count: a [~jobs:8]
+    sweep prints byte-identically to a [~jobs:1] one. *)
 
 type replicate = { seed : int; series : Series.t list }
 
 type result = {
   experiment : Registry.experiment;
-  replicates : replicate list;  (** one per requested seed, in seed order *)
+  replicates : replicate list;  (** one per successful seed, in seed order *)
   aggregate : Series.t list option;
-      (** Per-cell mean/stddev across seeds; [Some] only when at least
-          two replicates exist and every seed produced shape-compatible
-          series (same titles, labels and x columns). *)
+      (** Per-cell mean/stddev across seeds: each y column [l] becomes
+          [l mean] and [l sd] (sample stddev; NaN cells skipped).
+          [Some] only when at least two replicates exist and every seed
+          produced shape-compatible series (same titles, labels and x
+          columns). *)
 }
 
-val seeds : base:int -> count:int -> int list
-(** [base; base+1; …; base+count-1].  Raises [Invalid_argument] when
-    [count < 1]. *)
-
-val run_one :
-  ?strict:bool -> Registry.experiment -> mode:Scenario.mode -> seed:int ->
-  replicate
-(** Runs one experiment with a fresh private sink installed
-    ({!Scenario.with_obs}), so concurrent runs never share metrics or
-    journals.  With [strict] (default false) a fresh strict
-    {!Check.Invariant} checker is installed too
-    ({!Scenario.with_checks}); an invariant violation then raises
-    {!Check.Invariant.Violation} out of this cell. *)
-
-val aggregate : Series.t list list -> Series.t list option
-(** Combine per-seed series lists (outer list = seeds, in seed order)
-    into mean/stddev series: each y column [l] becomes [l mean] and
-    [l sd] (sample stddev; NaN cells are skipped per point).  [None]
-    when fewer than two replicates are given or any shapes disagree. *)
-
-val run :
-  ?experiments:Registry.experiment list ->
+val run_cell :
   ?strict:bool ->
-  jobs:int ->
+  ?watchdog:Netsim.Watchdog.config ->
+  ?sink:Obs.Sink.t ->
+  Registry.experiment ->
   mode:Scenario.mode ->
   seed:int ->
-  ?seeds:int ->
-  unit ->
-  result list
-(** Sweeps [experiments] (default {!Registry.all}) × [seeds] replicate
-    seeds (default 1; seed list is [seed, seed+1, …]) as one flat task
-    batch over [jobs] workers ({!Par.map_outcomes}; [jobs <= 1] runs
-    serially in the calling domain).  Cells are submitted longest
-    processing time first — descending measured per-experiment cost
-    ({!Sweep_costs}) — so a multi-second figure does not start last and
-    pin the sweep's tail on one domain.  The order moves wall-clock time
-    only: results come back in input experiment order, byte-identical
-    whatever [jobs].  [strict] (default false) runs every cell under a
-    strict invariant checker ({!run_one}).  Every cell runs; if any
-    raised, the exception of the grid-first failing cell (a violating
-    cell's {!Check.Invariant.Violation}, say) is re-raised with its
-    backtrace. *)
+  Obs.Sink.t * Series.t list
+(** The one way to run an experiment: runs it as one cell
+    ({!Scenario.with_cell}) on [sink] (default a fresh one, so
+    concurrent runs never share metrics or journals) and returns the
+    sink with the series.  With [strict] (default false) a fresh strict
+    {!Check.Invariant} checker rides along, and an invariant violation
+    raises {!Check.Invariant.Violation} out of the cell.  With
+    [watchdog] every engine the experiment builds is bounded by it.  A
+    watchdog adds engine events, which the sink counts, so golden
+    digests and the CLI's [run] run without one.  Pass [sink] to read
+    the journal of a cell that raised. *)
 
 (** {1 Supervised sweeps (DESIGN.md §12)}
 
-    {!run} has seed semantics: the lowest-indexed failing task's
-    exception kills the whole sweep.  {!run_supervised} instead gives
-    every (experiment × seed) cell its own supervised lifecycle —
-    wall-clock timeout, stall/event-storm watchdog
+    {!run} gives every (experiment × seed) cell its own supervised
+    lifecycle — wall-clock timeout, stall/event-storm watchdog
     ({!Netsim.Watchdog}), retry with exponential backoff, per-task
     checkpointing — and always returns a complete {!report}: every
     successful figure's series plus one structured {!failure} per cell
-    that exhausted its attempts.  Determinism is preserved: a
-    supervised all-success sweep renders byte-identically to {!run},
-    whatever [jobs], and a resumed sweep renders byte-identically to an
-    uninterrupted one. *)
+    that exhausted its attempts.  A resumed sweep renders
+    byte-identically to an uninterrupted one. *)
 
 type cause =
   | Crashed  (** the experiment raised *)
@@ -92,7 +68,7 @@ type failure = {
   f_cause : cause;
   f_detail : string;
   f_journal : string;
-      (** the failing attempt's journal window, PR 5 strict-mode shape
+      (** the failing attempt's journal window, strict-mode shape
           ({!Check.Invariant.journal_window}) *)
 }
 
@@ -113,9 +89,6 @@ type policy = {
   resume : bool;
       (** load valid checkpoints from [checkpoint] and skip those
           cells; requires [checkpoint] *)
-  budget : int option;
-      (** run at most this many (non-resumed) cells, skip the rest —
-          deterministic mid-sweep interruption for resume tests *)
 }
 
 val default_policy : policy
@@ -127,13 +100,12 @@ type report = {
           order; aggregates cover the successful seeds only *)
   failures : failure list;  (** in (experiment, seed) grid order *)
   tasks : int;  (** total grid cells *)
-  executed : int;  (** cells actually run (not resumed, not skipped) *)
+  executed : int;  (** cells actually run (not resumed) *)
   resumed : int;  (** cells satisfied from checkpoints *)
-  skipped : int;  (** cells dropped by the task budget *)
   retried : int;  (** total extra attempts across all cells *)
 }
 
-val run_supervised :
+val run :
   ?experiments:Registry.experiment list ->
   ?strict:bool ->
   ?policy:policy ->
@@ -144,22 +116,29 @@ val run_supervised :
   ?seeds:int ->
   unit ->
   report
-(** Like {!run} but fault-tolerant (see above).  Each attempt gets a
-    fresh sink, watchdog config and {!Scenario.with_attempt} number;
-    the per-task {!Par.Control} is re-armed per attempt.  Completed
-    tasks checkpoint before the sweep finishes, so a killed sweep
-    resumes.  [obs] (default {!Obs.Sink.null}) receives sweep-level
-    [sweep_task_*] counters and one journal [Task] entry per failed or
-    skipped cell.  Cells run in the same costliest-first order as
-    {!run}; the report — results, failures, counters — is in grid order
-    and byte-identical whatever [jobs].  Raises [Invalid_argument] on nonsensical policies
-    (negative retries/delay/budget, non-positive timeout, [resume]
-    without [checkpoint]). *)
+(** Sweeps [experiments] (default {!Registry.all}) × [seeds] replicate
+    seeds (default 1; seed list is [seed, seed+1, …]) as one flat task
+    batch over [jobs] workers ({!Par.map_outcomes}; [jobs <= 1] runs
+    serially in the calling domain).  Each attempt is one {!run_cell}
+    with a fresh sink and a watchdog config built from [policy]; the
+    per-task {!Par.Control} is re-armed per attempt.  [strict] (default
+    false) runs every cell under a strict invariant checker.
+
+    Cells are submitted longest processing time first — descending
+    measured per-experiment cost ({!Sweep_costs}) — so a multi-second
+    figure does not start last and pin the sweep's tail on one domain.
+    The order moves wall-clock time only: the report — results,
+    failures, counters — is in grid order and byte-identical whatever
+    [jobs].  Completed tasks checkpoint before the sweep finishes, so a
+    killed sweep resumes.  [obs] (default {!Obs.Sink.null}) receives
+    sweep-level [sweep_task_*] counters and one journal [Task] entry per
+    failed cell.  Raises [Invalid_argument] on nonsensical policies
+    (negative retries/delay, non-positive timeout, [resume] without
+    [checkpoint]). *)
 
 val exit_code : report -> int
 (** The CLI contract: 0 all cells ok; 2 if any failure is a strict
-    invariant {!Violation}; 3 if there are other failures or skipped
-    cells. *)
+    invariant {!Violation}; 3 if there are other failures. *)
 
 val render : ?csv:bool -> ?replicates:bool -> seeds:int -> result list -> string
 (** Exactly the bytes the CLI prints for a sweep: a
@@ -175,5 +154,5 @@ val render_failures : report -> string
 val report_to_json : report -> Obs.Json.t
 (** [{"results": …, "failures": [{"task", "experiment", "seed",
     "attempts", "cause", "detail", "journal_window"}…], "summary":
-    {"tasks", "executed", "resumed", "skipped", "retried", "failed",
+    {"tasks", "executed", "resumed", "retried", "failed",
     "exit_code"}}]. *)

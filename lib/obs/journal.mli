@@ -48,7 +48,7 @@ type event =
   | Task of { id : string; outcome : string; attempts : int; detail : string }
       (** terminal state of one supervised sweep task: [id] is
           ["<experiment>/s<seed>"], [outcome] one of
-          ok/failed/timeout/stalled/violation/skipped/resumed *)
+          ok/failed/timeout/stalled/violation/resumed *)
   | Note of string
 
 type entry = {

@@ -8,10 +8,6 @@ type cancel_reason = Timeout of float | Stall of string
 
 exception Cancelled of cancel_reason
 
-let describe_cancel = function
-  | Timeout after -> Printf.sprintf "wall-clock timeout after %gs" after
-  | Stall reason -> reason
-
 (* ------------------------------------------------------------- control *)
 
 module Control = struct
@@ -65,12 +61,6 @@ let outcome_label = function
   | Failed _ -> "failed"
   | Timed_out _ -> "timeout"
   | Stalled _ -> "stalled"
-
-let outcome_detail = function
-  | Ok _ -> ""
-  | Failed { exn; _ } -> Printexc.to_string exn
-  | Timed_out { after } -> describe_cancel (Timeout after)
-  | Stalled { reason } -> reason
 
 (* Run [tasks.(i)] with a fresh control, storing a structured outcome per
    slot.  Shared by the serial and pool paths so both have identical

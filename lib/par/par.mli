@@ -43,8 +43,6 @@ exception Cancelled of cancel_reason
     should let it propagate (cleanup via [Fun.protect]); the supervised
     map converts it into {!Timed_out} / {!Stalled}. *)
 
-val describe_cancel : cancel_reason -> string
-
 (** Per-task cancellation handle. *)
 module Control : sig
   type t
@@ -92,18 +90,6 @@ type 'a outcome =
 val outcome_label : _ outcome -> string
 (** ["ok"] / ["failed"] / ["timeout"] / ["stalled"] — stable tags used
     in metrics labels and failure reports. *)
-
-val outcome_detail : _ outcome -> string
-(** Human-readable cause (exception text, timeout, stall reason); [""]
-    for [Ok]. *)
-
-val unwrap_all : 'a outcome list -> 'a list
-(** {!val-map}'s result semantics over supervised outcomes: re-raises
-    the first non-[Ok] slot in list order ([Failed] with its original
-    backtrace, [Timed_out]/[Stalled] as {!Cancelled}), else returns
-    every value.  A caller that reorders tasks before submitting maps
-    the outcomes back to its own order first, so the failure it
-    re-raises is the lowest-indexed in that order. *)
 
 module Pool : sig
   type t

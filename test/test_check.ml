@@ -185,14 +185,13 @@ let test_checker_clean_run_no_violations () =
      link, TFMCC session.  Nothing may fire. *)
   let t = I.create ~interval:0.25 () in
   let sink = Obs.Sink.create () in
-  Experiments.Scenario.with_obs sink (fun () ->
-      Experiments.Scenario.with_checks t (fun () ->
-          let d =
-            Experiments.Scenario.dumbbell ~bottleneck_bps:1e6 ~delay_s:0.04
-              ~n_tfmcc_rx:3 ~n_tcp:1 ()
-          in
-          Tfmcc_core.Session.start d.Experiments.Scenario.session ~at:0.;
-          Experiments.Scenario.run_until d.Experiments.Scenario.sc 30.));
+  Experiments.Scenario.with_cell ~checks:t sink (fun () ->
+      let d =
+        Experiments.Scenario.dumbbell ~bottleneck_bps:1e6 ~delay_s:0.04
+          ~n_tfmcc_rx:3 ~n_tcp:1 ()
+      in
+      Tfmcc_core.Session.start d.Experiments.Scenario.session ~at:0.;
+      Experiments.Scenario.run_until d.Experiments.Scenario.sc 30.);
   Alcotest.(check int) "no violations" 0 (I.violations t);
   Alcotest.(check bool) "checker sampled" true
     (Obs.Metrics.counter_value sink.Obs.Sink.metrics "check_samples_total" > 0)

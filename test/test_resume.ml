@@ -1,7 +1,7 @@
-(* Checkpoint/resume (DESIGN.md §12): a sweep killed mid-run (simulated
-   deterministically with a task budget) and resumed from its checkpoint
-   directory must render byte-identically to an uninterrupted run, with
-   only the missing tasks re-executed.  Also covers checkpoint integrity:
+(* Checkpoint/resume (DESIGN.md §12): a sweep that checkpointed only
+   part of its grid (as a sweep killed mid-run leaves it) and is resumed
+   from that directory must render byte-identically to an uninterrupted
+   run, with only the missing tasks re-executed.  Also covers checkpoint integrity:
    corrupted or misnamed files degrade to "missing". *)
 
 let quick = Experiments.Scenario.Quick
@@ -29,17 +29,13 @@ let fresh_dir =
         (Sys.readdir dir);
     dir
 
-let supervised ?policy ?(seeds = 2) () =
-  let policy =
-    match policy with
-    | Some p -> p
-    | None -> Experiments.Sweep.default_policy
-  in
-  Experiments.Sweep.run_supervised ~experiments ~policy ~jobs:1 ~mode:quick
-    ~seed:42 ~seeds ()
+let sweep ?(experiments = experiments)
+    ?(policy = Experiments.Sweep.default_policy) () =
+  Experiments.Sweep.run ~experiments ~policy ~jobs:1 ~mode:quick ~seed:42
+    ~seeds:2 ()
 
-let render ?(seeds = 2) (r : Experiments.Sweep.report) =
-  Experiments.Sweep.render ~seeds r.Experiments.Sweep.results
+let render (r : Experiments.Sweep.report) =
+  Experiments.Sweep.render ~seeds:2 r.Experiments.Sweep.results
 
 let check_identical ~what expected actual =
   match Check.Oracle.first_divergence ~expected ~actual with
@@ -49,24 +45,21 @@ let check_identical ~what expected actual =
 (* --------------------------------------------------------- round trip *)
 
 let test_interrupt_and_resume () =
-  let uninterrupted = render (supervised ()) in
+  let uninterrupted = render (sweep ()) in
   let dir = fresh_dir () in
   let base = Experiments.Sweep.default_policy in
-  (* "kill" after 2 of 4 tasks: the budget skips the rest, exit code 3 *)
+  (* the "interrupted" sweep got as far as fig01's two cells *)
   let partial =
-    supervised
-      ~policy:{ base with checkpoint = Some dir; budget = Some 2 }
+    sweep ~experiments:[ find "fig01" ]
+      ~policy:{ base with checkpoint = Some dir }
       ()
   in
   Alcotest.(check int) "partial executed" 2 partial.executed;
-  Alcotest.(check int) "partial skipped" 2 partial.skipped;
-  Alcotest.(check int) "partial exit code" 3
+  Alcotest.(check int) "partial exit code" 0
     (Experiments.Sweep.exit_code partial);
   (* resume: only the missing tasks run, output converges byte-exactly *)
   let resumed =
-    supervised
-      ~policy:{ base with checkpoint = Some dir; resume = true }
-      ()
+    sweep ~policy:{ base with checkpoint = Some dir; resume = true } ()
   in
   Alcotest.(check int) "resumed from disk" 2 resumed.resumed;
   Alcotest.(check int) "re-executed" 2 resumed.executed;
@@ -76,9 +69,7 @@ let test_interrupt_and_resume () =
     (render resumed);
   (* a second resume runs nothing at all and still matches *)
   let settled =
-    supervised
-      ~policy:{ base with checkpoint = Some dir; resume = true }
-      ()
+    sweep ~policy:{ base with checkpoint = Some dir; resume = true } ()
   in
   Alcotest.(check int) "everything from disk" 4 settled.resumed;
   Alcotest.(check int) "nothing re-executed" 0 settled.executed;
@@ -86,10 +77,10 @@ let test_interrupt_and_resume () =
     (render settled)
 
 let test_corrupted_checkpoint_reruns () =
-  let uninterrupted = render (supervised ()) in
+  let uninterrupted = render (sweep ()) in
   let dir = fresh_dir () in
   let base = Experiments.Sweep.default_policy in
-  ignore (supervised ~policy:{ base with checkpoint = Some dir } ());
+  ignore (sweep ~policy:{ base with checkpoint = Some dir } ());
   (* truncate one checkpoint and scribble over another: both must
      degrade to "missing" and re-run, not crash or corrupt the output *)
   let f1 = Experiments.Checkpoint.task_file ~dir ~experiment:"fig01" ~seed:42 in
@@ -100,7 +91,7 @@ let test_corrupted_checkpoint_reruns () =
   output_string oc "not a checkpoint";
   close_out oc;
   let resumed =
-    supervised ~policy:{ base with checkpoint = Some dir; resume = true } ()
+    sweep ~policy:{ base with checkpoint = Some dir; resume = true } ()
   in
   Alcotest.(check int) "intact tasks resumed" 2 resumed.resumed;
   Alcotest.(check int) "corrupted tasks re-run" 2 resumed.executed;

@@ -1,7 +1,7 @@
 (* Supervised sweep execution (DESIGN.md §12): Par.Control semantics,
    structured task outcomes, the crash/timeout/stall fault-injection
-   paths through Sweep.run_supervised, retry-with-backoff, the failure
-   report's JSON shape, and serial/parallel agreement. *)
+   paths through Sweep.run, retry-with-backoff, the failure report's
+   JSON shape, and serial/parallel agreement. *)
 
 let quick = Experiments.Scenario.Quick
 
@@ -9,6 +9,70 @@ let find id =
   match Experiments.Registry.find id with
   | Some e -> e
   | None -> Alcotest.failf "registry should resolve %s" id
+
+(* ------------------------------------------------------------- probes *)
+
+(* Fault-injecting experiments, handed to the sweep through
+   [~experiments].  On success a probe returns a tiny series derived
+   from the seed alone, so a retried run renders byte-identically to a
+   first-try success. *)
+exception Injected of string
+
+let probe id title run =
+  { Experiments.Registry.id; figure = "Supervisor"; title; run }
+
+let ok_series ~id ~seed =
+  [
+    Experiments.Series.make
+      ~title:(Printf.sprintf "%s: fault-injection probe (seed %d)" id seed)
+      ~xlabel:"step" ~ylabels:[ "value" ] ~notes:[]
+      [ (0., [ float_of_int seed ]); (1., [ float_of_int (seed * 2) ]) ];
+  ]
+
+let xcrash =
+  probe "xcrash" "task crashes deterministically" (fun ~mode:_ ~seed:_ ->
+      raise (Injected "xcrash: injected deterministic task failure"))
+
+(* Fails on its first call and succeeds from the second; each call of
+   [xflaky ()] is a fresh probe with its own count. *)
+let xflaky () =
+  let calls = Atomic.make 0 in
+  probe "xflaky" "task fails once, succeeds on retry" (fun ~mode:_ ~seed ->
+      if Atomic.fetch_and_add calls 1 = 0 then
+        raise (Injected "xflaky: injected failure on the first call")
+      else ok_series ~id:"xflaky" ~seed)
+
+(* Livelock: a callback that reschedules itself at the current simulated
+   instant, freezing the clock while the event count climbs.  Capped at
+   2M events so it terminates even under a watchdog that misses it. *)
+let xstall =
+  probe "xstall" "simulated time livelocks" (fun ~mode:_ ~seed ->
+      let e = (Experiments.Scenario.base ~seed ()).Experiments.Scenario.engine in
+      let spun = ref 0 in
+      let rec spin () =
+        incr spun;
+        if !spun < 2_000_000 then
+          ignore (Netsim.Engine.at e ~time:(Netsim.Engine.now e) spin)
+      in
+      ignore (Netsim.Engine.at e ~time:0.1 spin);
+      Netsim.Engine.run ~until:1.0 e;
+      ok_series ~id:"xstall" ~seed)
+
+(* Wall-clock hog with few events: each event sleeps 2 ms and advances
+   simulated time, so only the watchdog's wall-clock poll catches it.
+   Capped at 1500 events (about 3 s). *)
+let xsleep =
+  probe "xsleep" "task burns wall clock on few events" (fun ~mode:_ ~seed ->
+      let e = (Experiments.Scenario.base ~seed ()).Experiments.Scenario.engine in
+      let n = ref 0 in
+      let rec tick () =
+        incr n;
+        Unix.sleepf 0.002;
+        if !n < 1_500 then ignore (Netsim.Engine.after e ~delay:0.001 tick)
+      in
+      ignore (Netsim.Engine.after e ~delay:0.001 tick);
+      Netsim.Engine.run ~until:5.0 e;
+      ok_series ~id:"xsleep" ~seed)
 
 let policy = Experiments.Sweep.default_policy
 
@@ -110,9 +174,8 @@ let test_nested_submit_names_task () =
 
 (* ------------------------------------------------- supervised failures *)
 
-let supervised ?(policy = policy) ?(jobs = 1) ids =
-  Experiments.Sweep.run_supervised ~experiments:(List.map find ids) ~policy
-    ~jobs ~mode:quick ~seed:42 ()
+let supervised ?(policy = policy) ?(jobs = 1) experiments =
+  Experiments.Sweep.run ~experiments ~policy ~jobs ~mode:quick ~seed:42 ()
 
 let the_failure (r : Experiments.Sweep.report) =
   match r.failures with
@@ -120,7 +183,7 @@ let the_failure (r : Experiments.Sweep.report) =
   | fs -> Alcotest.failf "expected exactly one failure, got %d" (List.length fs)
 
 let test_crash_failure () =
-  let r = supervised [ "xcrash" ] in
+  let r = supervised [ xcrash ] in
   let f = the_failure r in
   Alcotest.(check string) "cause" "crashed"
     (Experiments.Sweep.cause_label f.f_cause);
@@ -131,7 +194,7 @@ let test_crash_failure () =
   Alcotest.(check bool) "no results" true (r.results = [])
 
 let test_crash_retries_exhausted () =
-  let r = supervised ~policy:{ policy with retries = 2 } [ "xcrash" ] in
+  let r = supervised ~policy:{ policy with retries = 2 } [ xcrash ] in
   let f = the_failure r in
   Alcotest.(check int) "all attempts consumed" 3 f.f_attempts;
   Alcotest.(check int) "retried twice" 2 r.retried
@@ -139,7 +202,7 @@ let test_crash_retries_exhausted () =
 let test_flaky_succeeds_on_retry () =
   (* attempt 1 raises, attempt 2 succeeds: retry must converge and the
      series must be those of a clean attempt (seed-derived only) *)
-  let r = supervised ~policy:{ policy with retries = 1 } [ "xflaky" ] in
+  let r = supervised ~policy:{ policy with retries = 1 } [ xflaky () ] in
   Alcotest.(check int) "no failures" 0 (List.length r.failures);
   Alcotest.(check int) "one retry" 1 r.retried;
   Alcotest.(check int) "exit code" 0 (Experiments.Sweep.exit_code r);
@@ -150,13 +213,13 @@ let test_flaky_succeeds_on_retry () =
   | _ -> Alcotest.fail "expected one result with one replicate"
 
 let test_flaky_fails_without_retry () =
-  let r = supervised [ "xflaky" ] in
+  let r = supervised [ xflaky () ] in
   let f = the_failure r in
   Alcotest.(check string) "cause" "crashed"
     (Experiments.Sweep.cause_label f.f_cause)
 
 let test_stall_aborted () =
-  let r = supervised ~policy:{ policy with stall_events = 10_000 } [ "xstall" ] in
+  let r = supervised ~policy:{ policy with stall_events = 10_000 } [ xstall ] in
   let f = the_failure r in
   Alcotest.(check string) "cause" "stalled"
     (Experiments.Sweep.cause_label f.f_cause);
@@ -171,13 +234,13 @@ let test_stall_aborted () =
     has_watchdog_note
 
 let test_event_storm_aborted () =
-  let r = supervised ~policy:{ policy with max_events = Some 5_000 } [ "xstall" ] in
+  let r = supervised ~policy:{ policy with max_events = Some 5_000 } [ xstall ] in
   let f = the_failure r in
   Alcotest.(check string) "cause" "stalled"
     (Experiments.Sweep.cause_label f.f_cause)
 
 let test_sleep_times_out () =
-  let r = supervised ~policy:{ policy with task_timeout = Some 0.2 } [ "xsleep" ] in
+  let r = supervised ~policy:{ policy with task_timeout = Some 0.2 } [ xsleep ] in
   let f = the_failure r in
   Alcotest.(check string) "cause" "timeout"
     (Experiments.Sweep.cause_label f.f_cause)
@@ -186,8 +249,8 @@ let test_partial_sweep_keeps_successes () =
   (* one crashing and one stalling task must not cost the healthy
      figures: their rendered series are byte-identical to a clean sweep *)
   let p = { policy with stall_events = 10_000 } in
-  let mixed = supervised ~policy:p [ "fig01"; "xcrash"; "xstall"; "fig04" ] in
-  let clean = supervised [ "fig01"; "fig04" ] in
+  let mixed = supervised ~policy:p [ find "fig01"; xcrash; xstall; find "fig04" ] in
+  let clean = supervised [ find "fig01"; find "fig04" ] in
   Alcotest.(check int) "two failures" 2 (List.length mixed.failures);
   Alcotest.(check int) "exit code" 3 (Experiments.Sweep.exit_code mixed);
   let render (r : Experiments.Sweep.report) =
@@ -201,7 +264,7 @@ let test_partial_sweep_keeps_successes () =
 
 let test_serial_parallel_agree () =
   let p = { policy with stall_events = 10_000; retries = 1 } in
-  let ids = [ "fig01"; "xcrash"; "fig04"; "xstall" ] in
+  let ids = [ find "fig01"; xcrash; find "fig04"; xstall ] in
   let a = supervised ~policy:p ~jobs:1 ids in
   let b = supervised ~policy:p ~jobs:4 ids in
   let render (r : Experiments.Sweep.report) =
@@ -222,39 +285,30 @@ let test_serial_parallel_agree () =
          Experiments.Sweep.cause_label f.f_cause)
        b.failures)
 
-(* The unsupervised [Sweep.run] submits costliest-first, yet a failure
-   must still surface as the grid-first failing cell.  The ids borrow
-   the cost table's entries so the submission order is the reverse of
-   grid order: fig04 is among the cheapest figures, fig12 the costliest. *)
-exception Cell_failed of string
-
-let test_run_raises_grid_first_failure () =
+(* The sweep submits cells costliest-first, yet [report.failures] must
+   list them in grid order.  The ids borrow the cost table's entries so
+   the submission order is the reverse of grid order: fig04 is among the
+   cheapest figures, fig12 the costliest. *)
+let test_failures_in_grid_order () =
   let failing id =
-    {
-      Experiments.Registry.id;
-      figure = id;
-      title = "always fails";
-      run = (fun ~mode:_ ~seed:_ -> raise (Cell_failed id));
-    }
+    probe id "always fails" (fun ~mode:_ ~seed:_ -> raise (Injected id))
   in
-  let experiments = [ failing "fig04"; failing "fig12" ] in
   List.iter
     (fun jobs ->
-      match
-        Experiments.Sweep.run ~experiments ~jobs ~mode:quick ~seed:42 ()
-      with
-      | _ -> Alcotest.fail "expected Cell_failed"
-      | exception Cell_failed id ->
-          Alcotest.(check string)
-            (Printf.sprintf "grid-first failure wins (-j %d)" jobs)
-            "fig04" id)
+      let r = supervised ~jobs [ failing "fig04"; failing "fig12" ] in
+      Alcotest.(check (list string))
+        (Printf.sprintf "grid order (-j %d)" jobs)
+        [ "fig04"; "fig12" ]
+        (List.map
+           (fun (f : Experiments.Sweep.failure) -> f.f_experiment)
+           r.failures))
     [ 1; 2 ]
 
 (* -------------------------------------------------- report and metrics *)
 
 let test_failure_report_json_shape () =
   let r =
-    supervised ~policy:{ policy with retries = 1 } [ "fig04"; "xcrash" ]
+    supervised ~policy:{ policy with retries = 1 } [ find "fig04"; xcrash ]
   in
   match Experiments.Sweep.report_to_json r with
   | Obs.Json.Obj fields ->
@@ -313,7 +367,6 @@ let test_exit_codes () =
       tasks = 1;
       executed = 1;
       resumed = 0;
-      skipped = 0;
       retried = 0;
     }
   in
@@ -321,8 +374,6 @@ let test_exit_codes () =
   Alcotest.(check int) "failure" 3
     (Experiments.Sweep.exit_code
        { base with failures = [ f Experiments.Sweep.Crashed ] });
-  Alcotest.(check int) "skipped" 3
-    (Experiments.Sweep.exit_code { base with skipped = 1 });
   Alcotest.(check int) "violation wins" 2
     (Experiments.Sweep.exit_code
        {
@@ -334,8 +385,8 @@ let test_exit_codes () =
 let test_sweep_observability () =
   let obs = Obs.Sink.create () in
   let r =
-    Experiments.Sweep.run_supervised
-      ~experiments:[ find "fig04"; find "xcrash" ]
+    Experiments.Sweep.run
+      ~experiments:[ find "fig04"; xcrash ]
       ~policy ~obs ~jobs:1 ~mode:quick ~seed:42 ()
   in
   Alcotest.(check int) "one failure" 1 (List.length r.failures);
@@ -388,8 +439,8 @@ let () =
             test_partial_sweep_keeps_successes;
           Alcotest.test_case "serial = parallel" `Quick
             test_serial_parallel_agree;
-          Alcotest.test_case "run raises the grid-first failure" `Quick
-            test_run_raises_grid_first_failure;
+          Alcotest.test_case "failures come back in grid order" `Quick
+            test_failures_in_grid_order;
         ] );
       ( "report",
         [

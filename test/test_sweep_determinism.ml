@@ -22,8 +22,15 @@ let csv_of_result (r : Experiments.Sweep.result) =
   Buffer.contents buf
 
 let run ?experiments ~jobs ?seeds () =
-  Experiments.Sweep.run ?experiments ~jobs ~mode:Experiments.Scenario.Quick
-    ~seed:42 ?seeds ()
+  let report =
+    Experiments.Sweep.run ?experiments ~jobs ~mode:Experiments.Scenario.Quick
+      ~seed:42 ?seeds ()
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "no failures (-j %d)" jobs)
+    0
+    (List.length report.Experiments.Sweep.failures);
+  report.Experiments.Sweep.results
 
 (* A cheap subset for the repeated-run checks: the full registry takes
    tens of seconds per pass, so reserve it for the single serial-vs-
@@ -94,34 +101,27 @@ let sched_subset () =
 let test_schedules_byte_identical () =
   let experiments = sched_subset () in
   let render jobs =
-    let report =
-      Experiments.Sweep.run_supervised ~experiments ~jobs
-        ~mode:Experiments.Scenario.Quick ~seed:42 ~seeds:2 ()
-    in
-    Alcotest.(check int)
-      (Printf.sprintf "no failures (-j %d)" jobs)
-      0
-      (List.length report.Experiments.Sweep.failures);
     Experiments.Sweep.render ~csv:true ~replicates:true ~seeds:2
-      report.Experiments.Sweep.results
+      (run ~experiments ~jobs ~seeds:2 ())
   in
   let reference = render 1 in
   Alcotest.(check bool) "reference output non-empty" true (reference <> "");
   Alcotest.(check string) "-j 4 vs -j 1" reference (render 4)
 
-(* The reference runs each cell directly, in grid order. *)
-let test_schedules_unsupervised_identical () =
+(* The reference runs each cell directly, in grid order, without the
+   sweep's watchdog: the supervised sweep must not move a series. *)
+let test_schedules_cell_runs_identical () =
   let experiments = sched_subset () in
   let reference =
     List.map
       (fun experiment ->
+        let _, series =
+          Experiments.Sweep.run_cell experiment
+            ~mode:Experiments.Scenario.Quick ~seed:42
+        in
         {
           Experiments.Sweep.experiment;
-          replicates =
-            [
-              Experiments.Sweep.run_one experiment
-                ~mode:Experiments.Scenario.Quick ~seed:42;
-            ];
+          replicates = [ { seed = 42; series } ];
           aggregate = None;
         })
       experiments
@@ -129,7 +129,7 @@ let test_schedules_unsupervised_identical () =
   List.iter
     (fun jobs ->
       check_same_results
-        (Printf.sprintf "-j %d vs grid-order serial" jobs)
+        (Printf.sprintf "-j %d vs grid-order cell runs" jobs)
         reference (run ~experiments ~jobs ()))
     [ 1; 4 ]
 
@@ -146,7 +146,7 @@ let () =
             test_multi_seed_aggregate;
           Alcotest.test_case "schedules render byte-identically" `Quick
             test_schedules_byte_identical;
-          Alcotest.test_case "schedules: unsupervised run identical" `Quick
-            test_schedules_unsupervised_identical;
+          Alcotest.test_case "schedules: cell-by-cell runs identical" `Quick
+            test_schedules_cell_runs_identical;
         ] );
     ]
