@@ -1,36 +1,37 @@
-(* Binary min-heap of events on (time, seq) (see event_heap.mli).
+(* Binary min-heap of entries on (time, seq) (see event_heap.mli).
 
    The heap proper is three parallel unboxed arrays — [times], [seqs]
    and [slots] — so a sift moves only floats and ints: no pointer
    chasing to compare two entries and no write barrier per level.  Each
-   heap position names a slot; the event's payload lives in per-slot
-   tables, either a closure ([fns]) or a packet callback applied to its
-   packet ([pcbs]/[pargs]).  The packet form lets the link layer
-   schedule a delivery with one preallocated per-link function instead
-   of a fresh closure per in-flight packet; [pargs] doubles as the
-   discriminator ([Packet.dummy] means closure form).
+   heap position names a slot; the entry's payload lives in per-slot
+   tables, either a closure ([fns]) or a message: a function applied to
+   its two arguments ([msgs]/[args]/[ints]).  The message form lets the
+   simulator's links and the rt fabric schedule a delivery with one
+   preallocated function instead of a fresh closure per in-flight
+   datagram; [args] doubles as the discriminator ([dummy] means closure
+   form).
 
-   A slot's payload is written once when its event is scheduled and
-   cleared once when the event leaves the heap, so a fired event's
-   closure or packet is not kept alive by the tables.  [owner] holds the
-   seq of the event occupying each slot, or -1 once that event fired or
-   was cancelled: an entry is live exactly when its seq matches its
+   A slot's payload is written once when its entry is scheduled and
+   cleared once when the entry leaves the heap, so a fired entry's
+   closure or message is not kept alive by the tables.  [owner] holds
+   the seq of the entry occupying each slot, or -1 once that entry fired
+   or was cancelled: an entry is live exactly when its seq matches its
    slot's owner.  A cancel handle carries (slot, seq), so a handle whose
-   event has fired can never cancel the slot's next occupant.
+   entry has fired can never cancel the slot's next occupant.
 
    Cancellation is lazy: the entry stays in the heap (with its slot)
    until it surfaces at the root, where [purge] drops it.  Every heap
    position owns one slot, so the slot tables never outgrow the heap
    arrays, and with no free slot the slots in use are 0 .. len-1.
 
-   No event record is allocated per schedule — only [add] allocates its
+   No entry record is allocated per schedule — only [add] allocates its
    small handle — which is why this is not the freelist of recycled
    records DESIGN.md §14 rejects: no record is refilled, and a sift
    stores no pointer. *)
 
 type handle = { h_slot : int; h_seq : int }
 
-type t = {
+type 'a t = {
   mutable times : float array; (* heap order: time *)
   mutable seqs : int array; (* heap order: insertion seq, the tie-break *)
   mutable slots : int array; (* heap order: payload slot *)
@@ -39,13 +40,15 @@ type t = {
   mutable next_seq : int;
   mutable owner : int array; (* by slot: seq of the live occupant, or -1 *)
   mutable fns : (unit -> unit) array; (* by slot: closure payload *)
-  mutable pcbs : (Packet.t -> unit) array; (* by slot: packet callback *)
-  mutable pargs : Packet.t array; (* by slot: its packet, or Packet.dummy *)
+  mutable msgs : ('a -> int -> unit) array; (* by slot: message function *)
+  mutable args : 'a array; (* by slot: its first argument, or [dummy] *)
+  mutable ints : int array; (* by slot: its second argument *)
   mutable free : int array; (* stack of free slots *)
   mutable nfree : int;
+  dummy : 'a;
 }
 
-let ignore_pcb (_ : Packet.t) = ()
+let ignore_msg _ (_ : int) = ()
 
 (* All-float cell (raw double storage): [step] writes the popped time
    here so the caller's clock update is a plain store. *)
@@ -53,7 +56,7 @@ type time_cell = { mutable cell_time : float }
 
 let initial_capacity = 64
 
-let create () =
+let create ~dummy =
   let cap = initial_capacity in
   {
     times = Array.make cap 0.;
@@ -64,10 +67,12 @@ let create () =
     next_seq = 0;
     owner = Array.make cap (-1);
     fns = Array.make cap ignore;
-    pcbs = Array.make cap ignore_pcb;
-    pargs = Array.make cap Packet.dummy;
+    msgs = Array.make cap ignore_msg;
+    args = Array.make cap dummy;
+    ints = Array.make cap 0;
     free = Array.make cap 0;
     nfree = 0;
+    dummy;
   }
 
 let grow t =
@@ -82,8 +87,9 @@ let grow t =
   t.slots <- extend t.slots 0;
   t.owner <- extend t.owner (-1);
   t.fns <- extend t.fns ignore;
-  t.pcbs <- extend t.pcbs ignore_pcb;
-  t.pargs <- extend t.pargs Packet.dummy;
+  t.msgs <- extend t.msgs ignore_msg;
+  t.args <- extend t.args t.dummy;
+  t.ints <- extend t.ints 0;
   t.free <- extend t.free 0
 
 (* The sift loops keep every float comparison inside one function body:
@@ -92,7 +98,7 @@ let grow t =
    Indices are bounded by [t.len] (a local invariant of each loop), so
    array accesses use the unsafe primitives. *)
 
-(* Claim a slot for a new event with time [time] and sift it up.  The
+(* Claim a slot for a new entry with time [time] and sift it up.  The
    new seq is the largest, so only a strictly later parent moves down.
    Returns the slot; the caller writes the payload. *)
 let insert t time =
@@ -139,11 +145,12 @@ let add_unit t ~time callback =
   let s = insert t time in
   Array.unsafe_set t.fns s callback
 
-let add_pkt t ~time pcb p =
-  if Float.is_nan time then invalid_arg "Event_heap.add_pkt: NaN time";
+let add_msg t ~time f x n =
+  if Float.is_nan time then invalid_arg "Event_heap.add_msg: NaN time";
   let s = insert t time in
-  Array.unsafe_set t.pcbs s pcb;
-  Array.unsafe_set t.pargs s p
+  Array.unsafe_set t.msgs s f;
+  Array.unsafe_set t.args s x;
+  Array.unsafe_set t.ints s n
 
 let cancel t h =
   if t.owner.(h.h_slot) = h.h_seq then begin
@@ -157,9 +164,9 @@ let cancel t h =
 let remove_root t =
   let s0 = Array.unsafe_get t.slots 0 in
   Array.unsafe_set t.owner s0 (-1);
-  if Array.unsafe_get t.pargs s0 != Packet.dummy then begin
-    Array.unsafe_set t.pargs s0 Packet.dummy;
-    Array.unsafe_set t.pcbs s0 ignore_pcb
+  if Array.unsafe_get t.args s0 != t.dummy then begin
+    Array.unsafe_set t.args s0 t.dummy;
+    Array.unsafe_set t.msgs s0 ignore_msg
   end
   else Array.unsafe_set t.fns s0 ignore;
   Array.unsafe_set t.free t.nfree s0;
@@ -208,17 +215,17 @@ let root_live t =
   Array.unsafe_get t.owner (Array.unsafe_get t.slots 0)
   = Array.unsafe_get t.seqs 0
 
-(* Drop cancelled events as they surface so the root is live (or the
+(* Drop cancelled entries as they surface so the root is live (or the
    heap empty) on return. *)
 let purge t =
   while t.len > 0 && not (root_live t) do
     remove_root t
   done
 
-(* The engine's one dispatch step: purge cancelled events, pop the root
-   if it is due at or before [limit], write its time into [into] (an
+(* The one dispatch step: purge cancelled entries, pop the root if it
+   is due at or before [limit], write its time into [into] (an
    all-float cell, so the store does not box), then run [pre] (the
-   engine's per-event accounting) and fire.  Returns [false] when
+   owner's per-entry accounting) and fire.  Returns [false] when
    nothing is due.  The payload is read before [remove_root] frees the
    slot, so a callback may schedule into it straight away. *)
 let step t ~limit ~into ~pre =
@@ -229,28 +236,17 @@ let step t ~limit ~into ~pre =
     if time > limit then false
     else begin
       let s = Array.unsafe_get t.slots 0 in
-      let p = Array.unsafe_get t.pargs s in
-      let pcb = Array.unsafe_get t.pcbs s in
+      let x = Array.unsafe_get t.args s in
+      let f = Array.unsafe_get t.msgs s in
+      let n = Array.unsafe_get t.ints s in
       let fn = Array.unsafe_get t.fns s in
       remove_root t;
       t.live <- t.live - 1;
       into.cell_time <- time;
       pre ();
-      if p != Packet.dummy then pcb p else fn ();
+      if x != t.dummy then f x n else fn ();
       true
     end
-  end
-
-let pop t =
-  purge t;
-  if t.len = 0 then None
-  else begin
-    let time = t.times.(0) in
-    let s = t.slots.(0) in
-    let p = t.pargs.(s) and pcb = t.pcbs.(s) and fn = t.fns.(s) in
-    remove_root t;
-    t.live <- t.live - 1;
-    if p != Packet.dummy then Some (time, fun () -> pcb p) else Some (time, fn)
   end
 
 let peek_time t =
@@ -258,8 +254,6 @@ let peek_time t =
   if t.len = 0 then None else Some t.times.(0)
 
 let size t = t.live
-
-let is_empty t = t.live = 0
 
 (* O(n) structural audit for the invariant checker: every stored key is a
    real float, the (time, seq) heap order holds on every parent/child
@@ -270,7 +264,8 @@ let well_formed t =
   if t.len < 0 || t.len > cap
      || Array.length t.seqs <> cap || Array.length t.slots <> cap
      || Array.length t.owner <> cap || Array.length t.fns <> cap
-     || Array.length t.pcbs <> cap || Array.length t.pargs <> cap
+     || Array.length t.msgs <> cap || Array.length t.args <> cap
+     || Array.length t.ints <> cap
      || t.nfree < 0 || t.len + t.nfree > cap
      || t.live < 0 || t.live > t.len
   then false

@@ -196,7 +196,6 @@ let attempt_cell ~strict ~policy ~control ~attempt (e : Registry.experiment)
   let sink = Obs.Sink.create () in
   let watchdog =
     {
-      Netsim.Watchdog.default with
       Netsim.Watchdog.control;
       stall_events = policy.stall_events;
       max_events = policy.max_events;

@@ -4,7 +4,7 @@
    mixed engine record would allocate a fresh boxed float on every one
    of the millions of events. *)
 type t = {
-  heap : Event_heap.t;
+  heap : Packet.t Event_heap.t;
   links : Link_table.t;  (* SoA busy/busy-time state for all links *)
   clock : Event_heap.time_cell;
   rng : Stats.Rng.t;
@@ -25,7 +25,7 @@ type handle = Event_heap.handle
 
 let create ?(seed = 42) ?(obs = Obs.Sink.null) () =
   {
-    heap = Event_heap.create ();
+    heap = Event_heap.create ~dummy:Packet.dummy;
     links = Link_table.create ();
     clock = { Event_heap.cell_time = 0. };
     rng = Stats.Rng.create seed;
@@ -54,9 +54,9 @@ let clear_watchdog t =
   t.wd_every <- max_int;
   t.wd_countdown <- max_int
 
-(* Called from the event loops after each processed event.  An exception
+(* Called from the event loop after each processed event.  An exception
    from the watchdog callback (a cancellation or stall abort) propagates
-   out of [run] / [step] to the caller owning this engine's task. *)
+   out of [run] to the caller owning this engine's task. *)
 let wd_tick t =
   t.wd_countdown <- t.wd_countdown - 1;
   if t.wd_countdown = 0 then begin
@@ -91,7 +91,7 @@ let after_unit t ~delay callback =
 
 let after_pkt t ~delay pcb p =
   if delay < 0. then invalid_arg "Engine.after_pkt: negative delay";
-  Event_heap.add_pkt t.heap ~time:(t.clock.Event_heap.cell_time +. delay) pcb p
+  Event_heap.add_msg t.heap ~time:(t.clock.Event_heap.cell_time +. delay) pcb p 0
 
 let at_unit t ~time callback =
   if time < t.clock.Event_heap.cell_time then
@@ -120,13 +120,6 @@ let every t ?start ?until ~interval callback =
 let count t () =
   t.processed <- t.processed + 1;
   Obs.Metrics.Counter.inc t.ev_counter
-
-let step t =
-  Event_heap.step t.heap ~limit:infinity ~into:t.clock ~pre:(count t)
-  && begin
-       wd_tick t;
-       true
-     end
 
 let run ?until t =
   t.stopped <- false;

@@ -2,7 +2,9 @@
 
     One [t] value owns simulated time, the event queue, and the master
     random stream.  All other simulator objects (links, agents, monitors)
-    hold a reference to the engine and schedule callbacks on it. *)
+    hold a reference to the engine and schedule callbacks on it.  The
+    queue is an {!Event_heap.t}, the scheduler core [Rt.Loop] runs on
+    too, so both backends fire in the same (time, schedule order). *)
 
 type t
 
@@ -50,10 +52,11 @@ val after_unit : t -> delay:float -> (unit -> unit) -> unit
 (** Fire-and-forget {!after}: no handle (the event cannot be cancelled).
     Use whenever the handle would be [ignore]d. *)
 
-val after_pkt : t -> delay:float -> (Packet.t -> unit) -> Packet.t -> unit
-(** Fire-and-forget packet event: applies the function to the packet
-    after [delay].  With a preallocated per-object function this
-    schedules a delivery without allocating a per-packet closure. *)
+val after_pkt : t -> delay:float -> (Packet.t -> int -> unit) -> Packet.t -> unit
+(** Fire-and-forget packet event: after [delay], applies the function
+    to the packet and 0 (an {!Event_heap.add_msg} message whose int the
+    simulator leaves unused).  With a preallocated per-object function
+    this schedules a delivery without allocating a per-packet closure. *)
 
 val at_unit : t -> time:float -> (unit -> unit) -> unit
 (** Fire-and-forget {!at}: no handle, like {!after_unit}. *)
@@ -76,9 +79,6 @@ val run : ?until:float -> t -> unit
     callback or the watchdog, every event not yet fired stays pending
     and the next [run] resumes in the same order. *)
 
-val step : t -> bool
-(** Processes a single event; [false] when the queue is empty. *)
-
 val stop : t -> unit
 (** Makes the innermost [run] return after the current callback. *)
 
@@ -87,8 +87,8 @@ val set_watchdog : t -> ?every_events:int -> (unit -> unit) -> unit
     [every_events] (default 4096, must be ≥ 1) processed events — the
     hook {!Watchdog} rides to detect stalls and enforce wall-clock
     deadlines.  The callback must be read-only with respect to
-    simulation state; an exception it raises propagates out of {!run} /
-    {!step} and aborts the run.  Replaces any previous watchdog.  With
+    simulation state; an exception it raises propagates out of {!run}
+    and aborts the run.  Replaces any previous watchdog.  With
     none installed the per-event cost is a single integer decrement. *)
 
 val clear_watchdog : t -> unit

@@ -22,7 +22,7 @@ type t = {
   mutable complete : unit -> unit;
   (* Arrival callback, allocated once per link: with [Engine.after_pkt]
      an in-flight packet needs no per-packet closure. *)
-  mutable arrive_pcb : Packet.t -> unit;
+  mutable arrive_pcb : Packet.t -> int -> unit;
   mutable up : bool;
   mutable sent : int;
   mutable delivered : int;
@@ -156,7 +156,7 @@ let create engine ?(loss = Loss_model.none) ~bandwidth_bps ~delay_s ~queue ~src
     slot = Link_table.alloc tbl;
     tx_pkt = Packet.dummy;
     complete = ignore;  (* tied to the record below; see [transmit] *)
-    arrive_pcb = (fun (_ : Packet.t) -> ());
+    arrive_pcb = (fun (_ : Packet.t) (_ : int) -> ());
     up = true;
     sent = 0;
     delivered = 0;
@@ -175,7 +175,7 @@ let create engine ?(loss = Loss_model.none) ~bandwidth_bps ~delay_s ~queue ~src
   }
   in
   t.complete <- (fun () -> on_complete t);
-  t.arrive_pcb <- (fun p -> on_arrive t p);
+  t.arrive_pcb <- (fun p (_ : int) -> on_arrive t p);
   t
 
 let forward t (p : Packet.t) =

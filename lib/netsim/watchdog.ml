@@ -2,8 +2,6 @@ type config = {
   control : Par.Control.t;
   stall_events : int;
   max_events : int option;
-  check_every : int;
-  sim_interval : float;
 }
 
 let default =
@@ -11,18 +9,18 @@ let default =
     control = Par.Control.none;
     stall_events = 1_000_000;
     max_events = None;
-    check_every = 4096;
-    sim_interval = 0.25;
   }
 
+(* Events between event-count checks, and simulated seconds between
+   control polls. *)
+let check_every = 4096
+
+let sim_interval = 0.25
+
 let validate cfg =
-  if cfg.check_every < 1 then
-    invalid_arg "Watchdog: check_every must be >= 1";
-  if cfg.sim_interval <= 0. then
-    invalid_arg "Watchdog: sim_interval must be positive";
-  (match cfg.max_events with
+  match cfg.max_events with
   | Some m when m < 1 -> invalid_arg "Watchdog: max_events must be >= 1"
-  | _ -> ())
+  | _ -> ()
 
 let abort engine detail =
   let sink = Engine.obs engine in
@@ -64,10 +62,10 @@ let install cfg engine =
   (* Event-count hook: catches livelock and event storms, where the
      simulated clock is frozen and a sim-time schedule would never
      fire. *)
-  Engine.set_watchdog engine ~every_events:cfg.check_every tick;
+  Engine.set_watchdog engine ~every_events:check_every tick;
   (* Sim-time hook: catches wall-clock overruns of simulations that
      process few events per wall second (e.g. callbacks blocking on IO),
      which the event-count hook would sample too rarely. *)
   if Par.Control.cancelled cfg.control = None then
-    Engine.every engine ~interval:cfg.sim_interval (fun () ->
+    Engine.every engine ~interval:sim_interval (fun () ->
         Par.Control.check cfg.control)

@@ -6,14 +6,14 @@
     otherwise hold its worker domain forever.  [install] arms two
     read-only probes on an engine:
 
-    - an {e event-count} hook ({!Engine.set_watchdog}, every
-      [check_every] events) that aborts when simulated time has not
-      advanced for [stall_events] consecutive events (livelock) or the
-      total event count exceeds [max_events] (event storm), and polls
-      the task's {!Par.Control} for wall-clock deadlines;
-    - a {e sim-time} hook ({!Engine.every}, every [sim_interval]
-      simulated seconds) that polls the control too, catching wall
-      overruns in runs that process few events.
+    - an {e event-count} hook ({!Engine.set_watchdog}, every 4096
+      events) that aborts when simulated time has not advanced for
+      [stall_events] consecutive events (livelock) or the total event
+      count exceeds [max_events] (event storm), and polls the task's
+      {!Par.Control} for wall-clock deadlines;
+    - a {e sim-time} hook ({!Engine.every}, every 0.25 simulated
+      seconds) that polls the control too, catching wall overruns in
+      runs that process few events.
 
     An abort records an [Error] note under the ["netsim.watchdog"]
     journal component (so the task's failure report carries the journal
@@ -29,14 +29,11 @@ type config = {
       (** abort after this many events without sim-time progress;
           [<= 0] disables livelock detection *)
   max_events : int option;  (** total event budget; [None] = unbounded *)
-  check_every : int;  (** events between event-count checks (≥ 1) *)
-  sim_interval : float;  (** simulated seconds between control polls *)
 }
 
 val default : config
-(** Inert control, 1M-event stall window, no event budget, check every
-    4096 events, 0.25 s sim-time polls. *)
+(** Inert control, 1M-event stall window, no event budget. *)
 
 val install : config -> Engine.t -> unit
-(** Arms both hooks on [engine].  Raises [Invalid_argument] on
-    non-positive [check_every] / [sim_interval] / [max_events]. *)
+(** Arms both hooks on [engine].  Raises [Invalid_argument] on a
+    non-positive [max_events]. *)

@@ -2,15 +2,23 @@
 
 type mode = Turbo | Realtime
 
+(* [vnow] is a [mutable float] in this mixed record on purpose, boxed
+   on each write: every [Env.now] read goes through a closure and
+   returns a boxed float anyway, which a boxed field hands out without
+   copying, where an all-float cell would box a fresh float per read
+   (DESIGN.md §13).  The heap writes each popped time into the
+   all-float [popped] instead: [at] accepts past deadlines, so the
+   popped time is not always the new clock. *)
 type t = {
   mode : mode;
-  timers : Timer_heap.t;
+  heap : bytes Event_heap.t;
+  popped : Event_heap.time_cell; (* time of the entry being fired *)
+  last : Event_heap.time_cell; (* previous popped time, for [chain] *)
   mutable vnow : float; (* turbo clock; realtime: last sampled value *)
   mutable clock : unit -> float; (* realtime monotonic clock *)
   obs : Obs.Sink.t;
   rng : Stats.Rng.t;
   late_tolerance : float;
-  mutable running : bool;
   mutable fds : (Unix.file_descr * (unit -> unit)) list;
   mutable anomalies : int;
   (* Exception backstop (DESIGN.md §15): without a handler, an exception
@@ -21,8 +29,9 @@ type t = {
      handler, and the remaining timers keep firing. *)
   mutable exn_handler : (exn -> Printexc.raw_backtrace -> unit) option;
   mutable exns_caught : int;
-  fire : (unit -> unit) -> unit; (* [protect t], built once for every timer *)
-  fire_frame : (bytes -> int -> unit) -> bytes -> int -> unit; (* [protect_frame t] *)
+  mutable fired : int;
+  mutable chain : int; (* entries fired since the popped time last rose *)
+  pre : unit -> unit; (* [on_fire t], built once for every entry *)
 }
 
 (* Same metric family as Tfmcc_core.Env.clock_anomaly, registered
@@ -35,11 +44,11 @@ let anomaly t ~kind =
        ~labels:[ ("kind", kind) ]
        "tfmcc_rt_clock_anomaly_total")
 
-(* Every timer and fd callback runs through [protect], and every frame
-   delivery through [protect_frame].  The handler is consulted at fire
-   time, not schedule time: installing it after timers are queued still
-   protects them.  The metric is registered lazily so an exception-free
-   run leaves the registry untouched. *)
+(* Every heap step and fd callback runs under the backstop.  The
+   handler is consulted at fire time, not schedule time: installing it
+   after timers are queued still protects them.  The metric is
+   registered lazily so an exception-free run leaves the registry
+   untouched. *)
 let caught t handler e bt =
   t.exns_caught <- t.exns_caught + 1;
   Obs.Metrics.Counter.inc
@@ -52,14 +61,45 @@ let protect t fn =
   | Some handler -> (
       try fn () with e -> caught t handler e (Printexc.get_raw_backtrace ()))
 
-(* The same backstop around a direct call: a wrapper closure per frame
-   would cost 6 words. *)
-let protect_frame t deliver frame size =
-  match t.exn_handler with
-  | None -> deliver frame size
-  | Some handler -> (
-      try deliver frame size
-      with e -> caught t handler e (Printexc.get_raw_backtrace ()))
+let now t =
+  match t.mode with
+  | Turbo -> t.vnow
+  | Realtime ->
+      let n = t.clock () in
+      t.vnow <- n;
+      n
+
+(* Zero-delay chains are finite in TFMCC (its timers are paced); the cap
+   turns a runaway chain into a crash instead of a hang.  It counts
+   entries fired without the popped time rising, so only a chain at one
+   instant (or of past deadlines) trips it.  [Runaway] gets past the
+   backstop; [run] turns it into [Failure]. *)
+let max_chain = 1_000_000
+
+exception Runaway
+
+(* Per-entry accounting, run by [Event_heap.step] between the pop and
+   the fire: count, move the turbo clock forward (never back), check a
+   realtime entry's tardiness against a fresh clock sample, and cap the
+   chain. *)
+let on_fire t =
+  t.fired <- t.fired + 1;
+  let time = t.popped.Event_heap.cell_time in
+  (match t.mode with
+  | Turbo -> if time > t.vnow then t.vnow <- time
+  | Realtime ->
+      if now t -. time > t.late_tolerance then anomaly t ~kind:"late-timer");
+  if time > t.last.Event_heap.cell_time then begin
+    t.last.Event_heap.cell_time <- time;
+    t.chain <- 0
+  end
+  else begin
+    t.chain <- t.chain + 1;
+    if t.chain > max_chain then raise Runaway
+  end
+
+(* Marks closure slots in the heap: no frame is ever this block. *)
+let no_frame = Bytes.create 0
 
 let create ?(mode = Turbo) ?(epoch = 0.) ?obs ?(seed = 42)
     ?(late_tolerance_s = 0.05) () =
@@ -67,19 +107,21 @@ let create ?(mode = Turbo) ?(epoch = 0.) ?obs ?(seed = 42)
   let rec t =
     {
       mode;
-      timers = Timer_heap.create ();
+      heap = Event_heap.create ~dummy:no_frame;
+      popped = { Event_heap.cell_time = epoch };
+      last = { Event_heap.cell_time = neg_infinity };
       vnow = epoch;
       clock = (fun () -> epoch);
       obs;
       rng = Stats.Rng.create seed;
       late_tolerance = late_tolerance_s;
-      running = false;
       fds = [];
       anomalies = 0;
       exn_handler = None;
       exns_caught = 0;
-      fire = (fun fn -> protect t fn);
-      fire_frame = (fun deliver frame size -> protect_frame t deliver frame size);
+      fired = 0;
+      chain = 0;
+      pre = (fun () -> on_fire t);
     }
   in
   (match mode with
@@ -95,25 +137,17 @@ let create ?(mode = Turbo) ?(epoch = 0.) ?obs ?(seed = 42)
 
 let mode t = t.mode
 
-let now t =
-  match t.mode with
-  | Turbo -> t.vnow
-  | Realtime ->
-      let n = t.clock () in
-      t.vnow <- n;
-      n
-
 let obs t = t.obs
 
 let split_rng t = Stats.Rng.split t.rng
 
-let timer_of e = { Tfmcc_core.Env.cancel = (fun () -> Timer_heap.cancel e) }
+let timer_of t h = { Tfmcc_core.Env.cancel = (fun () -> Event_heap.cancel t.heap h) }
 
 let set_exn_handler t h = t.exn_handler <- Some h
 
 let exceptions_caught t = t.exns_caught
 
-let schedule_after t ~delay fn =
+let deadline_after t ~delay =
   let delay =
     if Float.is_finite delay && delay >= 0. then delay
     else begin
@@ -121,11 +155,11 @@ let schedule_after t ~delay fn =
       0.
     end
   in
-  Timer_heap.schedule t.timers ~at:(now t +. delay) fn
+  now t +. delay
 
-let after t ~delay fn = timer_of (schedule_after t ~delay fn)
+let after t ~delay fn = timer_of t (Event_heap.add t.heap ~time:(deadline_after t ~delay) fn)
 
-let after_unit t ~delay fn = ignore (schedule_after t ~delay fn : Timer_heap.timer)
+let after_unit t ~delay fn = Event_heap.add_unit t.heap ~time:(deadline_after t ~delay) fn
 
 let at t ~time fn =
   let time =
@@ -135,10 +169,9 @@ let at t ~time fn =
       now t
     end
   in
-  timer_of (Timer_heap.schedule t.timers ~at:time fn)
+  timer_of t (Event_heap.add t.heap ~time fn)
 
-let frame_at t ~time deliver frame size =
-  Timer_heap.schedule_frame t.timers ~at:time deliver frame size
+let frame_at t ~time deliver frame size = Event_heap.add_msg t.heap ~time deliver frame size
 
 (* Self-rescheduling periodic timer.  The next occurrence is queued
    before [fn] runs, so the chain survives a callback exception when an
@@ -150,60 +183,49 @@ let every t ~interval fn =
   let cancelled = ref false in
   let cur = ref None in
   let rec arm ~time =
-    let e =
-      Timer_heap.schedule t.timers ~at:time (fun () ->
+    let h =
+      Event_heap.add t.heap ~time (fun () ->
           if not !cancelled then begin
             arm ~time:(time +. interval);
             fn ()
           end)
     in
-    cur := Some e
+    cur := Some h
   in
   arm ~time:(now t +. interval);
   {
     Tfmcc_core.Env.cancel =
       (fun () ->
         cancelled := true;
-        match !cur with None -> () | Some e -> Timer_heap.cancel e);
+        match !cur with None -> () | Some h -> Event_heap.cancel t.heap h);
   }
 
 let watch_fd t fd cb = t.fds <- (fd, cb) :: List.remove_assoc fd t.fds
 
 let unwatch_fd t fd = t.fds <- List.remove_assoc fd t.fds
 
-let stop t = t.running <- false
+(* One heap step under the backstop: with a handler, a raising entry
+   is consumed and caught and the loop goes on. *)
+let step t ~limit =
+  match t.exn_handler with
+  | None -> Event_heap.step t.heap ~limit ~into:t.popped ~pre:t.pre
+  | Some handler -> (
+      try Event_heap.step t.heap ~limit ~into:t.popped ~pre:t.pre with
+      | Runaway -> raise Runaway
+      | e ->
+          caught t handler e (Printexc.get_raw_backtrace ());
+          true)
 
-let run_turbo ?until t =
+let run_realtime ~stop_at t =
   let continue_ = ref true in
-  while !continue_ && t.running do
-    match Timer_heap.next_due t.timers with
-    | None ->
-        (match until with Some u -> t.vnow <- max t.vnow u | None -> ());
-        continue_ := false
-    | Some due -> (
-        match until with
-        | Some u when due > u ->
-            t.vnow <- max t.vnow u;
-            continue_ := false
-        | _ ->
-            if due > t.vnow then t.vnow <- due;
-            ignore
-              (Timer_heap.advance t.timers ~now:t.vnow ~fire:t.fire
-                 ~fire_frame:t.fire_frame ()))
-  done
-
-let run_realtime ?until t =
-  let stop_at = match until with Some u -> u | None -> infinity in
-  let late at = if now t -. at > t.late_tolerance then anomaly t ~kind:"late-timer" in
-  let continue_ = ref true in
-  while !continue_ && t.running do
+  while !continue_ do
     let nw = now t in
     if nw >= stop_at then continue_ := false
     else begin
-      ignore
-        (Timer_heap.advance t.timers ~now:nw ~late ~fire:t.fire
-           ~fire_frame:t.fire_frame ());
-      match (Timer_heap.next_due t.timers, t.fds) with
+      while step t ~limit:nw do
+        ()
+      done;
+      match (Event_heap.peek_time t.heap, t.fds) with
       | None, [] -> continue_ := false
       | next, fds -> (
           let target =
@@ -227,17 +249,24 @@ let run_realtime ?until t =
     end
   done
 
+(* Turbo steps straight through the heap: [on_fire] jumps the clock to
+   each entry's time, and an empty or not-yet-due heap lands it on
+   [until]. *)
 let run ?until t =
-  t.running <- true;
-  (match t.mode with
-  | Turbo -> run_turbo ?until t
-  | Realtime -> run_realtime ?until t);
-  t.running <- false
+  let limit = match until with Some u -> u | None -> infinity in
+  t.chain <- 0;
+  try
+    match t.mode with
+    | Turbo -> (
+        while step t ~limit do
+          ()
+        done;
+        match until with Some u -> t.vnow <- max t.vnow u | None -> ())
+    | Realtime -> run_realtime ~stop_at:limit t
+  with Runaway -> failwith "Loop.run: runaway zero-delay timer chain"
 
-let run_for t ~duration = run ~until:(now t +. duration) t
+let timers_fired t = t.fired
 
-let timers_fired t = Timer_heap.fired t.timers
-
-let timers_pending t = Timer_heap.pending t.timers
+let timers_pending t = Event_heap.size t.heap
 
 let clock_anomalies t = t.anomalies

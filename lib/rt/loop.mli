@@ -1,11 +1,12 @@
 (** Single-process, single-thread event loop for the real-time runtime.
 
-    One loop owns one {!Timer_heap.t}, one clock, one {!Obs.Sink.t} and
-    one master RNG; every TFMCC endpoint hosted on it runs its timers
-    and datagram callbacks on this loop, run-to-completion, with no
-    other thread touching protocol state (DESIGN.md §13).  Timers fire
-    one at a time in (deadline, insertion) order, each popped off the
-    heap before its callback runs.
+    One loop owns one {!Event_heap.t} (the scheduler core the simulator
+    runs on too), one clock, one {!Obs.Sink.t} and one master RNG; every
+    TFMCC endpoint hosted on it runs its timers and datagram callbacks
+    on this loop, run-to-completion, with no other thread touching
+    protocol state (DESIGN.md §13).  Timers and frame deliveries fire
+    one at a time in (deadline, insertion) order through
+    {!Event_heap.step}, each popped off the heap before it runs.
 
     Two modes:
 
@@ -50,15 +51,18 @@ val after : t -> delay:float -> (unit -> unit) -> Tfmcc_core.Env.timer
 val after_unit : t -> delay:float -> (unit -> unit) -> unit
 (** {!after} without the {!Tfmcc_core.Env.timer} handle, for
     [Env.after_unit]: the callback cannot be cancelled, so the loop
-    builds no cancel closure for it.  The sender's pacing timer, one per
-    data packet, takes this path.  Same clamping as {!after}. *)
+    allocates nothing for it.  The sender's pacing timer, one per data
+    packet, takes this path.  Same clamping as {!after}. *)
 
 val at : t -> time:float -> (unit -> unit) -> Tfmcc_core.Env.timer
+(** A deadline already in the past fires on the next {!run}, without
+    moving {!now} back.  A non-finite [time] is replaced by {!now} and
+    counted as a clock anomaly (kind ["bad-delay"]). *)
 
 val frame_at : t -> time:float -> (bytes -> int -> unit) -> bytes -> int -> unit
 (** [frame_at t ~time deliver frame size] calls [deliver frame size]
     at [time]: a datagram in flight, queued with
-    {!Timer_heap.schedule_frame}, so it allocates no closure, timer or
+    {!Event_heap.add_msg}, so it allocates no closure, timer or
     handle.  It fires in the same (deadline, seq) order as every other
     timer, under the {!set_exn_handler} backstop, and counts in
     {!timers_fired}.  It cannot be cancelled.  Unlike {!at}, [time] is
@@ -90,17 +94,18 @@ val watch_fd : t -> Unix.file_descr -> (unit -> unit) -> unit
 val unwatch_fd : t -> Unix.file_descr -> unit
 
 val run : ?until:float -> t -> unit
-(** Runs until no timers remain, [stop] is called, or the loop clock
-    reaches [until] (absolute).  In turbo mode the clock lands exactly
-    on [until] when given. *)
-
-val run_for : t -> duration:float -> unit
-
-val stop : t -> unit
+(** Runs until no timers remain or the loop clock reaches [until]
+    (absolute).  In turbo mode the clock lands exactly on [until] when
+    given.  More than a million entries firing without the deadline
+    rising (a runaway zero-delay chain) fail with [Failure] instead of
+    hanging, with or without {!set_exn_handler}. *)
 
 val timers_fired : t -> int
+(** Entries fired over the loop's lifetime, frame deliveries included. *)
 
 val timers_pending : t -> int
+(** Live (scheduled, not yet fired or cancelled) entries, frame
+    deliveries included. *)
 
 val clock_anomalies : t -> int
 (** Total anomalies (backward clock steps, late callbacks, bad delays)

@@ -5,124 +5,113 @@ let check_float = Alcotest.(check (float 1e-9))
 
 (* ----------------------------------------------------------- Event_heap *)
 
+(* The shared scheduler core, with [int] messages ([-1] is the dummy). *)
+let new_heap () = Event_heap.create ~dummy:(-1)
+
+let cell = { Event_heap.cell_time = 0. }
+
+(* Steps until the heap is empty; returns the count. *)
+let drain h =
+  let n = ref 0 in
+  while Event_heap.step h ~limit:infinity ~into:cell ~pre:ignore do
+    incr n
+  done;
+  !n
+
 let test_heap_order () =
-  let h = Netsim.Event_heap.create () in
+  let h = new_heap () in
   let fired = ref [] in
   let add time tag =
-    ignore (Netsim.Event_heap.add h ~time (fun () -> fired := tag :: !fired))
+    ignore (Event_heap.add h ~time (fun () -> fired := tag :: !fired))
   in
   add 3.0 "c";
   add 1.0 "a";
   add 2.0 "b";
-  let rec drain () =
-    match Netsim.Event_heap.pop h with
-    | None -> ()
-    | Some (_, f) ->
-        f ();
-        drain ()
-  in
-  drain ();
+  ignore (drain h);
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !fired)
 
 let test_heap_fifo_ties () =
-  let h = Netsim.Event_heap.create () in
+  let h = new_heap () in
   let fired = ref [] in
   for i = 0 to 9 do
-    ignore (Netsim.Event_heap.add h ~time:1.0 (fun () -> fired := i :: !fired))
+    ignore (Event_heap.add h ~time:1.0 (fun () -> fired := i :: !fired))
   done;
-  let rec drain () =
-    match Netsim.Event_heap.pop h with
-    | None -> ()
-    | Some (_, f) ->
-        f ();
-        drain ()
-  in
-  drain ();
+  ignore (drain h);
   Alcotest.(check (list int)) "insertion order on ties" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
     (List.rev !fired)
 
 let test_heap_cancel () =
-  let h = Netsim.Event_heap.create () in
+  let h = new_heap () in
   let fired = ref 0 in
-  let keep = Netsim.Event_heap.add h ~time:1.0 (fun () -> incr fired) in
-  let drop = Netsim.Event_heap.add h ~time:2.0 (fun () -> incr fired) in
+  let keep = Event_heap.add h ~time:1.0 (fun () -> incr fired) in
+  let drop = Event_heap.add h ~time:2.0 (fun () -> incr fired) in
   ignore keep;
-  Netsim.Event_heap.cancel h drop;
-  Alcotest.(check int) "live size after cancel" 1 (Netsim.Event_heap.size h);
-  let rec drain () =
-    match Netsim.Event_heap.pop h with
-    | None -> ()
-    | Some (_, f) ->
-        f ();
-        drain ()
-  in
-  drain ();
+  Event_heap.cancel h drop;
+  Alcotest.(check int) "live size after cancel" 1 (Event_heap.size h);
+  Alcotest.(check int) "one step" 1 (drain h);
   Alcotest.(check int) "only live event fired" 1 !fired
 
 let test_heap_cancel_idempotent () =
-  let h = Netsim.Event_heap.create () in
-  let e = Netsim.Event_heap.add h ~time:1.0 ignore in
-  Netsim.Event_heap.cancel h e;
-  Netsim.Event_heap.cancel h e;
-  Alcotest.(check int) "size zero" 0 (Netsim.Event_heap.size h)
+  let h = new_heap () in
+  let e = Event_heap.add h ~time:1.0 ignore in
+  Event_heap.cancel h e;
+  Event_heap.cancel h e;
+  Alcotest.(check int) "size zero" 0 (Event_heap.size h)
 
 let test_heap_grows () =
-  let h = Netsim.Event_heap.create () in
+  let h = new_heap () in
   for i = 0 to 999 do
-    ignore (Netsim.Event_heap.add h ~time:(float_of_int (999 - i)) ignore)
+    ignore (Event_heap.add h ~time:(float_of_int (999 - i)) ignore)
   done;
-  Alcotest.(check int) "all live" 1000 (Netsim.Event_heap.size h);
-  let prev = ref neg_infinity in
-  let rec drain n =
-    match Netsim.Event_heap.pop h with
-    | None -> n
-    | Some (t, _) ->
-        if t < !prev then Alcotest.fail "heap order violated";
-        prev := t;
-        drain (n + 1)
+  Alcotest.(check int) "all live" 1000 (Event_heap.size h);
+  let prev = ref neg_infinity and n = ref 0 in
+  let pre () =
+    if cell.cell_time < !prev then Alcotest.fail "heap order violated";
+    prev := cell.cell_time;
+    incr n
   in
-  Alcotest.(check int) "popped all" 1000 (drain 0)
+  while Event_heap.step h ~limit:infinity ~into:cell ~pre do
+    ()
+  done;
+  Alcotest.(check int) "popped all" 1000 !n
 
 let test_heap_fast_path () =
-  let h = Netsim.Event_heap.create () in
-  let cell = { Netsim.Event_heap.cell_time = 0. } in
+  let h = new_heap () in
   let log = ref [] in
-  let pre () = log := Printf.sprintf "pre@%g" cell.Netsim.Event_heap.cell_time :: !log in
-  let step limit = Netsim.Event_heap.step h ~limit ~into:cell ~pre in
+  let pre () = log := Printf.sprintf "pre@%g" cell.Event_heap.cell_time :: !log in
+  let step limit = Event_heap.step h ~limit ~into:cell ~pre in
   Alcotest.(check bool) "empty -> false" false (step infinity);
-  let add time tag =
-    ignore (Netsim.Event_heap.add h ~time (fun () -> log := tag :: !log))
-  in
+  let add time tag = ignore (Event_heap.add h ~time (fun () -> log := tag :: !log)) in
   add 2.0 "b";
   add 1.0 "a";
   Alcotest.(check bool) "nothing due before 0.5" false (step 0.5);
   Alcotest.(check (list string)) "nothing ran" [] !log;
   Alcotest.(check bool) "fires the min" true (step 1.0);
-  check_float "clock written" 1.0 cell.Netsim.Event_heap.cell_time;
+  check_float "clock written" 1.0 cell.Event_heap.cell_time;
   Alcotest.(check bool) "b not due at 1.5" false (step 1.5);
   Alcotest.(check bool) "fires b" true (step infinity);
   Alcotest.(check (list string)) "pre runs after the clock write, before the callback"
     [ "pre@1"; "a"; "pre@2"; "b" ] (List.rev !log);
   Alcotest.(check bool) "drained -> false" false (step infinity);
-  Alcotest.(check int) "size zero" 0 (Netsim.Event_heap.size h);
+  Alcotest.(check int) "size zero" 0 (Event_heap.size h);
   (* Steady state: one schedule and one dispatch per event on a heap
      with a backlog, so neither growth nor the empty heap is measured.
      The only allocation allowed is the boxed [~time] argument. *)
-  let h = Netsim.Event_heap.create () in
-  let cb () = () and pcb (_ : Netsim.Packet.t) = () in
+  let h = Event_heap.create ~dummy:Netsim.Packet.dummy in
+  let cb () = () and msg (_ : Netsim.Packet.t) (_ : int) = () in
   let p =
     Netsim.Packet.make ~flow:1 ~size:100 ~src:0 ~dst:(Netsim.Packet.Unicast 1)
       ~created:0. (Netsim.Packet.Raw 0)
   in
   for i = 0 to 999 do
-    Netsim.Event_heap.add_unit h ~time:(float_of_int i) cb
+    Event_heap.add_unit h ~time:(float_of_int i) cb
   done;
   let words_per_event schedule =
     let n = 10_000 in
     let before = Gc.minor_words () in
     for i = 1 to n do
       schedule (float_of_int (1000 + i));
-      ignore (Netsim.Event_heap.step h ~limit:infinity ~into:cell ~pre:ignore)
+      ignore (Event_heap.step h ~limit:infinity ~into:cell ~pre:ignore)
     done;
     (Gc.minor_words () -. before) /. float_of_int n
   in
@@ -130,78 +119,200 @@ let test_heap_fast_path () =
     if w > 2.0 then
       Alcotest.failf "%s+step allocates %.2f words per event (max 2)" what w
   in
-  check_words "add_pkt"
-    (words_per_event (fun time -> Netsim.Event_heap.add_pkt h ~time pcb p));
-  check_words "add_unit"
-    (words_per_event (fun time -> Netsim.Event_heap.add_unit h ~time cb));
-  Alcotest.(check bool) "still well-formed" true (Netsim.Event_heap.well_formed h)
+  check_words "add_msg" (words_per_event (fun time -> Event_heap.add_msg h ~time msg p 0));
+  check_words "add_unit" (words_per_event (fun time -> Event_heap.add_unit h ~time cb));
+  Alcotest.(check bool) "still well-formed" true (Event_heap.well_formed h)
 
 (* A handle outlives its event: once the event fired (or was cancelled)
    its slot is reused, and the stale handle must not cancel the new
    occupant. *)
 let test_heap_stale_handle () =
-  let h = Netsim.Event_heap.create () in
+  let h = new_heap () in
   let fired = ref [] in
-  let add time tag = Netsim.Event_heap.add h ~time (fun () -> fired := tag :: !fired) in
-  let rec run () =
-    match Netsim.Event_heap.pop h with
-    | Some (_, f) ->
-        f ();
-        run ()
-    | None -> ()
-  in
+  let add time tag = Event_heap.add h ~time (fun () -> fired := tag :: !fired) in
   let a = add 1.0 "a" in
-  run ();
+  ignore (drain h);
   (* b takes a's slot *)
   let b = add 2.0 "b" in
-  Netsim.Event_heap.cancel h a;
-  Alcotest.(check int) "fired handle cancels nothing" 1 (Netsim.Event_heap.size h);
-  Netsim.Event_heap.cancel h b;
+  Event_heap.cancel h a;
+  Alcotest.(check int) "fired handle cancels nothing" 1 (Event_heap.size h);
+  Event_heap.cancel h b;
   let _c = add 3.0 "c" in
   (* purging the cancelled root frees b's slot, and d takes it *)
-  ignore (Netsim.Event_heap.peek_time h);
+  ignore (Event_heap.peek_time h);
   let _d = add 4.0 "d" in
-  Netsim.Event_heap.cancel h b;
-  Netsim.Event_heap.cancel h a;
-  Alcotest.(check int) "cancelled handle cancels nothing" 2 (Netsim.Event_heap.size h);
-  run ();
+  Event_heap.cancel h b;
+  Event_heap.cancel h a;
+  Alcotest.(check int) "cancelled handle cancels nothing" 2 (Event_heap.size h);
+  ignore (drain h);
   Alcotest.(check (list string)) "fire order" [ "a"; "c"; "d" ] (List.rev !fired)
 
-(* Model-based check of the heap against a list sorted by (time, seq):
-   random add / add_unit / add_pkt / cancel / step ~limit / pop
-   sequences, cancelling through any handle ever returned (pending,
-   fired, cancelled, or naming a slot since reused).  After every
-   operation the fire log, [size] and [well_formed] must agree with the
-   model.  Integer times make ties common. *)
+(* Model-based check of the heap against a list sorted by (time, seq).
+   Random programs of add / add_unit / add_msg / cancel / step ~limit
+   run against the heap and against the model; both must fire the same
+   entries in the same order, at the same times.  Callbacks act too:
+   they spawn entries at or after their own time (zero-delay chains
+   included), cancel entries and raise.  Cancels go through any handle
+   ever returned: pending, fired, cancelled, or naming a slot since
+   reused.  A raising entry is consumed, its step raises, and every
+   other entry stays pending.  After every operation the live [size]
+   and [well_formed] must agree with the model.  Integer times make ties
+   common. *)
+type heap_action = Quiet | Spawn of int * int | Cancel_id of int | Raise
+
 type heap_op =
-  | Op_add of int
-  | Op_add_unit of int
-  | Op_add_pkt of int
+  | Op_add of int * heap_action
+  | Op_add_unit of int * heap_action
+  | Op_add_msg of int * bool (* raises *)
   | Op_cancel of int
   | Op_step of int option
-  | Op_pop
+
+let show_action = function
+  | Quiet -> ""
+  | Spawn (d, k) -> Printf.sprintf " spawn(+%d,%d)" d k
+  | Cancel_id j -> Printf.sprintf " cancel(#%d)" j
+  | Raise -> " raise"
 
 let show_heap_op = function
-  | Op_add t -> Printf.sprintf "add %d" t
-  | Op_add_unit t -> Printf.sprintf "add_unit %d" t
-  | Op_add_pkt t -> Printf.sprintf "add_pkt %d" t
+  | Op_add (t, a) -> Printf.sprintf "add %d%s" t (show_action a)
+  | Op_add_unit (t, a) -> Printf.sprintf "add_unit %d%s" t (show_action a)
+  | Op_add_msg (t, r) -> Printf.sprintf "add_msg %d%s" t (if r then " raise" else "")
   | Op_cancel k -> Printf.sprintf "cancel #%d" k
   | Op_step None -> "step inf"
   | Op_step (Some l) -> Printf.sprintf "step %d" l
-  | Op_pop -> "pop"
 
 let heap_op_gen =
   QCheck.Gen.(
     let time = int_range 0 12 in
+    let action =
+      frequency
+        [
+          (4, return Quiet);
+          (1, map2 (fun d k -> Spawn (d, k)) (int_bound 2) (int_bound 3));
+          (1, map (fun j -> Cancel_id j) (int_bound 60));
+          (1, return Raise);
+        ]
+    in
     frequency
       [
-        (3, map (fun t -> Op_add t) time);
-        (2, map (fun t -> Op_add_unit t) time);
-        (2, map (fun t -> Op_add_pkt t) time);
-        (3, map (fun k -> Op_cancel k) (int_range 0 1000));
+        (3, map2 (fun t a -> Op_add (t, a)) time action);
+        (2, map2 (fun t a -> Op_add_unit (t, a)) time action);
+        (2, map2 (fun t r -> Op_add_msg (t, r = 0)) time (int_bound 5));
+        (2, map (fun k -> Op_cancel k) (int_bound 60));
         (3, map (fun l -> Op_step l) (opt ~ratio:0.8 time));
-        (1, return Op_pop);
       ])
+
+let child = function Spawn (d, k) when k > 0 -> Spawn (d, k - 1) | _ -> Quiet
+
+exception Boom
+
+(* Both interpreters number entries in schedule order, so an id is also
+   the heap's insertion seq.  The trace holds each fired (id, time),
+   (-2, 0.) where a step raised, and (-1, size) after each operation;
+   [peek_time] is compared before the final drain. *)
+let limit_of = function None -> infinity | Some l -> float_of_int l
+
+let run_heap ops =
+  let h = new_heap () in
+  let handles = Hashtbl.create 64 in
+  let trace = ref [] and next_id = ref 0 and ok = ref true in
+  let fire id = trace := (id, cell.Event_heap.cell_time) :: !trace in
+  let msg id raises =
+    fire id;
+    if raises = 1 then raise Boom
+  in
+  let rec sched ~handle time action =
+    let id = !next_id in
+    incr next_id;
+    let fn () =
+      fire id;
+      act action
+    in
+    if handle then Hashtbl.replace handles id (Event_heap.add h ~time fn)
+    else Event_heap.add_unit h ~time fn
+  and act = function
+    | Quiet -> ()
+    | Spawn (d, _) as a ->
+        sched ~handle:true (cell.Event_heap.cell_time +. float_of_int d) (child a)
+    | Cancel_id j -> Option.iter (Event_heap.cancel h) (Hashtbl.find_opt handles j)
+    | Raise -> raise Boom
+  in
+  let step limit =
+    match Event_heap.step h ~limit ~into:cell ~pre:ignore with
+    | fired -> fired
+    | exception Boom ->
+        trace := (-2, 0.) :: !trace;
+        true
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Op_add (t, a) -> sched ~handle:true (float_of_int t) a
+      | Op_add_unit (t, a) -> sched ~handle:false (float_of_int t) a
+      | Op_add_msg (t, raises) ->
+          let id = !next_id in
+          incr next_id;
+          Event_heap.add_msg h ~time:(float_of_int t) msg id (Bool.to_int raises)
+      | Op_cancel j -> Option.iter (Event_heap.cancel h) (Hashtbl.find_opt handles j)
+      | Op_step limit -> ignore (step (limit_of limit)));
+      if not (Event_heap.well_formed h) then ok := false;
+      trace := (-1, float_of_int (Event_heap.size h)) :: !trace)
+    ops;
+  let peek = Event_heap.peek_time h in
+  while step infinity do
+    ()
+  done;
+  (List.rev !trace, peek, !ok)
+
+type model_entry = Closure of heap_action * bool (* has a handle *) | Msg of bool
+
+let run_model ops =
+  let pending = ref [] (* sorted by (time, id) *) in
+  let trace = ref [] and next_id = ref 0 in
+  let add time entry =
+    let id = !next_id in
+    incr next_id;
+    pending := List.merge compare !pending [ (time, id, entry) ]
+  in
+  let cancel j =
+    pending :=
+      List.filter
+        (function _, id, Closure (_, true) -> id <> j | _ -> true)
+        !pending
+  in
+  let step limit =
+    match !pending with
+    | (time, id, entry) :: rest when time <= limit -> (
+        pending := rest;
+        trace := (id, time) :: !trace;
+        match entry with
+        | Closure (Quiet, _) | Msg false -> true
+        | Closure ((Spawn (d, _) as a), _) ->
+            add (time +. float_of_int d) (Closure (child a, true));
+            true
+        | Closure (Cancel_id j, _) ->
+            cancel j;
+            true
+        | Closure (Raise, _) | Msg true ->
+            trace := (-2, 0.) :: !trace;
+            true)
+    | _ -> false
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Op_add (t, a) -> add (float_of_int t) (Closure (a, true))
+      | Op_add_unit (t, a) -> add (float_of_int t) (Closure (a, false))
+      | Op_add_msg (t, raises) -> add (float_of_int t) (Msg raises)
+      | Op_cancel j -> cancel j
+      | Op_step limit -> ignore (step (limit_of limit)));
+      trace := (-1, float_of_int (List.length !pending)) :: !trace)
+    ops;
+  let peek = match !pending with (time, _, _) :: _ -> Some time | [] -> None in
+  while step infinity do
+    ()
+  done;
+  (List.rev !trace, peek, true)
 
 let prop_heap_model =
   QCheck.Test.make ~name:"event heap matches a sorted-list model" ~count:300
@@ -209,96 +320,16 @@ let prop_heap_model =
       make
         ~print:(fun ops -> String.concat "; " (List.map show_heap_op ops))
         Gen.(list_size (int_range 0 200) heap_op_gen))
-    (fun ops ->
-      let h = Netsim.Event_heap.create () in
-      let cell = { Netsim.Event_heap.cell_time = 0. } in
-      let fired = ref [] in
-      let pcb (p : Netsim.Packet.t) =
-        match p.payload with Netsim.Packet.Raw id -> fired := id :: !fired | _ -> ()
-      in
-      (* model: pending (time, id) in (time, id) order; ids are schedule
-         order, so they double as the tie-break seq *)
-      let pending = ref [] in
-      let handles = ref [||] in
-      let next_id = ref 0 in
-      let expected = ref [] in
-      let schedule t add =
-        let id = !next_id in
-        incr next_id;
-        add (float_of_int t) id;
-        pending := List.merge compare !pending [ (t, id) ];
-        id
-      in
-      let pop_model limit =
-        match !pending with
-        | (t, id) :: rest when t <= limit ->
-            pending := rest;
-            expected := id :: !expected;
-            Some (float_of_int t)
-        | _ -> None
-      in
-      let apply = function
-        | Op_add t ->
-            ignore
-              (schedule t (fun time id ->
-                   let hd =
-                     Netsim.Event_heap.add h ~time (fun () -> fired := id :: !fired)
-                   in
-                   handles := Array.append !handles [| (hd, id) |]))
-        | Op_add_unit t ->
-            ignore
-              (schedule t (fun time id ->
-                   Netsim.Event_heap.add_unit h ~time (fun () -> fired := id :: !fired)))
-        | Op_add_pkt t ->
-            ignore
-              (schedule t (fun time id ->
-                   Netsim.Event_heap.add_pkt h ~time pcb
-                     (Netsim.Packet.make ~flow:0 ~size:1 ~src:0
-                        ~dst:(Netsim.Packet.Unicast 0) ~created:0.
-                        (Netsim.Packet.Raw id))))
-        | Op_cancel k ->
-            let n = Array.length !handles in
-            if n > 0 then begin
-              let hd, id = !handles.(k mod n) in
-              Netsim.Event_heap.cancel h hd;
-              pending := List.filter (fun (_, i) -> i <> id) !pending
-            end
-        | Op_step limit ->
-            let limit = Option.fold ~none:max_int ~some:Fun.id limit in
-            let flimit = if limit = max_int then infinity else float_of_int limit in
-            let want = pop_model limit in
-            let got =
-              Netsim.Event_heap.step h ~limit:flimit ~into:cell ~pre:ignore
-            in
-            if got <> Option.is_some want then failwith "step: due mismatch";
-            Option.iter
-              (fun t -> if cell.cell_time <> t then failwith "step: clock")
-              want
-        | Op_pop -> (
-            let want = pop_model max_int in
-            match (Netsim.Event_heap.pop h, want) with
-            | None, None -> ()
-            | Some (t, f), Some t' ->
-                if t <> t' then failwith "pop: time";
-                f ()
-            | _ -> failwith "pop: emptiness mismatch")
-      in
-      List.for_all
-        (fun op ->
-          apply op;
-          !fired = !expected
-          && Netsim.Event_heap.size h = List.length !pending
-          && Netsim.Event_heap.well_formed h)
-        ops)
+    (fun ops -> run_heap ops = run_model ops)
 
 let test_heap_peek_time_skips_cancelled () =
-  let h = Netsim.Event_heap.create () in
-  let cancelled = Netsim.Event_heap.add h ~time:1.0 ignore in
-  ignore (Netsim.Event_heap.add h ~time:2.0 ignore);
-  Netsim.Event_heap.cancel h cancelled;
+  let h = new_heap () in
+  let cancelled = Event_heap.add h ~time:1.0 ignore in
+  ignore (Event_heap.add h ~time:2.0 ignore);
+  Event_heap.cancel h cancelled;
   Alcotest.(check (option (float 1e-9)))
-    "cancelled root skipped" (Some 2.0) (Netsim.Event_heap.peek_time h);
-  Alcotest.(check int) "one live" 1 (Netsim.Event_heap.size h)
+    "cancelled root skipped" (Some 2.0) (Event_heap.peek_time h);
+  Alcotest.(check int) "one live" 1 (Event_heap.size h)
 
 (* --------------------------------------------------------------- Engine *)
 
@@ -996,14 +1027,17 @@ let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops in sorted order" ~count:100
     QCheck.(list_of_size Gen.(int_range 1 200) (float_bound_exclusive 1000.))
     (fun times ->
-      let h = Netsim.Event_heap.create () in
-      List.iter (fun t -> ignore (Netsim.Event_heap.add h ~time:t ignore)) times;
-      let rec drain prev =
-        match Netsim.Event_heap.pop h with
-        | None -> true
-        | Some (t, _) -> t >= prev && drain t
+      let h = new_heap () in
+      List.iter (fun t -> ignore (Event_heap.add h ~time:t ignore)) times;
+      let sorted = ref true and prev = ref neg_infinity in
+      let pre () =
+        if cell.Event_heap.cell_time < !prev then sorted := false;
+        prev := cell.Event_heap.cell_time
       in
-      drain neg_infinity)
+      while Event_heap.step h ~limit:infinity ~into:cell ~pre do
+        ()
+      done;
+      !sorted)
 
 let prop_droptail_never_exceeds =
   QCheck.Test.make ~name:"droptail length never exceeds capacity" ~count:100

@@ -1,124 +1,131 @@
-(* Real-time runtime tests: timer-heap semantics against a reference
-   model, loop clock hardening and exception behaviour, the
-   time-translation-invariance property (shifting the epoch by +1e9 s
-   must not change rate decisions), firing-order golden digests, and
-   loopback/UDP transport smokes. *)
+(* Real-time runtime tests: timer semantics on the loop, loop clock
+   hardening and exception behaviour, the time-translation-invariance
+   property (shifting the epoch by +1e9 s must not change rate
+   decisions), firing-order golden digests, and loopback/UDP transport
+   smokes. *)
 
 open Rt
 
 let cfg = Tfmcc_core.Config.default
 
 (* ------------------------------------------------------------------ *)
-(* Timer heap                                                          *)
+(* Timers on the loop                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* [Timer_heap.advance] hands every callback to a [fire] wrapper and
-   every frame delivery to [fire_frame]; the tests call them straight. *)
-let fire f = f ()
-
-let fire_frame deliver frame size = deliver frame size
-
-(* Callbacks fire in nondecreasing deadline order; ties break by
-   insertion sequence. *)
+(* Timers and frame deliveries fire in nondecreasing deadline order;
+   ties break by insertion sequence, across both kinds. *)
 let test_wheel_order () =
-  let w = Timer_heap.create () in
+  let loop = Loop.create () in
   let fired = ref [] in
-  let add tag at = ignore (Timer_heap.schedule w ~at (fun () -> fired := tag :: !fired)) in
+  let add tag time =
+    ignore (Loop.at loop ~time (fun () -> fired := tag :: !fired) : Tfmcc_core.Env.timer)
+  in
+  let frame tag time =
+    Loop.frame_at loop ~time (fun _ _ -> fired := tag :: !fired) Bytes.empty 0
+  in
   add "c" 0.030;
   add "a" 0.010;
   add "tie1" 0.020;
-  add "tie2" 0.020;
-  add "b" 0.015;
-  Alcotest.(check int) "pending" 5 (Timer_heap.pending w);
-  let n = Timer_heap.advance w ~now:1.0 ~fire ~fire_frame () in
-  Alcotest.(check int) "fired count" 5 n;
+  frame "tie2" 0.020;
+  add "tie3" 0.020;
+  frame "b" 0.015;
+  Alcotest.(check int) "pending" 6 (Loop.timers_pending loop);
+  Loop.run ~until:1.0 loop;
   Alcotest.(check (list string))
     "deadline order, ties by insertion"
-    [ "a"; "b"; "tie1"; "tie2"; "c" ]
+    [ "a"; "b"; "tie1"; "tie2"; "tie3"; "c" ]
     (List.rev !fired);
-  Alcotest.(check int) "none left" 0 (Timer_heap.pending w)
+  Alcotest.(check int) "timers_fired counts frames" 6 (Loop.timers_fired loop);
+  Alcotest.(check int) "none left" 0 (Loop.timers_pending loop)
 
 let test_wheel_cancel () =
-  let w = Timer_heap.create () in
+  let loop = Loop.create () in
   let hits = ref 0 in
-  let t1 = Timer_heap.schedule w ~at:0.01 (fun () -> incr hits) in
-  let t2 = Timer_heap.schedule w ~at:0.02 (fun () -> incr hits) in
-  Timer_heap.cancel t1;
-  Timer_heap.cancel t1 (* idempotent *);
-  ignore (Timer_heap.advance w ~now:0.05 ~fire ~fire_frame ());
+  let t1 = Loop.after loop ~delay:0.01 (fun () -> incr hits) in
+  let t2 = Loop.after loop ~delay:0.02 (fun () -> incr hits) in
+  Alcotest.(check int) "both pending" 2 (Loop.timers_pending loop);
+  t1.Tfmcc_core.Env.cancel ();
+  Alcotest.(check int) "pending drops on cancel" 1 (Loop.timers_pending loop);
+  t1.Tfmcc_core.Env.cancel () (* idempotent *);
+  Alcotest.(check int) "second cancel is a no-op" 1 (Loop.timers_pending loop);
+  Loop.run loop;
   Alcotest.(check int) "only t2 fired" 1 !hits;
-  Timer_heap.cancel t2 (* after fire: no-op *);
-  Alcotest.(check int) "fired total" 1 (Timer_heap.fired w)
+  t2.Tfmcc_core.Env.cancel () (* after fire: no-op *);
+  Alcotest.(check int) "fired total" 1 (Loop.timers_fired loop)
 
 (* Deadlines seconds to minutes out sit in the same heap as near ones:
-   next_due and advance walk them in order. *)
+   successive runs walk them in order. *)
 let test_wheel_overflow_migration () =
-  let w = Timer_heap.create () in
+  let loop = Loop.create () in
   let fired = ref [] in
-  let add tag at = ignore (Timer_heap.schedule w ~at (fun () -> fired := tag :: !fired)) in
+  let add tag time =
+    ignore (Loop.at loop ~time (fun () -> fired := tag :: !fired) : Tfmcc_core.Env.timer)
+  in
   add "far" 10.0;
   add "farther" 100.0;
   add "near" 0.5;
-  Alcotest.(check (option (float 1e-9))) "next_due is near" (Some 0.5) (Timer_heap.next_due w);
-  ignore (Timer_heap.advance w ~now:1.0 ~fire ~fire_frame ());
-  Alcotest.(check (option (float 1e-9))) "then far" (Some 10.0) (Timer_heap.next_due w);
-  ignore (Timer_heap.advance w ~now:50.0 ~fire ~fire_frame ());
-  ignore (Timer_heap.advance w ~now:200.0 ~fire ~fire_frame ());
+  Loop.run ~until:1.0 loop;
+  Alcotest.(check (list string)) "only near by 1 s" [ "near" ] !fired;
+  Loop.run ~until:50.0 loop;
+  Loop.run ~until:200.0 loop;
   Alcotest.(check (list string)) "all fired in order" [ "near"; "far"; "farther" ]
     (List.rev !fired);
-  Alcotest.(check (option (float 1e-9))) "empty" None (Timer_heap.next_due w)
+  Alcotest.(check int) "empty" 0 (Loop.timers_pending loop)
 
-(* A cancelled far entry must not resurface as next_due. *)
+(* A cancelled far entry never fires, and the run goes on past it. *)
 let test_wheel_cancel_overflow () =
-  let w = Timer_heap.create () in
-  let t = Timer_heap.schedule w ~at:10.0 (fun () -> Alcotest.fail "cancelled timer fired") in
-  ignore (Timer_heap.schedule w ~at:20.0 (fun () -> ()));
-  Timer_heap.cancel t;
-  Alcotest.(check (option (float 1e-9))) "tombstone skipped" (Some 20.0)
-    (Timer_heap.next_due w);
-  ignore (Timer_heap.advance w ~now:30.0 ~fire ~fire_frame ());
-  Alcotest.(check int) "one fired" 1 (Timer_heap.fired w)
+  let loop = Loop.create () in
+  let t = Loop.at loop ~time:10.0 (fun () -> Alcotest.fail "cancelled timer fired") in
+  ignore (Loop.at loop ~time:20.0 ignore : Tfmcc_core.Env.timer);
+  t.Tfmcc_core.Env.cancel ();
+  Alcotest.(check int) "tombstone not pending" 1 (Loop.timers_pending loop);
+  Loop.run ~until:30.0 loop;
+  Alcotest.(check int) "one fired" 1 (Loop.timers_fired loop)
 
 (* Callbacks scheduling already-due timers: the chain fires within the
-   same advance. *)
+   same run, at the same instant. *)
 let test_wheel_zero_delay_chain () =
-  let w = Timer_heap.create () in
+  let loop = Loop.create () in
   let depth = ref 0 in
   let rec chain n () =
     depth := n;
-    if n < 5 then ignore (Timer_heap.schedule w ~at:0.01 (chain (n + 1)))
+    Alcotest.(check (float 0.)) "clock stays" 0.01 (Loop.now loop);
+    if n < 5 then Loop.after_unit loop ~delay:0. (chain (n + 1))
   in
-  ignore (Timer_heap.schedule w ~at:0.01 (chain 1));
-  let n = Timer_heap.advance w ~now:0.01 ~fire ~fire_frame () in
-  Alcotest.(check int) "whole chain fired in one advance" 5 n;
+  Loop.after_unit loop ~delay:0.01 (chain 1);
+  Loop.run ~until:0.01 loop;
+  Alcotest.(check int) "whole chain fired in one run" 5 (Loop.timers_fired loop);
   Alcotest.(check int) "chain depth" 5 !depth
 
-(* Deadlines already in the past fire on the next advance. *)
+(* A deadline already in the past fires on the next run, and the clock
+   does not move back to it. *)
 let test_wheel_past_deadline () =
-  let w = Timer_heap.create () in
-  let hit = ref false in
-  ignore (Timer_heap.schedule w ~at:1.0 (fun () -> hit := true));
-  ignore (Timer_heap.advance w ~now:100.0 ~fire ~fire_frame ());
-  Alcotest.(check bool) "past deadline fired" true !hit
+  let loop = Loop.create () in
+  Loop.run ~until:100.0 loop;
+  let seen = ref nan in
+  ignore (Loop.at loop ~time:1.0 (fun () -> seen := Loop.now loop) : Tfmcc_core.Env.timer);
+  Loop.run ~until:100.0 loop;
+  Alcotest.(check (float 0.)) "past deadline fired at the current time" 100.0 !seen;
+  Alcotest.(check (float 0.)) "clock did not move back" 100.0 (Loop.now loop)
 
 let test_wheel_nan_deadline_rejected () =
-  let w = Timer_heap.create () in
-  Alcotest.check_raises "NaN deadline"
-    (Invalid_argument "Timer_heap.schedule: NaN deadline")
-    (fun () -> ignore (Timer_heap.schedule w ~at:Float.nan (fun () -> ())))
+  let loop = Loop.create () in
+  match Loop.frame_at loop ~time:Float.nan (fun _ _ -> ()) Bytes.empty 0 with
+  | () -> Alcotest.fail "NaN frame deadline accepted"
+  | exception Invalid_argument _ -> ()
 
 (* Reference-model property.  Random programs of schedule, cancel and
-   advance steps run against the heap and against a sorted list of
-   pending (deadline, id) pairs; both must fire the same timers in the
-   same order.  Callbacks act too: they schedule at or after [now]
-   (zero-delay chains included), queue frame deliveries and cancel
-   other timers, fired, pending or not yet scheduled.  Frame
-   deliveries ([Timer_heap.schedule_frame]) interleave with closure
-   timers; they have no handle, so a cancel aimed at one is a no-op,
-   and some raise.  A raising entry is consumed and ends its advance,
-   and every other due entry stays pending for the next one.
-   Deadlines sit on a 0.25 s grid so ties are common, and a scheduled
-   offset may be negative (already due). *)
+   run steps drive a turbo loop and a sorted list of pending
+   (deadline, id) pairs; both must fire the same timers in the same
+   order.  Callbacks act too: they schedule at or after the run's
+   [until] (zero-delay chains included), queue frame deliveries and
+   cancel other timers, fired, pending or not yet scheduled.  Frame
+   deliveries ([Loop.frame_at]) interleave with closure timers; they
+   have no handle, so a cancel aimed at one is a no-op, and some raise.
+   With no exn handler a raising entry is consumed and ends its run,
+   and every other due entry stays pending for the next one.  Deadlines
+   sit on a 0.25 s grid so ties are common, and a scheduled offset may
+   be negative (already due). *)
 type heap_action = Quiet | Spawn of float * int | Cancel_id of int | Emit of float
 
 type heap_op =
@@ -165,11 +172,11 @@ exception Boom
 
 (* Both interpreters number timers and frames in schedule order, so an
    id is also the heap's insertion seq.  The trace records each fired
-   id, -2 where a raise ended an advance and -1 after each advance,
-   and the pending count after each advance is kept beside it.  The
-   final drain advances until nothing is due. *)
-let run_heap ops =
-  let h = Timer_heap.create () in
+   id, -2 where a raise ended a run and -1 after each run, and the
+   pending count after each run is kept beside it.  The final drain
+   runs until nothing is due. *)
+let run_loop ops =
+  let loop = Loop.create () in
   let handles = Hashtbl.create 64 in
   let fired = ref [] and pend = ref [] and next_id = ref 0 and now = ref 0. in
   (* One deliver fn for every frame, as one endpoint's: the size
@@ -178,48 +185,50 @@ let run_heap ops =
     fired := id :: !fired;
     if Bytes.get frame 0 = 'x' then raise Boom
   in
-  let frame at raises =
+  let frame time raises =
     let id = !next_id in
     incr next_id;
-    Timer_heap.schedule_frame h ~at deliver
-      (Bytes.make 1 (if raises then 'x' else '.'))
-      id
+    Loop.frame_at loop ~time deliver (Bytes.make 1 (if raises then 'x' else '.')) id
   in
-  let rec sched at action =
+  let rec sched time action =
     let id = !next_id in
     incr next_id;
     Hashtbl.replace handles id
-      (Timer_heap.schedule h ~at (fun () ->
+      (Loop.at loop ~time (fun () ->
            fired := id :: !fired;
            act action))
   and act = function
     | Quiet -> ()
     | Spawn (d, _) as a -> sched (!now +. d) (child a)
-    | Cancel_id j -> Option.iter Timer_heap.cancel (Hashtbl.find_opt handles j)
+    | Cancel_id j -> cancel j
     | Emit d -> frame (!now +. d) false
+  and cancel j =
+    Option.iter (fun tm -> tm.Tfmcc_core.Env.cancel ()) (Hashtbl.find_opt handles j)
   in
-  let advance () =
-    match Timer_heap.advance h ~now:!now ~fire ~fire_frame () with
-    | (_ : int) -> ()
-    | exception Boom -> fired := -2 :: !fired
+  let run () =
+    match Loop.run ~until:!now loop with
+    | () -> true
+    | exception Boom ->
+        fired := -2 :: !fired;
+        false
   in
   List.iter
     (function
       | Sched (off, a) -> sched (!now +. off) a
       | Frame (off, raises) -> frame (!now +. off) raises
-      | Cancel j -> Option.iter Timer_heap.cancel (Hashtbl.find_opt handles j)
+      | Cancel j -> cancel j
       | Advance d ->
           now := !now +. d;
-          advance ();
+          ignore (run () : bool);
           fired := -1 :: !fired;
-          pend := Timer_heap.pending h :: !pend)
+          pend := Loop.timers_pending loop :: !pend)
     ops;
-  let mid_pending = Timer_heap.pending h and mid_due = Timer_heap.next_due h in
+  let mid_pending = Loop.timers_pending loop in
   now := !now +. 1000.;
-  while match Timer_heap.next_due h with Some at -> at <= !now | None -> false do
-    advance ()
+  while not (run ()) do
+    ()
   done;
-  (List.rev !fired, List.rev !pend, mid_pending, mid_due, Timer_heap.fired h)
+  (List.rev !fired, List.rev !pend, mid_pending, Loop.timers_fired loop)
 
 type model_entry = Timer of heap_action | Frame_entry of bool
 
@@ -268,19 +277,34 @@ let run_model ops =
           fired := -1 :: !fired;
           pend := List.length !pending :: !pend)
     ops;
-  let mid_pending = List.length !pending
-  and mid_due = match !pending with (at, _, _) :: _ -> Some at | [] -> None in
+  let mid_pending = List.length !pending in
   now := !now +. 1000.;
   while List.exists (fun (at, _, _) -> at <= !now) !pending do
     advance ()
   done;
-  (List.rev !fired, List.rev !pend, mid_pending, mid_due, !total)
+  (List.rev !fired, List.rev !pend, mid_pending, !total)
 
-let prop_heap_matches_model =
+let prop_loop_matches_model =
   QCheck.Test.make ~name:"fires in exact (deadline, seq) order vs a sorted-list model"
     ~count:500
     (QCheck.make gen_heap_ops ~print:(fun ops -> String.concat "; " (List.map show_heap_op ops)))
-    (fun ops -> run_heap ops = run_model ops)
+    (fun ops -> run_loop ops = run_model ops)
+
+(* A zero-delay timer that keeps rescheduling itself is a runaway chain:
+   [run] fails instead of hanging, and the exn handler does not swallow
+   the failure. *)
+let test_loop_runaway_cap () =
+  List.iter
+    (fun handler ->
+      let loop = Loop.create () in
+      if handler then Loop.set_exn_handler loop (fun _ _ -> ());
+      let rec again () = Loop.after_unit loop ~delay:0. again in
+      Loop.after_unit loop ~delay:0. again;
+      match Loop.run loop with
+      | () -> Alcotest.fail "runaway chain returned"
+      | exception Failure _ ->
+          Alcotest.(check int) "not handed to the handler" 0 (Loop.exceptions_caught loop))
+    [ false; true ]
 
 (* ------------------------------------------------------------------ *)
 (* Turbo loop                                                          *)
@@ -808,9 +832,10 @@ let test_loopback_frame_words () =
    loopback fabric at 1% loss and 20 ms delay, wired straight to the
    endpoints without the harness's supervision.  Minor-heap words per
    loop-second, averaged over 60 s after a warm-up to 30 s and one
-   settling second.  The budget is 1.10x the 70537.30 words measured
-   once frames were delivered from heap slots instead of closures
-   (107728.67 before). *)
+   settling second.  The budget is 1.10x the 69327.42 words measured
+   once the loop ran on the shared event heap, whose fire-and-forget
+   timers need no cancel record (70537.30 before; 107728.67 before
+   frames were delivered from heap slots instead of closures). *)
 let test_loopback_minor_words_budget () =
   let loop = Loop.create ~seed:77 () in
   let net =
@@ -834,7 +859,7 @@ let test_loopback_minor_words_budget () =
     Loop.run ~until:(float_of_int t) loop
   done;
   let w = (Gc.minor_words () -. w0) /. 60. in
-  let budget = 77_591. in
+  let budget = 76_260. in
   if w > budget then
     Alcotest.failf "%.2f minor words per loop-second (budget %.0f)" w budget
 
@@ -907,7 +932,7 @@ let () =
             test_wheel_nan_deadline_rejected;
           QCheck_alcotest.to_alcotest ~speed_level:`Quick
             ~rand:(Random.State.make [| 12 |])
-            prop_heap_matches_model;
+            prop_loop_matches_model;
         ] );
       ( "loop",
         [
@@ -917,6 +942,7 @@ let () =
             test_loop_raise_keeps_siblings;
           Alcotest.test_case "frame raise meets the backstop" `Quick
             test_loop_frame_backstop;
+          Alcotest.test_case "runaway zero-delay chain fails" `Quick test_loop_runaway_cap;
         ] );
       ( "clock hardening",
         [
