@@ -155,15 +155,6 @@ let sweep_cmd =
     let doc = "Base backoff before a retry; doubles per attempt." in
     Arg.(value & opt float 0. & info [ "retry-delay" ] ~doc ~docv:"SECS")
   in
-  let stall_events_arg =
-    let doc =
-      "Abort a task after this many engine events without simulated-time \
-       progress (livelock detection)."
-    in
-    Arg.(value
-         & opt int Experiments.Sweep.default_policy.Experiments.Sweep.stall_events
-         & info [ "stall-events" ] ~doc ~docv:"N")
-  in
   let max_events_arg =
     let doc = "Abort a task after this many engine events in one attempt (event-storm cap)." in
     Arg.(value & opt (some int) None & info [ "max-events" ] ~doc ~docv:"N")
@@ -185,7 +176,7 @@ let sweep_cmd =
     Arg.(value & opt (some string) None & info [ "failure-report" ] ~doc ~docv:"FILE")
   in
   let run full seed csv jobs seeds replicates strict json task_timeout
-      retries retry_delay stall_events max_events checkpoint resume failure_report
+      retries retry_delay max_events checkpoint resume failure_report
       ids =
     if jobs < 1 then begin
       Printf.eprintf "sweep: -j must be >= 1\n";
@@ -227,7 +218,6 @@ let sweep_cmd =
         Experiments.Sweep.task_timeout;
         retries;
         retry_delay;
-        stall_events;
         max_events;
         checkpoint;
         resume = resume <> None;
@@ -270,8 +260,8 @@ let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(const run $ full_arg $ seed_arg $ csv_arg $ jobs_arg $ seeds_arg
           $ replicates_arg $ strict_arg $ json_arg
-          $ task_timeout_arg $ retries_arg $ retry_delay_arg $ stall_events_arg
-          $ max_events_arg $ checkpoint_arg $ resume_arg
+          $ task_timeout_arg $ retries_arg $ retry_delay_arg $ max_events_arg
+          $ checkpoint_arg $ resume_arg
           $ failure_report_arg $ ids_arg)
 
 let verify_golden_cmd =

@@ -284,3 +284,5 @@ let well_formed t =
     done;
     !ok && !stored_live = t.live
   end
+
+let livelock_events = 1_000_000

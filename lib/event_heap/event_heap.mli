@@ -67,6 +67,11 @@ val step : 'a t -> limit:float -> into:time_cell -> pre:(unit -> unit) -> bool
     entry added at the current time by a callback fires after every
     existing entry sharing that time. *)
 
+val livelock_events : int
+(** 1,000,000: the most entries either backend lets fire without the
+    clock moving before it calls the run a livelock.
+    [Netsim.Watchdog] aborts the task; [Rt.Loop.run] fails. *)
+
 val peek_time : 'a t -> float option
 (** Time of the earliest live entry without removing it. *)
 

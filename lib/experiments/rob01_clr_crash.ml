@@ -46,7 +46,7 @@ let run ~mode ~seed =
       "crashed CLR node %d at t=%.0fs: clr_timeouts=%d clr_failovers=%d \
        (timeout bound: %.0f feedback rounds)"
       !crashed crash_at (Sender.clr_timeouts s) (Sender.clr_failovers s)
-      Config.default.Config.clr_timeout_rounds
+      Config.clr_timeout_rounds
   in
   (* Summaries come from the shared observability plane, not per-object
      accessors: the same counters any other consumer of the sink sees. *)

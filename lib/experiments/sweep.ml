@@ -156,7 +156,6 @@ type policy = {
   task_timeout : float option;
   retries : int;
   retry_delay : float;
-  stall_events : int;
   max_events : int option;
   checkpoint : string option;
   resume : bool;
@@ -167,7 +166,6 @@ let default_policy =
     task_timeout = None;
     retries = 0;
     retry_delay = 0.;
-    stall_events = Netsim.Watchdog.default.Netsim.Watchdog.stall_events;
     max_events = None;
     checkpoint = None;
     resume = false;
@@ -194,13 +192,7 @@ let attempt_cell ~strict ~policy ~control ~attempt (e : Registry.experiment)
     ~mode ~seed =
   Par.Control.arm control ?timeout:policy.task_timeout ();
   let sink = Obs.Sink.create () in
-  let watchdog =
-    {
-      Netsim.Watchdog.control;
-      stall_events = policy.stall_events;
-      max_events = policy.max_events;
-    }
-  in
+  let watchdog = { Netsim.Watchdog.control; max_events = policy.max_events } in
   match run_cell ~strict ~watchdog ~sink e ~mode ~seed with
   | _, series -> Ok { seed; series }
   | exception exn ->

@@ -80,8 +80,6 @@ type policy = {
   retries : int;  (** extra attempts after the first (0 = fail fast) *)
   retry_delay : float;
       (** backoff before attempt [n+1] is [retry_delay * 2^(n-1)] s *)
-  stall_events : int;
-      (** abort after this many events without sim-time progress *)
   max_events : int option;  (** per-attempt total event budget *)
   checkpoint : string option;
       (** persist each completed task into this directory as it
@@ -92,7 +90,8 @@ type policy = {
 }
 
 val default_policy : policy
-(** No timeout, no retries, no checkpointing; 1M-event stall window. *)
+(** No timeout, no retries, no checkpointing, no event budget.  The
+    watchdog's livelock window is {!Event_heap.livelock_events}. *)
 
 type report = {
   results : result list;

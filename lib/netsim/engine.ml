@@ -126,6 +126,7 @@ let run ?until t =
   (* [infinity] admits every event, including ones scheduled at
      [infinity]. *)
   let limit = match until with Some l -> l | None -> infinity in
+  if Float.is_nan limit then invalid_arg "Engine.run: until is NaN";
   let pre = count t in
   (* One event per iteration in (time, seq) order.  [stop], or an
      exception from a callback or the watchdog, leaves every event not

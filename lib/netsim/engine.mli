@@ -68,7 +68,8 @@ val every :
 (** Schedules [callback] at [start] (default now + interval) and every
     [interval] seconds thereafter, stopping after [until] if given —
     without [until] the schedule is unbounded, so drive the engine with
-    [run ~until].  Used by periodic fault schedules ({!Fault}). *)
+    [run ~until].  Used by the periodic audits of [Check.Invariant]
+    and the sim-time poll of {!Watchdog}. *)
 
 val run : ?until:float -> t -> unit
 (** Processes events in (time, schedule order) until the queue empties,
@@ -77,7 +78,9 @@ val run : ?until:float -> t -> unit
     scheduled at the current time fires after the events already
     pending at that time.  After {!stop} or an exception out of a
     callback or the watchdog, every event not yet fired stays pending
-    and the next [run] resumes in the same order. *)
+    and the next [run] resumes in the same order.
+    @raise Invalid_argument on a NaN [until], which no event time would
+    ever pass. *)
 
 val stop : t -> unit
 (** Makes the innermost [run] return after the current callback. *)

@@ -1,15 +1,4 @@
-type config = {
-  control : Par.Control.t;
-  stall_events : int;
-  max_events : int option;
-}
-
-let default =
-  {
-    control = Par.Control.none;
-    stall_events = 1_000_000;
-    max_events = None;
-  }
+type config = { control : Par.Control.t; max_events : int option }
 
 (* Events between event-count checks, and simulated seconds between
    control polls. *)
@@ -53,7 +42,7 @@ let install cfg engine =
       last_time := now;
       anchor := processed
     end
-    else if cfg.stall_events > 0 && processed - !anchor >= cfg.stall_events then
+    else if processed - !anchor >= Event_heap.livelock_events then
       abort engine
         (Printf.sprintf
            "livelock: simulated time stuck at t=%.6f for %d events" now

@@ -8,9 +8,9 @@
 
     - an {e event-count} hook ({!Engine.set_watchdog}, every 4096
       events) that aborts when simulated time has not advanced for
-      [stall_events] consecutive events (livelock) or the total event
-      count exceeds [max_events] (event storm), and polls the task's
-      {!Par.Control} for wall-clock deadlines;
+      {!Event_heap.livelock_events} consecutive events (livelock) or the
+      total event count exceeds [max_events] (event storm), and polls
+      the task's {!Par.Control} for wall-clock deadlines;
     - a {e sim-time} hook ({!Engine.every}, every 0.25 simulated
       seconds) that polls the control too, catching wall overruns in
       runs that process few events.
@@ -25,14 +25,8 @@
 
 type config = {
   control : Par.Control.t;  (** cancellation + wall deadline source *)
-  stall_events : int;
-      (** abort after this many events without sim-time progress;
-          [<= 0] disables livelock detection *)
   max_events : int option;  (** total event budget; [None] = unbounded *)
 }
-
-val default : config
-(** Inert control, 1M-event stall window, no event budget. *)
 
 val install : config -> Engine.t -> unit
 (** Arms both hooks on [engine].  Raises [Invalid_argument] on a

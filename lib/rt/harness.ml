@@ -4,22 +4,15 @@ open Tfmcc_core
 
 type transport = Loopback | Udp_sockets
 
-type supervision = {
-  probe_interval : float;
-  stall_probes : int;
-  max_restarts : int;
-  restart_backoff : float;
-  restart_on_stall : bool;
-}
+type supervision = { probe_interval : float }
 
-let default_supervision =
-  {
-    probe_interval = 1.0;
-    stall_probes = 20;
-    max_restarts = 3;
-    restart_backoff = 0.25;
-    restart_on_stall = true;
-  }
+(* Idle probes before a session counts as stalled, and the first
+   restart delay in seconds (doubled per restart). *)
+let stall_probes = 20
+
+let restart_backoff = 0.25
+
+let max_restarts = 3
 
 type fault =
   | Kill_session of { session : int; at : float }
@@ -53,7 +46,7 @@ let default =
     transport = Loopback;
     epoch = 0.;
     seed = 42;
-    supervise = default_supervision;
+    supervise = { probe_interval = 1.0 };
     chaos = [];
     faults = [];
   }
@@ -128,7 +121,7 @@ let loopback_ops loop ~impair =
   }
 
 let udp_ops loop =
-  let net = Udp.create loop () in
+  let net = Udp.create loop in
   {
     new_ep =
       (fun ~session ->
@@ -200,12 +193,11 @@ let validate_faults c =
 let run ?obs c =
   if c.sessions < 1 then invalid_arg "Harness.run: need at least one session";
   if c.receivers < 1 then invalid_arg "Harness.run: need at least one receiver";
+  if not (Float.is_finite c.duration && c.duration > 0.) then
+    invalid_arg "Harness.run: duration must be finite and positive";
+  if not (Float.is_finite c.epoch) then invalid_arg "Harness.run: epoch must be finite";
   if not (Float.is_finite c.supervise.probe_interval && c.supervise.probe_interval > 0.)
   then invalid_arg "Harness.run: probe_interval must be positive";
-  if c.supervise.stall_probes < 1 then
-    invalid_arg "Harness.run: stall_probes must be >= 1";
-  if c.supervise.max_restarts < 0 then
-    invalid_arg "Harness.run: max_restarts must be >= 0";
   if c.chaos <> [] && c.transport <> Loopback then
     invalid_arg "Harness.run: chaos plans need the loopback fabric";
   Chaos.validate c.chaos;
@@ -311,7 +303,7 @@ let run ?obs c =
   and retire sup ~cause =
     teardown sup;
     sup.fail <- Some cause;
-    if sup.restarts >= c.supervise.max_restarts then begin
+    if sup.restarts >= max_restarts then begin
       sup.state <- `Failed;
       Obs.Metrics.Counter.inc m_failed;
       journal sup ~severity:Obs.Journal.Error ~kind:"session-failed"
@@ -319,7 +311,7 @@ let run ?obs c =
     end
     else begin
       sup.state <- `Backoff;
-      let delay = c.supervise.restart_backoff *. (2. ** float_of_int sup.restarts) in
+      let delay = restart_backoff *. (2. ** float_of_int sup.restarts) in
       sup.restarts <- sup.restarts + 1;
       Obs.Metrics.Counter.inc m_restarted;
       journal sup ~severity:Obs.Journal.Warn ~kind:"session-restart"
@@ -384,7 +376,7 @@ let run ?obs c =
                  end
                  else begin
                    sup.idle_probes <- sup.idle_probes + 1;
-                   if sup.idle_probes >= c.supervise.stall_probes then begin
+                   if sup.idle_probes >= stall_probes then begin
                      let reason =
                        Printf.sprintf "no packets for %d probes (%.1fs)"
                          sup.idle_probes
@@ -395,8 +387,7 @@ let run ?obs c =
                      Obs.Metrics.Counter.inc m_stalls;
                      journal sup ~severity:Obs.Journal.Warn ~kind:"session-stall"
                        ~detail:reason;
-                     if c.supervise.restart_on_stall then
-                       retire sup ~cause:(`Stall reason)
+                     retire sup ~cause:(`Stall reason)
                    end
                  end
              | _ -> ())

@@ -20,19 +20,14 @@ type transport =
 
 type supervision = {
   probe_interval : float;  (** seconds between health-probe sweeps *)
-  stall_probes : int;
-      (** consecutive probes with no new packets before a session
-          counts as stalled *)
-  max_restarts : int;  (** per session; exceeded -> [Failed] *)
-  restart_backoff : float;
-      (** first restart delay, seconds; doubles per restart *)
-  restart_on_stall : bool;
-      (** false: stalls are counted and journaled but not restarted *)
 }
+(** A session that sends no new packet for 20 consecutive probes counts
+    as stalled.  A crashed or stalled session is restarted after a
+    backoff of 0.25 s that doubles per restart, up to {!max_restarts}
+    times; the next failure leaves it [Failed]. *)
 
-val default_supervision : supervision
-(** 1 s probes, stalled after 20 idle probes, 3 restarts starting at
-    0.25 s backoff, stalls restarted. *)
+val max_restarts : int
+(** Restarts allowed per session: 3. *)
 
 (** Deterministic fault injection, the harness-level complement of a
     {!Chaos.plan} (which impairs the fabric; these target sessions).
@@ -42,7 +37,7 @@ type fault =
       (** Injects an exception into the session's timer path at [at] —
           exercises the full crash/restart machinery. *)
   | Kill_session_every of { session : int; at : float; period : float; until : float }
-      (** Repeated kills; enough of them exhaust [max_restarts] and
+      (** Repeated kills; enough of them exhaust {!max_restarts} and
           drive the session to [Failed]. *)
   | Stop_sender of { session : int; at : float }
       (** Stops the sender without an exception — the session goes
@@ -71,7 +66,7 @@ val default : config
 (** 4 sessions x 1 receiver, 8 s turbo, 2% loss, 25 ms delay, 5 ms
     jitter — an impairment under which the equation rate is a few
     hundred packets per second, so rates visibly converge within the
-    run.  Default supervision, no chaos, no faults. *)
+    run.  1 s supervision probes, no chaos, no faults. *)
 
 type session_stat = {
   session : int;

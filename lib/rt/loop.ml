@@ -18,7 +18,6 @@ type t = {
   mutable clock : unit -> float; (* realtime monotonic clock *)
   obs : Obs.Sink.t;
   rng : Stats.Rng.t;
-  late_tolerance : float;
   mutable fds : (Unix.file_descr * (unit -> unit)) list;
   mutable anomalies : int;
   (* Exception backstop (DESIGN.md §15): without a handler, an exception
@@ -69,14 +68,17 @@ let now t =
       t.vnow <- n;
       n
 
-(* Zero-delay chains are finite in TFMCC (its timers are paced); the cap
-   turns a runaway chain into a crash instead of a hang.  It counts
-   entries fired without the popped time rising, so only a chain at one
-   instant (or of past deadlines) trips it.  [Runaway] gets past the
-   backstop; [run] turns it into [Failure]. *)
-let max_chain = 1_000_000
-
+(* Zero-delay chains are finite in TFMCC (its timers are paced); the
+   [Event_heap.livelock_events] cap turns a runaway chain into a crash
+   instead of a hang.  It counts entries fired without the popped time
+   rising, so only a chain at one instant (or of past deadlines) trips
+   it.  [Runaway] gets past the backstop; [run] turns it into
+   [Failure]. *)
 exception Runaway
+
+(* How tardy a realtime timer may fire before it counts as a clock
+   anomaly, seconds. *)
+let late_tolerance = 0.05
 
 (* Per-entry accounting, run by [Event_heap.step] between the pop and
    the fire: count, move the turbo clock forward (never back), check a
@@ -88,21 +90,20 @@ let on_fire t =
   (match t.mode with
   | Turbo -> if time > t.vnow then t.vnow <- time
   | Realtime ->
-      if now t -. time > t.late_tolerance then anomaly t ~kind:"late-timer");
+      if now t -. time > late_tolerance then anomaly t ~kind:"late-timer");
   if time > t.last.Event_heap.cell_time then begin
     t.last.Event_heap.cell_time <- time;
     t.chain <- 0
   end
   else begin
     t.chain <- t.chain + 1;
-    if t.chain > max_chain then raise Runaway
+    if t.chain > Event_heap.livelock_events then raise Runaway
   end
 
 (* Marks closure slots in the heap: no frame is ever this block. *)
 let no_frame = Bytes.create 0
 
-let create ?(mode = Turbo) ?(epoch = 0.) ?obs ?(seed = 42)
-    ?(late_tolerance_s = 0.05) () =
+let create ?(mode = Turbo) ?(epoch = 0.) ?obs ?(seed = 42) () =
   let obs = match obs with Some s -> s | None -> Obs.Sink.create () in
   let rec t =
     {
@@ -114,7 +115,6 @@ let create ?(mode = Turbo) ?(epoch = 0.) ?obs ?(seed = 42)
       clock = (fun () -> epoch);
       obs;
       rng = Stats.Rng.create seed;
-      late_tolerance = late_tolerance_s;
       fds = [];
       anomalies = 0;
       exn_handler = None;
@@ -254,6 +254,7 @@ let run_realtime ~stop_at t =
    [until]. *)
 let run ?until t =
   let limit = match until with Some u -> u | None -> infinity in
+  if Float.is_nan limit then invalid_arg "Loop.run: until is NaN";
   t.chain <- 0;
   try
     match t.mode with

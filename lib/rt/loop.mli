@@ -27,13 +27,12 @@ type mode = Turbo | Realtime
 
 type t
 
-val create :
-  ?mode:mode -> ?epoch:float -> ?obs:Obs.Sink.t -> ?seed:int -> ?late_tolerance_s:float -> unit -> t
+val create : ?mode:mode -> ?epoch:float -> ?obs:Obs.Sink.t -> ?seed:int -> unit -> t
 (** [epoch] is the initial clock value (default 0): turbo time starts
     there; realtime maps wall time onto [epoch +. elapsed].  [seed]
     (default 42) feeds the master RNG that {!split_rng} derives streams
-    from.  [late_tolerance_s] (default 50 ms) is how tardy a realtime
-    timer callback may fire before it counts as a clock anomaly. *)
+    from.  A realtime timer callback firing more than 50 ms late counts
+    as a clock anomaly. *)
 
 val mode : t -> mode
 
@@ -98,7 +97,9 @@ val run : ?until:float -> t -> unit
     (absolute).  In turbo mode the clock lands exactly on [until] when
     given.  More than a million entries firing without the deadline
     rising (a runaway zero-delay chain) fail with [Failure] instead of
-    hanging, with or without {!set_exn_handler}. *)
+    hanging, with or without {!set_exn_handler}.
+    @raise Invalid_argument on a NaN [until], which no deadline would
+    ever pass. *)
 
 val timers_fired : t -> int
 (** Entries fired over the loop's lifetime, frame deliveries included. *)

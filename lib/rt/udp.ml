@@ -46,10 +46,6 @@ and t = {
   groups : (int, (int, unit) Hashtbl.t) Hashtbl.t;
   buf : Bytes.t;
   sendbuf : Bytes.t;  (* shared scratch datagram; see [send] *)
-  max_retries : int;
-  retry_backoff_s : float;
-  shed_threshold : int;
-  shed_window_s : float;
   mutable next_id : int;
   mutable sent : int;
   mutable delivered : int;
@@ -111,26 +107,24 @@ let fatal t ep ~dir exn ~kind =
   | None -> ()
   | Some f -> f ~session:ep.session ~endpoint:ep.ep_id exn
 
-let create ?(max_retries = 2) ?(retry_backoff_s = 0.0005)
-    ?(shed_threshold = 16) ?(shed_window_s = 0.05) loop () =
+(* Send-path tuning (see [create] in udp.mli). *)
+let max_retries = 2
+
+let retry_backoff_s = 0.0005
+
+let shed_threshold = 16
+
+let shed_window_s = 0.05
+
+let create loop =
   if Loop.mode loop = Loop.Turbo then
     invalid_arg "Udp.create: needs a realtime loop (virtual time outruns sockets)";
-  if max_retries < 0 then invalid_arg "Udp.create: max_retries must be >= 0";
-  if not (Float.is_finite retry_backoff_s && retry_backoff_s >= 0.) then
-    invalid_arg "Udp.create: retry_backoff_s must be finite and >= 0";
-  if shed_threshold < 1 then invalid_arg "Udp.create: shed_threshold must be >= 1";
-  if not (Float.is_finite shed_window_s && shed_window_s >= 0.) then
-    invalid_arg "Udp.create: shed_window_s must be finite and >= 0";
   {
     loop;
     endpoints = Hashtbl.create 16;
     groups = Hashtbl.create 16;
     buf = Bytes.create 65536;
     sendbuf = Bytes.make 65536 '\000';
-    max_retries;
-    retry_backoff_s;
-    shed_threshold;
-    shed_window_s;
     next_id = 0;
     sent = 0;
     delivered = 0;
@@ -241,19 +235,19 @@ let send_one t ep peer frame frame_len =
         | Transient ->
             if err = Unix.ENOBUFS then begin
               t.enobufs_streak <- t.enobufs_streak + 1;
-              if t.enobufs_streak >= t.shed_threshold then begin
+              if t.enobufs_streak >= shed_threshold then begin
                 t.enobufs_streak <- 0;
-                t.shed_until <- Loop.now t.loop +. t.shed_window_s;
+                t.shed_until <- Loop.now t.loop +. shed_window_s;
                 journal_first t ep ~severity:Obs.Journal.Warn ~kind:"send-shed"
                   ~detail:
                     (Printf.sprintf "enobufs streak >= %d, shedding %.0fms"
-                       t.shed_threshold (t.shed_window_s *. 1e3))
+                       shed_threshold (shed_window_s *. 1e3))
               end
             end;
-            if tries < t.max_retries && Loop.now t.loop >= t.shed_until then begin
+            if tries < max_retries && Loop.now t.loop >= t.shed_until then begin
               t.send_retries <- t.send_retries + 1;
               Obs.Metrics.Counter.inc (counter t "tfmcc_rt_send_retries_total" kind);
-              if t.retry_backoff_s > 0. then Unix.sleepf t.retry_backoff_s;
+              Unix.sleepf retry_backoff_s;
               attempt (tries + 1)
             end
             else send_error t ep ~kind ~detail:"sendto"

@@ -32,22 +32,14 @@ val kind_of_error : Unix.error -> string
 (** The [kind] label this error is counted under in
     [tfmcc_rt_send_error_total] / [tfmcc_rt_recv_error_total]. *)
 
-val create :
-  ?max_retries:int ->
-  ?retry_backoff_s:float ->
-  ?shed_threshold:int ->
-  ?shed_window_s:float ->
-  Loop.t ->
-  unit ->
-  t
+val create : Loop.t -> t
 (** Raises [Invalid_argument] on a turbo-mode loop.  Transient send
-    failures are retried up to [max_retries] times (default 2) with a
-    [retry_backoff_s] sleep between attempts (default 0.5 ms).  A streak
-    of [shed_threshold] consecutive ENOBUFS failures (default 16) opens
-    a [shed_window_s]-second load-shedding window (default 50 ms) in
-    which every offered frame is dropped without a syscall — counted
-    under [tfmcc_rt_send_error_total{kind="shed"}] — giving the kernel
-    queue room to drain. *)
+    failures are retried up to 2 times with a 0.5 ms sleep between
+    attempts.  A streak of 16 consecutive ENOBUFS failures opens a
+    50 ms load-shedding window in which every offered frame is dropped
+    without a syscall — counted under
+    [tfmcc_rt_send_error_total{kind="shed"}] — giving the kernel queue
+    room to drain. *)
 
 val set_on_fatal : t -> (session:int -> endpoint:int -> exn -> unit) -> unit
 (** Called (at most once per endpoint) when a fatal socket error kills

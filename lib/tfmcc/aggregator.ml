@@ -51,7 +51,7 @@ let plausible t (r : report) =
            Tcp_model.Padhye.throughput ~b:cfg.Config.b
              ~s:cfg.Config.packet_size ~rtt:r.r_rtt r.r_p
          in
-         let k = cfg.Config.defense_equation_slack in
+         let k = Config.defense_equation_slack in
          r.r_rate <= k *. expected && r.r_rate *. k >= expected
 
 (* Lower is more restrictive; loss reports dominate rate-only ones. *)

@@ -27,8 +27,8 @@ val create :
 
     When [cfg] is supplied and has [defense_enabled], reports whose
     claimed rate is inconsistent with the TCP equation at their own
-    (rtt, p) — beyond [defense_equation_slack] — are rejected before
-    aggregation (DESIGN.md §10): a lying subtree report must not
+    (rtt, p) — beyond {!Config.defense_equation_slack} — are rejected
+    before aggregation (DESIGN.md §10): a lying subtree report must not
     displace the honest minimum inside the hold window. *)
 
 val deliver : t -> Wire.msg -> unit

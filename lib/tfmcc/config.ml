@@ -4,41 +4,12 @@ type t = {
   packet_size : int;
   n_intervals : int;
   rtt_initial : float;
-  ewma_clr : float;
-  ewma_other : float;
-  ewma_oneway : float;
-  round_rtt_factor : float;
-  round_min_packets : int;
   bias : bias;
-  fb_delta : float;
-  n_estimate : int;
   zeta : float;
-  clr_timeout_rounds : float;
-  starvation_rounds : float;
-  starvation_decay : float;
-  slowstart_multiplier : float;
-  increase_limit_packets : float;
   use_suppression : bool;
   remodel_on_first_rtt : bool;
   remember_clr : bool;
-  remember_clr_rtts : float;
   defense_enabled : bool;
-  defense_equation_slack : float;
-  defense_rtt_floor_fraction : float;
-  defense_xrecv_slack : float;
-  defense_echo_delay_rounds : float;
-  defense_mad_threshold : float;
-  defense_mad_floor : float;
-  defense_mad_min_reports : int;
-  defense_drop_ratio : float;
-  defense_report_horizon_rounds : float;
-  defense_holddown_rounds : float;
-  defense_holddown_max_rounds : float;
-  defense_clr_hysteresis : float;
-  defense_max_reports_per_round : int;
-  defense_suspicion_threshold : float;
-  defense_suspicion_decay : float;
-  defense_quarantine_rounds : float;
   b : float;
   max_rate : float;
 }
@@ -48,99 +19,84 @@ let default =
     packet_size = 1000;
     n_intervals = 8;
     rtt_initial = 0.5;
-    ewma_clr = 0.05;
-    ewma_other = 0.5;
-    ewma_oneway = 0.005;
-    round_rtt_factor = 6.;
-    round_min_packets = 3;
     bias = Modified_offset;
-    fb_delta = 1. /. 3.;
-    n_estimate = 10_000;
     zeta = 0.1;
-    clr_timeout_rounds = 10.;
-    starvation_rounds = 2.;
-    starvation_decay = 0.5;
-    slowstart_multiplier = 2.;
-    increase_limit_packets = 1.;
     use_suppression = true;
     remodel_on_first_rtt = false;
     remember_clr = false;
-    remember_clr_rtts = 4.;
     defense_enabled = false;
-    defense_equation_slack = 4.;
-    defense_rtt_floor_fraction = 0.25;
-    defense_xrecv_slack = 3.;
-    defense_echo_delay_rounds = 4.;
-    defense_mad_threshold = 5.;
-    defense_mad_floor = 0.15;
-    defense_mad_min_reports = 4;
-    defense_drop_ratio = 30.;
-    defense_report_horizon_rounds = 8.;
-    defense_holddown_rounds = 1.;
-    defense_holddown_max_rounds = 8.;
-    defense_clr_hysteresis = 0.05;
-    defense_max_reports_per_round = 4;
-    defense_suspicion_threshold = 3.;
-    defense_suspicion_decay = 0.5;
-    defense_quarantine_rounds = 20.;
     b = 2.;
     max_rate = 1e9;
   }
 
+(* [Float.is_finite] first: NaN is false under every comparison, so a
+   bare [x <= 0.] check would let it through. *)
 let validate t =
+  let positive x = Float.is_finite x && x > 0. in
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   if t.packet_size <= 0 then err "packet_size must be positive"
   else if t.n_intervals < 2 then err "n_intervals must be at least 2"
-  else if t.rtt_initial <= 0. then err "rtt_initial must be positive"
-  else if not (t.ewma_clr > 0. && t.ewma_clr <= 1.) then err "ewma_clr out of (0,1]"
-  else if not (t.ewma_other > 0. && t.ewma_other <= 1.) then err "ewma_other out of (0,1]"
-  else if not (t.ewma_oneway > 0. && t.ewma_oneway <= 1.) then
-    err "ewma_oneway out of (0,1]"
-  else if t.round_rtt_factor < 1. then err "round_rtt_factor must be >= 1"
-  else if t.round_min_packets < 0 then err "round_min_packets must be >= 0"
-  else if not (t.fb_delta >= 0. && t.fb_delta < 1.) then err "fb_delta out of [0,1)"
-  else if t.n_estimate < 2 then err "n_estimate must be >= 2"
-  else if not (t.zeta >= 0. && t.zeta <= 1.) then err "zeta out of [0,1]"
-  else if t.clr_timeout_rounds <= 0. then err "clr_timeout_rounds must be positive"
-  else if t.starvation_rounds <= 0. then err "starvation_rounds must be positive"
-  else if not (t.starvation_decay > 0. && t.starvation_decay < 1.) then
-    err "starvation_decay out of (0,1)"
-  else if t.slowstart_multiplier < 1. then err "slowstart_multiplier must be >= 1"
-  else if t.increase_limit_packets <= 0. then err "increase_limit_packets must be positive"
-  else if t.b <= 0. then err "b must be positive"
-  else if t.max_rate <= 0. then err "max_rate must be positive"
-  else if t.defense_equation_slack <= 1. then
-    err "defense_equation_slack must be > 1 (a tolerance factor around the TCP equation)"
-  else if not (t.defense_rtt_floor_fraction > 0. && t.defense_rtt_floor_fraction <= 1.)
-  then err "defense_rtt_floor_fraction out of (0,1]"
-  else if t.defense_xrecv_slack < 1. then
-    err "defense_xrecv_slack must be >= 1 (receivers cannot receive faster than the sender sends)"
-  else if t.defense_echo_delay_rounds < 1. then
-    err "defense_echo_delay_rounds must be >= 1 feedback round"
-  else if t.defense_mad_threshold <= 0. then
-    err "defense_mad_threshold must be positive (it scales the MAD outlier band)"
-  else if t.defense_mad_floor <= 0. then
-    err "defense_mad_floor must be positive (log10 decades)"
-  else if t.defense_mad_min_reports < 2 then
-    err "defense_mad_min_reports must be >= 2 (a median needs a population)"
-  else if t.defense_drop_ratio <= 1. then
-    err "defense_drop_ratio must be > 1"
-  else if t.defense_report_horizon_rounds < 1. then
-    err "defense_report_horizon_rounds must be >= 1 feedback round"
-  else if t.defense_holddown_rounds < 1. then
-    err "defense_holddown_rounds must be >= 1: a hold-down shorter than one \
-         feedback round cannot damp anything (feedback arrives at most once \
-         per round)"
-  else if t.defense_holddown_max_rounds < t.defense_holddown_rounds then
-    err "defense_holddown_max_rounds must be >= defense_holddown_rounds"
-  else if not (t.defense_clr_hysteresis >= 0. && t.defense_clr_hysteresis < 1.)
-  then err "defense_clr_hysteresis out of [0,1)"
-  else if t.defense_max_reports_per_round < 1 then
-    err "defense_max_reports_per_round must be >= 1 (the CLR alone reports every round)"
-  else if t.defense_suspicion_threshold <= 0. then
-    err "defense_suspicion_threshold must be positive"
-  else if not (t.defense_suspicion_decay >= 0. && t.defense_suspicion_decay < 1.)
-  then err "defense_suspicion_decay out of [0,1)"
-  else if t.defense_quarantine_rounds <= 0. then
-    err "defense_quarantine_rounds must be positive"
+  else if not (positive t.rtt_initial) then err "rtt_initial must be finite and positive"
+  else if not (Float.is_finite t.zeta && t.zeta >= 0. && t.zeta <= 1.) then
+    err "zeta out of [0,1]"
+  else if not (positive t.b) then err "b must be finite and positive"
+  else if not (positive t.max_rate) then err "max_rate must be finite and positive"
   else Ok ()
+
+let ewma_clr = 0.05
+
+let ewma_other = 0.5
+
+let ewma_oneway = 0.005
+
+let round_rtt_factor = 6.
+
+let round_min_packets = 3
+
+let fb_delta = 1. /. 3.
+
+let n_estimate = 10_000
+
+let clr_timeout_rounds = 10.
+
+let slowstart_multiplier = 2.
+
+let increase_limit_packets = 1.
+
+let remember_clr_rtts = 4.
+
+let starvation_rounds = 2.
+
+let starvation_decay = 0.5
+
+let defense_equation_slack = 4.
+
+let defense_rtt_floor_fraction = 0.25
+
+let defense_xrecv_slack = 3.
+
+let defense_echo_delay_rounds = 4.
+
+let defense_mad_threshold = 5.
+
+let defense_mad_floor = 0.15
+
+let defense_mad_min_reports = 4
+
+let defense_drop_ratio = 30.
+
+let defense_report_horizon_rounds = 8.
+
+let defense_holddown_rounds = 1.
+
+let defense_holddown_max_rounds = 8.
+
+let defense_clr_hysteresis = 0.05
+
+let defense_max_reports_per_round = 4
+
+let defense_suspicion_threshold = 3.
+
+let defense_suspicion_decay = 0.5
+
+let defense_quarantine_rounds = 20.

@@ -88,7 +88,7 @@ let create ~cfg ~obs ~session ~node () =
     recent_rates = Array.make ceiling_rounds 0.;
     recent_idx = 0;
     holddown_until = neg_infinity;
-    holddown_rounds = cfg.Config.defense_holddown_rounds;
+    holddown_rounds = Config.defense_holddown_rounds;
     last_switch = neg_infinity;
     implausible_n = 0;
     outliers_n = 0;
@@ -161,11 +161,11 @@ let suspicion t rx =
 let suspect t ~now ~round_duration rx =
   let s = state t rx in
   s.suspicion <- s.suspicion +. 1.;
-  if s.suspicion >= t.cfg.Config.defense_suspicion_threshold
+  if s.suspicion >= Config.defense_suspicion_threshold
      && now >= s.quarantined_until
   then begin
     let until_ =
-      now +. (t.cfg.Config.defense_quarantine_rounds *. round_duration)
+      now +. (Config.defense_quarantine_rounds *. round_duration)
     in
     s.quarantined_until <- until_;
     (* After release the receiver may report again, but it stays barred
@@ -176,7 +176,7 @@ let suspect t ~now ~round_duration rx =
     let scale = Float.of_int (1 lsl Stdlib.min 16 (s.quarantine_count - 1)) in
     s.probation_until <-
       until_
-      +. (scale *. t.cfg.Config.defense_quarantine_rounds *. round_duration);
+      +. (scale *. Config.defense_quarantine_rounds *. round_duration);
     s.suspicion <- 0.;
     s.in_window <- false;
     t.quarantines_n <- t.quarantines_n + 1;
@@ -243,18 +243,18 @@ let screen t ~now ~round_duration ~sender_rate ~sender_round ~rx ~rate
             @ (if have_rtt && rtt > 0. then [ rtt ] else [])
           in
           match candidates with
-          | [] -> round_duration /. cfg.Config.round_rtt_factor
+          | [] -> round_duration /. Config.round_rtt_factor
           | l -> List.fold_left Float.max 0. l
         in
         now -. prev_seen < 0.5 *. rtt_est
       end
-      else s.round_reports > cfg.Config.defense_max_reports_per_round
+      else s.round_reports > Config.defense_max_reports_per_round
     in
     if spamming then reject t ~now ~round_duration ~rx ~counter:`Spam Spam
     else if
       (* Claimed echo hold time far beyond a feedback round defeats the
          RTT floor below; honest receivers echo the newest data packet. *)
-      echo_delay > cfg.Config.defense_echo_delay_rounds *. round_duration
+      echo_delay > Config.defense_echo_delay_rounds *. round_duration
     then
       reject t ~now ~round_duration ~rx ~counter:`Implausible
         Implausible_echo_delay
@@ -264,12 +264,12 @@ let screen t ~now ~round_duration ~sender_rate ~sender_round ~rx ~rate
          lie (a receiver cannot echo a timestamp before receiving it). *)
       have_rtt
       && (match rtt_sample with
-         | Some sample -> rtt < cfg.Config.defense_rtt_floor_fraction *. sample
+         | Some sample -> rtt < Config.defense_rtt_floor_fraction *. sample
          | None -> false)
     then reject t ~now ~round_duration ~rx ~counter:`Implausible Implausible_rtt
     else if
       (* Nobody receives faster than the sender recently sent. *)
-      x_recv > cfg.Config.defense_xrecv_slack *. rate_ceiling t ~sender_rate
+      x_recv > Config.defense_xrecv_slack *. rate_ceiling t ~sender_rate
     then
       reject t ~now ~round_duration ~rx ~counter:`Implausible Implausible_xrecv
     else if
@@ -282,7 +282,7 @@ let screen t ~now ~round_duration ~sender_rate ~sender_round ~rx ~rate
            Tcp_model.Padhye.throughput ~b:cfg.Config.b
              ~s:cfg.Config.packet_size ~rtt p
          in
-         let k = cfg.Config.defense_equation_slack in
+         let k = Config.defense_equation_slack in
          rate > k *. expected || rate *. k < expected)
     then reject t ~now ~round_duration ~rx ~counter:`Implausible Implausible_rate
     else None
@@ -296,7 +296,7 @@ let log_rate r = log10 (Float.max 1. r)
    [None] below quorum. *)
 let window_stats t ~now ~round_duration =
   let horizon =
-    now -. (t.cfg.Config.defense_report_horizon_rounds *. round_duration)
+    now -. (Config.defense_report_horizon_rounds *. round_duration)
   in
   let logs =
     Hashtbl.fold
@@ -305,13 +305,13 @@ let window_stats t ~now ~round_duration =
         else acc)
       t.states []
   in
-  if List.length logs < t.cfg.Config.defense_mad_min_reports then None
+  if List.length logs < Config.defense_mad_min_reports then None
   else begin
     let arr = Array.of_list logs in
     let med = Stats.Descriptive.median arr in
     let dev = Array.map (fun x -> Float.abs (x -. med)) arr in
     let mad =
-      Float.max t.cfg.Config.defense_mad_floor (Stats.Descriptive.median dev)
+      Float.max Config.defense_mad_floor (Stats.Descriptive.median dev)
     in
     Some (med, mad)
   end
@@ -327,12 +327,12 @@ let admit t ~now ~round_duration ~sender_rate ~rx ~rate =
   let lr = log_rate rate in
   let outlier =
     match window_stats t ~now ~round_duration with
-    | Some (med, mad) -> med -. lr > t.cfg.Config.defense_mad_threshold *. mad
+    | Some (med, mad) -> med -. lr > Config.defense_mad_threshold *. mad
     | None ->
         (* Below quorum: fall back to a coarse ratio test against the
            recent sending rate — the one number the sender knows the
            group genuinely sustained. *)
-        rate *. t.cfg.Config.defense_drop_ratio < rate_ceiling t ~sender_rate
+        rate *. Config.defense_drop_ratio < rate_ceiling t ~sender_rate
   in
   if outlier then begin
     ignore (reject t ~now ~round_duration ~rx ~counter:`Outlier Implausible_rate);
@@ -367,8 +367,7 @@ let may_lead t ~now ~round_duration rx =
    next hold-down (capped), so an oscillating attacker is frozen out
    exponentially while a stable group pays one round of latency. *)
 let may_switch t ~now ~sender_rate ~candidate_rate ~rx =
-  let cfg = t.cfg in
-  if candidate_rate >= (1. -. cfg.Config.defense_clr_hysteresis) *. sender_rate
+  if candidate_rate >= (1. -. Config.defense_clr_hysteresis) *. sender_rate
   then begin
     t.damped_n <- t.damped_n + 1;
     Obs.Metrics.Counter.inc t.m_damped;
@@ -384,14 +383,13 @@ let may_switch t ~now ~sender_rate ~candidate_rate ~rx =
   else true
 
 let note_switch t ~now ~round_duration =
-  let cfg = t.cfg in
-  let base = cfg.Config.defense_holddown_rounds in
+  let base = Config.defense_holddown_rounds in
   (* Inside the previous hold-down's *span* (i.e. switches coming as fast
      as damping allows): escalate.  Quiet since then: relax to base. *)
   let span = t.holddown_rounds *. round_duration in
   if now -. t.last_switch <= 2. *. span then
     t.holddown_rounds <-
-      Float.min cfg.Config.defense_holddown_max_rounds (2. *. t.holddown_rounds)
+      Float.min Config.defense_holddown_max_rounds (2. *. t.holddown_rounds)
   else t.holddown_rounds <- base;
   t.last_switch <- now;
   t.holddown_until <- now +. (t.holddown_rounds *. round_duration)
@@ -402,10 +400,10 @@ let on_round t ~now ~round_duration ~sender_rate =
   t.recent_rates.(t.recent_idx) <- sender_rate;
   t.recent_idx <- (t.recent_idx + 1) mod ceiling_rounds;
   let horizon =
-    now -. (t.cfg.Config.defense_report_horizon_rounds *. round_duration)
+    now -. (Config.defense_report_horizon_rounds *. round_duration)
   in
   Hashtbl.iter
     (fun _ s ->
-      s.suspicion <- s.suspicion *. t.cfg.Config.defense_suspicion_decay;
+      s.suspicion <- s.suspicion *. Config.defense_suspicion_decay;
       if s.last_admitted < horizon then s.in_window <- false)
     t.states

@@ -12,7 +12,7 @@
     {!Obs.Journal.Quarantine}).
 
     The layer only ever {e rejects} influence — it never invents rate
-    increases — so with honest receivers and default knobs its worst
+    increases — so with honest receivers its worst
     case is a short delay before a genuinely degraded receiver is
     believed.  It is instantiated only when
     {!Config.t.defense_enabled} is set. *)
@@ -83,8 +83,8 @@ val may_lead : t -> now:float -> round_duration:float -> int -> bool
 val may_switch :
   t -> now:float -> sender_rate:float -> candidate_rate:float -> rx:int -> bool
 (** CLR flap damping for steal-over switches: hysteresis (the candidate
-    must undercut the current rate by [defense_clr_hysteresis]) plus the
-    exponential hold-down window.  [false] counts and journals a damped
+    must undercut the current rate by {!Config.defense_clr_hysteresis})
+    plus the exponential hold-down window.  [false] counts and journals a damped
     switch.  Failover installs (no current CLR) must not be gated. *)
 
 val note_switch : t -> now:float -> round_duration:float -> unit

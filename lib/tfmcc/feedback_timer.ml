@@ -52,8 +52,8 @@ let round_duration ~(cfg : Config.t) ~max_rtt ~rate =
   if max_rtt <= 0. then invalid_arg "Feedback_timer.round_duration: max_rtt";
   if rate <= 0. then invalid_arg "Feedback_timer.round_duration: rate";
   Float.max
-    (cfg.round_rtt_factor *. max_rtt)
-    (float_of_int (cfg.round_min_packets + 1) *. float_of_int cfg.packet_size /. rate)
+    (Config.round_rtt_factor *. max_rtt)
+    (float_of_int (Config.round_min_packets + 1) *. float_of_int cfg.packet_size /. rate)
 
 (* Same guard for [round_duration]: a non-monotonic clock can briefly
    present a zero/negative R_max to a live sender. *)

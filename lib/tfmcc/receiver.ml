@@ -205,8 +205,8 @@ let start_round t ~round ~duration =
     let delay =
       Feedback_timer.draw_clamped t.rng
         ~on_anomaly:(fun () -> Env.clock_anomaly t.env ~kind:"late-timer")
-        ~bias:t.cfg.Config.bias ~t_max:duration ~delta:t.cfg.Config.fb_delta
-        ~n_estimate:t.cfg.Config.n_estimate ~ratio:(bias_ratio t)
+        ~bias:t.cfg.Config.bias ~t_max:duration ~delta:Config.fb_delta
+        ~n_estimate:Config.n_estimate ~ratio:(bias_ratio t)
     in
     t.fb_round <- round;
     t.fb_timer <-
@@ -321,7 +321,7 @@ let on_data t ~size (d : Wire.data) =
         Feedback_timer.draw_clamped t.rng
           ~on_anomaly:(fun () -> Env.clock_anomaly t.env ~kind:"late-timer")
           ~bias:t.cfg.Config.bias ~t_max:d.round_duration
-          ~delta:t.cfg.Config.fb_delta ~n_estimate:t.cfg.Config.n_estimate
+          ~delta:Config.fb_delta ~n_estimate:Config.n_estimate
           ~ratio:0.
       in
       t.fb_round <- d.round;
@@ -382,7 +382,7 @@ let create ~env ~cfg ~session ~sender ?report_to ?(clock_offset = 0.)
             last_ts = nan;
             last_arrival = nan;
             sender_rate = float_of_int cfg.Config.packet_size;
-            round_duration = cfg.Config.rtt_initial *. cfg.Config.round_rtt_factor;
+            round_duration = cfg.Config.rtt_initial *. Config.round_rtt_factor;
             rtt_at_first_loss = 0.;
             rate_at_loss = 0.;
           };

@@ -95,8 +95,8 @@ let on_echo t ~local_now ~rx_ts ~echo_delay ~pkt_ts ~is_clr =
     in
     let alpha =
       if not t.measured then 1.
-      else if is_clr then t.cfg.Config.ewma_clr
-      else t.cfg.Config.ewma_other
+      else if is_clr then Config.ewma_clr
+      else Config.ewma_other
     in
     t.rtt <- (alpha *. inst) +. ((1. -. alpha) *. t.rtt);
     (* Seed the one-way state from this measurement; interim one-way
@@ -125,7 +125,7 @@ let on_data t ~local_now ~pkt_ts =
     let d_forward = local_now -. pkt_ts in
     let inst = t.d_reverse +. d_forward in
     if inst > 0. then begin
-      let alpha = t.cfg.Config.ewma_oneway in
+      let alpha = Config.ewma_oneway in
       t.rtt <- (alpha *. inst) +. ((1. -. alpha) *. t.rtt)
     end
   end

@@ -184,7 +184,7 @@ let apply_capped_increase t ~desired ~rtt =
   let dt = Float.max 0. (now -. t.last_rate_change) in
   let rtt = Float.max 1e-3 rtt in
   let cap =
-    t.rate +. (t.cfg.Config.increase_limit_packets *. s_float t *. (dt /. rtt))
+    t.rate +. (Config.increase_limit_packets *. s_float t *. (dt /. rtt))
   in
   let from_bps = t.rate in
   t.rate <- clamp_rate t (Float.min desired cap);
@@ -215,7 +215,7 @@ let set_clr t ~rx ~rtt ~rate_adj =
             {
               prev_id = c.clr_id;
               prev_rate = c.clr_rate;
-              prev_until = now +. (t.cfg.Config.remember_clr_rtts *. Float.max c.clr_rtt 1e-3);
+              prev_until = now +. (Config.remember_clr_rtts *. Float.max c.clr_rtt 1e-3);
             };
       t.clr_changes <- t.clr_changes + 1;
       Obs.Metrics.Counter.inc t.m_clr_changes;
@@ -377,7 +377,7 @@ let on_report t ~rx ~ts ~echo_ts ~echo_delay ~rate ~have_rtt ~rtt ~p:_ ~x_recv
         if t.ss_min_xrecv < infinity then begin
           let proposed =
             clamp_rate t
-              (t.cfg.Config.slowstart_multiplier *. Float.max 1. t.ss_min_xrecv)
+              (Config.slowstart_multiplier *. Float.max 1. t.ss_min_xrecv)
           in
           let prev_target = t.ss_target in
           if proposed < t.ss_target then t.ss_target <- proposed
@@ -467,7 +467,7 @@ let check_clr_timeout t =
   match t.clr with
   | Some c
     when now t -. c.clr_last_report
-         > t.cfg.Config.clr_timeout_rounds *. t.round_duration ->
+         > Config.clr_timeout_rounds *. t.round_duration ->
       jnl t ~severity:Obs.Journal.Warn (Obs.Journal.Timeout { what = "clr" });
       drop_clr t ~reason:"timeout";
       t.clr_timeouts <- t.clr_timeouts + 1;
@@ -484,7 +484,7 @@ let check_clr_timeout t =
 let check_starvation t =
   let now = now t in
   if now -. t.last_report_arrival
-     > t.cfg.Config.starvation_rounds *. t.round_duration
+     > Config.starvation_rounds *. t.round_duration
   then begin
     if not t.starved then begin
       t.starved <- true;
@@ -507,7 +507,7 @@ let check_starvation t =
       | None -> ()
     end;
     let from_bps = t.rate in
-    t.rate <- clamp_rate t (t.rate *. t.cfg.Config.starvation_decay);
+    t.rate <- clamp_rate t (t.rate *. Config.starvation_decay);
     t.ss_target <- Float.min t.ss_target t.rate;
     t.last_rate_change <- now;
     journal_rate_change t ~from_bps ~reason:"starvation-decay"
@@ -576,7 +576,7 @@ let send_packet t ~gen =
        let dt = float_of_int t.cfg.Config.packet_size /. Float.max t.rate 1. in
        t.rate <-
          clamp_rate t
-           (t.rate +. (t.cfg.Config.increase_limit_packets *. s_float t *. (dt /. rtt)))
+           (t.rate +. (Config.increase_limit_packets *. s_float t *. (dt /. rtt)))
      end);
     let msg =
       Wire.Data
@@ -636,7 +636,7 @@ let create ~env ~cfg ~session ?flow ?initial_rate () =
     ss_round = -1;
     seq = 0;
     round = -1;
-    round_duration = cfg.Config.rtt_initial *. cfg.Config.round_rtt_factor;
+    round_duration = cfg.Config.rtt_initial *. Config.round_rtt_factor;
     round_started = 0.;
     max_rtt = cfg.Config.rtt_initial;
     rtt_table = Hashtbl.create 64;
@@ -691,7 +691,7 @@ let deliver_report t (r : Wire.report) =
            state (a receiver that far out of sync is about to be
            timed out anyway) and must not refresh the CLR. *)
         let stale_limit =
-          int_of_float (Float.ceil t.cfg.Config.clr_timeout_rounds)
+          int_of_float (Float.ceil Config.clr_timeout_rounds)
         in
         if
           Wire.report_fields_valid ~rx_id:r.rx_id ~ts:r.ts ~echo_ts:r.echo_ts

@@ -8,11 +8,12 @@
     Rate control (§2.2): an incoming report below the current rate makes
     its sender the current limiting receiver (CLR) and the rate drops to
     it immediately; increases happen only on CLR feedback and are capped
-    at [increase_limit_packets] packets per CLR RTT.  Reports lacking a
-    valid RTT are rescaled using a sender-side RTT measurement (§2.4.4).
+    at {!Config.increase_limit_packets} packets per CLR RTT.  Reports
+    lacking a valid RTT are rescaled using a sender-side RTT measurement
+    (§2.4.4).
     Slowstart (§2.6) targets twice the minimum reported receive rate,
     approached over one RTT, and ends at the first loss report.  A CLR
-    silent for [clr_timeout_rounds] feedback rounds (or sending an
+    silent for {!Config.clr_timeout_rounds} feedback rounds (or sending an
     explicit leave) is dropped, after which the rate ramps up at the
     capped rate until a new report arrives (so the correct new CLR
     reveals itself).  Optionally the previous CLR is remembered for
@@ -78,7 +79,7 @@ val clr_timeouts : t -> int
 
 val is_starved : t -> bool
 (** Whether the sender currently sits in the feedback-starvation decay
-    (no receiver heard for [starvation_rounds] feedback rounds). *)
+    (no receiver heard for {!Config.starvation_rounds} feedback rounds). *)
 
 val feedback_starvations : t -> int
 (** Transitions into the starved state so far. *)

@@ -353,12 +353,6 @@ let test_persistent_crash_fails () =
         iso_config with
         Harness.sessions = 2;
         duration = 12.;
-        supervise =
-          {
-            Harness.default_supervision with
-            Harness.max_restarts = 2;
-            restart_backoff = 0.1;
-          };
         faults =
           [
             Harness.Kill_session_every
@@ -366,8 +360,9 @@ let test_persistent_crash_fails () =
           ];
       }
   in
-  Alcotest.(check int) "restarts exhausted" 2 r.Harness.restarts;
-  Alcotest.(check int) "crashes = restarts + 1" 3 r.Harness.crashes;
+  Alcotest.(check int) "restarts exhausted" Harness.max_restarts r.Harness.restarts;
+  Alcotest.(check int) "crashes = restarts + 1" (Harness.max_restarts + 1)
+    r.Harness.crashes;
   Alcotest.(check int) "one session failed" 1 r.Harness.sessions_failed;
   (match List.assoc 1 r.Harness.outcomes with
   | Par.Failed _ -> ()
@@ -385,13 +380,7 @@ let test_stall_watchdog () =
         iso_config with
         Harness.sessions = 2;
         duration = 12.;
-        supervise =
-          {
-            Harness.default_supervision with
-            Harness.probe_interval = 0.25;
-            stall_probes = 4;
-            restart_backoff = 0.1;
-          };
+        supervise = { Harness.probe_interval = 0.25 };
         faults = [ Harness.Stop_sender { session = 1; at = 2. } ];
       }
   in
@@ -404,28 +393,6 @@ let test_stall_watchdog () =
         "stalled session recovered and converged" true (Harness.converged s ~cfg)
   | o -> Alcotest.failf "expected Ok after restart, got %s" (Par.outcome_label o));
   Alcotest.(check int) "backstop untouched" 0 r.Harness.loop_exceptions
-
-(* Stalls are still counted when restart_on_stall is off, but nothing
-   is torn down. *)
-let test_stall_no_restart () =
-  let r =
-    Harness.run
-      {
-        iso_config with
-        Harness.sessions = 1;
-        duration = 8.;
-        supervise =
-          {
-            Harness.default_supervision with
-            Harness.probe_interval = 0.25;
-            stall_probes = 4;
-            restart_on_stall = false;
-          };
-        faults = [ Harness.Stop_sender { session = 1; at = 2. } ];
-      }
-  in
-  Alcotest.(check bool) "stalls counted" true (r.Harness.stalls >= 1);
-  Alcotest.(check int) "no restart" 0 r.Harness.restarts
 
 (* ------------------------------------------------------------------ *)
 (* Chaos soak: determinism and survival                                *)
@@ -522,7 +489,6 @@ let () =
           Alcotest.test_case "persistent crash fails" `Quick
             test_persistent_crash_fails;
           Alcotest.test_case "stall watchdog restart" `Quick test_stall_watchdog;
-          Alcotest.test_case "stall without restart" `Quick test_stall_no_restart;
         ] );
       ( "soak",
         [

@@ -326,7 +326,7 @@ let test_ntp_initialization_receiver () =
 (* §2.2: the CLR-loss timeout constant is 10 feedback delays. *)
 let test_clr_timeout_constant () =
   Alcotest.(check (float 1e-9)) "10 feedback delays" 10.
-    cfg.Tfmcc_core.Config.clr_timeout_rounds
+    Tfmcc_core.Config.clr_timeout_rounds
 
 (* §2.4.1: before any report, the sender's R_max is the 500 ms initial
    value (and so are the first feedback rounds: T = 6 x 0.5 = 3 s). *)

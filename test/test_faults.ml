@@ -282,15 +282,15 @@ let test_sender_rejects_unknown_session () =
 
 let test_sender_rejects_implausible_rounds () =
   let rig = make_rig () in
-  (* stale window = ceil(clr_timeout_rounds) = 1 round *)
-  let cfg' = { cfg with Tfmcc_core.Config.clr_timeout_rounds = 1. } in
-  let snd = started_sender ~cfg:cfg' ~initial_rate:100_000. rig in
-  while Tfmcc_core.Sender.round snd < 2 do
+  (* stale window = ceil(clr_timeout_rounds) = 10 rounds *)
+  let window = int_of_float (Float.ceil Tfmcc_core.Config.clr_timeout_rounds) in
+  let snd = started_sender ~initial_rate:100_000. rig in
+  while Tfmcc_core.Sender.round snd < window + 1 do
     run_for rig 0.5
   done;
   let r = Tfmcc_core.Sender.round snd in
   let rx = Netsim.Node.id rig.rx_node in
-  deliver_report rig (report_payload rig ~rx_id:rx ~round:(r - 2) ());
+  deliver_report rig (report_payload rig ~rx_id:rx ~round:(r - window - 1) ());
   run_for rig 0.01;
   Alcotest.(check int) "stale round dropped" 1
     (Tfmcc_core.Sender.malformed_reports_dropped snd);

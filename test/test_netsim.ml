@@ -352,6 +352,19 @@ let test_engine_until () =
   Netsim.Engine.run e;
   Alcotest.(check int) "second fires on resume" 2 !fired
 
+(* No event time is ever past a NaN [until]: rejected before anything
+   fires, where it used to run every event (and spin forever on a
+   periodic one). *)
+let test_engine_nan_until () =
+  let e = Netsim.Engine.create () in
+  let fired = ref 0 in
+  ignore (Netsim.Engine.at e ~time:1.0 (fun () -> incr fired));
+  (match Netsim.Engine.run ~until:Float.nan e with
+  | () -> Alcotest.fail "run ~until:nan returned"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "nothing fired" 0 !fired;
+  check_float "clock unmoved" 0. (Netsim.Engine.now e)
+
 let test_engine_stop () =
   let e = Netsim.Engine.create () in
   let fired = ref 0 in
@@ -1447,6 +1460,7 @@ let () =
         [
           Alcotest.test_case "time advances" `Quick test_engine_time_advances;
           Alcotest.test_case "run until" `Quick test_engine_until;
+          Alcotest.test_case "NaN until rejected" `Quick test_engine_nan_until;
           Alcotest.test_case "stop" `Quick test_engine_stop;
           Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;

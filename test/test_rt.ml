@@ -306,6 +306,37 @@ let test_loop_runaway_cap () =
           Alcotest.(check int) "not handed to the handler" 0 (Loop.exceptions_caught loop))
     [ false; true ]
 
+(* No deadline is ever past a NaN [until], so a run with one would
+   never stop on a periodic timer: rejected up front, nothing fired. *)
+let test_loop_nan_until () =
+  let loop = Loop.create () in
+  let fired = ref 0 in
+  ignore (Loop.after loop ~delay:1. (fun () -> incr fired));
+  (match Loop.run ~until:Float.nan loop with
+  | () -> Alcotest.fail "run ~until:nan returned"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "nothing fired" 0 !fired;
+  Alcotest.(check int) "timer still pending" 1 (Loop.timers_pending loop)
+
+(* The harness bounds every run: a run length that is not finite and
+   positive, or a non-finite epoch, is a config error.  The finite
+   cases come first: at a NaN or infinite length a run that accepted it
+   would never return. *)
+let test_harness_rejects_bad_run_length () =
+  List.iter
+    (fun (label, c) ->
+      match Harness.run c with
+      | _ -> Alcotest.failf "%s accepted" label
+      | exception Invalid_argument _ -> ())
+    [
+      ("duration -1", { Harness.default with Harness.duration = -1. });
+      ("duration 0", { Harness.default with Harness.duration = 0. });
+      ("epoch nan", { Harness.default with Harness.epoch = Float.nan });
+      ("epoch inf", { Harness.default with Harness.epoch = Float.infinity });
+      ("duration nan", { Harness.default with Harness.duration = Float.nan });
+      ("duration inf", { Harness.default with Harness.duration = Float.infinity });
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Turbo loop                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -877,11 +908,11 @@ let test_realtime_loopback_smoke () =
   Alcotest.(check int) "no decode errors" 0 r.Harness.decode_errors
 
 (* A callback that blocks the loop makes the next timer tardy beyond
-   the tolerance: counted as a clock anomaly, not dropped. *)
+   the 50 ms tolerance: counted as a clock anomaly, not dropped. *)
 let test_realtime_late_timer_counted () =
-  let loop = Loop.create ~mode:Loop.Realtime ~late_tolerance_s:0.02 () in
+  let loop = Loop.create ~mode:Loop.Realtime () in
   let fired = ref 0 in
-  ignore (Loop.after loop ~delay:0.005 (fun () -> Unix.sleepf 0.08));
+  ignore (Loop.after loop ~delay:0.005 (fun () -> Unix.sleepf 0.12));
   ignore (Loop.after loop ~delay:0.01 (fun () -> incr fired));
   Loop.run loop;
   Alcotest.(check int) "late timer still fired" 1 !fired;
@@ -913,7 +944,7 @@ let test_udp_rejects_turbo () =
   let loop = Loop.create ~mode:Loop.Turbo () in
   Alcotest.check_raises "turbo UDP rejected"
     (Invalid_argument "Udp.create: needs a realtime loop (virtual time outruns sockets)") (fun () ->
-      ignore (Udp.create loop ()))
+      ignore (Udp.create loop))
 
 let () =
   Alcotest.run "rt"
@@ -943,6 +974,9 @@ let () =
           Alcotest.test_case "frame raise meets the backstop" `Quick
             test_loop_frame_backstop;
           Alcotest.test_case "runaway zero-delay chain fails" `Quick test_loop_runaway_cap;
+          Alcotest.test_case "NaN until rejected" `Quick test_loop_nan_until;
+          Alcotest.test_case "harness rejects bad run length" `Quick
+            test_harness_rejects_bad_run_length;
         ] );
       ( "clock hardening",
         [

@@ -219,7 +219,7 @@ let test_flaky_fails_without_retry () =
     (Experiments.Sweep.cause_label f.f_cause)
 
 let test_stall_aborted () =
-  let r = supervised ~policy:{ policy with stall_events = 10_000 } [ xstall ] in
+  let r = supervised [ xstall ] in
   let f = the_failure r in
   Alcotest.(check string) "cause" "stalled"
     (Experiments.Sweep.cause_label f.f_cause);
@@ -248,8 +248,7 @@ let test_sleep_times_out () =
 let test_partial_sweep_keeps_successes () =
   (* one crashing and one stalling task must not cost the healthy
      figures: their rendered series are byte-identical to a clean sweep *)
-  let p = { policy with stall_events = 10_000 } in
-  let mixed = supervised ~policy:p [ find "fig01"; xcrash; xstall; find "fig04" ] in
+  let mixed = supervised [ find "fig01"; xcrash; xstall; find "fig04" ] in
   let clean = supervised [ find "fig01"; find "fig04" ] in
   Alcotest.(check int) "two failures" 2 (List.length mixed.failures);
   Alcotest.(check int) "exit code" 3 (Experiments.Sweep.exit_code mixed);
@@ -263,7 +262,7 @@ let test_partial_sweep_keeps_successes () =
   | Error msg -> Alcotest.failf "healthy figures diverged: %s" msg
 
 let test_serial_parallel_agree () =
-  let p = { policy with stall_events = 10_000; retries = 1 } in
+  let p = { policy with retries = 1 } in
   let ids = [ find "fig01"; xcrash; find "fig04"; xstall ] in
   let a = supervised ~policy:p ~jobs:1 ids in
   let b = supervised ~policy:p ~jobs:4 ids in

@@ -13,29 +13,34 @@ let test_default_valid () =
   | Error e -> Alcotest.failf "default config invalid: %s" e
 
 let test_validate_catches_bad () =
-  let bad fields =
+  let bad name fields =
     match Tfmcc_core.Config.validate fields with
-    | Ok () -> Alcotest.fail "expected invalid"
+    | Ok () -> Alcotest.failf "%s accepted" name
     | Error _ -> ()
   in
-  bad { cfg with packet_size = 0 };
-  bad { cfg with rtt_initial = -1. };
-  bad { cfg with ewma_clr = 0. };
-  bad { cfg with fb_delta = 1. };
-  bad { cfg with zeta = 1.5 };
-  bad { cfg with n_estimate = 1 };
-  bad { cfg with slowstart_multiplier = 0.5 }
+  bad "packet_size 0" { cfg with packet_size = 0 };
+  bad "rtt_initial -1" { cfg with rtt_initial = -1. };
+  bad "zeta 1.5" { cfg with zeta = 1.5 };
+  (* NaN is false under every comparison, so each float range check
+     must test finiteness first. *)
+  List.iter
+    (fun (v, label) ->
+      bad ("rtt_initial " ^ label) { cfg with rtt_initial = v };
+      bad ("zeta " ^ label) { cfg with zeta = v };
+      bad ("b " ^ label) { cfg with b = v };
+      bad ("max_rate " ^ label) { cfg with max_rate = v })
+    [ (Float.nan, "nan"); (Float.infinity, "inf"); (Float.neg_infinity, "-inf") ]
 
 let test_default_follows_paper () =
   Alcotest.(check int) "s = 1000" 1000 cfg.packet_size;
   Alcotest.(check int) "8 loss intervals" 8 cfg.n_intervals;
   check_float "initial RTT 500ms" 0.5 cfg.rtt_initial;
-  check_float "CLR EWMA 0.05" 0.05 cfg.ewma_clr;
-  check_float "non-CLR EWMA 0.5" 0.5 cfg.ewma_other;
-  Alcotest.(check int) "N = 10000" 10_000 cfg.n_estimate;
+  check_float "CLR EWMA 0.05" 0.05 Tfmcc_core.Config.ewma_clr;
+  check_float "non-CLR EWMA 0.5" 0.5 Tfmcc_core.Config.ewma_other;
+  Alcotest.(check int) "N = 10000" 10_000 Tfmcc_core.Config.n_estimate;
   check_float "zeta = 0.1" 0.1 cfg.zeta;
   check_float "suppression window = 4 RTTs" 4.
-    ((1. -. cfg.fb_delta) *. cfg.round_rtt_factor)
+    ((1. -. Tfmcc_core.Config.fb_delta) *. Tfmcc_core.Config.round_rtt_factor)
 
 (* ------------------------------------------------------- Feedback_timer *)
 
@@ -100,7 +105,7 @@ let test_round_duration_regimes () =
   let d_high =
     Tfmcc_core.Feedback_timer.round_duration ~cfg ~max_rtt:0.1 ~rate:1e6
   in
-  check_float "RTT-dominated" (cfg.round_rtt_factor *. 0.1) d_high;
+  check_float "RTT-dominated" (Tfmcc_core.Config.round_rtt_factor *. 0.1) d_high;
   let d_low =
     Tfmcc_core.Feedback_timer.round_duration ~cfg ~max_rtt:0.1 ~rate:100.
   in
