@@ -51,8 +51,11 @@ type 'a t = {
 let ignore_msg _ (_ : int) = ()
 
 (* All-float cell (raw double storage): [step] writes the popped time
-   here so the caller's clock update is a plain store. *)
+   here so the caller's clock update is a plain store, and [insert]
+   reads a deadline's base from one. *)
 type time_cell = { mutable cell_time : float }
+
+let time_zero = { cell_time = 0. }
 
 let initial_capacity = 64
 
@@ -98,10 +101,15 @@ let grow t =
    Indices are bounded by [t.len] (a local invariant of each loop), so
    array accesses use the unsafe primitives. *)
 
-(* Claim a slot for a new entry with time [time] and sift it up.  The
-   new seq is the largest, so only a strictly later parent moves down.
-   Returns the slot; the caller writes the payload. *)
-let insert t time =
+(* Claim a slot for a new entry due at [base + offset] and sift it up.
+   The key is summed here, so it stays an unboxed local: a deadline
+   summed by the caller would be boxed to cross into this module (the
+   dev profile compiles with [-opaque]).  The new seq is the largest, so
+   only a strictly later parent moves down.  Returns the slot; the
+   caller writes the payload. *)
+let insert t base offset =
+  let time = base.cell_time +. offset in
+  if Float.is_nan time then invalid_arg "Event_heap: NaN deadline";
   if t.len = Array.length t.times then grow t;
   let s =
     if t.nfree > 0 then begin
@@ -134,20 +142,17 @@ let insert t time =
   Array.unsafe_set slots !i s;
   s
 
-let add t ~time callback =
-  if Float.is_nan time then invalid_arg "Event_heap.add: NaN time";
-  let s = insert t time in
+let add t ~base ~offset callback =
+  let s = insert t base offset in
   Array.unsafe_set t.fns s callback;
   { h_slot = s; h_seq = Array.unsafe_get t.owner s }
 
-let add_unit t ~time callback =
-  if Float.is_nan time then invalid_arg "Event_heap.add_unit: NaN time";
-  let s = insert t time in
+let add_unit t ~base ~offset callback =
+  let s = insert t base offset in
   Array.unsafe_set t.fns s callback
 
-let add_msg t ~time f x n =
-  if Float.is_nan time then invalid_arg "Event_heap.add_msg: NaN time";
-  let s = insert t time in
+let add_msg t ~base ~offset f x n =
+  let s = insert t base offset in
   Array.unsafe_set t.msgs s f;
   Array.unsafe_set t.args s x;
   Array.unsafe_set t.ints s n

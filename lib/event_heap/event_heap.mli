@@ -28,32 +28,43 @@ type 'a t
 type handle
 (** Identifies a closure entry for cancellation. *)
 
+type time_cell = { mutable cell_time : float }
+(** All-float record (raw double storage): writes to it never box, and
+    a read of [cell_time] is a raw double load.  Both backends keep
+    their clock in one. *)
+
+val time_zero : time_cell
+(** A cell at time 0, the base of absolute deadlines: [~base:time_zero
+    ~offset:time] is due at [time] exactly.  Never written. *)
+
 val create : dummy:'a -> 'a t
 (** [dummy] fills empty message slots and marks closure slots.  It must
     be a value no message ever carries (compared with [==]). *)
 
-val add : 'a t -> time:float -> (unit -> unit) -> handle
-(** Schedules a closure.  [time] may be at or before the current
-    minimum.
-    @raise Invalid_argument on a NaN [time]. *)
+(** Every entry is due at [base.cell_time +. offset], summed inside the
+    heap: an owner schedules [delay] seconds from now with its clock
+    cell as [base] and passes [delay] as it holds it, so no deadline is
+    boxed on the way in (DESIGN.md §14).  A due time at or before the
+    current minimum is allowed.  Each raises [Invalid_argument] on a
+    NaN due time. *)
 
-val add_unit : 'a t -> time:float -> (unit -> unit) -> unit
+val add : 'a t -> base:time_cell -> offset:float -> (unit -> unit) -> handle
+(** Schedules a closure and returns its cancel handle. *)
+
+val add_unit : 'a t -> base:time_cell -> offset:float -> (unit -> unit) -> unit
 (** Like {!add} for fire-and-forget entries: no handle is returned and
     nothing is allocated. *)
 
-val add_msg : 'a t -> time:float -> ('a -> int -> unit) -> 'a -> int -> unit
-(** [add_msg t ~time f x n] schedules the call [f x n] at [time].  With
-    a preallocated [f] this schedules a delivery without a closure.  A
+val add_msg :
+  'a t -> base:time_cell -> offset:float -> ('a -> int -> unit) -> 'a -> int -> unit
+(** [add_msg t ~base ~offset f x n] schedules the call [f x n].  With a
+    preallocated [f] this schedules a delivery without a closure.  A
     message cannot be cancelled.  Once popped, the slot drops its
-    references to [f] and [x].
-    @raise Invalid_argument on a NaN [time]. *)
+    references to [f] and [x]. *)
 
 val cancel : 'a t -> handle -> unit
 (** Cancelling an already-fired or already-cancelled entry is a no-op,
     also once its slot holds a later entry. *)
-
-type time_cell = { mutable cell_time : float }
-(** All-float record (raw double storage): writes to it never box. *)
 
 val step : 'a t -> limit:float -> into:time_cell -> pre:(unit -> unit) -> bool
 (** The one dispatch primitive.  Discards cancelled entries surfacing

@@ -110,7 +110,6 @@ let rec schedule_eval t =
 
 let on_data t ~layer ~seq ~cumulative_rate ~next_cumulative =
   if t.joined && layer < t.subscribed then begin
-    let now = Netsim.Engine.now t.engine in
     t.received <- t.received + 1;
     ensure_arrays t (layer + 2);
     if layer + 1 > t.n_layers then t.n_layers <- layer + 1;
@@ -134,7 +133,7 @@ let on_data t ~layer ~seq ~cumulative_rate ~next_cumulative =
       else 0
     in
     t.clock <- t.clock + 1 + lost;
-    Tfrc.Loss_history.on_packet t.history ~seq:(t.clock - 1) ~now ~rtt:t.rtt
+    Tfrc.Loss_history.on_packet t.history ~seq:(t.clock - 1)
   end
 
 let create topo ~session ~node ?(rtt_estimate = 0.1) ?(min_join_interval = 2.)
@@ -152,7 +151,9 @@ let create topo ~session ~node ?(rtt_estimate = 0.1) ?(min_join_interval = 2.)
       rtt = rtt_estimate;
       min_join_interval;
       b;
-      history = Tfrc.Loss_history.create ();
+      history =
+        Tfrc.Loss_history.create ~clock:(Netsim.Engine.time_cell engine)
+          ~rtt:(fun () -> rtt_estimate) ();
       expected = Array.make 8 (-1);
       clock = 0;
       subscribed = 0;

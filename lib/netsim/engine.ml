@@ -76,29 +76,30 @@ let at t ~time callback =
   if time < t.clock.Event_heap.cell_time then
     invalid_arg
       (Printf.sprintf "Engine.at: time %g is in the past (now %g)" time t.clock.Event_heap.cell_time);
-  Event_heap.add t.heap ~time callback
+  Event_heap.add t.heap ~base:Event_heap.time_zero ~offset:time callback
 
 let after t ~delay callback =
   if delay < 0. then invalid_arg "Engine.after: negative delay";
-  Event_heap.add t.heap ~time:(t.clock.Event_heap.cell_time +. delay) callback
+  Event_heap.add t.heap ~base:t.clock ~offset:delay callback
 
-(* Fire-and-forget scheduling: no handle is allocated or returned, so
-   the engine-internal hot paths (link transmissions/arrivals) schedule
+(* Fire-and-forget scheduling: no handle is allocated or returned, and
+   the heap sums the deadline from the clock cell, so the
+   engine-internal hot paths (link transmissions/arrivals) schedule
    without allocating (the payload goes into the heap's slot tables). *)
 let after_unit t ~delay callback =
   if delay < 0. then invalid_arg "Engine.after_unit: negative delay";
-  Event_heap.add_unit t.heap ~time:(t.clock.Event_heap.cell_time +. delay) callback
+  Event_heap.add_unit t.heap ~base:t.clock ~offset:delay callback
 
 let after_pkt t ~delay pcb p =
   if delay < 0. then invalid_arg "Engine.after_pkt: negative delay";
-  Event_heap.add_msg t.heap ~time:(t.clock.Event_heap.cell_time +. delay) pcb p 0
+  Event_heap.add_msg t.heap ~base:t.clock ~offset:delay pcb p 0
 
 let at_unit t ~time callback =
   if time < t.clock.Event_heap.cell_time then
     invalid_arg
       (Printf.sprintf "Engine.at_unit: time %g is in the past (now %g)" time
          t.clock.Event_heap.cell_time);
-  Event_heap.add_unit t.heap ~time callback
+  Event_heap.add_unit t.heap ~base:Event_heap.time_zero ~offset:time callback
 
 let cancel t handle = Event_heap.cancel t.heap handle
 
@@ -109,7 +110,7 @@ let every t ?start ?until ~interval callback =
     match until with
     | Some limit when time > limit -> ()
     | _ ->
-        Event_heap.add_unit t.heap ~time (fun () ->
+        Event_heap.add_unit t.heap ~base:Event_heap.time_zero ~offset:time (fun () ->
             callback ();
             tick (time +. interval))
   in

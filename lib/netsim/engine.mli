@@ -31,8 +31,9 @@ val now : t -> float
 val time_cell : t -> Event_heap.time_cell
 (** The engine's clock cell, for hot paths that read the time every
     packet: a [cell_time] field read is a raw double load, where {!now}
-    boxes its result at the call boundary.  Read-only for callers — the
-    engine owns the write. *)
+    boxes its result at the call boundary.  It is the [Env.clock] of
+    every simulated endpoint.  Read-only for callers — the engine owns
+    the write. *)
 
 val rng : t -> Stats.Rng.t
 (** The engine's master random stream.  Components that need their own
@@ -50,13 +51,15 @@ val after : t -> delay:float -> (unit -> unit) -> handle
 
 val after_unit : t -> delay:float -> (unit -> unit) -> unit
 (** Fire-and-forget {!after}: no handle (the event cannot be cancelled).
-    Use whenever the handle would be [ignore]d. *)
+    Use whenever the handle would be [ignore]d.  Allocates nothing: the
+    heap sums the deadline from the clock cell. *)
 
 val after_pkt : t -> delay:float -> (Packet.t -> int -> unit) -> Packet.t -> unit
 (** Fire-and-forget packet event: after [delay], applies the function
     to the packet and 0 (an {!Event_heap.add_msg} message whose int the
     simulator leaves unused).  With a preallocated per-object function
-    this schedules a delivery without allocating a per-packet closure. *)
+    this schedules a delivery without allocating anything, like
+    {!after_unit}. *)
 
 val at_unit : t -> time:float -> (unit -> unit) -> unit
 (** Fire-and-forget {!at}: no handle, like {!after_unit}. *)

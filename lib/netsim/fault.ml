@@ -183,7 +183,7 @@ let corrupt t link ?from_ ?until ~rate ~mangle () =
   check_rate rate;
   add_injector t link
     (windowed t ~from_ ~until (fun p ->
-         if Stats.Rng.uniform t.rng < rate then begin
+         if Stats.Rng.bernoulli t.rng rate then begin
            t.corruptions <- t.corruptions + 1;
            Obs.Metrics.Counter.inc t.m_corruptions;
            `Replace (mangle t.rng p)
@@ -194,7 +194,7 @@ let duplicate t link ?from_ ?until ~rate () =
   check_rate rate;
   add_injector t link
     (windowed t ~from_ ~until (fun _ ->
-         if Stats.Rng.uniform t.rng < rate then begin
+         if Stats.Rng.bernoulli t.rng rate then begin
            t.duplications <- t.duplications + 1;
            Obs.Metrics.Counter.inc t.m_duplications;
            `Duplicate
@@ -206,7 +206,7 @@ let reorder t link ?from_ ?until ~rate ~extra_delay () =
   if extra_delay <= 0. then invalid_arg "Fault.reorder: extra_delay must be positive";
   add_injector t link
     (windowed t ~from_ ~until (fun _ ->
-         if Stats.Rng.uniform t.rng < rate then begin
+         if Stats.Rng.bernoulli t.rng rate then begin
            t.reorderings <- t.reorderings + 1;
            Obs.Metrics.Counter.inc t.m_reorderings;
            `Delay (Stats.Rng.uniform_pos t.rng *. extra_delay)
@@ -217,7 +217,7 @@ let drop t link ?from_ ?until ~rate () =
   check_rate rate;
   add_injector t link
     (windowed t ~from_ ~until (fun _ ->
-         if Stats.Rng.uniform t.rng < rate then begin
+         if Stats.Rng.bernoulli t.rng rate then begin
            t.drops_injected <- t.drops_injected + 1;
            Obs.Metrics.Counter.inc t.m_drops;
            `Drop

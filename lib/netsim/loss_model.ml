@@ -52,16 +52,15 @@ let set_dynamic t m =
 
 let rec drops_packet = function
   | None_ -> false
-  | Bernoulli { rng; p } -> p > 0. && Stats.Rng.uniform rng < p
+  | Bernoulli { rng; p } -> p > 0. && Stats.Rng.bernoulli rng p
   | Gilbert g ->
       (* Advance the chain, then draw loss for the current state. *)
-      let flip = Stats.Rng.uniform g.rng in
       if g.state.in_bad then begin
-        if flip < g.p_bg then g.state.in_bad <- false
+        if Stats.Rng.bernoulli g.rng g.p_bg then g.state.in_bad <- false
       end
-      else if flip < g.p_gb then g.state.in_bad <- true;
+      else if Stats.Rng.bernoulli g.rng g.p_gb then g.state.in_bad <- true;
       let p = if g.state.in_bad then g.loss_bad else g.loss_good in
-      p > 0. && Stats.Rng.uniform g.rng < p
+      p > 0. && Stats.Rng.bernoulli g.rng p
   | Dynamic d -> drops_packet d.current
 
 let rec loss_rate_hint = function

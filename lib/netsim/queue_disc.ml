@@ -127,7 +127,7 @@ let red_enqueue q s p =
       let denom = 1. -. (float_of_int s.count *. pb) in
       if denom <= 0. then 1. else pb /. denom
     in
-    if Stats.Rng.uniform s.rng < pa then begin
+    if Stats.Rng.bernoulli s.rng pa then begin
       s.count <- 0;
       reject q
     end

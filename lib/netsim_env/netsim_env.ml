@@ -20,7 +20,7 @@ let env topo ~session node =
   let group_dst = Netsim.Packet.Multicast session in
   {
     Env.id;
-    now = (fun () -> Netsim.Engine.now eng);
+    clock = Netsim.Engine.time_cell eng;
     after = (fun ~delay f -> timer (Netsim.Engine.after eng ~delay f));
     after_unit = (fun ~delay f -> Netsim.Engine.after_unit eng ~delay f);
     at = (fun ~time f -> timer (Netsim.Engine.at eng ~time f));

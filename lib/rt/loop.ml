@@ -2,20 +2,22 @@
 
 type mode = Turbo | Realtime
 
-(* [vnow] is a [mutable float] in this mixed record on purpose, boxed
-   on each write: every [Env.now] read goes through a closure and
-   returns a boxed float anyway, which a boxed field hands out without
-   copying, where an all-float cell would box a fresh float per read
-   (DESIGN.md §13).  The heap writes each popped time into the
-   all-float [popped] instead: [at] accepts past deadlines, so the
-   popped time is not always the new clock. *)
+(* The loop clock is the all-float cell [clock], the one every hosted
+   endpoint's [Env.clock] names: its readers load a raw double, and the
+   heap sums [after] deadlines from it, so neither boxes (DESIGN.md
+   §13).  Turbo moves it to each fired entry's time (never back);
+   realtime writes one monotonic sample per step (each fired entry, each
+   fd callback, each pass of the run loop), so every read within one
+   callback sees one instant.  The heap writes each popped time into
+   the separate [popped]: [at] accepts past deadlines, so the popped
+   time is not always the new clock. *)
 type t = {
   mode : mode;
   heap : bytes Event_heap.t;
+  clock : Event_heap.time_cell; (* turbo time; realtime: latest sample *)
   popped : Event_heap.time_cell; (* time of the entry being fired *)
   last : Event_heap.time_cell; (* previous popped time, for [chain] *)
-  mutable vnow : float; (* turbo clock; realtime: last sampled value *)
-  mutable clock : unit -> float; (* realtime monotonic clock *)
+  mutable read_clock : unit -> float; (* realtime monotonic clock *)
   obs : Obs.Sink.t;
   rng : Stats.Rng.t;
   mutable fds : (Unix.file_descr * (unit -> unit)) list;
@@ -60,13 +62,12 @@ let protect t fn =
   | Some handler -> (
       try fn () with e -> caught t handler e (Printexc.get_raw_backtrace ()))
 
-let now t =
-  match t.mode with
-  | Turbo -> t.vnow
-  | Realtime ->
-      let n = t.clock () in
-      t.vnow <- n;
-      n
+let now t = t.clock.Event_heap.cell_time
+
+let clock t = t.clock
+
+(* Realtime only: one clock sample, read by everything up to the next. *)
+let sample t = t.clock.Event_heap.cell_time <- t.read_clock ()
 
 (* Zero-delay chains are finite in TFMCC (its timers are paced); the
    [Event_heap.livelock_events] cap turns a runaway chain into a crash
@@ -81,15 +82,16 @@ exception Runaway
 let late_tolerance = 0.05
 
 (* Per-entry accounting, run by [Event_heap.step] between the pop and
-   the fire: count, move the turbo clock forward (never back), check a
-   realtime entry's tardiness against a fresh clock sample, and cap the
-   chain. *)
+   the fire: count, move the turbo clock forward (never back), take the
+   realtime step's clock sample and check the entry's tardiness against
+   it, and cap the chain. *)
 let on_fire t =
   t.fired <- t.fired + 1;
   let time = t.popped.Event_heap.cell_time in
   (match t.mode with
-  | Turbo -> if time > t.vnow then t.vnow <- time
+  | Turbo -> if time > t.clock.Event_heap.cell_time then t.clock.Event_heap.cell_time <- time
   | Realtime ->
+      sample t;
       if now t -. time > late_tolerance then anomaly t ~kind:"late-timer");
   if time > t.last.Event_heap.cell_time then begin
     t.last.Event_heap.cell_time <- time;
@@ -109,10 +111,10 @@ let create ?(mode = Turbo) ?(epoch = 0.) ?obs ?(seed = 42) () =
     {
       mode;
       heap = Event_heap.create ~dummy:no_frame;
+      clock = { Event_heap.cell_time = epoch };
       popped = { Event_heap.cell_time = epoch };
       last = { Event_heap.cell_time = neg_infinity };
-      vnow = epoch;
-      clock = (fun () -> epoch);
+      read_clock = (fun () -> epoch);
       obs;
       rng = Stats.Rng.create seed;
       fds = [];
@@ -129,10 +131,11 @@ let create ?(mode = Turbo) ?(epoch = 0.) ?obs ?(seed = 42) () =
   | Realtime ->
       let t0 = Unix.gettimeofday () in
       let raw () = epoch +. (Unix.gettimeofday () -. t0) in
-      t.clock <-
+      t.read_clock <-
         Tfmcc_core.Env.monotonic_clock
           ~on_anomaly:(fun _magnitude -> anomaly t ~kind:"clock-backstep")
-          raw);
+          raw;
+      sample t);
   t
 
 let mode t = t.mode
@@ -147,19 +150,20 @@ let set_exn_handler t h = t.exn_handler <- Some h
 
 let exceptions_caught t = t.exns_caught
 
-let deadline_after t ~delay =
-  let delay =
-    if Float.is_finite delay && delay >= 0. then delay
-    else begin
-      anomaly t ~kind:"bad-delay";
-      0.
-    end
-  in
-  now t +. delay
+(* Returns [delay] itself (already boxed) or the constant 0., so the
+   call allocates nothing; the heap adds it to the clock cell. *)
+let checked_delay t delay =
+  if Float.is_finite delay && delay >= 0. then delay
+  else begin
+    anomaly t ~kind:"bad-delay";
+    0.
+  end
 
-let after t ~delay fn = timer_of t (Event_heap.add t.heap ~time:(deadline_after t ~delay) fn)
+let after t ~delay fn =
+  timer_of t (Event_heap.add t.heap ~base:t.clock ~offset:(checked_delay t delay) fn)
 
-let after_unit t ~delay fn = Event_heap.add_unit t.heap ~time:(deadline_after t ~delay) fn
+let after_unit t ~delay fn =
+  Event_heap.add_unit t.heap ~base:t.clock ~offset:(checked_delay t delay) fn
 
 let at t ~time fn =
   let time =
@@ -169,9 +173,10 @@ let at t ~time fn =
       now t
     end
   in
-  timer_of t (Event_heap.add t.heap ~time fn)
+  timer_of t (Event_heap.add t.heap ~base:Event_heap.time_zero ~offset:time fn)
 
-let frame_at t ~time deliver frame size = Event_heap.add_msg t.heap ~time deliver frame size
+let frame_at t ~time deliver frame size =
+  Event_heap.add_msg t.heap ~base:Event_heap.time_zero ~offset:time deliver frame size
 
 (* Self-rescheduling periodic timer.  The next occurrence is queued
    before [fn] runs, so the chain survives a callback exception when an
@@ -184,7 +189,7 @@ let every t ~interval fn =
   let cur = ref None in
   let rec arm ~time =
     let h =
-      Event_heap.add t.heap ~time (fun () ->
+      Event_heap.add t.heap ~base:Event_heap.time_zero ~offset:time (fun () ->
           if not !cancelled then begin
             arm ~time:(time +. interval);
             fn ()
@@ -219,6 +224,7 @@ let step t ~limit =
 let run_realtime ~stop_at t =
   let continue_ = ref true in
   while !continue_ do
+    sample t;
     let nw = now t in
     if nw >= stop_at then continue_ := false
     else begin
@@ -233,6 +239,7 @@ let run_realtime ~stop_at t =
           in
           (* Cap the sleep so a far-off deadline still re-samples the
              clock (and anomaly counters) at a human timescale. *)
+          sample t;
           let timeout = Float.max 0. (Float.min 0.25 (target -. now t)) in
           match fds with
           | [] -> if timeout > 0. then Unix.sleepf timeout
@@ -242,7 +249,9 @@ let run_realtime ~stop_at t =
                   List.iter
                     (fun fd ->
                       match List.assoc_opt fd t.fds with
-                      | Some cb -> protect t cb
+                      | Some cb ->
+                          sample t;
+                          protect t cb
                       | None -> ())
                     ready
               | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()))
@@ -262,7 +271,9 @@ let run ?until t =
         while step t ~limit do
           ()
         done;
-        match until with Some u -> t.vnow <- max t.vnow u | None -> ())
+        match until with
+        | Some u when u > now t -> t.clock.Event_heap.cell_time <- u
+        | Some _ | None -> ())
     | Realtime -> run_realtime ~stop_at:limit t
   with Runaway -> failwith "Loop.run: runaway zero-delay timer chain"
 

@@ -16,8 +16,10 @@
       order — and fast enough to soak thousands of sessions for
       simulated minutes in wall-seconds.  The CI soak and the
       time-translation property test run in this mode.
-    - {b Realtime} (wall clock): [now] comes from
-      {!Tfmcc_core.Env.monotonic_clock} over [Unix.gettimeofday];
+    - {b Realtime} (wall clock): the loop writes one
+      {!Tfmcc_core.Env.monotonic_clock} sample over [Unix.gettimeofday]
+      per step (each fired entry, each fd callback, each pass of
+      {!run}), so every read within one callback sees one instant;
       the loop sleeps in [Unix.select] until the next deadline, waking
       early for watched file descriptors (the UDP transport).  Backward
       clock steps and late timer callbacks are clamped/tolerated and
@@ -37,6 +39,10 @@ val create : ?mode:mode -> ?epoch:float -> ?obs:Obs.Sink.t -> ?seed:int -> unit 
 val mode : t -> mode
 
 val now : t -> float
+
+val clock : t -> Event_heap.time_cell
+(** The loop clock's cell, which {!now} reads: the [Env.clock] of every
+    endpoint the loop hosts.  Read-only for callers. *)
 
 val obs : t -> Obs.Sink.t
 

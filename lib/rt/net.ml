@@ -230,8 +230,8 @@ let send_copy ep frame dsize ~src_blocked dst =
   end
   else if
     t.impair.loss > 0.
-    && Loop.now t.loop >= t.loss_from
-    && Stats.Rng.uniform t.rng < t.impair.loss
+    && (Loop.clock t.loop).Event_heap.cell_time >= t.loss_from
+    && Stats.Rng.bernoulli t.rng t.impair.loss
   then begin
     t.lost <- t.lost + 1;
     Obs.Metrics.Counter.inc t.m_lost
@@ -243,7 +243,8 @@ let send_copy ep frame dsize ~src_blocked dst =
     (* Jitter must not reorder a path: like a netem-shaped FIFO link
        (and like the simulator's queues), an arrival never precedes the
        previous arrival on the same (src,dst). *)
-    let arrival = Loop.now t.loop +. t.impair.delay +. extra in
+    (* The clock is read from its cell: [Loop.now] would box it. *)
+    let arrival = (Loop.clock t.loop).Event_heap.cell_time +. t.impair.delay +. extra in
     let h = horizon ep dst in
     let arrival = if h.last > arrival then h.last else arrival in
     h.last <- arrival;
@@ -299,7 +300,7 @@ let send ep ~dest ~flow:_ ~size msg =
 let env ep =
   {
     Env.id = ep.ep_id;
-    now = (fun () -> Loop.now ep.net.loop);
+    clock = Loop.clock ep.net.loop;
     after = (fun ~delay fn -> Loop.after ep.net.loop ~delay fn);
     after_unit = (fun ~delay fn -> Loop.after_unit ep.net.loop ~delay fn);
     at = (fun ~time fn -> Loop.at ep.net.loop ~time fn);

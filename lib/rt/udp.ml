@@ -321,7 +321,7 @@ let send ep ~dest ~flow:_ ~size msg =
 let env ep =
   {
     Env.id = ep.ep_id;
-    now = (fun () -> Loop.now ep.net.loop);
+    clock = Loop.clock ep.net.loop;
     after = (fun ~delay fn -> Loop.after ep.net.loop ~delay fn);
     after_unit =
       (fun ~delay fn ->

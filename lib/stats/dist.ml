@@ -52,7 +52,7 @@ let gamma_mean_of_min ~shape ~scale ~n ~samples rng =
 
 let uniform_sample rng ~lo ~hi = lo +. Rng.float rng (hi -. lo)
 
-let bernoulli rng ~p = Rng.uniform rng < p
+let bernoulli rng ~p = Rng.bernoulli rng p
 
 let pareto_sample rng ~shape ~scale =
   let u = Rng.uniform_pos rng in

@@ -37,9 +37,13 @@ let int t bound =
   v mod bound
 
 (* 53 random bits scaled into [0,1). *)
-let uniform t =
+let[@inline] uniform t =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   float_of_int v *. 0x1p-53
+
+(* The draw and the comparison share one body, so the uniform never
+   leaves it boxed; callers across the module boundary get a bool. *)
+let bernoulli t p = uniform t < p
 
 let rec uniform_pos t =
   let u = uniform t in

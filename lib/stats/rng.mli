@@ -33,6 +33,13 @@ val float : t -> float -> float
 val uniform : t -> float
 (** [uniform t] draws uniformly from [0, 1) with 53-bit resolution. *)
 
+val bernoulli : t -> float -> bool
+(** [bernoulli t p] is [uniform t < p]: the same single draw and the
+    same comparison, so the stream and the outcome are those of the
+    two-step form, but no float result crosses the module boundary
+    (a per-packet loss draw allocates nothing).  The one way to draw a
+    Bernoulli outcome. *)
+
 val uniform_pos : t -> float
 (** [uniform_pos t] draws uniformly from (0, 1): never returns 0, so it is
     safe as the argument of [log]. *)

@@ -54,7 +54,7 @@ let strategy t = t.strategy
    genuine and the report survives any echo-based check), lying rate
    machinery per strategy. *)
 let forge t =
-  let now = t.env.Env.now () in
+  let now = t.env.Env.clock.Event_heap.cell_time in
   let s = t.cfg.Config.packet_size in
   let b = t.cfg.Config.b in
   let consistent_p ~rtt rate =
@@ -115,7 +115,7 @@ let on_data t ~ts ~rate ~round ~max_rtt =
   t.adv_rate <- rate;
   t.max_rtt <- max_rtt;
   t.last_ts <- ts;
-  t.last_arrival <- t.env.Env.now ();
+  t.last_arrival <- t.env.Env.clock.Event_heap.cell_time;
   t.have_data <- true;
   let new_round = round <> t.round in
   t.round <- round;

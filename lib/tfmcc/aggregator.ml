@@ -59,7 +59,7 @@ let more_restrictive a b =
   if a.r_has_loss <> b.r_has_loss then a.r_has_loss else a.r_rate < b.r_rate
 
 let forward t (r : report) ~leaving =
-  let now = t.env.Env.now () in
+  let now = t.env.Env.clock.Event_heap.cell_time in
   t.env.Env.send
     ~dest:(Env.To_node t.parent)
     ~flow:(-1) ~size:Wire.report_size
@@ -148,7 +148,7 @@ let deliver t msg =
           r_x_recv = r.x_recv;
           r_round = r.round;
           r_has_loss = r.has_loss;
-          r_arrival = t.env.Env.now ();
+          r_arrival = t.env.Env.clock.Event_heap.cell_time;
         }
         ~leaving:r.leaving
   | Wire.Report _ | Wire.Data _ -> ()

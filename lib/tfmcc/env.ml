@@ -4,7 +4,7 @@ type dest = To_group | To_node of int
 
 type t = {
   id : int;
-  now : unit -> float;
+  clock : Event_heap.time_cell;
   after : delay:float -> (unit -> unit) -> timer;
   (* Fire-and-forget [after]: no timer handle, so the runtime need not
      allocate one (the simulator schedules it allocation-free).  Callbacks

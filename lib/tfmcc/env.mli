@@ -10,13 +10,17 @@
 
     Contract expected from implementations:
 
-    - [now] is a monotonic clock in seconds.  It need not start at zero
-      and the protocol must not assume any particular epoch (the
-      time-translation property test enforces this).
-    - [after]/[at] schedule a callback and return a cancellable timer.
-      Callbacks run on the environment's (single) event loop; the
-      protocol core is not thread-safe and relies on run-to-completion
-      callback semantics.
+    - [clock] is a monotonic clock in seconds, read as
+      [clock.cell_time]: the runtime owns the cell and writes it, the
+      protocol only reads it.  A read is a raw double load, so a
+      per-packet path reads the time without boxing it.  Within one
+      callback every read sees the same instant.  The clock need not
+      start at zero and the protocol must not assume any particular
+      epoch (the time-translation property test enforces this).
+    - [after]/[after_unit]/[at] schedule a callback; [after] and [at]
+      return a cancellable timer.  Callbacks run on the environment's
+      (single) event loop; the protocol core is not thread-safe and
+      relies on run-to-completion callback semantics.
     - [send] transmits one protocol message.  [size] is the on-the-wire
       datagram size in bytes (data packets are padded to the configured
       packet size; the byte codec's frames are smaller), [flow] an
@@ -37,7 +41,9 @@ type dest = To_group | To_node of int
 
 type t = {
   id : int;  (** this endpoint's node/endpoint id *)
-  now : unit -> float;
+  clock : Event_heap.time_cell;
+      (** The runtime's clock cell ([Netsim.Engine.time_cell],
+          [Rt.Loop.clock]); read-only here. *)
   after : delay:float -> (unit -> unit) -> timer;
   after_unit : delay:float -> (unit -> unit) -> unit;
       (** Fire-and-forget [after]: no timer handle, so the runtime need
@@ -67,6 +73,7 @@ val monotonic_clock : ?on_anomaly:(float -> unit) -> (unit -> float) -> unit -> 
 (** Wraps a raw clock into a monotonic one: a sample below the previous
     maximum is clamped to that maximum and reported to [on_anomaly]
     with the regression magnitude in seconds.  Real-time environments
-    build their [now] from this (wall clocks step backwards under NTP
+    build their clock from this (wall clocks step backwards under NTP
     slew/step); the simulator's event clock is monotonic by
-    construction and does not need it. *)
+    construction and does not need it.  [Rt.Loop] samples it once per
+    step into its clock cell. *)

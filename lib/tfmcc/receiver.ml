@@ -1,12 +1,12 @@
-(* All-float record: raw double storage, written on every data packet. *)
+(* All-float record: raw double storage, written on every data packet.
+   The arrival time of the newest data packet (local clock) is the RTT
+   estimator's [last_local_now]. *)
 type hot = {
   mutable last_ts : float;  (* sender timestamp *)
-  mutable last_arrival : float;  (* local clock *)
   mutable sender_rate : float;
   mutable round_duration : float;
   (* App. B bookkeeping: RTT in use when the synthetic interval was made. *)
   mutable rtt_at_first_loss : float;
-  mutable rate_at_loss : float;  (* x_recv when the first loss occurred *)
 }
 
 type t = {
@@ -18,6 +18,7 @@ type t = {
   report_flow : int;
   rng : Stats.Rng.t;
   rtt_est : Rtt_estimator.t;
+  rtt_f : Rtt_estimator.floats;  (* [rtt_est]'s floats, read directly *)
   history : Tfrc.Loss_history.t;
   meter : Tfrc.Rate_meter.t;
   mutable joined : bool;
@@ -51,7 +52,7 @@ type t = {
   m_loss_events : Obs.Metrics.Counter.t;
 }
 
-let now t = t.env.Env.now ()
+let now t = t.env.Env.clock.Event_heap.cell_time
 
 let jnl t ?severity ev = Obs.Sink.event t.obs ~time:(now t) ?severity t.scope ev
 
@@ -59,9 +60,9 @@ let node_id t = t.env.Env.id
 
 let joined t = t.joined
 
-let local_now t = Rtt_estimator.local_time t.rtt_est ~now:(now t)
+let local_now t = Rtt_estimator.local_now t.rtt_est
 
-let rtt t = Rtt_estimator.estimate t.rtt_est
+let rtt t = t.rtt_f.Rtt_estimator.rtt
 
 let has_rtt_measurement t = Rtt_estimator.has_measurement t.rtt_est
 
@@ -73,7 +74,7 @@ let loss_event_rate t = Tfrc.Loss_history.loss_event_rate t.history
 
 let has_loss t = Tfrc.Loss_history.has_loss t.history
 
-let x_recv t = Tfrc.Rate_meter.rate_bytes_per_s t.meter ~now:(now t)
+let x_recv t = Tfrc.Rate_meter.rate_bytes_per_s t.meter
 
 let calculated_rate t =
   let p = loss_event_rate t in
@@ -114,7 +115,7 @@ let report_msg t ~leaving =
       rx_id = node_id t;
       ts = now_local;
       echo_ts = t.hot.last_ts;
-      echo_delay = now_local -. t.hot.last_arrival;
+      echo_delay = now_local -. t.rtt_f.Rtt_estimator.last_local_now;
       rate;
       have_rtt = has_rtt_measurement t;
       rtt = rtt t;
@@ -254,24 +255,22 @@ let on_data t ~size (d : Wire.data) =
         let oneway = local_now t -. d.ts in
         Rtt_estimator.init_from_oneway t.rtt_est ~oneway ~max_error:eps
     | Some _ | None -> ());
-    let now_local = local_now t in
     t.received <- t.received + 1;
     Obs.Metrics.Counter.inc t.m_received;
     t.have_data <- true;
     t.hot.last_ts <- d.ts;
-    t.hot.last_arrival <- now_local;
     t.hot.sender_rate <- d.rate;
     t.sender_in_ss <- d.in_slowstart;
     t.sender_clr <- d.clr;
     (* RTT machinery: echo measurement has priority over the one-way
-       adjustment from the same packet. *)
+       adjustment from the same packet.  Either one stamps the arrival
+       (the estimator's [last_local_now]). *)
     let had_measurement = has_rtt_measurement t in
     (match d.echo with
     | Some e when e.Wire.rx_id = node_id t ->
-        Rtt_estimator.on_echo t.rtt_est ~local_now:now_local ~rx_ts:e.Wire.rx_ts
+        Rtt_estimator.on_echo t.rtt_est ~rx_ts:e.Wire.rx_ts
           ~echo_delay:e.Wire.echo_delay ~pkt_ts:d.ts ~is_clr:t.is_clr
-    | Some _ | None ->
-        Rtt_estimator.on_data t.rtt_est ~local_now:now_local ~pkt_ts:d.ts);
+    | Some _ | None -> Rtt_estimator.on_data t.rtt_est ~pkt_ts:d.ts);
     (* App. B: rescale the synthetic first interval when the first real
        RTT measurement replaces the estimate it was computed with. *)
     if (not had_measurement) && has_rtt_measurement t then begin
@@ -287,21 +286,20 @@ let on_data t ~size (d : Wire.data) =
           Tfrc.Loss_history.remodel t.history ~rtt:(rtt t)
       end
     end;
-    (* Receive rate over a few RTTs.  The post-update RTT estimate is
-       read once: every [rtt t] call boxes its float result. *)
-    let now = now t in
-    let rtt_now = rtt t in
+    (* Receive rate over a few RTTs of the post-update estimate.  The
+       window goes to the meter through its all-float cell, and the
+       meter and the loss history read the time from the clock cell, so
+       none of this boxes a float. *)
     let window =
-      Float.max (2. *. rtt_now)
+      Float.max (2. *. rtt t)
         (4. *. float_of_int t.cfg.Config.packet_size /. d.rate)
     in
-    Tfrc.Rate_meter.set_window t.meter (Float.max 0.05 window);
-    Tfrc.Rate_meter.record t.meter ~now ~bytes:size;
-    t.hot.rate_at_loss <- Tfrc.Rate_meter.rate_bytes_per_s t.meter ~now;
+    (Tfrc.Rate_meter.window t.meter).seconds <- Float.max 0.05 window;
+    Tfrc.Rate_meter.record t.meter ~bytes:size;
     (* Loss detection. *)
     let had_loss = Tfrc.Loss_history.has_loss t.history in
     let prev_loss_events = Tfrc.Loss_history.loss_events t.history in
-    Tfrc.Loss_history.on_packet t.history ~seq:d.seq ~now ~rtt:rtt_now;
+    Tfrc.Loss_history.on_packet t.history ~seq:d.seq;
     let new_loss_events =
       Tfrc.Loss_history.loss_events t.history - prev_loss_events
     in
@@ -347,6 +345,10 @@ let create ~env ~cfg ~session ~sender ?report_to ?(clock_offset = 0.)
   let obs = env.Env.obs in
   let metrics = obs.Obs.Sink.metrics in
   let labels = [ ("session", string_of_int session) ] in
+  let clock = env.Env.clock in
+  let rtt_est = Rtt_estimator.create ~metrics ~cfg ~clock ~clock_offset () in
+  let rtt_f = Rtt_estimator.floats rtt_est in
+  let meter = Tfrc.Rate_meter.create ~clock ~window:1. () in
   let rec t =
     lazy
       {
@@ -357,34 +359,36 @@ let create ~env ~cfg ~session ~sender ?report_to ?(clock_offset = 0.)
         ntp_error;
         report_flow;
         rng = env.Env.split_rng ();
-        rtt_est = Rtt_estimator.create ~metrics ~cfg ~clock_offset ();
+        rtt_est;
+        rtt_f;
         history =
-          Tfrc.Loss_history.create ~n_intervals:cfg.Config.n_intervals
+          Tfrc.Loss_history.create ~clock
+            ~rtt:(fun () -> rtt_f.Rtt_estimator.rtt)
+            ~n_intervals:cfg.Config.n_intervals
             ~first_interval:(fun () ->
               let self = Lazy.force t in
-              (* App. B: seed from half the receive rate at first loss,
+              (* App. B: seed from half the receive rate at first loss
+                 (read now, inside the packet that opened the loss),
                  remembering the RTT used. *)
-              self.hot.rtt_at_first_loss <- Rtt_estimator.estimate self.rtt_est;
-              if self.hot.rate_at_loss > 0. then
+              self.hot.rtt_at_first_loss <- rtt_f.Rtt_estimator.rtt;
+              let rate_at_loss = Tfrc.Rate_meter.rate_bytes_per_s meter in
+              if rate_at_loss > 0. then
                 Some
                   (Tcp_model.Mathis.initial_loss_interval
-                     ~s:cfg.Config.packet_size
-                     ~rtt:(Rtt_estimator.estimate self.rtt_est)
-                     ~rate:(self.hot.rate_at_loss /. 2.))
+                     ~s:cfg.Config.packet_size ~rtt:rtt_f.Rtt_estimator.rtt
+                     ~rate:(rate_at_loss /. 2.))
               else None)
             ();
-        meter = Tfrc.Rate_meter.create ~window:1. ();
+        meter;
         joined = false;
         left = false;
         have_data = false;
         hot =
           {
             last_ts = nan;
-            last_arrival = nan;
             sender_rate = float_of_int cfg.Config.packet_size;
             round_duration = cfg.Config.rtt_initial *. Config.round_rtt_factor;
             rtt_at_first_loss = 0.;
-            rate_at_loss = 0.;
           };
         sender_in_ss = true;
         sender_clr = -1;

@@ -15,19 +15,44 @@
     with a small gain.  When a real measurement arrives, interim one-way
     adjustments are discarded.
 
-    All times fed to this module are in the receiver's local clock; use
-    {!local_time} to convert engine time. *)
+    The estimator reads the time itself, from the receiver's clock cell
+    plus its clock offset (the receiver's local clock), and its floats
+    sit in an all-float record the receiver reads directly: the
+    per-packet {!on_data} passes no float it has to box and returns
+    none (DESIGN.md §14).  Timestamps fed to this module are in the
+    receiver's local clock. *)
 
 type t
 
+type floats = private {
+  mutable rtt : float;  (** the current estimate, as {!estimate} *)
+  mutable d_reverse : float;
+      (** reverse-path delay from the last real measurement; NaN before *)
+  mutable last_local_now : float;
+      (** the latest local-time sample taken by {!on_data} or
+          {!on_echo}, clamped to never decrease (see
+          {!clock_anomalies}); [neg_infinity] before the first *)
+  clock_offset : float;  (** local clock minus the runtime clock *)
+}
+(** All-float record (raw double storage): a field read is a raw double
+    load.  Read-only outside this module. *)
+
 val create :
-  ?metrics:Obs.Metrics.t -> cfg:Config.t -> clock_offset:float -> unit -> t
-(** [metrics] (default {!Obs.Metrics.null}) receives the
+  ?metrics:Obs.Metrics.t ->
+  cfg:Config.t ->
+  clock:Event_heap.time_cell ->
+  clock_offset:float ->
+  unit ->
+  t
+(** [clock] is the runtime clock the receiver runs on ([Env.clock]).
+    [metrics] (default {!Obs.Metrics.null}) receives the
     [check_rtt_sample_rejected_total] counter: echo samples whose raw
     value was non-positive (clock skew, corrupted echo delay) or NaN. *)
 
-val local_time : t -> now:float -> float
-(** Engine time plus this receiver's clock offset. *)
+val floats : t -> floats
+
+val local_now : t -> float
+(** The runtime clock plus this receiver's clock offset. *)
 
 val estimate : t -> float
 (** Current estimate (the configured initial value before the first real
@@ -45,7 +70,7 @@ val rejections : t -> int
     [check_rtt_sample_rejected_total] metric. *)
 
 val clock_anomalies : t -> int
-(** [local_now] samples that arrived below an earlier sample — a real
+(** Local-time samples that arrived below an earlier sample — a real
     clock stepping backwards (NTP step, VM migration); the simulator
     never produces one.  The sample is clamped to the high-water mark
     instead of corrupting the delay terms, and counted here and under
@@ -54,9 +79,9 @@ val clock_anomalies : t -> int
     keep their metrics registry unchanged). *)
 
 val on_echo :
-  t -> local_now:float -> rx_ts:float -> echo_delay:float -> pkt_ts:float ->
-  is_clr:bool -> unit
-(** A data packet echoed this receiver's report: [rx_ts] is the timestamp
+  t -> rx_ts:float -> echo_delay:float -> pkt_ts:float -> is_clr:bool -> unit
+(** A data packet echoed this receiver's report, arriving now (the raw
+    sample is [local now − rx_ts − echo_delay]): [rx_ts] is the timestamp
     this receiver put in the report (local clock), [echo_delay] the
     sender's hold time, [pkt_ts] the data packet's sender timestamp
     (sender clock, used to seed the one-way state).
@@ -68,9 +93,10 @@ val on_echo :
     as long as the skew persists.  NaN samples are dropped (and
     counted). *)
 
-val on_data : t -> local_now:float -> pkt_ts:float -> unit
-(** One-way-delay adjustment from a regular data packet; no-op before the
-    first real measurement. *)
+val on_data : t -> pkt_ts:float -> unit
+(** A regular data packet arriving now: takes the local-time sample and
+    makes the one-way-delay adjustment, which is a no-op before the first
+    real measurement. *)
 
 val init_from_oneway : t -> oneway:float -> max_error:float -> unit
 (** §2.4.1's synchronized-clock initialization: when sender and receiver

@@ -92,7 +92,7 @@ type t = {
   m_rate : Obs.Metrics.Gauge.t;
 }
 
-let now t = t.env.Env.now ()
+let now t = t.env.Env.clock.Event_heap.cell_time
 
 let jnl t ?severity ev = Obs.Sink.event t.obs ~time:(now t) ?severity t.scope ev
 
@@ -141,17 +141,19 @@ let clamp_rate t x =
 
 (* ---------------------------------------------------------------- echoes *)
 
-let pop_echo t ~now =
+(* Reads the clock itself: a [~now] argument would be boxed on every
+   data packet, echo or not. *)
+let pop_echo t =
   match t.pending_echoes with
   | pe :: rest ->
       t.pending_echoes <- rest;
       Some
-        { Wire.rx_id = pe.pe_rx; rx_ts = pe.pe_ts; echo_delay = now -. pe.pe_arrival }
+        { Wire.rx_id = pe.pe_rx; rx_ts = pe.pe_ts; echo_delay = now t -. pe.pe_arrival }
   | [] -> (
       match t.clr_echo with
       | Some pe ->
           Some
-            { Wire.rx_id = pe.pe_rx; rx_ts = pe.pe_ts; echo_delay = now -. pe.pe_arrival }
+            { Wire.rx_id = pe.pe_rx; rx_ts = pe.pe_ts; echo_delay = now t -. pe.pe_arrival }
       | None -> None)
 
 let queue_echo t pe =
@@ -590,7 +592,7 @@ let send_packet t ~gen =
           max_rtt = t.max_rtt;
           clr = (match t.clr with Some c -> c.clr_id | None -> -1);
           in_slowstart = t.in_ss;
-          echo = pop_echo t ~now;
+          echo = pop_echo t;
           fb = t.round_fb;
           app = (match t.block_source with Some f -> f () | None -> -1);
         }

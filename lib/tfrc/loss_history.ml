@@ -1,6 +1,8 @@
 type t = {
   n : int;
   weights : float array;
+  clock : Event_heap.time_cell;
+  rtt : unit -> float;  (* read only when a gap opens *)
   first_interval : unit -> float option;
   (* Closed intervals, newest first; length <= n. *)
   mutable intervals : float list;
@@ -28,11 +30,13 @@ let make_weights n =
   Array.init n (fun i ->
       Float.min 1. (2. *. float_of_int (n - i) /. float_of_int (n + 2)))
 
-let create ?(n_intervals = 8) ?(first_interval = fun () -> None) () =
+let create ~clock ~rtt ?(n_intervals = 8) ?(first_interval = fun () -> None) () =
   if n_intervals < 2 then invalid_arg "Loss_history.create: need at least 2 intervals";
   {
     n = n_intervals;
     weights = make_weights n_intervals;
+    clock;
+    rtt;
     first_interval;
     intervals = [];
     synced = false;
@@ -46,16 +50,21 @@ let create ?(n_intervals = 8) ?(first_interval = fun () -> None) () =
     gaps = [];
   }
 
+(* values: newest first; the first n count.  A loop rather than a
+   closure over [List.iteri], so the running sums stay unboxed locals;
+   the summation order is the list order, as before. *)
 let weighted_average t values =
-  (* values: newest first, up to n entries *)
   let num = ref 0. and den = ref 0. in
-  List.iteri
-    (fun i v ->
-      if i < t.n then begin
-        num := !num +. (t.weights.(i) *. v);
-        den := !den +. t.weights.(i)
-      end)
-    values;
+  let rest = ref values and i = ref 0 in
+  while !i < t.n do
+    match !rest with
+    | v :: tl ->
+        num := !num +. (t.weights.(!i) *. v);
+        den := !den +. t.weights.(!i);
+        rest := tl;
+        incr i
+    | [] -> i := t.n
+  done;
   if !den = 0. then 0. else !num /. !den
 
 let open_interval t =
@@ -115,9 +124,8 @@ let new_loss_event t ~first_lost_seq ~now =
   t.event_start_seq <- first_lost_seq;
   t.event_start_time <- now
 
-let on_packet t ~seq ~now ~rtt =
+let on_packet t ~seq =
   if seq < 0 then invalid_arg "Loss_history.on_packet: negative seq";
-  if rtt <= 0. then invalid_arg "Loss_history.on_packet: non-positive rtt";
   if not t.synced then begin
     (* First arrival defines the baseline: a receiver joining an ongoing
        session must not treat the sequence prefix as loss. *)
@@ -128,6 +136,11 @@ let on_packet t ~seq ~now ~rtt =
   else if seq >= t.expected then begin
     let n_lost = seq - t.expected in
     if n_lost > 0 then begin
+      let now = t.clock.Event_heap.cell_time and rtt = t.rtt () in
+      (* [rtt > 0.] is false for NaN, which would otherwise aggregate
+         every later loss into one event. *)
+      if not (rtt > 0. && rtt < infinity) then
+        invalid_arg "Loss_history.on_packet: rtt must be finite and positive";
       t.lost <- t.lost + n_lost;
       let first_lost = t.expected in
       t.gaps <- (first_lost, now) :: t.gaps;
@@ -144,7 +157,8 @@ let on_packet t ~seq ~now ~rtt =
 (* seq < expected: duplicate or late packet; ignore. *)
 
 let remodel t ~rtt =
-  if rtt <= 0. then invalid_arg "Loss_history.remodel: rtt must be positive";
+  if not (rtt > 0. && rtt < infinity) then
+    invalid_arg "Loss_history.remodel: rtt must be finite and positive";
   match List.rev t.gaps with
   | [] -> ()
   | (seq0, time0) :: rest ->

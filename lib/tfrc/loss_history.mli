@@ -18,21 +18,29 @@
 type t
 
 val create :
+  clock:Event_heap.time_cell ->
+  rtt:(unit -> float) ->
   ?n_intervals:int ->
   ?first_interval:(unit -> float option) ->
   unit ->
   t
-(** [n_intervals] defaults to 8 (the paper recommends 8–32).
-    [first_interval] is consulted when the first loss event occurs; it
-    should return the synthetic initial interval in packets ([None] falls
-    back to the count of packets received before the loss). *)
+(** [clock] is the owner's runtime clock, the arrival time of every
+    packet.  [rtt] returns the receiver's current RTT estimate, which
+    aggregates losses into loss events; it is called only when a packet
+    opens a gap, so a packet in sequence passes and boxes no float
+    (DESIGN.md §14).  [n_intervals] defaults to 8 (the paper recommends
+    8–32).  [first_interval] is consulted when the first loss event
+    occurs; it should return the synthetic initial interval in packets
+    ([None] falls back to the count of packets received before the
+    loss). *)
 
-val on_packet : t -> seq:int -> now:float -> rtt:float -> unit
-(** Processes the arrival of packet [seq] at time [now], with [rtt] the
-    receiver's current RTT estimate used to aggregate losses into loss
-    events.  Sequence numbers start at 0 and gaps are interpreted as
-    losses (links are FIFO, so there is no reordering to tolerate).
-    Duplicates and late packets are ignored. *)
+val on_packet : t -> seq:int -> unit
+(** Processes the arrival of packet [seq] now.  Sequence numbers start
+    at 0 and gaps are interpreted as losses (links are FIFO, so there is
+    no reordering to tolerate).  Duplicates and late packets are
+    ignored.
+    @raise Invalid_argument on a negative [seq], or when a gap opens and
+    [rtt ()] is not finite and positive. *)
 
 val loss_event_rate : t -> float
 (** p ∈ [0, 1]; 0 before the first loss event. *)
@@ -66,7 +74,8 @@ val remodel : t -> rtt:float -> unit
     distribution of loss intervals", as the paper puts it.  Intervals
     older than the retained gap log are kept as they were.  Call this
     when the first real RTT measurement replaces the initial estimate
-    used for aggregation. *)
+    used for aggregation.
+    @raise Invalid_argument unless [rtt] is finite and positive. *)
 
 val rescale_synthetic : t -> factor:float -> unit
 (** Multiplies the synthetic first interval by [factor] (clamped below at

@@ -1,18 +1,20 @@
 (* Samples live in a ring of parallel arrays (unboxed float times next
    to int byte counts) instead of a queue of records: recording an
    arrival allocates nothing, which matters because every receiver runs
-   this once per data packet.  The scalar float state sits in its own
-   all-float record — all-float records store raw doubles, so the
-   per-packet [last_time] update is a plain store rather than a fresh
-   float box. *)
+   this once per data packet.  The scalar float state sits in all-float
+   records — they store raw doubles, so the per-packet [last_time] and
+   window updates are plain stores rather than fresh float boxes. *)
+
+type window = { mutable seconds : float }
 
 type scalars = {
-  mutable window : float;
   mutable first_time : float;  (* nan until the first arrival *)
   mutable last_time : float;
 }
 
 type t = {
+  clock : Event_heap.time_cell;
+  win : window;
   sc : scalars;
   mutable times : float array;  (* ring, oldest at [head] *)
   mutable sizes : int array;
@@ -24,10 +26,16 @@ type t = {
 
 let initial_capacity = 64
 
-let create ?(window = 1.) () =
-  if window <= 0. then invalid_arg "Rate_meter.create: window must be positive";
+(* [w > 0.] is false for NaN, and [w < infinity] rules out infinity. *)
+let valid_window w = w > 0. && w < infinity
+
+let create ~clock ?(window = 1.) () =
+  if not (valid_window window) then
+    invalid_arg "Rate_meter.create: window must be finite and positive";
   {
-    sc = { window; first_time = nan; last_time = neg_infinity };
+    clock;
+    win = { seconds = window };
+    sc = { first_time = nan; last_time = neg_infinity };
     times = Array.make initial_capacity 0.;
     sizes = Array.make initial_capacity 0;
     head = 0;
@@ -36,14 +44,16 @@ let create ?(window = 1.) () =
     total = 0;
   }
 
-let set_window t w =
-  if w <= 0. then invalid_arg "Rate_meter.set_window: window must be positive";
-  t.sc.window <- w
+let window t = t.win
 
-let window t = t.sc.window
-
-let expire t ~now =
-  let horizon = now -. t.sc.window in
+(* Drops the arrivals older than the window.  Reads the time and the
+   window itself rather than taking them as arguments, which would box
+   them. *)
+let expire t =
+  let w = t.win.seconds in
+  if not (valid_window w) then
+    invalid_arg "Rate_meter: window must be finite and positive";
+  let horizon = t.clock.Event_heap.cell_time -. w in
   let cap = Array.length t.times in
   let continue = ref true in
   while !continue && t.count > 0 do
@@ -69,7 +79,9 @@ let grow t =
   t.sizes <- sizes;
   t.head <- 0
 
-let record t ~now ~bytes =
+let record t ~bytes =
+  let now = t.clock.Event_heap.cell_time in
+  if not (Float.is_finite now) then invalid_arg "Rate_meter.record: non-finite time";
   if now < t.sc.last_time then
     invalid_arg "Rate_meter.record: time went backwards";
   t.sc.last_time <- now;
@@ -81,19 +93,20 @@ let record t ~now ~bytes =
   t.count <- t.count + 1;
   t.in_window_bytes <- t.in_window_bytes + bytes;
   t.total <- t.total + bytes;
-  expire t ~now
+  expire t
 
-let rate_bytes_per_s t ~now =
+let rate_bytes_per_s t =
   if Float.is_nan t.sc.first_time then 0.
   else begin
-    expire t ~now;
+    expire t;
     (* Floor the averaging span at half the window: a couple of
        back-to-back arrivals must not read as an enormous rate (the
        slowstart target is twice this measurement). *)
+    let w = t.win.seconds in
     let span =
       Float.max
-        (Float.min t.sc.window (now -. t.sc.first_time))
-        (t.sc.window /. 2.)
+        (Float.min w (t.clock.Event_heap.cell_time -. t.sc.first_time))
+        (w /. 2.)
     in
     float_of_int t.in_window_bytes /. span
   end

@@ -14,9 +14,6 @@ type t = {
   mutable fb_timer : Netsim.Engine.handle option;
   mutable received : int;
   mutable fb_sent : int;
-  (* Receive rate when the last (= first) loss occurred, for App. B
-     seeding: half the rate at first loss, through the inverse equation. *)
-  mutable rate_at_loss : float;
   m_received : Obs.Metrics.Counter.t;
   m_feedback : Obs.Metrics.Counter.t;
 }
@@ -32,7 +29,7 @@ let send_feedback t =
           echo_ts = t.last_data_ts;
           echo_delay = now -. t.last_data_arrival;
           p = Loss_history.loss_event_rate t.history;
-          x_recv = Rate_meter.rate_bytes_per_s t.meter ~now;
+          x_recv = Rate_meter.rate_bytes_per_s t.meter;
         }
     in
     let p =
@@ -55,17 +52,15 @@ let rec schedule_feedback t =
            schedule_feedback t))
 
 let on_data t ~seq ~ts ~rtt ~size =
-  let now = Netsim.Engine.now t.engine in
   t.received <- t.received + 1;
   Obs.Metrics.Counter.inc t.m_received;
   t.have_data <- true;
   t.last_data_ts <- ts;
-  t.last_data_arrival <- now;
+  t.last_data_arrival <- Netsim.Engine.now t.engine;
   t.sender_rtt <- rtt;
-  Rate_meter.set_window t.meter (Float.max 0.5 (4. *. rtt));
-  Rate_meter.record t.meter ~now ~bytes:size;
-  t.rate_at_loss <- Rate_meter.rate_bytes_per_s t.meter ~now;
-  Loss_history.on_packet t.history ~seq ~now ~rtt;
+  (Rate_meter.window t.meter).seconds <- Float.max 0.5 (4. *. rtt);
+  Rate_meter.record t.meter ~bytes:size;
+  Loss_history.on_packet t.history ~seq;
   if t.fb_timer = None then begin
     (* First packet: give immediate feedback, then once per RTT. *)
     send_feedback t;
@@ -86,17 +81,21 @@ let create topo ~conn ~node ~sender ?(feedback_flow = -1) () =
         sender;
         feedback_flow;
         history =
-          Loss_history.create
+          Loss_history.create ~clock:(Netsim.Engine.time_cell engine)
+            ~rtt:(fun () -> (Lazy.force t).sender_rtt)
             ~first_interval:(fun () ->
               let self = Lazy.force t in
-              if self.rate_at_loss > 0. then
+              (* App. B seeding: half the receive rate at this first
+                 loss, through the inverse equation. *)
+              let rate_at_loss = Rate_meter.rate_bytes_per_s self.meter in
+              if rate_at_loss > 0. then
                 Some
                   (Tcp_model.Mathis.initial_loss_interval ~s:Wire.data_size
                      ~rtt:(Float.max 1e-3 self.sender_rtt)
-                     ~rate:(self.rate_at_loss /. 2.))
+                     ~rate:(rate_at_loss /. 2.))
               else None)
             ();
-        meter = Rate_meter.create ~window:2. ();
+        meter = Rate_meter.create ~clock:(Netsim.Engine.time_cell engine) ~window:2. ();
         sender_rtt = 0.5;
         last_data_ts = nan;
         last_data_arrival = nan;
@@ -104,7 +103,6 @@ let create topo ~conn ~node ~sender ?(feedback_flow = -1) () =
         fb_timer = None;
         received = 0;
         fb_sent = 0;
-        rate_at_loss = 0.;
         m_received =
           Obs.Metrics.counter metrics ~labels
             "tfrc_receiver_packets_received_total";
@@ -122,8 +120,7 @@ let create topo ~conn ~node ~sender ?(feedback_flow = -1) () =
 
 let loss_event_rate t = Loss_history.loss_event_rate t.history
 
-let x_recv_bytes_per_s t =
-  Rate_meter.rate_bytes_per_s t.meter ~now:(Netsim.Engine.now t.engine)
+let x_recv_bytes_per_s t = Rate_meter.rate_bytes_per_s t.meter
 
 let packets_received t = t.received
 

@@ -268,11 +268,22 @@ let test_clr_exempt_from_suppression () =
   Alcotest.(check bool) "CLR kept reporting despite echo" true
     (Tfmcc_core.Receiver.reports_sent rx > before + 1)
 
+(* The estimator under test runs on this clock cell (the receiver's
+   [Env.clock]); the helpers set it to the sample's time first, as the
+   runtime would. *)
+let rtt_clock = { Event_heap.cell_time = 0. }
+
+let new_estimator () = Tfmcc_core.Rtt_estimator.create ~cfg ~clock:rtt_clock ~clock_offset:0. ()
+
+let on_echo r ~now ~rx_ts ~echo_delay ~pkt_ts ~is_clr =
+  rtt_clock.cell_time <- now;
+  Tfmcc_core.Rtt_estimator.on_echo r ~rx_ts ~echo_delay ~pkt_ts ~is_clr
+
 (* §2.4.1: synchronized-clock RTT initialization — with clocks in sync
    to within eps, the first packet seeds RTT = 2·(oneway + eps); a real
    measurement later replaces it. *)
 let test_ntp_initialization_unit () =
-  let est = Tfmcc_core.Rtt_estimator.create ~cfg ~clock_offset:0. () in
+  let est = new_estimator () in
   Tfmcc_core.Rtt_estimator.init_from_oneway est ~oneway:0.03 ~max_error:0.02;
   Alcotest.(check (float 1e-9)) "2(d+eps)" 0.1 (Tfmcc_core.Rtt_estimator.estimate est);
   Alcotest.(check bool) "flagged" true (Tfmcc_core.Rtt_estimator.ntp_initialized est);
@@ -281,7 +292,7 @@ let test_ntp_initialization_unit () =
   Alcotest.(check (float 1e-9)) "keeps the tighter value" 0.1
     (Tfmcc_core.Rtt_estimator.estimate est);
   (* A real measurement takes over entirely. *)
-  Tfmcc_core.Rtt_estimator.on_echo est ~local_now:1.06 ~rx_ts:1.0 ~echo_delay:0.
+  on_echo est ~now:1.06 ~rx_ts:1.0 ~echo_delay:0.
     ~pkt_ts:1.03 ~is_clr:true;
   Alcotest.(check (float 1e-9)) "real measurement wins" 0.06
     (Tfmcc_core.Rtt_estimator.estimate est)

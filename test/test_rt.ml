@@ -489,24 +489,39 @@ let test_round_duration_clamped () =
     t;
   Alcotest.(check int) "no anomaly on valid input" 0 !clean
 
+(* The estimator under test runs on this clock cell (the receiver's
+   [Env.clock]); the helpers set it to the sample's time first, as the
+   runtime would. *)
+let rtt_clock = { Event_heap.cell_time = 0. }
+
+let new_estimator () = Tfmcc_core.Rtt_estimator.create ~cfg ~clock:rtt_clock ~clock_offset:0. ()
+
+let on_echo r ~now ~rx_ts ~echo_delay ~pkt_ts ~is_clr =
+  rtt_clock.cell_time <- now;
+  Tfmcc_core.Rtt_estimator.on_echo r ~rx_ts ~echo_delay ~pkt_ts ~is_clr
+
+let on_data r ~now ~pkt_ts =
+  rtt_clock.cell_time <- now;
+  Tfmcc_core.Rtt_estimator.on_data r ~pkt_ts
+
 let test_rtt_estimator_nonmonotonic_now () =
-  let e = Tfmcc_core.Rtt_estimator.create ~cfg ~clock_offset:0. () in
-  Tfmcc_core.Rtt_estimator.on_echo e ~local_now:10.0 ~rx_ts:9.9 ~echo_delay:0.02
+  let e = new_estimator () in
+  on_echo e ~now:10.0 ~rx_ts:9.9 ~echo_delay:0.02
     ~pkt_ts:9.95 ~is_clr:true;
   Alcotest.(check int) "no anomaly yet" 0 (Tfmcc_core.Rtt_estimator.clock_anomalies e);
   (* The local clock steps backwards: the sample is clamped to the
      high-water mark, counted, and the estimate stays finite. *)
-  Tfmcc_core.Rtt_estimator.on_data e ~local_now:5.0 ~pkt_ts:9.96;
+  on_data e ~now:5.0 ~pkt_ts:9.96;
   Alcotest.(check bool) "backstep counted" true
     (Tfmcc_core.Rtt_estimator.clock_anomalies e >= 1);
   let est = Tfmcc_core.Rtt_estimator.estimate e in
   Alcotest.(check bool) "estimate still sane" true (Float.is_finite est && est > 0.)
 
 let test_rtt_estimator_bad_echo () =
-  let e = Tfmcc_core.Rtt_estimator.create ~cfg ~clock_offset:0. () in
+  let e = new_estimator () in
   (* Raw sample local_now - rx_ts - echo_delay is negative: clamped to
      the 1 ms floor, not discarded (the loop is proven closed). *)
-  Tfmcc_core.Rtt_estimator.on_echo e ~local_now:1.0 ~rx_ts:2.0 ~echo_delay:0.
+  on_echo e ~now:1.0 ~rx_ts:2.0 ~echo_delay:0.
     ~pkt_ts:0.99 ~is_clr:true;
   Alcotest.(check int) "rejection counted" 1 (Tfmcc_core.Rtt_estimator.rejections e);
   Alcotest.(check bool) "measurement still recorded" true
@@ -514,8 +529,8 @@ let test_rtt_estimator_bad_echo () =
   let est = Tfmcc_core.Rtt_estimator.estimate e in
   Alcotest.(check bool) "estimate finite positive" true (Float.is_finite est && est > 0.);
   (* NaN raw sample: dropped entirely. *)
-  let e2 = Tfmcc_core.Rtt_estimator.create ~cfg ~clock_offset:0. () in
-  Tfmcc_core.Rtt_estimator.on_echo e2 ~local_now:1.0 ~rx_ts:0.9 ~echo_delay:Float.nan
+  let e2 = new_estimator () in
+  on_echo e2 ~now:1.0 ~rx_ts:0.9 ~echo_delay:Float.nan
     ~pkt_ts:0.95 ~is_clr:true;
   Alcotest.(check int) "NaN rejected" 1 (Tfmcc_core.Rtt_estimator.rejections e2);
   Alcotest.(check bool) "NaN sample not a measurement" false
@@ -863,10 +878,12 @@ let test_loopback_frame_words () =
    loopback fabric at 1% loss and 20 ms delay, wired straight to the
    endpoints without the harness's supervision.  Minor-heap words per
    loop-second, averaged over 60 s after a warm-up to 30 s and one
-   settling second.  The budget is 1.10x the 69327.42 words measured
-   once the loop ran on the shared event heap, whose fire-and-forget
-   timers need no cancel record (70537.30 before; 107728.67 before
-   frames were delivered from heap slots instead of closures). *)
+   settling second.  The budget is 1.10x the 59761.68 words measured
+   once the loop clock became a cell the endpoints read and the heap
+   summed deadlines from it, with an allocation-free receiver (69327.42
+   before, under a budget of 76260; 70537.30 before the loop ran on the
+   shared event heap; 107728.67 before frames were delivered from heap
+   slots instead of closures). *)
 let test_loopback_minor_words_budget () =
   let loop = Loop.create ~seed:77 () in
   let net =
@@ -890,7 +907,7 @@ let test_loopback_minor_words_budget () =
     Loop.run ~until:(float_of_int t) loop
   done;
   let w = (Gc.minor_words () -. w0) /. 60. in
-  let budget = 76_260. in
+  let budget = 65_738. in
   if w > budget then
     Alcotest.failf "%.2f minor words per loop-second (budget %.0f)" w budget
 

@@ -387,6 +387,24 @@ let prop_exponential_positive =
       let rng = Stats.Rng.create seed in
       Stats.Rng.exponential rng ~mean:1.0 > 0.)
 
+(* [bernoulli] is the one way to draw a Bernoulli outcome and must be
+   exactly [uniform < p]: the same outcomes and the same stream
+   consumption, on a copy of the same generator, at every p in [0, 1]
+   (the ends included). *)
+let prop_bernoulli_is_uniform_lt =
+  QCheck.Test.make ~name:"bernoulli = uniform < p on the same stream" ~count:500
+    QCheck.(triple (int_range 0 1_000_000) (float_bound_inclusive 1.) (int_range 1 50))
+    (fun (seed, p, draws) ->
+      let a = Stats.Rng.create seed in
+      let b = Stats.Rng.copy a in
+      let same = ref true in
+      for _ = 1 to draws do
+        List.iter
+          (fun p -> if Stats.Rng.bernoulli a p <> (Stats.Rng.uniform b < p) then same := false)
+          [ p; 0.; 1. ]
+      done;
+      !same && Int64.equal (Stats.Rng.bits64 a) (Stats.Rng.bits64 b))
+
 let () =
   Alcotest.run "stats"
     [
@@ -456,5 +474,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_percentile_bounded; prop_cdf_monotone; prop_exponential_positive ] );
+          [
+            prop_percentile_bounded;
+            prop_cdf_monotone;
+            prop_exponential_positive;
+            prop_bernoulli_is_uniform_lt;
+          ] );
     ]

@@ -176,16 +176,32 @@ let test_expected_messages_matches_simulation () =
 
 (* -------------------------------------------------------- Rtt_estimator *)
 
+(* The estimators under test run on this clock cell (the receiver's
+   [Env.clock]); [on_echo]/[on_data] below set it to the sample's time
+   first, as the runtime would. *)
+let rtt_clock = { Event_heap.cell_time = 0. }
+
+let new_estimator ?(clock_offset = 0.) () =
+  Tfmcc_core.Rtt_estimator.create ~cfg ~clock:rtt_clock ~clock_offset ()
+
+let on_echo r ~now ~rx_ts ~echo_delay ~pkt_ts ~is_clr =
+  rtt_clock.cell_time <- now;
+  Tfmcc_core.Rtt_estimator.on_echo r ~rx_ts ~echo_delay ~pkt_ts ~is_clr
+
+let on_data r ~now ~pkt_ts =
+  rtt_clock.cell_time <- now;
+  Tfmcc_core.Rtt_estimator.on_data r ~pkt_ts
+
 let test_rtt_initial_value () =
-  let r = Tfmcc_core.Rtt_estimator.create ~cfg ~clock_offset:0. () in
+  let r = new_estimator () in
   check_float "initial estimate" 0.5 (Tfmcc_core.Rtt_estimator.estimate r);
   Alcotest.(check bool) "no measurement" false (Tfmcc_core.Rtt_estimator.has_measurement r)
 
 let test_rtt_first_measurement_replaces () =
-  let r = Tfmcc_core.Rtt_estimator.create ~cfg ~clock_offset:0. () in
+  let r = new_estimator () in
   (* Report sent at 1.0, echo arrives at 1.08 with 20 ms sender hold:
      inst RTT = 60 ms; first measurement overrides the initial value. *)
-  Tfmcc_core.Rtt_estimator.on_echo r ~local_now:1.08 ~rx_ts:1.0 ~echo_delay:0.02
+  on_echo r ~now:1.08 ~rx_ts:1.0 ~echo_delay:0.02
     ~pkt_ts:1.05 ~is_clr:false;
   Alcotest.(check (float 1e-9)) "first measurement taken" 0.06
     (Tfmcc_core.Rtt_estimator.estimate r);
@@ -193,11 +209,11 @@ let test_rtt_first_measurement_replaces () =
 
 let test_rtt_ewma_gains () =
   let measure ~is_clr =
-    let r = Tfmcc_core.Rtt_estimator.create ~cfg ~clock_offset:0. () in
-    Tfmcc_core.Rtt_estimator.on_echo r ~local_now:1.1 ~rx_ts:1.0 ~echo_delay:0.
+    let r = new_estimator () in
+    on_echo r ~now:1.1 ~rx_ts:1.0 ~echo_delay:0.
       ~pkt_ts:1.05 ~is_clr;
     (* second instantaneous sample of 200 ms *)
-    Tfmcc_core.Rtt_estimator.on_echo r ~local_now:2.2 ~rx_ts:2.0 ~echo_delay:0.
+    on_echo r ~now:2.2 ~rx_ts:2.0 ~echo_delay:0.
       ~pkt_ts:2.1 ~is_clr;
     Tfmcc_core.Rtt_estimator.estimate r
   in
@@ -207,16 +223,16 @@ let test_rtt_ewma_gains () =
   Alcotest.(check (float 1e-9)) "non-CLR smoothing" 0.15 (measure ~is_clr:false)
 
 let test_rtt_oneway_adjustment_tracks_change () =
-  let r = Tfmcc_core.Rtt_estimator.create ~cfg ~clock_offset:0. () in
+  let r = new_estimator () in
   (* Measurement: forward delay 30 ms, reverse 30 ms. *)
-  Tfmcc_core.Rtt_estimator.on_echo r ~local_now:1.06 ~rx_ts:1.0 ~echo_delay:0.
+  on_echo r ~now:1.06 ~rx_ts:1.0 ~echo_delay:0.
     ~pkt_ts:1.03 ~is_clr:true;
   check_float "baseline 60ms" 0.06 (Tfmcc_core.Rtt_estimator.estimate r);
   (* Forward delay doubles to 60 ms: one-way adjustments should pull the
      estimate up over many packets. *)
   for i = 1 to 2000 do
     let t = 1.06 +. (0.01 *. float_of_int i) in
-    Tfmcc_core.Rtt_estimator.on_data r ~local_now:t ~pkt_ts:(t -. 0.06)
+    on_data r ~now:t ~pkt_ts:(t -. 0.06)
   done;
   Alcotest.(check (float 0.005)) "converges to 90ms" 0.09
     (Tfmcc_core.Rtt_estimator.estimate r)
@@ -224,16 +240,17 @@ let test_rtt_oneway_adjustment_tracks_change () =
 let test_rtt_clock_offset_cancels () =
   (* A receiver whose clock is 100 s ahead must measure the same RTT. *)
   let offset = 100. in
-  let r = Tfmcc_core.Rtt_estimator.create ~cfg ~clock_offset:offset () in
-  let local t = Tfmcc_core.Rtt_estimator.local_time r ~now:t in
-  (* engine times: report at 1.0, echo back at 1.06 (RTT 60 ms). *)
-  Tfmcc_core.Rtt_estimator.on_echo r ~local_now:(local 1.06) ~rx_ts:(local 1.0)
+  let r = new_estimator ~clock_offset:offset () in
+  let local t = t +. offset in
+  (* engine times: report at 1.0, echo back at 1.06 (RTT 60 ms); the
+     estimator adds the offset to the clock itself. *)
+  on_echo r ~now:1.06 ~rx_ts:(local 1.0)
     ~echo_delay:0. ~pkt_ts:1.03 (* sender clock! *) ~is_clr:true;
   check_float "RTT unaffected by skew" 0.06 (Tfmcc_core.Rtt_estimator.estimate r);
   (* One-way adjustments also cancel the offset. *)
   for i = 1 to 500 do
     let t = 1.06 +. (0.01 *. float_of_int i) in
-    Tfmcc_core.Rtt_estimator.on_data r ~local_now:(local t) ~pkt_ts:(t -. 0.03)
+    on_data r ~now:t ~pkt_ts:(t -. 0.03)
   done;
   Alcotest.(check (float 1e-6)) "stable under skew" 0.06
     (Tfmcc_core.Rtt_estimator.estimate r)
@@ -245,9 +262,9 @@ let test_rtt_skewed_clock_sample_clamped () =
      be discarded silently, leaving the estimate stuck on the 500 ms
      initial value forever; now they are clamped to a 1 ms floor and
      counted. *)
-  let r = Tfmcc_core.Rtt_estimator.create ~cfg ~clock_offset:0. () in
+  let r = new_estimator () in
   (* rx_ts claims the report left *after* the echo arrived: raw = -0.5 *)
-  Tfmcc_core.Rtt_estimator.on_echo r ~local_now:1.0 ~rx_ts:1.4 ~echo_delay:0.1
+  on_echo r ~now:1.0 ~rx_ts:1.4 ~echo_delay:0.1
     ~pkt_ts:0.9 ~is_clr:false;
   Alcotest.(check bool) "measurement loop counted as closed" true
     (Tfmcc_core.Rtt_estimator.has_measurement r);
@@ -256,17 +273,83 @@ let test_rtt_skewed_clock_sample_clamped () =
   Alcotest.(check (float 1e-9)) "estimate clamped to the 1 ms floor" 0.001
     (Tfmcc_core.Rtt_estimator.estimate r);
   (* NaN samples (corrupted echo_delay) are dropped, not folded in. *)
-  Tfmcc_core.Rtt_estimator.on_echo r ~local_now:2.0 ~rx_ts:1.9
+  on_echo r ~now:2.0 ~rx_ts:1.9
     ~echo_delay:Float.nan ~pkt_ts:1.95 ~is_clr:false;
   Alcotest.(check int) "NaN rejected too" 2 (Tfmcc_core.Rtt_estimator.rejections r);
   Alcotest.(check (float 1e-9)) "estimate untouched by NaN" 0.001
     (Tfmcc_core.Rtt_estimator.estimate r);
   (* A subsequent sane sample recovers the estimate (non-CLR gain 0.5). *)
-  Tfmcc_core.Rtt_estimator.on_echo r ~local_now:3.06 ~rx_ts:3.0 ~echo_delay:0.
+  on_echo r ~now:3.06 ~rx_ts:3.0 ~echo_delay:0.
     ~pkt_ts:3.03 ~is_clr:false;
   Alcotest.(check (float 1e-9)) "recovers once samples are sane"
     ((0.5 *. 0.06) +. (0.5 *. 0.001))
     (Tfmcc_core.Rtt_estimator.estimate r)
+
+(* ------------------------------------------------------------- Receiver *)
+
+(* Allocation budget of the per-delivery path, the cost the paper's
+   scaling case multiplies by n: [Receiver.deliver_data] on loss-free,
+   echo-free data packets, with a stub environment on a clock cell.  The
+   receiver reads the time from the cell, keeps its floats in all-float
+   records and passes none across a module boundary, so a packet
+   allocates nothing; the budget is 1 minor word per packet (about 8
+   before, when the clock was read through a closure and the time, the
+   rate window and the receive rate were boxed at each call). *)
+let test_receiver_deliver_words () =
+  let clock = { Event_heap.cell_time = 0. } in
+  let no_timer = { Tfmcc_core.Env.cancel = ignore } in
+  let env =
+    {
+      Tfmcc_core.Env.id = 1;
+      clock;
+      after = (fun ~delay:_ _ -> no_timer);
+      after_unit = (fun ~delay:_ _ -> ());
+      at = (fun ~time:_ _ -> no_timer);
+      send = (fun ~dest:_ ~flow:_ ~size:_ _ -> ());
+      join = ignore;
+      leave = ignore;
+      split_rng = (fun () -> Stats.Rng.create 1);
+      obs = Obs.Sink.null;
+    }
+  in
+  let r = Tfmcc_core.Receiver.create ~env ~cfg ~session:1 ~sender:0 () in
+  Tfmcc_core.Receiver.join r;
+  (* 1 ms apart at the sender's 125 kB/s: a 1 s rate window holds about
+     1000 of them, so the warm-up grows the meter's ring to its
+     steady-state size before the measurement starts. *)
+  let warmup = 5_000 and n = 100_000 in
+  let packets =
+    Array.init (warmup + n) (fun seq ->
+        {
+          Tfmcc_core.Wire.session = 1;
+          seq;
+          ts = 0.001 *. float_of_int seq;
+          rate = 125_000.;
+          round = 0;
+          round_duration = 0.5;
+          max_rtt = 0.1;
+          clr = 2;
+          in_slowstart = false;
+          echo = None;
+          fb = None;
+          app = -1;
+        })
+  in
+  let deliver first count =
+    for i = first to first + count - 1 do
+      clock.cell_time <- 0.05 +. (0.001 *. float_of_int i);
+      Tfmcc_core.Receiver.deliver_data r ~size:1000 packets.(i)
+    done
+  in
+  deliver 0 warmup;
+  let w0 = Gc.minor_words () in
+  deliver warmup n;
+  let w = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "every packet received" (warmup + n)
+    (Tfmcc_core.Receiver.packets_received r);
+  Alcotest.(check bool) "loss-free" false (Tfmcc_core.Receiver.has_loss r);
+  if w > 1. then
+    Alcotest.failf "%.2f minor words per delivered data packet (budget 1)" w
 
 (* ------------------------------------------------------ Feedback_process *)
 
@@ -439,6 +522,11 @@ let () =
           Alcotest.test_case "clock offset cancels" `Quick test_rtt_clock_offset_cancels;
           Alcotest.test_case "skewed-clock sample clamped" `Quick
             test_rtt_skewed_clock_sample_clamped;
+        ] );
+      ( "receiver",
+        [
+          Alcotest.test_case "deliver_data minor words budget" `Quick
+            test_receiver_deliver_words;
         ] );
       ( "feedback_process",
         [

@@ -3,25 +3,38 @@
 
 let check_float = Alcotest.(check (float 1e-9))
 
+(* The histories and meters under test run on this clock cell, and the
+   histories aggregate with the RTT in [rtt_now]; the helpers below set
+   both before each call, as a receiver's clock and estimator would. *)
+let clock = { Event_heap.cell_time = 0. }
+
+let rtt_now = ref 0.1
+
 (* --------------------------------------------------------- Loss_history *)
 
+let new_history ?n_intervals ?first_interval () =
+  Tfrc.Loss_history.create ~clock ~rtt:(fun () -> !rtt_now) ?n_intervals
+    ?first_interval ()
+
+let on_packet h ~seq ~now ~rtt =
+  clock.cell_time <- now;
+  rtt_now := rtt;
+  Tfrc.Loss_history.on_packet h ~seq
+
 let feed history ~rtt seqs =
-  List.iteri
-    (fun i seq ->
-      Tfrc.Loss_history.on_packet history ~seq ~now:(0.01 *. float_of_int i) ~rtt)
-    seqs
+  List.iteri (fun i seq -> on_packet history ~seq ~now:(0.01 *. float_of_int i) ~rtt) seqs
 
 let range a b = List.init (b - a) (fun i -> a + i)
 
 let test_no_loss () =
-  let h = Tfrc.Loss_history.create () in
+  let h = new_history () in
   feed h ~rtt:0.1 (range 0 100);
   check_float "p = 0 without loss" 0. (Tfrc.Loss_history.loss_event_rate h);
   Alcotest.(check bool) "no loss flag" false (Tfrc.Loss_history.has_loss h);
   Alcotest.(check int) "100 packets" 100 (Tfrc.Loss_history.packets_seen h)
 
 let test_single_gap_is_loss () =
-  let h = Tfrc.Loss_history.create () in
+  let h = new_history () in
   feed h ~rtt:0.001 (range 0 10 @ range 11 20);
   Alcotest.(check bool) "loss detected" true (Tfrc.Loss_history.has_loss h);
   Alcotest.(check int) "one event" 1 (Tfrc.Loss_history.loss_events h);
@@ -29,20 +42,20 @@ let test_single_gap_is_loss () =
 
 let test_aggregation_within_rtt () =
   (* Three gaps arriving within one RTT = one loss event. *)
-  let h = Tfrc.Loss_history.create () in
+  let h = new_history () in
   let rtt = 10.0 (* larger than the whole feed *) in
   feed h ~rtt ([ 0; 1; 3; 5; 7 ] @ range 8 20);
   Alcotest.(check int) "aggregated into one event" 1 (Tfrc.Loss_history.loss_events h);
   Alcotest.(check int) "three packets lost" 3 (Tfrc.Loss_history.packets_lost h)
 
 let test_separate_events_beyond_rtt () =
-  let h = Tfrc.Loss_history.create () in
+  let h = new_history () in
   let rtt = 0.001 (* smaller than inter-packet time *) in
   feed h ~rtt ([ 0; 1; 3 ] @ range 4 10 @ [ 11 ] @ range 12 20);
   Alcotest.(check int) "two events" 2 (Tfrc.Loss_history.loss_events h)
 
 let test_interval_lengths () =
-  let h = Tfrc.Loss_history.create ~first_interval:(fun () -> Some 50.) () in
+  let h = new_history ~first_interval:(fun () -> Some 50.) () in
   (* loss at 10 (synthetic first interval 50), loss at 25: closed interval
      of 15 packets. *)
   feed h ~rtt:0.001 (range 0 10 @ range 11 25 @ range 26 40);
@@ -53,13 +66,13 @@ let test_interval_lengths () =
   | l -> Alcotest.failf "expected 2 intervals, got %d" (List.length l)
 
 let test_open_interval_reduces_p () =
-  let h = Tfrc.Loss_history.create ~first_interval:(fun () -> Some 10.) () in
+  let h = new_history ~first_interval:(fun () -> Some 10.) () in
   feed h ~rtt:0.001 (range 0 10 @ range 11 20);
   let p_before = Tfrc.Loss_history.loss_event_rate h in
   (* A long loss-free run grows the open interval and must lower p. *)
   List.iteri
     (fun i seq ->
-      Tfrc.Loss_history.on_packet h ~seq ~now:(1. +. (0.01 *. float_of_int i)) ~rtt:0.001)
+      on_packet h ~seq ~now:(1. +. (0.01 *. float_of_int i)) ~rtt:0.001)
     (range 20 200);
   let p_after = Tfrc.Loss_history.loss_event_rate h in
   Alcotest.(check bool)
@@ -67,7 +80,7 @@ let test_open_interval_reduces_p () =
     true (p_after < p_before)
 
 let test_history_depth_bounded () =
-  let h = Tfrc.Loss_history.create ~n_intervals:8 () in
+  let h = new_history ~n_intervals:8 () in
   (* 20 well-separated loss events *)
   let seqs = List.concat_map (fun k -> range (20 * k) ((20 * k) + 19)) (range 0 20) in
   feed h ~rtt:0.0001 seqs;
@@ -75,7 +88,7 @@ let test_history_depth_bounded () =
     (List.length (Tfrc.Loss_history.closed_intervals h) <= 8)
 
 let test_weights_shape () =
-  let h = Tfrc.Loss_history.create ~n_intervals:8 () in
+  let h = new_history ~n_intervals:8 () in
   let w = Tfrc.Loss_history.weights h in
   Alcotest.(check int) "8 weights" 8 (Array.length w);
   check_float "w0 = 1" 1. w.(0);
@@ -90,14 +103,14 @@ let test_weights_shape () =
 let test_synthetic_fallback () =
   (* Without a first_interval callback the packet count seeds the
      history. *)
-  let h = Tfrc.Loss_history.create () in
+  let h = new_history () in
   feed h ~rtt:0.001 (range 0 30 @ range 31 40);
   match Tfrc.Loss_history.closed_intervals h with
   | [ synthetic ] -> check_float "synthetic = packets seen" 30. synthetic
   | l -> Alcotest.failf "expected 1 interval, got %d" (List.length l)
 
 let test_rescale_synthetic () =
-  let h = Tfrc.Loss_history.create ~first_interval:(fun () -> Some 100.) () in
+  let h = new_history ~first_interval:(fun () -> Some 100.) () in
   feed h ~rtt:0.001 (range 0 10 @ range 11 20);
   Tfrc.Loss_history.rescale_synthetic h ~factor:0.25;
   (match Tfrc.Loss_history.closed_intervals h with
@@ -110,7 +123,7 @@ let test_rescale_synthetic () =
   | _ -> Alcotest.fail "unexpected"
 
 let test_rescale_after_aging_is_noop () =
-  let h = Tfrc.Loss_history.create ~n_intervals:2 ~first_interval:(fun () -> Some 100.) () in
+  let h = new_history ~n_intervals:2 ~first_interval:(fun () -> Some 100.) () in
   (* Push enough later events that the synthetic interval falls off. *)
   let seqs = List.concat_map (fun k -> range (20 * k) ((20 * k) + 19)) (range 0 5) in
   feed h ~rtt:0.0001 seqs;
@@ -121,13 +134,13 @@ let test_rescale_after_aging_is_noop () =
 
 let test_late_join_sync () =
   (* A receiver joining mid-stream must not see the prefix as loss. *)
-  let h = Tfrc.Loss_history.create () in
+  let h = new_history () in
   feed h ~rtt:0.1 (range 5000 5100);
   check_float "no loss after late join" 0. (Tfrc.Loss_history.loss_event_rate h);
   Alcotest.(check int) "no lost packets" 0 (Tfrc.Loss_history.packets_lost h)
 
 let test_duplicates_ignored () =
-  let h = Tfrc.Loss_history.create () in
+  let h = new_history () in
   feed h ~rtt:0.1 [ 0; 1; 2; 2; 1; 3 ];
   Alcotest.(check int) "duplicates not counted" 4 (Tfrc.Loss_history.packets_seen h);
   check_float "no loss" 0. (Tfrc.Loss_history.loss_event_rate h)
@@ -135,7 +148,7 @@ let test_duplicates_ignored () =
 let test_p_matches_uniform_intervals () =
   (* Regular loss every k packets: p should converge to ~1/k. *)
   let k = 25 in
-  let h = Tfrc.Loss_history.create () in
+  let h = new_history () in
   let seqs =
     List.concat_map (fun ev -> range ((k * ev) + 1) (k * (ev + 1))) (range 0 20)
   in
@@ -147,11 +160,11 @@ let test_p_matches_uniform_intervals () =
 let test_remodel_merges_events () =
   (* Five gaps 0.1 s apart, aggregated with a tiny RTT: five events.
      Remodelling with a 1 s RTT must merge them into one. *)
-  let h = Tfrc.Loss_history.create () in
+  let h = new_history () in
   let seq = ref 0 in
   let deliver ~now k =
     for _ = 1 to k do
-      Tfrc.Loss_history.on_packet h ~seq:!seq ~now ~rtt:0.001;
+      on_packet h ~seq:!seq ~now ~rtt:0.001;
       incr seq
     done
   in
@@ -174,11 +187,11 @@ let test_remodel_merges_events () =
 let test_remodel_splits_events () =
   (* Two gaps 0.2 s apart aggregated with a huge RTT: one event.
      Remodelling with a 50 ms RTT must split them into two. *)
-  let h = Tfrc.Loss_history.create ~first_interval:(fun () -> Some 30.) () in
+  let h = new_history ~first_interval:(fun () -> Some 30.) () in
   let seq = ref 0 in
   let deliver ~now k =
     for _ = 1 to k do
-      Tfrc.Loss_history.on_packet h ~seq:!seq ~now ~rtt:10.;
+      on_packet h ~seq:!seq ~now ~rtt:10.;
       incr seq
     done
   in
@@ -194,7 +207,7 @@ let test_remodel_splits_events () =
     && Tfrc.Loss_history.loss_events h >= 2)
 
 let test_remodel_noop_without_gaps () =
-  let h = Tfrc.Loss_history.create () in
+  let h = new_history () in
   feed h ~rtt:0.1 (range 0 50);
   Tfrc.Loss_history.remodel h ~rtt:0.05;
   check_float "still no loss" 0. (Tfrc.Loss_history.loss_event_rate h)
@@ -207,11 +220,11 @@ let test_remodel_preserves_uncovered_history () =
      first two aggregate under the initial 0.1 s RTT, then remodel with
      a 0.01 s RTT so they split: the rebuilt [10; 10] must splice in
      front of the synthetic 5-interval, not erase it. *)
-  let h = Tfrc.Loss_history.create ~first_interval:(fun () -> Some 5.) () in
+  let h = new_history ~first_interval:(fun () -> Some 5.) () in
   let seq = ref 0 in
   let deliver ~now k =
     for _ = 1 to k do
-      Tfrc.Loss_history.on_packet h ~seq:!seq ~now ~rtt:0.1;
+      on_packet h ~seq:!seq ~now ~rtt:0.1;
       incr seq
     done
   in
@@ -244,45 +257,91 @@ let test_remodel_preserves_uncovered_history () =
 
 (* ----------------------------------------------------------- Rate_meter *)
 
+let new_meter ?window () = Tfrc.Rate_meter.create ~clock ?window ()
+
+let record m ~now ~bytes =
+  clock.cell_time <- now;
+  Tfrc.Rate_meter.record m ~bytes
+
+let rate m ~now =
+  clock.cell_time <- now;
+  Tfrc.Rate_meter.rate_bytes_per_s m
+
 let test_meter_basic_rate () =
-  let m = Tfrc.Rate_meter.create ~window:1.0 () in
+  let m = new_meter ~window:1.0 () in
   for i = 0 to 99 do
-    Tfrc.Rate_meter.record m ~now:(0.01 *. float_of_int i) ~bytes:100
+    record m ~now:(0.01 *. float_of_int i) ~bytes:100
   done;
   (* 100 bytes every 10 ms = 10 kB/s *)
   Alcotest.(check (float 500.)) "rate ~ 10kB/s" 10_000.
-    (Tfrc.Rate_meter.rate_bytes_per_s m ~now:1.0)
+    (rate m ~now:1.0)
 
 let test_meter_window_expiry () =
-  let m = Tfrc.Rate_meter.create ~window:1.0 () in
-  Tfrc.Rate_meter.record m ~now:0. ~bytes:10_000;
-  let r_late = Tfrc.Rate_meter.rate_bytes_per_s m ~now:10. in
+  let m = new_meter ~window:1.0 () in
+  record m ~now:0. ~bytes:10_000;
+  let r_late = rate m ~now:10. in
   check_float "old samples expire" 0. r_late
 
 let test_meter_burst_floor () =
   (* Two back-to-back packets must not read as a huge rate. *)
-  let m = Tfrc.Rate_meter.create ~window:1.0 () in
-  Tfrc.Rate_meter.record m ~now:0. ~bytes:1000;
-  Tfrc.Rate_meter.record m ~now:0.001 ~bytes:1000;
-  let r = Tfrc.Rate_meter.rate_bytes_per_s m ~now:0.001 in
+  let m = new_meter ~window:1.0 () in
+  record m ~now:0. ~bytes:1000;
+  record m ~now:0.001 ~bytes:1000;
+  let r = rate m ~now:0.001 in
   Alcotest.(check bool)
     (Printf.sprintf "rate bounded by span floor (got %.0f)" r)
     true (r <= 4000.)
 
 let test_meter_total () =
-  let m = Tfrc.Rate_meter.create () in
-  Tfrc.Rate_meter.record m ~now:0. ~bytes:5;
-  Tfrc.Rate_meter.record m ~now:1. ~bytes:7;
+  let m = new_meter () in
+  record m ~now:0. ~bytes:5;
+  record m ~now:1. ~bytes:7;
   Alcotest.(check int) "total" 12 (Tfrc.Rate_meter.total_bytes m)
 
 let test_meter_set_window () =
-  let m = Tfrc.Rate_meter.create ~window:10. () in
-  Tfrc.Rate_meter.record m ~now:0. ~bytes:1000;
-  Tfrc.Rate_meter.record m ~now:5. ~bytes:1000;
-  Tfrc.Rate_meter.set_window m 1.;
+  let m = new_meter ~window:10. () in
+  record m ~now:0. ~bytes:1000;
+  record m ~now:5. ~bytes:1000;
+  (Tfrc.Rate_meter.window m).seconds <- 1.;
   (* With a 1s window only the recent sample counts. *)
   Alcotest.(check (float 1.)) "window shrink drops old mass" 1000.
-    (Tfrc.Rate_meter.rate_bytes_per_s m ~now:5.5)
+    (rate m ~now:5.5)
+
+(* A NaN window, time or RTT compares false everywhere, so a guard
+   written as [x <= 0.] lets it through and the protocol state freezes:
+   a meter reporting a NaN rate for good, or every later loss folded
+   into one event.  Each must fail loudly instead. *)
+let raises_invalid what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument _ -> ()
+
+let test_meter_rejects_nan_window () =
+  raises_invalid "create ~window:nan" (fun () -> new_meter ~window:nan ());
+  raises_invalid "create ~window:infinity" (fun () -> new_meter ~window:infinity ());
+  let m = new_meter () in
+  record m ~now:0. ~bytes:1000;
+  (Tfrc.Rate_meter.window m).seconds <- nan;
+  raises_invalid "record under a NaN window" (fun () -> record m ~now:0.5 ~bytes:1000);
+  raises_invalid "rate under a NaN window" (fun () -> rate m ~now:0.5)
+
+let test_meter_rejects_nan_time () =
+  let m = new_meter () in
+  record m ~now:0. ~bytes:1000;
+  raises_invalid "record at a NaN time" (fun () -> record m ~now:nan ~bytes:1000);
+  raises_invalid "record at an infinite time" (fun () -> record m ~now:infinity ~bytes:1000);
+  Alcotest.(check int) "nothing recorded" 1000 (Tfrc.Rate_meter.total_bytes m)
+
+let test_history_rejects_nan_rtt () =
+  (* Four gaps 10 s apart are four loss events under any finite RTT
+     below 10 s; a NaN RTT used to fold them into one. *)
+  let h = new_history () in
+  raises_invalid "gaps under a NaN rtt" (fun () ->
+      List.iteri
+        (fun g seqs ->
+          List.iter (fun seq -> on_packet h ~seq ~now:(10. *. float_of_int g) ~rtt:nan) seqs)
+        [ range 0 5; range 6 10; range 11 15; range 16 20 ]);
+  raises_invalid "remodel ~rtt:nan" (fun () -> Tfrc.Loss_history.remodel h ~rtt:nan)
 
 (* ------------------------------------------------------------ TFRC e2e *)
 
@@ -354,10 +413,10 @@ let prop_loss_rate_bounded =
   QCheck.Test.make ~name:"loss event rate always in [0,1]" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 200) (int_range 0 300))
     (fun seqs ->
-      let h = Tfrc.Loss_history.create () in
+      let h = new_history () in
       List.iteri
         (fun i seq ->
-          Tfrc.Loss_history.on_packet h ~seq ~now:(0.01 *. float_of_int i) ~rtt:0.05)
+          on_packet h ~seq ~now:(0.01 *. float_of_int i) ~rtt:0.05)
         seqs;
       let p = Tfrc.Loss_history.loss_event_rate h in
       p >= 0. && p <= 1.)
@@ -366,12 +425,12 @@ let prop_loss_events_monotone =
   QCheck.Test.make ~name:"loss events never decrease" ~count:100
     QCheck.(list_of_size Gen.(int_range 2 100) (int_range 0 500))
     (fun seqs ->
-      let h = Tfrc.Loss_history.create () in
+      let h = new_history () in
       let ok = ref true in
       let prev = ref 0 in
       List.iteri
         (fun i seq ->
-          Tfrc.Loss_history.on_packet h ~seq ~now:(0.01 *. float_of_int i) ~rtt:0.01;
+          on_packet h ~seq ~now:(0.01 *. float_of_int i) ~rtt:0.01;
           let ev = Tfrc.Loss_history.loss_events h in
           if ev < !prev then ok := false;
           prev := ev)
@@ -382,19 +441,19 @@ let prop_meter_rate_nonneg =
   QCheck.Test.make ~name:"meter rate is non-negative" ~count:200
     QCheck.(list_of_size Gen.(int_range 0 50) (pair (float_bound_inclusive 10.) (int_range 1 10_000)))
     (fun samples ->
-      let m = Tfrc.Rate_meter.create ~window:2. () in
+      let m = new_meter ~window:2. () in
       let sorted = List.sort (fun (a, _) (b, _) -> compare a b) samples in
-      List.iter (fun (now, bytes) -> Tfrc.Rate_meter.record m ~now ~bytes) sorted;
-      Tfrc.Rate_meter.rate_bytes_per_s m ~now:11. >= 0.)
+      List.iter (fun (now, bytes) -> record m ~now ~bytes) sorted;
+      rate m ~now:11. >= 0.)
 
 let prop_mean_interval_inverse_of_p =
   QCheck.Test.make ~name:"mean interval * p ~ 1 once loss exists" ~count:100
     QCheck.(list_of_size Gen.(int_range 10 150) (int_range 0 400))
     (fun seqs ->
-      let h = Tfrc.Loss_history.create () in
+      let h = new_history () in
       List.iteri
         (fun i seq ->
-          Tfrc.Loss_history.on_packet h ~seq ~now:(0.01 *. float_of_int i) ~rtt:0.01)
+          on_packet h ~seq ~now:(0.01 *. float_of_int i) ~rtt:0.01)
         seqs;
       let p = Tfrc.Loss_history.loss_event_rate h in
       let m = Tfrc.Loss_history.mean_interval h in
@@ -405,10 +464,10 @@ let prop_seen_plus_lost_bounded =
   QCheck.Test.make ~name:"packets seen + lost consistent with seq span" ~count:100
     QCheck.(list_of_size Gen.(int_range 1 100) (int_range 0 300))
     (fun seqs ->
-      let h = Tfrc.Loss_history.create () in
+      let h = new_history () in
       List.iteri
         (fun i seq ->
-          Tfrc.Loss_history.on_packet h ~seq ~now:(0.01 *. float_of_int i) ~rtt:0.01)
+          on_packet h ~seq ~now:(0.01 *. float_of_int i) ~rtt:0.01)
         seqs;
       Tfrc.Loss_history.packets_seen h >= 1
       && Tfrc.Loss_history.packets_lost h >= 0)
@@ -435,6 +494,7 @@ let () =
           Alcotest.test_case "remodel merges events" `Quick test_remodel_merges_events;
           Alcotest.test_case "remodel splits events" `Quick test_remodel_splits_events;
           Alcotest.test_case "remodel no-op without gaps" `Quick test_remodel_noop_without_gaps;
+          Alcotest.test_case "rejects a non-finite rtt" `Quick test_history_rejects_nan_rtt;
           Alcotest.test_case "remodel preserves uncovered history" `Quick
             test_remodel_preserves_uncovered_history;
         ] );
@@ -445,6 +505,10 @@ let () =
           Alcotest.test_case "burst floor" `Quick test_meter_burst_floor;
           Alcotest.test_case "total" `Quick test_meter_total;
           Alcotest.test_case "set window" `Quick test_meter_set_window;
+          Alcotest.test_case "rejects a non-finite window" `Quick
+            test_meter_rejects_nan_window;
+          Alcotest.test_case "rejects a non-finite time" `Quick
+            test_meter_rejects_nan_time;
         ] );
       ( "agents",
         [
