@@ -532,42 +532,53 @@ let harness_run cmd ~obs config =
       Printf.eprintf "%s: %s\n" cmd msg;
       exit 1
 
+(* The impairment shim and initial-RTT flags [loopback] and [chaos-rt]
+   share.  The impairment is built when the run starts, inside
+   [harness_run], so a bad value is reported like any other. *)
+let impair_term =
+  let d = Rt.Harness.default.Rt.Harness.impair in
+  let shim name default ~docv doc =
+    Arg.(value & opt float default & info [ name ] ~docv ~doc:("Impairment shim: " ^ doc))
+  in
+  Term.(
+    const (fun loss delay jitter warmup () ->
+        Rt.Net.impairment ~loss ~delay ~jitter ~warmup ())
+    $ shim "loss" d.Rt.Net.loss ~docv:"P" "per-frame loss probability."
+    $ shim "delay" d.Rt.Net.delay ~docv:"SECONDS" "one-way delay, seconds."
+    $ shim "jitter" d.Rt.Net.jitter ~docv:"SECONDS"
+        "uniform extra delay width, seconds."
+    $ shim "warmup" d.Rt.Net.warmup ~docv:"SECONDS"
+        "hold the loss dice for this many initial seconds so slowstart \
+         establishes before loss begins (netem-style staged impairment).")
+
+let rtt_initial_arg =
+  let doc =
+    "Initial RTT estimate handed to the protocol (paper §2.4: deployments \
+     tune this towards the real path RTT; the conservative 0.5 s default \
+     makes slowstart crawl on a 100 ms path)."
+  in
+  Arg.(
+    value
+    & opt float Rt.Harness.chaos_soak.Rt.Harness.cfg.Tfmcc_core.Config.rtt_initial
+    & info [ "rtt-initial" ] ~docv:"SECONDS" ~doc)
+
 let loopback_cmd =
   let doc =
     "Drive concurrent TFMCC sessions over the real-time runtime (event loop + \
      byte codec + loopback datagram fabric) instead of the simulator."
   in
+  let d = Rt.Harness.default in
   let sessions_arg =
     let doc = "Concurrent TFMCC sessions (one sender each)." in
-    Arg.(value & opt int 4 & info [ "sessions" ] ~docv:"N" ~doc)
+    Arg.(value & opt int d.Rt.Harness.sessions & info [ "sessions" ] ~docv:"N" ~doc)
   in
   let receivers_arg =
     let doc = "Receivers per session." in
-    Arg.(value & opt int 1 & info [ "receivers" ] ~docv:"N" ~doc)
+    Arg.(value & opt int d.Rt.Harness.receivers & info [ "receivers" ] ~docv:"N" ~doc)
   in
   let duration_arg =
     let doc = "Run length in loop-seconds (virtual time unless $(b,--realtime))." in
-    Arg.(value & opt float 8. & info [ "duration" ] ~docv:"SECONDS" ~doc)
-  in
-  let loss_arg =
-    let doc = "Impairment shim: per-frame loss probability." in
-    Arg.(value & opt float 0.02 & info [ "loss" ] ~docv:"P" ~doc)
-  in
-  let delay_arg =
-    let doc = "Impairment shim: one-way delay, seconds." in
-    Arg.(value & opt float 0.025 & info [ "delay" ] ~docv:"SECONDS" ~doc)
-  in
-  let jitter_arg =
-    let doc = "Impairment shim: uniform extra delay width, seconds." in
-    Arg.(value & opt float 0.005 & info [ "jitter" ] ~docv:"SECONDS" ~doc)
-  in
-  let warmup_arg =
-    let doc =
-      "Impairment shim: hold the loss dice for this many initial seconds so \
-       slowstart establishes before loss begins (netem-style staged \
-       impairment)."
-    in
-    Arg.(value & opt float 2. & info [ "warmup" ] ~docv:"SECONDS" ~doc)
+    Arg.(value & opt float d.Rt.Harness.duration & info [ "duration" ] ~docv:"SECONDS" ~doc)
   in
   let realtime_arg =
     let doc = "Run against the wall clock (default: turbo virtual time)." in
@@ -584,16 +595,8 @@ let loopback_cmd =
     let doc = "Initial loop-clock value, seconds (the protocol must not care)." in
     Arg.(value & opt float 0. & info [ "epoch" ] ~docv:"SECONDS" ~doc)
   in
-  let rtt_initial_arg =
-    let doc =
-      "Initial RTT estimate handed to the protocol (paper §2.4: deployments \
-       tune this towards the real path RTT; the conservative 0.5 s default \
-       makes slowstart crawl on a 100 ms path)."
-    in
-    Arg.(value & opt float 0.15 & info [ "rtt-initial" ] ~docv:"SECONDS" ~doc)
-  in
-  let run sessions receivers duration loss delay jitter warmup realtime udp
-      epoch rtt_initial seed json metrics_out =
+  let run sessions receivers duration impair realtime udp epoch rtt_initial seed
+      json metrics_out =
     let cfg = { Tfmcc_core.Config.default with rtt_initial } in
     let sink = Obs.Sink.create () in
     let r =
@@ -603,7 +606,7 @@ let loopback_cmd =
             Rt.Harness.sessions;
             receivers;
             duration;
-            impair = Rt.Net.impairment ~loss ~delay ~jitter ~warmup ();
+            impair = impair ();
             cfg;
             mode = (if realtime || udp then Rt.Loop.Realtime else Rt.Loop.Turbo);
             transport = (if udp then Rt.Harness.Udp_sockets else Rt.Harness.Loopback);
@@ -692,25 +695,29 @@ let loopback_cmd =
   Cmd.v
     (Cmd.info "loopback" ~doc)
     Term.(
-      const run $ sessions_arg $ receivers_arg $ duration_arg $ loss_arg
-      $ delay_arg $ jitter_arg $ warmup_arg $ realtime_arg $ udp_arg
-      $ epoch_arg $ rtt_initial_arg $ seed_arg $ json_arg $ metrics_out_arg)
+      const run $ sessions_arg $ receivers_arg $ duration_arg $ impair_term
+      $ realtime_arg $ udp_arg $ epoch_arg $ rtt_initial_arg $ seed_arg
+      $ json_arg $ metrics_out_arg)
+
+(* The share of sessions [chaos-rt] requires to converge. *)
+let min_converged = 0.95
 
 let chaos_rt_cmd =
   let doc =
-    "Soak many TFMCC sessions on the real-time runtime under a chaos plan \
-     (CLR partition mid-slowstart, fabric flap, receiver churn, optional \
-     session kill) and assert convergence and post-fault recovery — the rt \
-     twin of $(b,chaos).  Turbo loopback only: two runs with the same seed \
-     are byte-identical."
+    "Soak many TFMCC sessions on the real-time runtime under a fixed chaos \
+     plan (every CLR partitioned mid-slowstart, a fabric flap, receiver \
+     churn) and assert convergence and post-fault recovery — the rt twin of \
+     $(b,chaos).  Turbo loopback only: two runs with the same seed are \
+     byte-identical."
   in
+  let c = Rt.Harness.chaos_soak in
   let sessions_arg =
     let doc = "Concurrent TFMCC sessions." in
-    Arg.(value & opt int 200 & info [ "sessions" ] ~docv:"N" ~doc)
+    Arg.(value & opt int c.Rt.Harness.sessions & info [ "sessions" ] ~docv:"N" ~doc)
   in
   let receivers_arg =
     let doc = "Receivers per session (the CLR needs someone to fail over to)." in
-    Arg.(value & opt int 4 & info [ "receivers" ] ~docv:"N" ~doc)
+    Arg.(value & opt int c.Rt.Harness.receivers & info [ "receivers" ] ~docv:"N" ~doc)
   in
   let duration_arg =
     let doc =
@@ -718,138 +725,15 @@ let chaos_rt_cmd =
        last fault: recovery from the starvation decay is deliberately slow \
        (paper §4), and the convergence bar judges the final state."
     in
-    Arg.(value & opt float 20. & info [ "duration" ] ~docv:"SECONDS" ~doc)
+    Arg.(value & opt float c.Rt.Harness.duration & info [ "duration" ] ~docv:"SECONDS" ~doc)
   in
-  let loss_arg =
-    let doc = "Baseline impairment: per-frame loss probability." in
-    Arg.(value & opt float 0.02 & info [ "loss" ] ~docv:"P" ~doc)
-  in
-  let delay_arg =
-    let doc = "Baseline impairment: one-way delay, seconds." in
-    Arg.(value & opt float 0.025 & info [ "delay" ] ~docv:"SECONDS" ~doc)
-  in
-  let jitter_arg =
-    let doc = "Baseline impairment: uniform extra delay width, seconds." in
-    Arg.(value & opt float 0.005 & info [ "jitter" ] ~docv:"SECONDS" ~doc)
-  in
-  let warmup_arg =
-    let doc = "Baseline impairment: hold the loss dice this many seconds." in
-    Arg.(value & opt float 2. & info [ "warmup" ] ~docv:"SECONDS" ~doc)
-  in
-  let clr_at_arg =
-    let doc =
-      "Partition every session's current CLR at this time (mid-slowstart by \
-       default); heal at $(b,--clr-partition-heal)."
-    in
-    Arg.(value & opt float 3. & info [ "clr-partition-at" ] ~docv:"SECONDS" ~doc)
-  in
-  let clr_heal_arg =
-    let doc =
-      "Heal the CLR partition.  A heal time at or before \
-       $(b,--clr-partition-at) disables the fault."
-    in
-    Arg.(value & opt float 6. & info [ "clr-partition-heal" ] ~docv:"SECONDS" ~doc)
-  in
-  let flap_at_arg =
-    let doc = "Flap the whole fabric down at this time; up at $(b,--flap-up)." in
-    Arg.(value & opt float 7. & info [ "flap-at" ] ~docv:"SECONDS" ~doc)
-  in
-  let flap_up_arg =
-    let doc =
-      "Bring the fabric back up.  An up time at or before $(b,--flap-at) \
-       disables the flap."
-    in
-    Arg.(value & opt float 7.4 & info [ "flap-up" ] ~docv:"SECONDS" ~doc)
-  in
-  let churn_arg =
-    let doc =
-      "Receiver churn: fraction of each session's joined receivers taken \
-       down per cycle (0 disables)."
-    in
-    Arg.(value & opt float 0.2 & info [ "churn" ] ~docv:"FRACTION" ~doc)
-  in
-  let churn_from_arg =
-    Arg.(value & opt float 4. & info [ "churn-from" ] ~docv:"SECONDS"
-           ~doc:"Churn window start.")
-  in
-  let churn_until_arg =
-    Arg.(value & opt float 10. & info [ "churn-until" ] ~docv:"SECONDS"
-           ~doc:"Churn window end.")
-  in
-  let churn_period_arg =
-    Arg.(value & opt float 1.5 & info [ "churn-period" ] ~docv:"SECONDS"
-           ~doc:"Seconds between churn cycles.")
-  in
-  let churn_down_arg =
-    Arg.(value & opt float 0.6 & info [ "churn-down" ] ~docv:"SECONDS"
-           ~doc:"How long each churned receiver stays unreachable.")
-  in
-  let kill_session_arg =
-    let doc =
-      "Inject a crash into this session's timer path (0 disables) — proves \
-       crash isolation: the other sessions must converge as if nothing \
-       happened."
-    in
-    Arg.(value & opt int 0 & info [ "kill-session" ] ~docv:"N" ~doc)
-  in
-  let kill_at_arg =
-    Arg.(value & opt float 2. & info [ "kill-at" ] ~docv:"SECONDS"
-           ~doc:"When to inject the kill.")
-  in
-  let min_converged_arg =
-    let doc = "Fail unless at least this fraction of sessions converges." in
-    Arg.(value & opt float 0.95 & info [ "min-converged" ] ~docv:"FRACTION" ~doc)
-  in
-  let rtt_initial_arg =
-    Arg.(value & opt float 0.15 & info [ "rtt-initial" ] ~docv:"SECONDS"
-           ~doc:"Initial RTT estimate handed to the protocol.")
-  in
-  let run sessions receivers duration loss delay jitter warmup clr_at clr_heal
-      flap_at flap_up churn churn_from churn_until churn_period churn_down
-      kill_session kill_at min_converged rtt_initial seed json metrics_out =
-    let cfg = { Tfmcc_core.Config.default with rtt_initial } in
-    let plan =
-      (if flap_up > flap_at then
-         [ Rt.Chaos.Flap { down_at = flap_at; up_at = flap_up } ]
-       else [])
-      @
-      if churn > 0. then
-        [
-          Rt.Chaos.Churn
-            {
-              sessions = [];
-              fraction = churn;
-              from_ = churn_from;
-              until = churn_until;
-              period = churn_period;
-              down_for = churn_down;
-            };
-        ]
-      else []
-    in
-    let faults =
-      (if clr_heal > clr_at then
-         [ Rt.Harness.Partition_clr { at = clr_at; until = clr_heal } ]
-       else [])
-      @
-      if kill_session > 0 then
-        [ Rt.Harness.Kill_session { session = kill_session; at = kill_at } ]
-      else []
-    in
+  let run sessions receivers duration impair rtt_initial seed json metrics_out =
+    let cfg = { c.Rt.Harness.cfg with rtt_initial } in
+    let plan = c.Rt.Harness.chaos in
     let sink = Obs.Sink.create () in
     let r =
       harness_run "chaos-rt" ~obs:sink (fun () ->
-          {
-            Rt.Harness.default with
-            Rt.Harness.sessions;
-            receivers;
-            duration;
-            impair = Rt.Net.impairment ~loss ~delay ~jitter ~warmup ();
-            cfg;
-            seed;
-            chaos = plan;
-            faults;
-          })
+          { c with Rt.Harness.sessions; receivers; duration; impair = impair (); cfg; seed })
     in
     (match metrics_out with
     | Some file -> write_metrics_out ~file sink
@@ -878,8 +762,8 @@ let chaos_rt_cmd =
       else List.fold_left ( +. ) 0. rates /. float_of_int (List.length rates)
     in
     (* Assertions: nothing escaped the session guards, the fleet
-       converged despite the plan, and — when the CLR partition ran —
-       the senders demonstrably failed over. *)
+       converged despite the plan, and the CLR partition ran and the
+       senders demonstrably failed over. *)
     let failures = ref [] in
     let check cond msg = if not cond then failures := msg :: !failures in
     check (r.Rt.Harness.loop_exceptions = 0)
@@ -888,10 +772,8 @@ let chaos_rt_cmd =
     check (ratio >= min_converged)
       (Printf.sprintf "converged %d/%d (%.1f%% < %.1f%%)" conv sessions
          (100. *. ratio) (100. *. min_converged));
-    if clr_heal > clr_at then begin
-      check (r.Rt.Harness.clr_partitioned > 0) "CLR partition never fired";
-      check (failovers > 0) "no CLR failover under partition"
-    end;
+    check (r.Rt.Harness.clr_partitioned > 0) "CLR partition never fired";
+    check (failovers > 0) "no CLR failover under partition";
     if json then
       print_endline
         (Obs.Json.to_string
@@ -949,17 +831,14 @@ let chaos_rt_cmd =
     else begin
       Printf.printf "chaos-rt: %d session(s) x %d receiver(s), %.1f loop-s, seed %d\n"
         sessions receivers duration seed;
-      Printf.printf "plan: %s\n"
-        (if plan = [] then "(none)" else Rt.Chaos.describe plan);
-      Printf.printf
-        "faults: clr-partition %s, kill-session %s\n"
-        (if clr_heal > clr_at then
-           Printf.sprintf "%g..%gs (%d partitioned)" clr_at clr_heal
-             r.Rt.Harness.clr_partitioned
-         else "off")
-        (if kill_session > 0 then
-           Printf.sprintf "#%d@%gs" kill_session kill_at
-         else "off");
+      Printf.printf "plan: %s\n" (Rt.Chaos.describe plan);
+      List.iter
+        (function
+          | Rt.Harness.Partition_clr { at; until } ->
+              Printf.printf "faults: clr-partition %g..%gs (%d partitioned), kill-session off\n"
+                at until r.Rt.Harness.clr_partitioned
+          | _ -> ())
+        c.Rt.Harness.faults;
       Printf.printf
         "frames: %d sent, %d delivered, %d lost, %d blocked (partition/flap)\n"
         r.Rt.Harness.frames_sent r.Rt.Harness.frames_delivered
@@ -992,12 +871,8 @@ let chaos_rt_cmd =
   Cmd.v
     (Cmd.info "chaos-rt" ~doc)
     Term.(
-      const run $ sessions_arg $ receivers_arg $ duration_arg $ loss_arg
-      $ delay_arg $ jitter_arg $ warmup_arg $ clr_at_arg $ clr_heal_arg
-      $ flap_at_arg $ flap_up_arg $ churn_arg $ churn_from_arg
-      $ churn_until_arg $ churn_period_arg $ churn_down_arg $ kill_session_arg
-      $ kill_at_arg $ min_converged_arg $ rtt_initial_arg $ seed_arg $ json_arg
-      $ metrics_out_arg)
+      const run $ sessions_arg $ receivers_arg $ duration_arg $ impair_term
+      $ rtt_initial_arg $ seed_arg $ json_arg $ metrics_out_arg)
 
 let () =
   let doc = "TFMCC (SIGCOMM 2001) reproduction: experiment runner" in

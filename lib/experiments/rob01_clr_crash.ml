@@ -3,7 +3,7 @@ open Tfmcc_core
 (* Robustness: silent crash of the current limiting receiver.
 
    Three receivers behind per-receiver links of increasing loss; the
-   lossiest one becomes the CLR.  A third into the run a Fault.churn
+   lossiest one becomes the CLR.  A third into the run a Fault.crash
    event makes the current CLR vanish without a leave report (crash —
    the hard case: the sender only learns through its CLR timeout).  The
    sender must (a) notice the silence within clr_timeout_rounds feedback
@@ -27,7 +27,7 @@ let run ~mode ~seed =
      election went another way the experiment still kills the right
      receiver. *)
   let crashed = ref (-1) in
-  Netsim.Fault.churn fault ~at:crash_at ~kind:Netsim.Fault.Crash (fun _ ->
+  Netsim.Fault.crash fault ~at:crash_at (fun () ->
       match Sender.clr (Session.sender sess) with
       | Some id ->
           crashed := id;

@@ -26,10 +26,10 @@ let run ~mode ~seed =
   Session.start sess ~at:0.;
   Array.iter
     (fun (fwd, rev) ->
-      Netsim.Fault.corrupt fault fwd ~rate:0.05 ~mangle:Netsim_env.corrupt_packet ();
-      Netsim.Fault.corrupt fault rev ~rate:0.05 ~mangle:Netsim_env.corrupt_packet ();
-      Netsim.Fault.duplicate fault fwd ~rate:0.01 ();
-      Netsim.Fault.reorder fault rev ~rate:0.02 ~extra_delay:0.05 ())
+      Netsim.Fault.corrupt fault fwd ~rate:0.05 ~mangle:Netsim_env.corrupt_packet;
+      Netsim.Fault.corrupt fault rev ~rate:0.05 ~mangle:Netsim_env.corrupt_packet;
+      Netsim.Fault.duplicate fault fwd ~rate:0.01;
+      Netsim.Fault.reorder fault rev ~rate:0.02 ~extra_delay:0.05)
     st.Scenario.s_rx_links;
   let samples = ref [] in
   let rate_ok = ref true in

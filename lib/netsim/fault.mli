@@ -1,13 +1,21 @@
-(** Fault-injection layer: scheduled link failures, subtree partitions,
-    packet corruption / duplication / reordering injectors, and receiver
-    churn events, all driven off the simulation clock.
+(** Fault-injection layer: scheduled subtree partitions, packet
+    corruption / duplication / reordering injectors, and receiver
+    crashes, all driven off the simulation clock.
 
-    One [t] owns the schedules and the aggregate counters, so an
-    experiment can both script a chaos scenario declaratively and report
-    afterwards exactly how much damage was injected.  The layer is
-    protocol-agnostic: packet corruption takes a caller-supplied mangle
-    function (e.g. [Tfmcc_core.Wire.corrupt_packet]) so netsim never
-    learns about payload types. *)
+    One [t] owns the schedules, so an experiment can both script a chaos
+    scenario declaratively and report afterwards exactly how much damage
+    was injected.  The layer is protocol-agnostic: packet corruption
+    takes a caller-supplied mangle function (e.g.
+    [Netsim_env.corrupt_packet]) so netsim never learns about payload
+    types.
+
+    The damage counts live in the engine's metrics registry as
+    [netsim_fault_*_total] counters; the accessors below read them.  All
+    eight names are registered at {!create}, including
+    [netsim_fault_drops_injected_total] and
+    [netsim_fault_graceful_leaves_total], which nothing here increments:
+    experiment notes print every [netsim_fault_] counter, and the golden
+    digests hash the registry. *)
 
 type t
 
@@ -15,22 +23,7 @@ val create : Engine.t -> t
 (** A fault plan bound to an engine; injector randomness is split off the
     engine's master stream, so runs stay reproducible per seed. *)
 
-(** {1 Link failures and partitions} *)
-
-val down_at : t -> Link.t -> time:float -> unit
-(** Takes the link down at [time] (packets handed to it are dropped). *)
-
-val up_at : t -> Link.t -> time:float -> unit
-
-val flap : t -> Link.t -> down_at:float -> up_at:float -> unit
-(** One down/up cycle. *)
-
-val flap_every :
-  t -> Link.t -> first_down:float -> period:float -> down_for:float ->
-  until:float -> unit
-(** Repeated flapping: down at [first_down], [first_down + period], …,
-    each outage lasting [down_for] seconds, no cycle starting after
-    [until]. *)
+(** {1 Partitions} *)
 
 val partition : t -> links:Link.t list -> from_:float -> until:float -> unit
 (** Takes every listed link down over [[from_, until]] and restores it
@@ -40,47 +33,31 @@ val partition : t -> links:Link.t list -> from_:float -> until:float -> unit
 (** {1 Packet-level injectors}
 
     Injectors attach to a link and fire per packet with the given
-    probability, optionally only inside a time window.  Several injectors
-    may be installed on the same link; they are consulted in installation
-    order and the first one that acts on a packet wins.  Installing any
-    injector replaces a fault hook installed directly via
-    {!Link.set_fault}. *)
+    probability.  Several injectors may be installed on the same link;
+    they are consulted in installation order and the first one that acts
+    on a packet wins.  Installing any injector replaces a fault hook
+    installed directly via {!Link.set_fault}. *)
 
 val corrupt :
-  t -> Link.t -> ?from_:float -> ?until:float -> rate:float ->
-  mangle:(Stats.Rng.t -> Packet.t -> Packet.t) -> unit -> unit
+  t -> Link.t -> rate:float -> mangle:(Stats.Rng.t -> Packet.t -> Packet.t) -> unit
 (** Replaces each selected packet by [mangle rng packet] — the returned
     packet continues down the link in its place. *)
 
-val duplicate :
-  t -> Link.t -> ?from_:float -> ?until:float -> rate:float -> unit -> unit
+val duplicate : t -> Link.t -> rate:float -> unit
 (** Transmits each selected packet twice. *)
 
-val reorder :
-  t -> Link.t -> ?from_:float -> ?until:float -> rate:float ->
-  extra_delay:float -> unit -> unit
+val reorder : t -> Link.t -> rate:float -> extra_delay:float -> unit
 (** Holds each selected packet back for Uniform(0, extra_delay] seconds
     before it enters the link, so later packets overtake it. *)
 
-val drop :
-  t -> Link.t -> ?from_:float -> ?until:float -> rate:float -> unit -> unit
-(** Drops each selected packet.  Unlike a {!Loss_model} this is counted
-    as injected damage under {!drops_injected}. *)
+(** {1 Receiver crashes} *)
 
-val clear_injectors : t -> Link.t -> unit
-(** Removes every injector this plan installed on the link. *)
+val crash : t -> at:float -> (unit -> unit) -> unit
+(** Schedules a receiver crash: the callback performs the leave and must
+    not emit a leave report (the receiver vanishes silently and the
+    sender has to find out via its timeouts). *)
 
-(** {1 Receiver churn} *)
-
-type churn_kind = Crash | Graceful
-
-val churn : t -> at:float -> kind:churn_kind -> (churn_kind -> unit) -> unit
-(** Schedules a churn event: the callback performs the actual leave —
-    for a [Crash] it must not emit a leave report (the receiver vanishes
-    silently and the sender has to find out via its timeouts), for a
-    [Graceful] leave it should.  The kind is recorded in the counters. *)
-
-(** {1 Counters and reporting} *)
+(** {1 Counters} *)
 
 val corruptions : t -> int
 
@@ -88,17 +65,9 @@ val duplications : t -> int
 
 val reorderings : t -> int
 
-val drops_injected : t -> int
-
 val link_flaps : t -> int
-(** Down transitions executed by this plan (partitions included). *)
+(** Down transitions executed by partitions. *)
 
 val partitions : t -> int
 
 val crashes : t -> int
-
-val graceful_leaves : t -> int
-
-val describe : t -> string
-(** One-line summary of everything injected so far, for experiment
-    notes. *)

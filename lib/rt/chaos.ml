@@ -2,9 +2,6 @@
 
 type spec =
   | Flap of { down_at : float; up_at : float }
-  | Partition of { endpoints : int list; from_ : float; until : float }
-  | Loss_burst of { from_ : float; until : float; loss : float }
-  | Delay_shift of { from_ : float; until : float; delay : float; jitter : float }
   | Churn of {
       sessions : int list;
       fraction : float;
@@ -25,19 +22,6 @@ let check_window name ~from_ ~until =
 let validate_spec = function
   | Flap { down_at; up_at } ->
       check_window "flap" ~from_:down_at ~until:up_at
-  | Partition { endpoints; from_; until } ->
-      check_window "partition" ~from_ ~until;
-      if endpoints = [] then invalid_arg "Chaos.partition: empty endpoint set"
-  | Loss_burst { from_; until; loss } ->
-      check_window "loss_burst" ~from_ ~until;
-      if not (Float.is_finite loss && loss >= 0. && loss <= 1.) then
-        invalid_arg "Chaos.loss_burst: loss must be in [0,1]"
-  | Delay_shift { from_; until; delay; jitter } ->
-      check_window "delay_shift" ~from_ ~until;
-      if not (Float.is_finite delay && delay >= 0.) then
-        invalid_arg "Chaos.delay_shift: delay must be finite and >= 0";
-      if not (Float.is_finite jitter && jitter >= 0.) then
-        invalid_arg "Chaos.delay_shift: jitter must be finite and >= 0"
   | Churn { sessions = _; fraction; from_; until; period; down_for } ->
       check_window "churn" ~from_ ~until;
       if not (Float.is_finite fraction && fraction > 0. && fraction <= 1.) then
@@ -52,14 +36,6 @@ let validate plan = List.iter validate_spec plan
 let describe_spec = function
   | Flap { down_at; up_at } ->
       Printf.sprintf "flap down@%gs up@%gs" down_at up_at
-  | Partition { endpoints; from_; until } ->
-      Printf.sprintf "partition %d endpoint(s) %g..%gs" (List.length endpoints)
-        from_ until
-  | Loss_burst { from_; until; loss } ->
-      Printf.sprintf "loss-burst p=%g %g..%gs" loss from_ until
-  | Delay_shift { from_; until; delay; jitter } ->
-      Printf.sprintf "delay-shift %gms+/-%gms %g..%gs" (delay *. 1e3)
-        (jitter *. 1e3) from_ until
   | Churn { sessions; fraction; from_; until; period; down_for } ->
       Printf.sprintf "churn %g%% of %s every %gs (down %gs) %g..%gs"
         (fraction *. 100.)
@@ -74,9 +50,7 @@ type t = {
   net : Net.t;
   rng : Stats.Rng.t; (* churn victim selection, split off the loop master *)
   mutable flaps : int;
-  mutable partitions : int;
   mutable churn_blocks : int;
-  mutable profile_shifts : int;
 }
 
 let scope = Obs.Journal.scope "rt.chaos"
@@ -101,50 +75,6 @@ let arm_flap t ~base ~down_at ~up_at =
   schedule t ~at:(base +. up_at) (fun () ->
       Net.set_fabric_up t.net true;
       event t ~kind:"flap_up" ~detail:"" ())
-
-let arm_partition t ~base ~endpoints ~from_ ~until =
-  let detail =
-    String.concat "," (List.map string_of_int endpoints)
-  in
-  schedule t ~at:(base +. from_) (fun () ->
-      t.partitions <- t.partitions + 1;
-      List.iter (Net.block t.net) endpoints;
-      event t ~severity:Obs.Journal.Error ~kind:"partition" ~detail ());
-  schedule t ~at:(base +. until) (fun () ->
-      List.iter (Net.unblock t.net) endpoints;
-      event t ~kind:"partition_heal" ~detail ())
-
-let arm_loss_burst t ~base ~from_ ~until ~loss =
-  schedule t ~at:(base +. from_) (fun () ->
-      t.profile_shifts <- t.profile_shifts + 1;
-      Net.set_impair t.net { (Net.current_impair t.net) with Net.loss };
-      event t ~severity:Obs.Journal.Warn ~kind:"loss_burst"
-        ~detail:(Printf.sprintf "p=%g" loss)
-        ());
-  schedule t ~at:(base +. until) (fun () ->
-      Net.set_impair t.net
-        { (Net.base_impair t.net) with
-          Net.delay = (Net.current_impair t.net).Net.delay;
-          jitter = (Net.current_impair t.net).Net.jitter;
-        };
-      event t ~kind:"loss_burst_end" ~detail:"" ())
-
-let arm_delay_shift t ~base ~from_ ~until ~delay ~jitter =
-  schedule t ~at:(base +. from_) (fun () ->
-      t.profile_shifts <- t.profile_shifts + 1;
-      Net.set_impair t.net
-        { (Net.current_impair t.net) with Net.delay; jitter };
-      event t ~severity:Obs.Journal.Warn ~kind:"delay_shift"
-        ~detail:(Printf.sprintf "delay=%gms jitter=%gms" (delay *. 1e3) (jitter *. 1e3))
-        ());
-  schedule t ~at:(base +. until) (fun () ->
-      let base_i = Net.base_impair t.net in
-      Net.set_impair t.net
-        { (Net.current_impair t.net) with
-          Net.delay = base_i.Net.delay;
-          jitter = base_i.Net.jitter;
-        };
-      event t ~kind:"delay_shift_end" ~detail:"" ())
 
 (* One churn cycle: for every targeted session, take a seeded sample of
    the currently joined members down, then heal them [down_for] later
@@ -195,21 +125,13 @@ let apply net plan =
       net;
       rng = Loop.split_rng loop;
       flaps = 0;
-      partitions = 0;
       churn_blocks = 0;
-      profile_shifts = 0;
     }
   in
   let base = Loop.now loop in
   List.iter
     (function
       | Flap { down_at; up_at } -> arm_flap t ~base ~down_at ~up_at
-      | Partition { endpoints; from_; until } ->
-          arm_partition t ~base ~endpoints ~from_ ~until
-      | Loss_burst { from_; until; loss } ->
-          arm_loss_burst t ~base ~from_ ~until ~loss
-      | Delay_shift { from_; until; delay; jitter } ->
-          arm_delay_shift t ~base ~from_ ~until ~delay ~jitter
       | Churn { sessions; fraction; from_; until; period; down_for } ->
           arm_churn t ~base ~sessions ~fraction ~from_ ~until ~period ~down_for)
     plan;
@@ -217,8 +139,4 @@ let apply net plan =
 
 let flaps t = t.flaps
 
-let partitions t = t.partitions
-
 let churn_blocks t = t.churn_blocks
-
-let profile_shifts t = t.profile_shifts

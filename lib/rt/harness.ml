@@ -51,6 +51,29 @@ let default =
     faults = [];
   }
 
+let chaos_soak =
+  {
+    default with
+    sessions = 200;
+    receivers = 4;
+    duration = 20.;
+    cfg = { Config.default with rtt_initial = 0.15 };
+    chaos =
+      [
+        Chaos.Flap { down_at = 7.; up_at = 7.4 };
+        Chaos.Churn
+          {
+            sessions = [];
+            fraction = 0.2;
+            from_ = 4.;
+            until = 10.;
+            period = 1.5;
+            down_for = 0.6;
+          };
+      ];
+    faults = [ Partition_clr { at = 3.; until = 6. } ];
+  }
+
 type session_stat = {
   session : int;
   rate : float;
@@ -403,7 +426,6 @@ let run ?obs c =
             failwith "chaos: injected session kill")
     | _ -> ()
   in
-  let blocked_clrs = ref [] in
   List.iter
     (fun f ->
       let arm ~at fn =
@@ -426,6 +448,9 @@ let run ?obs c =
               | `Running, Some s -> Sender.stop (Session.sender s)
               | _ -> ())
       | Partition_clr { at; until } ->
+          (* Each window heals only the CLRs it blocked itself: a block
+             is refcounted, so an overlapping window keeps its own. *)
+          let blocked = ref [] in
           arm ~at (fun () ->
               List.iter
                 (fun sup ->
@@ -435,16 +460,14 @@ let run ?obs c =
                       | Some node ->
                           ops.block node;
                           incr clr_partitioned;
-                          blocked_clrs := node :: !blocked_clrs;
+                          blocked := node :: !blocked;
                           journal sup ~severity:Obs.Journal.Error
                             ~kind:"clr-partitioned"
                             ~detail:(Printf.sprintf "endpoint %d" node)
                       | None -> ())
                   | _ -> ())
                 sups);
-          arm ~at:until (fun () ->
-              List.iter ops.unblock !blocked_clrs;
-              blocked_clrs := []))
+          arm ~at:until (fun () -> List.iter ops.unblock !blocked))
     c.faults;
   let chaos =
     match (c.chaos, ops.net) with

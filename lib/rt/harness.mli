@@ -45,7 +45,9 @@ type fault =
   | Partition_clr of { at : float; until : float }
       (** At [at], looks up every session's current CLR and blocks that
           endpoint on the fabric until [until] — the rt twin of the
-          simulator's CLR-partition scenario.  Loopback only. *)
+          simulator's CLR-partition scenario.  Each window heals only
+          the endpoints it blocked, so overlapping windows compose.
+          Loopback only. *)
 
 type config = {
   sessions : int;
@@ -67,6 +69,13 @@ val default : config
     jitter — an impairment under which the equation rate is a few
     hundred packets per second, so rates visibly converge within the
     run.  1 s supervision probes, no chaos, no faults. *)
+
+val chaos_soak : config
+(** The [tfmcc-sim chaos-rt] plan: 200 sessions x 4 receivers for 20 s
+    with [rtt_initial] 0.15 s, every session's CLR partitioned over
+    3-6 s, the fabric flapped down over 7-7.4 s, and 20% of each
+    session's receivers churned every 1.5 s (down 0.6 s) over 4-10 s;
+    otherwise {!default}. *)
 
 type session_stat = {
   session : int;

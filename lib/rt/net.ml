@@ -33,8 +33,7 @@ and horizon = { mutable last : float }
 
 and t = {
   loop : Loop.t;
-  mutable impair : impairment; (* current shim; chaos plans rewrite it *)
-  base_impair : impairment; (* as configured at creation (chaos restores to it) *)
+  impair : impairment;
   rng : Stats.Rng.t; (* impairment draws, split off the loop's master *)
   endpoints : (int, endpoint) Hashtbl.t;
   groups : (int, int list) Hashtbl.t; (* session -> member ids, ascending *)
@@ -69,7 +68,6 @@ let create loop ?(impair = impairment ()) () =
   {
     loop;
     impair;
-    base_impair = impair;
     rng = Loop.split_rng loop;
     endpoints = Hashtbl.create 64;
     groups = Hashtbl.create 16;
@@ -109,12 +107,6 @@ let sessions t =
   List.sort compare (Hashtbl.fold (fun sid _ acc -> sid :: acc) t.groups [])
 
 (* ----------------------------------------------------------- chaos hooks *)
-
-let set_impair t impair = t.impair <- impair
-
-let current_impair t = t.impair
-
-let base_impair t = t.base_impair
 
 let set_fabric_up t up = t.fabric_up <- up
 

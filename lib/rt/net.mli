@@ -23,10 +23,10 @@
     DESIGN.md §15): the whole fabric can flap down/up, individual
     endpoints can be blocked (partitioned/churned — frames to {e or}
     from a blocked endpoint are dropped at send time, counted under
-    [reason="partition"]; fabric-down drops count [reason="flap"]),
-    and the impairment profile can be rewritten mid-run.  All chaos
-    mutations happen from loop timers, so a turbo-mode chaos run is
-    as deterministic as a clean one. *)
+    [reason="partition"]; fabric-down drops count [reason="flap"]).
+    The impairment profile is fixed at {!create}.  All chaos mutations
+    happen from loop timers, so a turbo-mode chaos run is as
+    deterministic as a clean one. *)
 
 type t
 
@@ -107,17 +107,6 @@ val is_blocked : t -> int -> bool
 
 val blocked_count : t -> int
 (** Endpoints currently blocked (distinct ids, not refcounts). *)
-
-val set_impair : t -> impairment -> unit
-(** Replaces the impairment profile mid-run (time-varying loss/delay
-    schedules).  The warmup hold-off keeps its original absolute
-    deadline — it is a property of the fabric's first seconds, not of
-    the current profile. *)
-
-val current_impair : t -> impairment
-
-val base_impair : t -> impairment
-(** The profile the fabric was created with (what chaos windows restore). *)
 
 (* Fabric-wide counters (also exported as [tfmcc_rt_*] metrics). *)
 

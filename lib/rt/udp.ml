@@ -323,9 +323,7 @@ let env ep =
     Env.id = ep.ep_id;
     clock = Loop.clock ep.net.loop;
     after = (fun ~delay fn -> Loop.after ep.net.loop ~delay fn);
-    after_unit =
-      (fun ~delay fn ->
-        ignore (Loop.after ep.net.loop ~delay fn : Tfmcc_core.Env.timer));
+    after_unit = (fun ~delay fn -> Loop.after_unit ep.net.loop ~delay fn);
     at = (fun ~time fn -> Loop.at ep.net.loop ~time fn);
     send = (fun ~dest ~flow ~size msg -> send ep ~dest ~flow ~size msg);
     join = (fun () -> join ep);
