@@ -175,8 +175,8 @@ let at t ~time fn =
   in
   timer_of t (Event_heap.add t.heap ~base:Event_heap.time_zero ~offset:time fn)
 
-let frame_at t ~time deliver frame size =
-  Event_heap.add_msg t.heap ~base:Event_heap.time_zero ~offset:time deliver frame size
+let frame_at t ~base ~offset deliver frame size =
+  Event_heap.add_msg t.heap ~base ~offset deliver frame size
 
 (* Self-rescheduling periodic timer.  The next occurrence is queued
    before [fn] runs, so the chain survives a callback exception when an

@@ -64,15 +64,25 @@ val at : t -> time:float -> (unit -> unit) -> Tfmcc_core.Env.timer
     moving {!now} back.  A non-finite [time] is replaced by {!now} and
     counted as a clock anomaly (kind ["bad-delay"]). *)
 
-val frame_at : t -> time:float -> (bytes -> int -> unit) -> bytes -> int -> unit
-(** [frame_at t ~time deliver frame size] calls [deliver frame size]
-    at [time]: a datagram in flight, queued with
-    {!Event_heap.add_msg}, so it allocates no closure, timer or
-    handle.  It fires in the same (deadline, seq) order as every other
+val frame_at :
+  t ->
+  base:Event_heap.time_cell ->
+  offset:float ->
+  (bytes -> int -> unit) ->
+  bytes ->
+  int ->
+  unit
+(** [frame_at t ~base ~offset deliver frame size] calls [deliver frame
+    size] at [base.cell_time +. offset]: a datagram in flight, queued
+    with {!Event_heap.add_msg}, so it allocates no closure, timer or
+    handle.  The fabric passes a path's FIFO horizon cell as [base]
+    and [0.] as [offset], so no arrival time is boxed on the way in;
+    [~base:Event_heap.time_zero ~offset:time] schedules at the absolute
+    [time].  It fires in the same (deadline, seq) order as every other
     timer, under the {!set_exn_handler} backstop, and counts in
-    {!timers_fired}.  It cannot be cancelled.  Unlike {!at}, [time] is
-    not clamped: the fabric only computes finite arrival times.
-    @raise Invalid_argument on a NaN [time]. *)
+    {!timers_fired}.  It cannot be cancelled.  Unlike {!at}, the due
+    time is not clamped: the fabric only computes finite arrival times.
+    @raise Invalid_argument on a NaN due time. *)
 
 val every : t -> interval:float -> (unit -> unit) -> Tfmcc_core.Env.timer
 (** Periodic timer: first fires [interval] seconds from now, then every

@@ -23,17 +23,20 @@ type endpoint = {
   on_frame : bytes -> int -> unit;
       (* [deliver_frame] bound to this endpoint, built once: what the
          loop's frame slots fire for a copy addressed here *)
-  mutable paths : (int, horizon) Hashtbl.t option;
-      (* dst id -> FIFO horizon from here; made on the first send, so
-         building thousands of endpoints allocates no table *)
+  mutable paths : (int, Event_heap.time_cell) Hashtbl.t option;
+      (* dst id -> FIFO horizon from here: the latest arrival time
+         scheduled on the (src, dst) path, and the base each copy on it
+         is scheduled from.  Made on the first send, so building
+         thousands of endpoints allocates no table. *)
 }
-
-(* Latest arrival time scheduled on one (src, dst) path. *)
-and horizon = { mutable last : float }
 
 and t = {
   loop : Loop.t;
   impair : impairment;
+  loss : float;
+      (* [impair.loss] in a field of this mixed record, so boxed once
+         here: read from the flat [impairment] record, it would be boxed
+         again on every copy's way into [Stats.Rng.bernoulli] *)
   rng : Stats.Rng.t; (* impairment draws, split off the loop's master *)
   endpoints : (int, endpoint) Hashtbl.t;
   groups : (int, int list) Hashtbl.t; (* session -> member ids, ascending *)
@@ -68,6 +71,7 @@ let create loop ?(impair = impairment ()) () =
   {
     loop;
     impair;
+    loss = impair.loss;
     rng = Loop.split_rng loop;
     endpoints = Hashtbl.create 64;
     groups = Hashtbl.create 16;
@@ -200,7 +204,7 @@ let horizon ep dst =
   match Hashtbl.find paths dst with
   | h -> h
   | exception Not_found ->
-      let h = { last = neg_infinity } in
+      let h = { Event_heap.cell_time = neg_infinity } in
       Hashtbl.add paths dst h;
       h
 
@@ -221,25 +225,29 @@ let send_copy ep frame dsize ~src_blocked dst =
     Obs.Metrics.Counter.inc t.m_partition
   end
   else if
-    t.impair.loss > 0.
+    t.loss > 0.
     && (Loop.clock t.loop).Event_heap.cell_time >= t.loss_from
-    && Stats.Rng.bernoulli t.rng t.impair.loss
+    && Stats.Rng.bernoulli t.rng t.loss
   then begin
     t.lost <- t.lost + 1;
     Obs.Metrics.Counter.inc t.m_lost
   end
   else begin
+    (* The jitter draw is scaled here, as [Stats.Rng.uniform] scales
+       it, so the same value arrives without a boxed float. *)
     let extra =
-      if t.impair.jitter > 0. then t.impair.jitter *. Stats.Rng.uniform t.rng else 0.
+      if t.impair.jitter > 0. then
+        t.impair.jitter *. (float_of_int (Stats.Rng.bits53 t.rng) *. 0x1p-53)
+      else 0.
     in
     (* Jitter must not reorder a path: like a netem-shaped FIFO link
        (and like the simulator's queues), an arrival never precedes the
-       previous arrival on the same (src,dst). *)
-    (* The clock is read from its cell: [Loop.now] would box it. *)
+       previous arrival on the same (src,dst).  The copy is scheduled
+       from the horizon cell itself, so the arrival time stays a raw
+       double from the clock cell to the heap. *)
     let arrival = (Loop.clock t.loop).Event_heap.cell_time +. t.impair.delay +. extra in
     let h = horizon ep dst in
-    let arrival = if h.last > arrival then h.last else arrival in
-    h.last <- arrival;
+    if h.Event_heap.cell_time <= arrival then h.Event_heap.cell_time <- arrival;
     (* Endpoints are never removed, so resolving [dst] now finds the
        endpoint a lookup at delivery time would. *)
     let deliver =
@@ -247,7 +255,7 @@ let send_copy ep frame dsize ~src_blocked dst =
       | d -> d.on_frame
       | exception Not_found -> no_endpoint
     in
-    Loop.frame_at t.loop ~time:arrival deliver frame dsize
+    Loop.frame_at t.loop ~base:h ~offset:0. deliver frame dsize
   end
 
 let rec fan_out ep frame dsize ~src_blocked = function

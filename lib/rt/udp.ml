@@ -63,6 +63,11 @@ and t = {
      the counters carry the volume. *)
   journaled : (int * string, unit) Hashtbl.t;
   kind_counters : (string * string, Obs.Metrics.Counter.t) Hashtbl.t;
+  (* The frame families {!Net} exports, so a UDP run's metrics carry
+     them too. *)
+  m_sent : Obs.Metrics.Counter.t;
+  m_delivered : Obs.Metrics.Counter.t;
+  m_dec : Obs.Metrics.Counter.t;
 }
 
 let scope_for ep =
@@ -119,6 +124,7 @@ let shed_window_s = 0.05
 let create loop =
   if Loop.mode loop = Loop.Turbo then
     invalid_arg "Udp.create: needs a realtime loop (virtual time outruns sockets)";
+  let m = (Loop.obs loop).Obs.Sink.metrics in
   {
     loop;
     endpoints = Hashtbl.create 16;
@@ -138,6 +144,10 @@ let create loop =
     on_fatal = None;
     journaled = Hashtbl.create 16;
     kind_counters = Hashtbl.create 8;
+    m_sent = Obs.Metrics.counter m "tfmcc_rt_frames_sent_total";
+    m_delivered = Obs.Metrics.counter m "tfmcc_rt_frames_delivered_total";
+    m_dec =
+      Obs.Metrics.counter m ~labels:[ ("reason", "decode") ] "tfmcc_rt_frame_drop_total";
   }
 
 let set_on_fatal t f = t.on_fatal <- Some f
@@ -167,14 +177,19 @@ let drain ep =
               recv_error t ep ~kind ~detail:"recv";
               fatal t ep ~dir:"recv" e ~kind)
       | len, _from ->
+          (* Decoded in place: the next [recvfrom] reuses [t.buf] only
+             after the message is built. *)
           (match ep.deliver with
           | None -> ()
           | Some f -> (
-              match Wire.decode (Bytes.sub t.buf 0 len) with
+              match Wire.decode ~len t.buf with
               | Ok msg ->
                   t.delivered <- t.delivered + 1;
+                  Obs.Metrics.Counter.inc t.m_delivered;
                   f ~size:len msg
-              | Error _ -> t.dec_errors <- t.dec_errors + 1));
+              | Error _ ->
+                  t.dec_errors <- t.dec_errors + 1;
+                  Obs.Metrics.Counter.inc t.m_dec));
           go ()
   in
   go ()
@@ -313,6 +328,7 @@ let send ep ~dest ~flow:_ ~size msg =
             | Some peer ->
                 if not (ep.dead || peer.dead) then begin
                   t.sent <- t.sent + 1;
+                  Obs.Metrics.Counter.inc t.m_sent;
                   send_one t ep peer frame frame_len
                 end)
           dests

@@ -63,8 +63,13 @@ val close : t -> unit
 (** Closes every socket and unregisters the fds from the loop. *)
 
 val frames_sent : t -> int
+(** Datagrams offered to [sendto], one per peer; also counted in
+    [tfmcc_rt_frames_sent_total], as on {!Net}. *)
 
 val frames_delivered : t -> int
+(** Datagrams decoded and handed to a deliver hook; also counted in
+    [tfmcc_rt_frames_delivered_total].  Each is decoded in place in the
+    shared receive buffer, not copied out first. *)
 
 val send_errors : t -> int
 (** Frames dropped on the send path after retries (every kind, shedding
@@ -81,3 +86,5 @@ val recv_errors : t -> int
 (** [recvfrom] failures other than the EAGAIN/EINTR fast path. *)
 
 val decode_errors : t -> int
+(** Datagrams {!Tfmcc_core.Wire.decode} rejected; also counted in
+    [tfmcc_rt_frame_drop_total{reason="decode"}]. *)

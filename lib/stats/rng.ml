@@ -36,10 +36,10 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   v mod bound
 
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
+
 (* 53 random bits scaled into [0,1). *)
-let[@inline] uniform t =
-  let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
-  float_of_int v *. 0x1p-53
+let[@inline] uniform t = float_of_int (bits53 t) *. 0x1p-53
 
 (* The draw and the comparison share one body, so the uniform never
    leaves it boxed; callers across the module boundary get a bool. *)

@@ -23,6 +23,12 @@ val split : t -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val bits53 : t -> int
+(** The next 53 random bits as a non-negative int: the draw {!uniform}
+    scales, [uniform t = float_of_int (bits53 t) *. 0x1p-53].  A caller
+    in another module that scales it itself gets the same value without
+    a float crossing the module boundary. *)
+
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound).  [bound] must be
     positive. *)

@@ -95,9 +95,22 @@ let data_valid (d : data) =
 
 (* ----------------------------------------------------------- byte codec *)
 
+(* Field access at a byte offset, little-endian.  These are top-level
+   functions of the buffer, not closures over it: a local closure
+   capturing [b] is allocated on every encode or decode call.  With
+   them inlined, a float goes from the bytes to its record box (or from
+   its record box to the bytes) without an intermediate box. *)
+let[@inline] get_int b off = Int64.to_int (Bytes.get_int64_le b off)
+
+let[@inline] get_float b off = Int64.float_of_bits (Bytes.get_int64_le b off)
+
+let[@inline] set_int b off v = Bytes.set_int64_le b off (Int64.of_int v)
+
+let[@inline] set_float b off v = Bytes.set_int64_le b off (Int64.bits_of_float v)
+
 (* Serialized receiver report: magic, flags, three 64-bit ints, seven
-   IEEE-754 doubles, all little-endian.  [decode_report] re-runs
-   [report_fields_valid] so no byte string — random, truncated, or
+   IEEE-754 doubles, all little-endian.  Decoding re-runs
+   [report_valid] so no byte string — random, truncated, or
    bit-flipped — can ever produce a payload the sender would reject. *)
 
 let encoded_report_size = 82
@@ -109,7 +122,8 @@ let report_flag_mask = 0x07 (* have_rtt | has_loss | leaving *)
 (* Encoding is the sender's last chance to catch a non-finite float
    before it reaches the network: a NaN/inf smuggled through the encoder
    would round-trip bit-exactly and only surface as a decode rejection
-   at every receiver.  Fail loudly at the source instead. *)
+   at every receiver.  Fail loudly at the source instead.  Callers pass
+   every argument: a partial application would allocate per call. *)
 let require_finite ctx name v =
   if not (Float.is_finite v) then
     invalid_arg
@@ -118,14 +132,13 @@ let require_finite ctx name v =
 let encode_report_into b (r : report) =
   if Bytes.length b < encoded_report_size then
     invalid_arg "Wire.encode_report_into: buffer too small";
-  let chk = require_finite "encode_report" in
-  chk "ts" r.ts;
-  chk "echo_ts" r.echo_ts;
-  chk "echo_delay" r.echo_delay;
-  chk "rate" r.rate;
-  chk "rtt" r.rtt;
-  chk "p" r.p;
-  chk "x_recv" r.x_recv;
+  require_finite "encode_report" "ts" r.ts;
+  require_finite "encode_report" "echo_ts" r.echo_ts;
+  require_finite "encode_report" "echo_delay" r.echo_delay;
+  require_finite "encode_report" "rate" r.rate;
+  require_finite "encode_report" "rtt" r.rtt;
+  require_finite "encode_report" "p" r.p;
+  require_finite "encode_report" "x_recv" r.x_recv;
   Bytes.set_uint8 b 0 report_magic;
   let flags =
     (if r.have_rtt then 1 else 0)
@@ -133,17 +146,16 @@ let encode_report_into b (r : report) =
     lor if r.leaving then 4 else 0
   in
   Bytes.set_uint8 b 1 flags;
-  Bytes.set_int64_le b 2 (Int64.of_int r.session);
-  Bytes.set_int64_le b 10 (Int64.of_int r.rx_id);
-  Bytes.set_int64_le b 18 (Int64.of_int r.round);
-  let f off v = Bytes.set_int64_le b off (Int64.bits_of_float v) in
-  f 26 r.ts;
-  f 34 r.echo_ts;
-  f 42 r.echo_delay;
-  f 50 r.rate;
-  f 58 r.rtt;
-  f 66 r.p;
-  f 74 r.x_recv;
+  set_int b 2 r.session;
+  set_int b 10 r.rx_id;
+  set_int b 18 r.round;
+  set_float b 26 r.ts;
+  set_float b 34 r.echo_ts;
+  set_float b 42 r.echo_delay;
+  set_float b 50 r.rate;
+  set_float b 58 r.rtt;
+  set_float b 66 r.p;
+  set_float b 74 r.x_recv;
   encoded_report_size
 
 let encode_report (r : report) =
@@ -151,47 +163,39 @@ let encode_report (r : report) =
   let (_ : int) = encode_report_into b r in
   b
 
-let decode_report b =
-  if Bytes.length b <> encoded_report_size then Error "report: bad length"
+(* The decoders read the first [len] bytes of [b] as the frame.  Each
+   float is read straight into the record, which is then validated:
+   binding it to a local first and passing it to a labelled validator
+   as well as the record would box it twice. *)
+let decode_report_len b len =
+  if len <> encoded_report_size then Error "report: bad length"
   else if Bytes.get_uint8 b 0 <> report_magic then Error "report: bad magic"
   else
     let flags = Bytes.get_uint8 b 1 in
     if flags land lnot report_flag_mask <> 0 then Error "report: unknown flags"
     else
-      let i off = Int64.to_int (Bytes.get_int64_le b off) in
-      let g off = Int64.float_of_bits (Bytes.get_int64_le b off) in
-      let session = i 2 and rx_id = i 10 and round = i 18 in
-      let ts = g 26
-      and echo_ts = g 34
-      and echo_delay = g 42
-      and rate = g 50
-      and rtt = g 58
-      and p = g 66
-      and x_recv = g 74 in
-      if session < 0 then Error "report: negative session"
-      else if
-        not
-          (report_fields_valid ~rx_id ~ts ~echo_ts ~echo_delay ~rate ~rtt ~p
-             ~x_recv ~round)
-      then Error "report: invalid fields"
-      else
-        Ok
-          (Report
-             {
-               session;
-               rx_id;
-               ts;
-               echo_ts;
-               echo_delay;
-               rate;
-               have_rtt = flags land 1 <> 0;
-               rtt;
-               p;
-               x_recv;
-               round;
-               has_loss = flags land 2 <> 0;
-               leaving = flags land 4 <> 0;
-             })
+      let r =
+        {
+          session = get_int b 2;
+          rx_id = get_int b 10;
+          ts = get_float b 26;
+          echo_ts = get_float b 34;
+          echo_delay = get_float b 42;
+          rate = get_float b 50;
+          have_rtt = flags land 1 <> 0;
+          rtt = get_float b 58;
+          p = get_float b 66;
+          x_recv = get_float b 74;
+          round = get_int b 18;
+          has_loss = flags land 2 <> 0;
+          leaving = flags land 4 <> 0;
+        }
+      in
+      if r.session < 0 then Error "report: negative session"
+      else if not (report_valid r) then Error "report: invalid fields"
+      else Ok (Report r)
+
+let decode_report b = decode_report_len b (Bytes.length b)
 
 (* Serialized data-packet header.  Fixed layout: absent echo/fb sections
    are encoded as zeroes and masked out by the presence flags.  Real
@@ -208,18 +212,17 @@ let data_flag_mask = 0x0f (* in_slowstart | echo? | fb? | fb_has_loss *)
 let encode_data_into b (d : data) =
   if Bytes.length b < encoded_data_size then
     invalid_arg "Wire.encode_data_into: buffer too small";
-  let chk = require_finite "encode_data" in
-  chk "ts" d.ts;
-  chk "rate" d.rate;
-  chk "round_duration" d.round_duration;
-  chk "max_rtt" d.max_rtt;
+  require_finite "encode_data" "ts" d.ts;
+  require_finite "encode_data" "rate" d.rate;
+  require_finite "encode_data" "round_duration" d.round_duration;
+  require_finite "encode_data" "max_rtt" d.max_rtt;
   (match d.echo with
   | Some e ->
-      chk "echo.rx_ts" e.rx_ts;
-      chk "echo.echo_delay" e.echo_delay
+      require_finite "encode_data" "echo.rx_ts" e.rx_ts;
+      require_finite "encode_data" "echo.echo_delay" e.echo_delay
   | None -> ());
   (match d.fb with
-  | Some f -> chk "fb.fb_rate" f.fb_rate
+  | Some f -> require_finite "encode_data" "fb.fb_rate" f.fb_rate
   | None -> ());
   (* Absent echo/fb sections must read as zeroes whatever the buffer
      held before (scratch buffers are reused across frames). *)
@@ -232,27 +235,25 @@ let encode_data_into b (d : data) =
     lor match d.fb with Some f when f.fb_has_loss -> 8 | _ -> 0
   in
   Bytes.set_uint8 b 1 flags;
-  let i off v = Bytes.set_int64_le b off (Int64.of_int v) in
-  let f off v = Bytes.set_int64_le b off (Int64.bits_of_float v) in
-  i 2 d.session;
-  i 10 d.seq;
-  i 18 d.round;
-  i 26 d.clr;
-  i 34 d.app;
-  f 42 d.ts;
-  f 50 d.rate;
-  f 58 d.round_duration;
-  f 66 d.max_rtt;
+  set_int b 2 d.session;
+  set_int b 10 d.seq;
+  set_int b 18 d.round;
+  set_int b 26 d.clr;
+  set_int b 34 d.app;
+  set_float b 42 d.ts;
+  set_float b 50 d.rate;
+  set_float b 58 d.round_duration;
+  set_float b 66 d.max_rtt;
   (match d.echo with
   | Some e ->
-      i 74 e.rx_id;
-      f 82 e.rx_ts;
-      f 90 e.echo_delay
+      set_int b 74 e.rx_id;
+      set_float b 82 e.rx_ts;
+      set_float b 90 e.echo_delay
   | None -> ());
   (match d.fb with
   | Some fb ->
-      i 98 fb.fb_rx_id;
-      f 106 fb.fb_rate
+      set_int b 98 fb.fb_rx_id;
+      set_float b 106 fb.fb_rate
   | None -> ());
   encoded_data_size
 
@@ -261,8 +262,8 @@ let encode_data (d : data) =
   let (_ : int) = encode_data_into b d in
   b
 
-let decode_data b =
-  if Bytes.length b < encoded_data_size then Error "data: bad length"
+let decode_data_len b len =
+  if len < encoded_data_size then Error "data: bad length"
   else if Bytes.get_uint8 b 0 <> data_magic then Error "data: bad magic"
   else
     let flags = Bytes.get_uint8 b 1 in
@@ -270,58 +271,53 @@ let decode_data b =
     else if flags land 8 <> 0 && flags land 4 = 0 then
       Error "data: fb_has_loss without fb"
     else
-      let i off = Int64.to_int (Bytes.get_int64_le b off) in
-      let g off = Int64.float_of_bits (Bytes.get_int64_le b off) in
-      let session = i 2
-      and seq = i 10
-      and round = i 18
-      and clr = i 26
-      and app = i 34
-      and ts = g 42
-      and rate = g 50
-      and round_duration = g 58
-      and max_rtt = g 66 in
-      let echo =
-        if flags land 2 <> 0 then
-          Some { rx_id = i 74; rx_ts = g 82; echo_delay = g 90 }
-        else None
+      let d =
+        {
+          session = get_int b 2;
+          seq = get_int b 10;
+          ts = get_float b 42;
+          rate = get_float b 50;
+          round = get_int b 18;
+          round_duration = get_float b 58;
+          max_rtt = get_float b 66;
+          clr = get_int b 26;
+          in_slowstart = flags land 1 <> 0;
+          echo =
+            (if flags land 2 <> 0 then
+               Some
+                 { rx_id = get_int b 74; rx_ts = get_float b 82; echo_delay = get_float b 90 }
+             else None);
+          fb =
+            (if flags land 4 <> 0 then
+               Some
+                 {
+                   fb_rx_id = get_int b 98;
+                   fb_rate = get_float b 106;
+                   fb_has_loss = flags land 8 <> 0;
+                 }
+             else None);
+          app = get_int b 34;
+        }
       in
-      let fb =
-        if flags land 4 <> 0 then
-          Some
-            { fb_rx_id = i 98; fb_rate = g 106; fb_has_loss = flags land 8 <> 0 }
-        else None
-      in
-      if session < 0 then Error "data: negative session"
-      else if
-        not
-          (data_fields_valid ~seq ~ts ~rate ~round ~round_duration ~max_rtt
-             ~clr ~echo ~fb)
-      then Error "data: invalid fields"
-      else
-        Ok
-          (Data
-             {
-               session;
-               seq;
-               ts;
-               rate;
-               round;
-               round_duration;
-               max_rtt;
-               clr;
-               in_slowstart = flags land 1 <> 0;
-               echo;
-               fb;
-               app;
-             })
+      if d.session < 0 then Error "data: negative session"
+      else if not (data_valid d) then Error "data: invalid fields"
+      else Ok (Data d)
 
-let decode b =
-  if Bytes.length b < 1 then Error "frame: empty"
+let decode_data b = decode_data_len b (Bytes.length b)
+
+let decode ?len b =
+  let len =
+    match len with
+    | None -> Bytes.length b
+    | Some n ->
+        if n < 0 || n > Bytes.length b then invalid_arg "Wire.decode: len out of bounds";
+        n
+  in
+  if len < 1 then Error "frame: empty"
   else
     match Bytes.get_uint8 b 0 with
-    | m when m = report_magic -> decode_report b
-    | m when m = data_magic -> decode_data b
+    | m when m = report_magic -> decode_report_len b len
+    | m when m = data_magic -> decode_data_len b len
     | _ -> Error "frame: bad magic"
 
 (* ------------------------------------------------------------ corruption *)

@@ -158,8 +158,17 @@ val decode_data : bytes -> (msg, string) result
     any frame of at least {!encoded_data_size} bytes whose first
     {!encoded_data_size} bytes form a valid header. *)
 
-val decode : bytes -> (msg, string) result
-(** Dispatches on the magic byte: report or data frame. *)
+val decode : ?len:int -> bytes -> (msg, string) result
+(** Dispatches on the magic byte: report or data frame.  [len]
+    (default [Bytes.length b]) is the frame's length: [decode ~len b]
+    reads [b]'s first [len] bytes and returns exactly what
+    [decode (Bytes.sub b 0 len)] returns, so a transport can decode a
+    datagram in its receive buffer without copying it out.  Raises
+    [Invalid_argument] if [len] is negative or exceeds [Bytes.length b].
+
+    A decode allocates only the decoded message: 25 words for a data
+    frame, 10 more with an echo and 8 more with an fb echo, and 32
+    words for a report.  The encoders allocate nothing. *)
 
 val corrupt_msg : Stats.Rng.t -> msg -> msg
 (** Returns a copy of the message with one randomly chosen field

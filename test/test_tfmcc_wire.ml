@@ -501,6 +501,23 @@ let valid_report_bytes () =
       leaving = false;
     }
 
+(* A valid data header with or without its echo and fb sections. *)
+let data_with ~echo ~fb =
+  {
+    W.session = 7;
+    seq = 99;
+    ts = 2.5;
+    rate = 125_000.;
+    round = 4;
+    round_duration = 0.5;
+    max_rtt = 0.5;
+    clr = 12;
+    in_slowstart = false;
+    echo = (if echo then Some { W.rx_id = 12; rx_ts = 2.4; echo_delay = 0.02 } else None);
+    fb = (if fb then Some { W.fb_rx_id = 31; fb_rate = 40_000.; fb_has_loss = true } else None);
+    app = -1;
+  }
+
 let valid_data_bytes () =
   W.encode_data
     {
@@ -754,6 +771,83 @@ let test_encode_rejects_nonfinite () =
       encode_data_with ~ts:2.5 ~rate:125_000. ~round_duration:0.5 ~max_rtt:0.5
         ~rx_ts:2.4 ~e_delay:0.02 ~fb_rate:Float.nan)
 
+(* [decode ~len b] reads a frame in place: it must agree with decoding
+   a copy of the prefix, [Ok] value and [Error] string alike.  The
+   buffers are valid reports and data headers (with every echo/fb
+   combination) as well as random bytes, each with a random tail and
+   sometimes one flipped bit, cut at a random length. *)
+let frame_in_buffer_gen =
+  QCheck.Gen.(
+    let data_bytes = map2 (fun echo fb -> W.encode_data (data_with ~echo ~fb)) bool bool in
+    let head = oneof [ return (valid_report_bytes ()); data_bytes; bytes_gen ] in
+    head >>= fun h ->
+    bytes_gen >>= fun tail ->
+    let b = Bytes.cat h tail in
+    let n = Bytes.length b in
+    (if n > 0 then
+       opt (int_bound ((n * 8) - 1)) >|= function
+       | Some bit ->
+           let i = bit / 8 in
+           Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))))
+       | None -> ()
+     else return ())
+    >>= fun () ->
+    oneof [ int_bound n; return (Bytes.length h); return n ] >|= fun len -> (b, len))
+
+let prop_decode_len_matches_copy =
+  QCheck.Test.make ~name:"decode ~len reads the prefix in place" ~count:2000
+    (QCheck.make
+       ~print:(fun (b, len) -> Printf.sprintf "len %d of %S" len (Bytes.to_string b))
+       frame_in_buffer_gen)
+    (fun (b, len) -> W.decode ~len b = W.decode (Bytes.sub b 0 len))
+
+(* Absolute allocation budgets of the codec, in minor words per call.
+   An encode writes into the caller's buffer and allocates nothing; a
+   decode allocates only the decoded message: the [Ok] and [Data] or
+   [Report] boxes, the record and one box per float field, plus the
+   option and record of an echo (10 words) and of an fb echo (8). *)
+let words_per_call f =
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let check_words name ~budget w =
+  if w > budget then Alcotest.failf "%s: %.2f minor words per call (budget %.0f)" name w budget
+
+let test_codec_encode_budget () =
+  let buf = Bytes.create W.encoded_data_size in
+  List.iter
+    (fun (echo, fb) ->
+      let d = data_with ~echo ~fb in
+      check_words
+        (Printf.sprintf "encode_data_into echo=%b fb=%b" echo fb)
+        ~budget:0.
+        (words_per_call (fun () -> ignore (W.encode_data_into buf d : int))))
+    [ (false, false); (true, false); (false, true); (true, true) ];
+  let r =
+    match W.decode_report (valid_report_bytes ()) with
+    | Ok (W.Report r) -> r
+    | _ -> Alcotest.fail "valid report rejected"
+  in
+  check_words "encode_report_into" ~budget:0.
+    (words_per_call (fun () -> ignore (W.encode_report_into buf r : int)))
+
+let test_codec_decode_budget () =
+  List.iter
+    (fun (echo, fb) ->
+      let frame = W.encode_data (data_with ~echo ~fb) in
+      let budget = 25. +. (if echo then 10. else 0.) +. if fb then 8. else 0. in
+      check_words
+        (Printf.sprintf "decode data echo=%b fb=%b" echo fb)
+        ~budget
+        (words_per_call (fun () -> ignore (W.decode frame))))
+    [ (false, false); (true, false); (false, true); (true, true) ];
+  let frame = valid_report_bytes () in
+  check_words "decode report" ~budget:32. (words_per_call (fun () -> ignore (W.decode frame)))
+
 let () =
   Alcotest.run "tfmcc_wire"
     [
@@ -795,6 +889,9 @@ let () =
           Alcotest.test_case "truncations rejected" `Quick test_codec_truncated_rejected;
           Alcotest.test_case "encode rejects non-finite" `Quick
             test_encode_rejects_nonfinite;
+                  Alcotest.test_case "encode allocates nothing" `Quick test_codec_encode_budget;
+          Alcotest.test_case "decode allocates only the message" `Quick
+            test_codec_decode_budget;
         ] );
       ( "codec fuzz",
         List.map QCheck_alcotest.to_alcotest
@@ -805,5 +902,6 @@ let () =
             prop_decode_data_bitflip;
             prop_encode_report_finite_guard;
             prop_encode_data_finite_guard;
+            prop_decode_len_matches_copy;
           ] );
     ]
