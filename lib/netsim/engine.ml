@@ -94,12 +94,16 @@ let after_pkt t ~delay pcb p =
   if delay < 0. then invalid_arg "Engine.after_pkt: negative delay";
   Event_heap.add_msg t.heap ~base:t.clock ~offset:delay pcb p 0
 
-let at_unit t ~time callback =
+(* The due time is summed and checked here, so a caller that keeps its
+   deadline in a cell (a link's transmission end) boxes nothing; the
+   heap sums [base + offset] again, bit for bit the same. *)
+let at_unit t ~base ~offset callback =
+  let time = base.Event_heap.cell_time +. offset in
   if time < t.clock.Event_heap.cell_time then
     invalid_arg
       (Printf.sprintf "Engine.at_unit: time %g is in the past (now %g)" time
          t.clock.Event_heap.cell_time);
-  Event_heap.add_unit t.heap ~base:Event_heap.time_zero ~offset:time callback
+  Event_heap.add_unit t.heap ~base ~offset callback
 
 let cancel t handle = Event_heap.cancel t.heap handle
 

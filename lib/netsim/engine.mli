@@ -61,8 +61,14 @@ val after_pkt : t -> delay:float -> (Packet.t -> int -> unit) -> Packet.t -> uni
     this schedules a delivery without allocating anything, like
     {!after_unit}. *)
 
-val at_unit : t -> time:float -> (unit -> unit) -> unit
-(** Fire-and-forget {!at}: no handle, like {!after_unit}. *)
+val at_unit :
+  t -> base:Event_heap.time_cell -> offset:float -> (unit -> unit) -> unit
+(** Fire-and-forget {!at} at [base.cell_time +. offset]: no handle, like
+    {!after_unit}.  [~base:Event_heap.time_zero ~offset:time] schedules
+    at the absolute [time]; a hot path that keeps its deadline in its
+    own cell passes [~base:cell ~offset:0.] and boxes nothing, since
+    [x +. 0.] is [x].  Raises [Invalid_argument] on a due time in the
+    past. *)
 
 val cancel : t -> handle -> unit
 

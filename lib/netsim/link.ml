@@ -11,10 +11,14 @@ type t = {
   dst : Node.t;
   (* Hot state (busy flag, cumulative busy time) lives in the engine's
      struct-of-arrays {!Link_table}, indexed by [slot]: the whole
-     fleet's transmit scalars stay contiguous and the busy-time
-     accumulation is a plain unboxed store. *)
+     fleet's transmit scalars stay contiguous. *)
   tbl : Link_table.t;
   slot : int;
+  (* The transmit path's float, kept in an all-float cell so no float
+     crosses a module boundary: the transmission time for
+     [Link_table.add_busy_time], then the transmission end the engine
+     schedules from (see [transmit]). *)
+  tx_cell : Event_heap.time_cell;
   (* The transmission-complete callback is allocated once per link, not
      once per packet: the line serializes transmissions, so exactly one
      packet is on the wire head at a time and rides in [tx_pkt]. *)
@@ -88,8 +92,6 @@ let counters_for metrics =
       Domain.DLS.set counters_cache (Some (metrics, c));
       c
 
-let tx_time t (p : Packet.t) = float_of_int p.size *. 8. /. t.bandwidth_bps
-
 let trace t ~kind p =
   match t.tracer with
   | Some f -> f ~time:(Engine.now t.engine) ~kind p
@@ -120,13 +122,18 @@ let deliver t p =
   end
 
 (* Transmit [p] now; [t.complete] (the once-per-link closure around
-   [on_complete]) pulls the next queued packet when the line frees up. *)
-let transmit t p =
+   [on_complete]) pulls the next queued packet when the line frees up.
+   The transmission end is [now +. tx], the sum the engine would form
+   from a delay, and [~offset:0.] leaves it bit for bit unchanged. *)
+let transmit t (p : Packet.t) =
   Link_table.set_busy t.tbl t.slot true;
-  let tx = tx_time t p in
-  Link_table.add_busy_time t.tbl t.slot tx;
+  let tx = float_of_int p.size *. 8. /. t.bandwidth_bps in
+  let cell = t.tx_cell in
+  cell.Event_heap.cell_time <- tx;
+  Link_table.add_busy_time t.tbl t.slot cell;
+  cell.Event_heap.cell_time <- (Engine.time_cell t.engine).Event_heap.cell_time +. tx;
   t.tx_pkt <- p;
-  Engine.after_unit t.engine ~delay:tx t.complete
+  Engine.at_unit t.engine ~base:cell ~offset:0. t.complete
 
 let on_complete t =
   let p = t.tx_pkt in
@@ -154,6 +161,7 @@ let create engine ?(loss = Loss_model.none) ~bandwidth_bps ~delay_s ~queue ~src
     dst;
     tbl;
     slot = Link_table.alloc tbl;
+    tx_cell = { Event_heap.cell_time = 0. };
     tx_pkt = Packet.dummy;
     complete = ignore;  (* tied to the record below; see [transmit] *)
     arrive_pcb = (fun (_ : Packet.t) (_ : int) -> ());

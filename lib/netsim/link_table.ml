@@ -6,7 +6,9 @@
    by the link's slot) instead of scattered per-link records keeps the
    whole fleet's hot state in a couple of cache lines and makes the
    accumulation a plain store: a [mutable float] in the mixed link
-   record would box a fresh float on every transmission.
+   record would box a fresh float on every transmission.  The increment
+   arrives in the link's cell, not as a float argument, which would be
+   boxed at the call just the same.
 
    Owned by the engine; never shared across domains (each sweep domain
    builds its own engines, DESIGN.md §9/§14). *)
@@ -44,5 +46,6 @@ let set_busy t i b =
 
 let busy_time t i = Array.unsafe_get t.busy_time i
 
-let add_busy_time t i dt =
-  Array.unsafe_set t.busy_time i (Array.unsafe_get t.busy_time i +. dt)
+let add_busy_time t i (dt : Event_heap.time_cell) =
+  Array.unsafe_set t.busy_time i
+    (Array.unsafe_get t.busy_time i +. dt.Event_heap.cell_time)

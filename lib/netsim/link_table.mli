@@ -20,4 +20,7 @@ val set_busy : t -> int -> bool -> unit
 
 val busy_time : t -> int -> float
 
-val add_busy_time : t -> int -> float -> unit
+val add_busy_time : t -> int -> Event_heap.time_cell -> unit
+(** [add_busy_time t slot dt] adds [dt.cell_time] seconds to the slot's
+    busy time.  The increment comes in a cell so the call boxes no
+    float. *)

@@ -58,23 +58,23 @@ and flow_state_slow t flow =
 let tap t (p : Packet.t) =
   let st = flow_state t p.flow in
   st.packets <- st.packets + 1;
-  (* Raw clock-cell read: [Engine.now] would box the float per packet. *)
-  let now = (Engine.time_cell t.engine).Event_heap.cell_time in
-  let delay = now -. p.created in
-  (* The delay ring is filled here rather than in a helper, which would
-     box [delay] for the call. *)
+  (* No float crosses a call here (the dev profile's [-opaque] would box
+     it): the clock is read from its cell, the delay goes straight into
+     its ring slot, and the histogram and the series read those two. *)
+  let clock = Engine.time_cell t.engine in
   let cap = Array.length st.delays in
   if st.delay_len >= cap && cap < max_delay_samples then begin
     let bigger = Array.make (Stdlib.min max_delay_samples (2 * cap)) 0. in
     Array.blit st.delays 0 bigger 0 cap;
     st.delays <- bigger
   end;
-  st.delays.(st.delay_len mod Array.length st.delays) <- delay;
+  let slot = st.delay_len mod Array.length st.delays in
+  st.delays.(slot) <- clock.Event_heap.cell_time -. p.created;
   st.delay_len <- st.delay_len + 1;
   Obs.Metrics.Counter.inc st.m_packets;
   Obs.Metrics.Counter.add st.m_bytes p.size;
-  Obs.Metrics.Histogram.observe st.m_delay delay;
-  Stats.Timeseries.Counter.record st.counter ~time:now ~bytes:p.size
+  Obs.Metrics.Histogram.observe st.m_delay st.delays slot;
+  Stats.Timeseries.Counter.record st.counter ~clock ~bytes:p.size
 
 let watch_node t n = Node.attach n (tap t)
 

@@ -107,7 +107,7 @@ let start t ~at =
       t.in_on_period <- true;
       t.period_ends <- at +. Stats.Rng.exponential t.rng ~mean:on_mean
   | Cbr _ | Poisson -> ());
-  Engine.at_unit t.engine ~time:at (fun () -> tick t)
+  Engine.at_unit t.engine ~base:Event_heap.time_zero ~offset:at (fun () -> tick t)
 
 let stop t =
   t.running <- false;

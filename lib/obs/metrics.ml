@@ -33,7 +33,10 @@ module Histogram = struct
   let make () =
     { count = 0; fs = { sum = 0.; min = infinity; max = neg_infinity } }
 
-  let observe h x =
+  (* The sample is read from the caller's array: a float argument would
+     be boxed at the call (the dev profile compiles [-opaque]). *)
+  let observe h a i =
+    let x = a.(i) in
     h.count <- h.count + 1;
     let fs = h.fs in
     fs.sum <- fs.sum +. x;

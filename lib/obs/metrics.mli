@@ -37,8 +37,10 @@ end
 module Histogram : sig
   type t
 
-  val observe : t -> float -> unit
-  (** O(1): updates count/sum/min/max and one power-of-two bucket. *)
+  val observe : t -> float array -> int -> unit
+  (** [observe h a i] records the sample [a.(i)] in O(1), updating
+      count, sum, min and max.  The sample is read from the caller's
+      array (a hot path's own ring, say) so the call boxes no float. *)
 
   val count : t -> int
 

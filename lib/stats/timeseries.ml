@@ -62,8 +62,11 @@ module Counter = struct
   let create () = { series = create (); total = 0 }
 
   (* [add] inlined: called once per delivered packet, and routing the
-     floats through another function boundary would box them again. *)
-  let record c ~time ~bytes =
+     floats through another function boundary would box them again.
+     The time is read from the caller's clock cell for the same
+     reason. *)
+  let record c ~clock ~bytes =
+    let time = clock.Event_heap.cell_time in
     let s = c.series in
     if s.len > 0 && time < s.times.(s.len - 1) then
       invalid_arg "Timeseries.add: time must be non-decreasing";

@@ -40,7 +40,11 @@ module Counter : sig
 
   val create : unit -> t
 
-  val record : t -> time:float -> bytes:int -> unit
+  val record : t -> clock:Event_heap.time_cell -> bytes:int -> unit
+  (** Records [bytes] at time [clock.cell_time].  The time comes in the
+      caller's clock cell so the per-packet call boxes no float.
+      Raises [Invalid_argument] if that time precedes the last
+      recorded one. *)
 
   val total_bytes : t -> int
 

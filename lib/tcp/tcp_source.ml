@@ -82,7 +82,7 @@ and send_segment t seq =
        like out-of-order delivery and trigger spurious dupacks. *)
     let target = if target <= t.last_emit then t.last_emit +. 1e-6 else target in
     t.last_emit <- target;
-    Netsim.Engine.at_unit t.engine ~time:target emit
+    Netsim.Engine.at_unit t.engine ~base:Event_heap.time_zero ~offset:target emit
   end
 
 and send_available t =

@@ -7,12 +7,12 @@ let class_non_clr = 3
 
 let class_clr = 4
 
-type pending_echo = {
+type pending_echo = Echo_queue.entry = {
   pe_rx : int;
-  pe_ts : float;  (* receiver timestamp from the report *)
-  pe_arrival : float;  (* sender clock when the report arrived *)
+  pe_ts : float;
+  pe_arrival : float;
   pe_class : int;
-  pe_rate : float;  (* tie-break: lowest reported rate first *)
+  pe_rate : float;
 }
 
 type clr_state = {
@@ -155,16 +155,6 @@ let pop_echo t =
           Some
             { Wire.rx_id = pe.pe_rx; rx_ts = pe.pe_ts; echo_delay = now t -. pe.pe_arrival }
       | None -> None)
-
-let queue_echo t pe =
-  (* One pending echo per receiver: the newest report wins. *)
-  let rest = List.filter (fun e -> e.pe_rx <> pe.pe_rx) t.pending_echoes in
-  let cmp a b =
-    match compare a.pe_class b.pe_class with
-    | 0 -> compare a.pe_rate b.pe_rate
-    | c -> c
-  in
-  t.pending_echoes <- List.sort cmp (pe :: rest)
 
 (* ------------------------------------------------------------ rate moves *)
 
@@ -459,7 +449,9 @@ let on_report t ~rx ~ts ~echo_ts ~echo_delay ~rate ~have_rtt ~rtt ~p:_ ~x_recv
       else class_non_clr
     in
     let pe = { pe_rx = rx; pe_ts = ts; pe_arrival = now; pe_class; pe_rate = rate_adj } in
-    if pe_class = class_clr then t.clr_echo <- Some pe else queue_echo t pe;
+    (* One pending echo per receiver: the newest report wins. *)
+    if pe_class = class_clr then t.clr_echo <- Some pe
+    else t.pending_echoes <- Echo_queue.insert t.pending_echoes pe;
     if is_new_clr then t.clr_echo <- Some pe
   end
 

@@ -784,6 +784,42 @@ let test_link_delivery_latency () =
   (* tx = 1000*8/1e6 = 8 ms; prop = 10 ms. *)
   check_float "latency = tx + prop" 0.018 !arrival
 
+(* One simulator hop end to end on a warmed link: [Link.send] on an idle
+   line, the transmission end ([Link_table.add_busy_time] and
+   [Engine.at_unit] from the link's cell), the loss draw, the arrival
+   event and the far node's handler, which sends the packet again.
+   Pinned at 0 words per hop; it read 4 while the transmission time
+   crossed into [Link_table] and [Engine] as a float, boxed twice. *)
+let test_link_hop_words () =
+  let e = Netsim.Engine.create () in
+  let src = Netsim.Node.create ~id:0 and dst = Netsim.Node.create ~id:1 in
+  let link =
+    Netsim.Link.create e ~bandwidth_bps:1e6 ~delay_s:0.01
+      ~queue:(Netsim.Queue_disc.droptail ~capacity_pkts:10)
+      ~src ~dst ()
+  in
+  let p =
+    Netsim.Packet.make ~flow:1 ~size:1000 ~src:0 ~dst:(Netsim.Packet.Unicast 1)
+      ~created:0. (Netsim.Packet.Raw 0)
+  in
+  let remaining = ref 0 in
+  Netsim.Node.attach dst (fun q ->
+      if !remaining = 0 then Netsim.Engine.stop e
+      else begin
+        decr remaining;
+        Netsim.Packet.set_hops q 0;
+        Netsim.Link.send link q
+      end);
+  let w =
+    marginal_words (fun n ->
+        remaining := n;
+        Netsim.Link.send link p;
+        Netsim.Engine.run e)
+  in
+  if w <> 0. then Alcotest.failf "a link hop allocates %.3f words (max 0)" w;
+  Alcotest.(check int) "every hop delivered" (Netsim.Link.packets_sent link)
+    (Netsim.Link.packets_delivered link)
+
 let test_link_serialization () =
   (* Two packets injected back-to-back: second arrives one tx-time later. *)
   let e, topo, a, b = two_node_topo () in
@@ -1274,6 +1310,28 @@ let test_monitor_delay_ring_bound () =
   Alcotest.(check bool) "delays retained" true
     (Array.length (Netsim.Monitor.delays mon ~flow:3) = 600)
 
+(* [Monitor.tap] once the flow's delay ring is at its 100,000-sample
+   bound, with collection enabled: counters, the delay ring, the delay
+   histogram and the byte series.  Pinned at 0 words per packet; it read
+   4 while the delay and the clock crossed into [Obs.Metrics.Histogram]
+   and [Stats.Timeseries.Counter] as floats. *)
+let test_monitor_tap_words () =
+  let e = Netsim.Engine.create ~obs:(Obs.Sink.create ()) () in
+  let mon = Netsim.Monitor.create e in
+  let p =
+    Netsim.Packet.make ~flow:1 ~size:1000 ~src:0 ~dst:(Netsim.Packet.Unicast 1)
+      ~created:0. (Netsim.Packet.Raw 0)
+  in
+  let taps n =
+    for _ = 1 to n do
+      Netsim.Monitor.tap mon p
+    done
+  in
+  taps 100_000;
+  let w = marginal_words taps in
+  if w <> 0. then Alcotest.failf "Monitor.tap allocates %.3f words per packet (max 0)" w;
+  Alcotest.(check int) "every tap counted" 130_000 (Netsim.Monitor.packets mon ~flow:1)
+
 (* Random connected graphs: build n nodes, a random spanning tree plus
    extra random edges, then check routing and multicast invariants. *)
 let random_topology rng ~n ~extra =
@@ -1570,6 +1628,7 @@ let () =
           Alcotest.test_case "stochastic loss" `Quick test_link_loss_applied;
           Alcotest.test_case "down/up" `Quick test_link_down_up;
           Alcotest.test_case "TTL drop counted" `Quick test_link_ttl_drop_counted;
+          Alcotest.test_case "hop allocation-free" `Quick test_link_hop_words;
         ] );
       ( "topology",
         [
@@ -1591,6 +1650,7 @@ let () =
           Alcotest.test_case "per-flow accounting" `Quick test_monitor_accounting;
           Alcotest.test_case "delays" `Quick test_monitor_delays;
           Alcotest.test_case "delay ring bound" `Quick test_monitor_delay_ring_bound;
+          Alcotest.test_case "tap allocation-free" `Quick test_monitor_tap_words;
         ] );
       ( "topo_gen",
         [

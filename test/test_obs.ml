@@ -50,8 +50,9 @@ let test_gauge_histogram () =
   Obs.Metrics.Gauge.set g 125_000.;
   Alcotest.(check (float 1e-9)) "gauge" 125_000. (Obs.Metrics.Gauge.value g);
   let h = Obs.Metrics.histogram m "delay_s" in
-  Obs.Metrics.Histogram.observe h 0.1;
-  Obs.Metrics.Histogram.observe h 0.3;
+  let samples = [| 0.1; 0.3 |] in
+  Obs.Metrics.Histogram.observe h samples 0;
+  Obs.Metrics.Histogram.observe h samples 1;
   Alcotest.(check int) "hist count" 2 (Obs.Metrics.Histogram.count h);
   Alcotest.(check (float 1e-9)) "hist sum" 0.4 (Obs.Metrics.Histogram.sum h);
   Alcotest.(check (float 1e-9)) "hist mean" 0.2 (Obs.Metrics.Histogram.mean h);
@@ -76,7 +77,7 @@ let test_null_registry () =
   let g = Obs.Metrics.gauge m "ghost" in
   Obs.Metrics.Gauge.set g 1.;
   let h = Obs.Metrics.histogram m "ghost_s" in
-  Obs.Metrics.Histogram.observe h 1.;
+  Obs.Metrics.Histogram.observe h [| 1. |] 0;
   Alcotest.(check int) "empty snapshot" 0
     (List.length (Obs.Metrics.snapshot m));
   Alcotest.(check int) "lookup is 0" 0

@@ -271,9 +271,15 @@ let test_timeseries_monotonic_guard () =
 
 let test_counter_throughput () =
   let c = Stats.Timeseries.Counter.create () in
-  Stats.Timeseries.Counter.record c ~time:1.0 ~bytes:1000;
-  Stats.Timeseries.Counter.record c ~time:2.0 ~bytes:1000;
+  let clock = { Event_heap.cell_time = 1.0 } in
+  Stats.Timeseries.Counter.record c ~clock ~bytes:1000;
+  clock.cell_time <- 2.0;
+  Stats.Timeseries.Counter.record c ~clock ~bytes:1000;
   Alcotest.(check int) "total" 2000 (Stats.Timeseries.Counter.total_bytes c);
+  clock.cell_time <- 1.5;
+  Alcotest.check_raises "rejects going backwards"
+    (Invalid_argument "Timeseries.add: time must be non-decreasing") (fun () ->
+      Stats.Timeseries.Counter.record c ~clock ~bytes:1000);
   (* 2000 bytes in [0,4) -> 4000 bits/s *)
   check_float "bps" 4000.
     (Stats.Timeseries.Counter.throughput_bps c ~t_start:0. ~t_end:4.)
@@ -336,8 +342,8 @@ let test_timeseries_between () =
 
 let test_counter_rate_series () =
   let c = Stats.Timeseries.Counter.create () in
-  Stats.Timeseries.Counter.record c ~time:0.25 ~bytes:500;
-  Stats.Timeseries.Counter.record c ~time:1.25 ~bytes:1500;
+  Stats.Timeseries.Counter.record c ~clock:{ Event_heap.cell_time = 0.25 } ~bytes:500;
+  Stats.Timeseries.Counter.record c ~clock:{ Event_heap.cell_time = 1.25 } ~bytes:1500;
   let series = Stats.Timeseries.Counter.rate_series_bps c ~bin:1. ~t_end:2. in
   Alcotest.(check int) "two bins" 2 (Array.length series);
   check_float "bin0 bps" 4000. (snd series.(0));

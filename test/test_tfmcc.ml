@@ -491,6 +491,36 @@ let prop_cancel_monotone_in_zeta =
       let c z = Tfmcc_core.Feedback_timer.should_cancel ~zeta:z ~own_rate:own ~echoed_rate:echoed in
       (not (c zl)) || c zh)
 
+(* The sender's one-pass echo queue against the filter-and-sort it
+   replaced, over random report sequences with many (class, rate) ties
+   and some data packets popping the head.  [pe_ts] numbers the reports,
+   so equal lists also mean equal tie order. *)
+let prop_echo_queue_matches_sort =
+  QCheck.Test.make ~name:"echo queue = filter + stable sort" ~count:500
+    QCheck.(list (triple (int_range 0 8) (int_range 1 4) (int_range 0 3)))
+    (fun ops ->
+      let reference l (e : Tfmcc_core.Echo_queue.entry) =
+        let cmp (a : Tfmcc_core.Echo_queue.entry) (b : Tfmcc_core.Echo_queue.entry) =
+          match compare a.pe_class b.pe_class with 0 -> compare a.pe_rate b.pe_rate | c -> c
+        in
+        List.sort cmp
+          (e :: List.filter (fun (x : Tfmcc_core.Echo_queue.entry) -> x.pe_rx <> e.pe_rx) l)
+      in
+      let pop = function [] -> [] | _ :: rest -> rest in
+      let step (q, r, i) (rx, pe_class, rate) =
+        if rx = 8 then (pop q, pop r, i + 1)
+        else
+          let e =
+            { Tfmcc_core.Echo_queue.pe_rx = rx; pe_ts = float_of_int i; pe_arrival = 0.;
+              pe_class; pe_rate = 0.5 *. float_of_int rate }
+          in
+          let q = Tfmcc_core.Echo_queue.insert q e and r = reference r e in
+          if q <> r then QCheck.Test.fail_reportf "diverged at report %d" i;
+          (q, r, i + 1)
+      in
+      ignore (List.fold_left step ([], [], 0) ops);
+      true)
+
 let () =
   Alcotest.run "tfmcc"
     [
@@ -545,5 +575,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_timer_in_range; prop_normalized_ratio_in_unit; prop_cancel_monotone_in_zeta ] );
+          [
+            prop_timer_in_range;
+            prop_normalized_ratio_in_unit;
+            prop_cancel_monotone_in_zeta;
+            prop_echo_queue_matches_sort;
+          ] );
     ]
