@@ -1,13 +1,22 @@
 (** The scheduler core of both backends: a binary min-heap of timed
-    entries with O(log n) insert and pop and O(1) cancellation (lazy
-    deletion).  [Netsim.Engine] and [Rt.Loop] each own one.  Ties in
-    time are broken by insertion order, so two runs that schedule
-    identically fire identically.
+    entries with O(1) cancellation (lazy deletion).  [Netsim.Engine]
+    and [Rt.Loop] each own one.  Ties in time are broken by insertion
+    order, so two runs that schedule identically fire identically.
 
     Representation: the heap is three parallel unboxed arrays (time,
     insertion seq, payload slot), so a sift moves only floats and ints.
     Payloads sit in per-slot tables, written once at schedule and
-    cleared at pop.  An entry is one of two things:
+    cleared at pop.  Each heap node is a {e tie run}: entries inserted
+    one after another with the same due time, chained by slot behind
+    one node.  An insert joins the previous insert's run when that
+    entry is still pending and both due times have the same bits (so
+    [-0.] never joins a [0.] run).  The members' seqs are consecutive,
+    so nothing can sort between two of them: a member costs no sift at
+    insert, and when one fires the next takes the node's place with no
+    sift either.  Any other insert is O(log n) and a node's removal
+    O(log n).  Slots are therefore not heap positions; the slot tables
+    and the heap arrays grow together when the slots run out.  An entry
+    is one of two things:
 
     - a closure, added with {!add} (which returns a cancel handle) or
       {!add_unit} (which returns none);
@@ -92,5 +101,7 @@ val size : 'a t -> int
 val well_formed : 'a t -> bool
 (** O(n) structural audit (used by the runtime invariant checker): no
     stored key is NaN, the (time, insertion-order) min-heap property
-    holds on every parent/child edge, and the live count agrees with the
-    stored entries.  Read-only. *)
+    holds on every parent/child edge, each tie run carries consecutive
+    seqs in in-range slots, every slot in use belongs to exactly one
+    entry, and the live count agrees with the stored entries.
+    Read-only. *)

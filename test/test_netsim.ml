@@ -142,7 +142,34 @@ let test_heap_fast_path () =
     (per_event (fun () -> Event_heap.add_msg h ~base:cell ~offset:1000. msg p 0));
   check_words "add_unit"
     (per_event (fun () -> Event_heap.add_unit h ~base:cell ~offset:1000. cb));
-  Alcotest.(check bool) "still well-formed" true (Event_heap.well_formed h)
+  Alcotest.(check bool) "still well-formed" true (Event_heap.well_formed h);
+  (* Tie runs: a burst at one deadline over a later backlog, every
+     insert after the first joining the run, then a drain that pops
+     each member in place.  Also 0 words per event. *)
+  let h = Event_heap.create ~dummy:Netsim.Packet.dummy in
+  let clock = { Event_heap.cell_time = 0. } in
+  for i = 0 to 999 do
+    add_unit h ~time:(1e9 +. float_of_int i) cb
+  done;
+  let per_run_event schedule =
+    let burst n =
+      for _ = 1 to n do
+        schedule ()
+      done;
+      while Event_heap.step h ~limit:1e8 ~into:clock ~pre:ignore do
+        ()
+      done
+    in
+    (* grow the slot arrays before measuring *)
+    burst 20_000;
+    marginal_words burst
+  in
+  check_words "add_msg in a run"
+    (per_run_event (fun () -> Event_heap.add_msg h ~base:clock ~offset:1. msg p 0));
+  check_words "add_unit in a run"
+    (per_run_event (fun () -> Event_heap.add_unit h ~base:clock ~offset:1. cb));
+  Alcotest.(check int) "backlog untouched" 1000 (Event_heap.size h);
+  Alcotest.(check bool) "well-formed after the runs" true (Event_heap.well_formed h)
 
 (* The engine's fire-and-forget schedules end to end: a chain of events,
    each scheduling the next through [Engine.after_pkt] or
@@ -212,6 +239,91 @@ let test_heap_stale_handle () =
   ignore (drain h);
   Alcotest.(check (list string)) "fire order" [ "a"; "c"; "d" ] (List.rev !fired)
 
+(* A 512-entry tie run at t = 5 on top of a 1,000-entry backlog spread
+   over [0, 10), one backlog entry also at exactly 5 (inserted first, so
+   it fires first).  The first, a middle and the last member are
+   cancelled; member 100 spawns a zero-delay entry, which must fire
+   after the whole run; its handle then names the slot the spawn took
+   and must cancel nothing.  [size], [peek_time] and [well_formed] are
+   checked against a sorted list after every step. *)
+let test_heap_tie_run () =
+  let h = new_heap () in
+  let log = ref [] in
+  let tag k () = log := k :: !log in
+  let backlog_time i = float_of_int (i * 7919 mod 1000) /. 100. in
+  for i = 0 to 999 do
+    add_unit h ~time:(backlog_time i) (tag i)
+  done;
+  let spawned = ref false in
+  let member k () =
+    tag (1000 + k) ();
+    if k = 100 then begin
+      Event_heap.add_unit h ~base:cell ~offset:0. (tag 2000);
+      spawned := true
+    end
+  in
+  let handles = Array.init 512 (fun k -> add h ~time:5.0 (member k)) in
+  let cancelled = [ 0; 255; 511 ] in
+  List.iter (fun k -> Event_heap.cancel h handles.(k)) cancelled;
+  (* Tags sort as seqs do: backlog, then run, then the spawn. *)
+  let remaining =
+    ref
+      (List.sort compare
+         ((5.0, 2000)
+         :: List.init 1000 (fun i -> (backlog_time i, i))
+         @ List.filter_map
+             (fun k -> if List.mem k cancelled then None else Some (5.0, 1000 + k))
+             (List.init 512 Fun.id)))
+  in
+  let check_state what =
+    let pending = List.length !remaining - if !spawned then 0 else 1 in
+    Alcotest.(check int) (what ^ ": size") pending (Event_heap.size h);
+    Alcotest.(check (option (float 0.)))
+      (what ^ ": peek_time")
+      (match !remaining with (t, _) :: _ -> Some t | [] -> None)
+      (Event_heap.peek_time h);
+    if not (Event_heap.well_formed h) then Alcotest.failf "%s: not well-formed" what
+  in
+  check_state "built";
+  let step limit = Event_heap.step h ~limit ~into:cell ~pre:ignore in
+  let rec drain_to limit =
+    match !remaining with
+    | (t, k) :: rest when t <= limit ->
+        let what = Printf.sprintf "fires #%d" k in
+        Alcotest.(check bool) what true (step limit);
+        Alcotest.(check int) (what ^ " in (time, seq) order") k (List.hd !log);
+        Alcotest.(check (float 0.)) (what ^ ": clock") t cell.Event_heap.cell_time;
+        remaining := rest;
+        check_state what;
+        if k = 1100 then begin
+          Event_heap.cancel h handles.(100);
+          check_state "stale handle to a fired member"
+        end;
+        drain_to limit
+    | _ -> ()
+  in
+  let below = Float.pred 5.0 in
+  drain_to below;
+  let fired = List.length !log in
+  Alcotest.(check bool) "nothing due just below the run" false (step below);
+  Alcotest.(check int) "nothing fired" fired (List.length !log);
+  check_state "below the run";
+  drain_to infinity;
+  Alcotest.(check bool) "drained" false (step infinity);
+  Alcotest.(check int) "all fired" (1000 + 509 + 1) (List.length !log);
+  (* A -0. deadline after a 0. one starts its own node: its pop writes
+     -0. to the clock, not the run's 0. *)
+  let h = new_heap () in
+  let neg_zero = { Event_heap.cell_time = -0. } in
+  Event_heap.add_unit h ~base:Event_heap.time_zero ~offset:0. ignore;
+  Event_heap.add_unit h ~base:neg_zero ~offset:(-0.) ignore;
+  Alcotest.(check bool) "well-formed" true (Event_heap.well_formed h);
+  ignore (Event_heap.step h ~limit:0. ~into:cell ~pre:ignore);
+  Alcotest.(check bool) "0. pops +0." false (Float.sign_bit cell.Event_heap.cell_time);
+  ignore (Event_heap.step h ~limit:0. ~into:cell ~pre:ignore);
+  Alcotest.(check bool) "-0. pops -0." true (Float.sign_bit cell.Event_heap.cell_time);
+  Alcotest.(check int) "drained" 0 (Event_heap.size h)
+
 (* Model-based check of the heap against a list sorted by (time, seq).
    Random programs of add / add_unit / add_msg / cancel / step ~limit
    run against the heap and against the model; both must fire the same
@@ -222,7 +334,9 @@ let test_heap_stale_handle () =
    reused.  A raising entry is consumed, its step raises, and every
    other entry stays pending.  After every operation the live [size]
    and [well_formed] must agree with the model.  Integer times make ties
-   common. *)
+   common, and a burst (2-16 schedules in a row at one time) builds the
+   heap's tie runs on purpose, with members that cancel, raise and
+   spawn. *)
 type heap_action = Quiet | Spawn of int * int | Cancel_id of int | Raise
 
 type heap_op =
@@ -231,6 +345,7 @@ type heap_op =
   | Op_add_msg of int * bool (* raises *)
   | Op_cancel of int
   | Op_step of int option
+  | Op_burst of heap_op list (* schedules, all at one time *)
 
 let show_action = function
   | Quiet -> ""
@@ -238,13 +353,14 @@ let show_action = function
   | Cancel_id j -> Printf.sprintf " cancel(#%d)" j
   | Raise -> " raise"
 
-let show_heap_op = function
+let rec show_heap_op = function
   | Op_add (t, a) -> Printf.sprintf "add %d%s" t (show_action a)
   | Op_add_unit (t, a) -> Printf.sprintf "add_unit %d%s" t (show_action a)
   | Op_add_msg (t, r) -> Printf.sprintf "add_msg %d%s" t (if r then " raise" else "")
   | Op_cancel k -> Printf.sprintf "cancel #%d" k
   | Op_step None -> "step inf"
   | Op_step (Some l) -> Printf.sprintf "step %d" l
+  | Op_burst ops -> "burst [" ^ String.concat ", " (List.map show_heap_op ops) ^ "]"
 
 let heap_op_gen =
   QCheck.Gen.(
@@ -258,6 +374,14 @@ let heap_op_gen =
           (1, return Raise);
         ]
     in
+    let member =
+      frequency
+        [
+          (3, map (fun a t -> Op_add (t, a)) action);
+          (2, map (fun a t -> Op_add_unit (t, a)) action);
+          (2, map (fun r t -> Op_add_msg (t, r = 0)) (int_bound 5));
+        ]
+    in
     frequency
       [
         (3, map2 (fun t a -> Op_add (t, a)) time action);
@@ -265,6 +389,11 @@ let heap_op_gen =
         (2, map2 (fun t r -> Op_add_msg (t, r = 0)) time (int_bound 5));
         (2, map (fun k -> Op_cancel k) (int_bound 60));
         (3, map (fun l -> Op_step l) (opt ~ratio:0.8 time));
+        ( 1,
+          map2
+            (fun t ms -> Op_burst (List.map (fun m -> m t) ms))
+            time
+            (list_size (int_range 2 16) member) );
       ])
 
 let child = function Spawn (d, k) when k > 0 -> Spawn (d, k - 1) | _ -> Quiet
@@ -309,17 +438,20 @@ let run_heap ops =
         trace := (-2, 0.) :: !trace;
         true
   in
+  let rec exec = function
+    | Op_add (t, a) -> sched ~handle:true (float_of_int t) a
+    | Op_add_unit (t, a) -> sched ~handle:false (float_of_int t) a
+    | Op_add_msg (t, raises) ->
+        let id = !next_id in
+        incr next_id;
+        add_msg h ~time:(float_of_int t) msg id (Bool.to_int raises)
+    | Op_cancel j -> Option.iter (Event_heap.cancel h) (Hashtbl.find_opt handles j)
+    | Op_step limit -> ignore (step (limit_of limit))
+    | Op_burst ops -> List.iter exec ops
+  in
   List.iter
     (fun op ->
-      (match op with
-      | Op_add (t, a) -> sched ~handle:true (float_of_int t) a
-      | Op_add_unit (t, a) -> sched ~handle:false (float_of_int t) a
-      | Op_add_msg (t, raises) ->
-          let id = !next_id in
-          incr next_id;
-          add_msg h ~time:(float_of_int t) msg id (Bool.to_int raises)
-      | Op_cancel j -> Option.iter (Event_heap.cancel h) (Hashtbl.find_opt handles j)
-      | Op_step limit -> ignore (step (limit_of limit)));
+      exec op;
       if not (Event_heap.well_formed h) then ok := false;
       trace := (-1, float_of_int (Event_heap.size h)) :: !trace)
     ops;
@@ -363,14 +495,17 @@ let run_model ops =
             true)
     | _ -> false
   in
+  let rec exec = function
+    | Op_add (t, a) -> add (float_of_int t) (Closure (a, true))
+    | Op_add_unit (t, a) -> add (float_of_int t) (Closure (a, false))
+    | Op_add_msg (t, raises) -> add (float_of_int t) (Msg raises)
+    | Op_cancel j -> cancel j
+    | Op_step limit -> ignore (step (limit_of limit))
+    | Op_burst ops -> List.iter exec ops
+  in
   List.iter
     (fun op ->
-      (match op with
-      | Op_add (t, a) -> add (float_of_int t) (Closure (a, true))
-      | Op_add_unit (t, a) -> add (float_of_int t) (Closure (a, false))
-      | Op_add_msg (t, raises) -> add (float_of_int t) (Msg raises)
-      | Op_cancel j -> cancel j
-      | Op_step limit -> ignore (step (limit_of limit)));
+      exec op;
       trace := (-1, float_of_int (List.length !pending)) :: !trace)
     ops;
   let peek = match !pending with (time, _, _) :: _ -> Some time | [] -> None in
@@ -380,7 +515,7 @@ let run_model ops =
   (List.rev !trace, peek, true)
 
 let prop_heap_model =
-  QCheck.Test.make ~name:"event heap matches a sorted-list model" ~count:300
+  QCheck.Test.make ~name:"event heap matches a sorted-list model" ~count:300 ~long_factor:20
     QCheck.(
       make
         ~print:(fun ops -> String.concat "; " (List.map show_heap_op ops))
@@ -1578,6 +1713,7 @@ let () =
           Alcotest.test_case "engine schedules allocation-free" `Quick
             test_engine_schedule_words;
           Alcotest.test_case "stale handle" `Quick test_heap_stale_handle;
+          Alcotest.test_case "512-entry tie run" `Quick test_heap_tie_run;
           Alcotest.test_case "peek_time skips cancelled" `Quick
             test_heap_peek_time_skips_cancelled;
         ] );

@@ -129,7 +129,8 @@ let test_wheel_nan_deadline_rejected () =
    With no exn handler a raising entry is consumed and ends its run,
    and every other due entry stays pending for the next one.  Deadlines
    sit on a 0.25 s grid so ties are common, and a scheduled offset may
-   be negative (already due). *)
+   be negative (already due).  A burst (2-16 timers and frames in a
+   row at one deadline) builds the heap's tie runs on purpose. *)
 type heap_action = Quiet | Spawn of float * int | Cancel_id of int | Emit of float
 
 type heap_op =
@@ -137,8 +138,9 @@ type heap_op =
   | Frame of float * bool (* offset, raises *)
   | Cancel of int
   | Advance of float
+  | Burst of heap_op list (* timers and frames, all at one offset *)
 
-let show_heap_op = function
+let rec show_heap_op = function
   | Sched (off, Quiet) -> Printf.sprintf "sched %+g" off
   | Sched (off, Spawn (d, k)) -> Printf.sprintf "sched %+g spawn(%g,%d)" off d k
   | Sched (off, Cancel_id j) -> Printf.sprintf "sched %+g cancel(%d)" off j
@@ -146,6 +148,7 @@ let show_heap_op = function
   | Frame (off, raises) -> Printf.sprintf "frame %+g%s" off (if raises then " raises" else "")
   | Cancel j -> Printf.sprintf "cancel %d" j
   | Advance d -> Printf.sprintf "advance %g" d
+  | Burst ops -> "burst [" ^ String.concat ", " (List.map show_heap_op ops) ^ "]"
 
 let gen_heap_ops =
   let open QCheck.Gen in
@@ -159,6 +162,13 @@ let gen_heap_ops =
         (1, map (fun d -> Emit (quarter d)) (int_bound 2));
       ]
   in
+  let member =
+    frequency
+      [
+        (2, map (fun a off -> Sched (off, a)) action);
+        (1, map (fun r off -> Frame (off, r = 0)) (int_bound 5));
+      ]
+  in
   let op =
     frequency
       [
@@ -166,6 +176,11 @@ let gen_heap_ops =
         (2, map2 (fun o r -> Frame (quarter (o - 2), r = 0)) (int_bound 14) (int_bound 5));
         (1, map (fun j -> Cancel j) (int_bound 40));
         (2, map (fun d -> Advance (quarter d)) (int_bound 3));
+        ( 1,
+          map2
+            (fun o ms -> Burst (List.map (fun m -> m (quarter (o - 2))) ms))
+            (int_bound 14)
+            (list_size (int_range 2 16) member) );
       ]
   in
   list_size (int_range 1 80) op
@@ -218,17 +233,18 @@ let run_loop ops =
         fired := -2 :: !fired;
         false
   in
-  List.iter
-    (function
-      | Sched (off, a) -> sched (!now +. off) a
-      | Frame (off, raises) -> frame (!now +. off) raises
-      | Cancel j -> cancel j
-      | Advance d ->
-          now := !now +. d;
-          ignore (run () : bool);
-          fired := -1 :: !fired;
-          pend := Loop.timers_pending loop :: !pend)
-    ops;
+  let rec exec = function
+    | Sched (off, a) -> sched (!now +. off) a
+    | Frame (off, raises) -> frame (!now +. off) raises
+    | Cancel j -> cancel j
+    | Advance d ->
+        now := !now +. d;
+        ignore (run () : bool);
+        fired := -1 :: !fired;
+        pend := Loop.timers_pending loop :: !pend
+    | Burst ops -> List.iter exec ops
+  in
+  List.iter exec ops;
   let mid_pending = Loop.timers_pending loop in
   now := !now +. 1000.;
   while not (run ()) do
@@ -272,17 +288,18 @@ let run_model ops =
         | Frame_entry false -> advance ())
     | _ -> ()
   in
-  List.iter
-    (function
-      | Sched (off, a) -> add (!now +. off) (Timer a)
-      | Frame (off, raises) -> add (!now +. off) (Frame_entry raises)
-      | Cancel j -> cancel j
-      | Advance d ->
-          now := !now +. d;
-          advance ();
-          fired := -1 :: !fired;
-          pend := List.length !pending :: !pend)
-    ops;
+  let rec exec = function
+    | Sched (off, a) -> add (!now +. off) (Timer a)
+    | Frame (off, raises) -> add (!now +. off) (Frame_entry raises)
+    | Cancel j -> cancel j
+    | Advance d ->
+        now := !now +. d;
+        advance ();
+        fired := -1 :: !fired;
+        pend := List.length !pending :: !pend
+    | Burst ops -> List.iter exec ops
+  in
+  List.iter exec ops;
   let mid_pending = List.length !pending in
   now := !now +. 1000.;
   while List.exists (fun (at, _, _) -> at <= !now) !pending do
@@ -292,7 +309,7 @@ let run_model ops =
 
 let prop_loop_matches_model =
   QCheck.Test.make ~name:"fires in exact (deadline, seq) order vs a sorted-list model"
-    ~count:500
+    ~count:500 ~long_factor:20
     (QCheck.make gen_heap_ops ~print:(fun ops -> String.concat "; " (List.map show_heap_op ops)))
     (fun ops -> run_loop ops = run_model ops)
 
