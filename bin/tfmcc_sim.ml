@@ -116,9 +116,9 @@ let run_cmd =
 
 let sweep_cmd =
   let doc =
-    "Run experiments fanned out over a pool of OCaml domains, costliest \
-     experiment first.  Output is deterministic: for a given seed it is \
-     byte-identical whatever $(b,-j) is (timings go to stderr)."
+    "Run experiments fanned out over a pool of OCaml domains, each \
+     (experiment, seed) cell once.  Output is deterministic: for a given \
+     seed it is byte-identical whatever $(b,-j) is (timings go to stderr)."
   in
   let jobs_arg =
     let doc = "Worker domains (1 = serial in the calling domain)." in
@@ -141,43 +141,22 @@ let sweep_cmd =
   in
   let task_timeout_arg =
     let doc =
-      "Per-attempt wall-clock budget in seconds.  Enforced cooperatively by \
+      "Per-task wall-clock budget in seconds.  Enforced cooperatively by \
        the engine watchdog; an overrunning task is cancelled and reported, \
        not killed."
     in
     Arg.(value & opt (some float) None & info [ "task-timeout" ] ~doc ~docv:"SECS")
   in
-  let retries_arg =
-    let doc = "Extra attempts per task after a crash/timeout/stall (0 = fail fast)." in
-    Arg.(value & opt int 0 & info [ "retries" ] ~doc ~docv:"N")
-  in
-  let retry_delay_arg =
-    let doc = "Base backoff before a retry; doubles per attempt." in
-    Arg.(value & opt float 0. & info [ "retry-delay" ] ~doc ~docv:"SECS")
-  in
   let max_events_arg =
-    let doc = "Abort a task after this many engine events in one attempt (event-storm cap)." in
+    let doc = "Abort a task after this many engine events (event-storm cap)." in
     Arg.(value & opt (some int) None & info [ "max-events" ] ~doc ~docv:"N")
-  in
-  let checkpoint_arg =
-    let doc = "Persist each completed task into $(docv) as it finishes." in
-    Arg.(value & opt (some string) None & info [ "checkpoint" ] ~doc ~docv:"DIR")
-  in
-  let resume_arg =
-    let doc =
-      "Load completed tasks from $(docv) (skipping them) and keep \
-       checkpointing new completions there.  Output is byte-identical to an \
-       uninterrupted run."
-    in
-    Arg.(value & opt (some string) None & info [ "resume" ] ~doc ~docv:"DIR")
   in
   let failure_report_arg =
     let doc = "Write the sweep report (failures, summary, series) as JSON to $(docv)." in
     Arg.(value & opt (some string) None & info [ "failure-report" ] ~doc ~docv:"FILE")
   in
   let run full seed csv jobs seeds replicates strict json task_timeout
-      retries retry_delay max_events checkpoint resume failure_report
-      ids =
+      max_events failure_report ids =
     if jobs < 1 then begin
       Printf.eprintf "sweep: -j must be >= 1\n";
       exit 1
@@ -186,20 +165,6 @@ let sweep_cmd =
       Printf.eprintf "sweep: --seeds must be >= 1\n";
       exit 1
     end;
-    if retries < 0 then begin
-      Printf.eprintf "sweep: --retries must be >= 0\n";
-      exit 1
-    end;
-    let checkpoint =
-      match (checkpoint, resume) with
-      | Some a, Some b when a <> b ->
-          Printf.eprintf
-            "sweep: --checkpoint %s and --resume %s are different directories\n"
-            a b;
-          exit 1
-      | _, Some dir | Some dir, None -> Some dir
-      | None, None -> None
-    in
     let experiments =
       match ids with
       | [] -> Experiments.Registry.all
@@ -213,20 +178,16 @@ let sweep_cmd =
                   exit 1)
             ids
     in
-    let policy =
-      {
-        Experiments.Sweep.task_timeout;
-        retries;
-        retry_delay;
-        max_events;
-        checkpoint;
-        resume = resume <> None;
-      }
-    in
+    let policy = { Experiments.Sweep.task_timeout; max_events } in
     let t0 = Unix.gettimeofday () in
     let report =
-      Experiments.Sweep.run ~experiments ~strict ~policy ~jobs
-        ~mode:(mode_of_full full) ~seed ~seeds ()
+      (* [Sweep.run] rejects a bad policy before any cell runs. *)
+      try
+        Experiments.Sweep.run ~experiments ~strict ~policy ~jobs
+          ~mode:(mode_of_full full) ~seed ~seeds ()
+      with Invalid_argument msg ->
+        Printf.eprintf "sweep: %s\n" msg;
+        exit 1
     in
     let wall = Unix.gettimeofday () -. t0 in
     if json then
@@ -247,9 +208,6 @@ let sweep_cmd =
       prerr_string (Experiments.Sweep.render_failures report);
     Printf.eprintf "sweep: %d experiments x %d seed(s), -j %d: %.1fs wall\n%!"
       (List.length experiments) seeds jobs wall;
-    if report.Experiments.Sweep.resumed > 0 then
-      Printf.eprintf "sweep: %d task(s) resumed from checkpoints\n%!"
-        report.Experiments.Sweep.resumed;
     if report.Experiments.Sweep.failures <> [] then
       Printf.eprintf "sweep: %d of %d task(s) failed\n%!"
         (List.length report.Experiments.Sweep.failures)
@@ -260,9 +218,7 @@ let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(const run $ full_arg $ seed_arg $ csv_arg $ jobs_arg $ seeds_arg
           $ replicates_arg $ strict_arg $ json_arg
-          $ task_timeout_arg $ retries_arg $ retry_delay_arg $ max_events_arg
-          $ checkpoint_arg $ resume_arg
-          $ failure_report_arg $ ids_arg)
+          $ task_timeout_arg $ max_events_arg $ failure_report_arg $ ids_arg)
 
 let verify_golden_cmd =
   let doc =

@@ -13,11 +13,11 @@ val within_tolerance : tolerance:float -> expected:float -> actual:float -> bool
 
 val first_divergence :
   expected:string -> actual:string -> (unit, string) result
-(** Byte-identity oracle (checkpoint/resume contract): [Ok ()] iff the
-    two strings are equal; otherwise an [Error] naming the first
-    differing line (1-based) and both sides' content.  Used to assert
-    that a resumed sweep's rendered output equals a from-scratch run's
-    byte for byte. *)
+(** Byte-identity oracle: [Ok ()] iff the two strings are equal;
+    otherwise an [Error] naming the first differing line (1-based) and
+    both sides' content.  Used to assert that a sweep's rendered output
+    matches a reference run's byte for byte (serial against parallel,
+    a partly failing sweep against a clean one). *)
 
 val equation_gap :
   b:float -> s:int -> rtt:float -> p:float -> rate:float -> float

@@ -42,21 +42,18 @@ val run_cell :
 
 (** {1 Supervised sweeps (DESIGN.md §12)}
 
-    {!run} gives every (experiment × seed) cell its own supervised
-    lifecycle — wall-clock timeout, stall/event-storm watchdog
-    ({!Netsim.Watchdog}), retry with exponential backoff, per-task
-    checkpointing — and always returns a complete {!report}: every
+    {!run} runs every (experiment × seed) cell exactly once under a
+    wall-clock timeout and a stall/event-storm watchdog
+    ({!Netsim.Watchdog}), and always returns a complete {!report}: every
     successful figure's series plus one structured {!failure} per cell
-    that exhausted its attempts.  A resumed sweep renders
-    byte-identically to an uninterrupted one. *)
+    that did not finish.  Cells are seed-deterministic, so a second
+    attempt would repeat the first. *)
 
 type cause =
   | Crashed  (** the experiment raised *)
   | Timeout  (** wall-clock deadline ({!policy.task_timeout}) *)
   | Stall  (** watchdog abort: livelock or event storm *)
-  | Violation
-      (** strict {!Check.Invariant.Violation} — deterministic, never
-          retried *)
+  | Violation  (** strict {!Check.Invariant.Violation} *)
 
 val cause_label : cause -> string
 (** ["crashed" | "timeout" | "stalled" | "violation"]. *)
@@ -64,34 +61,24 @@ val cause_label : cause -> string
 type failure = {
   f_experiment : string;
   f_seed : int;
-  f_attempts : int;  (** attempts consumed (>= 1) *)
   f_cause : cause;
   f_detail : string;
   f_journal : string;
-      (** the failing attempt's journal window, strict-mode shape
+      (** the failing cell's journal window, strict-mode shape
           ({!Check.Invariant.journal_window}) *)
 }
 
 type policy = {
   task_timeout : float option;
-      (** per-attempt wall-clock budget in seconds; detection is
-          cooperative (watchdog polls), so a task that schedules no
+      (** per-cell wall-clock budget in seconds (finite, > 0); detection
+          is cooperative (watchdog polls), so a task that schedules no
           events can overrun it *)
-  retries : int;  (** extra attempts after the first (0 = fail fast) *)
-  retry_delay : float;
-      (** backoff before attempt [n+1] is [retry_delay * 2^(n-1)] s *)
-  max_events : int option;  (** per-attempt total event budget *)
-  checkpoint : string option;
-      (** persist each completed task into this directory as it
-          finishes ({!Checkpoint}) *)
-  resume : bool;
-      (** load valid checkpoints from [checkpoint] and skip those
-          cells; requires [checkpoint] *)
+  max_events : int option;  (** per-cell total event budget (>= 1) *)
 }
 
 val default_policy : policy
-(** No timeout, no retries, no checkpointing, no event budget.  The
-    watchdog's livelock window is {!Event_heap.livelock_events}. *)
+(** No timeout, no event budget.  The watchdog's livelock window is
+    {!Event_heap.livelock_events}. *)
 
 type report = {
   results : result list;
@@ -99,9 +86,6 @@ type report = {
           order; aggregates cover the successful seeds only *)
   failures : failure list;  (** in (experiment, seed) grid order *)
   tasks : int;  (** total grid cells *)
-  executed : int;  (** cells actually run (not resumed) *)
-  resumed : int;  (** cells satisfied from checkpoints *)
-  retried : int;  (** total extra attempts across all cells *)
 }
 
 val run :
@@ -118,22 +102,18 @@ val run :
 (** Sweeps [experiments] (default {!Registry.all}) × [seeds] replicate
     seeds (default 1; seed list is [seed, seed+1, …]) as one flat task
     batch over [jobs] workers ({!Par.map_outcomes}; [jobs <= 1] runs
-    serially in the calling domain).  Each attempt is one {!run_cell}
-    with a fresh sink and a watchdog config built from [policy]; the
-    per-task {!Par.Control} is re-armed per attempt.  [strict] (default
-    false) runs every cell under a strict invariant checker.
+    serially in the calling domain), submitted in grid order.  Each
+    cell is one {!run_cell} with a fresh sink and a watchdog bound to
+    the task's {!Par.Control}, armed with [policy.task_timeout] when the
+    task starts.  [strict] (default false) runs every cell under a
+    strict invariant checker.
 
-    Cells are submitted longest processing time first — descending
-    measured per-experiment cost ({!Sweep_costs}) — so a multi-second
-    figure does not start last and pin the sweep's tail on one domain.
-    The order moves wall-clock time only: the report — results,
-    failures, counters — is in grid order and byte-identical whatever
-    [jobs].  Completed tasks checkpoint before the sweep finishes, so a
-    killed sweep resumes.  [obs] (default {!Obs.Sink.null}) receives
-    sweep-level [sweep_task_*] counters and one journal [Task] entry per
-    failed cell.  Raises [Invalid_argument] on nonsensical policies
-    (negative retries/delay, non-positive timeout, [resume] without
-    [checkpoint]). *)
+    The report — results, failures, counters — is in grid order and
+    byte-identical whatever [jobs].  [obs] (default {!Obs.Sink.null})
+    receives sweep-level [sweep_task*] counters and one journal [Task]
+    entry per failed cell.  Raises [Invalid_argument], before any cell
+    runs, when [seeds < 1], [task_timeout] is not finite and > 0, or
+    [max_events < 1]. *)
 
 val exit_code : report -> int
 (** The CLI contract: 0 all cells ok; 2 if any failure is a strict
@@ -143,8 +123,8 @@ val render : ?csv:bool -> ?replicates:bool -> seeds:int -> result list -> string
 (** Exactly the bytes the CLI prints for a sweep: a
     ["--- figure: title ---"] header per experiment, then aggregate
     series (or per-seed replicates, with ["-- seed N --"] markers when
-    [seeds > 1]).  Shared by `tfmcc-sim sweep` and the resume tests so
-    byte-identity is checked against the real output format. *)
+    [seeds > 1]).  Shared by `tfmcc-sim sweep` and the determinism
+    tests so byte-identity is checked against the real output format. *)
 
 val render_failures : report -> string
 (** Human-readable failure block (stderr material), one entry per
@@ -152,6 +132,5 @@ val render_failures : report -> string
 
 val report_to_json : report -> Obs.Json.t
 (** [{"results": …, "failures": [{"task", "experiment", "seed",
-    "attempts", "cause", "detail", "journal_window"}…], "summary":
-    {"tasks", "executed", "resumed", "retried", "failed",
-    "exit_code"}}]. *)
+    "cause", "detail", "journal_window"}…], "summary": {"tasks",
+    "failed", "exit_code"}}]. *)

@@ -21,7 +21,7 @@ type event =
   | Join
   | Leave of { explicit : bool }
   | Fault of { kind : string; detail : string }
-  | Task of { id : string; outcome : string; attempts : int; detail : string }
+  | Task of { id : string; outcome : string; detail : string }
   | Note of string
 
 type entry = {
@@ -153,11 +153,10 @@ let event_fields = function
   | Leave { explicit } -> [ ("explicit", Json.Bool explicit) ]
   | Fault { kind; detail } ->
       [ ("kind", Json.Str kind); ("detail", Json.Str detail) ]
-  | Task { id; outcome; attempts; detail } ->
+  | Task { id; outcome; detail } ->
       [
         ("id", Json.Str id);
         ("outcome", Json.Str outcome);
-        ("attempts", Json.Int attempts);
         ("detail", Json.Str detail);
       ]
   | Note note -> [ ("note", Json.Str note) ]

@@ -45,10 +45,9 @@ type event =
   | Join
   | Leave of { explicit : bool }
   | Fault of { kind : string; detail : string }
-  | Task of { id : string; outcome : string; attempts : int; detail : string }
-      (** terminal state of one supervised sweep task: [id] is
-          ["<experiment>/s<seed>"], [outcome] one of
-          ok/failed/timeout/stalled/violation/resumed *)
+  | Task of { id : string; outcome : string; detail : string }
+      (** a failed sweep task: [id] is ["<experiment>/s<seed>"],
+          [outcome] one of crashed/timeout/stalled/violation *)
   | Note of string
 
 type entry = {

@@ -13,9 +13,9 @@ exception Cancelled of cancel_reason
 module Control = struct
   type t = {
     live : bool;  (* the shared [none] control never cancels *)
-    mutable started : float;  (* Unix time the current attempt was armed *)
-    mutable timeout : float option;  (* seconds of wall clock per attempt *)
-    mutable reason : cancel_reason option;  (* sticky until re-armed *)
+    started : float;  (* Unix time the control was created *)
+    timeout : float option;  (* seconds of wall clock from [started] *)
+    mutable reason : cancel_reason option;  (* sticky once set *)
   }
 
   let none = { live = false; started = 0.; timeout = None; reason = None }
@@ -23,18 +23,9 @@ module Control = struct
   let create ?timeout () =
     { live = true; started = Unix.gettimeofday (); timeout; reason = None }
 
-  let arm t ?timeout () =
-    if t.live then begin
-      t.started <- Unix.gettimeofday ();
-      t.timeout <- timeout;
-      t.reason <- None
-    end
-
   let cancel t reason = if t.live && t.reason = None then t.reason <- Some reason
 
   let cancelled t = t.reason
-
-  let elapsed t = if t.live then Unix.gettimeofday () -. t.started else 0.
 
   let check t =
     if t.live then begin

@@ -55,21 +55,11 @@ module Control : sig
   (** A live control armed now; [timeout] is wall-clock seconds from
       now. *)
 
-  val arm : t -> ?timeout:float -> unit -> unit
-  (** Re-arms the control for a new attempt: resets the start-of-attempt
-      clock, replaces the timeout, and clears any pending cancellation
-      (a retry must not inherit the previous attempt's abort).  No-op on
-      {!none}. *)
-
   val cancel : t -> cancel_reason -> unit
   (** Requests cancellation; the next {!check} raises.  First reason
       wins; idempotent; no-op on {!none}. *)
 
   val cancelled : t -> cancel_reason option
-
-  val elapsed : t -> float
-  (** Wall-clock seconds since the control was created or last
-      re-armed (0 for {!none}). *)
 
   val check : t -> unit
   (** Raises {!Cancelled} if cancellation was requested or the deadline

@@ -41,7 +41,6 @@ type t = {
   mutable reports : int;
   mutable suppressed : int;
   mutable malformed_data : int;
-  mutable block_cb : (int -> unit) option;
   (* Observability: journal scope plus registry handles. *)
   obs : Obs.Sink.t;
   scope : Obs.Journal.scope;
@@ -247,7 +246,6 @@ let consider_suppression t (fb : Wire.fb_echo) =
 
 let on_data t ~size (d : Wire.data) =
   if t.joined then begin
-    (match t.block_cb with Some f when d.app >= 0 -> f d.app | _ -> ());
     (* 2.4.1: synchronized clocks give a first RTT estimate from the very
        first packet's one-way delay. *)
     (match t.ntp_error with
@@ -401,7 +399,6 @@ let create ~env ~cfg ~session ~sender ?report_to ?(clock_offset = 0.)
         reports = 0;
         suppressed = 0;
         malformed_data = 0;
-        block_cb = None;
         obs;
         scope = Obs.Journal.scope ~session ~node:env.Env.id "tfmcc.receiver";
         m_received =
@@ -449,8 +446,6 @@ let join t =
     jnl t Obs.Journal.Join;
     t.env.Env.join ()
   end
-
-let set_block_callback t f = t.block_cb <- Some f
 
 let leave t ?(explicit_leave = true) () =
   if t.joined then begin

@@ -97,7 +97,3 @@ val malformed_data_dropped : t -> int
 (** Inbound data packets of this session rejected before touching any
     receiver state: non-finite timestamps or rates, negative sequence
     numbers or round durations, corrupted echo fields. *)
-
-val set_block_callback : t -> (int -> unit) -> unit
-(** Invoked with the application block id of every arriving data packet
-    that carries one (the {!Sender.set_block_source} counterpart). *)

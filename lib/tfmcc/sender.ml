@@ -53,7 +53,6 @@ type t = {
   mutable pending_echoes : pending_echo list;  (* sorted by (class, rate) *)
   mutable clr_echo : pending_echo option;  (* CLR default echo *)
   mutable last_rate_change : float;
-  mutable block_source : (unit -> int) option;
   (* Pacing rides fire-and-forget events ([Env.after_unit]): the one
      closure per [start] is stored here and re-scheduled for every
      packet, so steady-state pacing allocates neither a closure nor a
@@ -586,7 +585,7 @@ let send_packet t ~gen =
           in_slowstart = t.in_ss;
           echo = pop_echo t;
           fb = t.round_fb;
-          app = (match t.block_source with Some f -> f () | None -> -1);
+          app = -1;
         }
     in
     t.seq <- t.seq + 1;
@@ -640,7 +639,6 @@ let create ~env ~cfg ~session ?flow ?initial_rate () =
     pending_echoes = [];
     clr_echo = None;
     last_rate_change = 0.;
-    block_source = None;
     pacing_gen = 0;
     pacing_cb = ignore;  (* installed by [start] *)
     round_timer = None;
@@ -776,5 +774,3 @@ let stop t =
   t.running <- false;
   t.pacing_gen <- t.pacing_gen + 1;
   t.round_timer <- Env.cancel_opt t.round_timer
-
-let set_block_source t f = t.block_source <- Some f

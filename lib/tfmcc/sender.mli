@@ -100,10 +100,3 @@ val defense : t -> Defense.t option
     [defense_enabled] (DESIGN.md §10).  Exposes rejection counters for
     tests and summaries; the same counts are in the metrics registry as
     [tfmcc_defense_*_total]. *)
-
-val set_block_source : t -> (unit -> int) -> unit
-(** Installs the application hook: called once per outgoing data packet
-    for the block id to carry (return -1 for filler).  Congestion control
-    decides *when* packets go out; the application decides *what* is in
-    them — reliability layers (see {!module:Repair} in [tfmcc.repair])
-    plug in here. *)

@@ -40,9 +40,10 @@ type data = {
   echo : echo option;
   fb : fb_echo option;
   app : int;
-      (** application block id carried by this packet, -1 for filler —
-          set through {!Sender.set_block_source} (congestion control
-          is payload-agnostic; reliability layers ride on this) *)
+      (** application block id carried by this packet, -1 for filler;
+          the sender always writes -1 (congestion control is
+          payload-agnostic), and the field stays on the wire for a
+          reliability layer to carry block ids *)
 }
 
 type report = {

@@ -1,6 +1,6 @@
 (* Supervised sweep execution (DESIGN.md §12): Par.Control semantics,
    structured task outcomes, the crash/timeout/stall fault-injection
-   paths through Sweep.run, retry-with-backoff, the failure report's
+   paths through Sweep.run, policy validation, the failure report's
    JSON shape, and serial/parallel agreement. *)
 
 let quick = Experiments.Scenario.Quick
@@ -14,8 +14,8 @@ let find id =
 
 (* Fault-injecting experiments, handed to the sweep through
    [~experiments].  On success a probe returns a tiny series derived
-   from the seed alone, so a retried run renders byte-identically to a
-   first-try success. *)
+   from the seed alone, so serial and parallel sweeps render it
+   byte-identically. *)
 exception Injected of string
 
 let probe id title run =
@@ -33,11 +33,11 @@ let xcrash =
   probe "xcrash" "task crashes deterministically" (fun ~mode:_ ~seed:_ ->
       raise (Injected "xcrash: injected deterministic task failure"))
 
-(* Fails on its first call and succeeds from the second; each call of
-   [xflaky ()] is a fresh probe with its own count. *)
+(* Fails on its first call and would succeed from the second; each call
+   of [xflaky ()] is a fresh probe with its own count. *)
 let xflaky () =
   let calls = Atomic.make 0 in
-  probe "xflaky" "task fails once, succeeds on retry" (fun ~mode:_ ~seed ->
+  probe "xflaky" "task fails on its first call" (fun ~mode:_ ~seed ->
       if Atomic.fetch_and_add calls 1 = 0 then
         raise (Injected "xflaky: injected failure on the first call")
       else ok_series ~id:"xflaky" ~seed)
@@ -86,9 +86,10 @@ let test_control_timeout () =
   | () -> Alcotest.fail "expired deadline should raise"
   | exception Par.Cancelled (Par.Timeout t) ->
       Alcotest.(check (float 1e-9)) "carries the budget" 0.005 t);
-  (* arm resets the deadline and clears the pending reason *)
-  Par.Control.arm c ~timeout:10. ();
-  Par.Control.check c
+  (* the timeout is sticky: a later check raises it again *)
+  match Par.Control.check c with
+  | () -> Alcotest.fail "a timed-out control should stay cancelled"
+  | exception Par.Cancelled (Par.Timeout _) -> ()
 
 let test_control_cancel () =
   let c = Par.Control.create () in
@@ -189,29 +190,11 @@ let test_crash_failure () =
     (Experiments.Sweep.cause_label f.f_cause);
   Alcotest.(check string) "experiment" "xcrash" f.f_experiment;
   Alcotest.(check int) "seed" 42 f.f_seed;
-  Alcotest.(check int) "fail fast" 1 f.f_attempts;
   Alcotest.(check int) "exit code" 3 (Experiments.Sweep.exit_code r);
   Alcotest.(check bool) "no results" true (r.results = [])
 
-let test_crash_retries_exhausted () =
-  let r = supervised ~policy:{ policy with retries = 2 } [ xcrash ] in
-  let f = the_failure r in
-  Alcotest.(check int) "all attempts consumed" 3 f.f_attempts;
-  Alcotest.(check int) "retried twice" 2 r.retried
-
-let test_flaky_succeeds_on_retry () =
-  (* attempt 1 raises, attempt 2 succeeds: retry must converge and the
-     series must be those of a clean attempt (seed-derived only) *)
-  let r = supervised ~policy:{ policy with retries = 1 } [ xflaky () ] in
-  Alcotest.(check int) "no failures" 0 (List.length r.failures);
-  Alcotest.(check int) "one retry" 1 r.retried;
-  Alcotest.(check int) "exit code" 0 (Experiments.Sweep.exit_code r);
-  match r.results with
-  | [ { replicates = [ { seed; series } ]; _ } ] ->
-      Alcotest.(check int) "seed" 42 seed;
-      Alcotest.(check bool) "non-empty series" true (series <> [])
-  | _ -> Alcotest.fail "expected one result with one replicate"
-
+(* Every cell runs exactly once: a probe that would pass on a second
+   call is reported as crashed. *)
 let test_flaky_fails_without_retry () =
   let r = supervised [ xflaky () ] in
   let f = the_failure r in
@@ -262,10 +245,9 @@ let test_partial_sweep_keeps_successes () =
   | Error msg -> Alcotest.failf "healthy figures diverged: %s" msg
 
 let test_serial_parallel_agree () =
-  let p = { policy with retries = 1 } in
   let ids = [ find "fig01"; xcrash; find "fig04"; xstall ] in
-  let a = supervised ~policy:p ~jobs:1 ids in
-  let b = supervised ~policy:p ~jobs:4 ids in
+  let a = supervised ~jobs:1 ids in
+  let b = supervised ~jobs:4 ids in
   let render (r : Experiments.Sweep.report) =
     Experiments.Sweep.render ~seeds:1 r.results
   in
@@ -284,10 +266,8 @@ let test_serial_parallel_agree () =
          Experiments.Sweep.cause_label f.f_cause)
        b.failures)
 
-(* The sweep submits cells costliest-first, yet [report.failures] must
-   list them in grid order.  The ids borrow the cost table's entries so
-   the submission order is the reverse of grid order: fig04 is among the
-   cheapest figures, fig12 the costliest. *)
+(* Cells are submitted in grid order, and with [-j 2] they finish in any
+   order; [report.failures] must still list them in grid order. *)
 let test_failures_in_grid_order () =
   let failing id =
     probe id "always fails" (fun ~mode:_ ~seed:_ -> raise (Injected id))
@@ -303,12 +283,34 @@ let test_failures_in_grid_order () =
            r.failures))
     [ 1; 2 ]
 
+(* A timeout that is not a finite positive number, or an event cap below
+   1, is rejected before any cell runs: NaN passes a [t <= 0.] check and
+   would never time out, and a cap of 0 only fails cells that build an
+   engine. *)
+let test_bad_policy_rejected () =
+  let ran = Atomic.make 0 in
+  let counting =
+    probe "xcount" "records that it ran" (fun ~mode:_ ~seed ->
+        Atomic.incr ran;
+        ok_series ~id:"xcount" ~seed)
+  in
+  List.iter
+    (fun (what, policy) ->
+      match supervised ~policy [ counting ] with
+      | _ -> Alcotest.failf "%s: Sweep.run should raise Invalid_argument" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("task_timeout nan", { policy with task_timeout = Some Float.nan });
+      ("task_timeout 0", { policy with task_timeout = Some 0. });
+      ("task_timeout inf", { policy with task_timeout = Some Float.infinity });
+      ("max_events 0", { policy with max_events = Some 0 });
+    ];
+  Alcotest.(check int) "no cell ran" 0 (Atomic.get ran)
+
 (* -------------------------------------------------- report and metrics *)
 
 let test_failure_report_json_shape () =
-  let r =
-    supervised ~policy:{ policy with retries = 1 } [ find "fig04"; xcrash ]
-  in
+  let r = supervised [ find "fig04"; xcrash ] in
   match Experiments.Sweep.report_to_json r with
   | Obs.Json.Obj fields ->
       let get k =
@@ -331,7 +333,6 @@ let test_failure_report_json_shape () =
           Alcotest.(check string) "task" "xcrash/s42" (str "task");
           Alcotest.(check string) "experiment" "xcrash" (str "experiment");
           Alcotest.(check int) "seed" 42 (int "seed");
-          Alcotest.(check int) "attempts" 2 (int "attempts");
           Alcotest.(check string) "cause" "crashed" (str "cause");
           Alcotest.(check bool) "detail non-empty" true (str "detail" <> "");
           ignore (str "journal_window")
@@ -353,22 +354,12 @@ let test_exit_codes () =
     {
       Experiments.Sweep.f_experiment = "x";
       f_seed = 1;
-      f_attempts = 1;
       f_cause = cause;
       f_detail = "";
       f_journal = "";
     }
   in
-  let base =
-    {
-      Experiments.Sweep.results = [];
-      failures = [];
-      tasks = 1;
-      executed = 1;
-      resumed = 0;
-      retried = 0;
-    }
-  in
+  let base = { Experiments.Sweep.results = []; failures = []; tasks = 1 } in
   Alcotest.(check int) "clean" 0 (Experiments.Sweep.exit_code base);
   Alcotest.(check int) "failure" 3
     (Experiments.Sweep.exit_code
@@ -424,10 +415,6 @@ let () =
         [
           Alcotest.test_case "crash -> structured failure" `Quick
             test_crash_failure;
-          Alcotest.test_case "crash exhausts retries" `Quick
-            test_crash_retries_exhausted;
-          Alcotest.test_case "flaky succeeds on attempt 2" `Quick
-            test_flaky_succeeds_on_retry;
           Alcotest.test_case "flaky fails without retries" `Quick
             test_flaky_fails_without_retry;
           Alcotest.test_case "livelock stalled" `Quick test_stall_aborted;
@@ -440,6 +427,8 @@ let () =
             test_serial_parallel_agree;
           Alcotest.test_case "failures come back in grid order" `Quick
             test_failures_in_grid_order;
+          Alcotest.test_case "bad policy rejected before any cell" `Quick
+            test_bad_policy_rejected;
         ] );
       ( "report",
         [

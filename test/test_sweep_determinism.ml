@@ -86,11 +86,10 @@ let test_multi_seed_aggregate () =
     serial;
   check_same_results "seeds=2 serial vs -j 4" serial parallel
 
-(* Every sweep submits its cells costliest-first, so the execution
-   schedule differs between the serial run and a 4-domain one; the
-   rendered sweep — the exact bytes `tfmcc-sim sweep` prints — must not.
-   The subset mixes the costliest and cheapest figures in the cost table
-   so the costliest-first permutation differs from grid order. *)
+(* On 4 domains the cells finish in a different order from the serial
+   run; the rendered sweep — the exact bytes `tfmcc-sim sweep` prints —
+   must not differ.  The subset mixes costly and cheap figures so that a
+   cheap cell submitted after a costly one finishes first. *)
 let sched_subset () =
   List.filter
     (fun e ->
