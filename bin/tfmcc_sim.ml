@@ -61,11 +61,22 @@ let handle_violation f =
       Printf.eprintf "invariant violation:\n%s\n%!" msg;
       exit 2
 
-let write_metrics_out ~file sink =
-  let oc = open_out file in
-  output_string oc (Obs.Json.to_string (Obs.Sink.to_json sink));
+(* Output files named on the command line are opened before any work
+   runs, so an unwritable path is a one-line error with exit 1 rather
+   than an uncaught [Sys_error] after the run. *)
+let open_out_file cmd file =
+  try open_out file
+  with Sys_error msg ->
+    Printf.eprintf "%s: %s\n" cmd msg;
+    exit 1
+
+let write_json oc json =
+  output_string oc (Obs.Json.to_string json);
   output_char oc '\n';
   close_out oc
+
+let write_metrics_out metrics_out sink =
+  Option.iter (fun oc -> write_json oc (Obs.Sink.to_json sink)) metrics_out
 
 let json_document ~id sink series =
   Obs.Json.Obj
@@ -92,6 +103,7 @@ let run_cmd =
         Printf.eprintf "unknown experiment %s; try `tfmcc-sim list'\n" id;
         exit 1
     | Some e ->
+        let metrics_out = Option.map (open_out_file "run") metrics_out in
         let sink, series =
           handle_violation (fun () ->
               Experiments.Sweep.run_cell ~strict e ~mode:(mode_of_full full)
@@ -106,9 +118,7 @@ let run_cmd =
               (fun s -> print_string (Experiments.Series.render_ascii s ~col:(List.length s.Experiments.Series.ylabels - 1)))
               series
         end;
-        match metrics_out with
-        | Some file -> write_metrics_out ~file sink
-        | None -> ()
+        write_metrics_out metrics_out sink
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ id_arg $ full_arg $ seed_arg $ csv_arg $ plot_arg
@@ -178,6 +188,7 @@ let sweep_cmd =
                   exit 1)
             ids
     in
+    let failure_report = Option.map (open_out_file "sweep") failure_report in
     let policy = { Experiments.Sweep.task_timeout; max_events } in
     let t0 = Unix.gettimeofday () in
     let report =
@@ -196,14 +207,9 @@ let sweep_cmd =
       print_string
         (Experiments.Sweep.render ~csv ~replicates ~seeds
            report.Experiments.Sweep.results);
-    (match failure_report with
-    | Some file ->
-        let oc = open_out file in
-        output_string oc
-          (Obs.Json.to_string (Experiments.Sweep.report_to_json report));
-        output_char oc '\n';
-        close_out oc
-    | None -> ());
+    Option.iter
+      (fun oc -> write_json oc (Experiments.Sweep.report_to_json report))
+      failure_report;
     if report.Experiments.Sweep.failures <> [] then
       prerr_string (Experiments.Sweep.render_failures report);
     Printf.eprintf "sweep: %d experiments x %d seed(s), -j %d: %.1fs wall\n%!"
@@ -553,6 +559,7 @@ let loopback_cmd =
   in
   let run sessions receivers duration impair realtime udp epoch rtt_initial seed
       json metrics_out =
+    let metrics_out = Option.map (open_out_file "loopback") metrics_out in
     let cfg = { Tfmcc_core.Config.default with rtt_initial } in
     let sink = Obs.Sink.create () in
     let r =
@@ -570,9 +577,7 @@ let loopback_cmd =
             seed;
           })
     in
-    (match metrics_out with
-    | Some file -> write_metrics_out ~file sink
-    | None -> ());
+    write_metrics_out metrics_out sink;
     let rates = List.map (fun s -> s.Rt.Harness.rate) r.Rt.Harness.stats in
     let n = float_of_int (List.length rates) in
     let mean = List.fold_left ( +. ) 0. rates /. n in
@@ -684,6 +689,7 @@ let chaos_rt_cmd =
     Arg.(value & opt float c.Rt.Harness.duration & info [ "duration" ] ~docv:"SECONDS" ~doc)
   in
   let run sessions receivers duration impair rtt_initial seed json metrics_out =
+    let metrics_out = Option.map (open_out_file "chaos-rt") metrics_out in
     let cfg = { c.Rt.Harness.cfg with rtt_initial } in
     let plan = c.Rt.Harness.chaos in
     let sink = Obs.Sink.create () in
@@ -691,9 +697,7 @@ let chaos_rt_cmd =
       harness_run "chaos-rt" ~obs:sink (fun () ->
           { c with Rt.Harness.sessions; receivers; duration; impair = impair (); cfg; seed })
     in
-    (match metrics_out with
-    | Some file -> write_metrics_out ~file sink
-    | None -> ());
+    write_metrics_out metrics_out sink;
     let ok_stats =
       List.filter_map
         (fun (_, o) -> match o with Par.Ok s -> Some s | _ -> None)

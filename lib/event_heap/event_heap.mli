@@ -22,8 +22,8 @@
       {!add_unit} (which returns none);
     - a message [(f, x, n)], added with {!add_msg}, which fires as the
       direct call [f x n].  The simulator's link arrivals ([x] a packet,
-      [n] unused) and the rt fabric's frame deliveries ([x] the codec
-      bytes, [n] the datagram size) take this form, so an in-flight
+      [n] unused) and the rt fabric's frame deliveries ([x] the decoded
+      message, [n] the datagram size) take this form, so an in-flight
       datagram costs no closure.
 
     No record is allocated per entry: {!add_unit}, {!add_msg} and the

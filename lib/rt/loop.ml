@@ -13,7 +13,7 @@ type mode = Turbo | Realtime
    time is not always the new clock. *)
 type t = {
   mode : mode;
-  heap : bytes Event_heap.t;
+  heap : Tfmcc_core.Wire.msg Event_heap.t;
   clock : Event_heap.time_cell; (* turbo time; realtime: latest sample *)
   popped : Event_heap.time_cell; (* time of the entry being fired *)
   last : Event_heap.time_cell; (* previous popped time, for [chain] *)
@@ -102,8 +102,25 @@ let on_fire t =
     if t.chain > Event_heap.livelock_events then raise Runaway
   end
 
-(* Marks closure slots in the heap: no frame is ever this block. *)
-let no_frame = Bytes.create 0
+(* Marks closure slots in the heap: the fabric never delivers this
+   message, since every message it schedules is one it decoded (or its
+   own undecodable marker). *)
+let no_frame =
+  Tfmcc_core.Wire.Data
+    {
+      session = -1;
+      seq = -1;
+      ts = 0.;
+      rate = 0.;
+      round = 0;
+      round_duration = 0.;
+      max_rtt = 0.;
+      clr = -1;
+      in_slowstart = false;
+      echo = None;
+      fb = None;
+      app = -1;
+    }
 
 let create ?(mode = Turbo) ?(epoch = 0.) ?obs ?(seed = 42) () =
   let obs = match obs with Some s -> s | None -> Obs.Sink.create () in
@@ -175,8 +192,8 @@ let at t ~time fn =
   in
   timer_of t (Event_heap.add t.heap ~base:Event_heap.time_zero ~offset:time fn)
 
-let frame_at t ~base ~offset deliver frame size =
-  Event_heap.add_msg t.heap ~base ~offset deliver frame size
+let frame_at t ~base ~offset deliver msg size =
+  Event_heap.add_msg t.heap ~base ~offset deliver msg size
 
 (* Self-rescheduling periodic timer.  The next occurrence is queued
    before [fn] runs, so the chain survives a callback exception when an

@@ -68,20 +68,21 @@ val frame_at :
   t ->
   base:Event_heap.time_cell ->
   offset:float ->
-  (bytes -> int -> unit) ->
-  bytes ->
+  (Tfmcc_core.Wire.msg -> int -> unit) ->
+  Tfmcc_core.Wire.msg ->
   int ->
   unit
-(** [frame_at t ~base ~offset deliver frame size] calls [deliver frame
-    size] at [base.cell_time +. offset]: a datagram in flight, queued
-    with {!Event_heap.add_msg}, so it allocates no closure, timer or
-    handle.  The fabric passes a path's FIFO horizon cell as [base]
-    and [0.] as [offset], so no arrival time is boxed on the way in;
-    [~base:Event_heap.time_zero ~offset:time] schedules at the absolute
-    [time].  It fires in the same (deadline, seq) order as every other
-    timer, under the {!set_exn_handler} backstop, and counts in
-    {!timers_fired}.  It cannot be cancelled.  Unlike {!at}, the due
-    time is not clamped: the fabric only computes finite arrival times.
+(** [frame_at t ~base ~offset deliver msg size] calls [deliver msg
+    size] at [base.cell_time +. offset]: a datagram in flight, its
+    decoded message queued with {!Event_heap.add_msg}, so it allocates
+    no closure, timer or handle.  The fabric passes a path's FIFO
+    horizon cell as [base] and [0.] as [offset], so no arrival time is
+    boxed on the way in; [~base:Event_heap.time_zero ~offset:time]
+    schedules at the absolute [time].  It fires in the same (deadline,
+    seq) order as every other timer, under the {!set_exn_handler}
+    backstop, and counts in {!timers_fired}.  It cannot be cancelled.
+    Unlike {!at}, the due time is not clamped: the fabric only computes
+    finite arrival times.
     @raise Invalid_argument on a NaN due time. *)
 
 val every : t -> interval:float -> (unit -> unit) -> Tfmcc_core.Env.timer

@@ -20,7 +20,7 @@ type endpoint = {
   session : int;
   net : t;
   mutable deliver : (size:int -> Wire.msg -> unit) option;
-  on_frame : bytes -> int -> unit;
+  on_frame : Wire.msg -> int -> unit;
       (* [deliver_frame] bound to this endpoint, built once: what the
          loop's frame slots fire for a copy addressed here *)
   mutable paths : (int, Event_heap.time_cell) Hashtbl.t option;
@@ -38,6 +38,9 @@ and t = {
          here: read from the flat [impairment] record, it would be boxed
          again on every copy's way into [Stats.Rng.bernoulli] *)
   rng : Stats.Rng.t; (* impairment draws, split off the loop's master *)
+  buf : bytes;
+      (* every send's codec scratch: encoded, then decoded once, before
+         [send] returns, so no copy in flight holds it *)
   endpoints : (int, endpoint) Hashtbl.t;
   groups : (int, int list) Hashtbl.t; (* session -> member ids, ascending *)
   loss_from : float; (* loop time the loss dice start rolling *)
@@ -73,6 +76,7 @@ let create loop ?(impair = impairment ()) () =
     impair;
     loss = impair.loss;
     rng = Loop.split_rng loop;
+    buf = Bytes.create (max Wire.encoded_data_size Wire.encoded_report_size);
     endpoints = Hashtbl.create 64;
     groups = Hashtbl.create 16;
     loss_from = Loop.now loop +. impair.warmup;
@@ -135,20 +139,40 @@ let is_blocked t id = t.blocked_n > 0 && Hashtbl.mem t.blocked id
 
 let blocked_count t = t.blocked_n
 
-(* Decoded per copy, as each UDP receiver would decode its own. *)
-let deliver_frame ep frame size =
+(* What the copies of a frame that failed decode carry: each still
+   travels its path, and counts a decode error where a UDP receiver
+   would have rejected its datagram. *)
+let undecodable =
+  Wire.Data
+    {
+      session = -2;
+      seq = -1;
+      ts = 0.;
+      rate = 0.;
+      round = 0;
+      round_duration = 0.;
+      max_rtt = 0.;
+      clr = -1;
+      in_slowstart = false;
+      echo = None;
+      fb = None;
+      app = -1;
+    }
+
+let deliver_frame ep msg size =
   match ep.deliver with
   | None -> ()
-  | Some f -> (
+  | Some f ->
       let t = ep.net in
-      match Wire.decode frame with
-      | Ok msg ->
-          t.delivered <- t.delivered + 1;
-          Obs.Metrics.Counter.inc t.m_delivered;
-          f ~size msg
-      | Error _ ->
-          t.dec_errors <- t.dec_errors + 1;
-          Obs.Metrics.Counter.inc t.m_dec)
+      if msg == undecodable then begin
+        t.dec_errors <- t.dec_errors + 1;
+        Obs.Metrics.Counter.inc t.m_dec
+      end
+      else begin
+        t.delivered <- t.delivered + 1;
+        Obs.Metrics.Counter.inc t.m_delivered;
+        f ~size msg
+      end
 
 let endpoint t ~session =
   let rec ep =
@@ -157,7 +181,7 @@ let endpoint t ~session =
       session;
       net = t;
       deliver = None;
-      on_frame = (fun frame size -> deliver_frame ep frame size);
+      on_frame = (fun msg size -> deliver_frame ep msg size);
       paths = None;
     }
   in
@@ -190,7 +214,7 @@ let leave ep =
 
 (* A copy addressed to an unknown id still fires, as a no-op, so the
    loop's timer count does not depend on whether the id exists. *)
-let no_endpoint (_ : bytes) (_ : int) = ()
+let no_endpoint (_ : Wire.msg) (_ : int) = ()
 
 let horizon ep dst =
   let paths =
@@ -208,11 +232,11 @@ let horizon ep dst =
       Hashtbl.add paths dst h;
       h
 
-(* One copy of [frame] offered to the path from [ep] to [dst].  Chaos
+(* One copy of [msg] offered to the path from [ep] to [dst].  Chaos
    checks happen at send time: frames already in flight when a
    partition or flap begins still land, like packets on the wire when
    a real link goes down behind them. *)
-let send_copy ep frame dsize ~src_blocked dst =
+let send_copy ep msg dsize ~src_blocked dst =
   let t = ep.net in
   t.sent <- t.sent + 1;
   Obs.Metrics.Counter.inc t.m_sent;
@@ -255,47 +279,48 @@ let send_copy ep frame dsize ~src_blocked dst =
       | d -> d.on_frame
       | exception Not_found -> no_endpoint
     in
-    Loop.frame_at t.loop ~base:h ~offset:0. deliver frame dsize
+    Loop.frame_at t.loop ~base:h ~offset:0. deliver msg dsize
   end
 
-let rec fan_out ep frame dsize ~src_blocked = function
+let rec fan_out ep msg dsize ~src_blocked = function
   | [] -> ()
   | id :: rest ->
-      if id <> ep.ep_id then send_copy ep frame dsize ~src_blocked id;
-      fan_out ep frame dsize ~src_blocked rest
+      if id <> ep.ep_id then send_copy ep msg dsize ~src_blocked id;
+      fan_out ep msg dsize ~src_blocked rest
+
+(* [Wire.decode]'s [?len] for each frame kind, built once so a decode
+   allocates no [Some]. *)
+let report_len = Some Wire.encoded_report_size
+
+let data_len = Some Wire.encoded_data_size
 
 let send ep ~dest ~flow:_ ~size msg =
   let t = ep.net in
-  (* A frame holds the codec bytes only, and the datagram size rides
-     beside it into every copy's frame slot: a data frame stands for a
-     datagram of the configured packet size, whose tail nobody reads
-     ([Wire.decode_data] ignores it), and a report frame keeps its
-     exact length, the only one [Wire.decode_report] accepts.  Each
-     send allocates one fresh frame, shared by all its copies; it must
-     not be a reused scratch buffer, since it stays immutable until the
-     last copy in flight lands. *)
-  let frame =
-    Bytes.create
-      (match msg with
-      | Wire.Report _ -> Wire.encoded_report_size
-      | Wire.Data _ -> Wire.encoded_data_size)
-  in
-  let dsize = if size > Bytes.length frame then size else Bytes.length frame in
+  (* The frame is encoded into the fabric's scratch buffer and decoded
+     from it once, and every copy carries that one message.  The
+     datagram size rides beside it into every copy's frame slot: a data
+     frame stands for a datagram of the configured packet size, whose
+     tail nobody reads ([Wire.decode_data] ignores it), and a report
+     frame keeps its exact length, the only one [Wire.decode_report]
+     accepts. *)
   match
     match msg with
-    | Wire.Report r -> Wire.encode_report_into frame r
-    | Wire.Data d -> Wire.encode_data_into frame d
+    | Wire.Report r -> Wire.encode_report_into t.buf r
+    | Wire.Data d -> Wire.encode_data_into t.buf d
   with
   | exception Invalid_argument _ ->
       (* A non-finite field slipped past the protocol core: drop the
          frame, as a real transport would, and make it visible. *)
       t.enc_drops <- t.enc_drops + 1;
       Obs.Metrics.Counter.inc t.m_enc
-  | (_ : int) -> (
+  | n -> (
+      let dsize = if size > n then size else n in
+      let len = match msg with Wire.Report _ -> report_len | Wire.Data _ -> data_len in
+      let msg = match Wire.decode ?len t.buf with Ok m -> m | Error _ -> undecodable in
       let src_blocked = is_blocked t ep.ep_id in
       match dest with
-      | Env.To_node id -> if id <> ep.ep_id then send_copy ep frame dsize ~src_blocked id
-      | Env.To_group -> fan_out ep frame dsize ~src_blocked (members t ep.session))
+      | Env.To_node id -> if id <> ep.ep_id then send_copy ep msg dsize ~src_blocked id
+      | Env.To_group -> fan_out ep msg dsize ~src_blocked (members t ep.session))
 
 let env ep =
   {

@@ -1,13 +1,17 @@
 (** In-process loopback datagram fabric.
 
     The scalable transport for the real-time runtime: endpoints exchange
-    real codec frames ({!Tfmcc_core.Wire.encode_report} /
-    [encode_data] on send, {!Tfmcc_core.Wire.decode} on receive) over
-    an in-memory switch instead of kernel sockets, so one process can
-    carry thousands of concurrent sessions without file-descriptor
-    limits (see {!Udp} for the socket-backed sibling).  Multicast is
-    modelled as per-session group membership: [To_group] fans a frame
-    out to every joined member except the sender, [To_node] unicasts.
+    real codec frames over an in-memory switch instead of kernel
+    sockets, so one process can carry thousands of concurrent sessions
+    without file-descriptor limits (see {!Udp} for the socket-backed
+    sibling).  Each send encodes its message into the fabric's one
+    scratch buffer ({!Tfmcc_core.Wire.encode_report_into} /
+    [encode_data_into]) and decodes it from there once
+    ({!Tfmcc_core.Wire.decode}); every copy then carries that one
+    decoded message, which is immutable, so receivers share it as the
+    simulator's receivers share a packet.  Multicast is modelled as
+    per-session group membership: [To_group] fans a frame out to every
+    joined member except the sender, [To_node] unicasts.
 
     A netem-style impairment shim sits on every delivery: independent
     Bernoulli loss, fixed base delay, and uniform jitter, drawn from one
@@ -16,8 +20,11 @@
 
     Frames that fail to encode (non-finite field escaping the protocol
     core) are dropped and counted under [tfmcc_rt_frame_drop_total
-    {reason="encode"}] rather than crashing the loop; undecodable
-    frames count [reason="decode"].
+    {reason="encode"}] rather than crashing the loop.  A frame that
+    encodes but fails decode still sends every copy through the shim
+    and the loop; each copy that lands on an endpoint with a deliver
+    hook counts [reason="decode"], as each UDP receiver would reject
+    its own datagram.
 
     The fabric also exposes chaos hooks (driven by {!Chaos} plans,
     DESIGN.md §15): the whole fabric can flap down/up, individual
@@ -69,8 +76,8 @@ val set_deliver : endpoint -> (size:int -> Tfmcc_core.Wire.msg -> unit) -> unit
     [size] is the datagram size in bytes: the [size] the sender passed,
     raised to the codec length when smaller (data frames keep the
     configured packet size, mirroring the simulated packet; reports
-    arrive at their codec length).  The fabric carries only the codec
-    bytes and this size beside them, not a zero-padded datagram. *)
+    arrive at their codec length).  The fabric carries only the decoded
+    message and this size beside it, not a zero-padded datagram. *)
 
 val endpoint_id : endpoint -> int
 

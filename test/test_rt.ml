@@ -8,6 +8,25 @@ open Rt
 
 let cfg = Tfmcc_core.Config.default
 
+(* A data packet as the sender would send it, minus echo and feedback. *)
+let data ~seq ~ts ~clr =
+  {
+    Tfmcc_core.Wire.session = 1;
+    seq;
+    ts;
+    rate = 1e5;
+    round = 1;
+    round_duration = 0.5;
+    max_rtt = 0.1;
+    clr;
+    in_slowstart = false;
+    echo = None;
+    fb = None;
+    app = -1;
+  }
+
+let data_msg ~seq ~ts ~clr = Tfmcc_core.Wire.Data (data ~seq ~ts ~clr)
+
 (* ------------------------------------------------------------------ *)
 (* Timers on the loop                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -23,7 +42,7 @@ let test_wheel_order () =
   let frame tag time =
     Loop.frame_at loop ~base:Event_heap.time_zero ~offset:time
       (fun _ _ -> fired := tag :: !fired)
-      Bytes.empty 0
+      (data_msg ~seq:0 ~ts:0. ~clr:1) 0
   in
   add "c" 0.030;
   add "a" 0.010;
@@ -113,7 +132,9 @@ let test_wheel_past_deadline () =
 let test_wheel_nan_deadline_rejected () =
   let loop = Loop.create () in
   match
-    Loop.frame_at loop ~base:Event_heap.time_zero ~offset:Float.nan (fun _ _ -> ()) Bytes.empty 0
+    Loop.frame_at loop ~base:Event_heap.time_zero ~offset:Float.nan
+      (fun _ _ -> ())
+      (data_msg ~seq:0 ~ts:0. ~clr:1) 0
   with
   | () -> Alcotest.fail "NaN frame deadline accepted"
   | exception Invalid_argument _ -> ()
@@ -198,18 +219,20 @@ let run_loop ops =
   let loop = Loop.create () in
   let handles = Hashtbl.create 64 in
   let fired = ref [] and pend = ref [] and next_id = ref 0 and now = ref 0. in
-  (* One deliver fn for every frame, as one endpoint's: the size
-     carries the id and the frame's one byte whether to raise. *)
-  let deliver frame id =
-    fired := id :: !fired;
-    if Bytes.get frame 0 = 'x' then raise Boom
+  (* One deliver fn for every frame, as one endpoint's: the message's
+     [seq] carries the id and the size whether to raise. *)
+  let deliver msg raises =
+    (match msg with
+    | Tfmcc_core.Wire.Data d -> fired := d.seq :: !fired
+    | Tfmcc_core.Wire.Report _ -> assert false);
+    if raises = 1 then raise Boom
   in
   let frame time raises =
     let id = !next_id in
     incr next_id;
     Loop.frame_at loop ~base:Event_heap.time_zero ~offset:time deliver
-      (Bytes.make 1 (if raises then 'x' else '.'))
-      id
+      (data_msg ~seq:id ~ts:0. ~clr:1)
+      (if raises then 1 else 0)
   in
   let rec sched time action =
     let id = !next_id in
@@ -412,15 +435,19 @@ let test_loop_raise_keeps_siblings () =
    run; without one it escapes [run], and only it is consumed. *)
 let test_loop_frame_backstop () =
   let got = ref [] in
-  let deliver frame size =
+  let deliver msg size =
     got := size :: !got;
-    if Bytes.get frame 0 = 'x' then failwith "boom"
+    match msg with
+    | Tfmcc_core.Wire.Data { seq = 1; _ } -> failwith "boom"
+    | _ -> ()
   in
   let queue loop =
     List.iter
-      (fun (size, c) ->
-        Loop.frame_at loop ~base:Event_heap.time_zero ~offset:0.1 deliver (Bytes.make 1 c) size)
-      [ (1, '.'); (2, 'x'); (3, '.') ]
+      (fun (size, raises) ->
+        Loop.frame_at loop ~base:Event_heap.time_zero ~offset:0.1 deliver
+          (data_msg ~seq:(if raises then 1 else 0) ~ts:0. ~clr:1)
+          size)
+      [ (1, false); (2, true); (3, false) ]
   in
   let loop = Loop.create () in
   let seen = ref [] in
@@ -749,25 +776,6 @@ let test_loopback_warmup_holds_loss () =
   Alcotest.(check bool) "losses from t0 otherwise" true
     (unleashed.Harness.frames_lost > 0)
 
-(* A data packet as the sender would send it, minus echo and feedback. *)
-let data ~seq ~ts ~clr =
-    {
-      Tfmcc_core.Wire.session = 1;
-      seq;
-      ts;
-      rate = 1e5;
-      round = 1;
-      round_duration = 0.5;
-      max_rtt = 0.1;
-      clr;
-      in_slowstart = false;
-      echo = None;
-      fb = None;
-      app = -1;
-    }
-
-let data_msg ~seq ~ts ~clr = Tfmcc_core.Wire.Data (data ~seq ~ts ~clr)
-
 (* Jitter must not reorder a path: two sources fan data out to three
    group members, which unicast back to the first source, every 2 ms
    under 5 ms of jitter.  On every (src, dst) path, arrivals must be in
@@ -830,13 +838,12 @@ let test_net_fifo_horizon () =
    sender fans it out to 4 group members over a 20 ms path with 5 ms of
    jitter and the loop delivers every copy.  The loss probability is
    too small to drop a copy at this seed, but the loss draw runs for
-   each.  The send allocates only the frame's codec bytes (16 words
-   for 114 bytes), shared by all four copies: no closure, timer,
-   handle or boxed arrival time per copy, and nothing sized like the
-   padded 1000-byte datagram.  Each delivered copy allocates no more
-   than its decode (every copy is decoded, as each UDP receiver would
-   decode its own), which for this echo-free frame is 25 words
-   ([test_tfmcc_wire]'s codec budget). *)
+   each.  The send encodes into the fabric's scratch buffer and
+   allocates only its one decode, shared by all four copies: for this
+   echo-free frame 25 words ([test_tfmcc_wire]'s codec budget), with no
+   closure, timer, handle or boxed arrival time per copy, and nothing
+   sized like the padded 1000-byte datagram.  Delivering the copies
+   allocates nothing. *)
 let test_loopback_frame_words () =
   let loop = Loop.create () in
   let net =
@@ -864,27 +871,55 @@ let test_loopback_frame_words () =
   let w_send = words send in
   let w_deliver = words (fun () -> Loop.run loop) in
   Alcotest.(check int) "every copy delivered at the datagram size" 16 !got;
-  let frame_bytes = float_of_int (1 + (Tfmcc_core.Wire.encoded_data_size / 8) + 1) in
-  if w_send > frame_bytes then
-    Alcotest.failf "send: %.0f minor words for one frame to 4 receivers (bound %.0f, its bytes)"
-      w_send frame_bytes;
-  if w_deliver > 4. *. 25. then
-    Alcotest.failf "delivery: %.0f minor words for 4 copies (bound 4 x 25, one decode each)"
-      w_deliver
+  if w_send > 25. then
+    Alcotest.failf "send: %.0f minor words for one frame to 4 receivers (bound 25, its decode)"
+      w_send;
+  if w_deliver > 0. then
+    Alcotest.failf "delivery: %.0f minor words for 4 copies (bound 0)" w_deliver
+
+(* A frame that encodes but fails decode (a negative session) still
+   goes out as one copy per member and lands on the loop like any
+   other; each copy that reaches a deliver hook counts one decode
+   error, and a member without a hook counts nothing. *)
+let test_loopback_decode_errors () =
+  let obs = Obs.Sink.create () in
+  let loop = Loop.create ~obs () in
+  let net = Net.create loop ~impair:(Net.impairment ~delay:0.01 ~jitter:0.002 ()) () in
+  let s_env = Net.env (Net.endpoint net ~session:1) in
+  let hooked = ref 0 in
+  for i = 1 to 4 do
+    let ep = Net.endpoint net ~session:1 in
+    (Net.env ep).Tfmcc_core.Env.join ();
+    if i <> 2 then Net.set_deliver ep (fun ~size:_ _ -> incr hooked)
+  done;
+  s_env.Tfmcc_core.Env.send ~dest:Tfmcc_core.Env.To_group ~flow:0 ~size:1000
+    (Tfmcc_core.Wire.Data { (data ~seq:0 ~ts:0. ~clr:1) with session = -1 });
+  Loop.run loop;
+  let value ?labels name = Obs.Metrics.counter_value obs.Obs.Sink.metrics ?labels name in
+  Alcotest.(check int) "every copy offered" 4 (Net.frames_sent net);
+  Alcotest.(check int) "every copy landed" 4 (Loop.timers_fired loop);
+  Alcotest.(check int) "one error per hooked copy" 3 (Net.decode_errors net);
+  Alcotest.(check int) "decode-drop counter" (Net.decode_errors net)
+    (value ~labels:[ ("reason", "decode") ] "tfmcc_rt_frame_drop_total");
+  Alcotest.(check int) "nothing delivered" 0 (Net.frames_delivered net);
+  Alcotest.(check int) "delivered counter" 0 (value "tfmcc_rt_frames_delivered_total");
+  Alcotest.(check int) "no hook ran" 0 !hooked
 
 (* Allocation budget of the rt twin of the simulator's star session
    (test_integration): one TFMCC session with 4 receivers on the turbo
    loopback fabric at 1% loss and 20 ms delay, wired straight to the
    endpoints without the harness's supervision.  Minor-heap words per
    loop-second, averaged over 60 s after a warm-up to 30 s and one
-   settling second.  The budget is 1.10x the 40497.10 words measured
-   once the codec's encoders allocated nothing, its decoder boxed each
-   float once and the fabric scheduled each copy from its path's
-   horizon cell.  Earlier readings: 107728.67 with a closure per frame
-   in flight, 70537.30 with frames in heap slots, 69327.42 on the
-   shared event heap, 59761.68 (budget 65738) with the clock cell and
-   an allocation-free receiver, and 56774.28 just before this codec
-   change. *)
+   settling second.  The budget is 1.10x the 17586.12 words measured
+   once the fabric decoded each send once, from one scratch buffer,
+   and handed every copy the same message.  Earlier readings: 107728.67
+   with a closure per frame in flight, 70537.30 with frames in heap
+   slots, 69327.42 on the shared event heap, 59761.68 (budget 65738)
+   with the clock cell and an allocation-free receiver, 56774.28 just
+   before the codec's encoders allocated nothing, 40497.10 (budget
+   44547) once they did, its decoder boxed each float once and the
+   fabric scheduled each copy from its path's horizon cell, and
+   40492.27 just before the shared decode. *)
 let test_loopback_minor_words_budget () =
   let loop = Loop.create ~seed:77 () in
   let net =
@@ -908,7 +943,7 @@ let test_loopback_minor_words_budget () =
     Loop.run ~until:(float_of_int t) loop
   done;
   let w = (Gc.minor_words () -. w0) /. 60. in
-  let budget = 44_547. in
+  let budget = 19_345. in
   if w > budget then
     Alcotest.failf "%.2f minor words per loop-second (budget %.0f)" w budget
 
@@ -1091,6 +1126,7 @@ let () =
           Alcotest.test_case "minor words budget" `Quick test_loopback_minor_words_budget;
           Alcotest.test_case "FIFO horizon across a delay cut" `Quick test_net_fifo_horizon;
           Alcotest.test_case "words per delivered frame" `Quick test_loopback_frame_words;
+          Alcotest.test_case "decode errors per copy" `Quick test_loopback_decode_errors;
         ] );
       ( "realtime",
         [
