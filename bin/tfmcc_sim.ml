@@ -126,7 +126,7 @@ let run_cmd =
 
 let sweep_cmd =
   let doc =
-    "Run experiments fanned out over a pool of OCaml domains, each \
+    "Run experiments fanned out over OCaml domains, each \
      (experiment, seed) cell once.  Output is deterministic: for a given \
      seed it is byte-identical whatever $(b,-j) is (timings go to stderr)."
   in

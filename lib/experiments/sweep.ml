@@ -175,7 +175,7 @@ let run ?(experiments = Registry.all) ?(strict = false)
          cells)
   in
   (* [run_task] catches every exception itself, so only a fault in the
-     plumbing around [run_cell] reaches the pool as a non-[Ok] outcome. *)
+     plumbing around [run_cell] comes back as a non-[Ok] outcome. *)
   let statuses =
     List.map2
       (fun (e, seed) o ->

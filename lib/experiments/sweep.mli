@@ -3,7 +3,7 @@
     ({!run}; DESIGN.md §9, §12).
 
     Every experiment run is seed-deterministic and owns its engine, RNG
-    and observability sink, so the grid fans out over a {!Par.Pool}
+    and observability sink, so the grid fans out over {!Par.map_outcomes}
     with no shared mutable state.  Results come back in deterministic
     (experiment, seed) order regardless of the job count: a [~jobs:8]
     sweep prints byte-identically to a [~jobs:1] one. *)

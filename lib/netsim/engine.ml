@@ -5,7 +5,7 @@
    of the millions of events. *)
 type t = {
   heap : Packet.t Event_heap.t;
-  links : Link_table.t;  (* SoA busy/busy-time state for all links *)
+  links : Link_table.t;  (* SoA busy flags for all links *)
   clock : Event_heap.time_cell;
   rng : Stats.Rng.t;
   mutable stopped : bool;

@@ -9,15 +9,14 @@ type t = {
   queue : Queue_disc.t;
   src : Node.t;
   dst : Node.t;
-  (* Hot state (busy flag, cumulative busy time) lives in the engine's
-     struct-of-arrays {!Link_table}, indexed by [slot]: the whole
-     fleet's transmit scalars stay contiguous. *)
+  (* The busy flag lives in the engine's struct-of-arrays
+     {!Link_table}, indexed by [slot]: the whole fleet's flags stay
+     contiguous. *)
   tbl : Link_table.t;
   slot : int;
-  (* The transmit path's float, kept in an all-float cell so no float
-     crosses a module boundary: the transmission time for
-     [Link_table.add_busy_time], then the transmission end the engine
-     schedules from (see [transmit]). *)
+  (* The transmission end the engine schedules from, kept in an
+     all-float cell so no float crosses a module boundary (see
+     [transmit]). *)
   tx_cell : Event_heap.time_cell;
   (* The transmission-complete callback is allocated once per link, not
      once per packet: the line serializes transmissions, so exactly one
@@ -45,7 +44,6 @@ type t = {
   mutable drop_loss_n : int;
   mutable drop_down_n : int;
   mutable drop_ttl_n : int;
-  mutable drop_fault_n : int;
   mutable fault : (Packet.t -> fault_action) option;
   mutable tracer :
     (time:float ->
@@ -129,8 +127,6 @@ let transmit t (p : Packet.t) =
   Link_table.set_busy t.tbl t.slot true;
   let tx = float_of_int p.size *. 8. /. t.bandwidth_bps in
   let cell = t.tx_cell in
-  cell.Event_heap.cell_time <- tx;
-  Link_table.add_busy_time t.tbl t.slot cell;
   cell.Event_heap.cell_time <- (Engine.time_cell t.engine).Event_heap.cell_time +. tx;
   t.tx_pkt <- p;
   Engine.at_unit t.engine ~base:cell ~offset:0. t.complete
@@ -176,7 +172,6 @@ let create engine ?(loss = Loss_model.none) ~bandwidth_bps ~delay_s ~queue ~src
     drop_loss_n = 0;
     drop_down_n = 0;
     drop_ttl_n = 0;
-    drop_fault_n = 0;
     fault = None;
     tracer = None;
     cs = counters_for metrics;
@@ -225,7 +220,6 @@ let send t (p : Packet.t) =
       | `Pass -> forward t p
       | `Drop ->
           t.lost <- t.lost + 1;
-          t.drop_fault_n <- t.drop_fault_n + 1;
           Obs.Metrics.Counter.inc t.cs.m_drop_loss;
           trace t ~kind:`Drop_loss p;
           Packet.release p
@@ -277,12 +271,7 @@ let drops_down t = t.drop_down_n
 
 let drops_ttl t = t.drop_ttl_n
 
-let drops_fault t = t.drop_fault_n
-
 let busy t = Link_table.busy t.tbl t.slot
-
-let utilization t ~now =
-  if now <= 0. then 0. else Link_table.busy_time t.tbl t.slot /. now
 
 let set_tracer t f = t.tracer <- Some f
 

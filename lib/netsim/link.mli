@@ -110,14 +110,7 @@ val drops_down : t -> int
 val drops_ttl : t -> int
 (** Dropped by the TTL guard (routing loop). *)
 
-val drops_fault : t -> int
-(** Dropped by the fault injector before entering the pipeline (not part
-    of the {!packets_offered} ledger). *)
-
 val busy : t -> bool
-
-val utilization : t -> now:float -> float
-(** Fraction of wall-clock time the line has spent transmitting. *)
 
 val set_tracer :
   t ->

@@ -1,6 +1,8 @@
 (** Stochastic packet-loss models applied on link traversal, independent
     of queue overflow.  Used for the paper's lossy-link experiments
-    (Figs 11, 19) where links have configured loss rates. *)
+    (Figs 11, 19) where links have configured loss rates; the paper's
+    loss is independent per packet.  {!Link.set_loss} swaps a link's
+    model at run time. *)
 
 type t
 
@@ -10,44 +12,5 @@ val none : t
 val bernoulli : rng:Stats.Rng.t -> p:float -> t
 (** Drops each packet independently with probability [p] ∈ [0,1]. *)
 
-val gilbert_elliott :
-  rng:Stats.Rng.t ->
-  p_good_to_bad:float ->
-  p_bad_to_good:float ->
-  loss_good:float ->
-  loss_bad:float ->
-  t
-(** Two-state bursty loss: transition probabilities are evaluated per
-    packet; each state has its own loss probability.  Gives correlated
-    loss bursts (extension beyond the paper's iid model). *)
-
-val dynamic : t -> t
-(** A mutable wrapper delegating to an inner model that can be swapped at
-    runtime with {!set_dynamic} — how scheduled fault windows
-    ({!Fault}) degrade a link's loss behaviour mid-run without touching
-    the link itself. *)
-
-val set_dynamic : t -> t -> unit
-(** [set_dynamic d m] replaces the inner model of the {!dynamic} wrapper
-    [d] by [m].  Raises [Invalid_argument] if [d] is not dynamic or [m]
-    is itself dynamic (no nesting). *)
-
 val drops_packet : t -> bool
 (** Evaluates the model for one packet; [true] means drop. *)
-
-val loss_rate_hint : t -> float
-(** Long-run loss probability: exact for none/bernoulli, stationary
-    average for Gilbert–Elliott, the inner model's hint for dynamic.
-    A Gilbert–Elliott chain with both transition probabilities zero never
-    leaves its initial (good) state, so its hint is [loss_good]; with
-    only [p_bad_to_good = 0] the chain is absorbed in the bad state and
-    the hint is [loss_bad].  Used in reports only. *)
-
-val in_bad : t -> bool
-(** Whether a Gilbert–Elliott chain currently sits in its bad state
-    (always [false] for the other models); diagnostic, lets tests observe
-    the chain. *)
-
-val describe : t -> string
-(** One-line human-readable description with the configured parameters
-    and the stationary loss rate, for traces and experiment notes. *)

@@ -14,10 +14,6 @@ let id t = t.id
    every delivery (attach is rare, deliver is the hot path). *)
 let attach t h = t.handlers <- t.handlers @ [ h ]
 
-let detach_all t = t.handlers <- []
-
-let handler_count t = List.length t.handlers
-
 (* A direct loop rather than [List.iter (fun h -> h p)], which would
    allocate a closure over [p] for every delivered packet. *)
 let rec deliver_each p = function

@@ -15,10 +15,6 @@ val attach : t -> (Packet.t -> unit) -> unit
 (** Registers a local handler.  Every packet delivered locally is passed
     to all handlers (in attachment order); handlers filter by payload. *)
 
-val detach_all : t -> unit
-
-val handler_count : t -> int
-
 val deliver_local : t -> Packet.t -> unit
 (** Passes the packet to the local handlers, bypassing routing. *)
 

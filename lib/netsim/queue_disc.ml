@@ -9,7 +9,7 @@ type red_state = {
   mutable idle_since : float option;
 }
 
-type kind = Droptail | Droptail_bytes of int | Red of red_state
+type kind = Droptail | Red of red_state
 
 (* FIFO storage is a growable power-of-two ring over a flat packet
    array: enqueue/dequeue are index arithmetic plus one store, where
@@ -21,7 +21,6 @@ type t = {
   mutable ring : Packet.t array;
   mutable head : int;  (* index of the oldest packet *)
   mutable len : int;
-  mutable bytes : int;
   mutable drops : int;
   mutable enqueued : int;
 }
@@ -36,21 +35,6 @@ let droptail ~capacity_pkts =
     ring = Array.make initial_ring Packet.dummy;
     head = 0;
     len = 0;
-    bytes = 0;
-    drops = 0;
-    enqueued = 0;
-  }
-
-let droptail_bytes ~capacity_bytes =
-  if capacity_bytes <= 0 then
-    invalid_arg "Queue_disc.droptail_bytes: capacity must be positive";
-  {
-    kind = Droptail_bytes capacity_bytes;
-    capacity = max_int;
-    ring = Array.make initial_ring Packet.dummy;
-    head = 0;
-    len = 0;
-    bytes = 0;
     drops = 0;
     enqueued = 0;
   }
@@ -80,7 +64,6 @@ let red ~rng ~capacity_pkts ?min_thresh ?max_thresh ?(max_p = 0.1)
     ring = Array.make initial_ring Packet.dummy;
     head = 0;
     len = 0;
-    bytes = 0;
     drops = 0;
     enqueued = 0;
   }
@@ -100,7 +83,6 @@ let accept q p =
   let mask = Array.length q.ring - 1 in
   Array.unsafe_set q.ring ((q.head + q.len) land mask) p;
   q.len <- q.len + 1;
-  q.bytes <- q.bytes + p.Packet.size;
   q.enqueued <- q.enqueued + 1;
   true
 
@@ -137,8 +119,6 @@ let red_enqueue q s p =
 let enqueue q p =
   match q.kind with
   | Droptail -> if q.len >= q.capacity then reject q else accept q p
-  | Droptail_bytes cap ->
-      if q.bytes + p.Packet.size > cap then reject q else accept q p
   | Red s -> red_enqueue q s p
 
 let is_empty q = q.len = 0
@@ -152,16 +132,9 @@ let dequeue_exn q =
   Array.unsafe_set q.ring q.head Packet.dummy;
   q.head <- (q.head + 1) land (Array.length q.ring - 1);
   q.len <- q.len - 1;
-  q.bytes <- q.bytes - p.Packet.size;
   p
 
-let dequeue q = if q.len = 0 then None else Some (dequeue_exn q)
-
-let peek q = if q.len = 0 then None else Some q.ring.(q.head)
-
 let length q = q.len
-
-let byte_length q = q.bytes
 
 let capacity q = q.capacity
 

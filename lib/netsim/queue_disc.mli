@@ -9,10 +9,6 @@ type t
 val droptail : capacity_pkts:int -> t
 (** FIFO with a hard limit of [capacity_pkts] packets (ns-2 style). *)
 
-val droptail_bytes : capacity_bytes:int -> t
-(** FIFO limited by queued bytes instead of packets (router-buffer
-    style): a packet is accepted iff it fits entirely. *)
-
 val red :
   rng:Stats.Rng.t ->
   capacity_pkts:int ->
@@ -30,20 +26,14 @@ val red :
 val enqueue : t -> Packet.t -> bool
 (** [enqueue q p] accepts or drops [p]; [false] means dropped. *)
 
-val dequeue : t -> Packet.t option
-
 val is_empty : t -> bool
 
 val dequeue_exn : t -> Packet.t
-(** Allocation-free {!dequeue} for the link hot path; raises
+(** Removes and returns the oldest packet without allocating; raises
     [Invalid_argument] on an empty queue (guard with {!is_empty}). *)
-
-val peek : t -> Packet.t option
 
 val length : t -> int
 (** Current queue length in packets. *)
-
-val byte_length : t -> int
 
 val capacity : t -> int
 

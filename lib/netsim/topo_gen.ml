@@ -11,35 +11,12 @@ let connect topo link a b =
     (Topology.connect topo ~queue_capacity:link.queue_capacity
        ~bandwidth_bps:link.bandwidth_bps ~delay_s:link.delay_s a b)
 
-let chain topo ~n ?(link = default_link) () =
-  if n < 1 then invalid_arg "Topo_gen.chain: n must be positive";
-  let nodes = Topology.add_nodes topo n in
-  for i = 0 to n - 2 do
-    connect topo link nodes.(i) nodes.(i + 1)
-  done;
-  nodes
-
 let star topo ~leaves ?(link = default_link) () =
   if leaves < 1 then invalid_arg "Topo_gen.star: need at least one leaf";
   let hub = Topology.add_node topo in
   let ls = Topology.add_nodes topo leaves in
   Array.iter (fun l -> connect topo link hub l) ls;
   (hub, ls)
-
-let binary_tree topo ~depth ?(link = default_link) () =
-  if depth < 1 then invalid_arg "Topo_gen.binary_tree: depth must be positive";
-  let root = Topology.add_node topo in
-  let rec grow parent level acc =
-    if level = depth then parent :: acc
-    else begin
-      let l = Topology.add_node topo and r = Topology.add_node topo in
-      connect topo link parent l;
-      connect topo link parent r;
-      grow r (level + 1) (grow l (level + 1) acc)
-    end
-  in
-  let leaves = grow root 0 [] |> List.rev |> Array.of_list in
-  (root, leaves)
 
 let random_tree topo rng ~n ?(max_children = 4) ?(link = default_link) () =
   if n < 1 then invalid_arg "Topo_gen.random_tree: n must be positive";

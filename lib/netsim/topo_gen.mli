@@ -1,5 +1,5 @@
-(** Topology generators: the standard shapes used across the experiments
-    plus a small transit-stub generator for "realistic multicast tree"
+(** Topology generators: a star and a random tree, plus a small
+    transit-stub generator for "realistic multicast tree"
     studies (Section 3 argues the loss distribution over real trees is
     what saves single-rate protocols — these give such trees).
 
@@ -15,14 +15,8 @@ type link_spec = {
 val default_link : link_spec
 (** 10 Mbit/s, 5 ms, 50 packets. *)
 
-val chain : Topology.t -> n:int -> ?link:link_spec -> unit -> Node.t array
-(** n nodes in a line. *)
-
 val star : Topology.t -> leaves:int -> ?link:link_spec -> unit -> Node.t * Node.t array
 (** (hub, leaves). *)
-
-val binary_tree : Topology.t -> depth:int -> ?link:link_spec -> unit -> Node.t * Node.t array
-(** (root, leaves); a complete binary tree with 2^depth leaves. *)
 
 val random_tree :
   Topology.t ->

@@ -337,8 +337,3 @@ let path t ~src ~dst =
 
 let hop_count t ~src ~dst =
   path t ~src ~dst |> Option.map (fun p -> List.length p - 1)
-
-let multicast_tree_links t ~group ~src =
-  let src_id = Node.id src in
-  let tree = build_tree t ~group ~src_id in
-  Int_tbl.fold (fun _ links acc -> links @ acc) tree []

@@ -65,7 +65,3 @@ val path : t -> src:Node.t -> dst:Node.t -> Node.t list option
 (** Shortest path including both endpoints; [None] if unreachable. *)
 
 val hop_count : t -> src:Node.t -> dst:Node.t -> int option
-
-val multicast_tree_links : t -> group:int -> src:Node.t -> Link.t list
-(** All directed links of the current distribution tree (for tests and
-    monitors). *)

@@ -1,14 +1,16 @@
-(** Deterministic fan-out over a fixed-size pool of OCaml 5 domains,
-    with optional supervision (cooperative cancellation, per-task
-    wall-clock timeouts, structured outcomes).
+(** Deterministic fan-out over OCaml 5 domains, with optional
+    supervision (cooperative cancellation, per-task wall-clock timeouts,
+    structured outcomes).
 
-    Built only on stdlib [Domain] / [Mutex] / [Condition] (+ [Unix] for
-    wall-clock deadlines).  The unit of work is a thunk; {!Pool.map}
-    runs a batch of thunks across the pool and returns their results
-    *in input order*, so a parallel run is observationally identical to
-    a serial one whenever the tasks themselves are independent and
-    deterministic (the experiment sweep: every run owns its engine, RNG
-    and sink).
+    Built only on stdlib [Domain] / [Atomic] (+ [Unix] for wall-clock
+    deadlines).  The unit of work is a thunk; {!val-map} runs a batch of
+    thunks on [min jobs (List.length tasks)] freshly spawned domains,
+    joins them, and returns the results {e in input order}, so a
+    parallel run is observationally identical to a serial one whenever
+    the tasks themselves are independent and deterministic (the
+    experiment sweep: every run owns its engine, RNG and sink).  The
+    workers claim task indices from one shared counter, so tasks start
+    in submission order.
 
     {2 Ownership rule}
 
@@ -16,12 +18,12 @@
     scenarios, RNGs) with any other task or with the caller — tasks
     communicate only through their return values.  A worker domain runs
     one task at a time; everything a task allocates is domain-private
-    until it is returned.  Corollary: a task must not submit a
-    sub-batch to the pool that is running it ({!Pool.map} from inside a
-    task raises [Invalid_argument] naming the offending task index,
-    because a worker blocking on its own pool deadlocks it).  Nested
-    fan-out inside a task is allowed only through the serial path,
-    [map ~jobs:1].
+    until it is returned.  Corollary: a task must not fan out over
+    domains itself ({!val-map} with [jobs > 1] from inside a parallel
+    task raises [Invalid_argument] naming the offending task index):
+    nested maps would multiply the domain count past the runtime's
+    limit.  Nested fan-out inside a task is allowed only through the
+    serial path, [map ~jobs:1].
 
     {2 Supervision model}
 
@@ -81,59 +83,30 @@ val outcome_label : _ outcome -> string
 (** ["ok"] / ["failed"] / ["timeout"] / ["stalled"] — stable tags used
     in metrics labels and failure reports. *)
 
-module Pool : sig
-  type t
-  (** A fixed set of worker domains fed from one FIFO queue: workers
-      start tasks strictly in submission order. *)
-
-  val create : jobs:int -> unit -> t
-  (** Spawns [jobs] worker domains (1 ≤ jobs ≤ 256; raises
-      [Invalid_argument] otherwise).  Workers idle on a condition
-      variable until work arrives. *)
-
-  val jobs : t -> int
-
-  val map : t -> (unit -> 'a) list -> 'a list
-  (** [map pool tasks] runs every task on the pool and blocks until all
-      have finished, returning results in input order.  Tasks are
-      dequeued FIFO, so a 1-worker pool executes them exactly in input
-      order.
-
-      If one or more tasks raise, every task still runs to completion
-      and the exception of the lowest-indexed failing task is re-raised
-      (with its backtrace) after the batch drains.
-
-      Nested submission — calling [map] from inside a pool task — is
-      rejected with [Invalid_argument] naming the offending task index
-      (see the ownership rule above).  Use {!val-map} with [~jobs:1]
-      inside tasks instead.  Raises [Invalid_argument] after
-      {!shutdown}. *)
-
-  val map_outcomes :
-    t -> ?timeout:float -> (Control.t -> 'a) list -> 'a outcome list
-  (** Supervised variant: every task gets a fresh {!Control.t} (armed
-      with [timeout] wall-clock seconds when given) and runs to a
-      structured {!outcome} — no exception from a task ever escapes the
-      batch, and slots come back in input order.  The deadline clock of
-      task [i] starts when a worker dequeues it, not at submission. *)
-
-  val shutdown : t -> unit
-  (** Asks the workers to exit once the queue drains and joins them.
-      Idempotent. *)
-end
-
 val map : jobs:int -> (unit -> 'a) list -> 'a list
-(** One-shot convenience.  [jobs <= 1] runs the tasks sequentially in
-    the calling domain — no domains are spawned, but the ordering and
-    run-every-task-then-raise-the-lowest-index-failure semantics of
-    {!Pool.map} are preserved, so callers can treat [~jobs:1] as the
-    serial reference for determinism checks.  [jobs > 1] creates a
-    pool of [min jobs (List.length tasks)] workers, maps, and shuts it
-    down. *)
+(** [map ~jobs tasks] runs every task and returns the results in input
+    order.  [jobs <= 1] runs the tasks sequentially in the calling
+    domain, spawning nothing.  [jobs > 1] spawns
+    [min jobs (List.length tasks)] worker domains and joins them before
+    returning; both paths have the same semantics, so callers can treat
+    [~jobs:1] as the serial reference for determinism checks.
+
+    If one or more tasks raise, every task still runs to completion and
+    the exception of the lowest-indexed failing task is re-raised (with
+    its backtrace) after the batch drains.
+
+    Raises [Invalid_argument] before any task runs when the batch would
+    need more than 127 worker domains (OCaml 5 allows 128 domains in
+    all, and the caller is one of them), or when called with
+    [jobs > 1] from inside a parallel task (see the ownership rule
+    above). *)
 
 val map_outcomes :
   jobs:int -> ?timeout:float -> (Control.t -> 'a) list -> 'a outcome list
-(** One-shot supervised map, same serial/parallel split as {!val-map}.
-    [jobs <= 1] runs in the calling domain with identical outcome
-    semantics (and permits nested fan-out, serving as the in-task
-    escape hatch). *)
+(** Supervised variant, same serial/parallel split and validation as
+    {!val-map}: every task gets a fresh {!Control.t} (armed with
+    [timeout] wall-clock seconds when given) and runs to a structured
+    {!outcome} — no exception from a task ever escapes the batch, and
+    slots come back in input order.  The deadline clock of task [i]
+    starts when a worker claims it, not at submission.  [jobs <= 1]
+    permits nested fan-out, serving as the in-task escape hatch. *)

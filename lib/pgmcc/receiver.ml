@@ -18,7 +18,6 @@ type t = {
   mutable greeted : bool;  (* initial ACK sent *)
   mutable last_nak : float;
   mutable received : int;
-  mutable naks : int;
   mutable acks : int;
 }
 
@@ -29,8 +28,6 @@ let is_acker t = t.is_acker
 let loss_estimate t = t.loss
 
 let packets_received t = t.received
-
-let naks_sent t = t.naks
 
 let acks_sent t = t.acks
 
@@ -74,7 +71,6 @@ let send_nak t ~lost_seq =
       ~created:now payload
   in
   Netsim.Topology.inject t.topo p;
-  t.naks <- t.naks + 1;
   t.last_nak <- now
 
 let on_data t ~seq ~ts ~acker =
@@ -145,7 +141,6 @@ let create topo ~session ~node ~sender ?(nak_min_interval = 0.25) () =
       greeted = false;
       last_nak = neg_infinity;
       received = 0;
-      naks = 0;
       acks = 0;
     }
   in

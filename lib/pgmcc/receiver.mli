@@ -35,6 +35,4 @@ val loss_estimate : t -> float
 
 val packets_received : t -> int
 
-val naks_sent : t -> int
-
 val acks_sent : t -> int

@@ -48,10 +48,6 @@ let acker_changes t = t.acker_changes
 
 let halvings t = t.halvings
 
-let rate_estimate_bytes_per_s t =
-  if t.acker < 0 then 0.
-  else t.window *. float_of_int t.s /. Float.max 1e-3 t.acker_rtt
-
 (* Simplified model used for the election: T ∝ 1 / (R √p).  A receiver
    with no measured loss is treated as very fast. *)
 let modelled_throughput ~rtt ~loss =

@@ -37,9 +37,6 @@ val window : t -> float
 
 val acker : t -> int option
 
-val rate_estimate_bytes_per_s : t -> float
-(** W·s / RTT for the current acker (diagnostic). *)
-
 val packets_sent : t -> int
 
 val acker_changes : t -> int

@@ -185,12 +185,12 @@ type sup = {
 }
 
 let validate_faults c =
+  let need_session sid name =
+    if sid < 1 || sid > c.sessions then
+      invalid_arg (Printf.sprintf "Harness: %s names unknown session %d" name sid)
+  in
   List.iter
     (fun f ->
-      let need_session sid name =
-        if sid < 1 || sid > c.sessions then
-          invalid_arg (Printf.sprintf "Harness: %s names unknown session %d" name sid)
-      in
       match f with
       | Kill_session { session; at } ->
           need_session session "Kill_session";
@@ -200,8 +200,10 @@ let validate_faults c =
           need_session session "Kill_session_every";
           if not (Float.is_finite period && period > 0.) then
             invalid_arg "Harness: Kill_session_every.period must be positive";
-          if not (Float.is_finite at && at >= 0. && Float.is_finite until) then
-            invalid_arg "Harness: Kill_session_every window must be finite"
+          if not (Float.is_finite at && at >= 0. && Float.is_finite until && until > at)
+          then
+            invalid_arg
+              "Harness: Kill_session_every window must be finite with until > at"
       | Stop_sender { session; at } ->
           need_session session "Stop_sender";
           if not (Float.is_finite at && at >= 0.) then
@@ -211,7 +213,13 @@ let validate_faults c =
             invalid_arg "Harness: Partition_clr needs the loopback fabric";
           if not (Float.is_finite at && at >= 0. && Float.is_finite until && until > at)
           then invalid_arg "Harness: Partition_clr window must be finite with until > at")
-    c.faults
+    c.faults;
+  List.iter
+    (function
+      | Chaos.Churn { sessions; _ } ->
+          List.iter (fun sid -> need_session sid "Chaos.Churn") sessions
+      | Chaos.Flap _ -> ())
+    c.chaos
 
 let run ?obs c =
   if c.sessions < 1 then invalid_arg "Harness.run: need at least one session";

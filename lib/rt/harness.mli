@@ -128,8 +128,9 @@ val run : ?obs:Obs.Sink.t -> config -> result
     ([tfmcc_rt_session_crashes_total], [tfmcc_rt_sessions_restarted_total],
     [tfmcc_rt_sessions_failed_total], [tfmcc_rt_session_stalls_total])
     and a [tfmcc_rt_sessions] gauge.  Raises [Invalid_argument] for a
-    chaos plan or [Partition_clr] fault on the UDP transport, or a
-    fault naming an unknown session. *)
+    chaos plan or [Partition_clr] fault on the UDP transport, a fault
+    or [Chaos.Churn] naming an unknown session, or a fault window that
+    is not finite with [until > at]. *)
 
 val converged : session_stat -> cfg:Tfmcc_core.Config.t -> bool
 (** Non-zero goodput, not in the starvation decay, and at least one

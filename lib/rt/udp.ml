@@ -52,7 +52,6 @@ and t = {
   mutable send_errs : int;
   mutable send_retries : int;
   mutable send_shed : int;
-  mutable recv_errs : int;
   mutable dec_errors : int;
   mutable enobufs_streak : int;
   mutable shed_until : float;
@@ -99,7 +98,6 @@ let send_error t ep ~kind ~detail =
   journal_first t ep ~severity:Obs.Journal.Warn ~kind:("send-" ^ kind) ~detail
 
 let recv_error t ep ~kind ~detail =
-  t.recv_errs <- t.recv_errs + 1;
   Obs.Metrics.Counter.inc (counter t "tfmcc_rt_recv_error_total" kind);
   journal_first t ep ~severity:Obs.Journal.Warn ~kind:("recv-" ^ kind) ~detail
 
@@ -137,7 +135,6 @@ let create loop =
     send_errs = 0;
     send_retries = 0;
     send_shed = 0;
-    recv_errs = 0;
     dec_errors = 0;
     enobufs_streak = 0;
     shed_until = neg_infinity;
@@ -210,8 +207,6 @@ let endpoint t ~session =
 let set_deliver ep f = ep.deliver <- Some f
 
 let endpoint_id ep = ep.ep_id
-
-let endpoint_dead ep = ep.dead
 
 let join ep =
   let g =
@@ -365,7 +360,5 @@ let send_errors t = t.send_errs
 let send_retries t = t.send_retries
 
 let send_shed t = t.send_shed
-
-let recv_errors t = t.recv_errs
 
 let decode_errors t = t.dec_errors

@@ -56,9 +56,6 @@ val set_deliver : endpoint -> (size:int -> Tfmcc_core.Wire.msg -> unit) -> unit
 
 val endpoint_id : endpoint -> int
 
-val endpoint_dead : endpoint -> bool
-(** True once a fatal socket error has retired this endpoint. *)
-
 val close : t -> unit
 (** Closes every socket and unregisters the fds from the loop. *)
 
@@ -81,9 +78,6 @@ val send_retries : t -> int
 val send_shed : t -> int
 (** Frames dropped inside a load-shedding window (subset of
     {!send_errors}). *)
-
-val recv_errors : t -> int
-(** [recvfrom] failures other than the EAGAIN/EINTR fast path. *)
 
 val decode_errors : t -> int
 (** Datagrams {!Tfmcc_core.Wire.decode} rejected; also counted in

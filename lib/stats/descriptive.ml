@@ -62,11 +62,6 @@ let summarize xs =
     max = max xs;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.4g sd=%.4g min=%.4g p25=%.4g med=%.4g p75=%.4g max=%.4g" s.n
-    s.mean s.stddev s.min s.p25 s.median s.p75 s.max
-
 let coefficient_of_variation xs =
   let m = mean xs in
   if m = 0. then 0. else stddev xs /. m

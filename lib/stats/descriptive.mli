@@ -34,8 +34,6 @@ type summary = {
 val summarize : float array -> summary
 (** Raises [Invalid_argument] on the empty array. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 val coefficient_of_variation : float array -> float
 (** stddev / mean; smoothness metric used when comparing TFMCC's rate to
     TCP's sawtooth. 0 when the mean is 0. *)

@@ -1,28 +1,6 @@
-(** Probability distributions: sampling and (where needed by the paper's
-    analysis) distribution functions.
-
-    Section 3 of the paper models loss intervals of independent receivers
-    as exponential random variables and the TFMCC loss estimate as (a
-    weighted average of n of them, hence approximately) gamma distributed;
-    the scaling study needs the minimum of many gamma draws. *)
-
-val exponential_sample : Rng.t -> mean:float -> float
-
-val exponential_cdf : mean:float -> float -> float
-
-val gamma_sample : Rng.t -> shape:float -> scale:float -> float
-(** Marsaglia–Tsang squeeze method; works for any shape > 0. *)
-
-val gamma_cdf : shape:float -> scale:float -> float -> float
-
-val gamma_mean_of_min : shape:float -> scale:float -> n:int -> samples:int -> Rng.t -> float
-(** Monte-Carlo estimate of E[min of n iid Gamma(shape, scale)] using
-    [samples] rounds.  (No simple closed form exists: Gupta 1960, paper
-    reference [8].) *)
+(** Sampling helpers over {!Rng}: uniform draws for the scaling and
+    feedback models, Bernoulli trials. *)
 
 val uniform_sample : Rng.t -> lo:float -> hi:float -> float
 
 val bernoulli : Rng.t -> p:float -> bool
-
-val pareto_sample : Rng.t -> shape:float -> scale:float -> float
-(** Heavy-tailed sizes for background-traffic generators. *)

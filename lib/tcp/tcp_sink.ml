@@ -9,7 +9,6 @@ type t = {
   mutable next_expected : int;
   mutable buffered : Int_set.t;  (* received above the hole *)
   mutable received : int;
-  mutable bytes : int;
   mutable out_of_order : int;
 }
 
@@ -32,7 +31,6 @@ let send_ack t ~to_node =
 
 let on_data t (p : Netsim.Packet.t) seq =
   t.received <- t.received + 1;
-  t.bytes <- t.bytes + p.size;
   if seq = t.next_expected then begin
     t.next_expected <- t.next_expected + 1;
     advance t
@@ -57,7 +55,6 @@ let create topo ~conn ~node ?(ack_flow = -1) () =
       next_expected = 0;
       buffered = Int_set.empty;
       received = 0;
-      bytes = 0;
       out_of_order = 0;
     }
   in
@@ -70,7 +67,5 @@ let create topo ~conn ~node ?(ack_flow = -1) () =
 let next_expected t = t.next_expected
 
 let segments_received t = t.received
-
-let bytes_received t = t.bytes
 
 let out_of_order t = t.out_of_order

@@ -21,7 +21,5 @@ val next_expected : t -> int
 val segments_received : t -> int
 (** Total data segments that arrived (in or out of order). *)
 
-val bytes_received : t -> int
-
 val out_of_order : t -> int
 (** Segments that arrived ahead of a hole. *)

@@ -23,7 +23,6 @@ type t = {
   mutable rtt_seq : int;  (* segment currently being timed; -1 if none *)
   mutable rtt_sent_at : float;
   mutable retx_timer : Netsim.Engine.handle option;
-  mutable sent : int;
   mutable retransmits : int;
   mutable timeouts : int;
   obs : Obs.Sink.t;
@@ -53,7 +52,6 @@ let rec restart_timer t =
   t.retx_timer <- Some (Netsim.Engine.after t.engine ~delay (fun () -> on_timeout t))
 
 and send_segment t seq =
-  t.sent <- t.sent + 1;
   Obs.Metrics.Counter.inc t.m_sent;
   (* Time one segment at a time, Karn's rule: never a retransmission. *)
   if t.rtt_seq < 0 && seq >= t.snd_nxt then begin
@@ -215,7 +213,6 @@ let create topo ~conn ~flow ~src ~dst ?(segment_size = Segment.data_size)
       rtt_seq = -1;
       rtt_sent_at = 0.;
       retx_timer = None;
-      sent = 0;
       retransmits = 0;
       timeouts = 0;
       obs;
@@ -248,8 +245,6 @@ let cwnd t = t.cwnd
 let ssthresh t = t.ssthresh
 
 let in_recovery t = t.in_recovery
-
-let segments_sent t = t.sent
 
 let retransmits t = t.retransmits
 

@@ -39,9 +39,6 @@ val ssthresh : t -> float
 
 val in_recovery : t -> bool
 
-val segments_sent : t -> int
-(** Count of data transmissions, including retransmissions. *)
-
 val retransmits : t -> int
 
 val timeouts : t -> int

@@ -20,12 +20,6 @@ type strategy =
   | Rtt_liar of { rtt : float; factor : float }
   | Spammer of { factor : float }
 
-let strategy_name = function
-  | Understater _ -> "understater"
-  | Overstater _ -> "overstater"
-  | Rtt_liar _ -> "rtt-liar"
-  | Spammer _ -> "spammer"
-
 type t = {
   env : Env.t;
   cfg : Config.t;

@@ -26,9 +26,6 @@ type strategy =
           advertised rate: monopolizes the suppression echo so honest
           receivers cancel their reports *)
 
-val strategy_name : strategy -> string
-(** ["understater"], ["overstater"], ["rtt-liar"], ["spammer"]. *)
-
 type t
 
 val create :

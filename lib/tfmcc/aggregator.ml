@@ -23,7 +23,6 @@ type t = {
      are dropped here, before they can displace the subtree's honest
      minimum inside the hold window. *)
   screen_cfg : Config.t option;
-  mutable plausibility_rejected_n : int;
   mutable best : report option;
   mutable flush_timer : Env.timer option;
   mutable last_round_forwarded : int;
@@ -37,8 +36,6 @@ let node_id t = t.env.Env.id
 let reports_in t = t.reports_in
 
 let reports_out t = t.reports_out
-
-let plausibility_rejected t = t.plausibility_rejected_n
 
 let plausible t (r : report) =
   match t.screen_cfg with
@@ -102,8 +99,7 @@ let flush t =
 let on_report t (r : report) ~leaving =
   t.reports_in <- t.reports_in + 1;
   if leaving then forward t r ~leaving:true
-  else if not (plausible t r) then
-    t.plausibility_rejected_n <- t.plausibility_rejected_n + 1
+  else if not (plausible t r) then ()
   else if
     (* The presumptive CLR of this subtree (the receiver we last spoke
        for) keeps its immediate-feedback privilege: the sender's increase
@@ -166,7 +162,6 @@ let create ~env ~session ~parent ?(hold = 0.2) ?cfg () =
     parent;
     hold;
     screen_cfg;
-    plausibility_rejected_n = 0;
     best = None;
     flush_timer = None;
     last_round_forwarded = -1;

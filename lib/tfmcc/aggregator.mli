@@ -41,8 +41,4 @@ val reports_in : t -> int
 val reports_out : t -> int
 (** Aggregated reports forwarded to the parent. *)
 
-val plausibility_rejected : t -> int
-(** Reports dropped by the equation-consistency screen (0 without a
-    defense-enabled [cfg]). *)
-
 val node_id : t -> int

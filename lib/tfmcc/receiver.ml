@@ -65,10 +65,6 @@ let rtt t = t.rtt_f.Rtt_estimator.rtt
 
 let has_rtt_measurement t = Rtt_estimator.has_measurement t.rtt_est
 
-let rtt_measurements t = Rtt_estimator.measurements t.rtt_est
-
-let rtt_sample_rejections t = Rtt_estimator.rejections t.rtt_est
-
 let loss_event_rate t = Tfrc.Loss_history.loss_event_rate t.history
 
 let has_loss t = Tfrc.Loss_history.has_loss t.history

@@ -72,13 +72,6 @@ val rtt : t -> float
 
 val has_rtt_measurement : t -> bool
 
-val rtt_measurements : t -> int
-
-val rtt_sample_rejections : t -> int
-(** Echo RTT samples that arrived non-positive or NaN (clock skew,
-    corrupted echo) and were clamped/rejected instead of silently
-    discarded; also counted in [check_rtt_sample_rejected_total]. *)
-
 val x_recv : t -> float
 (** Receive rate, bytes/s. *)
 

@@ -52,10 +52,3 @@ let session_id t = t.session
 
 let receivers_with_rtt t =
   List.length (List.filter Receiver.has_rtt_measurement t.receivers)
-
-let min_calculated_rate t =
-  List.fold_left
-    (fun acc r -> Float.min acc (Receiver.calculated_rate r))
-    infinity t.receivers
-
-let current_rate t = Sender.rate_bytes_per_s t.sender

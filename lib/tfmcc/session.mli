@@ -42,9 +42,3 @@ val session_id : t -> int
 
 val receivers_with_rtt : t -> int
 (** How many receivers hold a real RTT measurement (Fig. 12's metric). *)
-
-val min_calculated_rate : t -> float
-(** Minimum of the receivers' calculated rates; infinity if none has
-    loss. *)
-
-val current_rate : t -> float

@@ -120,8 +120,6 @@ let create topo ~conn ~node ~sender ?(feedback_flow = -1) () =
 
 let loss_event_rate t = Loss_history.loss_event_rate t.history
 
-let x_recv_bytes_per_s t = Rate_meter.rate_bytes_per_s t.meter
-
 let packets_received t = t.received
 
 let feedback_sent t = t.fb_sent

@@ -15,8 +15,6 @@ val create :
 
 val loss_event_rate : t -> float
 
-val x_recv_bytes_per_s : t -> float
-
 val packets_received : t -> int
 
 val feedback_sent : t -> int

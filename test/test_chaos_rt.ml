@@ -308,6 +308,43 @@ let test_crash_isolation () =
         "ok" (Par.outcome_label o))
     chaotic.Harness.outcomes
 
+(* A churn spec naming a session the harness does not run would churn
+   nothing ([Net.members] of an unknown session is empty): a config
+   error, like a fault naming one. *)
+let test_churn_unknown_session_rejected () =
+  let churn sessions =
+    Chaos.Churn
+      { sessions; fraction = 0.5; from_ = 1.; until = 3.; period = 1.; down_for = 0.4 }
+  in
+  Alcotest.(check bool)
+    "session 999 of 4 rejected" true
+    (invalid (fun () ->
+         ignore (Harness.run { Harness.default with Harness.chaos = [ churn [ 999 ] ] })));
+  Alcotest.(check bool)
+    "session 0 rejected" true
+    (invalid (fun () ->
+         ignore (Harness.run { Harness.default with Harness.chaos = [ churn [ 2; 0 ] ] })))
+
+(* A kill window that ends at or before its start never fires. *)
+let test_kill_every_empty_window_rejected () =
+  List.iter
+    (fun until ->
+      Alcotest.(check bool)
+        (Printf.sprintf "until %g <= at 2 rejected" until)
+        true
+        (invalid (fun () ->
+             ignore
+               (Harness.run
+                  {
+                    Harness.default with
+                    Harness.faults =
+                      [
+                        Harness.Kill_session_every
+                          { session = 1; at = 2.; period = 0.5; until };
+                      ];
+                  }))))
+    [ 2.; 1. ]
+
 let test_persistent_crash_fails () =
   let r =
     Harness.run
@@ -443,6 +480,10 @@ let () =
           Alcotest.test_case "stall watchdog restart" `Quick test_stall_watchdog;
           Alcotest.test_case "overlapping CLR partitions" `Quick
             test_overlapping_clr_partitions;
+          Alcotest.test_case "churn of an unknown session rejected" `Quick
+            test_churn_unknown_session_rejected;
+          Alcotest.test_case "empty kill window rejected" `Quick
+            test_kill_every_empty_window_rejected;
         ] );
       ( "soak",
         [

@@ -121,78 +121,7 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 50 Fun.id) sorted
 
-(* -------------------------------------------------------------- Special *)
-
-let test_log_gamma_factorials () =
-  (* Γ(n) = (n-1)! *)
-  let fact n =
-    let rec go acc k = if k <= 1 then acc else go (acc *. float_of_int k) (k - 1) in
-    go 1. n
-  in
-  List.iter
-    (fun n ->
-      check_close 1e-9 (Printf.sprintf "log_gamma %d" n)
-        (log (fact (n - 1)))
-        (Stats.Special.log_gamma (float_of_int n)))
-    [ 1; 2; 3; 4; 5; 6; 10; 15 ]
-
-let test_log_gamma_half () =
-  (* Γ(1/2) = sqrt(pi) *)
-  check_close 1e-9 "log_gamma 0.5" (log (sqrt Float.pi)) (Stats.Special.log_gamma 0.5)
-
-let test_gamma_p_limits () =
-  check_float "P(a,0) = 0" 0. (Stats.Special.gamma_p 2.5 0.);
-  check_close 1e-6 "P(a,inf-ish) = 1" 1. (Stats.Special.gamma_p 2.5 200.)
-
-let test_gamma_p_exponential_case () =
-  (* P(1, x) = 1 - exp(-x) *)
-  List.iter
-    (fun x ->
-      check_close 1e-9
-        (Printf.sprintf "P(1,%g)" x)
-        (1. -. exp (-.x))
-        (Stats.Special.gamma_p 1. x))
-    [ 0.1; 0.5; 1.; 2.; 5. ]
-
-let test_erf_values () =
-  check_close 1e-6 "erf 0" 0. (Stats.Special.erf 0.);
-  check_close 1e-4 "erf 1" 0.8427007 (Stats.Special.erf 1.);
-  check_close 1e-4 "erf -1" (-0.8427007) (Stats.Special.erf (-1.))
-
 (* ----------------------------------------------------------------- Dist *)
-
-let test_gamma_sample_moments () =
-  let rng = Stats.Rng.create 101 in
-  let shape = 3. and scale = 2. in
-  let n = 50_000 in
-  let xs = Array.init n (fun _ -> Stats.Dist.gamma_sample rng ~shape ~scale) in
-  check_close 0.1 "gamma mean" (shape *. scale) (Stats.Descriptive.mean xs);
-  check_close 0.5 "gamma variance" (shape *. scale *. scale) (Stats.Descriptive.variance xs)
-
-let test_gamma_sample_small_shape () =
-  let rng = Stats.Rng.create 103 in
-  let shape = 0.5 and scale = 1. in
-  let xs = Array.init 50_000 (fun _ -> Stats.Dist.gamma_sample rng ~shape ~scale) in
-  check_close 0.05 "gamma mean (shape<1)" 0.5 (Stats.Descriptive.mean xs);
-  Array.iter (fun x -> if x <= 0. then Alcotest.fail "gamma sample not positive") xs
-
-let test_gamma_cdf_median () =
-  (* CDF evaluated at empirical median should be ~0.5 *)
-  let rng = Stats.Rng.create 107 in
-  let xs = Array.init 20_000 (fun _ -> Stats.Dist.gamma_sample rng ~shape:4. ~scale:1.) in
-  let med = Stats.Descriptive.median xs in
-  check_close 0.02 "cdf at median" 0.5 (Stats.Dist.gamma_cdf ~shape:4. ~scale:1. med)
-
-let test_exponential_cdf () =
-  check_float "cdf 0" 0. (Stats.Dist.exponential_cdf ~mean:2. 0.);
-  check_close 1e-9 "cdf mean" (1. -. exp (-1.)) (Stats.Dist.exponential_cdf ~mean:2. 2.)
-
-let test_min_of_gamma_decreases () =
-  let rng = Stats.Rng.create 109 in
-  let m1 = Stats.Dist.gamma_mean_of_min ~shape:8. ~scale:1. ~n:1 ~samples:2000 rng in
-  let m10 = Stats.Dist.gamma_mean_of_min ~shape:8. ~scale:1. ~n:10 ~samples:2000 rng in
-  let m100 = Stats.Dist.gamma_mean_of_min ~shape:8. ~scale:1. ~n:100 ~samples:2000 rng in
-  Alcotest.(check bool) "min decreases in n" true (m1 > m10 && m10 > m100)
 
 let test_bernoulli_rate () =
   let rng = Stats.Rng.create 113 in
@@ -308,27 +237,7 @@ let test_cdf_points_monotone () =
       if i > 0 && y < snd pts.(i - 1) then Alcotest.fail "CDF not monotone")
     pts
 
-(* -------------------------------------------------- more distributions *)
-
-let test_pareto_bounds_and_mean () =
-  let rng = Stats.Rng.create 401 in
-  let shape = 3. and scale = 2. in
-  let xs = Array.init 50_000 (fun _ -> Stats.Dist.pareto_sample rng ~shape ~scale) in
-  Array.iter (fun x -> if x < scale then Alcotest.fail "pareto below scale") xs;
-  (* mean = shape*scale/(shape-1) = 3 *)
-  check_close 0.1 "pareto mean" 3. (Stats.Descriptive.mean xs)
-
-let test_gamma_q_complement () =
-  List.iter
-    (fun (a, x) ->
-      check_close 1e-9 "P + Q = 1" 1.
-        (Stats.Special.gamma_p a x +. Stats.Special.gamma_q a x))
-    [ (0.5, 0.2); (1., 1.); (3.5, 2.); (8., 20.) ]
-
-let test_erf_odd () =
-  List.iter
-    (fun x -> check_close 1e-7 "erf odd" (-.Stats.Special.erf x) (Stats.Special.erf (-.x)))
-    [ 0.2; 0.7; 1.5; 2.5 ]
+(* ------------------------------------------------------------ more stats *)
 
 let test_timeseries_between () =
   let s = Stats.Timeseries.create () in
@@ -429,21 +338,8 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle_permutation;
         ] );
-      ( "special",
-        [
-          Alcotest.test_case "log_gamma at integers" `Quick test_log_gamma_factorials;
-          Alcotest.test_case "log_gamma at 1/2" `Quick test_log_gamma_half;
-          Alcotest.test_case "gamma_p limits" `Quick test_gamma_p_limits;
-          Alcotest.test_case "gamma_p a=1 is exponential" `Quick test_gamma_p_exponential_case;
-          Alcotest.test_case "erf known values" `Quick test_erf_values;
-        ] );
       ( "dist",
         [
-          Alcotest.test_case "gamma moments" `Slow test_gamma_sample_moments;
-          Alcotest.test_case "gamma shape<1" `Slow test_gamma_sample_small_shape;
-          Alcotest.test_case "gamma cdf at median" `Slow test_gamma_cdf_median;
-          Alcotest.test_case "exponential cdf" `Quick test_exponential_cdf;
-          Alcotest.test_case "E[min of gammas] decreases" `Slow test_min_of_gamma_decreases;
           Alcotest.test_case "bernoulli rate" `Slow test_bernoulli_rate;
         ] );
       ( "descriptive",
@@ -465,9 +361,6 @@ let () =
         ] );
       ( "more-dist",
         [
-          Alcotest.test_case "pareto bounds + mean" `Slow test_pareto_bounds_and_mean;
-          Alcotest.test_case "gamma P+Q=1" `Quick test_gamma_q_complement;
-          Alcotest.test_case "erf odd" `Quick test_erf_odd;
           Alcotest.test_case "timeseries between" `Quick test_timeseries_between;
           Alcotest.test_case "counter rate series" `Quick test_counter_rate_series;
           Alcotest.test_case "shuffle deterministic" `Quick test_shuffle_deterministic;

@@ -148,30 +148,21 @@ let test_map_outcomes_timeout () =
         (String.concat "; " (List.map Par.outcome_label outcomes))
 
 let test_nested_submit_names_task () =
-  let pool = Par.Pool.create ~jobs:2 () in
-  Fun.protect
-    ~finally:(fun () -> Par.Pool.shutdown pool)
-    (fun () ->
-      match
-        Par.Pool.map pool
-          [
-            (fun () -> 0);
-            (fun () -> Par.Pool.map pool [ (fun () -> 1) ] |> List.hd);
-          ]
-      with
-      | _ -> Alcotest.fail "nested submit should raise"
-      | exception Invalid_argument msg ->
-          let mentions_index =
-            let sub = "task #1" in
-            let n = String.length msg and m = String.length sub in
-            let rec scan i =
-              i + m <= n && (String.sub msg i m = sub || scan (i + 1))
-            in
-            scan 0
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "message names the offending task: %S" msg)
-            true mentions_index)
+  match
+    Par.map ~jobs:2
+      [ (fun () -> 0); (fun () -> Par.map ~jobs:2 [ (fun () -> 1) ] |> List.hd) ]
+  with
+  | _ -> Alcotest.fail "nested submit should raise"
+  | exception Invalid_argument msg ->
+      let mentions_index =
+        let sub = "task #1" in
+        let n = String.length msg and m = String.length sub in
+        let rec scan i = i + m <= n && (String.sub msg i m = sub || scan (i + 1)) in
+        scan 0
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "message names the offending task: %S" msg)
+        true mentions_index
 
 (* ------------------------------------------------- supervised failures *)
 
