@@ -9,6 +9,18 @@ type tree = {
   member : Bytes.t;  (* '\001' for members of the group *)
 }
 
+(* A cached route toward one destination, as dense tables indexed by
+   node id: [parent.(v)] is the next node from v toward the destination
+   and [next_hop.(v)] the link from v to it ([-1] and [None] at the
+   destination and at unreachable nodes).  The options are built once
+   with the table, so a routed hop reads two arrays and allocates
+   nothing.  The tables cover every node that existed when the route
+   was built; adding a node or a link invalidates every route. *)
+type route = {
+  parent : int array;
+  next_hop : Link.t option array;
+}
+
 type t = {
   engine : Engine.t;
   mutable nodes : Node.t array;
@@ -17,8 +29,9 @@ type t = {
   mutable adjacency : (int * Link.t) list array;
   links : (int * int, Link.t) Hashtbl.t;
   groups : (int, unit Int_tbl.t) Hashtbl.t;  (* group -> member ids *)
-  (* dst id -> parent.(v) = next node from v toward dst (-1 at dst/unreachable) *)
-  route_cache : (int, int array) Hashtbl.t;
+  (* dst id -> its route ([no_route] until first used); [[||]] after an
+     invalidation, regrown to the node count on the next lookup *)
+  mutable routes : route array;
   (* (group, src) -> its tree *)
   tree_cache : (int * int, tree) Hashtbl.t;
   (* One-entry cache in front of [tree_cache]: every data packet of a
@@ -37,6 +50,8 @@ type t = {
 
 let no_tree = { children = [||]; member = Bytes.empty }
 
+let no_route = { parent = [||]; next_hop = [||] }
+
 let create engine =
   {
     engine;
@@ -45,7 +60,7 @@ let create engine =
     adjacency = Array.make 16 [];
     links = Hashtbl.create 64;
     groups = Hashtbl.create 8;
-    route_cache = Hashtbl.create 64;
+    routes = [||];
     tree_cache = Hashtbl.create 8;
     hot_group = -1;
     hot_src = -1;
@@ -55,15 +70,13 @@ let create engine =
 
 let engine t = t.engine
 
-let node_count t = t.node_count
-
 let node t id =
   if id < 0 || id >= t.node_count then
     invalid_arg (Printf.sprintf "Topology.node: unknown id %d" id);
   t.nodes.(id)
 
 let invalidate_routes t =
-  Hashtbl.reset t.route_cache;
+  t.routes <- [||];
   Hashtbl.reset t.tree_cache;
   t.hot_tree <- no_tree
 
@@ -96,18 +109,26 @@ let bfs t root =
   done;
   parent
 
-let parents_toward t dst_id =
-  match Hashtbl.find_opt t.route_cache dst_id with
-  | Some p -> p
-  | None ->
-      let p = bfs t dst_id in
-      Hashtbl.add t.route_cache dst_id p;
-      p
+let route_slow t dst_id =
+  let parent = bfs t dst_id in
+  let next_hop =
+    Array.mapi
+      (fun v next -> if next < 0 then None else Hashtbl.find_opt t.links (v, next))
+      parent
+  in
+  let r = { parent; next_hop } in
+  if Array.length t.routes < t.node_count then
+    t.routes <- Array.make t.node_count no_route;
+  t.routes.(dst_id) <- r;
+  r
 
-let next_link t ~from_id ~dst_id =
-  let parent = parents_toward t dst_id in
-  let next = parent.(from_id) in
-  if next < 0 then None else Hashtbl.find_opt t.links (from_id, next)
+let route t dst_id =
+  let routes = t.routes in
+  if dst_id >= 0 && dst_id < Array.length routes then begin
+    let r = Array.unsafe_get routes dst_id in
+    if r != no_route then r else route_slow t dst_id
+  end
+  else route_slow t dst_id
 
 let group_table t group =
   match Hashtbl.find_opt t.groups group with
@@ -134,7 +155,7 @@ let members t ~group =
    toward src) and record the forward links. *)
 let build_tree t ~group ~src_id =
   let children = Int_tbl.create 32 in
-  let parent = parents_toward t src_id in
+  let parent = (route t src_id).parent in
   let on_tree = Int_tbl.create 32 in
   let add_edge u v =
     (* edge u -> v, u is closer to src *)
@@ -232,7 +253,7 @@ let route_from t node_obj (p : Packet.t) ~local =
       (* Handlers only borrow during delivery; the journey ends here. *)
       Packet.release p
   | Packet.Unicast d -> (
-      match next_link t ~from_id:here ~dst_id:d with
+      match (route t d).next_hop.(here) with
       | Some link -> Link.send link p
       | None ->
           Logs.debug (fun m -> m "Topology: no route %d -> %d, dropping" here d);
@@ -324,7 +345,7 @@ let path t ~src ~dst =
   let src_id = Node.id src and dst_id = Node.id dst in
   if src_id = dst_id then Some [ src ]
   else begin
-    let parent = parents_toward t dst_id in
+    let parent = (route t dst_id).parent in
     let rec walk v acc =
       if v = dst_id then Some (List.rev (dst_id :: acc))
       else begin

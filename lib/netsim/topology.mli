@@ -23,8 +23,6 @@ val add_nodes : t -> int -> Node.t array
 val node : t -> int -> Node.t
 (** Raises [Invalid_argument] for unknown ids. *)
 
-val node_count : t -> int
-
 val connect :
   t ->
   ?queue_capacity:int ->

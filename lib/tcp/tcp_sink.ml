@@ -9,7 +9,10 @@ type t = {
   mutable next_expected : int;
   mutable buffered : Int_set.t;  (* received above the hole *)
   mutable received : int;
-  mutable out_of_order : int;
+  (* The last ACK's destination, reused while the data keeps coming from
+     the same node (always, for one connection), so an ACK builds no
+     [Unicast]. *)
+  mutable ack_dst : Netsim.Packet.dst;
 }
 
 let advance t =
@@ -19,11 +22,19 @@ let advance t =
   done
 
 let send_ack t ~to_node =
+  let dst =
+    match t.ack_dst with
+    | Netsim.Packet.Unicast d when d = to_node -> t.ack_dst
+    | _ ->
+        let dst = Netsim.Packet.Unicast to_node in
+        t.ack_dst <- dst;
+        dst
+  in
   let payload = Segment.Ack { conn = t.conn; ack = t.next_expected } in
   let p =
     Netsim.Packet.alloc ~flow:t.ack_flow ~size:Segment.ack_size
       ~src:(Netsim.Node.id t.node)
-      ~dst:(Netsim.Packet.Unicast to_node)
+      ~dst
       ~created:(Netsim.Engine.now t.engine)
       payload
   in
@@ -36,10 +47,7 @@ let on_data t (p : Netsim.Packet.t) seq =
     advance t
   end
   else if seq > t.next_expected then begin
-    if not (Int_set.mem seq t.buffered) then begin
-      t.buffered <- Int_set.add seq t.buffered;
-      t.out_of_order <- t.out_of_order + 1
-    end
+    t.buffered <- Int_set.add seq t.buffered
   end;
   (* else: duplicate of an already-delivered segment; ack anyway *)
   send_ack t ~to_node:p.src
@@ -55,7 +63,7 @@ let create topo ~conn ~node ?(ack_flow = -1) () =
       next_expected = 0;
       buffered = Int_set.empty;
       received = 0;
-      out_of_order = 0;
+      ack_dst = Netsim.Packet.Unicast (-1);
     }
   in
   Netsim.Node.attach node (fun p ->
@@ -67,5 +75,3 @@ let create topo ~conn ~node ?(ack_flow = -1) () =
 let next_expected t = t.next_expected
 
 let segments_received t = t.received
-
-let out_of_order t = t.out_of_order

@@ -20,6 +20,3 @@ val next_expected : t -> int
 
 val segments_received : t -> int
 (** Total data segments that arrived (in or out of order). *)
-
-val out_of_order : t -> int
-(** Segments that arrived ahead of a hole. *)

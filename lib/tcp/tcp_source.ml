@@ -1,30 +1,50 @@
+(* The floats a segment or an ACK writes, in an all-float record: a
+   write stores a raw double, where a [mutable float] in the mixed [t]
+   would box a fresh float on every one. *)
+type floats = {
+  mutable cwnd : float;  (* segments *)
+  mutable ssthresh : float;
+  mutable last_emit : float;  (* keeps jittered sends in order *)
+  mutable rtt_sent_at : float;
+}
+
 type t = {
   topo : Netsim.Topology.t;
   engine : Netsim.Engine.t;
+  clock : Event_heap.time_cell;
   conn : int;
   flow : int;
   src : Netsim.Node.t;
-  dst : Netsim.Node.t;
+  dst : Netsim.Packet.dst;  (* shared by every data segment *)
   segment_size : int;
   max_cwnd : float;
   initial_cwnd : float;
   overhead : float;
   rng : Stats.Rng.t;
-  mutable last_emit : float;  (* keeps jittered sends in order *)
+  f : floats;
   rto : Rto_estimator.t;
   mutable running : bool;
-  mutable cwnd : float;  (* segments *)
-  mutable ssthresh : float;
   mutable snd_una : int;  (* lowest unacknowledged seq *)
   mutable snd_nxt : int;  (* next seq to send *)
   mutable dupacks : int;
   mutable in_recovery : bool;
   mutable recover : int;  (* snd_nxt when recovery entered *)
   mutable rtt_seq : int;  (* segment currently being timed; -1 if none *)
-  mutable rtt_sent_at : float;
   mutable retx_timer : Netsim.Engine.handle option;
   mutable retransmits : int;
-  mutable timeouts : int;
+  (* Jittered sends waiting for their emit time, oldest first: [emit_len]
+     seqs from [emit_head] in the ring [emit_seqs].  Emit times strictly
+     increase (see [send_segment]), so the engine fires the emits in the
+     order they were scheduled and each pops the ring's oldest seq.  The
+     newest emit time sits in [emit_cell], the engine's base for it. *)
+  mutable emit_seqs : int array;
+  mutable emit_head : int;
+  mutable emit_len : int;
+  emit_cell : Event_heap.time_cell;
+  (* Event callbacks, allocated once per source rather than per segment
+     or per ACK. *)
+  mutable emit_next : unit -> unit;
+  mutable timeout : unit -> unit;
   obs : Obs.Sink.t;
   scope : Obs.Journal.scope;
   m_sent : Obs.Metrics.Counter.t;
@@ -37,7 +57,7 @@ let jnl t ?severity ev =
 
 let journal_cwnd t ~from_pkts ~reason =
   jnl t ~severity:Obs.Journal.Debug
-    (Obs.Journal.Cwnd_change { from_pkts; to_pkts = t.cwnd; reason })
+    (Obs.Journal.Cwnd_change { from_pkts; to_pkts = t.f.cwnd; reason })
 
 let cancel_timer t =
   match t.retx_timer with
@@ -46,46 +66,70 @@ let cancel_timer t =
       t.retx_timer <- None
   | None -> ()
 
-let rec restart_timer t =
+let restart_timer t =
   cancel_timer t;
   let delay = Rto_estimator.rto t.rto in
-  t.retx_timer <- Some (Netsim.Engine.after t.engine ~delay (fun () -> on_timeout t))
+  t.retx_timer <- Some (Netsim.Engine.after t.engine ~delay t.timeout)
 
-and send_segment t seq =
+(* Puts data segment [seq] on the wire.  The packet is allocated here,
+   at emit time, which fixes its uid and [created]. *)
+let emit t seq =
+  let p =
+    Netsim.Packet.alloc ~flow:t.flow ~size:t.segment_size
+      ~src:(Netsim.Node.id t.src) ~dst:t.dst
+      ~created:(Netsim.Engine.now t.engine)
+      (Segment.Data { conn = t.conn; seq })
+  in
+  Netsim.Topology.inject t.topo p
+
+(* The ring's capacity is a power of two, so an index wraps with a
+   mask. *)
+let push_emit t seq =
+  let cap = Array.length t.emit_seqs in
+  if t.emit_len = cap then begin
+    let seqs = Array.make (2 * cap) 0 in
+    for i = 0 to cap - 1 do
+      seqs.(i) <- t.emit_seqs.((t.emit_head + i) land (cap - 1))
+    done;
+    t.emit_seqs <- seqs;
+    t.emit_head <- 0
+  end;
+  let mask = Array.length t.emit_seqs - 1 in
+  t.emit_seqs.((t.emit_head + t.emit_len) land mask) <- seq;
+  t.emit_len <- t.emit_len + 1
+
+let emit_next t () =
+  let seq = t.emit_seqs.(t.emit_head) in
+  t.emit_head <- (t.emit_head + 1) land (Array.length t.emit_seqs - 1);
+  t.emit_len <- t.emit_len - 1;
+  emit t seq
+
+let send_segment t seq =
   Obs.Metrics.Counter.inc t.m_sent;
   (* Time one segment at a time, Karn's rule: never a retransmission. *)
   if t.rtt_seq < 0 && seq >= t.snd_nxt then begin
     t.rtt_seq <- seq;
-    t.rtt_sent_at <- Netsim.Engine.now t.engine
+    t.f.rtt_sent_at <- t.clock.Event_heap.cell_time
   end;
   (* ns-2's "overhead": a small random send delay that breaks the
      deterministic phase-locking between ack-clocked sources and the
      bottleneck's service clock. *)
-  let emit () =
-    let payload = Segment.Data { conn = t.conn; seq } in
-    let p =
-      Netsim.Packet.alloc ~flow:t.flow ~size:t.segment_size
-        ~src:(Netsim.Node.id t.src)
-        ~dst:(Netsim.Packet.Unicast (Netsim.Node.id t.dst))
-        ~created:(Netsim.Engine.now t.engine)
-        payload
-    in
-    Netsim.Topology.inject t.topo p
-  in
-  if t.overhead <= 0. then emit ()
+  if t.overhead <= 0. then emit t seq
   else begin
-    let now = Netsim.Engine.now t.engine in
-    let target = now +. Stats.Rng.float t.rng t.overhead in
+    let f = t.f in
+    let target = t.clock.Event_heap.cell_time +. Stats.Rng.float t.rng t.overhead in
     (* Never reorder segments of the same connection: a swap would look
        like out-of-order delivery and trigger spurious dupacks. *)
-    let target = if target <= t.last_emit then t.last_emit +. 1e-6 else target in
-    t.last_emit <- target;
-    Netsim.Engine.at_unit t.engine ~base:Event_heap.time_zero ~offset:target emit
+    let target = if target <= f.last_emit then f.last_emit +. 1e-6 else target in
+    f.last_emit <- target;
+    t.emit_cell.Event_heap.cell_time <- target;
+    push_emit t seq;
+    Netsim.Engine.at_unit t.engine ~base:t.emit_cell ~offset:0. t.emit_next
   end
 
-and send_available t =
+let send_available t =
   if t.running then begin
-    let window = int_of_float (Float.min t.cwnd t.max_cwnd) in
+    let window = int_of_float (Float.min t.f.cwnd t.max_cwnd) in
     let limit = t.snd_una + Stdlib.max 1 window in
     let sent_any = ref false in
     while t.snd_nxt < limit do
@@ -96,15 +140,15 @@ and send_available t =
     if !sent_any && t.retx_timer = None then restart_timer t
   end
 
-and on_timeout t =
+let on_timeout t =
   t.retx_timer <- None;
   if t.running then begin
-    t.timeouts <- t.timeouts + 1;
     Obs.Metrics.Counter.inc t.m_timeouts;
     jnl t ~severity:Obs.Journal.Warn (Obs.Journal.Timeout { what = "rto" });
-    let from_pkts = t.cwnd in
-    t.ssthresh <- Float.max 2. (t.cwnd /. 2.);
-    t.cwnd <- 1.;
+    let f = t.f in
+    let from_pkts = f.cwnd in
+    f.ssthresh <- Float.max 2. (f.cwnd /. 2.);
+    f.cwnd <- 1.;
     journal_cwnd t ~from_pkts ~reason:"rto";
     t.dupacks <- 0;
     t.in_recovery <- false;
@@ -124,23 +168,25 @@ and on_timeout t =
   end
 
 let fast_retransmit t =
-  let from_pkts = t.cwnd in
-  t.ssthresh <- Float.max 2. (t.cwnd /. 2.);
+  let f = t.f in
+  let from_pkts = f.cwnd in
+  f.ssthresh <- Float.max 2. (f.cwnd /. 2.);
   t.in_recovery <- true;
   t.recover <- t.snd_nxt;
   t.retransmits <- t.retransmits + 1;
   Obs.Metrics.Counter.inc t.m_retransmits;
   t.rtt_seq <- -1;
   send_segment t t.snd_una;
-  t.cwnd <- t.ssthresh +. 3.;
+  f.cwnd <- f.ssthresh +. 3.;
   journal_cwnd t ~from_pkts ~reason:"fast-retransmit";
   restart_timer t
 
 let on_new_ack t ack =
+  let f = t.f in
   (* RTT sample if the timed segment is covered and was never
      retransmitted (rtt_seq is invalidated on retransmission). *)
   if t.rtt_seq >= 0 && ack > t.rtt_seq then begin
-    let sample = Netsim.Engine.now t.engine -. t.rtt_sent_at in
+    let sample = t.clock.Event_heap.cell_time -. f.rtt_sent_at in
     if sample > 0. then Rto_estimator.observe t.rto sample;
     t.rtt_seq <- -1
   end;
@@ -149,13 +195,13 @@ let on_new_ack t ack =
   if t.in_recovery then begin
     (* Reno: deflate to ssthresh on the first new ACK. *)
     t.in_recovery <- false;
-    let from_pkts = t.cwnd in
-    t.cwnd <- t.ssthresh;
+    let from_pkts = f.cwnd in
+    f.cwnd <- f.ssthresh;
     journal_cwnd t ~from_pkts ~reason:"recovery-exit"
   end
-  else if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. 1.
-  else t.cwnd <- t.cwnd +. (1. /. t.cwnd);
-  if t.cwnd > t.max_cwnd then t.cwnd <- t.max_cwnd;
+  else if f.cwnd < f.ssthresh then f.cwnd <- f.cwnd +. 1.
+  else f.cwnd <- f.cwnd +. (1. /. f.cwnd);
+  if f.cwnd > t.max_cwnd then f.cwnd <- t.max_cwnd;
   if t.snd_nxt > t.snd_una then restart_timer t else cancel_timer t;
   send_available t
 
@@ -171,7 +217,7 @@ let on_dupack t =
   end
   else if t.in_recovery then begin
     (* Window inflation: each further dupack signals a departed packet. *)
-    t.cwnd <- t.cwnd +. 1.;
+    t.f.cwnd <- t.f.cwnd +. 1.;
     send_available t
   end
 
@@ -184,37 +230,47 @@ let on_ack t ack =
 let create topo ~conn ~flow ~src ~dst ?(segment_size = Segment.data_size)
     ?(initial_cwnd = 1.) ?(max_cwnd = 10000.) ?(overhead = 0.001) () =
   if segment_size <= 0 then invalid_arg "Tcp_source.create: segment size";
-  let obs = Netsim.Engine.obs (Netsim.Topology.engine topo) in
+  let engine = Netsim.Topology.engine topo in
+  let obs = Netsim.Engine.obs engine in
   let metrics = obs.Obs.Sink.metrics in
   let labels = [ ("conn", string_of_int conn) ] in
   let t =
     {
       topo;
-      engine = Netsim.Topology.engine topo;
+      engine;
+      clock = Netsim.Engine.time_cell engine;
       conn;
       flow;
       src;
-      dst;
+      dst = Netsim.Packet.Unicast (Netsim.Node.id dst);
       segment_size;
       max_cwnd;
       initial_cwnd;
       overhead;
-      rng = Netsim.Engine.split_rng (Netsim.Topology.engine topo);
-      last_emit = neg_infinity;
+      rng = Netsim.Engine.split_rng engine;
+      f =
+        {
+          cwnd = initial_cwnd;
+          ssthresh = max_cwnd;
+          last_emit = neg_infinity;
+          rtt_sent_at = 0.;
+        };
       rto = Rto_estimator.create ();
       running = false;
-      cwnd = initial_cwnd;
-      ssthresh = max_cwnd;
       snd_una = 0;
       snd_nxt = 0;
       dupacks = 0;
       in_recovery = false;
       recover = 0;
       rtt_seq = -1;
-      rtt_sent_at = 0.;
       retx_timer = None;
       retransmits = 0;
-      timeouts = 0;
+      emit_seqs = Array.make 16 0;
+      emit_head = 0;
+      emit_len = 0;
+      emit_cell = { Event_heap.cell_time = 0. };
+      emit_next = ignore;
+      timeout = ignore;
       obs;
       scope =
         Obs.Journal.scope ~session:conn ~node:(Netsim.Node.id src) "tcp.source";
@@ -223,6 +279,8 @@ let create topo ~conn ~flow ~src ~dst ?(segment_size = Segment.data_size)
       m_timeouts = Obs.Metrics.counter metrics ~labels "tcp_timeouts_total";
     }
   in
+  t.emit_next <- emit_next t;
+  t.timeout <- (fun () -> on_timeout t);
   Netsim.Node.attach src (fun p ->
       match p.Netsim.Packet.payload with
       | Segment.Ack { conn; ack } when conn = t.conn -> on_ack t ack
@@ -233,22 +291,18 @@ let start t ~at =
   t.running <- true;
   ignore
     (Netsim.Engine.at t.engine ~time:at (fun () ->
-         t.cwnd <- t.initial_cwnd;
+         t.f.cwnd <- t.initial_cwnd;
          send_available t))
 
 let stop t =
   t.running <- false;
   cancel_timer t
 
-let cwnd t = t.cwnd
+let cwnd t = t.f.cwnd
 
-let ssthresh t = t.ssthresh
-
-let in_recovery t = t.in_recovery
+let ssthresh t = t.f.ssthresh
 
 let retransmits t = t.retransmits
-
-let timeouts t = t.timeouts
 
 let srtt t = Rto_estimator.srtt t.rto
 

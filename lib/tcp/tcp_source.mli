@@ -37,11 +37,7 @@ val cwnd : t -> float
 
 val ssthresh : t -> float
 
-val in_recovery : t -> bool
-
 val retransmits : t -> int
-
-val timeouts : t -> int
 
 val srtt : t -> float option
 

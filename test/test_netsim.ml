@@ -838,6 +838,45 @@ let test_link_hop_words () =
   Alcotest.(check int) "every hop delivered" (Netsim.Link.packets_sent link)
     (Netsim.Link.packets_delivered link)
 
+(* One routed round end to end on warmed links: [Topology.inject] looks
+   up the next hop at the origin, the middle node's routing hook looks
+   it up again and forwards, and the destination's handler injects the
+   packet once more, so each round crosses a 3-node chain with two
+   next-hop lookups and two link hops.  Pinned at 0 words per round; it
+   read 14 (7 per lookup) while a lookup went through a per-destination
+   [Hashtbl] and then hashed a (from, to) tuple to find the link. *)
+let test_routed_hop_words () =
+  let e = Netsim.Engine.create () in
+  let topo = Netsim.Topology.create e in
+  let a = Netsim.Topology.add_node topo in
+  let b = Netsim.Topology.add_node topo in
+  let c = Netsim.Topology.add_node topo in
+  ignore (Netsim.Topology.connect topo ~bandwidth_bps:1e6 ~delay_s:0.01 a b);
+  ignore (Netsim.Topology.connect topo ~bandwidth_bps:1e6 ~delay_s:0.01 b c);
+  let p =
+    Netsim.Packet.make ~flow:1 ~size:1000 ~src:(Netsim.Node.id a)
+      ~dst:(Netsim.Packet.Unicast (Netsim.Node.id c))
+      ~created:0. (Netsim.Packet.Raw 0)
+  in
+  let remaining = ref 0 and delivered = ref 0 in
+  Netsim.Node.attach c (fun q ->
+      incr delivered;
+      if !remaining = 0 then Netsim.Engine.stop e
+      else begin
+        decr remaining;
+        Netsim.Packet.set_hops q 0;
+        Netsim.Topology.inject topo q
+      end);
+  let rounds n =
+    remaining := n;
+    Netsim.Topology.inject topo p;
+    Netsim.Engine.run e
+  in
+  rounds 10;
+  let w = marginal_words rounds in
+  if w <> 0. then Alcotest.failf "a routed round allocates %.3f words (max 0)" w;
+  Alcotest.(check int) "every send delivered" (11 + 10_001 + 20_001) !delivered
+
 let test_link_serialization () =
   (* Two packets injected back-to-back: second arrives one tx-time later. *)
   let e, topo, a, b = two_node_topo () in
@@ -1404,6 +1443,93 @@ let prop_random_graph_multicast_exactly_once =
       List.for_all (fun i -> counts.(i) = 1) members
       && Array.for_all (fun c -> c <= 1) counts)
 
+(* The per-destination next-hop tables are cached, so the one new way a
+   route can go wrong is a stale table after the topology changes.  On a
+   random connected graph, random steps add a node (linked to an
+   existing one), add a link, or send a unicast packet and run it to
+   delivery.  Every packet must reach its destination exactly once,
+   after as many link hops as a breadth-first search of the test's own
+   adjacency model gives, and [Topology.hop_count] must agree. *)
+let prop_routes_follow_topology_changes =
+  QCheck.Test.make ~name:"random graph: routes follow add_node/connect" ~count:100
+    QCheck.(triple (int_range 2 12) (int_range 0 6) (int_range 0 1_000_000))
+    (fun (n, extra, seed) ->
+      let rng = Stats.Rng.create seed in
+      let e, topo, nodes = random_topology rng ~n ~extra in
+      let nodes = ref nodes in
+      let adj = Hashtbl.create 64 in
+      let linked a b = Hashtbl.mem adj (a, b) in
+      let record a b =
+        Hashtbl.replace adj (a, b) ();
+        Hashtbl.replace adj (b, a) ()
+      in
+      Array.iter
+        (fun a ->
+          Array.iter
+            (fun b ->
+              if Netsim.Topology.link_between topo a b <> None then
+                record (Netsim.Node.id a) (Netsim.Node.id b))
+            !nodes)
+        !nodes;
+      let model_hops src dst =
+        let count = Array.length !nodes in
+        let dist = Array.make count (-1) in
+        let q = Queue.create () in
+        dist.(src) <- 0;
+        Queue.push src q;
+        while not (Queue.is_empty q) do
+          let u = Queue.pop q in
+          for v = 0 to count - 1 do
+            if dist.(v) < 0 && linked u v then begin
+              dist.(v) <- dist.(u) + 1;
+              Queue.push v q
+            end
+          done
+        done;
+        dist.(dst)
+      in
+      let arrivals = ref [] in
+      let watch node =
+        Netsim.Node.attach node (fun q ->
+            arrivals := (Netsim.Node.id node, q.Netsim.Packet.hops) :: !arrivals)
+      in
+      Array.iter watch !nodes;
+      let connect a b =
+        ignore
+          (Netsim.Topology.connect topo ~bandwidth_bps:1e8 ~delay_s:0.001
+             !nodes.(a) !nodes.(b));
+        record a b
+      in
+      let ok = ref true in
+      for _ = 1 to 30 do
+        let count = Array.length !nodes in
+        match Stats.Rng.int rng 4 with
+        | 0 ->
+            let node = Netsim.Topology.add_node topo in
+            watch node;
+            nodes := Array.append !nodes [| node |];
+            connect (Stats.Rng.int rng count) count
+        | 1 ->
+            let a = Stats.Rng.int rng count and b = Stats.Rng.int rng count in
+            if a <> b && not (linked a b) then connect a b
+        | _ ->
+            let src = Stats.Rng.int rng count in
+            let dst = (src + 1 + Stats.Rng.int rng (count - 1)) mod count in
+            arrivals := [];
+            Netsim.Topology.inject topo
+              (Netsim.Packet.make ~flow:1 ~size:100 ~src
+                 ~dst:(Netsim.Packet.Unicast dst) ~created:0.
+                 (Netsim.Packet.Raw 0));
+            Netsim.Engine.run e;
+            let want = model_hops src dst in
+            let hop_count =
+              Netsim.Topology.hop_count topo ~src:!nodes.(src) ~dst:!nodes.(dst)
+            in
+            if !arrivals <> [ (dst, want) ] || hop_count <> Some want then
+              ok := false
+      done;
+      !ok)
+
 (* --------------------------------------------- Packet-pool lifecycle *)
 
 (* (flow, size, src, dst) for a random packet; size must be positive. *)
@@ -1607,6 +1733,7 @@ let () =
           Alcotest.test_case "down/up" `Quick test_link_down_up;
           Alcotest.test_case "TTL drop counted" `Quick test_link_ttl_drop_counted;
           Alcotest.test_case "hop allocation-free" `Quick test_link_hop_words;
+          Alcotest.test_case "routed hop allocation-free" `Quick test_routed_hop_words;
         ] );
       ( "topology",
         [
@@ -1651,5 +1778,6 @@ let () =
             prop_heap_sorted; prop_heap_model; prop_droptail_never_exceeds;
             prop_random_graph_all_reachable; prop_random_graph_unicast_delivery;
             prop_random_graph_multicast_exactly_once;
+            prop_routes_follow_topology_changes;
           ] );
     ]

@@ -231,6 +231,36 @@ let test_tcp_stop_halts () =
   Alcotest.(check int) "no segments after stop" at_stop
     (Tcp.Tcp_sink.segments_received sink)
 
+(* Minor words per data segment the sink receives, over 30 simulated
+   seconds of one Reno connection on the dumbbell after a 10 s warm-up.
+   Each segment's cost covers its whole round: the source's jittered
+   emit, three routed hops out, the sink's ACK, three routed hops back
+   and the source's ACK handling, with the loss recoveries of a full
+   drop-tail bottleneck.  Minor words are exactly reproducible for the
+   seed, so the budget is absolute: 1.10x the 21.19 measured once a
+   routed hop allocated nothing, the source scheduled its emits and its
+   timeout without a per-segment closure or boxed float, and both ends
+   reused their packets' [Unicast] destination.  History: 85.09 before
+   (7 words per next-hop lookup, 6 lookups per segment and its ACK).
+   The arena is reclaimed first, so packets that earlier tests left in
+   flight cannot send this one's down the allocating fallback. *)
+let test_tcp_words_per_segment () =
+  Netsim.Packet.Pool.(reclaim (domain ()));
+  let e, topo, s, r = dumbbell ~bandwidth_bps:1e6 ~delay_s:0.01 ~n_pairs:1 in
+  let src = Tcp.Tcp_source.create topo ~conn:1 ~flow:1 ~src:s.(0) ~dst:r.(0) () in
+  let sink = Tcp.Tcp_sink.create topo ~conn:1 ~node:r.(0) () in
+  Tcp.Tcp_source.start src ~at:0.;
+  Netsim.Engine.run ~until:10. e;
+  let seg0 = Tcp.Tcp_sink.segments_received sink in
+  let w0 = Gc.minor_words () in
+  Netsim.Engine.run ~until:40. e;
+  let w = Gc.minor_words () -. w0 in
+  let segs = Tcp.Tcp_sink.segments_received sink - seg0 in
+  let per_seg = w /. float_of_int segs in
+  let budget = 23.3 in
+  if per_seg > budget then
+    Alcotest.failf "%.2f minor words per segment (budget %.1f)" per_seg budget
+
 let prop_padhye_inverse_monotone =
   QCheck.Test.make ~name:"padhye inverse decreasing in rate" ~count:100
     QCheck.(pair (float_range 1e3 1e7) (float_range 1.01 5.))
@@ -269,6 +299,7 @@ let () =
           Alcotest.test_case "loss + recovery" `Slow test_tcp_experiences_loss_and_recovers;
           Alcotest.test_case "two flows share" `Slow test_tcp_two_flows_share;
           Alcotest.test_case "stop halts" `Quick test_tcp_stop_halts;
+          Alcotest.test_case "words per segment" `Quick test_tcp_words_per_segment;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_padhye_inverse_monotone ]);
     ]
