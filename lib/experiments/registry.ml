@@ -5,22 +5,7 @@ type experiment = {
   run : mode:Scenario.mode -> seed:int -> Series.t list;
 }
 
-(* Every run starts with its domain's packet arena full.  A parallel
-   sweep hands experiments to domains in whatever order they free up,
-   and an arena drained by the experiments before would otherwise push
-   the next ones onto heap packets: same results, but allocation that
-   changes from one sweep to the next. *)
-let full_arena e =
-  {
-    e with
-    run =
-      (fun ~mode ~seed ->
-        Netsim.Packet.Pool.(reclaim (domain ()));
-        e.run ~mode ~seed);
-  }
-
 let all =
-  List.map full_arena
   [
     {
       id = "fig01";

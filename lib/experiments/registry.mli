@@ -11,9 +11,7 @@ type experiment = {
 }
 
 val all : experiment list
-(** In figure order.  Each [run] first refills the calling domain's
-    packet arena ({!Netsim.Packet.Pool.reclaim}), so what an experiment
-    allocates does not depend on what ran before it in that domain. *)
+(** In figure order. *)
 
 val find : string -> experiment option
 (** Lookup by id (case-insensitive) in {!all}. *)

@@ -29,8 +29,6 @@ type cell = {
   c_samples : (float * float) list;
 }
 
-val n_receivers : int
-
 val run_cell :
   mode:Scenario.mode ->
   seed:int ->

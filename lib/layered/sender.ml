@@ -39,7 +39,8 @@ let send_layer t layer =
   t.seqs.(layer) <- t.seqs.(layer) + 1;
   t.sent <- t.sent + 1;
   let p =
-    Netsim.Packet.alloc ~flow:(t.flow + layer) ~size:Wire.data_size
+    Netsim.Packet.alloc (Netsim.Engine.arena t.engine)
+      ~flow:(t.flow + layer) ~size:Wire.data_size
       ~src:(Netsim.Node.id t.node)
       ~dst:(Netsim.Packet.Multicast (Wire.group_of ~session:t.session ~layer))
       ~created:now payload

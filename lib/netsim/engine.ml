@@ -5,7 +5,7 @@
    of the millions of events. *)
 type t = {
   heap : Packet.t Event_heap.t;
-  links : Link_table.t;  (* SoA busy flags for all links *)
+  arena : Packet.arena;  (* free records of this engine's packets *)
   clock : Event_heap.time_cell;
   rng : Stats.Rng.t;
   mutable stopped : bool;
@@ -26,7 +26,7 @@ type handle = Event_heap.handle
 let create ?(seed = 42) ?(obs = Obs.Sink.null) () =
   {
     heap = Event_heap.create ~dummy:Packet.dummy;
-    links = Link_table.create ();
+    arena = Packet.arena ();
     clock = { Event_heap.cell_time = 0. };
     rng = Stats.Rng.create seed;
     stopped = false;
@@ -40,7 +40,7 @@ let create ?(seed = 42) ?(obs = Obs.Sink.null) () =
 
 let obs t = t.obs
 
-let link_table t = t.links
+let arena t = t.arena
 
 let set_watchdog t ?(every_events = 4096) f =
   if every_events < 1 then

@@ -21,9 +21,11 @@ val create : ?seed:int -> ?obs:Obs.Sink.t -> unit -> t
 val obs : t -> Obs.Sink.t
 (** The sink passed at creation (the null sink when none was). *)
 
-val link_table : t -> Link_table.t
-(** The engine-owned struct-of-arrays hot state its links index
-    ({!Link_table}).  Links allocate their slot here at creation. *)
+val arena : t -> Packet.arena
+(** The free list of this engine's packets: agents {!Packet.alloc} from
+    it, and links and the topology release into it.  It is collected
+    with the engine, so packets still in flight when a run is abandoned
+    cost the next engine nothing. *)
 
 val now : t -> float
 (** Current simulated time in seconds. *)

@@ -9,11 +9,7 @@ type t = {
   queue : Queue_disc.t;
   src : Node.t;
   dst : Node.t;
-  (* The busy flag lives in the engine's struct-of-arrays
-     {!Link_table}, indexed by [slot]: the whole fleet's flags stay
-     contiguous. *)
-  tbl : Link_table.t;
-  slot : int;
+  mutable busy : bool;
   (* The transmission end the engine schedules from, kept in an
      all-float cell so no float crosses a module boundary (see
      [transmit]). *)
@@ -108,7 +104,7 @@ let deliver t p =
     t.drop_loss_n <- t.drop_loss_n + 1;
     Obs.Metrics.Counter.inc t.cs.m_drop_loss;
     trace t ~kind:`Drop_loss p;
-    Packet.release p
+    Packet.release (Engine.arena t.engine) p
   end
   else begin
     t.in_flight <- t.in_flight + 1;
@@ -124,7 +120,7 @@ let deliver t p =
    The transmission end is [now +. tx], the sum the engine would form
    from a delay, and [~offset:0.] leaves it bit for bit unchanged. *)
 let transmit t (p : Packet.t) =
-  Link_table.set_busy t.tbl t.slot true;
+  t.busy <- true;
   let tx = float_of_int p.size *. 8. /. t.bandwidth_bps in
   let cell = t.tx_cell in
   cell.Event_heap.cell_time <- (Engine.time_cell t.engine).Event_heap.cell_time +. tx;
@@ -138,7 +134,7 @@ let on_complete t =
   Obs.Metrics.Counter.inc t.cs.m_tx;
   trace t ~kind:`Tx p;
   deliver t p;
-  if Queue_disc.is_empty t.queue then Link_table.set_busy t.tbl t.slot false
+  if Queue_disc.is_empty t.queue then t.busy <- false
   else transmit t (Queue_disc.dequeue_exn t.queue)
 
 let create engine ?(loss = Loss_model.none) ~bandwidth_bps ~delay_s ~queue ~src
@@ -146,7 +142,6 @@ let create engine ?(loss = Loss_model.none) ~bandwidth_bps ~delay_s ~queue ~src
   if bandwidth_bps <= 0. then invalid_arg "Link.create: bandwidth must be positive";
   if delay_s < 0. then invalid_arg "Link.create: negative delay";
   let metrics = (Engine.obs engine).Obs.Sink.metrics in
-  let tbl = Engine.link_table engine in
   let t = {
     engine;
     loss;
@@ -155,8 +150,7 @@ let create engine ?(loss = Loss_model.none) ~bandwidth_bps ~delay_s ~queue ~src
     queue;
     src;
     dst;
-    tbl;
-    slot = Link_table.alloc tbl;
+    busy = false;
     tx_cell = { Event_heap.cell_time = 0. };
     tx_pkt = Packet.dummy;
     complete = ignore;  (* tied to the record below; see [transmit] *)
@@ -188,7 +182,7 @@ let forward t (p : Packet.t) =
     t.drop_down_n <- t.drop_down_n + 1;
     Obs.Metrics.Counter.inc t.cs.m_drop_down;
     trace t ~kind:`Drop_loss p;
-    Packet.release p
+    Packet.release (Engine.arena t.engine) p
   end
   else if p.hops > Packet.ttl_limit then begin
     (* A routing loop ate the packet: account for it like any other drop
@@ -198,14 +192,14 @@ let forward t (p : Packet.t) =
     Obs.Metrics.Counter.inc t.cs.m_drop_ttl;
     trace t ~kind:`Drop_ttl p;
     Logs.warn (fun m -> m "Link: TTL exceeded, dropping %a" Packet.pp p);
-    Packet.release p
+    Packet.release (Engine.arena t.engine) p
   end
-  else if Link_table.busy t.tbl t.slot then begin
+  else if t.busy then begin
     if not (Queue_disc.enqueue t.queue p) then begin
       t.drop_queue_n <- t.drop_queue_n + 1;
       Obs.Metrics.Counter.inc t.cs.m_drop_queue;
       trace t ~kind:`Drop_queue p;
-      Packet.release p
+      Packet.release (Engine.arena t.engine) p
     end
   end
   else transmit t p
@@ -222,17 +216,17 @@ let send t (p : Packet.t) =
           t.lost <- t.lost + 1;
           Obs.Metrics.Counter.inc t.cs.m_drop_loss;
           trace t ~kind:`Drop_loss p;
-          Packet.release p
+          Packet.release (Engine.arena t.engine) p
       | `Replace p' ->
           (* The injector handed back a different physical packet: the
              original's arena slot is ours to recycle. *)
-          if p' != p then Packet.release p;
+          if p' != p then Packet.release (Engine.arena t.engine) p;
           forward t p'
       | `Duplicate ->
           (* Clone before forwarding: [forward] may drop-and-release [p]
              (down link, TTL, full queue), after which it is not
              clonable. *)
-          let q = Packet.clone p in
+          let q = Packet.clone (Engine.arena t.engine) p in
           forward t p;
           forward t q
       | `Delay d -> Engine.after_unit t.engine ~delay:d (fun () -> forward t p))
@@ -271,7 +265,7 @@ let drops_down t = t.drop_down_n
 
 let drops_ttl t = t.drop_ttl_n
 
-let busy t = Link_table.busy t.tbl t.slot
+let busy t = t.busy
 
 let set_tracer t f = t.tracer <- Some f
 

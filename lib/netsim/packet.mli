@@ -7,10 +7,10 @@
     Packets come from two allocators with one type:
 
     - {!make} returns a GC-managed record the caller may keep forever;
-    - {!alloc} draws a record from the calling domain's arena ({!Pool}).
-      Arena packets are recycled when the simulator is done with them
-      (delivery or drop — see DESIGN.md §14 for the ownership rules), so
-      holding one past the handler that received it is a use-after-free.
+    - {!alloc} draws a record from an engine's {!arena}.  Arena packets
+      are recycled when the simulator is done with them (delivery or
+      drop — see DESIGN.md §14 for the ownership rules), so holding one
+      past the handler that received it is a use-after-free.
 
     Handlers that need to retain data from a delivered packet must copy
     the fields out (or {!clone} it) before returning. *)
@@ -36,14 +36,22 @@ type t = private {
   pooled : bool;  (** came from an arena; {!release} recycles it *)
   mutable live : bool;  (** false between release and the next acquire *)
 }
-(** Fields are mutable so arena slots can be recycled in place, but the
+(** Fields are mutable so arena records can be recycled in place, but the
     type is private: all construction goes through {!make}/{!alloc}, and
     only [hops] is meant to be written after construction (by the link
     layer). *)
 
+type arena
+(** A free list of released packet records.  Each [Engine.t] owns one
+    ([Engine.arena]); it starts empty, grows to the engine's peak of
+    live packets, and is garbage-collected with the engine. *)
+
+val arena : unit -> arena
+(** An empty arena.  Normal code uses its engine's. *)
+
 exception Use_after_free of string
-(** Raised by {!guard} (and, in debug mode, by double {!release}) when a
-    recycled arena packet is touched. *)
+(** Raised by {!guard} and by a second {!release} when a released arena
+    packet is touched. *)
 
 val make :
   flow:int -> size:int -> src:int -> dst:dst -> created:float -> payload -> t
@@ -51,22 +59,20 @@ val make :
     positive.  Safe to retain indefinitely; {!release} on it is a no-op. *)
 
 val alloc :
-  flow:int -> size:int -> src:int -> dst:dst -> created:float -> payload -> t
-(** Like {!make} but recycles a record from the domain's {!Pool} when one
-    is free, falling back to the heap when the arena is exhausted.  The
-    packet must be handed to the simulator, which releases it. *)
+  arena -> flow:int -> size:int -> src:int -> dst:dst -> created:float -> payload -> t
+(** Like {!make} but recycles a released record of the arena when it has
+    one.  The packet must be handed to the simulator, which releases it. *)
 
-val release : t -> unit
-(** Returns an arena packet to the domain pool.  No-op for {!make}d
-    packets.  After release the record must not be touched: [live] is
-    cleared, the payload reference is dropped, and in debug mode the
-    scalar fields are poisoned and a double release raises
-    {!Use_after_free}. *)
+val release : arena -> t -> unit
+(** Returns an arena packet to the arena.  No-op for {!make}d packets.
+    After release the record must not be touched: [live] is cleared and
+    the payload reference is dropped.
+    @raise Use_after_free on a packet already released. *)
 
-val clone : t -> t
+val clone : arena -> t -> t
 (** A copy with a fresh uid (multicast duplication at branch points).
-    Clones of arena packets come from the arena (heap on exhaustion);
-    clones of heap packets are heap records. *)
+    Clones of arena packets come from the arena; clones of heap packets
+    are heap records. *)
 
 val is_live : t -> bool
 (** False only for an arena packet that is currently released. *)
@@ -92,50 +98,3 @@ val dummy : t
     like a released arena packet, so sending it trips {!guard}. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** Fixed-capacity per-domain freelist of packet records.  Exposed for
-    benchmarks and tests; normal code only goes through {!alloc} and
-    {!release}. *)
-module Pool : sig
-  type pool
-
-  val default_capacity : int
-
-  val create : ?capacity:int -> unit -> pool
-  (** A fresh arena with all [capacity] slots free.  Mostly for tests;
-      {!alloc} uses the per-domain arena from {!domain}. *)
-
-  val domain : unit -> pool
-  (** The calling domain's arena (created on first use). *)
-
-  val reclaim : pool -> unit
-  (** Returns every record of the arena to its free list, including the
-      ones a dropped engine still held (packets in flight when its run
-      ended, which are never released).  Without it those slots leak
-      and later engines in the domain fall back to heap records, by an
-      amount that depends on what ran there before.  Only call it when
-      no simulation that drew from this arena will run again: between
-      experiments, as the experiment registry does. *)
-
-  val set_debug : pool -> bool -> unit
-  (** Debug mode: poison released records and raise {!Use_after_free} on
-      double release.  Off by default. *)
-
-  val debug : pool -> bool
-
-  val capacity : pool -> int
-
-  val free : pool -> int
-  (** Slots currently available. *)
-
-  val in_use : pool -> int
-
-  val acquired : pool -> int
-  (** Total successful arena acquires (allocs + clones). *)
-
-  val recycled : pool -> int
-  (** Total releases that returned a record to the arena. *)
-
-  val exhausted : pool -> int
-  (** Heap fallbacks taken because the arena was empty. *)
-end

@@ -22,7 +22,6 @@ type t = {
   mutable head : int;  (* index of the oldest packet *)
   mutable len : int;
   mutable drops : int;
-  mutable enqueued : int;
 }
 
 let initial_ring = 16  (* power of two; doubles on demand *)
@@ -36,7 +35,6 @@ let droptail ~capacity_pkts =
     head = 0;
     len = 0;
     drops = 0;
-    enqueued = 0;
   }
 
 let red ~rng ~capacity_pkts ?min_thresh ?max_thresh ?(max_p = 0.1)
@@ -65,7 +63,6 @@ let red ~rng ~capacity_pkts ?min_thresh ?max_thresh ?(max_p = 0.1)
     head = 0;
     len = 0;
     drops = 0;
-    enqueued = 0;
   }
 
 let grow q =
@@ -83,7 +80,6 @@ let accept q p =
   let mask = Array.length q.ring - 1 in
   Array.unsafe_set q.ring ((q.head + q.len) land mask) p;
   q.len <- q.len + 1;
-  q.enqueued <- q.enqueued + 1;
   true
 
 let reject q =
@@ -140,4 +136,3 @@ let capacity q = q.capacity
 
 let drops q = q.drops
 
-let enqueued q = q.enqueued

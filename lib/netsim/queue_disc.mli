@@ -39,6 +39,3 @@ val capacity : t -> int
 
 val drops : t -> int
 (** Cumulative count of packets dropped at enqueue. *)
-
-val enqueued : t -> int
-(** Cumulative count of packets accepted. *)

@@ -12,9 +12,6 @@ type link_spec = {
   queue_capacity : int;
 }
 
-val default_link : link_spec
-(** 10 Mbit/s, 5 ms, 50 packets. *)
-
 val star : Topology.t -> leaves:int -> ?link:link_spec -> unit -> Node.t * Node.t array
 (** (hub, leaves). *)
 

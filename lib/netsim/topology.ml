@@ -221,7 +221,7 @@ let forward_multicast t ~at_id (p : Packet.t) ~group =
   if n = 0 then
     (* Terminal point with no subscribers downstream: the packet's
        journey ends here, recycle its arena slot. *)
-    Packet.release p
+    Packet.release (Engine.arena t.engine) p
   else if n = 1 then Link.send (Array.unsafe_get links 0) p
   else begin
     (* Branch point: duplicate for every child beyond the first.  All
@@ -234,8 +234,9 @@ let forward_multicast t ~at_id (p : Packet.t) ~group =
     if n > Array.length t.mc_scratch then
       t.mc_scratch <- Array.make (max n (2 * Array.length t.mc_scratch)) Packet.dummy;
     let scratch = t.mc_scratch in
+    let arena = Engine.arena t.engine in
     for i = 1 to n - 1 do
-      Array.unsafe_set scratch i (Packet.clone p)
+      Array.unsafe_set scratch i (Packet.clone arena p)
     done;
     Link.send (Array.unsafe_get links 0) p;
     for i = 1 to n - 1 do
@@ -251,13 +252,13 @@ let route_from t node_obj (p : Packet.t) ~local =
   | Packet.Unicast d when d = here ->
       if local then Node.deliver_local node_obj p;
       (* Handlers only borrow during delivery; the journey ends here. *)
-      Packet.release p
+      Packet.release (Engine.arena t.engine) p
   | Packet.Unicast d -> (
       match (route t d).next_hop.(here) with
       | Some link -> Link.send link p
       | None ->
           Logs.debug (fun m -> m "Topology: no route %d -> %d, dropping" here d);
-          Packet.release p)
+          Packet.release (Engine.arena t.engine) p)
   | Packet.Multicast g ->
       (* Membership is read before local delivery and the children after
          it ([forward_multicast] looks the tree up again): a handler may

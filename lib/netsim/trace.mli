@@ -50,9 +50,5 @@ val clear : t -> unit
 (** Empties the ring and resets {!total_recorded} and the per-kind
     counts.  Registry counters are monotonic and unaffected. *)
 
-val pp_event : Format.formatter -> event -> unit
-(** One ns-2-style line: [+ time src dst flow size uid] with [+/d/x/t/r]
-    for Tx / Drop_queue / Drop_loss / Drop_ttl / Deliver. *)
-
 val to_text : t -> string
 (** The whole retained trace, one event per line. *)

@@ -67,7 +67,8 @@ let gap t =
 
 let emit t =
   let p =
-    Packet.alloc ~flow:t.flow ~size:t.packet_size ~src:(Node.id t.src)
+    Packet.alloc (Engine.arena t.engine)
+      ~flow:t.flow ~size:t.packet_size ~src:(Node.id t.src)
       ~dst:(Packet.Unicast (Node.id t.dst))
       ~created:(Engine.now t.engine) (Packet.Raw t.flow)
   in

@@ -32,7 +32,7 @@ let env topo ~session node =
           | Env.To_node n -> Netsim.Packet.Unicast n
         in
         Netsim.Topology.inject topo
-          (Netsim.Packet.alloc ~flow ~size ~src:id ~dst
+          (Netsim.Packet.alloc (Netsim.Engine.arena eng) ~flow ~size ~src:id ~dst
              ~created:(Netsim.Engine.now eng)
              (payload_of_msg msg)));
     join = (fun () -> Netsim.Topology.join topo ~group:session node);

@@ -23,11 +23,6 @@ type Netsim.Packet.payload +=
   | Data of Wire.data  (** multicast TFMCC data-packet header *)
   | Report of Wire.report  (** unicast receiver report *)
 
-val payload_of_msg : Wire.msg -> Netsim.Packet.payload
-
-val msg_of_payload : Netsim.Packet.payload -> Wire.msg option
-(** [None] for non-TFMCC payloads. *)
-
 val env : Netsim.Topology.t -> session:int -> Netsim.Node.t -> Env.t
 (** The environment of one endpoint: [now]/[after]/[at] delegate to the
     topology's engine, [send] wraps the message in a packet (multicast

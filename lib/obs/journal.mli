@@ -88,16 +88,9 @@ val count : t -> ?component:string -> ?min_severity:severity -> unit -> int
 
 val count_events : t -> (event -> bool) -> int
 
-val event_name : event -> string
-(** Stable snake_case tag, e.g. ["clr_change"] (also the JSON tag). *)
-
-val severity_name : severity -> string
-
 val pp_entry : Format.formatter -> entry -> unit
 (** One line: [time sev component session/node event {fields}]. *)
 
 val to_text : t -> string
-
-val entry_to_json : entry -> Json.t
 
 val to_json : t -> Json.t

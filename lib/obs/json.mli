@@ -20,8 +20,6 @@ type t =
 val to_string : t -> string
 (** Compact (single-line) serialization. *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val of_string : string -> (t, string) result
 (** Parses one JSON document (object, array, or scalar).  Numbers
     without [.]/[e] that fit an OCaml [int] come back as [Int], all

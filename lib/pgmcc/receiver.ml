@@ -23,8 +23,6 @@ type t = {
 
 let node_id t = Netsim.Node.id t.node
 
-let is_acker t = t.is_acker
-
 let loss_estimate t = t.loss
 
 let packets_received t = t.received
@@ -45,7 +43,8 @@ let send_ack t ~ack_seq =
       }
   in
   let p =
-    Netsim.Packet.alloc ~flow:(-1) ~size:Wire.ack_size ~src:(node_id t)
+    Netsim.Packet.alloc (Netsim.Engine.arena t.engine)
+      ~flow:(-1) ~size:Wire.ack_size ~src:(node_id t)
       ~dst:(Netsim.Packet.Unicast (Netsim.Node.id t.sender))
       ~created:now payload
   in
@@ -66,7 +65,8 @@ let send_nak t ~lost_seq =
       }
   in
   let p =
-    Netsim.Packet.alloc ~flow:(-1) ~size:Wire.nak_size ~src:(node_id t)
+    Netsim.Packet.alloc (Netsim.Engine.arena t.engine)
+      ~flow:(-1) ~size:Wire.nak_size ~src:(node_id t)
       ~dst:(Netsim.Packet.Unicast (Netsim.Node.id t.sender))
       ~created:now payload
   in

@@ -28,8 +28,6 @@ val leave : t -> unit
 
 val node_id : t -> int
 
-val is_acker : t -> bool
-
 val loss_estimate : t -> float
 (** Smoothed per-packet loss fraction. *)
 

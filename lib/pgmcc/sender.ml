@@ -19,7 +19,6 @@ type t = {
   mutable last_halving : float;
   mutable idle_timer : Netsim.Engine.handle option;
   mutable sent : int;
-  mutable acker_changes : int;
   mutable halvings : int;
   obs : Obs.Sink.t;
   scope : Obs.Journal.scope;
@@ -34,7 +33,6 @@ let jnl t ?severity ev =
 (* PGMCC's acker is the group's limiting receiver, the analogue of
    TFMCC's CLR, so its election reuses the Clr_change event. *)
 let note_acker_change t ~prev ~acker =
-  t.acker_changes <- t.acker_changes + 1;
   Obs.Metrics.Counter.inc t.m_acker_changes;
   jnl t (Obs.Journal.Clr_change { prev; clr = acker })
 
@@ -43,8 +41,6 @@ let window t = t.window
 let acker t = if t.acker < 0 then None else Some t.acker
 
 let packets_sent t = t.sent
-
-let acker_changes t = t.acker_changes
 
 let halvings t = t.halvings
 
@@ -67,7 +63,8 @@ let send_packet t =
     Wire.Data { session = t.session; seq = t.seq; ts = now; acker = t.acker; window = t.window }
   in
   let p =
-    Netsim.Packet.alloc ~flow:t.flow ~size:t.s ~src:(Netsim.Node.id t.node)
+    Netsim.Packet.alloc (Netsim.Engine.arena t.engine)
+      ~flow:t.flow ~size:t.s ~src:(Netsim.Node.id t.node)
       ~dst:(Netsim.Packet.Multicast t.session) ~created:now payload
   in
   t.seq <- t.seq + 1;
@@ -221,7 +218,6 @@ let create topo ~session ~node ?flow ?(packet_size = 1000) ?(hysteresis = 0.75)
       last_halving = neg_infinity;
       idle_timer = None;
       sent = 0;
-      acker_changes = 0;
       halvings = 0;
       obs;
       scope =

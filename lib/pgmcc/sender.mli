@@ -39,6 +39,4 @@ val acker : t -> int option
 
 val packets_sent : t -> int
 
-val acker_changes : t -> int
-
 val halvings : t -> int

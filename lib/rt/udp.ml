@@ -43,14 +43,13 @@ type endpoint = {
 and t = {
   loop : Loop.t;
   endpoints : (int, endpoint) Hashtbl.t;
-  groups : (int, (int, unit) Hashtbl.t) Hashtbl.t;
+  groups : (int, int list) Hashtbl.t;  (* session -> ascending member ids *)
   buf : Bytes.t;
   sendbuf : Bytes.t;  (* shared scratch datagram; see [send] *)
   mutable next_id : int;
   mutable sent : int;
   mutable delivered : int;
   mutable send_errs : int;
-  mutable send_retries : int;
   mutable send_shed : int;
   mutable dec_errors : int;
   mutable enobufs_streak : int;
@@ -133,7 +132,6 @@ let create loop =
     sent = 0;
     delivered = 0;
     send_errs = 0;
-    send_retries = 0;
     send_shed = 0;
     dec_errors = 0;
     enobufs_streak = 0;
@@ -208,26 +206,24 @@ let set_deliver ep f = ep.deliver <- Some f
 
 let endpoint_id ep = ep.ep_id
 
+(* Group sends read the member list; only join and leave rebuild it. *)
+let members t session =
+  match Hashtbl.find t.groups session with ids -> ids | exception Not_found -> []
+
 let join ep =
-  let g =
-    match Hashtbl.find_opt ep.net.groups ep.session with
-    | Some g -> g
-    | None ->
-        let g = Hashtbl.create 16 in
-        Hashtbl.replace ep.net.groups ep.session g;
-        g
+  let t = ep.net in
+  let rec insert = function
+    | x :: rest when x < ep.ep_id -> x :: insert rest
+    | x :: _ as l when x = ep.ep_id -> l
+    | l -> ep.ep_id :: l
   in
-  Hashtbl.replace g ep.ep_id ()
+  Hashtbl.replace t.groups ep.session (insert (members t ep.session))
 
 let leave ep =
-  match Hashtbl.find_opt ep.net.groups ep.session with
+  let t = ep.net in
+  match Hashtbl.find_opt t.groups ep.session with
   | None -> ()
-  | Some g -> Hashtbl.remove g ep.ep_id
-
-let members t session =
-  match Hashtbl.find_opt t.groups session with
-  | None -> []
-  | Some g -> List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) g [])
+  | Some ids -> Hashtbl.replace t.groups ep.session (List.filter (( <> ) ep.ep_id) ids)
 
 (* One datagram to one peer, with bounded retry for transient pressure.
    A sustained ENOBUFS streak opens a shedding window: for
@@ -255,7 +251,6 @@ let send_one t ep peer frame frame_len =
               end
             end;
             if tries < max_retries && Loop.now t.loop >= t.shed_until then begin
-              t.send_retries <- t.send_retries + 1;
               Obs.Metrics.Counter.inc (counter t "tfmcc_rt_send_retries_total" kind);
               Unix.sleepf retry_backoff_s;
               attempt (tries + 1)
@@ -277,7 +272,9 @@ let send ep ~dest ~flow:_ ~size msg =
       match dest with
       | Env.To_node id -> if id = ep.ep_id then 0 else 1
       | Env.To_group ->
-          List.length (List.filter (fun id -> id <> ep.ep_id) (members t ep.session))
+          List.fold_left
+            (fun n id -> if id = ep.ep_id then n else n + 1)
+            0 (members t ep.session)
     in
     if n > 0 then begin
       t.send_shed <- t.send_shed + n;
@@ -309,15 +306,9 @@ let send ep ~dest ~flow:_ ~size msg =
       | Wire.Data d -> Wire.encode_data_into frame d
     with
     | exception Invalid_argument _ -> send_error t ep ~kind:"encode" ~detail:"encode"
-    | (_ : int) ->
-        let dests =
-          match dest with
-          | Env.To_node id -> if id = ep.ep_id then [] else [ id ]
-          | Env.To_group ->
-              List.filter (fun id -> id <> ep.ep_id) (members t ep.session)
-        in
-        List.iter
-          (fun dst ->
+    | (_ : int) -> (
+        let send_to dst =
+          if dst <> ep.ep_id then
             match Hashtbl.find_opt t.endpoints dst with
             | None -> ()
             | Some peer ->
@@ -325,8 +316,11 @@ let send ep ~dest ~flow:_ ~size msg =
                   t.sent <- t.sent + 1;
                   Obs.Metrics.Counter.inc t.m_sent;
                   send_one t ep peer frame frame_len
-                end)
-          dests
+                end
+        in
+        match dest with
+        | Env.To_node id -> send_to id
+        | Env.To_group -> List.iter send_to (members t ep.session))
   end
 
 let env ep =
@@ -356,8 +350,6 @@ let frames_sent t = t.sent
 let frames_delivered t = t.delivered
 
 let send_errors t = t.send_errs
-
-let send_retries t = t.send_retries
 
 let send_shed t = t.send_shed
 

@@ -73,8 +73,6 @@ val send_errors : t -> int
     included); per-kind breakdown in [tfmcc_rt_send_error_total{kind}],
     first occurrence per (endpoint, kind) journaled under ["rt.udp"]. *)
 
-val send_retries : t -> int
-
 val send_shed : t -> int
 (** Frames dropped inside a load-shedding window (subset of
     {!send_errors}). *)

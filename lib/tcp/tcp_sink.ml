@@ -32,7 +32,8 @@ let send_ack t ~to_node =
   in
   let payload = Segment.Ack { conn = t.conn; ack = t.next_expected } in
   let p =
-    Netsim.Packet.alloc ~flow:t.ack_flow ~size:Segment.ack_size
+    Netsim.Packet.alloc (Netsim.Engine.arena t.engine)
+      ~flow:t.ack_flow ~size:Segment.ack_size
       ~src:(Netsim.Node.id t.node)
       ~dst
       ~created:(Netsim.Engine.now t.engine)

@@ -75,7 +75,7 @@ let restart_timer t =
    at emit time, which fixes its uid and [created]. *)
 let emit t seq =
   let p =
-    Netsim.Packet.alloc ~flow:t.flow ~size:t.segment_size
+    Netsim.Packet.alloc (Netsim.Engine.arena t.engine) ~flow:t.flow ~size:t.segment_size
       ~src:(Netsim.Node.id t.src) ~dst:t.dst
       ~created:(Netsim.Engine.now t.engine)
       (Segment.Data { conn = t.conn; seq })

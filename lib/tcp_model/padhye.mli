@@ -26,6 +26,3 @@ val loss_events_per_rtt : ?b:float -> float -> float
     With b = 2 its maximum is ≈ 0.13, matching the paper's figure — the
     basis of the argument that a too-high initial RTT stays conservative
     (with b = 1 the peak is ≈ 0.19, which only strengthens it). *)
-
-val t_rto_factor : float
-(** t_RTO = [t_rto_factor] × RTT (= 4, per TFRC). *)

@@ -47,7 +47,7 @@ let rec send_packet t =
     Obs.Metrics.Counter.inc t.m_sent;
     Obs.Metrics.Gauge.set t.m_rate t.rate;
     let p =
-      Netsim.Packet.alloc ~flow:t.flow ~size:Wire.data_size
+      Netsim.Packet.alloc (Netsim.Engine.arena t.engine) ~flow:t.flow ~size:Wire.data_size
         ~src:(Netsim.Node.id t.src)
         ~dst:(Netsim.Packet.Unicast (Netsim.Node.id t.dst))
         ~created:now payload

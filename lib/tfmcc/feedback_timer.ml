@@ -71,7 +71,7 @@ let round_duration_clamped ~on_anomaly ~(cfg : Config.t) ~max_rtt ~rate =
 
 (* Timer CDF for the unbiased scheme over [0, T']:
    F(y) = N^(y/T' - 1), with an atom of mass 1/N at 0. *)
-let expected_messages_uncached ~n ~n_estimate ~delay ~t_suppress =
+let expected_messages ~n ~n_estimate ~delay ~t_suppress =
   if n <= 0 then invalid_arg "Feedback_timer.expected_messages: n must be positive";
   if t_suppress <= 0. then
     invalid_arg "Feedback_timer.expected_messages: t_suppress must be positive";
@@ -98,27 +98,3 @@ let expected_messages_uncached ~n ~n_estimate ~delay ~t_suppress =
     let integral = !sum *. h in
     nf *. (cdf delay +. integral)
   end
-
-(* The integral is re-evaluated with identical (n, n_estimate, delay,
-   t_suppress) arguments every feedback round (and across the rows of
-   Fig. 4), so memoize it.  The cache is domain-local: parallel sweep
-   workers each get their own table, so no synchronization is needed and
-   results stay deterministic per run. *)
-let memo_capacity = 512
-
-let memo : ((int * int * float * float, float) Hashtbl.t) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
-
-let expected_messages ~n ~n_estimate ~delay ~t_suppress =
-  let tbl = Domain.DLS.get memo in
-  let key = (n, n_estimate, delay, t_suppress) in
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
-      let v = expected_messages_uncached ~n ~n_estimate ~delay ~t_suppress in
-      (* Argument validation raised before we got here, so only valid
-         entries are cached.  Bound the table so pathological callers
-         cannot grow it without limit. *)
-      if Hashtbl.length tbl >= memo_capacity then Hashtbl.reset tbl;
-      Hashtbl.add tbl key v;
-      v

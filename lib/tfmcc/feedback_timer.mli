@@ -67,14 +67,6 @@ val expected_messages :
     suppression (the Fuhrmann–Widmer formula behind Fig. 4): [n] actual
     receivers, bound [n_estimate], one-way echo [delay] Δ, suppression
     window [t_suppress] T'.  Computed by numerical integration of
-    n·E[(1 − F(t−Δ))^(n−1)] under the timer distribution F.
-
-    Results are memoized per argument tuple in a bounded, domain-local
-    cache: repeated calls with the identical arguments (every feedback
-    round does this) return in O(1), and parallel sweep domains never
-    contend on shared state. *)
-
-val expected_messages_uncached :
-  n:int -> n_estimate:int -> delay:float -> t_suppress:float -> float
-(** The raw integral behind {!expected_messages}, bypassing the memo —
-    exposed so tests can pin the cache to the ground truth. *)
+    n·E[(1 − F(t−Δ))^(n−1)] under the timer distribution F
+    (2000 trapezoid steps per call; nothing is cached).  Only the
+    Fig. 4 model calls it — no protocol path does. *)

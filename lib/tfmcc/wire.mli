@@ -86,10 +86,6 @@ val report_fields_valid :
     fail this (counted by {!Sender.malformed_reports_dropped}); round
     staleness is checked separately against the sender's round counter. *)
 
-val report_valid : report -> bool
-(** {!report_fields_valid} on a record ([session]/[have_rtt]/[has_loss]/
-    [leaving] carry no field-level constraint). *)
-
 val data_fields_valid :
   seq:int ->
   ts:float ->
@@ -105,10 +101,6 @@ val data_fields_valid :
     packets that fail this (counted by
     {!Receiver.malformed_data_dropped}) instead of feeding NaN rates or
     negative round durations into their timers. *)
-
-val data_valid : data -> bool
-(** {!data_fields_valid} on a record ([session]/[in_slowstart]/[app]
-    carry no field-level constraint). *)
 
 (** {2 Byte codec}
 

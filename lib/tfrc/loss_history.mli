@@ -62,10 +62,6 @@ val packets_lost : t -> int
 val closed_intervals : t -> float list
 (** Most recent first; at most [n_intervals] values. *)
 
-val open_interval : t -> float
-(** Packets since the start of the current loss event (0 before any
-    loss). *)
-
 val remodel : t -> rtt:float -> unit
 (** App. A's full correction: re-aggregates the retained log of recent
     loss gaps (up to 64) into loss events under a different RTT and

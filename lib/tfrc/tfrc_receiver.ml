@@ -33,7 +33,8 @@ let send_feedback t =
         }
     in
     let p =
-      Netsim.Packet.alloc ~flow:t.feedback_flow ~size:Wire.feedback_size
+      Netsim.Packet.alloc (Netsim.Engine.arena t.engine)
+        ~flow:t.feedback_flow ~size:Wire.feedback_size
         ~src:(Netsim.Node.id t.node)
         ~dst:(Netsim.Packet.Unicast (Netsim.Node.id t.sender))
         ~created:now payload

@@ -65,7 +65,8 @@ let rec send_packet t =
     Obs.Metrics.Counter.inc t.m_sent;
     Obs.Metrics.Gauge.set t.m_rate t.rate;
     let p =
-      Netsim.Packet.alloc ~flow:t.flow ~size:t.s ~src:(Netsim.Node.id t.src)
+      Netsim.Packet.alloc (Netsim.Engine.arena t.engine)
+        ~flow:t.flow ~size:t.s ~src:(Netsim.Node.id t.src)
         ~dst:(Netsim.Packet.Unicast (Netsim.Node.id t.dst))
         ~created:now payload
     in

@@ -321,34 +321,6 @@ let prop_equation_oracle_random_loss =
       let mg = Experiments.Chk02_equation.mean_gap samples in
       Float.is_finite mg && mg <= 0.5)
 
-(* ------------------------------------------- feedback timer memo parity *)
-
-let test_expected_messages_parity () =
-  let module F = Tfmcc_core.Feedback_timer in
-  let cases =
-    [
-      (* n, n_estimate, delay, t_suppress *)
-      (1, 10_000, 0.05, 2.0);
-      (1, 1, 0., 1.0);
-      (10, 10_000, 0., 2.0) (* delay = 0 *);
-      (10, 10_000, 2.0, 2.0) (* delay = T: no suppression at all *);
-      (10, 10_000, 5.0, 2.0) (* delay > T *);
-      (10_000, 1_000_000, 0.25, 2.0) (* huge N *);
-      (500, 2, 0.1, 1.5) (* tiny estimate *);
-    ]
-  in
-  List.iter
-    (fun (n, n_estimate, delay, t_suppress) ->
-      let label =
-        Printf.sprintf "n=%d N=%d delay=%g T'=%g" n n_estimate delay t_suppress
-      in
-      let reference = F.expected_messages_uncached ~n ~n_estimate ~delay ~t_suppress in
-      let first = F.expected_messages ~n ~n_estimate ~delay ~t_suppress in
-      let second = F.expected_messages ~n ~n_estimate ~delay ~t_suppress in
-      Alcotest.(check (float 0.)) (label ^ " (cold)") reference first;
-      Alcotest.(check (float 0.)) (label ^ " (memoized)") reference second)
-    cases
-
 let () =
   Alcotest.run "check"
     [
@@ -393,9 +365,4 @@ let () =
             prop_differential_oracle_random_topologies;
             prop_equation_oracle_random_loss;
           ] );
-      ( "feedback timer",
-        [
-          Alcotest.test_case "memo = uncached on boundary params" `Quick
-            test_expected_messages_parity;
-        ] );
     ]

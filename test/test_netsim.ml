@@ -807,7 +807,7 @@ let test_link_delivery_latency () =
    the loss draw, the arrival event and the far node's handler, which
    sends the packet again.
    Pinned at 0 words per hop; it read 4 while the transmission time
-   crossed into [Link_table] and [Engine] as a float, boxed twice. *)
+   crossed two module boundaries as a float, boxed twice. *)
 let test_link_hop_words () =
   let e = Netsim.Engine.create () in
   let src = Netsim.Node.create ~id:0 and dst = Netsim.Node.create ~id:1 in
@@ -1543,16 +1543,15 @@ let prop_pool_recycle_no_stale =
   QCheck.Test.make ~name:"recycled arena slot is fully re-initialized" ~count:200
     QCheck.(pair packet_fields packet_fields)
     (fun (fa, fb) ->
-      let pl = Netsim.Packet.Pool.domain () in
-      QCheck.assume (Netsim.Packet.Pool.free pl > 0);
+      let arena = Netsim.Packet.arena () in
       let alloc (flow, size, src, d) tag =
-        Netsim.Packet.alloc ~flow ~size ~src ~dst:(mk_dst d)
+        Netsim.Packet.alloc arena ~flow ~size ~src ~dst:(mk_dst d)
           ~created:(float_of_int tag) (Netsim.Packet.Raw tag)
       in
       let a = alloc fa 1 in
       let uid_a = a.Netsim.Packet.uid in
       Netsim.Packet.set_hops a 5;
-      Netsim.Packet.release a;
+      Netsim.Packet.release arena a;
       let b = alloc fb 2 in
       let flow, size, src, d = fb in
       let ok =
@@ -1569,114 +1568,48 @@ let prop_pool_recycle_no_stale =
         && b.Netsim.Packet.payload = Netsim.Packet.Raw 2
         && Netsim.Packet.is_live b
       in
-      Netsim.Packet.release b;
+      Netsim.Packet.release arena b;
       ok)
-
-let prop_pool_exhaustion_falls_back =
-  QCheck.Test.make ~name:"arena exhaustion falls back to heap records" ~count:20
-    QCheck.(int_range 1 50)
-    (fun extra ->
-      let pl = Netsim.Packet.Pool.domain () in
-      let alloc tag =
-        Netsim.Packet.alloc ~flow:7 ~size:100 ~src:1
-          ~dst:(Netsim.Packet.Unicast 2) ~created:0. (Netsim.Packet.Raw tag)
-      in
-      let drained = ref [] in
-      Fun.protect
-        ~finally:(fun () -> List.iter Netsim.Packet.release !drained)
-        (fun () ->
-          while Netsim.Packet.Pool.free pl > 0 do
-            drained := alloc 0 :: !drained
-          done;
-          let before = Netsim.Packet.Pool.exhausted pl in
-          let fallbacks = List.init extra alloc in
-          let after = Netsim.Packet.Pool.exhausted pl in
-          after - before = extra
-          && List.for_all
-               (fun p ->
-                 (not p.Netsim.Packet.pooled)
-                 && Netsim.Packet.is_live p
-                 && p.Netsim.Packet.flow = 7
-                 &&
-                 (* release on a heap fallback is a no-op: the record
-                    stays live and never enters the arena *)
-                 (Netsim.Packet.release p;
-                  Netsim.Packet.is_live p && Netsim.Packet.Pool.free pl = 0))
-               fallbacks))
 
 let prop_pool_uaf_guard_fires =
   QCheck.Test.make ~name:"guard trips on a released arena packet" ~count:100
     packet_fields
     (fun (flow, size, src, d) ->
-      let pl = Netsim.Packet.Pool.domain () in
-      QCheck.assume (Netsim.Packet.Pool.free pl > 0);
+      let arena = Netsim.Packet.arena () in
       let p =
-        Netsim.Packet.alloc ~flow ~size ~src ~dst:(mk_dst d) ~created:0.
+        Netsim.Packet.alloc arena ~flow ~size ~src ~dst:(mk_dst d) ~created:0.
           (Netsim.Packet.Raw 0)
       in
       Netsim.Packet.guard "live" p;
       (* a live packet passes *)
-      Netsim.Packet.release p;
+      Netsim.Packet.release arena p;
       (not (Netsim.Packet.is_live p))
       &&
       match Netsim.Packet.guard "released" p with
       | () -> false
       | exception Netsim.Packet.Use_after_free _ -> true)
 
-let test_pool_reclaim () =
-  let pl = Netsim.Packet.Pool.domain () in
-  let cap = Netsim.Packet.Pool.capacity pl in
-  let alloc flow i =
-    Netsim.Packet.alloc ~flow ~size:100 ~src:0 ~dst:(Netsim.Packet.Unicast 1)
-      ~created:0. (Netsim.Packet.Raw i)
+let test_pool_double_release () =
+  let arena = Netsim.Packet.arena () in
+  let p =
+    Netsim.Packet.alloc arena ~flow:1 ~size:100 ~src:0
+      ~dst:(Netsim.Packet.Unicast 1) ~created:0. (Netsim.Packet.Raw 0)
   in
-  Netsim.Packet.Pool.reclaim pl;
-  (* Five records are dropped without release, as by an engine whose
-     run ended with packets in flight. *)
-  let held = List.init 5 (alloc 1) in
-  Alcotest.(check int) "five held" (cap - 5) (Netsim.Packet.Pool.free pl);
-  let w0 = Gc.minor_words () in
-  Netsim.Packet.Pool.reclaim pl;
-  let w1 = Gc.minor_words () in
-  Alcotest.(check (float 0.)) "allocation-free" 0. (w1 -. w0);
-  Alcotest.(check int) "arena full again" cap (Netsim.Packet.Pool.free pl);
-  Alcotest.(check bool) "held records are free, not live" true
-    (List.for_all (fun p -> not (Netsim.Packet.is_live p)) held);
-  (* Every slot is a distinct arena record: drawing all of them takes
-     no heap fallback and never hands out one record twice (a repeat
-     would carry the later index). *)
-  let before = Netsim.Packet.Pool.exhausted pl in
-  let drawn = List.init cap (alloc 2) in
-  List.iteri (fun i p -> Netsim.Packet.set_hops p i) drawn;
-  Alcotest.(check int) "no fallback" before (Netsim.Packet.Pool.exhausted pl);
-  Alcotest.(check bool) "all pooled" true (List.for_all (fun p -> p.Netsim.Packet.pooled) drawn);
-  Alcotest.(check bool) "distinct records" true
-    (List.for_all Fun.id (List.mapi (fun i p -> p.Netsim.Packet.hops = i) drawn));
-  List.iter Netsim.Packet.release drawn
-
-let test_pool_debug_double_release () =
-  let pl = Netsim.Packet.Pool.domain () in
-  let was = Netsim.Packet.Pool.debug pl in
-  Fun.protect
-    ~finally:(fun () -> Netsim.Packet.Pool.set_debug pl was)
-    (fun () ->
-      Netsim.Packet.Pool.set_debug pl true;
-      let p =
-        Netsim.Packet.alloc ~flow:1 ~size:100 ~src:0
-          ~dst:(Netsim.Packet.Unicast 1) ~created:0. (Netsim.Packet.Raw 0)
-      in
-      Alcotest.(check bool) "drawn from the arena" true p.Netsim.Packet.pooled;
-      let uid = p.Netsim.Packet.uid in
-      Netsim.Packet.release p;
-      (* Debug mode poisons the scalars so a stale reader sees values no
-         real packet carries. *)
-      Alcotest.(check int) "size poisoned" min_int p.Netsim.Packet.size;
-      Alcotest.(check int) "flow poisoned" min_int p.Netsim.Packet.flow;
-      Alcotest.(check int) "hops poisoned" min_int p.Netsim.Packet.hops;
-      Alcotest.check_raises "double release raises"
-        (Netsim.Packet.Use_after_free
-           (Printf.sprintf "double release of packet #%d" uid))
-        (fun () -> Netsim.Packet.release p))
+  Alcotest.(check bool) "drawn from the arena" true p.Netsim.Packet.pooled;
+  let uid = p.Netsim.Packet.uid in
+  Netsim.Packet.release arena p;
+  Alcotest.check_raises "double release raises"
+    (Netsim.Packet.Use_after_free
+       (Printf.sprintf "double release of packet #%d" uid))
+    (fun () -> Netsim.Packet.release arena p);
+  (* A heap packet is the GC's: releasing it twice is a no-op. *)
+  let h =
+    Netsim.Packet.make ~flow:1 ~size:100 ~src:0 ~dst:(Netsim.Packet.Unicast 1)
+      ~created:0. (Netsim.Packet.Raw 0)
+  in
+  Netsim.Packet.release arena h;
+  Netsim.Packet.release arena h;
+  Alcotest.(check bool) "heap packet stays live" true (Netsim.Packet.is_live h)
 
 let () =
   Alcotest.run "netsim"
@@ -1764,14 +1697,9 @@ let () =
           Alcotest.test_case "transit-stub shape" `Quick test_topo_gen_transit_stub_shape;
         ] );
       ( "pool",
-        Alcotest.test_case "debug poison + double release" `Quick
-          test_pool_debug_double_release
-        :: Alcotest.test_case "reclaim takes back held records" `Quick test_pool_reclaim
+        Alcotest.test_case "double release raises" `Quick test_pool_double_release
         :: List.map QCheck_alcotest.to_alcotest
-             [
-               prop_pool_recycle_no_stale; prop_pool_exhaustion_falls_back;
-               prop_pool_uaf_guard_fires;
-             ] );
+             [ prop_pool_recycle_no_stale; prop_pool_uaf_guard_fires ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [

@@ -241,11 +241,8 @@ let test_tcp_stop_halts () =
    routed hop allocated nothing, the source scheduled its emits and its
    timeout without a per-segment closure or boxed float, and both ends
    reused their packets' [Unicast] destination.  History: 85.09 before
-   (7 words per next-hop lookup, 6 lookups per segment and its ACK).
-   The arena is reclaimed first, so packets that earlier tests left in
-   flight cannot send this one's down the allocating fallback. *)
+   (7 words per next-hop lookup, 6 lookups per segment and its ACK). *)
 let test_tcp_words_per_segment () =
-  Netsim.Packet.Pool.(reclaim (domain ()));
   let e, topo, s, r = dumbbell ~bandwidth_bps:1e6 ~delay_s:0.01 ~n_pairs:1 in
   let src = Tcp.Tcp_source.create topo ~conn:1 ~flow:1 ~src:s.(0) ~dst:r.(0) () in
   let sink = Tcp.Tcp_sink.create topo ~conn:1 ~node:r.(0) () in

@@ -123,31 +123,6 @@ let test_expected_messages_sanity () =
   (* Degenerate: delay >= T' means nobody can be suppressed. *)
   check_float "no suppression window" 50. (e ~n:50 ~t':0.5)
 
-let test_expected_messages_memo_consistent () =
-  (* Repeated and interleaved queries must agree with the uncached
-     integral, including after enough distinct keys to force a cache
-     reset. *)
-  let check ~n ~t_suppress =
-    let cached =
-      Tfmcc_core.Feedback_timer.expected_messages ~n ~n_estimate:10_000
-        ~delay:1. ~t_suppress
-    in
-    let fresh =
-      Tfmcc_core.Feedback_timer.expected_messages_uncached ~n
-        ~n_estimate:10_000 ~delay:1. ~t_suppress
-    in
-    Alcotest.(check (float 1e-12))
-      (Printf.sprintf "memo matches integral (n=%d t'=%g)" n t_suppress)
-      fresh cached
-  in
-  check ~n:1000 ~t_suppress:4.;
-  check ~n:1000 ~t_suppress:4.;
-  (* > memo_capacity distinct keys, then re-query the first. *)
-  for i = 1 to 600 do
-    check ~n:i ~t_suppress:4.
-  done;
-  check ~n:1000 ~t_suppress:4.
-
 let test_expected_messages_matches_simulation () =
   (* Cross-check the integral against a Monte-Carlo of the same process. *)
   let n = 200 and t' = 4. and delay = 1. in
@@ -539,8 +514,6 @@ let () =
           Alcotest.test_case "cancellation rule" `Quick test_should_cancel_extremes;
           Alcotest.test_case "round duration" `Quick test_round_duration_regimes;
           Alcotest.test_case "E[M] sanity" `Quick test_expected_messages_sanity;
-          Alcotest.test_case "E[M] memo consistent" `Quick
-            test_expected_messages_memo_consistent;
           Alcotest.test_case "E[M] vs Monte-Carlo" `Slow test_expected_messages_matches_simulation;
         ] );
       ( "rtt_estimator",
