@@ -460,7 +460,7 @@ let dot_cmd =
             [ ts.Netsim.Topo_gen.transits; ts.Netsim.Topo_gen.stubs; ts.Netsim.Topo_gen.hosts ]
       | `Tree -> Netsim.Topo_gen.random_tree topo rng ~n:size ()
       | `Star ->
-          let hub, leaves = Netsim.Topo_gen.star topo ~leaves:size () in
+          let hub, leaves = Netsim.Topo_gen.star topo ~leaves:size in
           Array.append [| hub |] leaves
     in
     print_endline "graph topology {";

@@ -29,7 +29,7 @@ let () =
   let receivers =
     List.map
       (fun (name, rx) ->
-        let r = Layered.Receiver.create topo ~session:1 ~node:rx () in
+        let r = Layered.Receiver.create topo ~session:1 ~node:rx in
         Layered.Receiver.join r;
         (name, rx, r))
       nodes

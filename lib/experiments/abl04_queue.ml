@@ -8,7 +8,7 @@ let run_one ~seed ~red ~t_end ~n_tcp =
   let right = Netsim.Topology.add_node topo in
   let mk_queue () =
     if red then
-      Netsim.Queue_disc.red ~rng:(Netsim.Engine.split_rng eng) ~capacity_pkts:50 ()
+      Netsim.Queue_disc.red ~rng:(Netsim.Engine.split_rng eng) ~capacity_pkts:50
     else Netsim.Queue_disc.droptail ~capacity_pkts:50
   in
   ignore

@@ -29,8 +29,7 @@ let run_one ~seed ~cross ~t_end =
         match cross with
         | Cbr -> Netsim.Traffic.cbr topo ~flow:99 ~src:csrc ~dst:cdst ~rate_bps:1e6 ()
         | On_off ->
-            Netsim.Traffic.on_off topo ~flow:99 ~src:csrc ~dst:cdst ~rate_bps:2e6
-              ~on_mean:1. ~off_mean:1. ()
+            Netsim.Traffic.on_off topo ~flow:99 ~src:csrc ~dst:cdst ~rate_bps:2e6 ()
         | Poisson ->
             Netsim.Traffic.poisson topo ~flow:99 ~src:csrc ~dst:cdst ~rate_bps:1e6 ()
         | No_cross -> assert false

@@ -36,7 +36,7 @@ let run_tfrc ~seed ~bottleneck_bps ~delay_s ~queue_capacity ~t_end =
     Tfrc.Tfrc_sender.create sc.Scenario.topo ~conn:1 ~flow:tfrc_flow ~src ~dst ()
   in
   let _receiver =
-    Tfrc.Tfrc_receiver.create sc.Scenario.topo ~conn:1 ~node:dst ~sender:src ()
+    Tfrc.Tfrc_receiver.create sc.Scenario.topo ~conn:1 ~node:dst ~sender:src
   in
   Netsim.Monitor.watch_node_flow sc.Scenario.monitor dst ~flow:tfrc_flow;
   Tfrc.Tfrc_sender.start sender ~at:0.;

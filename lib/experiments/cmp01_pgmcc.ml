@@ -68,11 +68,11 @@ let run_pgmcc ~seed ~t_end =
   in
   let r1 =
     Pgmcc.Receiver.create b.b_sc.Scenario.topo ~session:Scenario.tfmcc_flow
-      ~node:b.b_rx_clean ~sender:b.b_sender ()
+      ~node:b.b_rx_clean ~sender:b.b_sender
   in
   let r2 =
     Pgmcc.Receiver.create b.b_sc.Scenario.topo ~session:Scenario.tfmcc_flow
-      ~node:b.b_rx_lossy ~sender:b.b_sender ()
+      ~node:b.b_rx_lossy ~sender:b.b_sender
   in
   Pgmcc.Receiver.join r1;
   Pgmcc.Receiver.join r2;

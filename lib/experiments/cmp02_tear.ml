@@ -29,14 +29,14 @@ let run ~mode ~seed =
   (* TFRC *)
   let sc1, a1, b1 = build ~seed in
   let tfrc = Tfrc.Tfrc_sender.create sc1.Scenario.topo ~conn:1 ~flow:1 ~src:a1 ~dst:b1 () in
-  let _r1 = Tfrc.Tfrc_receiver.create sc1.Scenario.topo ~conn:1 ~node:b1 ~sender:a1 () in
+  let _r1 = Tfrc.Tfrc_receiver.create sc1.Scenario.topo ~conn:1 ~node:b1 ~sender:a1 in
   Tfrc.Tfrc_sender.start tfrc ~at:0.;
   Scenario.run_until sc1 t_end;
   let tfrc_mean, tfrc_cov = stats sc1 ~flow:1 ~t_end in
   (* TEAR *)
   let sc2, a2, b2 = build ~seed in
   let tear = Tear.Sender.create sc2.Scenario.topo ~conn:1 ~flow:1 ~src:a2 ~dst:b2 () in
-  let tear_rx = Tear.Receiver.create sc2.Scenario.topo ~conn:1 ~node:b2 ~sender:a2 () in
+  let tear_rx = Tear.Receiver.create sc2.Scenario.topo ~conn:1 ~node:b2 ~sender:a2 in
   Tear.Sender.start tear ~at:0.;
   Scenario.run_until sc2 t_end;
   let tear_mean, tear_cov = stats sc2 ~flow:1 ~t_end in

@@ -25,7 +25,7 @@ let run ~mode ~seed =
   (* PGMCC session (flow 2). *)
   let pg_sender = mk_left () and pg_rx = mk_right () in
   let pg_snd = Pgmcc.Sender.create topo ~session:2 ~node:pg_sender () in
-  let pg_r = Pgmcc.Receiver.create topo ~session:2 ~node:pg_rx ~sender:pg_sender () in
+  let pg_r = Pgmcc.Receiver.create topo ~session:2 ~node:pg_rx ~sender:pg_sender in
   Pgmcc.Receiver.join pg_r;
   Netsim.Monitor.watch_node_flow sc.Scenario.monitor pg_rx ~flow:2;
   (* TCP reference (flow 100). *)

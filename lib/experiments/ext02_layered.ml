@@ -19,7 +19,7 @@ let run ~mode ~seed =
   let receivers =
     Array.map
       (fun rx ->
-        let r = Layered.Receiver.create topo ~session:1 ~node:rx () in
+        let r = Layered.Receiver.create topo ~session:1 ~node:rx in
         Layered.Receiver.join r;
         r)
       rx_nodes

@@ -8,7 +8,7 @@ let run ~mode ~seed =
   let topo = sc.Scenario.topo in
   let rng = Netsim.Engine.rng sc.Scenario.engine in
   let ts =
-    Netsim.Topo_gen.transit_stub topo (Stats.Rng.split rng) ~transits:4
+    Netsim.Topo_gen.transit_stub topo (Stats.Rng.split rng)
       ~stubs_per_transit ~hosts_per_stub ()
   in
   (* The sender is the first host; everyone else receives.  One stub link

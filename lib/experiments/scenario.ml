@@ -61,8 +61,8 @@ let tcp_flow i = 100 + i
 type tcp_pair = { source : Tcp.Tcp_source.t; sink : Tcp.Tcp_sink.t; flow : int }
 
 let add_tcp sc ~conn ~flow ~src ~dst ~at =
-  let source = Tcp.Tcp_source.create sc.topo ~conn ~flow ~src ~dst () in
-  let sink = Tcp.Tcp_sink.create sc.topo ~conn ~node:dst () in
+  let source = Tcp.Tcp_source.create sc.topo ~conn ~flow ~src ~dst in
+  let sink = Tcp.Tcp_sink.create sc.topo ~conn ~node:dst in
   Netsim.Monitor.watch_node_flow sc.monitor dst ~flow;
   Tcp.Tcp_source.start source ~at;
   { source; sink; flow }
@@ -80,7 +80,7 @@ type dumbbell = {
 }
 
 let dumbbell ?seed ?obs ?(cfg = Tfmcc_core.Config.default) ~bottleneck_bps
-    ~delay_s ?(queue_capacity = 50) ~n_tfmcc_rx ~n_tcp ?(tcp_start = 0.) () =
+    ~delay_s ?(queue_capacity = 50) ~n_tfmcc_rx ~n_tcp () =
   let sc = base ?seed ?obs () in
   let left = Netsim.Topology.add_node sc.topo in
   let right = Netsim.Topology.add_node sc.topo in
@@ -112,7 +112,7 @@ let dumbbell ?seed ?obs ?(cfg = Tfmcc_core.Config.default) ~bottleneck_bps
   let tcp =
     List.init n_tcp (fun i ->
         let src = mk_left () and dst = mk_right () in
-        add_tcp sc ~conn:(1000 + i) ~flow:(tcp_flow i) ~src ~dst ~at:tcp_start)
+        add_tcp sc ~conn:(1000 + i) ~flow:(tcp_flow i) ~src ~dst ~at:0.)
   in
   (match ambient_checker () with
   | Some checker ->
@@ -140,9 +140,9 @@ type star = {
   s_tcp : tcp_pair array;
 }
 
-let star ?seed ?obs ?(cfg = Tfmcc_core.Config.default) ?uplink_bps
-    ?(uplink_delay = 0.005) ~link_bps ~link_delays ?link_losses ?return_losses
-    ?(queue_capacity = 50) ?(with_tcp = false) ?(tcp_start = 0.) () =
+let star ?seed ?obs ?(cfg = Tfmcc_core.Config.default) ?uplink_bps ~link_bps
+    ~link_delays ?link_losses ?return_losses ?(queue_capacity = 50)
+    ?(with_tcp = false) () =
   let n = Array.length link_delays in
   if n = 0 then invalid_arg "Scenario.star: need at least one receiver";
   (match link_losses with
@@ -159,7 +159,7 @@ let star ?seed ?obs ?(cfg = Tfmcc_core.Config.default) ?uplink_bps
   let hub = Netsim.Topology.add_node sc.topo in
   ignore
     (Netsim.Topology.connect sc.topo ~queue_capacity ~bandwidth_bps:uplink_bps
-       ~delay_s:uplink_delay sender hub);
+       ~delay_s:0.005 sender hub);
   let rng = Netsim.Engine.rng sc.engine in
   let rx_nodes = Array.make n sender and rx_links = Array.make n None in
   for i = 0 to n - 1 do
@@ -197,7 +197,7 @@ let star ?seed ?obs ?(cfg = Tfmcc_core.Config.default) ?uplink_bps
             (Netsim.Topology.connect sc.topo ~bandwidth_bps:uplink_bps
                ~delay_s:0.001 src hub);
           add_tcp sc ~conn:(2000 + i) ~flow:(tcp_flow i) ~src ~dst:rx_nodes.(i)
-            ~at:tcp_start)
+            ~at:0.)
   in
   (match ambient_checker () with
   | Some checker ->

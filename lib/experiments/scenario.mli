@@ -85,16 +85,15 @@ val dumbbell :
   ?queue_capacity:int ->
   n_tfmcc_rx:int ->
   n_tcp:int ->
-  ?tcp_start:float ->
   unit ->
   dumbbell
-(** TCP flows start at [tcp_start] (default 0); TFMCC is created but not
-    started — call [Tfmcc_core.Session.start]. *)
+(** TCP flows start at time 0; TFMCC is created but not started — call
+    [Tfmcc_core.Session.start]. *)
 
-(** Star of per-receiver links: TFMCC sender behind a fat uplink to a hub;
-    receiver i sits behind its own link with the given loss model /
-    delay / bandwidth.  Optionally one TCP crosses each receiver link
-    (its source on a per-receiver side node). *)
+(** Star of per-receiver links: TFMCC sender behind a fat 5 ms uplink to
+    a hub; receiver i sits behind its own link with the given loss model /
+    delay / bandwidth.  Optionally one TCP, started at time 0, crosses each
+    receiver link (its source on a per-receiver side node). *)
 type star = {
   s_sc : t;
   s_session : Tfmcc_core.Session.t;
@@ -109,14 +108,12 @@ val star :
   ?obs:Obs.Sink.t ->
   ?cfg:Tfmcc_core.Config.t ->
   ?uplink_bps:float ->
-  ?uplink_delay:float ->
   link_bps:float ->
   link_delays:float array ->
   ?link_losses:float array ->
   ?return_losses:float array ->
   ?queue_capacity:int ->
   ?with_tcp:bool ->
-  ?tcp_start:float ->
   unit ->
   star
 (** One receiver per entry of [link_delays].  [link_losses] (same length)

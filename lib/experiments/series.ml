@@ -77,10 +77,13 @@ let to_json t =
       ("notes", Obs.Json.Arr (List.map (fun n -> Obs.Json.Str n) t.notes));
     ]
 
-let render_ascii ?(width = 72) ?(height = 12) t ~col =
+(* Plot size in text columns and rows. *)
+let width = 72
+let height = 12
+
+let render_ascii t ~col =
   if col < 0 || col >= List.length t.ylabels then
     invalid_arg "Series.render_ascii: column out of range";
-  if width < 8 || height < 2 then invalid_arg "Series.render_ascii: too small";
   let pts =
     List.filter_map
       (fun (x, ys) ->

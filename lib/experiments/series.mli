@@ -27,11 +27,9 @@ val to_json : t -> Obs.Json.t
 (** [{"title", "xlabel", "ylabels", "rows" (x then ys per row), "notes"}];
     NaN/infinite cells serialize as JSON [null]. *)
 
-val render_ascii :
-  ?width:int -> ?height:int -> t -> col:int -> string
-(** A terminal plot of one y column against x: [height] text rows
-    (default 12) by [width] columns (default 72), with a y-axis scale.
-    NaN points are skipped. *)
+val render_ascii : t -> col:int -> string
+(** A terminal plot of one y column against x: 12 text rows by 72
+    columns, with a y-axis scale.  NaN points are skipped. *)
 
 val summary_stats : t -> col:int -> Stats.Descriptive.summary
 (** Summary of one y column (raises on an empty series or an

@@ -1,11 +1,14 @@
+(* The configured RTT (there is no feedback channel to measure one),
+   the initial per-layer join backoff, and the equation's b. *)
+let rtt_estimate = 0.1
+let min_join_interval = 2.
+let b = 2.
+
 type t = {
   topo : Netsim.Topology.t;
   engine : Netsim.Engine.t;
   session : int;
   node : Netsim.Node.t;
-  rtt : float;
-  min_join_interval : float;
-  b : float;
   history : Tfrc.Loss_history.t;
   (* Combined arrival clock: layer seq spaces are interleaved, so losses
      are detected per layer and folded into one synthetic sequence. *)
@@ -40,7 +43,7 @@ let cumulative_rate t =
 let calculated_rate t =
   let p = loss_event_rate t in
   if p <= 0. then infinity
-  else Tcp_model.Padhye.throughput ~b:t.b ~s:Wire.data_size ~rtt:t.rtt p
+  else Tcp_model.Padhye.throughput ~b ~s:Wire.data_size ~rtt:rtt_estimate p
 
 let group t layer = Wire.group_of ~session:t.session ~layer
 
@@ -59,7 +62,7 @@ let ensure_arrays t n =
     in
     t.expected <- grow t.expected (-1);
     t.cum_rates <- grow t.cum_rates 0.;
-    t.join_backoff <- grow t.join_backoff t.min_join_interval;
+    t.join_backoff <- grow t.join_backoff min_join_interval;
     t.next_join_ok <- grow t.next_join_ok 0.
   end
 
@@ -101,7 +104,7 @@ let evaluate t =
 let rec schedule_eval t =
   t.eval_timer <-
     Some
-      (Netsim.Engine.after t.engine ~delay:(4. *. t.rtt) (fun () ->
+      (Netsim.Engine.after t.engine ~delay:(4. *. rtt_estimate) (fun () ->
            t.eval_timer <- None;
            if t.joined then begin
              evaluate t;
@@ -136,11 +139,7 @@ let on_data t ~layer ~seq ~cumulative_rate ~next_cumulative =
     Tfrc.Loss_history.on_packet t.history ~seq:(t.clock - 1)
   end
 
-let create topo ~session ~node ?(rtt_estimate = 0.1) ?(min_join_interval = 2.)
-    ?(b = 2.) () =
-  if rtt_estimate <= 0. then invalid_arg "Layered.Receiver.create: rtt_estimate";
-  if min_join_interval <= 0. then
-    invalid_arg "Layered.Receiver.create: min_join_interval";
+let create topo ~session ~node =
   let engine = Netsim.Topology.engine topo in
   let t =
     {
@@ -148,9 +147,6 @@ let create topo ~session ~node ?(rtt_estimate = 0.1) ?(min_join_interval = 2.)
       engine;
       session;
       node;
-      rtt = rtt_estimate;
-      min_join_interval;
-      b;
       history =
         Tfrc.Loss_history.create ~clock:(Netsim.Engine.time_cell engine)
           ~rtt:(fun () -> rtt_estimate) ();

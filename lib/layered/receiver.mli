@@ -22,13 +22,10 @@ val create :
   Netsim.Topology.t ->
   session:int ->
   node:Netsim.Node.t ->
-  ?rtt_estimate:float ->
-  ?min_join_interval:float ->
-  ?b:float ->
-  unit ->
   t
-(** Defaults: RTT estimate 100 ms, initial per-layer join backoff 2 s,
-    equation parameter b = 2 (as in the TFMCC config). *)
+(** The receiver assumes an RTT of 100 ms, waits an initial per-layer
+    join backoff of 2 s and uses the equation parameter b = 2 (as in
+    the TFMCC config). *)
 
 val join : t -> unit
 (** Subscribes to layer 0 and starts the controller. *)

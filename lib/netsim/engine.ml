@@ -3,6 +3,15 @@
    [Event_heap.step] — is a plain store.  A [mutable float] in the
    mixed engine record would allocate a fresh boxed float on every one
    of the millions of events. *)
+type link_counters = {
+  m_tx : Obs.Metrics.Counter.t;
+  m_deliver : Obs.Metrics.Counter.t;
+  m_drop_queue : Obs.Metrics.Counter.t;
+  m_drop_loss : Obs.Metrics.Counter.t;
+  m_drop_down : Obs.Metrics.Counter.t;
+  m_drop_ttl : Obs.Metrics.Counter.t;
+}
+
 type t = {
   heap : Packet.t Event_heap.t;
   arena : Packet.arena;  (* free records of this engine's packets *)
@@ -12,6 +21,7 @@ type t = {
   mutable processed : int;
   obs : Obs.Sink.t;
   ev_counter : Obs.Metrics.Counter.t;  (* engine-loop events processed *)
+  mutable link_counters : link_counters option;  (* built by the first link *)
   (* Watchdog hook: [watchdog] runs every [wd_every] processed events.
      [wd_countdown] starts at [max_int] when no watchdog is installed,
      so the per-event cost without one is a single decrement that never
@@ -33,6 +43,7 @@ let create ?(seed = 42) ?(obs = Obs.Sink.null) () =
     processed = 0;
     obs;
     ev_counter = Obs.Metrics.counter obs.Obs.Sink.metrics "netsim_engine_events_total";
+    link_counters = None;
     watchdog = None;
     wd_every = max_int;
     wd_countdown = max_int;
@@ -41,6 +52,24 @@ let create ?(seed = 42) ?(obs = Obs.Sink.null) () =
 let obs t = t.obs
 
 let arena t = t.arena
+
+let link_counters t =
+  match t.link_counters with
+  | Some c -> c
+  | None ->
+      let metrics = t.obs.Obs.Sink.metrics in
+      let c =
+        {
+          m_tx = Obs.Metrics.counter metrics "netsim_link_tx_total";
+          m_deliver = Obs.Metrics.counter metrics "netsim_link_deliver_total";
+          m_drop_queue = Obs.Metrics.counter metrics "netsim_link_drop_queue_total";
+          m_drop_loss = Obs.Metrics.counter metrics "netsim_link_drop_loss_total";
+          m_drop_down = Obs.Metrics.counter metrics "netsim_link_drop_down_total";
+          m_drop_ttl = Obs.Metrics.counter metrics "netsim_link_drop_ttl_total";
+        }
+      in
+      t.link_counters <- Some c;
+      c
 
 let set_watchdog t ?(every_events = 4096) f =
   if every_events < 1 then
@@ -107,9 +136,8 @@ let at_unit t ~base ~offset callback =
 
 let cancel t handle = Event_heap.cancel t.heap handle
 
-let every t ?start ?until ~interval callback =
+let every t ?until ~interval callback =
   if interval <= 0. then invalid_arg "Engine.every: interval must be positive";
-  let start = Option.value start ~default:(t.clock.Event_heap.cell_time +. interval) in
   let rec tick time =
     match until with
     | Some limit when time > limit -> ()
@@ -118,7 +146,7 @@ let every t ?start ?until ~interval callback =
             callback ();
             tick (time +. interval))
   in
-  tick (Float.max t.clock.Event_heap.cell_time start)
+  tick (t.clock.Event_heap.cell_time +. interval)
 
 (* Per-event accounting, run by [Event_heap.step] between the clock
    write and the callback. *)

@@ -27,6 +27,21 @@ val arena : t -> Packet.arena
     with the engine, so packets still in flight when a run is abandoned
     cost the next engine nothing. *)
 
+(** The registry counters every link of an engine shares. *)
+type link_counters = {
+  m_tx : Obs.Metrics.Counter.t;
+  m_deliver : Obs.Metrics.Counter.t;
+  m_drop_queue : Obs.Metrics.Counter.t;
+  m_drop_loss : Obs.Metrics.Counter.t;
+  m_drop_down : Obs.Metrics.Counter.t;
+  m_drop_ttl : Obs.Metrics.Counter.t;
+}
+
+val link_counters : t -> link_counters
+(** This engine's [netsim_link_*_total] counters.  The first call (the
+    first {!Link.create} on the engine) registers them in the engine's
+    registry; later calls return the same bundle. *)
+
 val now : t -> float
 (** Current simulated time in seconds. *)
 
@@ -74,10 +89,9 @@ val at_unit :
 
 val cancel : t -> handle -> unit
 
-val every :
-  t -> ?start:float -> ?until:float -> interval:float -> (unit -> unit) -> unit
-(** Schedules [callback] at [start] (default now + interval) and every
-    [interval] seconds thereafter, stopping after [until] if given —
+val every : t -> ?until:float -> interval:float -> (unit -> unit) -> unit
+(** Schedules [callback] at now + [interval] and every [interval]
+    seconds thereafter, stopping after [until] if given —
     without [until] the schedule is unbounded, so drive the engine with
     [run ~until].  Used by the periodic audits of [Check.Invariant]
     and the sim-time poll of {!Watchdog}. *)

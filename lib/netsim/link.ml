@@ -47,44 +47,9 @@ type t = {
     Packet.t ->
     unit)
     option;
-  (* Registry instruments shared by every link of the engine (same
-     metric name -> same handle). *)
-  cs : counters;
+  (* Registry instruments shared by every link of the engine. *)
+  cs : Engine.link_counters;
 }
-
-and counters = {
-  m_tx : Obs.Metrics.Counter.t;
-  m_deliver : Obs.Metrics.Counter.t;
-  m_drop_queue : Obs.Metrics.Counter.t;
-  m_drop_loss : Obs.Metrics.Counter.t;
-  m_drop_down : Obs.Metrics.Counter.t;
-  m_drop_ttl : Obs.Metrics.Counter.t;
-}
-
-(* Every link of an engine resolves the same six registry handles, so
-   cache the bundle per registry (one-entry, keyed by physical equality)
-   instead of paying six Hashtbl lookups per link created.  The cache is
-   domain-local: parallel sweep domains each run their own engines and
-   must never share mutable state (see DESIGN.md section 9). *)
-let counters_cache : (Obs.Metrics.t * counters) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let counters_for metrics =
-  match Domain.DLS.get counters_cache with
-  | Some (m, c) when m == metrics -> c
-  | _ ->
-      let c =
-        {
-          m_tx = Obs.Metrics.counter metrics "netsim_link_tx_total";
-          m_deliver = Obs.Metrics.counter metrics "netsim_link_deliver_total";
-          m_drop_queue = Obs.Metrics.counter metrics "netsim_link_drop_queue_total";
-          m_drop_loss = Obs.Metrics.counter metrics "netsim_link_drop_loss_total";
-          m_drop_down = Obs.Metrics.counter metrics "netsim_link_drop_down_total";
-          m_drop_ttl = Obs.Metrics.counter metrics "netsim_link_drop_ttl_total";
-        }
-      in
-      Domain.DLS.set counters_cache (Some (metrics, c));
-      c
 
 let trace t ~kind p =
   match t.tracer with
@@ -141,7 +106,6 @@ let create engine ?(loss = Loss_model.none) ~bandwidth_bps ~delay_s ~queue ~src
     ~dst () =
   if bandwidth_bps <= 0. then invalid_arg "Link.create: bandwidth must be positive";
   if delay_s < 0. then invalid_arg "Link.create: negative delay";
-  let metrics = (Engine.obs engine).Obs.Sink.metrics in
   let t = {
     engine;
     loss;
@@ -168,7 +132,7 @@ let create engine ?(loss = Loss_model.none) ~bandwidth_bps ~delay_s ~queue ~src
     drop_ttl_n = 0;
     fault = None;
     tracer = None;
-    cs = counters_for metrics;
+    cs = Engine.link_counters engine;
   }
   in
   t.complete <- (fun () -> on_complete t);

@@ -1,13 +1,12 @@
 type red_state = {
   rng : Stats.Rng.t;
-  min_thresh : float;
-  max_thresh : float;
-  max_p : float;
-  weight : float;
   mutable avg : float;
   mutable count : int;  (* packets since last early drop *)
-  mutable idle_since : float option;
 }
+
+(* RED's maximum early-drop probability and queue-average EWMA weight. *)
+let max_p = 0.1
+let weight = 0.002
 
 type kind = Droptail | Red of red_state
 
@@ -37,27 +36,10 @@ let droptail ~capacity_pkts =
     drops = 0;
   }
 
-let red ~rng ~capacity_pkts ?min_thresh ?max_thresh ?(max_p = 0.1)
-    ?(weight = 0.002) () =
+let red ~rng ~capacity_pkts =
   if capacity_pkts <= 0 then invalid_arg "Queue_disc.red: capacity must be positive";
-  let cap = float_of_int capacity_pkts in
-  let min_thresh = Option.value min_thresh ~default:(cap /. 4.) in
-  let max_thresh = Option.value max_thresh ~default:(3. *. cap /. 4.) in
-  if min_thresh >= max_thresh then
-    invalid_arg "Queue_disc.red: min_thresh must be below max_thresh";
   {
-    kind =
-      Red
-        {
-          rng;
-          min_thresh;
-          max_thresh;
-          max_p;
-          weight;
-          avg = 0.;
-          count = -1;
-          idle_since = None;
-        };
+    kind = Red { rng; avg = 0.; count = -1 };
     capacity = capacity_pkts;
     ring = Array.make initial_ring Packet.dummy;
     head = 0;
@@ -88,19 +70,22 @@ let reject q =
 
 let red_enqueue q s p =
   let len = float_of_int q.len in
-  s.avg <- ((1. -. s.weight) *. s.avg) +. (s.weight *. len);
+  s.avg <- ((1. -. weight) *. s.avg) +. (weight *. len);
+  (* Thresholds in packets: a quarter and three quarters of capacity. *)
+  let cap = float_of_int q.capacity in
+  let min_thresh = cap /. 4. and max_thresh = 3. *. cap /. 4. in
   if q.len >= q.capacity then reject q
-  else if s.avg < s.min_thresh then begin
+  else if s.avg < min_thresh then begin
     s.count <- -1;
     accept q p
   end
-  else if s.avg >= s.max_thresh then begin
+  else if s.avg >= max_thresh then begin
     s.count <- 0;
     reject q
   end
   else begin
     s.count <- s.count + 1;
-    let pb = s.max_p *. (s.avg -. s.min_thresh) /. (s.max_thresh -. s.min_thresh) in
+    let pb = max_p *. (s.avg -. min_thresh) /. (max_thresh -. min_thresh) in
     let pa =
       let denom = 1. -. (float_of_int s.count *. pb) in
       if denom <= 0. then 1. else pb /. denom

@@ -9,19 +9,11 @@ type t
 val droptail : capacity_pkts:int -> t
 (** FIFO with a hard limit of [capacity_pkts] packets (ns-2 style). *)
 
-val red :
-  rng:Stats.Rng.t ->
-  capacity_pkts:int ->
-  ?min_thresh:float ->
-  ?max_thresh:float ->
-  ?max_p:float ->
-  ?weight:float ->
-  unit ->
-  t
+val red : rng:Stats.Rng.t -> capacity_pkts:int -> t
 (** Random Early Detection (Floyd & Jacobson 1993) over a FIFO of
-    [capacity_pkts].  Thresholds are in packets; defaults
-    [min_thresh] = capacity/4, [max_thresh] = 3*capacity/4,
-    [max_p] = 0.1, EWMA [weight] = 0.002. *)
+    [capacity_pkts], with thresholds at a quarter and three quarters of
+    capacity (in packets), a maximum early-drop probability of 0.1 and
+    a queue-average EWMA weight of 0.002. *)
 
 val enqueue : t -> Packet.t -> bool
 (** [enqueue q p] accepts or drops [p]; [false] means dropped. *)

@@ -4,21 +4,29 @@ type link_spec = {
   queue_capacity : int;
 }
 
+(* Star and random-tree links; also the transit-stub's stub links. *)
 let default_link = { bandwidth_bps = 10e6; delay_s = 0.005; queue_capacity = 50 }
+let core_link = { bandwidth_bps = 45e6; delay_s = 0.01; queue_capacity = 100 }
+let host_link = { bandwidth_bps = 2e6; delay_s = 0.002; queue_capacity = 50 }
+
+(* Upper bound of the uniform extra delay on each host link. *)
+let host_delay_jitter = 0.008
+
+let transits = 4
 
 let connect topo link a b =
   ignore
     (Topology.connect topo ~queue_capacity:link.queue_capacity
        ~bandwidth_bps:link.bandwidth_bps ~delay_s:link.delay_s a b)
 
-let star topo ~leaves ?(link = default_link) () =
+let star topo ~leaves =
   if leaves < 1 then invalid_arg "Topo_gen.star: need at least one leaf";
   let hub = Topology.add_node topo in
   let ls = Topology.add_nodes topo leaves in
-  Array.iter (fun l -> connect topo link hub l) ls;
+  Array.iter (fun l -> connect topo default_link hub l) ls;
   (hub, ls)
 
-let random_tree topo rng ~n ?(max_children = 4) ?(link = default_link) () =
+let random_tree topo rng ~n ?(max_children = 4) () =
   if n < 1 then invalid_arg "Topo_gen.random_tree: n must be positive";
   if max_children < 1 then invalid_arg "Topo_gen.random_tree: max_children";
   let nodes = Array.make n (Topology.add_node topo) in
@@ -33,7 +41,7 @@ let random_tree topo rng ~n ?(max_children = 4) ?(link = default_link) () =
     in
     let parent = pick 0 in
     children.(parent) <- children.(parent) + 1;
-    connect topo link nodes.(parent) nodes.(i)
+    connect topo default_link nodes.(parent) nodes.(i)
   done;
   nodes
 
@@ -43,27 +51,19 @@ type transit_stub = {
   hosts : Node.t array;
 }
 
-let transit_stub topo rng ?(transits = 4) ?(stubs_per_transit = 3)
-    ?(hosts_per_stub = 4)
-    ?(core_link = { bandwidth_bps = 45e6; delay_s = 0.01; queue_capacity = 100 })
-    ?(stub_link = { bandwidth_bps = 10e6; delay_s = 0.005; queue_capacity = 50 })
-    ?(host_link = { bandwidth_bps = 2e6; delay_s = 0.002; queue_capacity = 50 })
-    ?(host_delay_jitter = 0.008) () =
-  if transits < 1 || stubs_per_transit < 1 || hosts_per_stub < 1 then
+let transit_stub topo rng ?(stubs_per_transit = 3) ?(hosts_per_stub = 4) () =
+  if stubs_per_transit < 1 || hosts_per_stub < 1 then
     invalid_arg "Topo_gen.transit_stub: all counts must be positive";
   let ts = Topology.add_nodes topo transits in
-  (* Transit ring (a single link for transits = 2, nothing for 1). *)
-  if transits = 2 then connect topo core_link ts.(0) ts.(1)
-  else if transits > 2 then
-    for i = 0 to transits - 1 do
-      connect topo core_link ts.(i) ts.((i + 1) mod transits)
-    done;
+  for i = 0 to transits - 1 do
+    connect topo core_link ts.(i) ts.((i + 1) mod transits)
+  done;
   let stubs = ref [] and hosts = ref [] in
   Array.iter
     (fun transit ->
       for _ = 1 to stubs_per_transit do
         let stub = Topology.add_node topo in
-        connect topo stub_link transit stub;
+        connect topo default_link transit stub;
         stubs := stub :: !stubs;
         for _ = 1 to hosts_per_stub do
           let host = Topology.add_node topo in

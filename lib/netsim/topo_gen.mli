@@ -4,28 +4,18 @@
     what saves single-rate protocols — these give such trees).
 
     All generators create fresh nodes inside the given topology and
-    return them; links are duplex with per-call bandwidth/delay. *)
+    return them; links are duplex. *)
 
-type link_spec = {
-  bandwidth_bps : float;
-  delay_s : float;
-  queue_capacity : int;
-}
-
-val star : Topology.t -> leaves:int -> ?link:link_spec -> unit -> Node.t * Node.t array
-(** (hub, leaves). *)
+val star : Topology.t -> leaves:int -> Node.t * Node.t array
+(** (hub, leaves), each leaf on a 10 Mbit/s / 5 ms link with a
+    50-packet queue. *)
 
 val random_tree :
-  Topology.t ->
-  Stats.Rng.t ->
-  n:int ->
-  ?max_children:int ->
-  ?link:link_spec ->
-  unit ->
-  Node.t array
+  Topology.t -> Stats.Rng.t -> n:int -> ?max_children:int -> unit -> Node.t array
 (** A random rooted tree over n nodes (node 0 of the result is the root):
     each new node attaches to a uniformly chosen existing node with fewer
-    than [max_children] children (default 4). *)
+    than [max_children] children (default 4), over a 10 Mbit/s / 5 ms
+    link with a 50-packet queue. *)
 
 (** A two-level transit-stub internet: a ring of transit routers, each
     with stub routers hanging off it, each stub with end hosts. *)
@@ -38,15 +28,12 @@ type transit_stub = {
 val transit_stub :
   Topology.t ->
   Stats.Rng.t ->
-  ?transits:int ->
   ?stubs_per_transit:int ->
   ?hosts_per_stub:int ->
-  ?core_link:link_spec ->
-  ?stub_link:link_spec ->
-  ?host_link:link_spec ->
-  ?host_delay_jitter:float ->
   unit ->
   transit_stub
-(** Defaults: 4 transits (ring, 45 Mbit/s / 10 ms core), 3 stubs each
-    (10 Mbit/s / 5 ms), 4 hosts per stub (2 Mbit/s / 2 ms, plus up to
-    [host_delay_jitter] = 8 ms of random extra delay per host link). *)
+(** 4 transits on a ring of 45 Mbit/s / 10 ms core links (100-packet
+    queues), [stubs_per_transit] stubs each (default 3, 10 Mbit/s /
+    5 ms), [hosts_per_stub] hosts per stub (default 4, 2 Mbit/s / 2 ms
+    plus a uniform extra delay of up to 8 ms per host link); stub and
+    host links have 50-packet queues. *)

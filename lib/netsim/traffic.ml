@@ -1,7 +1,7 @@
 type kind =
   | Cbr of { jitter : float }
   | Poisson
-  | On_off of { on_mean : float; off_mean : float }
+  | On_off
 
 type t = {
   topo : Topology.t;
@@ -50,12 +50,11 @@ let cbr topo ~flow ~src ~dst ~rate_bps ?(packet_size = 1000) ?(jitter = 0.1) () 
 let poisson topo ~flow ~src ~dst ~rate_bps ?(packet_size = 1000) () =
   make topo ~kind:Poisson ~flow ~src ~dst ~rate_bps ~packet_size
 
-let on_off topo ~flow ~src ~dst ~rate_bps ?(packet_size = 1000) ?(on_mean = 1.)
-    ?(off_mean = 1.) () =
-  if on_mean <= 0. || off_mean <= 0. then
-    invalid_arg "Traffic.on_off: period means must be positive";
-  make topo ~kind:(On_off { on_mean; off_mean }) ~flow ~src ~dst ~rate_bps
-    ~packet_size
+(* Mean length of an on-off source's on and off periods alike. *)
+let period_mean = 1.
+
+let on_off topo ~flow ~src ~dst ~rate_bps ?(packet_size = 1000) () =
+  make topo ~kind:On_off ~flow ~src ~dst ~rate_bps ~packet_size
 
 let gap t =
   let nominal = float_of_int t.packet_size *. 8. /. t.rate_bps in
@@ -63,7 +62,7 @@ let gap t =
   | Cbr { jitter } ->
       nominal *. (1. -. (jitter /. 2.) +. Stats.Rng.float t.rng jitter)
   | Poisson -> Stats.Rng.exponential t.rng ~mean:nominal
-  | On_off _ -> nominal
+  | On_off -> nominal
 
 let emit t =
   let p =
@@ -81,17 +80,16 @@ let rec tick t =
   if t.running then begin
     let now = Engine.now t.engine in
     (match t.kind with
-    | On_off { on_mean; off_mean } ->
+    | On_off ->
         if now >= t.period_ends then begin
           (* Flip phase. *)
           t.in_on_period <- not t.in_on_period;
-          let mean = if t.in_on_period then on_mean else off_mean in
-          t.period_ends <- now +. Stats.Rng.exponential t.rng ~mean
+          t.period_ends <- now +. Stats.Rng.exponential t.rng ~mean:period_mean
         end
     | Cbr _ | Poisson -> ());
     let delay =
       match t.kind with
-      | On_off _ when not t.in_on_period ->
+      | On_off when not t.in_on_period ->
           (* Sleep out the off period. *)
           Float.max 1e-6 (t.period_ends -. now)
       | _ ->
@@ -104,9 +102,9 @@ let rec tick t =
 let start t ~at =
   t.running <- true;
   (match t.kind with
-  | On_off { on_mean; _ } ->
+  | On_off ->
       t.in_on_period <- true;
-      t.period_ends <- at +. Stats.Rng.exponential t.rng ~mean:on_mean
+      t.period_ends <- at +. Stats.Rng.exponential t.rng ~mean:period_mean
   | Cbr _ | Poisson -> ());
   Engine.at_unit t.engine ~base:Event_heap.time_zero ~offset:at (fun () -> tick t)
 

@@ -40,14 +40,11 @@ val on_off :
   dst:Node.t ->
   rate_bps:float ->
   ?packet_size:int ->
-  ?on_mean:float ->
-  ?off_mean:float ->
   unit ->
   t
 (** Exponential on/off source: bursts at [rate_bps] during on-periods
-    (mean [on_mean], default 1 s), silent during off-periods (mean
-    [off_mean], default 1 s).  The long-run average rate is
-    rate·on/(on+off). *)
+    of mean 1 s, silent during off-periods of mean 1 s, so the
+    long-run average rate is half of [rate_bps]. *)
 
 val start : t -> at:float -> unit
 

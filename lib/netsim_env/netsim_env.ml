@@ -84,12 +84,12 @@ module Receiver = struct
   include Tfmcc_core.Receiver
 
   let create topo ~cfg ~session ~node ~sender ?report_to ?clock_offset
-      ?ntp_error ?report_flow () =
+      ?ntp_error () =
     let t =
       Tfmcc_core.Receiver.create ~env:(env topo ~session node) ~cfg ~session
         ~sender:(Netsim.Node.id sender)
         ?report_to:(Option.map Netsim.Node.id report_to)
-        ?clock_offset ?ntp_error ?report_flow ()
+        ?clock_offset ?ntp_error ()
     in
     attach_receiver node t;
     t

@@ -71,7 +71,6 @@ module Receiver : sig
     ?report_to:Netsim.Node.t ->
     ?clock_offset:float ->
     ?ntp_error:float ->
-    ?report_flow:int ->
     unit ->
     t
 end

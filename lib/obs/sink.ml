@@ -3,8 +3,7 @@ type t = {
   journal : Journal.t;
 }
 
-let create ?journal_capacity () =
-  { metrics = Metrics.create (); journal = Journal.create ?capacity:journal_capacity () }
+let create () = { metrics = Metrics.create (); journal = Journal.create () }
 
 let null = { metrics = Metrics.null; journal = Journal.null }
 

@@ -11,7 +11,8 @@ type t = {
   journal : Journal.t;
 }
 
-val create : ?journal_capacity:int -> unit -> t
+val create : unit -> t
+(** A live registry and a journal of the newest 65536 entries. *)
 
 val null : t
 (** Both halves disabled ({!Metrics.null} and {!Journal.null}). *)

@@ -1,13 +1,15 @@
 (* EWMA gain for the per-packet loss indicator. *)
 let loss_gain = 0.02
 
+(* Least time between two NAKs from one receiver. *)
+let nak_min_interval = 0.25
+
 type t = {
   topo : Netsim.Topology.t;
   engine : Netsim.Engine.t;
   session : int;
   node : Netsim.Node.t;
   sender : Netsim.Node.t;
-  nak_min_interval : float;
   rng : Stats.Rng.t;
   mutable joined : bool;
   mutable expected : int;
@@ -111,7 +113,7 @@ let on_data t ~seq ~ts ~acker =
     if lost > 0 then send_nak t ~lost_seq:(t.expected - 1);
     send_ack t ~ack_seq:(t.expected - 1)
   end
-  else if lost > 0 && now -. t.last_nak >= t.nak_min_interval then begin
+  else if lost > 0 && now -. t.last_nak >= nak_min_interval then begin
     (* Non-acker loss report, randomly delayed a little to decorrelate
        (stands in for PGMCC's NAK suppression/aggregation). *)
     let seq0 = t.expected - 1 in
@@ -121,7 +123,7 @@ let on_data t ~seq ~ts ~acker =
          (fun () -> if t.joined then send_nak t ~lost_seq:seq0))
   end
 
-let create topo ~session ~node ~sender ?(nak_min_interval = 0.25) () =
+let create topo ~session ~node ~sender =
   let engine = Netsim.Topology.engine topo in
   let t =
     {
@@ -130,7 +132,6 @@ let create topo ~session ~node ~sender ?(nak_min_interval = 0.25) () =
       session;
       node;
       sender;
-      nak_min_interval;
       rng = Netsim.Engine.split_rng engine;
       joined = false;
       expected = 0;

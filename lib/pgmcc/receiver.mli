@@ -17,10 +17,8 @@ val create :
   session:int ->
   node:Netsim.Node.t ->
   sender:Netsim.Node.t ->
-  ?nak_min_interval:float ->
-  unit ->
   t
-(** [nak_min_interval] rate-limits this receiver's NAKs (default 0.25 s). *)
+(** The receiver sends at most one NAK per 0.25 s. *)
 
 val join : t -> unit
 

@@ -1,3 +1,7 @@
+(* Switch acker when a candidate's modelled throughput is below this
+   fraction of the acker's. *)
+let hysteresis = 0.75
+
 type peer = { mutable p_rtt : float; mutable p_loss : float; mutable p_seen : float }
 
 type t = {
@@ -7,7 +11,6 @@ type t = {
   node : Netsim.Node.t;
   flow : int;
   s : int;
-  hysteresis : float;
   peers : (int, peer) Hashtbl.t;
   mutable running : bool;
   mutable seq : int;
@@ -127,7 +130,7 @@ let maybe_switch_acker t ~rx =
     | Some cand, Some cur ->
         let t_cand = modelled_throughput ~rtt:cand.p_rtt ~loss:cand.p_loss in
         let t_cur = modelled_throughput ~rtt:cur.p_rtt ~loss:cur.p_loss in
-        if t_cand < t.hysteresis *. t_cur then begin
+        if t_cand < hysteresis *. t_cur then begin
           let prev = t.acker in
           t.acker <- rx;
           t.acker_rtt <- cand.p_rtt;
@@ -193,8 +196,7 @@ let on_nak t ~rx ~echo_ts ~loss =
     end
   end
 
-let create topo ~session ~node ?flow ?(packet_size = 1000) ?(hysteresis = 0.75)
-    () =
+let create topo ~session ~node ?flow ?(packet_size = 1000) () =
   let obs = Netsim.Engine.obs (Netsim.Topology.engine topo) in
   let metrics = obs.Obs.Sink.metrics in
   let labels = [ ("session", string_of_int session) ] in
@@ -206,7 +208,6 @@ let create topo ~session ~node ?flow ?(packet_size = 1000) ?(hysteresis = 0.75)
       node;
       flow = Option.value flow ~default:session;
       s = packet_size;
-      hysteresis;
       peers = Hashtbl.create 32;
       running = false;
       seq = 0;

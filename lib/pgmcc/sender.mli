@@ -23,11 +23,10 @@ val create :
   node:Netsim.Node.t ->
   ?flow:int ->
   ?packet_size:int ->
-  ?hysteresis:float ->
   unit ->
   t
-(** [hysteresis] (default 0.75): switch acker when a candidate's modelled
-    throughput is below this fraction of the acker's. *)
+(** The sender switches acker when a candidate's modelled throughput is
+    below 0.75 of the acker's. *)
 
 val start : t -> at:float -> unit
 

@@ -1,6 +1,4 @@
 (** Sampling helpers over {!Rng}: uniform draws for the scaling and
-    feedback models, Bernoulli trials. *)
+    feedback models. *)
 
 val uniform_sample : Rng.t -> lo:float -> hi:float -> float
-
-val bernoulli : Rng.t -> p:float -> bool

@@ -1,16 +1,17 @@
+let initial_rto = 3.
+let max_rto = 60.
+
 type t = {
-  initial_rto : float;
   min_rto : float;
-  max_rto : float;
   mutable srtt : float option;
   mutable rttvar : float;
   mutable backoff_exp : int;
 }
 
-let create ?(initial_rto = 3.) ?(min_rto = 1.0) ?(max_rto = 60.) () =
+let create ?(min_rto = 1.0) () =
   if min_rto <= 0. || max_rto < min_rto then
     invalid_arg "Rto_estimator.create: invalid bounds";
-  { initial_rto; min_rto; max_rto; srtt = None; rttvar = 0.; backoff_exp = 0 }
+  { min_rto; srtt = None; rttvar = 0.; backoff_exp = 0 }
 
 let observe t sample =
   if sample <= 0. then invalid_arg "Rto_estimator.observe: non-positive sample";
@@ -27,11 +28,11 @@ let observe t sample =
 let rto t =
   let base =
     match t.srtt with
-    | None -> t.initial_rto
+    | None -> initial_rto
     | Some srtt -> srtt +. (4. *. t.rttvar)
   in
   let scaled = base *. float_of_int (1 lsl t.backoff_exp) in
-  Float.min t.max_rto (Float.max t.min_rto scaled)
+  Float.min max_rto (Float.max t.min_rto scaled)
 
 let backoff t = if t.backoff_exp < 6 then t.backoff_exp <- t.backoff_exp + 1
 

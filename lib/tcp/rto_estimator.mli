@@ -3,8 +3,10 @@
 
 type t
 
-val create : ?initial_rto:float -> ?min_rto:float -> ?max_rto:float -> unit -> t
-(** Defaults: initial 3 s, min 1 s (RFC 2988), max 60 s. *)
+val create : ?min_rto:float -> unit -> t
+(** The timeout is 3 s before the first sample and never above 60 s;
+    [min_rto] (default 1 s, RFC 2988) is its floor and must lie in
+    (0, 60]. *)
 
 val observe : t -> float -> unit
 (** Feed one RTT sample (seconds).  First sample initializes

@@ -1,11 +1,13 @@
 module Int_set = Set.Make (Int)
 
+(* The accounting tag on ACKs; no experiment monitor watches it. *)
+let ack_flow = -1
+
 type t = {
   topo : Netsim.Topology.t;
   engine : Netsim.Engine.t;
   conn : int;
   node : Netsim.Node.t;
-  ack_flow : int;
   mutable next_expected : int;
   mutable buffered : Int_set.t;  (* received above the hole *)
   mutable received : int;
@@ -33,7 +35,7 @@ let send_ack t ~to_node =
   let payload = Segment.Ack { conn = t.conn; ack = t.next_expected } in
   let p =
     Netsim.Packet.alloc (Netsim.Engine.arena t.engine)
-      ~flow:t.ack_flow ~size:Segment.ack_size
+      ~flow:ack_flow ~size:Segment.ack_size
       ~src:(Netsim.Node.id t.node)
       ~dst
       ~created:(Netsim.Engine.now t.engine)
@@ -53,14 +55,13 @@ let on_data t (p : Netsim.Packet.t) seq =
   (* else: duplicate of an already-delivered segment; ack anyway *)
   send_ack t ~to_node:p.src
 
-let create topo ~conn ~node ?(ack_flow = -1) () =
+let create topo ~conn ~node =
   let t =
     {
       topo;
       engine = Netsim.Topology.engine topo;
       conn;
       node;
-      ack_flow;
       next_expected = 0;
       buffered = Int_set.empty;
       received = 0;

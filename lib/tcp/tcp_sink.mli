@@ -5,15 +5,9 @@
 
 type t
 
-val create :
-  Netsim.Topology.t ->
-  conn:int ->
-  node:Netsim.Node.t ->
-  ?ack_flow:int ->
-  unit ->
-  t
+val create : Netsim.Topology.t -> conn:int -> node:Netsim.Node.t -> t
 (** Attaches the sink to [node].  ACK packets carry the accounting tag
-    [ack_flow] (default -1, i.e. ignored by experiment monitors). *)
+    -1, which no experiment monitor watches. *)
 
 val next_expected : t -> int
 (** Lowest sequence number not yet received in order. *)

@@ -1,3 +1,11 @@
+let initial_cwnd = 1.
+let max_cwnd = 10000.
+
+(* ns-2's "overhead": the upper bound of a uniform random send delay
+   that breaks the deterministic phase-locking between ack-clocked
+   sources and the bottleneck's service clock. *)
+let overhead = 0.001
+
 (* The floats a segment or an ACK writes, in an all-float record: a
    write stores a raw double, where a [mutable float] in the mixed [t]
    would box a fresh float on every one. *)
@@ -16,10 +24,6 @@ type t = {
   flow : int;
   src : Netsim.Node.t;
   dst : Netsim.Packet.dst;  (* shared by every data segment *)
-  segment_size : int;
-  max_cwnd : float;
-  initial_cwnd : float;
-  overhead : float;
   rng : Stats.Rng.t;
   f : floats;
   rto : Rto_estimator.t;
@@ -75,7 +79,7 @@ let restart_timer t =
    at emit time, which fixes its uid and [created]. *)
 let emit t seq =
   let p =
-    Netsim.Packet.alloc (Netsim.Engine.arena t.engine) ~flow:t.flow ~size:t.segment_size
+    Netsim.Packet.alloc (Netsim.Engine.arena t.engine) ~flow:t.flow ~size:Segment.data_size
       ~src:(Netsim.Node.id t.src) ~dst:t.dst
       ~created:(Netsim.Engine.now t.engine)
       (Segment.Data { conn = t.conn; seq })
@@ -111,25 +115,19 @@ let send_segment t seq =
     t.rtt_seq <- seq;
     t.f.rtt_sent_at <- t.clock.Event_heap.cell_time
   end;
-  (* ns-2's "overhead": a small random send delay that breaks the
-     deterministic phase-locking between ack-clocked sources and the
-     bottleneck's service clock. *)
-  if t.overhead <= 0. then emit t seq
-  else begin
-    let f = t.f in
-    let target = t.clock.Event_heap.cell_time +. Stats.Rng.float t.rng t.overhead in
-    (* Never reorder segments of the same connection: a swap would look
-       like out-of-order delivery and trigger spurious dupacks. *)
-    let target = if target <= f.last_emit then f.last_emit +. 1e-6 else target in
-    f.last_emit <- target;
-    t.emit_cell.Event_heap.cell_time <- target;
-    push_emit t seq;
-    Netsim.Engine.at_unit t.engine ~base:t.emit_cell ~offset:0. t.emit_next
-  end
+  let f = t.f in
+  let target = t.clock.Event_heap.cell_time +. Stats.Rng.float t.rng overhead in
+  (* Never reorder segments of the same connection: a swap would look
+     like out-of-order delivery and trigger spurious dupacks. *)
+  let target = if target <= f.last_emit then f.last_emit +. 1e-6 else target in
+  f.last_emit <- target;
+  t.emit_cell.Event_heap.cell_time <- target;
+  push_emit t seq;
+  Netsim.Engine.at_unit t.engine ~base:t.emit_cell ~offset:0. t.emit_next
 
 let send_available t =
   if t.running then begin
-    let window = int_of_float (Float.min t.f.cwnd t.max_cwnd) in
+    let window = int_of_float (Float.min t.f.cwnd max_cwnd) in
     let limit = t.snd_una + Stdlib.max 1 window in
     let sent_any = ref false in
     while t.snd_nxt < limit do
@@ -201,7 +199,7 @@ let on_new_ack t ack =
   end
   else if f.cwnd < f.ssthresh then f.cwnd <- f.cwnd +. 1.
   else f.cwnd <- f.cwnd +. (1. /. f.cwnd);
-  if f.cwnd > t.max_cwnd then f.cwnd <- t.max_cwnd;
+  if f.cwnd > max_cwnd then f.cwnd <- max_cwnd;
   if t.snd_nxt > t.snd_una then restart_timer t else cancel_timer t;
   send_available t
 
@@ -227,9 +225,7 @@ let on_ack t ack =
     else if ack = t.snd_una && t.snd_nxt > t.snd_una then on_dupack t
   end
 
-let create topo ~conn ~flow ~src ~dst ?(segment_size = Segment.data_size)
-    ?(initial_cwnd = 1.) ?(max_cwnd = 10000.) ?(overhead = 0.001) () =
-  if segment_size <= 0 then invalid_arg "Tcp_source.create: segment size";
+let create topo ~conn ~flow ~src ~dst =
   let engine = Netsim.Topology.engine topo in
   let obs = Netsim.Engine.obs engine in
   let metrics = obs.Obs.Sink.metrics in
@@ -243,10 +239,6 @@ let create topo ~conn ~flow ~src ~dst ?(segment_size = Segment.data_size)
       flow;
       src;
       dst = Netsim.Packet.Unicast (Netsim.Node.id dst);
-      segment_size;
-      max_cwnd;
-      initial_cwnd;
-      overhead;
       rng = Netsim.Engine.split_rng engine;
       f =
         {
@@ -291,7 +283,7 @@ let start t ~at =
   t.running <- true;
   ignore
     (Netsim.Engine.at t.engine ~time:at (fun () ->
-         t.f.cwnd <- t.initial_cwnd;
+         t.f.cwnd <- initial_cwnd;
          send_available t))
 
 let stop t =

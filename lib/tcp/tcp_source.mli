@@ -13,18 +13,14 @@ val create :
   flow:int ->
   src:Netsim.Node.t ->
   dst:Netsim.Node.t ->
-  ?segment_size:int ->
-  ?initial_cwnd:float ->
-  ?max_cwnd:float ->
-  ?overhead:float ->
-  unit ->
   t
 (** Builds a sender at [src] whose sink lives at [dst].  [conn]
     distinguishes parallel connections; [flow] is the accounting tag put
     on data packets.  The ACK handler is attached to [src]
-    immediately; no packets flow until {!start}.  [overhead] (default
-    1 ms) adds a uniform random delay to each transmission — ns-2's
-    phase-effect breaker. *)
+    immediately; no packets flow until {!start}.  Segments are
+    {!Segment.data_size} bytes; the window starts at 1 segment and is
+    capped at 10000.  Each transmission waits a uniform random delay of
+    up to 1 ms — ns-2's "overhead", a phase-effect breaker. *)
 
 val start : t -> at:float -> unit
 (** Schedules the first transmission at absolute time [at]. *)

@@ -1,11 +1,17 @@
+(* Depth of the epoch-mean history, and its WALI-style weights. *)
+let n_epochs = 8
+
+let weights =
+  Array.init n_epochs (fun i ->
+      Float.min 1.
+        (2. *. float_of_int (n_epochs - i) /. float_of_int (n_epochs + 2)))
+
 type t = {
   topo : Netsim.Topology.t;
   engine : Netsim.Engine.t;
   conn : int;
   node : Netsim.Node.t;
   sender : Netsim.Node.t;
-  n_epochs : int;
-  weights : float array;
   mutable cwnd : float;
   mutable ssthresh : float;
   mutable expected : int;
@@ -24,10 +30,6 @@ type t = {
   mutable received : int;
   mutable fb_sent : int;
 }
-
-let wali_weights n =
-  Array.init n (fun i ->
-      Float.min 1. (2. *. float_of_int (n - i) /. float_of_int (n + 2)))
 
 let window t = t.cwnd
 
@@ -53,9 +55,9 @@ let smoothed_window t =
     let num = ref 0. and den = ref 0. in
     List.iteri
       (fun i v ->
-        if i < t.n_epochs then begin
-          num := !num +. (t.weights.(i) *. v);
-          den := !den +. t.weights.(i)
+        if i < n_epochs then begin
+          num := !num +. (weights.(i) *. v);
+          den := !den +. weights.(i)
         end)
       samples;
     !num /. !den
@@ -100,8 +102,8 @@ let end_epoch t =
   if t.epoch_packets > 0 then begin
     let mean = t.epoch_sum /. float_of_int t.epoch_packets in
     t.epoch_means <- mean :: t.epoch_means;
-    if List.length t.epoch_means > t.n_epochs then
-      t.epoch_means <- List.filteri (fun i _ -> i < t.n_epochs) t.epoch_means;
+    if List.length t.epoch_means > n_epochs then
+      t.epoch_means <- List.filteri (fun i _ -> i < n_epochs) t.epoch_means;
     t.epochs <- t.epochs + 1
   end;
   t.epoch_sum <- 0.;
@@ -144,8 +146,7 @@ let on_data t ~seq ~ts ~rtt =
     schedule_feedback t
   end
 
-let create topo ~conn ~node ~sender ?(epochs = 8) () =
-  if epochs < 1 then invalid_arg "Tear.Receiver.create: epochs must be >= 1";
+let create topo ~conn ~node ~sender =
   let t =
     {
       topo;
@@ -153,8 +154,6 @@ let create topo ~conn ~node ~sender ?(epochs = 8) () =
       conn;
       node;
       sender;
-      n_epochs = epochs;
-      weights = wali_weights epochs;
       cwnd = 1.;
       ssthresh = 64.;
       expected = 0;

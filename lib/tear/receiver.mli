@@ -16,10 +16,8 @@ val create :
   conn:int ->
   node:Netsim.Node.t ->
   sender:Netsim.Node.t ->
-  ?epochs:int ->
-  unit ->
   t
-(** [epochs] is the depth of the epoch-mean history (default 8). *)
+(** The smoothed window weighs the last 8 epoch means. *)
 
 val window : t -> float
 (** Current emulated congestion window (packets). *)

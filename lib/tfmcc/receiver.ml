@@ -9,13 +9,15 @@ type hot = {
   mutable rtt_at_first_loss : float;
 }
 
+(* The accounting tag on report packets. *)
+let report_flow = -1
+
 type t = {
   env : Env.t;
   cfg : Config.t;
   session : int;
   report_to : int;  (* sender, or an aggregation-tree parent *)
   ntp_error : float option;  (* clock-sync bound for 2.4.1 initialization *)
-  report_flow : int;
   rng : Stats.Rng.t;
   rtt_est : Rtt_estimator.t;
   rtt_f : Rtt_estimator.floats;  (* [rtt_est]'s floats, read directly *)
@@ -125,7 +127,7 @@ let send_report t =
   if t.joined && t.have_data then begin
     t.env.Env.send
       ~dest:(Env.To_node t.report_to)
-      ~flow:t.report_flow ~size:Wire.report_size
+      ~flow:report_flow ~size:Wire.report_size
       (report_msg t ~leaving:false);
     t.reports <- t.reports + 1;
     Obs.Metrics.Counter.inc t.m_reports
@@ -135,7 +137,7 @@ let send_leave_report t =
   if t.have_data then
     t.env.Env.send
       ~dest:(Env.To_node t.report_to)
-      ~flow:t.report_flow ~size:Wire.report_size
+      ~flow:report_flow ~size:Wire.report_size
       (report_msg t ~leaving:true)
 
 (* CLR duty: immediate unsuppressed feedback, once per RTT. *)
@@ -334,7 +336,7 @@ let on_data t ~size (d : Wire.data) =
   end
 
 let create ~env ~cfg ~session ~sender ?report_to ?(clock_offset = 0.)
-    ?ntp_error ?(report_flow = -1) () =
+    ?ntp_error () =
   let report_to = Option.value report_to ~default:sender in
   let obs = env.Env.obs in
   let metrics = obs.Obs.Sink.metrics in
@@ -351,7 +353,6 @@ let create ~env ~cfg ~session ~sender ?report_to ?(clock_offset = 0.)
         session;
         report_to;
         ntp_error;
-        report_flow;
         rng = env.Env.split_rng ();
         rtt_est;
         rtt_f;

@@ -22,7 +22,6 @@ val create :
   ?report_to:int ->
   ?clock_offset:float ->
   ?ntp_error:float ->
-  ?report_flow:int ->
   unit ->
   t
 (** The receiver's node id is [env.id]; [sender] is the sender's node
@@ -35,8 +34,7 @@ val create :
     as synchronized to the sender's within that bound and seeds its RTT
     estimate from the first packet's one-way delay (callers should keep
     [clock_offset] within [ntp_error] for the model to be meaningful).
-    [report_flow] is the accounting tag of report packets (default -1).
-    Calls [env.split_rng] exactly once. *)
+    Report packets carry the accounting tag -1.  Calls [env.split_rng] exactly once. *)
 
 val deliver : t -> size:int -> Wire.msg -> unit
 (** Feeds one inbound message to the receiver.  [size] is the on-the-

@@ -1,10 +1,13 @@
+(* The accounting tag on feedback packets; no experiment monitor
+   watches it. *)
+let feedback_flow = -1
+
 type t = {
   topo : Netsim.Topology.t;
   engine : Netsim.Engine.t;
   conn : int;
   node : Netsim.Node.t;
   sender : Netsim.Node.t;
-  feedback_flow : int;
   history : Loss_history.t;
   meter : Rate_meter.t;
   mutable sender_rtt : float;  (* sender's estimate from data packets *)
@@ -34,7 +37,7 @@ let send_feedback t =
     in
     let p =
       Netsim.Packet.alloc (Netsim.Engine.arena t.engine)
-        ~flow:t.feedback_flow ~size:Wire.feedback_size
+        ~flow:feedback_flow ~size:Wire.feedback_size
         ~src:(Netsim.Node.id t.node)
         ~dst:(Netsim.Packet.Unicast (Netsim.Node.id t.sender))
         ~created:now payload
@@ -68,7 +71,7 @@ let on_data t ~seq ~ts ~rtt ~size =
     schedule_feedback t
   end
 
-let create topo ~conn ~node ~sender ?(feedback_flow = -1) () =
+let create topo ~conn ~node ~sender =
   let engine = Netsim.Topology.engine topo in
   let metrics = (Netsim.Engine.obs engine).Obs.Sink.metrics in
   let labels = [ ("conn", string_of_int conn) ] in
@@ -80,7 +83,6 @@ let create topo ~conn ~node ~sender ?(feedback_flow = -1) () =
         conn;
         node;
         sender;
-        feedback_flow;
         history =
           Loss_history.create ~clock:(Netsim.Engine.time_cell engine)
             ~rtt:(fun () -> (Lazy.force t).sender_rtt)

@@ -9,9 +9,9 @@ val create :
   conn:int ->
   node:Netsim.Node.t ->
   sender:Netsim.Node.t ->
-  ?feedback_flow:int ->
-  unit ->
   t
+(** Feedback packets carry the accounting tag -1, which no experiment
+    monitor watches. *)
 
 val loss_event_rate : t -> float
 

@@ -53,7 +53,7 @@ let test_layer_pacing_rates () =
 let test_receiver_climbs_to_bottleneck () =
   let e, topo, sender, rxs = star ~bottlenecks:[| 1e6 |] in
   let snd = Layered.Sender.create topo ~session:1 ~node:sender () in
-  let r = Layered.Receiver.create topo ~session:1 ~node:rxs.(0) () in
+  let r = Layered.Receiver.create topo ~session:1 ~node:rxs.(0) in
   Layered.Receiver.join r;
   Layered.Sender.start snd ~at:0.;
   Netsim.Engine.run ~until:120. e;
@@ -70,8 +70,8 @@ let test_receiver_climbs_to_bottleneck () =
 let test_heterogeneous_receivers_differ () =
   let e, topo, sender, rxs = star ~bottlenecks:[| 0.25e6; 4e6 |] in
   let snd = Layered.Sender.create topo ~session:1 ~node:sender () in
-  let slow = Layered.Receiver.create topo ~session:1 ~node:rxs.(0) () in
-  let fast = Layered.Receiver.create topo ~session:1 ~node:rxs.(1) () in
+  let slow = Layered.Receiver.create topo ~session:1 ~node:rxs.(0) in
+  let fast = Layered.Receiver.create topo ~session:1 ~node:rxs.(1) in
   Layered.Receiver.join slow;
   Layered.Receiver.join fast;
   Layered.Sender.start snd ~at:0.;
@@ -86,7 +86,7 @@ let test_heterogeneous_receivers_differ () =
 let test_join_backoff_limits_thrash () =
   let e, topo, sender, rxs = star ~bottlenecks:[| 0.5e6 |] in
   let snd = Layered.Sender.create topo ~session:1 ~node:sender () in
-  let r = Layered.Receiver.create topo ~session:1 ~node:rxs.(0) () in
+  let r = Layered.Receiver.create topo ~session:1 ~node:rxs.(0) in
   Layered.Receiver.join r;
   Layered.Sender.start snd ~at:0.;
   Netsim.Engine.run ~until:200. e;
@@ -101,7 +101,7 @@ let test_join_backoff_limits_thrash () =
 let test_leave_unsubscribes_everything () =
   let e, topo, sender, rxs = star ~bottlenecks:[| 4e6 |] in
   let snd = Layered.Sender.create topo ~session:1 ~node:sender () in
-  let r = Layered.Receiver.create topo ~session:1 ~node:rxs.(0) () in
+  let r = Layered.Receiver.create topo ~session:1 ~node:rxs.(0) in
   Layered.Receiver.join r;
   Layered.Sender.start snd ~at:0.;
   Netsim.Engine.run ~until:30. e;

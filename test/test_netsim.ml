@@ -705,7 +705,7 @@ let test_droptail_capacity () =
 
 let test_red_drops_under_sustained_load () =
   let rng = Stats.Rng.create 1 in
-  let q = Netsim.Queue_disc.red ~rng ~capacity_pkts:20 () in
+  let q = Netsim.Queue_disc.red ~rng ~capacity_pkts:20 in
   let mk () =
     Netsim.Packet.make ~flow:0 ~size:100 ~src:0 ~dst:(Netsim.Packet.Unicast 1)
       ~created:0. (Netsim.Packet.Raw 0)
@@ -722,7 +722,7 @@ let test_red_drops_under_sustained_load () =
 
 let test_red_accepts_when_empty () =
   let rng = Stats.Rng.create 2 in
-  let q = Netsim.Queue_disc.red ~rng ~capacity_pkts:20 () in
+  let q = Netsim.Queue_disc.red ~rng ~capacity_pkts:20 in
   let mk () =
     Netsim.Packet.make ~flow:0 ~size:100 ~src:0 ~dst:(Netsim.Packet.Unicast 1)
       ~created:0. (Netsim.Packet.Raw 0)
@@ -1257,7 +1257,7 @@ let test_link_down_up () =
 let test_topo_gen_star () =
   let e = Netsim.Engine.create () in
   let topo = Netsim.Topology.create e in
-  let hub, leaves = Netsim.Topo_gen.star topo ~leaves:6 () in
+  let hub, leaves = Netsim.Topo_gen.star topo ~leaves:6 in
   Alcotest.(check int) "6 leaves" 6 (Array.length leaves);
   Array.iter
     (fun leaf ->
@@ -1283,15 +1283,14 @@ let test_topo_gen_transit_stub_shape () =
   let topo = Netsim.Topology.create e in
   let rng = Stats.Rng.create 10 in
   let ts =
-    Netsim.Topo_gen.transit_stub topo rng ~transits:3 ~stubs_per_transit:2
-      ~hosts_per_stub:4 ()
+    Netsim.Topo_gen.transit_stub topo rng ~stubs_per_transit:2 ~hosts_per_stub:4 ()
   in
-  Alcotest.(check int) "transits" 3 (Array.length ts.Netsim.Topo_gen.transits);
-  Alcotest.(check int) "stubs" 6 (Array.length ts.Netsim.Topo_gen.stubs);
-  Alcotest.(check int) "hosts" 24 (Array.length ts.Netsim.Topo_gen.hosts);
+  Alcotest.(check int) "transits" 4 (Array.length ts.Netsim.Topo_gen.transits);
+  Alcotest.(check int) "stubs" 8 (Array.length ts.Netsim.Topo_gen.stubs);
+  Alcotest.(check int) "hosts" 32 (Array.length ts.Netsim.Topo_gen.hosts);
   (* Any host can reach any other host. *)
   let a = ts.Netsim.Topo_gen.hosts.(0) in
-  let b = ts.Netsim.Topo_gen.hosts.(23) in
+  let b = ts.Netsim.Topo_gen.hosts.(31) in
   Alcotest.(check bool) "hosts mutually reachable" true
     (Netsim.Topology.hop_count topo ~src:a ~dst:b <> None)
 

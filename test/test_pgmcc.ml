@@ -27,7 +27,7 @@ let session e topo sender rxs =
   let receivers =
     Array.map
       (fun rx ->
-        let r = Pgmcc.Receiver.create topo ~session:9 ~node:rx ~sender () in
+        let r = Pgmcc.Receiver.create topo ~session:9 ~node:rx ~sender in
         Pgmcc.Receiver.join r;
         r)
       rxs

@@ -128,7 +128,7 @@ let test_bernoulli_rate () =
   let hits = ref 0 in
   let n = 100_000 in
   for _ = 1 to n do
-    if Stats.Dist.bernoulli rng ~p:0.3 then incr hits
+    if Stats.Rng.bernoulli rng 0.3 then incr hits
   done;
   check_close 0.01 "bernoulli rate" 0.3 (float_of_int !hits /. float_of_int n)
 

@@ -163,8 +163,8 @@ let dumbbell ~bandwidth_bps ~delay_s ~n_pairs =
 
 let test_tcp_transfers_data () =
   let e, topo, s, r = dumbbell ~bandwidth_bps:1e6 ~delay_s:0.01 ~n_pairs:1 in
-  let src = Tcp.Tcp_source.create topo ~conn:1 ~flow:1 ~src:s.(0) ~dst:r.(0) () in
-  let sink = Tcp.Tcp_sink.create topo ~conn:1 ~node:r.(0) () in
+  let src = Tcp.Tcp_source.create topo ~conn:1 ~flow:1 ~src:s.(0) ~dst:r.(0) in
+  let sink = Tcp.Tcp_sink.create topo ~conn:1 ~node:r.(0) in
   Tcp.Tcp_source.start src ~at:0.;
   Netsim.Engine.run ~until:10. e;
   Alcotest.(check bool) "received many segments" true
@@ -175,8 +175,8 @@ let test_tcp_utilizes_bottleneck () =
   let e, topo, s, r = dumbbell ~bandwidth_bps:1e6 ~delay_s:0.01 ~n_pairs:1 in
   let mon = Netsim.Monitor.create e in
   Netsim.Monitor.watch_node mon r.(0);
-  let src = Tcp.Tcp_source.create topo ~conn:1 ~flow:1 ~src:s.(0) ~dst:r.(0) () in
-  let _sink = Tcp.Tcp_sink.create topo ~conn:1 ~node:r.(0) () in
+  let src = Tcp.Tcp_source.create topo ~conn:1 ~flow:1 ~src:s.(0) ~dst:r.(0) in
+  let _sink = Tcp.Tcp_sink.create topo ~conn:1 ~node:r.(0) in
   Tcp.Tcp_source.start src ~at:0.;
   Netsim.Engine.run ~until:30. e;
   let bps = Netsim.Monitor.throughput_bps mon ~flow:1 ~t_start:5. ~t_end:30. in
@@ -189,8 +189,8 @@ let test_tcp_utilizes_bottleneck () =
 
 let test_tcp_experiences_loss_and_recovers () =
   let e, topo, s, r = dumbbell ~bandwidth_bps:1e6 ~delay_s:0.01 ~n_pairs:1 in
-  let src = Tcp.Tcp_source.create topo ~conn:1 ~flow:1 ~src:s.(0) ~dst:r.(0) () in
-  let sink = Tcp.Tcp_sink.create topo ~conn:1 ~node:r.(0) () in
+  let src = Tcp.Tcp_source.create topo ~conn:1 ~flow:1 ~src:s.(0) ~dst:r.(0) in
+  let sink = Tcp.Tcp_sink.create topo ~conn:1 ~node:r.(0) in
   Tcp.Tcp_source.start src ~at:0.;
   Netsim.Engine.run ~until:30. e;
   (* The buffer is finite, so Reno must hit loss and retransmit; the sink
@@ -204,10 +204,10 @@ let test_tcp_two_flows_share () =
   let mon = Netsim.Monitor.create e in
   Netsim.Monitor.watch_node mon r.(0);
   Netsim.Monitor.watch_node mon r.(1);
-  let src1 = Tcp.Tcp_source.create topo ~conn:1 ~flow:1 ~src:s.(0) ~dst:r.(0) () in
-  let _s1 = Tcp.Tcp_sink.create topo ~conn:1 ~node:r.(0) () in
-  let src2 = Tcp.Tcp_source.create topo ~conn:2 ~flow:2 ~src:s.(1) ~dst:r.(1) () in
-  let _s2 = Tcp.Tcp_sink.create topo ~conn:2 ~node:r.(1) () in
+  let src1 = Tcp.Tcp_source.create topo ~conn:1 ~flow:1 ~src:s.(0) ~dst:r.(0) in
+  let _s1 = Tcp.Tcp_sink.create topo ~conn:1 ~node:r.(0) in
+  let src2 = Tcp.Tcp_source.create topo ~conn:2 ~flow:2 ~src:s.(1) ~dst:r.(1) in
+  let _s2 = Tcp.Tcp_sink.create topo ~conn:2 ~node:r.(1) in
   Tcp.Tcp_source.start src1 ~at:0.;
   Tcp.Tcp_source.start src2 ~at:0.1;
   Netsim.Engine.run ~until:60. e;
@@ -221,8 +221,8 @@ let test_tcp_two_flows_share () =
 
 let test_tcp_stop_halts () =
   let e, topo, s, r = dumbbell ~bandwidth_bps:1e6 ~delay_s:0.01 ~n_pairs:1 in
-  let src = Tcp.Tcp_source.create topo ~conn:1 ~flow:1 ~src:s.(0) ~dst:r.(0) () in
-  let sink = Tcp.Tcp_sink.create topo ~conn:1 ~node:r.(0) () in
+  let src = Tcp.Tcp_source.create topo ~conn:1 ~flow:1 ~src:s.(0) ~dst:r.(0) in
+  let sink = Tcp.Tcp_sink.create topo ~conn:1 ~node:r.(0) in
   Tcp.Tcp_source.start src ~at:0.;
   ignore (Netsim.Engine.at e ~time:5. (fun () -> Tcp.Tcp_source.stop src));
   Netsim.Engine.run ~until:6. e;
@@ -244,8 +244,8 @@ let test_tcp_stop_halts () =
    (7 words per next-hop lookup, 6 lookups per segment and its ACK). *)
 let test_tcp_words_per_segment () =
   let e, topo, s, r = dumbbell ~bandwidth_bps:1e6 ~delay_s:0.01 ~n_pairs:1 in
-  let src = Tcp.Tcp_source.create topo ~conn:1 ~flow:1 ~src:s.(0) ~dst:r.(0) () in
-  let sink = Tcp.Tcp_sink.create topo ~conn:1 ~node:r.(0) () in
+  let src = Tcp.Tcp_source.create topo ~conn:1 ~flow:1 ~src:s.(0) ~dst:r.(0) in
+  let sink = Tcp.Tcp_sink.create topo ~conn:1 ~node:r.(0) in
   Tcp.Tcp_source.start src ~at:0.;
   Netsim.Engine.run ~until:10. e;
   let seg0 = Tcp.Tcp_sink.segments_received sink in

@@ -15,7 +15,7 @@ let path ~loss =
 
 let session topo a b =
   let snd = Tear.Sender.create topo ~conn:1 ~flow:1 ~src:a ~dst:b () in
-  let rcv = Tear.Receiver.create topo ~conn:1 ~node:b ~sender:a () in
+  let rcv = Tear.Receiver.create topo ~conn:1 ~node:b ~sender:a in
   (snd, rcv)
 
 let test_transfer_and_feedback () =

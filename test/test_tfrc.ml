@@ -359,7 +359,7 @@ let tfrc_pair ~bottleneck_bps ~loss =
     (Netsim.Topology.connect topo ?loss_ab ~bandwidth_bps:bottleneck_bps
        ~delay_s:0.02 a b);
   let snd = Tfrc.Tfrc_sender.create topo ~conn:1 ~flow:1 ~src:a ~dst:b () in
-  let rcv = Tfrc.Tfrc_receiver.create topo ~conn:1 ~node:b ~sender:a () in
+  let rcv = Tfrc.Tfrc_receiver.create topo ~conn:1 ~node:b ~sender:a in
   (e, snd, rcv)
 
 let test_tfrc_slowstart_and_transfer () =
@@ -401,7 +401,7 @@ let test_tfrc_halts_without_feedback () =
        ~loss_ba:(Netsim.Loss_model.bernoulli ~rng:(Netsim.Engine.split_rng e) ~p:1.0)
        ~bandwidth_bps:1e6 ~delay_s:0.02 a b);
   let snd = Tfrc.Tfrc_sender.create topo ~conn:1 ~flow:1 ~src:a ~dst:b () in
-  let _rcv = Tfrc.Tfrc_receiver.create topo ~conn:1 ~node:b ~sender:a () in
+  let _rcv = Tfrc.Tfrc_receiver.create topo ~conn:1 ~node:b ~sender:a in
   Tfrc.Tfrc_sender.start snd ~at:0.;
   Netsim.Engine.run ~until:120. e;
   Alcotest.(check bool) "rate collapsed to floor" true

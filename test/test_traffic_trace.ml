@@ -48,8 +48,7 @@ let test_on_off_average () =
   let mon = Netsim.Monitor.create e in
   Netsim.Monitor.watch_node mon b;
   let g =
-    Netsim.Traffic.on_off topo ~flow:5 ~src:a ~dst:b ~rate_bps:2e6 ~on_mean:0.5
-      ~off_mean:0.5 ()
+    Netsim.Traffic.on_off topo ~flow:5 ~src:a ~dst:b ~rate_bps:2e6 ()
   in
   Netsim.Traffic.start g ~at:0.;
   Netsim.Engine.run ~until:120. e;
