@@ -397,6 +397,10 @@ let scatter_cmd =
     Arg.(value & opt bias_conv Tfmcc_core.Config.Offset & info [ "bias" ] ~docv:"BIAS")
   in
   let run n bias seed =
+    if n < 1 then begin
+      Printf.eprintf "fig02-scatter: -n must be >= 1\n";
+      exit 1
+    end;
     Printf.printf "time,value,sent\n";
     Array.iter
       (fun (t, v, sent) -> Printf.printf "%.6g,%.6g,%d\n" t v (Bool.to_int sent))
@@ -413,6 +417,10 @@ let trace_cmd =
     Arg.(value & opt float 5. & info [ "duration" ] ~docv:"SECONDS")
   in
   let run seed duration =
+    if not (Float.is_finite duration && duration > 0.) then begin
+      Printf.eprintf "trace: --duration must be finite and positive\n";
+      exit 1
+    end;
     let e = Netsim.Engine.create ~seed () in
     let topo = Netsim.Topology.create e in
     let sender = Netsim.Topology.add_node topo in
@@ -445,6 +453,10 @@ let dot_cmd =
   in
   let size_arg = Arg.(value & opt int 20 & info [ "size" ] ~docv:"N") in
   let run kind size seed =
+    if size < 1 then begin
+      Printf.eprintf "dot: --size must be >= 1\n";
+      exit 1
+    end;
     let e = Netsim.Engine.create ~seed () in
     let topo = Netsim.Topology.create e in
     let rng = Stats.Rng.create seed in

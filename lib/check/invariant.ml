@@ -117,7 +117,6 @@ let create ?(strict = false) ?(interval = 0.25) () =
     invalid_arg "Check.Invariant.create: interval must be positive";
   { t_strict = strict; interval; attachments = []; violation_count = 0 }
 
-let strict t = t.t_strict
 
 let violations t = t.violation_count
 

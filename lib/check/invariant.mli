@@ -29,8 +29,6 @@ val create : ?strict:bool -> ?interval:float -> unit -> t
     (default 0.25 s) is the sampling period of every probe registered
     through this checker. *)
 
-val strict : t -> bool
-
 val violations : t -> int
 (** Violations observed so far across all probes (counted even when not
     strict). *)

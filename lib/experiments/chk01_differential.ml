@@ -14,9 +14,12 @@ type comparison = {
 
 let tfrc_flow = 7
 
+(* Bottleneck queue, packets. *)
+let queue_capacity = 20
+
 (* A TFRC dumbbell geometrically identical to Scenario.dumbbell with
    n_tfmcc_rx = 1, n_tcp = 0: same bottleneck, same 10x access links. *)
-let run_tfrc ~seed ~bottleneck_bps ~delay_s ~queue_capacity ~t_end =
+let run_tfrc ~seed ~bottleneck_bps ~delay_s ~t_end =
   let sc = Scenario.base ~seed () in
   let left = Netsim.Topology.add_node sc.Scenario.topo in
   let right = Netsim.Topology.add_node sc.Scenario.topo in
@@ -43,8 +46,7 @@ let run_tfrc ~seed ~bottleneck_bps ~delay_s ~queue_capacity ~t_end =
   Scenario.run_until sc t_end;
   sc
 
-let compare_pair ?(seed = 42) ~bottleneck_bps ~delay_s ?(queue_capacity = 20)
-    ~t_end () =
+let compare_at ~seed ~bottleneck_bps ~delay_s ~t_end () =
   let warmup = t_end /. 3. in
   let d =
     Scenario.dumbbell ~seed ~bottleneck_bps ~delay_s ~queue_capacity
@@ -56,7 +58,7 @@ let compare_pair ?(seed = 42) ~bottleneck_bps ~delay_s ?(queue_capacity = 20)
     Scenario.mean_throughput_kbps d.Scenario.sc ~flow:Scenario.tfmcc_flow
       ~t_start:warmup ~t_end
   in
-  let tfrc_sc = run_tfrc ~seed ~bottleneck_bps ~delay_s ~queue_capacity ~t_end in
+  let tfrc_sc = run_tfrc ~seed ~bottleneck_bps ~delay_s ~t_end in
   let tfrc_kbps =
     Scenario.mean_throughput_kbps tfrc_sc ~flow:tfrc_flow ~t_start:warmup ~t_end
   in
@@ -72,6 +74,8 @@ let compare_pair ?(seed = 42) ~bottleneck_bps ~delay_s ?(queue_capacity = 20)
     rel_err;
   }
 
+let compare_pair = compare_at ~seed:42
+
 let tolerance = 0.10
 
 let run ~mode ~seed =
@@ -83,7 +87,7 @@ let run ~mode ~seed =
   let results =
     List.map
       (fun (bps, delay) ->
-        compare_pair ~seed ~bottleneck_bps:bps ~delay_s:delay ~t_end ())
+        compare_at ~seed ~bottleneck_bps:bps ~delay_s:delay ~t_end ())
       cells
   in
   let rows =

@@ -9,17 +9,12 @@ type comparison = {
 }
 
 val compare_pair :
-  ?seed:int ->
-  bottleneck_bps:float ->
-  delay_s:float ->
-  ?queue_capacity:int ->
-  t_end:float ->
-  unit ->
-  comparison
-(** One oracle cell: runs TFMCC (1 receiver, no TCP) and a geometrically
-    identical TFRC dumbbell for [t_end] seconds and compares mean
-    throughput after a [t_end]/3 warmup.  Also the body of the QCheck
-    property over randomized configurations. *)
+  bottleneck_bps:float -> delay_s:float -> t_end:float -> unit -> comparison
+(** One oracle cell at seed 42: runs TFMCC (1 receiver, no TCP) and a
+    geometrically identical TFRC dumbbell, with a 20-packet bottleneck
+    queue, for [t_end] seconds and compares mean throughput after a
+    [t_end]/3 warmup.  Also the body of the QCheck property over
+    randomized configurations. *)
 
 val tolerance : float
 (** Acceptance threshold on {!comparison.rel_err} (0.10). *)

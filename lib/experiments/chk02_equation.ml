@@ -8,7 +8,7 @@
 
 type sample = { time : float; rate_kbps : float; model_kbps : float; gap : float }
 
-let measure ?(seed = 42) ?(loss = 0.01) ?(delay = 0.04) ~t_end () =
+let measure_at ~seed ?(loss = 0.01) ?(delay = 0.04) ~t_end () =
   let cfg = Tfmcc_core.Config.default in
   let st =
     Scenario.star ~seed ~cfg ~link_bps:8e6 ~link_delays:[| delay |]
@@ -46,6 +46,8 @@ let measure ?(seed = 42) ?(loss = 0.01) ?(delay = 0.04) ~t_end () =
   Scenario.run_until st.Scenario.s_sc t_end;
   List.rev !samples
 
+let measure = measure_at ~seed:42
+
 let mean_gap samples =
   match List.filter (fun s -> Float.is_finite s.gap) samples with
   | [] -> infinity
@@ -57,7 +59,7 @@ let tolerance = 0.15
 
 let run ~mode ~seed =
   let t_end = Scenario.scale mode ~quick:120. ~full:300. in
-  let samples = measure ~seed ~t_end () in
+  let samples = measure_at ~seed ~t_end () in
   let rows =
     List.map (fun s -> (s.time, [ s.rate_kbps; s.model_kbps; s.gap ])) samples
   in

@@ -9,9 +9,8 @@ type sample = {
   gap : float;  (** {!Check.Oracle.equation_gap} at this instant *)
 }
 
-val measure :
-  ?seed:int -> ?loss:float -> ?delay:float -> t_end:float -> unit -> sample list
-(** One-receiver star with Bernoulli loss (default 1%, 40 ms);
+val measure : ?loss:float -> ?delay:float -> t_end:float -> unit -> sample list
+(** One-receiver star at seed 42 with Bernoulli loss (default 1%, 40 ms);
     per-second samples after a [t_end]/3 warmup, kept only once the
     receiver has loss and a real RTT measurement.  Also the body of the
     QCheck property. *)

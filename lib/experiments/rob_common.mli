@@ -10,9 +10,6 @@ val attacks : attack list
 
 val attack_name : attack -> string
 
-val strategy : attack -> Tfmcc_core.Adversary.strategy
-(** The calibrated strategy parameters used across the suite. *)
-
 (** One run of the attack matrix. *)
 type cell = {
   c_attack : string;

@@ -79,8 +79,11 @@ type dumbbell = {
   sender_node : Netsim.Node.t;
 }
 
+(* Default queue of every link, packets. *)
+let queue_capacity = 50
+
 let dumbbell ?seed ?obs ?(cfg = Tfmcc_core.Config.default) ~bottleneck_bps
-    ~delay_s ?(queue_capacity = 50) ~n_tfmcc_rx ~n_tcp () =
+    ~delay_s ?(queue_capacity = queue_capacity) ~n_tfmcc_rx ~n_tcp () =
   let sc = base ?seed ?obs () in
   let left = Netsim.Topology.add_node sc.topo in
   let right = Netsim.Topology.add_node sc.topo in
@@ -141,8 +144,7 @@ type star = {
 }
 
 let star ?seed ?obs ?(cfg = Tfmcc_core.Config.default) ?uplink_bps ~link_bps
-    ~link_delays ?link_losses ?return_losses ?(queue_capacity = 50)
-    ?(with_tcp = false) () =
+    ~link_delays ?link_losses ?return_losses ?(with_tcp = false) () =
   let n = Array.length link_delays in
   if n = 0 then invalid_arg "Scenario.star: need at least one receiver";
   (match link_losses with

@@ -112,14 +112,14 @@ val star :
   link_delays:float array ->
   ?link_losses:float array ->
   ?return_losses:float array ->
-  ?queue_capacity:int ->
   ?with_tcp:bool ->
   unit ->
   star
-(** One receiver per entry of [link_delays].  [link_losses] (same length)
-    puts Bernoulli loss on the hub→receiver direction; [return_losses] on
-    the receiver→hub direction (lossy report/ACK paths, Fig. 19).  TFMCC
-    receivers are created but not joined. *)
+(** One receiver per entry of [link_delays], every link with a 50-packet
+    queue.  [link_losses] (same length) puts Bernoulli loss on the
+    hub→receiver direction; [return_losses] on the receiver→hub
+    direction (lossy report/ACK paths, Fig. 19).  TFMCC receivers are
+    created but not joined. *)
 
 val run_until : t -> float -> unit
 

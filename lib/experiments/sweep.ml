@@ -6,7 +6,7 @@ type result = {
   aggregate : Series.t list option;
 }
 
-let run_cell ?(strict = false) ?watchdog ?(sink = Obs.Sink.create ())
+let run_cell_in ?(strict = false) ?watchdog ?(sink = Obs.Sink.create ())
     (e : Registry.experiment) ~mode ~seed =
   (* Fresh checker per cell: probes hold engine references, and a strict
      violation must abort exactly this (experiment, seed) cell with its
@@ -19,6 +19,8 @@ let run_cell ?(strict = false) ?watchdog ?(sink = Obs.Sink.create ())
         e.Registry.run ~mode ~seed)
   in
   (sink, series)
+
+let run_cell ?strict e ~mode ~seed = run_cell_in ?strict e ~mode ~seed
 
 (* ------------------------------------------------------------ aggregate *)
 
@@ -146,7 +148,7 @@ let failure (e : Registry.experiment) ~seed ~journal exn =
 let run_task ~strict ~policy (e : Registry.experiment) ~mode ~seed control =
   let sink = Obs.Sink.create () in
   let watchdog = { Netsim.Watchdog.control; max_events = policy.max_events } in
-  match run_cell ~strict ~watchdog ~sink e ~mode ~seed with
+  match run_cell_in ~strict ~watchdog ~sink e ~mode ~seed with
   | _, series -> T_ok { seed; series }
   | exception exn ->
       failure e ~seed

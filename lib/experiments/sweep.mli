@@ -23,22 +23,19 @@ type result = {
 
 val run_cell :
   ?strict:bool ->
-  ?watchdog:Netsim.Watchdog.config ->
-  ?sink:Obs.Sink.t ->
   Registry.experiment ->
   mode:Scenario.mode ->
   seed:int ->
   Obs.Sink.t * Series.t list
 (** The one way to run an experiment: runs it as one cell
-    ({!Scenario.with_cell}) on [sink] (default a fresh one, so
-    concurrent runs never share metrics or journals) and returns the
-    sink with the series.  With [strict] (default false) a fresh strict
-    {!Check.Invariant} checker rides along, and an invariant violation
-    raises {!Check.Invariant.Violation} out of the cell.  With
-    [watchdog] every engine the experiment builds is bounded by it.  A
-    watchdog adds engine events, which the sink counts, so golden
-    digests and the CLI's [run] run without one.  Pass [sink] to read
-    the journal of a cell that raised. *)
+    ({!Scenario.with_cell}) on a fresh sink, so concurrent runs never
+    share metrics or journals, and returns the sink with the series.
+    With [strict] (default false) a fresh strict {!Check.Invariant}
+    checker rides along, and an invariant violation raises
+    {!Check.Invariant.Violation} out of the cell.  The cell runs without
+    a watchdog: one adds engine events, which the sink counts, so golden
+    digests and the CLI's [run] run without one; {!run}'s cells each
+    have one. *)
 
 (** {1 Supervised sweeps (DESIGN.md §12)}
 

@@ -38,8 +38,6 @@ val subscription : t -> int
 val cumulative_rate : t -> float
 (** Bytes/s implied by the current subscription (0 before any data). *)
 
-val calculated_rate : t -> float
-
 val loss_event_rate : t -> float
 
 val packets_received : t -> int

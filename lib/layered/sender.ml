@@ -6,12 +6,8 @@ type t = {
   n_layers : int;
   cumulative : float array;  (* bytes/s through layer l *)
   layer_rate : float array;  (* bytes/s of layer l alone *)
-  flow : int;
   rng : Stats.Rng.t;
-  mutable running : bool;
   mutable seqs : int array;
-  mutable timers : Netsim.Engine.handle option array;
-  mutable sent : int;
 }
 
 let layers t = t.n_layers
@@ -19,8 +15,6 @@ let layers t = t.n_layers
 let cumulative_rate t ~layer =
   if layer < 0 || layer >= t.n_layers then invalid_arg "Layered.Sender.cumulative_rate";
   t.cumulative.(layer)
-
-let packets_sent t = t.sent
 
 let send_layer t layer =
   let now = Netsim.Engine.now t.engine in
@@ -37,10 +31,9 @@ let send_layer t layer =
       }
   in
   t.seqs.(layer) <- t.seqs.(layer) + 1;
-  t.sent <- t.sent + 1;
   let p =
     Netsim.Packet.alloc (Netsim.Engine.arena t.engine)
-      ~flow:(t.flow + layer) ~size:Wire.data_size
+      ~flow:((t.session * 64) + layer) ~size:Wire.data_size
       ~src:(Netsim.Node.id t.node)
       ~dst:(Netsim.Packet.Multicast (Wire.group_of ~session:t.session ~layer))
       ~created:now payload
@@ -48,21 +41,15 @@ let send_layer t layer =
   Netsim.Topology.inject t.topo p
 
 let rec schedule_layer t layer =
-  if t.running then begin
-    let jitter = 0.75 +. (0.5 *. Stats.Rng.uniform t.rng) in
-    let delay = jitter *. float_of_int Wire.data_size /. t.layer_rate.(layer) in
-    t.timers.(layer) <-
-      Some
-        (Netsim.Engine.after t.engine ~delay (fun () ->
-             t.timers.(layer) <- None;
-             if t.running then begin
-               send_layer t layer;
-               schedule_layer t layer
-             end))
-  end
+  let jitter = 0.75 +. (0.5 *. Stats.Rng.uniform t.rng) in
+  let delay = jitter *. float_of_int Wire.data_size /. t.layer_rate.(layer) in
+  ignore
+    (Netsim.Engine.after t.engine ~delay (fun () ->
+         send_layer t layer;
+         schedule_layer t layer))
 
 let create topo ~session ~node ?(layers = 6) ?(base_rate = 16_000.)
-    ?(growth = 2.) ?flow () =
+    ?(growth = 2.) () =
   if layers < 1 then invalid_arg "Layered.Sender.create: need at least one layer";
   if base_rate <= 0. then invalid_arg "Layered.Sender.create: base_rate";
   if growth <= 1. then invalid_arg "Layered.Sender.create: growth must exceed 1";
@@ -82,30 +69,14 @@ let create topo ~session ~node ?(layers = 6) ?(base_rate = 16_000.)
     n_layers = layers;
     cumulative;
     layer_rate;
-    flow = Option.value flow ~default:(session * 64);
     rng = Netsim.Engine.split_rng engine;
-    running = false;
     seqs = Array.make layers 0;
-    timers = Array.make layers None;
-    sent = 0;
   }
 
 let start t ~at =
-  t.running <- true;
   ignore
     (Netsim.Engine.at t.engine ~time:at (fun () ->
          for l = 0 to t.n_layers - 1 do
            send_layer t l;
            schedule_layer t l
          done))
-
-let stop t =
-  t.running <- false;
-  Array.iteri
-    (fun i h ->
-      match h with
-      | Some hd ->
-          Netsim.Engine.cancel t.engine hd;
-          t.timers.(i) <- None
-      | None -> ())
-    t.timers

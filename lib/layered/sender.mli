@@ -14,19 +14,15 @@ val create :
   ?layers:int ->
   ?base_rate:float ->
   ?growth:float ->
-  ?flow:int ->
   unit ->
   t
 (** Defaults: 6 layers, base 16 kB/s, growth 2 — cumulative rates
-    16/32/64/128/256/512 kB/s. *)
+    16/32/64/128/256/512 kB/s.  Layer [l] sends on flow tag
+    [session * 64 + l]. *)
 
 val start : t -> at:float -> unit
-
-val stop : t -> unit
 
 val layers : t -> int
 
 val cumulative_rate : t -> layer:int -> float
 (** Bytes/s when subscribed through [layer] (0-based). *)
-
-val packets_sent : t -> int

@@ -26,7 +26,6 @@ type t = {
   mutable sent : int;
   mutable delivered : int;
   mutable lost : int;
-  mutable flaps : int;
   (* Per-link conservation ledger (see Check.Invariant): every packet
      entering [forward] is [offered]; it then either pre-drops (down /
      TTL), drops at the queue, or is accepted into the queue+wire
@@ -123,7 +122,6 @@ let create engine ?(loss = Loss_model.none) ~bandwidth_bps ~delay_s ~queue ~src
     sent = 0;
     delivered = 0;
     lost = 0;
-    flaps = 0;
     offered = 0;
     in_flight = 0;
     drop_queue_n = 0;
@@ -235,10 +233,6 @@ let set_tracer t f = t.tracer <- Some f
 
 let set_fault t f = t.fault <- f
 
-let set_up t up =
-  if t.up <> up then t.flaps <- t.flaps + 1;
-  t.up <- up
+let set_up t up = t.up <- up
 
 let is_up t = t.up
-
-let flaps t = t.flaps

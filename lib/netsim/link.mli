@@ -53,13 +53,9 @@ val set_loss : t -> Loss_model.t -> unit
 val set_up : t -> bool -> unit
 (** Takes the link down (every packet handed to it is dropped and counted
     under {!packets_lost}) or back up.  Models path failure without
-    touching routing state.  Each up/down transition counts as one
-    {!flaps} entry. *)
+    touching routing state. *)
 
 val is_up : t -> bool
-
-val flaps : t -> int
-(** Number of up/down state transitions so far. *)
 
 val set_fault : t -> (Packet.t -> fault_action) option -> unit
 (** Installs (or with [None] removes) the fault injector consulted for

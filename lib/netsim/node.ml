@@ -2,10 +2,9 @@ type t = {
   id : int;
   mutable handlers : (Packet.t -> unit) list;  (* attachment order *)
   mutable hook : (Packet.t -> unit) option;
-  mutable received : int;
 }
 
-let create ~id = { id; handlers = []; hook = None; received = 0 }
+let create ~id = { id; handlers = []; hook = None }
 
 let id t = t.id
 
@@ -25,9 +24,6 @@ let rec deliver_each p = function
 let deliver_local t p = deliver_each p t.handlers
 
 let receive t p =
-  t.received <- t.received + 1;
   match t.hook with Some hook -> hook p | None -> deliver_local t p
 
 let set_receive_hook t hook = t.hook <- Some hook
-
-let packets_received t = t.received

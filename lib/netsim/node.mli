@@ -23,6 +23,3 @@ val receive : t -> Packet.t -> unit
 
 val set_receive_hook : t -> (Packet.t -> unit) -> unit
 (** Replaces the receive behaviour (installed by {!Topology}). *)
-
-val packets_received : t -> int
-(** Count of packets that arrived at this node (via {!receive}). *)

@@ -117,7 +117,5 @@ let dequeue_exn q =
 
 let length q = q.len
 
-let capacity q = q.capacity
-
 let drops q = q.drops
 

@@ -27,7 +27,5 @@ val dequeue_exn : t -> Packet.t
 val length : t -> int
 (** Current queue length in packets. *)
 
-val capacity : t -> int
-
 val drops : t -> int
 (** Cumulative count of packets dropped at enqueue. *)

@@ -1,7 +1,12 @@
 type kind =
-  | Cbr of { jitter : float }
+  | Cbr
   | Poisson
   | On_off
+
+let packet_size = 1000
+
+(* A CBR gap is spread uniformly over ±jitter/2 of its nominal value. *)
+let jitter = 0.1
 
 type t = {
   topo : Topology.t;
@@ -43,23 +48,22 @@ let make topo ~kind ~flow ~src ~dst ~rate_bps ~packet_size =
     bytes = 0;
   }
 
-let cbr topo ~flow ~src ~dst ~rate_bps ?(packet_size = 1000) ?(jitter = 0.1) () =
-  if jitter < 0. || jitter >= 2. then invalid_arg "Traffic.cbr: jitter out of [0,2)";
-  make topo ~kind:(Cbr { jitter }) ~flow ~src ~dst ~rate_bps ~packet_size
+let cbr topo ~flow ~src ~dst ~rate_bps ?(packet_size = packet_size) () =
+  make topo ~kind:Cbr ~flow ~src ~dst ~rate_bps ~packet_size
 
-let poisson topo ~flow ~src ~dst ~rate_bps ?(packet_size = 1000) () =
+let poisson topo ~flow ~src ~dst ~rate_bps () =
   make topo ~kind:Poisson ~flow ~src ~dst ~rate_bps ~packet_size
 
 (* Mean length of an on-off source's on and off periods alike. *)
 let period_mean = 1.
 
-let on_off topo ~flow ~src ~dst ~rate_bps ?(packet_size = 1000) () =
+let on_off topo ~flow ~src ~dst ~rate_bps () =
   make topo ~kind:On_off ~flow ~src ~dst ~rate_bps ~packet_size
 
 let gap t =
   let nominal = float_of_int t.packet_size *. 8. /. t.rate_bps in
   match t.kind with
-  | Cbr { jitter } ->
+  | Cbr ->
       nominal *. (1. -. (jitter /. 2.) +. Stats.Rng.float t.rng jitter)
   | Poisson -> Stats.Rng.exponential t.rng ~mean:nominal
   | On_off -> nominal
@@ -86,7 +90,7 @@ let rec tick t =
           t.in_on_period <- not t.in_on_period;
           t.period_ends <- now +. Stats.Rng.exponential t.rng ~mean:period_mean
         end
-    | Cbr _ | Poisson -> ());
+    | Cbr | Poisson -> ());
     let delay =
       match t.kind with
       | On_off when not t.in_on_period ->
@@ -105,7 +109,7 @@ let start t ~at =
   | On_off ->
       t.in_on_period <- true;
       t.period_ends <- at +. Stats.Rng.exponential t.rng ~mean:period_mean
-  | Cbr _ | Poisson -> ());
+  | Cbr | Poisson -> ());
   Engine.at_unit t.engine ~base:Event_heap.time_zero ~offset:at (fun () -> tick t)
 
 let stop t =

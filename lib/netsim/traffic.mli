@@ -14,12 +14,11 @@ val cbr :
   dst:Node.t ->
   rate_bps:float ->
   ?packet_size:int ->
-  ?jitter:float ->
   unit ->
   t
-(** Constant bit rate.  [jitter] (default 0.1) spreads each inter-packet
-    gap uniformly over ±jitter/2 of its nominal value, avoiding simulator
-    phase effects.  [packet_size] defaults to 1000 bytes. *)
+(** Constant bit rate.  Each inter-packet gap is spread uniformly over
+    ±5% of its nominal value, avoiding simulator phase effects.
+    [packet_size] defaults to 1000 bytes. *)
 
 val poisson :
   Topology.t ->
@@ -27,11 +26,10 @@ val poisson :
   src:Node.t ->
   dst:Node.t ->
   rate_bps:float ->
-  ?packet_size:int ->
   unit ->
   t
 (** Exponentially distributed inter-packet gaps with the given average
-    rate. *)
+    rate, in 1000-byte packets. *)
 
 val on_off :
   Topology.t ->
@@ -39,10 +37,9 @@ val on_off :
   src:Node.t ->
   dst:Node.t ->
   rate_bps:float ->
-  ?packet_size:int ->
   unit ->
   t
-(** Exponential on/off source: bursts at [rate_bps] during on-periods
+(** Exponential on/off source of 1000-byte packets: bursts at [rate_bps] during on-periods
     of mean 1 s, silent during off-periods of mean 1 s, so the
     long-run average rate is half of [rate_bps]. *)
 

@@ -41,6 +41,8 @@ let env topo ~session node =
     obs = Netsim.Engine.obs eng;
   }
 
+(* Passes every local TFMCC payload, with its on-the-wire packet size,
+   to [f]; other payloads are ignored. *)
 let attach node f =
   Netsim.Node.attach node (fun p ->
       match msg_of_payload p.Netsim.Packet.payload with
@@ -71,10 +73,10 @@ let corrupt_packet rng (pkt : Netsim.Packet.t) =
 module Sender = struct
   include Tfmcc_core.Sender
 
-  let create topo ~cfg ~session ~node ?flow ?initial_rate () =
+  let create topo ~cfg ~session ~node ?initial_rate () =
     let t =
       Tfmcc_core.Sender.create ~env:(env topo ~session node) ~cfg ~session
-        ?flow ?initial_rate ()
+        ?initial_rate ()
     in
     attach_sender node t;
     t
@@ -83,13 +85,12 @@ end
 module Receiver = struct
   include Tfmcc_core.Receiver
 
-  let create topo ~cfg ~session ~node ~sender ?report_to ?clock_offset
-      ?ntp_error () =
+  let create topo ~cfg ~session ~node ~sender ?report_to ?ntp_error () =
     let t =
       Tfmcc_core.Receiver.create ~env:(env topo ~session node) ~cfg ~session
         ~sender:(Netsim.Node.id sender)
         ?report_to:(Option.map Netsim.Node.id report_to)
-        ?clock_offset ?ntp_error ()
+        ?ntp_error ()
     in
     attach_receiver node t;
     t
@@ -114,11 +115,11 @@ module Session = struct
       receiver_nodes (receivers t);
     t
 
-  let add_receiver topo t ~node ?clock_offset ~join_now () =
+  let add_receiver topo t ~node ~join_now () =
     let r =
       Tfmcc_core.Session.add_receiver t
         ~env:(env topo ~session:(session_id t) node)
-        ?clock_offset ~join_now ()
+        ~join_now ()
     in
     attach_receiver node r;
     r
@@ -139,10 +140,10 @@ end
 module Aggregator = struct
   include Tfmcc_core.Aggregator
 
-  let create topo ~session ~node ~parent ?hold ?cfg () =
+  let create topo ~session ~node ~parent ?hold () =
     let t =
       Tfmcc_core.Aggregator.create ~env:(env topo ~session node) ~session
-        ~parent:(Netsim.Node.id parent) ?hold ?cfg ()
+        ~parent:(Netsim.Node.id parent) ?hold ()
     in
     attach node (fun ~size:_ msg -> deliver t msg);
     t

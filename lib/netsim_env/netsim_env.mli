@@ -32,11 +32,6 @@ val env : Netsim.Topology.t -> session:int -> Netsim.Node.t -> Env.t
     handler that feeds [deliver] (the sub-module constructors below do
     this). *)
 
-val attach :
-  Netsim.Node.t -> (size:int -> Wire.msg -> unit) -> unit
-(** Attaches a handler passing every local TFMCC payload (with its
-    on-the-wire packet size) to [f]; other payloads are ignored. *)
-
 val corrupt_packet : Stats.Rng.t -> Netsim.Packet.t -> Netsim.Packet.t
 (** {!Tfmcc_core.Wire.corrupt_msg} lifted to simulator packets for
     [Netsim.Fault.corrupt]: mangles one field of a TFMCC payload into a
@@ -51,7 +46,6 @@ module Sender : sig
     cfg:Config.t ->
     session:int ->
     node:Netsim.Node.t ->
-    ?flow:int ->
     ?initial_rate:float ->
     unit ->
     t
@@ -69,7 +63,6 @@ module Receiver : sig
     node:Netsim.Node.t ->
     sender:Netsim.Node.t ->
     ?report_to:Netsim.Node.t ->
-    ?clock_offset:float ->
     ?ntp_error:float ->
     unit ->
     t
@@ -92,7 +85,6 @@ module Session : sig
     Netsim.Topology.t ->
     t ->
     node:Netsim.Node.t ->
-    ?clock_offset:float ->
     join_now:bool ->
     unit ->
     Receiver.t
@@ -123,7 +115,6 @@ module Aggregator : sig
     node:Netsim.Node.t ->
     parent:Netsim.Node.t ->
     ?hold:float ->
-    ?cfg:Config.t ->
     unit ->
     t
 end

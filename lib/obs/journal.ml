@@ -173,15 +173,6 @@ let pp_entry ppf e =
     (if fields = "" then "" else " ")
     fields
 
-let to_text t =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (Format.asprintf "%a" pp_entry e);
-      Buffer.add_char buf '\n')
-    (entries t);
-  Buffer.contents buf
-
 let entry_to_json e =
   Json.Obj
     ([

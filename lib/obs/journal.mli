@@ -91,6 +91,4 @@ val count_events : t -> (event -> bool) -> int
 val pp_entry : Format.formatter -> entry -> unit
 (** One line: [time sev component session/node event {fields}]. *)
 
-val to_text : t -> string
-
 val to_json : t -> Json.t

@@ -7,8 +7,6 @@ let create () = { metrics = Metrics.create (); journal = Journal.create () }
 
 let null = { metrics = Metrics.null; journal = Journal.null }
 
-let enabled t = Metrics.enabled t.metrics || Journal.enabled t.journal
-
 let event t ~time ?severity scope ev = Journal.record t.journal ~time ?severity scope ev
 
 let to_json t =

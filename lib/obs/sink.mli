@@ -17,8 +17,6 @@ val create : unit -> t
 val null : t
 (** Both halves disabled ({!Metrics.null} and {!Journal.null}). *)
 
-val enabled : t -> bool
-
 val event :
   t -> time:float -> ?severity:Journal.severity -> Journal.scope ->
   Journal.event -> unit

@@ -158,9 +158,3 @@ let join t =
     t.joined <- true;
     Netsim.Topology.join t.topo ~group:t.session t.node
   end
-
-let leave t =
-  if t.joined then begin
-    t.joined <- false;
-    Netsim.Topology.leave t.topo ~group:t.session t.node
-  end

@@ -22,10 +22,6 @@ val create :
 
 val join : t -> unit
 
-val leave : t -> unit
-
-val node_id : t -> int
-
 val loss_estimate : t -> float
 (** Smoothed per-packet loss fraction. *)
 

@@ -2,6 +2,9 @@
    fraction of the acker's. *)
 let hysteresis = 0.75
 
+(* Data packet size in bytes. *)
+let packet_size = 1000
+
 type peer = { mutable p_rtt : float; mutable p_loss : float; mutable p_seen : float }
 
 type t = {
@@ -9,8 +12,6 @@ type t = {
   engine : Netsim.Engine.t;
   session : int;
   node : Netsim.Node.t;
-  flow : int;
-  s : int;
   peers : (int, peer) Hashtbl.t;
   mutable running : bool;
   mutable seq : int;
@@ -67,7 +68,7 @@ let send_packet t =
   in
   let p =
     Netsim.Packet.alloc (Netsim.Engine.arena t.engine)
-      ~flow:t.flow ~size:t.s ~src:(Netsim.Node.id t.node)
+      ~flow:t.session ~size:packet_size ~src:(Netsim.Node.id t.node)
       ~dst:(Netsim.Packet.Multicast t.session) ~created:now payload
   in
   t.seq <- t.seq + 1;
@@ -196,7 +197,7 @@ let on_nak t ~rx ~echo_ts ~loss =
     end
   end
 
-let create topo ~session ~node ?flow ?(packet_size = 1000) () =
+let create topo ~session ~node () =
   let obs = Netsim.Engine.obs (Netsim.Topology.engine topo) in
   let metrics = obs.Obs.Sink.metrics in
   let labels = [ ("session", string_of_int session) ] in
@@ -206,8 +207,6 @@ let create topo ~session ~node ?flow ?(packet_size = 1000) () =
       engine = Netsim.Topology.engine topo;
       session;
       node;
-      flow = Option.value flow ~default:session;
-      s = packet_size;
       peers = Hashtbl.create 32;
       running = false;
       seq = 0;

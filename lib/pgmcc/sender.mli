@@ -21,12 +21,10 @@ val create :
   Netsim.Topology.t ->
   session:int ->
   node:Netsim.Node.t ->
-  ?flow:int ->
-  ?packet_size:int ->
   unit ->
   t
-(** The sender switches acker when a candidate's modelled throughput is
-    below 0.75 of the acker's. *)
+(** Sends 1000-byte packets on flow [session], and switches acker when a
+    candidate's modelled throughput is below 0.75 of the acker's. *)
 
 val start : t -> at:float -> unit
 

@@ -24,13 +24,7 @@ let add s ~time ~value =
   s.values.(s.len) <- value;
   s.len <- s.len + 1
 
-let length s = s.len
-
 let points s = Array.init s.len (fun i -> (s.times.(i), s.values.(i)))
-
-let values s = Array.sub s.values 0 s.len
-
-let times s = Array.sub s.times 0 s.len
 
 let n_bins ~bin ~t_end =
   if bin <= 0. then invalid_arg "Timeseries: bin width must be positive";
@@ -90,6 +84,4 @@ module Counter = struct
 
   let rate_series_bps c ~bin ~t_end =
     bin_rate c.series ~bin ~t_end |> Array.map (fun (t, v) -> (t, v *. 8.))
-
-  let series c = c.series
 end

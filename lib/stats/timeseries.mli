@@ -13,15 +13,6 @@ val create : unit -> t
 val add : t -> time:float -> value:float -> unit
 (** Raises [Invalid_argument] if [time] precedes the last appended time. *)
 
-val length : t -> int
-
-val points : t -> (float * float) array
-(** Snapshot of all points in append order. *)
-
-val values : t -> float array
-
-val times : t -> float array
-
 val bin_sum : t -> bin:float -> t_end:float -> (float * float) array
 (** [bin_sum s ~bin ~t_end] sums values into bins of width [bin] covering
     [0, t_end); each output point is (bin centre, sum of values in bin). *)
@@ -35,7 +26,6 @@ val between : t -> t_start:float -> t_end:float -> (float * float) array
 
 (** Accumulating byte counters, used by flow monitors. *)
 module Counter : sig
-  type series := t
   type t
 
   val create : unit -> t
@@ -53,6 +43,4 @@ module Counter : sig
 
   val rate_series_bps : t -> bin:float -> t_end:float -> (float * float) array
   (** Binned throughput in bits/s. *)
-
-  val series : t -> series
 end

@@ -290,12 +290,6 @@ let stop t =
   t.running <- false;
   cancel_timer t
 
-let cwnd t = t.f.cwnd
-
-let ssthresh t = t.f.ssthresh
-
 let retransmits t = t.retransmits
-
-let srtt t = Rto_estimator.srtt t.rto
 
 let highest_ack t = t.snd_una

@@ -28,14 +28,7 @@ val start : t -> at:float -> unit
 val stop : t -> unit
 (** Halts transmission and cancels the retransmit timer. *)
 
-val cwnd : t -> float
-(** Congestion window in segments. *)
-
-val ssthresh : t -> float
-
 val retransmits : t -> int
-
-val srtt : t -> float option
 
 val highest_ack : t -> int
 (** All segments with seq < highest_ack are acknowledged. *)

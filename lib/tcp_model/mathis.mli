@@ -7,9 +7,6 @@
     history after the first loss event (App. B) and to rescale the first
     loss interval when the real RTT replaces the initial RTT. *)
 
-val c : float
-(** √(3/2). *)
-
 val throughput : s:int -> rtt:float -> p:float -> float
 (** Bytes/s; [infinity] when [p = 0]. *)
 

@@ -12,7 +12,6 @@ type t = {
   mutable seq : int;
   mutable send_timer : Netsim.Engine.handle option;
   mutable nofeedback : Netsim.Engine.handle option;
-  mutable sent : int;
   obs : Obs.Sink.t;
   scope : Obs.Journal.scope;
   m_sent : Obs.Metrics.Counter.t;
@@ -25,6 +24,9 @@ let jnl t ?severity ev =
   Obs.Sink.event t.obs ~time:(Netsim.Engine.now t.engine) ?severity t.scope ev
 
 let min_rate = float_of_int Wire.data_size /. 64.
+
+(* Bytes/s before the first feedback: one packet a second. *)
+let initial_rate = float_of_int Wire.data_size
 
 let rtt_or_default t = Option.value t.srtt ~default:0.5
 
@@ -43,7 +45,6 @@ let rec send_packet t =
       Wire.Data { conn = t.conn; seq = t.seq; ts = now; rtt = rtt_or_default t }
     in
     t.seq <- t.seq + 1;
-    t.sent <- t.sent + 1;
     Obs.Metrics.Counter.inc t.m_sent;
     Obs.Metrics.Gauge.set t.m_rate t.rate;
     let p =
@@ -100,11 +101,8 @@ let on_feedback t ~ts:_ ~echo_ts ~echo_delay ~rate =
   end;
   restart_nofeedback t
 
-let create topo ~conn ~flow ~src ~dst ?initial_rate () =
+let create topo ~conn ~flow ~src ~dst () =
   let engine = Netsim.Topology.engine topo in
-  let initial_rate =
-    Option.value initial_rate ~default:(float_of_int Wire.data_size)
-  in
   let obs = Netsim.Engine.obs engine in
   let metrics = obs.Obs.Sink.metrics in
   let labels = [ ("conn", string_of_int conn) ] in
@@ -123,7 +121,6 @@ let create topo ~conn ~flow ~src ~dst ?initial_rate () =
       seq = 0;
       send_timer = None;
       nofeedback = None;
-      sent = 0;
       obs;
       scope =
         Obs.Journal.scope ~session:conn ~node:(Netsim.Node.id src) "tear.sender";
@@ -157,5 +154,3 @@ let stop t =
 let rate_bytes_per_s t = t.rate
 
 let rtt t = t.srtt
-
-let packets_sent t = t.sent

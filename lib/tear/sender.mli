@@ -11,9 +11,9 @@ val create :
   flow:int ->
   src:Netsim.Node.t ->
   dst:Netsim.Node.t ->
-  ?initial_rate:float ->
   unit ->
   t
+(** Sends one packet a second until the first feedback. *)
 
 val start : t -> at:float -> unit
 
@@ -22,5 +22,3 @@ val stop : t -> unit
 val rate_bytes_per_s : t -> float
 
 val rtt : t -> float option
-
-val packets_sent : t -> int

@@ -42,8 +42,6 @@ let node_id t = t.env.Env.id
 
 let reports_sent t = t.sent
 
-let strategy t = t.strategy
-
 (* A forged report: honest echo fields (so the sender-side RTT sample is
    genuine and the report survives any echo-based check), lying rate
    machinery per strategy. *)
@@ -156,5 +154,3 @@ let create ~env ~cfg ~session ~sender ~strategy () =
 
 let start t ~at =
   ignore (t.env.Env.at ~time:at (fun () -> t.active <- true))
-
-let stop t = t.active <- false

@@ -41,10 +41,4 @@ val deliver : t -> Wire.msg -> unit
 
 val start : t -> at:float -> unit
 
-val stop : t -> unit
-
-val node_id : t -> int
-
-val strategy : t -> strategy
-
 val reports_sent : t -> int

@@ -18,11 +18,6 @@ type t = {
   session : int;
   parent : int;
   hold : float;
-  (* When a config with [defense_enabled] is supplied, reports that are
-     inconsistent with the TCP equation at their own claimed (rtt, p)
-     are dropped here, before they can displace the subtree's honest
-     minimum inside the hold window. *)
-  screen_cfg : Config.t option;
   mutable best : report option;
   mutable flush_timer : Env.timer option;
   mutable last_round_forwarded : int;
@@ -31,25 +26,9 @@ type t = {
   mutable reports_out : int;
 }
 
-let node_id t = t.env.Env.id
-
 let reports_in t = t.reports_in
 
 let reports_out t = t.reports_out
-
-let plausible t (r : report) =
-  match t.screen_cfg with
-  | None -> true
-  | Some cfg ->
-      (not (r.r_has_loss && r.r_have_rtt))
-      || r.r_p > 0.
-         &&
-         let expected =
-           Tcp_model.Padhye.throughput ~b:cfg.Config.b
-             ~s:cfg.Config.packet_size ~rtt:r.r_rtt r.r_p
-         in
-         let k = Config.defense_equation_slack in
-         r.r_rate <= k *. expected && r.r_rate *. k >= expected
 
 (* Lower is more restrictive; loss reports dominate rate-only ones. *)
 let more_restrictive a b =
@@ -99,7 +78,6 @@ let flush t =
 let on_report t (r : report) ~leaving =
   t.reports_in <- t.reports_in + 1;
   if leaving then forward t r ~leaving:true
-  else if not (plausible t r) then ()
   else if
     (* The presumptive CLR of this subtree (the receiver we last spoke
        for) keeps its immediate-feedback privilege: the sender's increase
@@ -149,19 +127,13 @@ let deliver t msg =
         ~leaving:r.leaving
   | Wire.Report _ | Wire.Data _ -> ()
 
-let create ~env ~session ~parent ?(hold = 0.2) ?cfg () =
+let create ~env ~session ~parent ?(hold = 0.2) () =
   if hold <= 0. then invalid_arg "Aggregator.create: hold must be positive";
-  let screen_cfg =
-    match cfg with
-    | Some c when c.Config.defense_enabled -> Some c
-    | Some _ | None -> None
-  in
   {
     env;
     session;
     parent;
     hold;
-    screen_cfg;
     best = None;
     flush_timer = None;
     last_round_forwarded = -1;

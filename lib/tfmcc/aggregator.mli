@@ -17,19 +17,13 @@
 type t
 
 val create :
-  env:Env.t -> session:int -> parent:int -> ?hold:float -> ?cfg:Config.t -> unit -> t
+  env:Env.t -> session:int -> parent:int -> ?hold:float -> unit -> t
 (** [parent] is the node id reports are forwarded to (another
     aggregator or the sender).  Subtree reports arrive via {!deliver}.
     [hold] is the aggregation interval (default 0.2 s): the best report
     collected during it is forwarded when it expires.  The interval
     should be well below the feedback round duration.  Does not consume
-    an RNG stream.
-
-    When [cfg] is supplied and has [defense_enabled], reports whose
-    claimed rate is inconsistent with the TCP equation at their own
-    (rtt, p) — beyond {!Config.defense_equation_slack} — are rejected
-    before aggregation (DESIGN.md §10): a lying subtree report must not
-    displace the honest minimum inside the hold window. *)
+    an RNG stream. *)
 
 val deliver : t -> Wire.msg -> unit
 (** Feeds one inbound message: reports of this session enter the
@@ -40,5 +34,3 @@ val reports_in : t -> int
 
 val reports_out : t -> int
 (** Aggregated reports forwarded to the parent. *)
-
-val node_id : t -> int

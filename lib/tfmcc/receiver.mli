@@ -60,10 +60,6 @@ val node_id : t -> int
 
 val joined : t -> bool
 
-val calculated_rate : t -> float
-(** X_r in bytes/s from the control equation; [infinity] before the first
-    loss event. *)
-
 val loss_event_rate : t -> float
 
 val rtt : t -> float

@@ -28,7 +28,6 @@ type t = {
   env : Env.t;
   cfg : Config.t;
   session : int;
-  flow : int;
   rng : Stats.Rng.t;
   mutable running : bool;
   mutable rate : float;  (* X_send, bytes/s *)
@@ -128,8 +127,6 @@ let feedback_starvations t = t.starvations
 let malformed_reports_dropped t = t.malformed_dropped
 
 let clr_failovers t = t.clr_failovers_n
-
-let defense t = t.defense
 
 (* NaN-safe: validation keeps NaN out of the inputs, but the rate is the
    one value that must never be poisoned, so the clamp itself is the last
@@ -592,7 +589,7 @@ let send_packet t ~gen =
     t.sent <- t.sent + 1;
     Obs.Metrics.Counter.inc t.m_sent;
     Obs.Metrics.Gauge.set t.m_rate t.rate;
-    t.env.Env.send ~dest:Env.To_group ~flow:t.flow
+    t.env.Env.send ~dest:Env.To_group ~flow:t.session
       ~size:t.cfg.Config.packet_size msg;
     (* +-25% pacing jitter: breaks deterministic phase-locking between
        the paced flow and drop-tail queue service (the classic simulator
@@ -603,11 +600,10 @@ let send_packet t ~gen =
     t.env.Env.after_unit ~delay t.pacing_cb
   end
 
-let create ~env ~cfg ~session ?flow ?initial_rate () =
+let create ~env ~cfg ~session ?initial_rate () =
   (match Config.validate cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Sender.create: bad config: " ^ msg));
-  let flow = Option.value flow ~default:session in
   let initial_rate =
     Option.value initial_rate
       ~default:(float_of_int cfg.Config.packet_size /. cfg.Config.rtt_initial)
@@ -619,7 +615,6 @@ let create ~env ~cfg ~session ?flow ?initial_rate () =
     env;
     cfg;
     session;
-    flow;
     rng = env.Env.split_rng ();
     running = false;
     rate = initial_rate;

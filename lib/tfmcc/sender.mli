@@ -28,10 +28,10 @@
 type t
 
 val create :
-  env:Env.t -> cfg:Config.t -> session:int -> ?flow:int -> ?initial_rate:float -> unit -> t
-(** The sender's node id is [env.id].  [flow] is the accounting tag on
-    data packets (default = [session]).  [initial_rate] defaults to one
-    packet per initial RTT.  Calls [env.split_rng] exactly once. *)
+  env:Env.t -> cfg:Config.t -> session:int -> ?initial_rate:float -> unit -> t
+(** The sender's node id is [env.id]; data packets carry [session] as
+    their accounting flow tag.  [initial_rate] defaults to one packet per
+    initial RTT.  Calls [env.split_rng] exactly once. *)
 
 val deliver : t -> Wire.msg -> unit
 (** Feeds one inbound message to the sender.  Reports for this session
@@ -94,9 +94,3 @@ val clr_failovers : t -> int
 (** Times a replacement CLR was installed after the previous one was lost
     to silence (timeout) or an explicit leave — i.e. completed
     failovers, as opposed to {!clr_timeouts} which counts the losses. *)
-
-val defense : t -> Defense.t option
-(** The adversarial-receiver defense layer, present when the config has
-    [defense_enabled] (DESIGN.md §10).  Exposes rejection counters for
-    tests and summaries; the same counts are in the metrics registry as
-    [tfmcc_defense_*_total]. *)

@@ -39,10 +39,9 @@ let receivers t = t.receivers
 let receiver t ~node_id =
   List.find (fun r -> Receiver.node_id r = node_id) t.receivers
 
-let add_receiver t ~env ?(clock_offset = 0.) ~join_now () =
+let add_receiver t ~env ~join_now () =
   let r =
-    Receiver.create ~env ~cfg:t.cfg ~session:t.session ~sender:t.sender_id
-      ~clock_offset ()
+    Receiver.create ~env ~cfg:t.cfg ~session:t.session ~sender:t.sender_id ()
   in
   t.receivers <- r :: t.receivers;
   if join_now then Receiver.join r;

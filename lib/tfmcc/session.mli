@@ -33,7 +33,7 @@ val receiver : t -> node_id:int -> Receiver.t
 (** Raises [Not_found] for unknown ids. *)
 
 val add_receiver :
-  t -> env:Env.t -> ?clock_offset:float -> join_now:bool -> unit -> Receiver.t
+  t -> env:Env.t -> join_now:bool -> unit -> Receiver.t
 (** Late join (paper §4.5). *)
 
 val session_id : t -> int

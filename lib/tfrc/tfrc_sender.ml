@@ -1,5 +1,13 @@
 let t_mbi = 64.  (* max backoff interval, seconds (RFC 3448) *)
 
+let packet_size = Wire.data_size
+
+(* Bytes/s until the first feedback: one packet a second (RFC 3448
+   §4.2 spirit). *)
+let initial_rate = float_of_int packet_size
+
+let min_rate = float_of_int packet_size /. t_mbi
+
 type t = {
   topo : Netsim.Topology.t;
   engine : Netsim.Engine.t;
@@ -7,8 +15,6 @@ type t = {
   flow : int;
   src : Netsim.Node.t;
   dst : Netsim.Node.t;
-  s : int;  (* packet size *)
-  initial_rate : float;
   mutable running : bool;
   mutable rate : float;  (* X, bytes/s *)
   mutable srtt : float option;
@@ -16,8 +22,6 @@ type t = {
   mutable in_slowstart : bool;
   mutable pending_echo : (float * float) option;  (* receiver ts, arrival time *)
   mutable nofeedback : Netsim.Engine.handle option;
-  mutable send_timer : Netsim.Engine.handle option;
-  mutable sent : int;
   obs : Obs.Sink.t;
   scope : Obs.Journal.scope;
   m_sent : Obs.Metrics.Counter.t;
@@ -29,8 +33,6 @@ type t = {
 let jnl t ?severity ev =
   Obs.Sink.event t.obs ~time:(Netsim.Engine.now t.engine) ?severity t.scope ev
 
-let min_rate t = float_of_int t.s /. t_mbi
-
 let rtt_or_default t = Option.value t.srtt ~default:0.5
 
 let cancel t handle_field =
@@ -41,60 +43,56 @@ let cancel t handle_field =
   | None -> None
 
 let rec send_packet t =
-  t.send_timer <- None;
-  if t.running then begin
-    let now = Netsim.Engine.now t.engine in
-    let echo_ts, echo_delay =
-      match t.pending_echo with
-      | Some (ts, arrived) -> (ts, now -. arrived)
-      | None -> (nan, 0.)
-    in
-    let payload =
-      Wire.Data
-        {
-          conn = t.conn;
-          seq = t.seq;
-          ts = now;
-          rtt = rtt_or_default t;
-          echo_ts;
-          echo_delay;
-        }
-    in
-    t.seq <- t.seq + 1;
-    t.sent <- t.sent + 1;
-    Obs.Metrics.Counter.inc t.m_sent;
-    Obs.Metrics.Gauge.set t.m_rate t.rate;
-    let p =
-      Netsim.Packet.alloc (Netsim.Engine.arena t.engine)
-        ~flow:t.flow ~size:t.s ~src:(Netsim.Node.id t.src)
-        ~dst:(Netsim.Packet.Unicast (Netsim.Node.id t.dst))
-        ~created:now payload
-    in
-    Netsim.Topology.inject t.topo p;
-    let delay = float_of_int t.s /. t.rate in
-    t.send_timer <- Some (Netsim.Engine.after t.engine ~delay (fun () -> send_packet t))
-  end
+  let now = Netsim.Engine.now t.engine in
+  let echo_ts, echo_delay =
+    match t.pending_echo with
+    | Some (ts, arrived) -> (ts, now -. arrived)
+    | None -> (nan, 0.)
+  in
+  let payload =
+    Wire.Data
+      {
+        conn = t.conn;
+        seq = t.seq;
+        ts = now;
+        rtt = rtt_or_default t;
+        echo_ts;
+        echo_delay;
+      }
+  in
+  t.seq <- t.seq + 1;
+  Obs.Metrics.Counter.inc t.m_sent;
+  Obs.Metrics.Gauge.set t.m_rate t.rate;
+  let p =
+    Netsim.Packet.alloc (Netsim.Engine.arena t.engine)
+      ~flow:t.flow ~size:packet_size ~src:(Netsim.Node.id t.src)
+      ~dst:(Netsim.Packet.Unicast (Netsim.Node.id t.dst))
+      ~created:now payload
+  in
+  Netsim.Topology.inject t.topo p;
+  let delay = float_of_int packet_size /. t.rate in
+  ignore (Netsim.Engine.after t.engine ~delay (fun () -> send_packet t))
 
 let rec restart_nofeedback t =
   t.nofeedback <- cancel t t.nofeedback;
-  let delay = Float.max (4. *. rtt_or_default t) (2. *. float_of_int t.s /. t.rate) in
+  let delay =
+    Float.max (4. *. rtt_or_default t) (2. *. float_of_int packet_size /. t.rate)
+  in
   t.nofeedback <-
     Some
       (Netsim.Engine.after t.engine ~delay (fun () ->
            t.nofeedback <- None;
-           if t.running then begin
-             (* Halve the rate in the absence of feedback. *)
-             let from_bps = t.rate in
-             t.rate <- Float.max (min_rate t) (t.rate /. 2.);
-             Obs.Metrics.Counter.inc t.m_nofeedback;
-             jnl t ~severity:Obs.Journal.Warn
-               (Obs.Journal.Timeout { what = "nofeedback" });
-             if t.rate <> from_bps then
-               jnl t ~severity:Obs.Journal.Debug
-                 (Obs.Journal.Rate_change
-                    { from_bps; to_bps = t.rate; reason = "nofeedback-halve" });
-             restart_nofeedback t
-           end))
+           (* Halve the rate in the absence of feedback. *)
+           let from_bps = t.rate in
+           t.rate <- Float.max min_rate (t.rate /. 2.);
+           Obs.Metrics.Counter.inc t.m_nofeedback;
+           jnl t ~severity:Obs.Journal.Warn
+             (Obs.Journal.Timeout { what = "nofeedback" });
+           if t.rate <> from_bps then
+             jnl t ~severity:Obs.Journal.Debug
+               (Obs.Journal.Rate_change
+                  { from_bps; to_bps = t.rate; reason = "nofeedback-halve" });
+           restart_nofeedback t))
 
 let on_feedback t ~ts ~echo_ts ~echo_delay ~p ~x_recv =
   let now = Netsim.Engine.now t.engine in
@@ -119,13 +117,13 @@ let on_feedback t ~ts ~echo_ts ~echo_delay ~p ~x_recv =
        t.in_slowstart <- false;
        jnl t (Obs.Journal.Slowstart_exit { rate_bps = t.rate })
      end;
-     let x_calc = Tcp_model.Padhye.throughput ~s:t.s ~rtt:r p in
-     t.rate <- Float.max (Float.min x_calc recv_cap) (min_rate t)
+     let x_calc = Tcp_model.Padhye.throughput ~s:packet_size ~rtt:r p in
+     t.rate <- Float.max (Float.min x_calc recv_cap) min_rate
    end
    else begin
      (* Slowstart: double, bounded by twice the receive rate. *)
      let target = Float.min (2. *. t.rate) recv_cap in
-     t.rate <- Float.max (Float.max target t.initial_rate) (min_rate t)
+     t.rate <- Float.max (Float.max target initial_rate) min_rate
    end);
   if t.rate <> from_bps then
     jnl t ~severity:Obs.Journal.Debug
@@ -137,12 +135,7 @@ let on_feedback t ~ts ~echo_ts ~echo_delay ~p ~x_recv =
          });
   restart_nofeedback t
 
-let create topo ~conn ~flow ~src ~dst ?(packet_size = Wire.data_size)
-    ?initial_rate () =
-  if packet_size <= 0 then invalid_arg "Tfrc_sender.create: packet size";
-  let initial_rate =
-    Option.value initial_rate ~default:(float_of_int packet_size)
-  in
+let create topo ~conn ~flow ~src ~dst () =
   let obs = Netsim.Engine.obs (Netsim.Topology.engine topo) in
   let metrics = obs.Obs.Sink.metrics in
   let labels = [ ("conn", string_of_int conn) ] in
@@ -154,8 +147,6 @@ let create topo ~conn ~flow ~src ~dst ?(packet_size = Wire.data_size)
       flow;
       src;
       dst;
-      s = packet_size;
-      initial_rate;
       running = false;
       rate = initial_rate;
       srtt = None;
@@ -163,8 +154,6 @@ let create topo ~conn ~flow ~src ~dst ?(packet_size = Wire.data_size)
       in_slowstart = true;
       pending_echo = None;
       nofeedback = None;
-      send_timer = None;
-      sent = 0;
       obs;
       scope =
         Obs.Journal.scope ~session:conn ~node:(Netsim.Node.id src) "tfrc.sender";
@@ -190,15 +179,6 @@ let start t ~at =
          send_packet t;
          restart_nofeedback t))
 
-let stop t =
-  t.running <- false;
-  t.send_timer <- cancel t t.send_timer;
-  t.nofeedback <- cancel t t.nofeedback
-
 let rate_bytes_per_s t = t.rate
 
 let rtt t = t.srtt
-
-let packets_sent t = t.sent
-
-let in_slowstart t = t.in_slowstart

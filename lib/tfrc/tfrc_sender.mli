@@ -15,22 +15,14 @@ val create :
   flow:int ->
   src:Netsim.Node.t ->
   dst:Netsim.Node.t ->
-  ?packet_size:int ->
-  ?initial_rate:float ->
   unit ->
   t
-(** [initial_rate] in bytes/s; default one packet per second until the
-    first feedback arrives (RFC 3448 §4.2 spirit). *)
+(** Sends one packet per second until the first feedback arrives
+    (RFC 3448 §4.2 spirit). *)
 
 val start : t -> at:float -> unit
-
-val stop : t -> unit
 
 val rate_bytes_per_s : t -> float
 
 val rtt : t -> float option
 (** Smoothed RTT; [None] before the first feedback. *)
-
-val packets_sent : t -> int
-
-val in_slowstart : t -> bool
