@@ -451,8 +451,21 @@ let dot_cmd =
     let kind_conv = Arg.enum [ ("transit-stub", `Ts); ("tree", `Tree); ("star", `Star) ] in
     Arg.(value & opt kind_conv `Ts & info [ "kind" ] ~docv:"KIND")
   in
-  let size_arg = Arg.(value & opt int 20 & info [ "size" ] ~docv:"N") in
+  let size_arg =
+    let doc =
+      "What $(docv) counts depends on $(b,--kind): stubs per transit router \
+       for transit-stub (default 2; each stub has 4 hosts), nodes for tree and \
+       leaves for star (default 20)."
+    in
+    Arg.(value & opt (some int) None & info [ "size" ] ~docv:"N" ~doc)
+  in
   let run kind size seed =
+    let size =
+      match (size, kind) with
+      | Some n, _ -> n
+      | None, `Ts -> 2
+      | None, (`Tree | `Star) -> 20
+    in
     if size < 1 then begin
       Printf.eprintf "dot: --size must be >= 1\n";
       exit 1
@@ -464,13 +477,11 @@ let dot_cmd =
       match kind with
       | `Ts ->
           let ts =
-            Netsim.Topo_gen.transit_stub topo rng
-              ~stubs_per_transit:(Stdlib.max 1 (size / 8))
-              ()
+            Netsim.Topo_gen.transit_stub topo rng ~stubs_per_transit:size ()
           in
           Array.concat
             [ ts.Netsim.Topo_gen.transits; ts.Netsim.Topo_gen.stubs; ts.Netsim.Topo_gen.hosts ]
-      | `Tree -> Netsim.Topo_gen.random_tree topo rng ~n:size ()
+      | `Tree -> Netsim.Topo_gen.random_tree topo rng ~n:size
       | `Star ->
           let hub, leaves = Netsim.Topo_gen.star topo ~leaves:size in
           Array.append [| hub |] leaves

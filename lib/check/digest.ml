@@ -12,8 +12,3 @@ let add_char t c =
 let add_string t s = String.iter (fun c -> add_char t c) s
 
 let to_hex t = Printf.sprintf "%016Lx" t.h
-
-let of_string s =
-  let t = create () in
-  add_string t s;
-  to_hex t

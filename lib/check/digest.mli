@@ -18,6 +18,3 @@ val add_char : t -> char -> unit
 
 val to_hex : t -> string
 (** Current hash as 16 lowercase hex digits. *)
-
-val of_string : string -> string
-(** One-shot convenience: [to_hex] of a fresh digest fed [s]. *)

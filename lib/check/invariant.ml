@@ -107,18 +107,13 @@ type attachment = {
 
 type t = {
   t_strict : bool;
-  interval : float;
   mutable attachments : attachment list;
-  mutable violation_count : int;
 }
 
-let create ?(strict = false) ?(interval = 0.25) () =
-  if interval <= 0. then
-    invalid_arg "Check.Invariant.create: interval must be positive";
-  { t_strict = strict; interval; attachments = []; violation_count = 0 }
+(* The sampling period of every probe, in simulated seconds. *)
+let interval = 0.25
 
-
-let violations t = t.violation_count
+let create ?(strict = false) () = { t_strict = strict; attachments = [] }
 
 let journal_window journal =
   let entries = Obs.Journal.entries journal in
@@ -133,7 +128,6 @@ let journal_window journal =
   else Buffer.contents buf
 
 let report_violation t engine ~id ~detail =
-  t.violation_count <- t.violation_count + 1;
   let sink = Netsim.Engine.obs engine in
   let now = Netsim.Engine.now engine in
   Obs.Metrics.Counter.inc
@@ -170,7 +164,7 @@ let attachment_for t engine =
         Obs.Metrics.counter
           (Netsim.Engine.obs engine).Obs.Sink.metrics "check_samples_total"
       in
-      Netsim.Engine.every engine ~interval:t.interval (fun () ->
+      Netsim.Engine.every engine ~interval (fun () ->
           Obs.Metrics.Counter.inc samples;
           run_probes t att ());
       att
@@ -178,8 +172,6 @@ let attachment_for t engine =
 let add_probe t engine ~id run =
   let att = attachment_for t engine in
   att.a_probes <- { probe_id = id; probe_run = run } :: att.a_probes
-
-let watch_custom t engine ~id run = add_probe t engine ~id run
 
 let watch_engine t engine =
   add_probe t engine ~id:"event_queue" (fun () ->

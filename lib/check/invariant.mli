@@ -24,14 +24,12 @@ exception Violation of string
     violation; the message carries the invariant id, simulated time,
     detail, and the tail of the protocol journal. *)
 
-val create : ?strict:bool -> ?interval:float -> unit -> t
-(** [strict] (default false) aborts on first violation; [interval]
-    (default 0.25 s) is the sampling period of every probe registered
-    through this checker. *)
-
-val violations : t -> int
-(** Violations observed so far across all probes (counted even when not
-    strict). *)
+val create : ?strict:bool -> unit -> t
+(** [strict] (default false) aborts on first violation.  Every probe
+    registered through the checker samples every 0.25 simulated
+    seconds; each violation (counted even when not strict) bumps
+    [check_violations_total{invariant=ID}] and journals an [Error]
+    note. *)
 
 val journal_window : Obs.Journal.t -> string
 (** The last-40-entry tail of a protocol journal rendered one entry per
@@ -126,7 +124,3 @@ val watch_session :
     x_recv sanity (receivers enumerated at each tick, so late joins are
     covered). [cfg] (default {!Tfmcc_core.Config.default}) supplies the
     rate bounds. *)
-
-val watch_custom :
-  t -> Netsim.Engine.t -> id:string -> (unit -> (unit, string) result) -> unit
-(** Registers an arbitrary read-only predicate under [id]. *)

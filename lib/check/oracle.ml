@@ -2,42 +2,6 @@ let relative_error ~expected ~actual =
   if expected = 0. && actual = 0. then 0.
   else abs_float (actual -. expected) /. Float.max (abs_float expected) 1e-12
 
-let within_tolerance ~tolerance ~expected ~actual =
-  let e = relative_error ~expected ~actual in
-  (not (Float.is_nan e)) && e <= tolerance
-
-(* Byte-identity oracle for checkpoint/resume: two renderings of a sweep
-   must agree byte for byte.  On divergence, report the first differing
-   line (1-based) with both sides' content, so a resume bug points
-   straight at the offending figure block. *)
-let first_divergence ~expected ~actual =
-  if String.equal expected actual then Ok ()
-  else begin
-    let lines s = String.split_on_char '\n' s in
-    let le = lines expected and la = lines actual in
-    let rec find n le la =
-      match (le, la) with
-      | [], [] ->
-          (* Same lines, unequal strings: only possible via a trailing
-             newline difference. *)
-          Error (Printf.sprintf "outputs differ only in trailing newline")
-      | e :: _, [] ->
-          Error
-            (Printf.sprintf "line %d: expected %S, actual output ends" n e)
-      | [], a :: _ ->
-          Error
-            (Printf.sprintf "line %d: expected output ends, actual %S" n a)
-      | e :: re, a :: ra ->
-          if String.equal e a then find (n + 1) re ra
-          else
-            Error (Printf.sprintf "line %d: expected %S, actual %S" n e a)
-    in
-    match find 1 le la with
-    | Error _ as err -> err
-    | Ok () -> Error "outputs differ"
-    (* unreachable: unequal strings always diverge somewhere *)
-  end
-
 let equation_gap ~b ~s ~rtt ~p ~rate =
   if
     p <= 0. || p > 1.

@@ -7,18 +7,6 @@
 val relative_error : expected:float -> actual:float -> float
 (** [|actual − expected| / max |expected| ε]; 0 when both are 0. *)
 
-val within_tolerance : tolerance:float -> expected:float -> actual:float -> bool
-(** [relative_error ≤ tolerance].  NaN inputs are never within
-    tolerance. *)
-
-val first_divergence :
-  expected:string -> actual:string -> (unit, string) result
-(** Byte-identity oracle: [Ok ()] iff the two strings are equal;
-    otherwise an [Error] naming the first differing line (1-based) and
-    both sides' content.  Used to assert that a sweep's rendered output
-    matches a reference run's byte for byte (serial against parallel,
-    a partly failing sweep against a clean one). *)
-
 val equation_gap :
   b:float -> s:int -> rtt:float -> p:float -> rate:float -> float
 (** Relative gap between an observed sending rate and the Padhye

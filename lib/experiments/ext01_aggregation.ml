@@ -77,7 +77,7 @@ let run_aggregated ~seed ~k ~m ~t_end =
     Array.map
       (fun branch ->
         Aggregator.create b.sc.Scenario.topo ~session:Scenario.tfmcc_flow
-          ~node:branch ~parent:b.sender ())
+          ~node:branch ~parent:b.sender)
       b.branches
   in
   let receivers =

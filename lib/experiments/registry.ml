@@ -271,4 +271,3 @@ let find id =
   let id = String.lowercase_ascii id in
   List.find_opt (fun e -> e.id = id) all
 
-let ids () = List.map (fun e -> e.id) all

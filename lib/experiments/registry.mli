@@ -15,5 +15,3 @@ val all : experiment list
 
 val find : string -> experiment option
 (** Lookup by id (case-insensitive) in {!all}. *)
-
-val ids : unit -> string list

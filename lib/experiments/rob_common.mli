@@ -8,8 +8,6 @@ type attack = Understater | Overstater | Rtt_liar | Spammer
 
 val attacks : attack list
 
-val attack_name : attack -> string
-
 (** One run of the attack matrix. *)
 type cell = {
   c_attack : string;

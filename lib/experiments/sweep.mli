@@ -52,9 +52,6 @@ type cause =
   | Stall  (** watchdog abort: livelock or event storm *)
   | Violation  (** strict {!Check.Invariant.Violation} *)
 
-val cause_label : cause -> string
-(** ["crashed" | "timeout" | "stalled" | "violation"]. *)
-
 type failure = {
   f_experiment : string;
   f_seed : int;
@@ -72,10 +69,6 @@ type policy = {
           events can overrun it *)
   max_events : int option;  (** per-cell total event budget (>= 1) *)
 }
-
-val default_policy : policy
-(** No timeout, no event budget.  The watchdog's livelock window is
-    {!Event_heap.livelock_events}. *)
 
 type report = {
   results : result list;

@@ -23,7 +23,6 @@ type t = {
   mutable received : int;
   mutable joins : int;
   mutable drops : int;
-  mutable eval_timer : Netsim.Engine.handle option;
 }
 
 let subscription t = if t.joined then t.subscribed else 0
@@ -102,17 +101,12 @@ let evaluate t =
   end
 
 let rec schedule_eval t =
-  t.eval_timer <-
-    Some
-      (Netsim.Engine.after t.engine ~delay:(4. *. rtt_estimate) (fun () ->
-           t.eval_timer <- None;
-           if t.joined then begin
-             evaluate t;
-             schedule_eval t
-           end))
+  Netsim.Engine.after_unit t.engine ~delay:(4. *. rtt_estimate) (fun () ->
+      evaluate t;
+      schedule_eval t)
 
 let on_data t ~layer ~seq ~cumulative_rate ~next_cumulative =
-  if t.joined && layer < t.subscribed then begin
+  if layer < t.subscribed then begin
     t.received <- t.received + 1;
     ensure_arrays t (layer + 2);
     if layer + 1 > t.n_layers then t.n_layers <- layer + 1;
@@ -161,7 +155,6 @@ let create topo ~session ~node =
       received = 0;
       joins = 0;
       drops = 0;
-      eval_timer = None;
     }
   in
   Netsim.Node.attach node (fun p ->
@@ -178,18 +171,4 @@ let join t =
     t.subscribed <- 1;
     join_layer t 0;
     schedule_eval t
-  end
-
-let leave t =
-  if t.joined then begin
-    for l = 0 to t.subscribed - 1 do
-      leave_layer t l
-    done;
-    t.joined <- false;
-    t.subscribed <- 0;
-    match t.eval_timer with
-    | Some h ->
-        Netsim.Engine.cancel t.engine h;
-        t.eval_timer <- None
-    | None -> ()
   end

@@ -28,12 +28,11 @@ val create :
     the TFMCC config). *)
 
 val join : t -> unit
-(** Subscribes to layer 0 and starts the controller. *)
-
-val leave : t -> unit
+(** Subscribes to layer 0 and starts the controller, which runs until
+    the simulation ends. *)
 
 val subscription : t -> int
-(** Number of layers currently subscribed (0 after {!leave}). *)
+(** Number of layers currently subscribed. *)
 
 val cumulative_rate : t -> float
 (** Bytes/s implied by the current subscription (0 before any data). *)

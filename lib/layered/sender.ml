@@ -1,20 +1,19 @@
+(* Layer count, layer 0's rate (bytes/s), and the factor each further
+   layer multiplies the cumulative rate by. *)
+let layers = 6
+let base_rate = 16_000.
+let growth = 2.
+
 type t = {
   topo : Netsim.Topology.t;
   engine : Netsim.Engine.t;
   session : int;
   node : Netsim.Node.t;
-  n_layers : int;
   cumulative : float array;  (* bytes/s through layer l *)
   layer_rate : float array;  (* bytes/s of layer l alone *)
   rng : Stats.Rng.t;
   mutable seqs : int array;
 }
-
-let layers t = t.n_layers
-
-let cumulative_rate t ~layer =
-  if layer < 0 || layer >= t.n_layers then invalid_arg "Layered.Sender.cumulative_rate";
-  t.cumulative.(layer)
 
 let send_layer t layer =
   let now = Netsim.Engine.now t.engine in
@@ -27,7 +26,7 @@ let send_layer t layer =
         ts = now;
         cumulative_rate = t.cumulative.(layer);
         next_cumulative =
-          (if layer + 1 < t.n_layers then t.cumulative.(layer + 1) else nan);
+          (if layer + 1 < layers then t.cumulative.(layer + 1) else nan);
       }
   in
   t.seqs.(layer) <- t.seqs.(layer) + 1;
@@ -43,16 +42,11 @@ let send_layer t layer =
 let rec schedule_layer t layer =
   let jitter = 0.75 +. (0.5 *. Stats.Rng.uniform t.rng) in
   let delay = jitter *. float_of_int Wire.data_size /. t.layer_rate.(layer) in
-  ignore
-    (Netsim.Engine.after t.engine ~delay (fun () ->
-         send_layer t layer;
-         schedule_layer t layer))
+  Netsim.Engine.after_unit t.engine ~delay (fun () ->
+      send_layer t layer;
+      schedule_layer t layer)
 
-let create topo ~session ~node ?(layers = 6) ?(base_rate = 16_000.)
-    ?(growth = 2.) () =
-  if layers < 1 then invalid_arg "Layered.Sender.create: need at least one layer";
-  if base_rate <= 0. then invalid_arg "Layered.Sender.create: base_rate";
-  if growth <= 1. then invalid_arg "Layered.Sender.create: growth must exceed 1";
+let create topo ~session ~node () =
   let cumulative =
     Array.init layers (fun l -> base_rate *. (growth ** float_of_int l))
   in
@@ -66,7 +60,6 @@ let create topo ~session ~node ?(layers = 6) ?(base_rate = 16_000.)
     engine;
     session;
     node;
-    n_layers = layers;
     cumulative;
     layer_rate;
     rng = Netsim.Engine.split_rng engine;
@@ -76,7 +69,7 @@ let create topo ~session ~node ?(layers = 6) ?(base_rate = 16_000.)
 let start t ~at =
   ignore
     (Netsim.Engine.at t.engine ~time:at (fun () ->
-         for l = 0 to t.n_layers - 1 do
+         for l = 0 to layers - 1 do
            send_layer t l;
            schedule_layer t l
          done))

@@ -78,11 +78,6 @@ let set_watchdog t ?(every_events = 4096) f =
   t.wd_every <- every_events;
   t.wd_countdown <- every_events
 
-let clear_watchdog t =
-  t.watchdog <- None;
-  t.wd_every <- max_int;
-  t.wd_countdown <- max_int
-
 (* Called from the event loop after each processed event.  An exception
    from the watchdog callback (a cancellation or stall abort) propagates
    out of [run] to the caller owning this engine's task. *)
@@ -136,15 +131,12 @@ let at_unit t ~base ~offset callback =
 
 let cancel t handle = Event_heap.cancel t.heap handle
 
-let every t ?until ~interval callback =
+let every t ~interval callback =
   if interval <= 0. then invalid_arg "Engine.every: interval must be positive";
   let rec tick time =
-    match until with
-    | Some limit when time > limit -> ()
-    | _ ->
-        Event_heap.add_unit t.heap ~base:Event_heap.time_zero ~offset:time (fun () ->
-            callback ();
-            tick (time +. interval))
+    Event_heap.add_unit t.heap ~base:Event_heap.time_zero ~offset:time (fun () ->
+        callback ();
+        tick (time +. interval))
   in
   tick (t.clock.Event_heap.cell_time +. interval)
 
@@ -174,8 +166,6 @@ let run ?until t =
 let stop t = t.stopped <- true
 
 let events_processed t = t.processed
-
-let pending_events t = Event_heap.size t.heap
 
 let queue_consistent t =
   Event_heap.well_formed t.heap

@@ -89,11 +89,10 @@ val at_unit :
 
 val cancel : t -> handle -> unit
 
-val every : t -> ?until:float -> interval:float -> (unit -> unit) -> unit
+val every : t -> interval:float -> (unit -> unit) -> unit
 (** Schedules [callback] at now + [interval] and every [interval]
-    seconds thereafter, stopping after [until] if given —
-    without [until] the schedule is unbounded, so drive the engine with
-    [run ~until].  Used by the periodic audits of [Check.Invariant]
+    seconds thereafter.  The schedule is unbounded, so drive the engine
+    with [run ~until].  Used by the periodic audits of [Check.Invariant]
     and the sim-time poll of {!Watchdog}. *)
 
 val run : ?until:float -> t -> unit
@@ -119,11 +118,7 @@ val set_watchdog : t -> ?every_events:int -> (unit -> unit) -> unit
     and aborts the run.  Replaces any previous watchdog.  With
     none installed the per-event cost is a single integer decrement. *)
 
-val clear_watchdog : t -> unit
-
 val events_processed : t -> int
-
-val pending_events : t -> int
 
 val queue_consistent : t -> bool
 (** Structural audit of the event queue for the runtime invariant

@@ -135,17 +135,3 @@ let crash t ~at apply =
          journal t ~severity:Obs.Journal.Warn
            (Obs.Journal.Fault { kind = "crash"; detail = "" });
          apply ()))
-
-(* --------------------------------------------------------------- counters *)
-
-let corruptions t = Obs.Metrics.Counter.value t.m_corruptions
-
-let duplications t = Obs.Metrics.Counter.value t.m_duplications
-
-let reorderings t = Obs.Metrics.Counter.value t.m_reorderings
-
-let link_flaps t = Obs.Metrics.Counter.value t.m_flaps
-
-let partitions t = Obs.Metrics.Counter.value t.m_partitions
-
-let crashes t = Obs.Metrics.Counter.value t.m_crashes

@@ -10,7 +10,8 @@
     types.
 
     The damage counts live in the engine's metrics registry as
-    [netsim_fault_*_total] counters; the accessors below read them.  All
+    [netsim_fault_*_total] counters, where experiments and tests read
+    them ([Obs.Metrics.counter_value]).  All
     eight names are registered at {!create}, including
     [netsim_fault_drops_injected_total] and
     [netsim_fault_graceful_leaves_total], which nothing here increments:
@@ -56,18 +57,3 @@ val crash : t -> at:float -> (unit -> unit) -> unit
 (** Schedules a receiver crash: the callback performs the leave and must
     not emit a leave report (the receiver vanishes silently and the
     sender has to find out via its timeouts). *)
-
-(** {1 Counters} *)
-
-val corruptions : t -> int
-
-val duplications : t -> int
-
-val reorderings : t -> int
-
-val link_flaps : t -> int
-(** Down transitions executed by partitions. *)
-
-val partitions : t -> int
-
-val crashes : t -> int

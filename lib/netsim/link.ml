@@ -25,14 +25,13 @@ type t = {
   mutable up : bool;
   mutable sent : int;
   mutable delivered : int;
-  mutable lost : int;
   (* Per-link conservation ledger (see Check.Invariant): every packet
      entering [forward] is [offered]; it then either pre-drops (down /
      TTL), drops at the queue, or is accepted into the queue+wire
      pipeline; after transmission it either drops to the loss model or
-     propagates ([in_flight]) until delivery.  These separate the drop
-     kinds that [lost] conflates, so the checker can assert exact packet
-     conservation at any sample instant. *)
+     propagates ([in_flight]) until delivery.  The drop kinds are kept
+     apart so the checker can assert exact packet conservation at any
+     sample instant. *)
   mutable offered : int;
   mutable in_flight : int;
   mutable drop_queue_n : int;
@@ -64,7 +63,6 @@ let on_arrive t p =
 
 let deliver t p =
   if Loss_model.drops_packet t.loss then begin
-    t.lost <- t.lost + 1;
     t.drop_loss_n <- t.drop_loss_n + 1;
     Obs.Metrics.Counter.inc t.cs.m_drop_loss;
     trace t ~kind:`Drop_loss p;
@@ -121,7 +119,6 @@ let create engine ?(loss = Loss_model.none) ~bandwidth_bps ~delay_s ~queue ~src
     up = true;
     sent = 0;
     delivered = 0;
-    lost = 0;
     offered = 0;
     in_flight = 0;
     drop_queue_n = 0;
@@ -140,7 +137,6 @@ let create engine ?(loss = Loss_model.none) ~bandwidth_bps ~delay_s ~queue ~src
 let forward t (p : Packet.t) =
   t.offered <- t.offered + 1;
   if not t.up then begin
-    t.lost <- t.lost + 1;
     t.drop_down_n <- t.drop_down_n + 1;
     Obs.Metrics.Counter.inc t.cs.m_drop_down;
     trace t ~kind:`Drop_loss p;
@@ -149,7 +145,6 @@ let forward t (p : Packet.t) =
   else if p.hops > Packet.ttl_limit then begin
     (* A routing loop ate the packet: account for it like any other drop
        instead of letting it vanish from all stats. *)
-    t.lost <- t.lost + 1;
     t.drop_ttl_n <- t.drop_ttl_n + 1;
     Obs.Metrics.Counter.inc t.cs.m_drop_ttl;
     trace t ~kind:`Drop_ttl p;
@@ -175,7 +170,6 @@ let send t (p : Packet.t) =
       match f p with
       | `Pass -> forward t p
       | `Drop ->
-          t.lost <- t.lost + 1;
           Obs.Metrics.Counter.inc t.cs.m_drop_loss;
           trace t ~kind:`Drop_loss p;
           Packet.release (Engine.arena t.engine) p
@@ -212,8 +206,6 @@ let set_loss t loss = t.loss <- loss
 let packets_sent t = t.sent
 
 let packets_delivered t = t.delivered
-
-let packets_lost t = t.lost
 
 let packets_offered t = t.offered
 

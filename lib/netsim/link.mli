@@ -52,26 +52,22 @@ val set_loss : t -> Loss_model.t -> unit
 
 val set_up : t -> bool -> unit
 (** Takes the link down (every packet handed to it is dropped and counted
-    under {!packets_lost}) or back up.  Models path failure without
+    under {!drops_down}) or back up.  Models path failure without
     touching routing state. *)
 
 val is_up : t -> bool
 
 val set_fault : t -> (Packet.t -> fault_action) option -> unit
 (** Installs (or with [None] removes) the fault injector consulted for
-    every packet handed to {!send}.  [`Drop]s count under
-    {!packets_lost}.  At most one injector is installed at a time —
-    {!Fault} multiplexes several behaviours through one hook. *)
+    every packet handed to {!send}.  [`Drop]s count in the registry's
+    [netsim_link_drop_loss_total].  At most one injector is installed
+    at a time — {!Fault} multiplexes several behaviours through one
+    hook. *)
 
 val packets_sent : t -> int
 (** Packets fully transmitted onto the wire (before stochastic loss). *)
 
 val packets_delivered : t -> int
-
-val packets_lost : t -> int
-(** Dropped by the stochastic loss model, a fault injector, a downed
-    link, or the TTL guard (excludes queue drops; see
-    [Queue_disc.drops (queue link)] for those). *)
 
 (** {2 Conservation ledger}
 

@@ -2,7 +2,6 @@ let max_delay_samples = 100_000
 
 type flow_state = {
   counter : Stats.Timeseries.Counter.t;
-  mutable packets : int;
   mutable delays : float array;  (* ring buffer *)
   mutable delay_len : int;  (* total recorded (may exceed buffer) *)
   (* Registry instruments (thin client of the shared metrics plane). *)
@@ -40,7 +39,6 @@ and flow_state_slow t flow =
       let st =
         {
           counter = Stats.Timeseries.Counter.create ();
-          packets = 0;
           delays = Array.make 256 0.;
           delay_len = 0;
           m_bytes = Obs.Metrics.counter metrics ~labels "netsim_monitor_bytes_total";
@@ -57,7 +55,6 @@ and flow_state_slow t flow =
 
 let tap t (p : Packet.t) =
   let st = flow_state t p.flow in
-  st.packets <- st.packets + 1;
   (* No float crosses a call here (the dev profile's [-opaque] would box
      it): the clock is read from its cell, the delay goes straight into
      its ring slot, and the histogram and the series read those two. *)
@@ -81,14 +78,6 @@ let watch_node t n = Node.attach n (tap t)
 let watch_node_flow t n ~flow =
   Node.attach n (fun p -> if p.Packet.flow = flow then tap t p)
 
-let bytes t ~flow =
-  match Hashtbl.find_opt t.flows flow with
-  | None -> 0
-  | Some st -> Stats.Timeseries.Counter.total_bytes st.counter
-
-let packets t ~flow =
-  match Hashtbl.find_opt t.flows flow with None -> 0 | Some st -> st.packets
-
 let throughput_bps t ~flow ~t_start ~t_end =
   match Hashtbl.find_opt t.flows flow with
   | None -> 0.
@@ -98,8 +87,6 @@ let rate_series_bps t ~flow ~bin ~t_end =
   match Hashtbl.find_opt t.flows flow with
   | None -> [||]
   | Some st -> Stats.Timeseries.Counter.rate_series_bps st.counter ~bin ~t_end
-
-let flows t = Hashtbl.to_seq_keys t.flows |> List.of_seq |> List.sort compare
 
 let delays t ~flow =
   match Hashtbl.find_opt t.flows flow with

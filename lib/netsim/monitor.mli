@@ -15,21 +15,13 @@ val watch_node : t -> Node.t -> unit
 val watch_node_flow : t -> Node.t -> flow:int -> unit
 (** Like {!watch_node} but records only the given flow. *)
 
-val bytes : t -> flow:int -> int
-(** Total bytes recorded for the flow (0 if never seen). *)
-
-val packets : t -> flow:int -> int
-
 val throughput_bps : t -> flow:int -> t_start:float -> t_end:float -> float
 
 val rate_series_bps : t -> flow:int -> bin:float -> t_end:float -> (float * float) array
 
-val flows : t -> int list
-(** Flow tags seen so far, ascending. *)
-
-val delays : t -> flow:int -> float array
-(** One-way delays (creation to recording) of the flow's packets, in
-    arrival order; at most the most recent 100,000 are retained. *)
-
 val delay_summary : t -> flow:int -> Stats.Descriptive.summary option
-(** [None] when the flow has no recorded packets. *)
+(** Summary of the one-way delays (creation to recording) of the
+    flow's most recent 100,000 packets; [None] when the flow has no
+    recorded packets.  The packet and byte counts are the registry's
+    [netsim_monitor_packets_total] and [netsim_monitor_bytes_total]
+    (label [flow]). *)

@@ -126,8 +126,6 @@ let release a p =
     a.top <- a.top + 1
   end
 
-let is_live p = p.live
-
 let set_hops p n = p.hops <- n
 
 (* Same uid on purpose: a corrupted packet is the same physical packet

@@ -74,9 +74,6 @@ val clone : arena -> t -> t
     Clones of arena packets come from the arena; clones of heap packets
     are heap records. *)
 
-val is_live : t -> bool
-(** False only for an arena packet that is currently released. *)
-
 val guard : string -> t -> unit
 (** [guard ctx p] raises {!Use_after_free} if [p] is a released arena
     packet.  Called on the simulator entry points ([Link.send],

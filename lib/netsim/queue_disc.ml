@@ -20,7 +20,6 @@ type t = {
   mutable ring : Packet.t array;
   mutable head : int;  (* index of the oldest packet *)
   mutable len : int;
-  mutable drops : int;
 }
 
 let initial_ring = 16  (* power of two; doubles on demand *)
@@ -33,7 +32,6 @@ let droptail ~capacity_pkts =
     ring = Array.make initial_ring Packet.dummy;
     head = 0;
     len = 0;
-    drops = 0;
   }
 
 let red ~rng ~capacity_pkts =
@@ -44,7 +42,6 @@ let red ~rng ~capacity_pkts =
     ring = Array.make initial_ring Packet.dummy;
     head = 0;
     len = 0;
-    drops = 0;
   }
 
 let grow q =
@@ -64,24 +61,20 @@ let accept q p =
   q.len <- q.len + 1;
   true
 
-let reject q =
-  q.drops <- q.drops + 1;
-  false
-
 let red_enqueue q s p =
   let len = float_of_int q.len in
   s.avg <- ((1. -. weight) *. s.avg) +. (weight *. len);
   (* Thresholds in packets: a quarter and three quarters of capacity. *)
   let cap = float_of_int q.capacity in
   let min_thresh = cap /. 4. and max_thresh = 3. *. cap /. 4. in
-  if q.len >= q.capacity then reject q
+  if q.len >= q.capacity then false
   else if s.avg < min_thresh then begin
     s.count <- -1;
     accept q p
   end
   else if s.avg >= max_thresh then begin
     s.count <- 0;
-    reject q
+    false
   end
   else begin
     s.count <- s.count + 1;
@@ -92,14 +85,14 @@ let red_enqueue q s p =
     in
     if Stats.Rng.bernoulli s.rng pa then begin
       s.count <- 0;
-      reject q
+      false
     end
     else accept q p
   end
 
 let enqueue q p =
   match q.kind with
-  | Droptail -> if q.len >= q.capacity then reject q else accept q p
+  | Droptail -> if q.len >= q.capacity then false else accept q p
   | Red s -> red_enqueue q s p
 
 let is_empty q = q.len = 0
@@ -117,5 +110,4 @@ let dequeue_exn q =
 
 let length q = q.len
 
-let drops q = q.drops
 

@@ -26,6 +26,3 @@ val dequeue_exn : t -> Packet.t
 
 val length : t -> int
 (** Current queue length in packets. *)
-
-val drops : t -> int
-(** Cumulative count of packets dropped at enqueue. *)

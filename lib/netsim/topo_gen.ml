@@ -26,9 +26,11 @@ let star topo ~leaves =
   Array.iter (fun l -> connect topo default_link hub l) ls;
   (hub, ls)
 
-let random_tree topo rng ~n ?(max_children = 4) () =
+(* Children a random-tree node takes before new nodes look elsewhere. *)
+let max_children = 4
+
+let random_tree topo rng ~n =
   if n < 1 then invalid_arg "Topo_gen.random_tree: n must be positive";
-  if max_children < 1 then invalid_arg "Topo_gen.random_tree: max_children";
   let nodes = Array.make n (Topology.add_node topo) in
   let children = Array.make n 0 in
   for i = 1 to n - 1 do

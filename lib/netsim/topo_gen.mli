@@ -10,12 +10,11 @@ val star : Topology.t -> leaves:int -> Node.t * Node.t array
 (** (hub, leaves), each leaf on a 10 Mbit/s / 5 ms link with a
     50-packet queue. *)
 
-val random_tree :
-  Topology.t -> Stats.Rng.t -> n:int -> ?max_children:int -> unit -> Node.t array
+val random_tree : Topology.t -> Stats.Rng.t -> n:int -> Node.t array
 (** A random rooted tree over n nodes (node 0 of the result is the root):
     each new node attaches to a uniformly chosen existing node with fewer
-    than [max_children] children (default 4), over a 10 Mbit/s / 5 ms
-    link with a 50-packet queue. *)
+    than 4 children, over a 10 Mbit/s / 5 ms link with a 50-packet
+    queue. *)
 
 (** A two-level transit-stub internet: a ring of transit routers, each
     with stub routers hanging off it, each stub with end hosts. *)

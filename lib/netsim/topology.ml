@@ -138,18 +138,6 @@ let group_table t group =
       Hashtbl.add t.groups group g;
       g
 
-let is_member t ~group n =
-  match Hashtbl.find t.groups group with
-  | g -> Int_tbl.mem g (Node.id n)
-  | exception Not_found -> false
-
-let members t ~group =
-  match Hashtbl.find_opt t.groups group with
-  | None -> []
-  | Some g ->
-      Int_tbl.to_seq_keys g |> List.of_seq |> List.sort compare
-      |> List.map (node t)
-
 (* Tree = union over members of the shortest path src -> member.  We walk
    each member toward src using the BFS rooted at src (parent pointers go
    toward src) and record the forward links. *)
@@ -356,6 +344,3 @@ let path t ~src ~dst =
     in
     walk src_id [] |> Option.map (List.map (node t))
   end
-
-let hop_count t ~src ~dst =
-  path t ~src ~dst |> Option.map (fun p -> List.length p - 1)

@@ -20,9 +20,6 @@ val add_node : t -> Node.t
 
 val add_nodes : t -> int -> Node.t array
 
-val node : t -> int -> Node.t
-(** Raises [Invalid_argument] for unknown ids. *)
-
 val connect :
   t ->
   ?queue_capacity:int ->
@@ -49,10 +46,6 @@ val join : t -> group:int -> Node.t -> unit
 val leave : t -> group:int -> Node.t -> unit
 (** Idempotent. *)
 
-val members : t -> group:int -> Node.t list
-
-val is_member : t -> group:int -> Node.t -> bool
-
 val inject : t -> Packet.t -> unit
 (** Sends a packet originating at node [packet.src]: routes unicast
     packets toward their destination, fans multicast packets out along
@@ -60,6 +53,5 @@ val inject : t -> Packet.t -> unit
     packet even if it is a member. *)
 
 val path : t -> src:Node.t -> dst:Node.t -> Node.t list option
-(** Shortest path including both endpoints; [None] if unreachable. *)
-
-val hop_count : t -> src:Node.t -> dst:Node.t -> int option
+(** Shortest path including both endpoints, as the routing table
+    forwards along it; [None] if unreachable. *)

@@ -10,72 +10,21 @@ type event = {
   size : int;
 }
 
-let kind_index = function
-  | Tx -> 0
-  | Drop_queue -> 1
-  | Drop_loss -> 2
-  | Drop_ttl -> 3
-  | Deliver -> 4
-
-let n_kinds = 5
-
-let kind_label = function
-  | Tx -> "tx"
-  | Drop_queue -> "drop_queue"
-  | Drop_loss -> "drop_loss"
-  | Drop_ttl -> "drop_ttl"
-  | Deliver -> "deliver"
+(* Events the ring retains; older ones rotate out. *)
+let capacity = 100_000
 
 type t = {
-  capacity : int;
   buffer : event option array;
   mutable next : int;  (* write position *)
   mutable recorded : int;
-  (* Per-kind counts of *retained* events, maintained on record so
-     [count] is O(1) instead of an O(capacity) array scan. *)
-  retained_by_kind : int array;
-  (* Monotonic per-kind totals published to the metrics registry (a
-     thin client of the same plane everything else reports into). *)
-  registry_by_kind : Obs.Metrics.Counter.t array;
 }
 
-let create ?(capacity = 100_000) ?(sink = Obs.Sink.null) () =
-  if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  let metrics = sink.Obs.Sink.metrics in
-  {
-    capacity;
-    buffer = Array.make capacity None;
-    next = 0;
-    recorded = 0;
-    retained_by_kind = Array.make n_kinds 0;
-    registry_by_kind =
-      Array.init n_kinds (fun i ->
-          let kind =
-            match i with
-            | 0 -> Tx
-            | 1 -> Drop_queue
-            | 2 -> Drop_loss
-            | 3 -> Drop_ttl
-            | _ -> Deliver
-          in
-          Obs.Metrics.counter metrics
-            ~labels:[ ("kind", kind_label kind) ]
-            "netsim_trace_events_total");
-  }
+let create () = { buffer = Array.make capacity None; next = 0; recorded = 0 }
 
 let record t ev =
-  (match t.buffer.(t.next) with
-  | Some old ->
-      (* Rotating an old event out: keep the retained counts exact. *)
-      t.retained_by_kind.(kind_index old.kind) <-
-        t.retained_by_kind.(kind_index old.kind) - 1
-  | None -> ());
   t.buffer.(t.next) <- Some ev;
-  t.next <- (t.next + 1) mod t.capacity;
-  t.recorded <- t.recorded + 1;
-  t.retained_by_kind.(kind_index ev.kind) <-
-    t.retained_by_kind.(kind_index ev.kind) + 1;
-  Obs.Metrics.Counter.inc t.registry_by_kind.(kind_index ev.kind)
+  t.next <- (t.next + 1) mod capacity;
+  t.recorded <- t.recorded + 1
 
 let attach t link =
   let link_src = Node.id (Link.src link) and link_dst = Node.id (Link.dst link) in
@@ -91,24 +40,7 @@ let attach t link =
       record t
         { time; kind; link_src; link_dst; uid = p.uid; flow = p.flow; size = p.size })
 
-let events t =
-  (* Oldest first: from [next] around the ring. *)
-  let out = ref [] in
-  for i = 0 to t.capacity - 1 do
-    let idx = (t.next + i) mod t.capacity in
-    match t.buffer.(idx) with Some ev -> out := ev :: !out | None -> ()
-  done;
-  List.rev !out
-
-let count t ~kind = t.retained_by_kind.(kind_index kind)
-
 let total_recorded t = t.recorded
-
-let clear t =
-  Array.fill t.buffer 0 t.capacity None;
-  t.next <- 0;
-  t.recorded <- 0;
-  Array.fill t.retained_by_kind 0 n_kinds 0
 
 let kind_char = function
   | Tx -> '+'
@@ -123,9 +55,12 @@ let pp_event ppf e =
 
 let to_text t =
   let buf = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (Format.asprintf "%a" pp_event e);
-      Buffer.add_char buf '\n')
-    (events t);
+  (* Oldest first: from [next] around the ring. *)
+  for i = 0 to capacity - 1 do
+    match t.buffer.((t.next + i) mod capacity) with
+    | Some e ->
+        Buffer.add_string buf (Format.asprintf "%a" pp_event e);
+        Buffer.add_char buf '\n'
+    | None -> ()
+  done;
   Buffer.contents buf

@@ -17,51 +17,18 @@ type t = {
   src : Node.t;
   dst : Node.t;
   rate_bps : float;
-  packet_size : int;
-  mutable running : bool;
   mutable in_on_period : bool;
   mutable period_ends : float;
-  mutable timer : Engine.handle option;
-  mutable sent : int;
-  mutable bytes : int;
+  (* [tick t], allocated once so each tick schedules the next without
+     allocating a closure. *)
+  mutable tick_cb : unit -> unit;
 }
-
-let make topo ~kind ~flow ~src ~dst ~rate_bps ~packet_size =
-  if rate_bps <= 0. then invalid_arg "Traffic: rate must be positive";
-  if packet_size <= 0 then invalid_arg "Traffic: packet size must be positive";
-  let engine = Topology.engine topo in
-  {
-    topo;
-    engine;
-    rng = Engine.split_rng engine;
-    kind;
-    flow;
-    src;
-    dst;
-    rate_bps;
-    packet_size;
-    running = false;
-    in_on_period = true;
-    period_ends = 0.;
-    timer = None;
-    sent = 0;
-    bytes = 0;
-  }
-
-let cbr topo ~flow ~src ~dst ~rate_bps ?(packet_size = packet_size) () =
-  make topo ~kind:Cbr ~flow ~src ~dst ~rate_bps ~packet_size
-
-let poisson topo ~flow ~src ~dst ~rate_bps () =
-  make topo ~kind:Poisson ~flow ~src ~dst ~rate_bps ~packet_size
 
 (* Mean length of an on-off source's on and off periods alike. *)
 let period_mean = 1.
 
-let on_off topo ~flow ~src ~dst ~rate_bps () =
-  make topo ~kind:On_off ~flow ~src ~dst ~rate_bps ~packet_size
-
 let gap t =
-  let nominal = float_of_int t.packet_size *. 8. /. t.rate_bps in
+  let nominal = float_of_int packet_size *. 8. /. t.rate_bps in
   match t.kind with
   | Cbr ->
       nominal *. (1. -. (jitter /. 2.) +. Stats.Rng.float t.rng jitter)
@@ -71,55 +38,67 @@ let gap t =
 let emit t =
   let p =
     Packet.alloc (Engine.arena t.engine)
-      ~flow:t.flow ~size:t.packet_size ~src:(Node.id t.src)
+      ~flow:t.flow ~size:packet_size ~src:(Node.id t.src)
       ~dst:(Packet.Unicast (Node.id t.dst))
       ~created:(Engine.now t.engine) (Packet.Raw t.flow)
   in
-  t.sent <- t.sent + 1;
-  t.bytes <- t.bytes + t.packet_size;
   Topology.inject t.topo p
 
-let rec tick t =
-  t.timer <- None;
-  if t.running then begin
-    let now = Engine.now t.engine in
-    (match t.kind with
-    | On_off ->
-        if now >= t.period_ends then begin
-          (* Flip phase. *)
-          t.in_on_period <- not t.in_on_period;
-          t.period_ends <- now +. Stats.Rng.exponential t.rng ~mean:period_mean
-        end
-    | Cbr | Poisson -> ());
-    let delay =
-      match t.kind with
-      | On_off when not t.in_on_period ->
-          (* Sleep out the off period. *)
-          Float.max 1e-6 (t.period_ends -. now)
-      | _ ->
-          emit t;
-          gap t
-    in
-    t.timer <- Some (Engine.after t.engine ~delay (fun () -> tick t))
-  end
+let tick t =
+  let now = Engine.now t.engine in
+  (match t.kind with
+  | On_off ->
+      if now >= t.period_ends then begin
+        (* Flip phase. *)
+        t.in_on_period <- not t.in_on_period;
+        t.period_ends <- now +. Stats.Rng.exponential t.rng ~mean:period_mean
+      end
+  | Cbr | Poisson -> ());
+  let delay =
+    match t.kind with
+    | On_off when not t.in_on_period ->
+        (* Sleep out the off period. *)
+        Float.max 1e-6 (t.period_ends -. now)
+    | _ ->
+        emit t;
+        gap t
+  in
+  Engine.after_unit t.engine ~delay t.tick_cb
+
+let make topo ~kind ~flow ~src ~dst ~rate_bps =
+  if rate_bps <= 0. then invalid_arg "Traffic: rate must be positive";
+  let engine = Topology.engine topo in
+  let t =
+    {
+      topo;
+      engine;
+      rng = Engine.split_rng engine;
+      kind;
+      flow;
+      src;
+      dst;
+      rate_bps;
+      in_on_period = true;
+      period_ends = 0.;
+      tick_cb = ignore;
+    }
+  in
+  t.tick_cb <- (fun () -> tick t);
+  t
+
+let cbr topo ~flow ~src ~dst ~rate_bps () =
+  make topo ~kind:Cbr ~flow ~src ~dst ~rate_bps
+
+let poisson topo ~flow ~src ~dst ~rate_bps () =
+  make topo ~kind:Poisson ~flow ~src ~dst ~rate_bps
+
+let on_off topo ~flow ~src ~dst ~rate_bps () =
+  make topo ~kind:On_off ~flow ~src ~dst ~rate_bps
 
 let start t ~at =
-  t.running <- true;
   (match t.kind with
   | On_off ->
       t.in_on_period <- true;
       t.period_ends <- at +. Stats.Rng.exponential t.rng ~mean:period_mean
   | Cbr | Poisson -> ());
-  Engine.at_unit t.engine ~base:Event_heap.time_zero ~offset:at (fun () -> tick t)
-
-let stop t =
-  t.running <- false;
-  match t.timer with
-  | Some h ->
-      Engine.cancel t.engine h;
-      t.timer <- None
-  | None -> ()
-
-let packets_sent t = t.sent
-
-let bytes_sent t = t.bytes
+  Engine.at_unit t.engine ~base:Event_heap.time_zero ~offset:at t.tick_cb

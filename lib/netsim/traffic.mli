@@ -13,12 +13,11 @@ val cbr :
   src:Node.t ->
   dst:Node.t ->
   rate_bps:float ->
-  ?packet_size:int ->
   unit ->
   t
-(** Constant bit rate.  Each inter-packet gap is spread uniformly over
-    ±5% of its nominal value, avoiding simulator phase effects.
-    [packet_size] defaults to 1000 bytes. *)
+(** Constant bit rate in 1000-byte packets.  Each inter-packet gap is
+    spread uniformly over ±5% of its nominal value, avoiding simulator
+    phase effects. *)
 
 val poisson :
   Topology.t ->
@@ -44,9 +43,4 @@ val on_off :
     long-run average rate is half of [rate_bps]. *)
 
 val start : t -> at:float -> unit
-
-val stop : t -> unit
-
-val packets_sent : t -> int
-
-val bytes_sent : t -> int
+(** Starts sending at [at]; a generator runs until the simulation ends. *)

@@ -140,10 +140,10 @@ end
 module Aggregator = struct
   include Tfmcc_core.Aggregator
 
-  let create topo ~session ~node ~parent ?hold () =
+  let create topo ~session ~node ~parent =
     let t =
       Tfmcc_core.Aggregator.create ~env:(env topo ~session node) ~session
-        ~parent:(Netsim.Node.id parent) ?hold ()
+        ~parent:(Netsim.Node.id parent)
     in
     attach node (fun ~size:_ msg -> deliver t msg);
     t

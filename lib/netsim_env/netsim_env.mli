@@ -114,7 +114,5 @@ module Aggregator : sig
     session:int ->
     node:Netsim.Node.t ->
     parent:Netsim.Node.t ->
-    ?hold:float ->
-    unit ->
     t
 end

@@ -39,13 +39,13 @@ type t = {
   mutable recorded : int;
 }
 
-let create ?(capacity = 65536) () =
-  if capacity <= 0 then invalid_arg "Journal.create: capacity must be positive";
+(* Entries a live journal retains; older ones rotate out. *)
+let capacity = 65536
+
+let create () =
   { on = true; capacity; buffer = Array.make capacity None; next = 0; recorded = 0 }
 
 let null = { on = false; capacity = 1; buffer = [| None |]; next = 0; recorded = 0 }
-
-let enabled t = t.on
 
 let record t ~time ?(severity = Info) scope event =
   if t.on then begin
@@ -64,10 +64,6 @@ let entries t =
 
 let total_recorded t = t.recorded
 
-let retained t = Stdlib.min t.recorded t.capacity
-
-let dropped t = t.recorded - retained t
-
 let clear t =
   Array.fill t.buffer 0 t.capacity None;
   t.next <- 0;
@@ -75,14 +71,10 @@ let clear t =
 
 let severity_rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 
-let count t ?component ?min_severity () =
+let count t ?min_severity () =
   List.length
     (List.filter
        (fun e ->
-         (match component with
-         | Some c -> e.scope.component = c
-         | None -> true)
-         &&
          match min_severity with
          | Some s -> severity_rank e.severity >= severity_rank s
          | None -> true)

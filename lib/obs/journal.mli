@@ -59,14 +59,11 @@ type entry = {
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Ring of the most recent [capacity] entries (default 65536). *)
+val create : unit -> t
+(** Ring of the most recent 65536 entries. *)
 
 val null : t
-(** The shared disabled journal: {!record} is a no-op, {!enabled} is
-    false. *)
-
-val enabled : t -> bool
+(** The shared disabled journal: {!record} is a no-op. *)
 
 val record : t -> time:float -> ?severity:severity -> scope -> event -> unit
 (** O(1); default severity [Info]. *)
@@ -77,14 +74,11 @@ val entries : t -> entry list
 val total_recorded : t -> int
 (** Every entry ever recorded, including those rotated out. *)
 
-val dropped : t -> int
-(** Entries lost to ring rotation ([total_recorded - retained]). *)
-
 val clear : t -> unit
 (** Empties the ring and resets {!total_recorded}. *)
 
-val count : t -> ?component:string -> ?min_severity:severity -> unit -> int
-(** Retained entries matching the filters. *)
+val count : t -> ?min_severity:severity -> unit -> int
+(** Retained entries of at least [min_severity] (default: all). *)
 
 val count_events : t -> (event -> bool) -> int
 

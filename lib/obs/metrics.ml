@@ -18,8 +18,6 @@ module Gauge = struct
   let make () = { v = 0. }
 
   let set g v = g.v <- v
-
-  let value g = g.v
 end
 
 module Histogram = struct
@@ -42,16 +40,6 @@ module Histogram = struct
     fs.sum <- fs.sum +. x;
     if x < fs.min then fs.min <- x;
     if x > fs.max then fs.max <- x
-
-  let count h = h.count
-
-  let sum h = h.fs.sum
-
-  let mean h = if h.count = 0 then 0. else h.fs.sum /. float_of_int h.count
-
-  let min_value h = h.fs.min
-
-  let max_value h = h.fs.max
 end
 
 type instrument =
@@ -67,8 +55,6 @@ type t = {
 let create () = { on = true; tbl = Hashtbl.create 64 }
 
 let null = { on = false; tbl = Hashtbl.create 1 }
-
-let enabled t = t.on
 
 let normalize labels = List.sort (fun (a, _) (b, _) -> compare a b) labels
 
@@ -121,15 +107,10 @@ let snapshot t =
       let value =
         match inst with
         | C c -> Counter_v (Counter.value c)
-        | G g -> Gauge_v (Gauge.value g)
+        | G g -> Gauge_v g.v
         | H h ->
             Histogram_v
-              {
-                count = Histogram.count h;
-                sum = Histogram.sum h;
-                min = Histogram.min_value h;
-                max = Histogram.max_value h;
-              }
+              { count = h.count; sum = h.fs.sum; min = h.fs.min; max = h.fs.max }
       in
       { name; labels; value } :: acc)
     t.tbl []
@@ -138,8 +119,8 @@ let snapshot t =
          | 0 -> compare a.labels b.labels
          | c -> c)
 
-let counter_value t ?(labels = []) name =
-  match Hashtbl.find_opt t.tbl (name, normalize labels) with
+let counter_value t name =
+  match Hashtbl.find_opt t.tbl (name, []) with
   | Some (C c) -> Counter.value c
   | _ -> 0
 

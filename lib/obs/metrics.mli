@@ -8,7 +8,7 @@
 
     A registry created with {!null} is a disabled sink: handles it hands
     out are valid and O(1) to record into, but nothing is retained and
-    {!snapshot} is empty, so instrumented code pays only the cost of one
+    its JSON is empty, so instrumented code pays only the cost of one
     mutable-field update when observability is off. *)
 
 type t
@@ -22,16 +22,12 @@ module Counter : sig
   val inc : t -> unit
 
   val add : t -> int -> unit
-
-  val value : t -> int
 end
 
 module Gauge : sig
   type t
 
   val set : t -> float -> unit
-
-  val value : t -> float
 end
 
 module Histogram : sig
@@ -41,28 +37,13 @@ module Histogram : sig
   (** [observe h a i] records the sample [a.(i)] in O(1), updating
       count, sum, min and max.  The sample is read from the caller's
       array (a hot path's own ring, say) so the call boxes no float. *)
-
-  val count : t -> int
-
-  val sum : t -> float
-
-  val mean : t -> float
-  (** 0 when empty. *)
-
-  val min_value : t -> float
-  (** +inf when empty. *)
-
-  val max_value : t -> float
-  (** -inf when empty. *)
 end
 
 val create : unit -> t
 
 val null : t
-(** The shared disabled registry.  [enabled null = false]; instruments
-    obtained from it are unregistered dummies. *)
-
-val enabled : t -> bool
+(** The shared disabled registry: instruments obtained from it are
+    unregistered dummies. *)
 
 val counter : t -> ?labels:labels -> string -> Counter.t
 (** Registers (or finds) the counter [name] with [labels].  Raises
@@ -73,24 +54,10 @@ val gauge : t -> ?labels:labels -> string -> Gauge.t
 
 val histogram : t -> ?labels:labels -> string -> Histogram.t
 
-(** A point-in-time reading of one registered instrument. *)
-type sample = {
-  name : string;
-  labels : labels;  (** sorted by key *)
-  value : value;
-}
-
-and value =
-  | Counter_v of int
-  | Gauge_v of float
-  | Histogram_v of { count : int; sum : float; min : float; max : float }
-
-val snapshot : t -> sample list
-(** All registered instruments, sorted by (name, labels). *)
-
-val counter_value : t -> ?labels:labels -> string -> int
-(** Current value of one counter; 0 when absent (or the registry is the
-    null sink). *)
+val counter_value : t -> string -> int
+(** Current value of the unlabelled counter [name]; 0 when absent (or
+    the registry is the null sink).  {!labelled_values} reads labelled
+    ones. *)
 
 val sum_counters : t -> string -> int
 (** Sum of the counter [name] over every label set it is registered
@@ -107,4 +74,5 @@ val describe : ?prefix:string -> t -> string
     ["(no metrics)"] when nothing matches. *)
 
 val to_json : t -> Json.t
-(** [[{"name":..,"labels":{..},"kind":..,"value"|"count"/"sum"/..}]] *)
+(** [[{"name":..,"labels":{..},"kind":..,"value"|"count"/"sum"/..}]],
+    one object per registered instrument, sorted by (name, labels). *)

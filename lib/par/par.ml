@@ -12,31 +12,24 @@ exception Cancelled of cancel_reason
 
 module Control = struct
   type t = {
-    live : bool;  (* the shared [none] control never cancels *)
     started : float;  (* Unix time the control was created *)
     timeout : float option;  (* seconds of wall clock from [started] *)
     mutable reason : cancel_reason option;  (* sticky once set *)
   }
 
-  let none = { live = false; started = 0.; timeout = None; reason = None }
-
   let create ?timeout () =
-    { live = true; started = Unix.gettimeofday (); timeout; reason = None }
-
-  let cancel t reason = if t.live && t.reason = None then t.reason <- Some reason
+    { started = Unix.gettimeofday (); timeout; reason = None }
 
   let cancelled t = t.reason
 
   let check t =
-    if t.live then begin
-      (match t.reason with Some r -> raise (Cancelled r) | None -> ());
-      match t.timeout with
-      | Some s when Unix.gettimeofday () -. t.started > s ->
-          let r = Timeout s in
-          t.reason <- Some r;
-          raise (Cancelled r)
-      | _ -> ()
-    end
+    (match t.reason with Some r -> raise (Cancelled r) | None -> ());
+    match t.timeout with
+    | Some s when Unix.gettimeofday () -. t.started > s ->
+        let r = Timeout s in
+        t.reason <- Some r;
+        raise (Cancelled r)
+    | _ -> ()
 end
 
 (* ------------------------------------------------------------ outcomes *)

@@ -31,8 +31,8 @@
     a task is handed a {!Control.t} and is expected to poll
     {!Control.check} at a bounded interval (simulation tasks do this
     from the engine watchdog, [Netsim.Watchdog]).  A poll past the
-    wall-clock deadline, or after {!Control.cancel}, raises
-    {!Cancelled}; {!map_outcomes} converts that into a structured
+    wall-clock deadline raises {!Cancelled}, as does a watchdog that
+    diagnoses a stall; {!map_outcomes} converts that into a structured
     {!outcome} instead of killing the batch.  A task that never polls
     can exceed its timeout — bound such tasks by construction. *)
 
@@ -49,24 +49,12 @@ exception Cancelled of cancel_reason
 module Control : sig
   type t
 
-  val none : t
-  (** The inert control: {!check} never raises, {!cancel} is a no-op.
-      For running supervised code unsupervised. *)
-
-  val create : ?timeout:float -> unit -> t
-  (** A live control armed now; [timeout] is wall-clock seconds from
-      now. *)
-
-  val cancel : t -> cancel_reason -> unit
-  (** Requests cancellation; the next {!check} raises.  First reason
-      wins; idempotent; no-op on {!none}. *)
-
   val cancelled : t -> cancel_reason option
 
   val check : t -> unit
-  (** Raises {!Cancelled} if cancellation was requested or the deadline
-      has passed (recording the timeout as the sticky reason).  O(1);
-      safe to call at high frequency. *)
+  (** Raises {!Cancelled} once the deadline has passed, and at every
+      later check (the timeout is the sticky reason).  O(1); safe to
+      call at high frequency. *)
 end
 
 (** The terminal state of one supervised task. *)

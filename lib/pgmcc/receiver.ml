@@ -19,17 +19,11 @@ type t = {
   mutable last_ts : float;
   mutable greeted : bool;  (* initial ACK sent *)
   mutable last_nak : float;
-  mutable received : int;
-  mutable acks : int;
 }
 
 let node_id t = Netsim.Node.id t.node
 
 let loss_estimate t = t.loss
-
-let packets_received t = t.received
-
-let acks_sent t = t.acks
 
 let send_ack t ~ack_seq =
   let now = Netsim.Engine.now t.engine in
@@ -50,8 +44,7 @@ let send_ack t ~ack_seq =
       ~dst:(Netsim.Packet.Unicast (Netsim.Node.id t.sender))
       ~created:now payload
   in
-  Netsim.Topology.inject t.topo p;
-  t.acks <- t.acks + 1
+  Netsim.Topology.inject t.topo p
 
 let send_nak t ~lost_seq =
   let now = Netsim.Engine.now t.engine in
@@ -77,7 +70,6 @@ let send_nak t ~lost_seq =
 
 let on_data t ~seq ~ts ~acker =
   let now = Netsim.Engine.now t.engine in
-  t.received <- t.received + 1;
   t.last_ts <- ts;
   t.is_acker <- acker = node_id t;
   let lost =
@@ -141,8 +133,6 @@ let create topo ~session ~node ~sender =
       last_ts = nan;
       greeted = false;
       last_nak = neg_infinity;
-      received = 0;
-      acks = 0;
     }
   in
   Netsim.Node.attach node (fun p ->

@@ -24,7 +24,3 @@ val join : t -> unit
 
 val loss_estimate : t -> float
 (** Smoothed per-packet loss fraction. *)
-
-val packets_received : t -> int
-
-val acks_sent : t -> int

@@ -13,7 +13,6 @@ type t = {
   session : int;
   node : Netsim.Node.t;
   peers : (int, peer) Hashtbl.t;
-  mutable running : bool;
   mutable seq : int;
   mutable acked : int;  (* highest seq the acker has acked *)
   mutable window : float;
@@ -22,8 +21,6 @@ type t = {
   mutable acker_rtt : float;
   mutable last_halving : float;
   mutable idle_timer : Netsim.Engine.handle option;
-  mutable sent : int;
-  mutable halvings : int;
   obs : Obs.Sink.t;
   scope : Obs.Journal.scope;
   m_sent : Obs.Metrics.Counter.t;
@@ -43,10 +40,6 @@ let note_acker_change t ~prev ~acker =
 let window t = t.window
 
 let acker t = if t.acker < 0 then None else Some t.acker
-
-let packets_sent t = t.sent
-
-let halvings t = t.halvings
 
 (* Simplified model used for the election: T ∝ 1 / (R √p).  A receiver
    with no measured loss is treated as very fast. *)
@@ -72,7 +65,6 @@ let send_packet t =
       ~dst:(Netsim.Packet.Multicast t.session) ~created:now payload
   in
   t.seq <- t.seq + 1;
-  t.sent <- t.sent + 1;
   Obs.Metrics.Counter.inc t.m_sent;
   Netsim.Topology.inject t.topo p
 
@@ -86,25 +78,23 @@ let rec restart_idle t =
     Some
       (Netsim.Engine.after t.engine ~delay (fun () ->
            t.idle_timer <- None;
-           if t.running then begin
-             if t.acker >= 0 then begin
-               jnl t ~severity:Obs.Journal.Warn
-                 (Obs.Journal.Timeout { what = "idle" });
-               let from_pkts = t.window in
-               t.ssthresh <- Float.max 2. (t.window /. 2.);
-               t.window <- 1.;
-               jnl t ~severity:Obs.Journal.Debug
-                 (Obs.Journal.Cwnd_change
-                    { from_pkts; to_pkts = t.window; reason = "idle-collapse" })
-             end;
-             t.acked <- t.seq - 1;
-             send_packet t;
-             restart_idle t
-           end))
+           if t.acker >= 0 then begin
+             jnl t ~severity:Obs.Journal.Warn
+               (Obs.Journal.Timeout { what = "idle" });
+             let from_pkts = t.window in
+             t.ssthresh <- Float.max 2. (t.window /. 2.);
+             t.window <- 1.;
+             jnl t ~severity:Obs.Journal.Debug
+               (Obs.Journal.Cwnd_change
+                  { from_pkts; to_pkts = t.window; reason = "idle-collapse" })
+           end;
+           t.acked <- t.seq - 1;
+           send_packet t;
+           restart_idle t))
 
 let send_window t =
   let inflight () = t.seq - 1 - t.acked in
-  while t.running && float_of_int (inflight ()) < t.window do
+  while float_of_int (inflight ()) < t.window do
     send_packet t
   done
 
@@ -154,7 +144,6 @@ let halve t =
     t.ssthresh <- Float.max 2. (t.window /. 2.);
     t.window <- t.ssthresh;
     t.last_halving <- now;
-    t.halvings <- t.halvings + 1;
     Obs.Metrics.Counter.inc t.m_halvings;
     jnl t ~severity:Obs.Journal.Debug
       (Obs.Journal.Cwnd_change
@@ -208,7 +197,6 @@ let create topo ~session ~node () =
       session;
       node;
       peers = Hashtbl.create 32;
-      running = false;
       seq = 0;
       acked = -1;
       window = 1.;
@@ -217,8 +205,6 @@ let create topo ~session ~node () =
       acker_rtt = 0.2;
       last_halving = neg_infinity;
       idle_timer = None;
-      sent = 0;
-      halvings = 0;
       obs;
       scope =
         Obs.Journal.scope ~session ~node:(Netsim.Node.id node) "pgmcc.sender";
@@ -232,20 +218,15 @@ let create topo ~session ~node () =
       match p.Netsim.Packet.payload with
       | Wire.Ack { session; rx_id; ack_seq; ts = _; echo_ts; loss }
         when session = t.session ->
-          if t.running then on_ack t ~rx:rx_id ~ack_seq ~echo_ts ~loss
+          on_ack t ~rx:rx_id ~ack_seq ~echo_ts ~loss
       | Wire.Nak { session; rx_id; lost_seq = _; ts = _; echo_ts; loss }
         when session = t.session ->
-          if t.running then on_nak t ~rx:rx_id ~echo_ts ~loss
+          on_nak t ~rx:rx_id ~echo_ts ~loss
       | _ -> ());
   t
 
 let start t ~at =
-  t.running <- true;
   ignore
     (Netsim.Engine.at t.engine ~time:at (fun () ->
          send_packet t;
          restart_idle t))
-
-let stop t =
-  t.running <- false;
-  cancel_idle t

@@ -27,13 +27,11 @@ val create :
     candidate's modelled throughput is below 0.75 of the acker's. *)
 
 val start : t -> at:float -> unit
-
-val stop : t -> unit
+(** Starts sending at [at]; the session then runs until the simulation
+    ends.  Packets sent and window halvings count under
+    [pgmcc_packets_sent_total] and [pgmcc_halvings_total] (label
+    [session]). *)
 
 val window : t -> float
 
 val acker : t -> int option
-
-val packets_sent : t -> int
-
-val halvings : t -> int

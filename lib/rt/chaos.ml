@@ -49,8 +49,6 @@ let describe plan = String.concat "; " (List.map describe_spec plan)
 type t = {
   net : Net.t;
   rng : Stats.Rng.t; (* churn victim selection, split off the loop master *)
-  mutable flaps : int;
-  mutable churn_blocks : int;
 }
 
 let scope = Obs.Journal.scope "rt.chaos"
@@ -69,7 +67,6 @@ let schedule t ~at:time fn =
 
 let arm_flap t ~base ~down_at ~up_at =
   schedule t ~at:(base +. down_at) (fun () ->
-      t.flaps <- t.flaps + 1;
       Net.set_fabric_up t.net false;
       event t ~severity:Obs.Journal.Warn ~kind:"flap_down" ~detail:"" ());
   schedule t ~at:(base +. up_at) (fun () ->
@@ -93,7 +90,6 @@ let churn_cycle t ~sessions ~fraction ~heal_at =
         Stats.Rng.shuffle_in_place t.rng members;
         for i = 0 to k - 1 do
           let id = members.(i) in
-          t.churn_blocks <- t.churn_blocks + 1;
           Net.block t.net id;
           event t ~severity:Obs.Journal.Warn ~kind:"churn_down"
             ~detail:(Printf.sprintf "session=%d endpoint=%d" sid id)
@@ -120,14 +116,7 @@ let arm_churn t ~base ~sessions ~fraction ~from_ ~until ~period ~down_for =
 let apply net plan =
   validate plan;
   let loop = Net.loop net in
-  let t =
-    {
-      net;
-      rng = Loop.split_rng loop;
-      flaps = 0;
-      churn_blocks = 0;
-    }
-  in
+  let t = { net; rng = Loop.split_rng loop } in
   let base = Loop.now loop in
   List.iter
     (function
@@ -136,7 +125,3 @@ let apply net plan =
           arm_churn t ~base ~sessions ~fraction ~from_ ~until ~period ~down_for)
     plan;
   t
-
-let flaps t = t.flaps
-
-let churn_blocks t = t.churn_blocks

@@ -40,7 +40,7 @@ type spec =
 type plan = spec list
 
 type t
-(** An applied plan: the handle holds the live event counters. *)
+(** An applied plan. *)
 
 val validate : plan -> unit
 (** @raise Invalid_argument on an empty window, a churn fraction
@@ -52,10 +52,3 @@ val apply : Net.t -> plan -> t
 
 val describe : plan -> string
 (** One-line human summary, e.g. for the CLI banner. *)
-
-(* Events fired so far (start-of-window events; heals are not counted). *)
-
-val flaps : t -> int
-
-val churn_blocks : t -> int
-(** Individual endpoint take-downs across all churn cycles. *)

@@ -106,7 +106,6 @@ type result = {
   sessions_failed : int;
   loop_exceptions : int;
   clr_partitioned : int;
-  chaos : Chaos.t option;
 }
 
 (* One vtable per transport so the session-building code below is
@@ -477,11 +476,9 @@ let run ?obs c =
                 sups);
           arm ~at:until (fun () -> List.iter ops.unblock !blocked))
     c.faults;
-  let chaos =
-    match (c.chaos, ops.net) with
-    | [], _ | _, None -> None
-    | plan, Some net -> Some (Chaos.apply net plan)
-  in
+  (match (c.chaos, ops.net) with
+  | [], _ | _, None -> ()
+  | plan, Some net -> ignore (Chaos.apply net plan : Chaos.t));
   let t0 = Unix.gettimeofday () in
   Loop.run ~until:(c.epoch +. c.duration) loop;
   let wall_s = Unix.gettimeofday () -. t0 in
@@ -549,7 +546,6 @@ let run ?obs c =
       List.length (List.filter (fun s -> s.state = `Failed) sups);
     loop_exceptions = Loop.exceptions_caught loop;
     clr_partitioned = !clr_partitioned;
-    chaos;
   }
 
 let converged stat ~cfg =

@@ -23,11 +23,8 @@ type supervision = {
 }
 (** A session that sends no new packet for 20 consecutive probes counts
     as stalled.  A crashed or stalled session is restarted after a
-    backoff of 0.25 s that doubles per restart, up to {!max_restarts}
-    times; the next failure leaves it [Failed]. *)
-
-val max_restarts : int
-(** Restarts allowed per session: 3. *)
+    backoff of 0.25 s that doubles per restart, up to 3 times; the
+    next failure leaves it [Failed]. *)
 
 (** Deterministic fault injection, the harness-level complement of a
     {!Chaos.plan} (which impairs the fabric; these target sessions).
@@ -37,7 +34,7 @@ type fault =
       (** Injects an exception into the session's timer path at [at] —
           exercises the full crash/restart machinery. *)
   | Kill_session_every of { session : int; at : float; period : float; until : float }
-      (** Repeated kills; enough of them exhaust {!max_restarts} and
+      (** Repeated kills; enough of them exhaust the 3 restarts and
           drive the session to [Failed]. *)
   | Stop_sender of { session : int; at : float }
       (** Stops the sender without an exception — the session goes
@@ -118,7 +115,6 @@ type result = {
       (** exceptions that escaped every session guard and hit the loop
           backstop — zero on a healthy run, asserted by the CI soak *)
   clr_partitioned : int;  (** CLR endpoints blocked by [Partition_clr] *)
-  chaos : Chaos.t option;  (** applied-plan handle with event counters *)
 }
 
 val run : ?obs:Obs.Sink.t -> config -> result

@@ -20,19 +20,3 @@ let count_le sorted x =
 
 let eval t x =
   float_of_int (count_le t.sorted x) /. float_of_int (Array.length t.sorted)
-
-let quantile t q =
-  if q <= 0. || q > 1. then invalid_arg "Cdf.quantile: q must be in (0,1]";
-  let n = Array.length t.sorted in
-  let idx = int_of_float (ceil (q *. float_of_int n)) - 1 in
-  t.sorted.(Stdlib.max 0 (Stdlib.min (n - 1) idx))
-
-let support t = (t.sorted.(0), t.sorted.(Array.length t.sorted - 1))
-
-let points t ~n =
-  if n < 2 then invalid_arg "Cdf.points: need at least 2 points";
-  let lo, hi = support t in
-  let step = (hi -. lo) /. float_of_int (n - 1) in
-  Array.init n (fun i ->
-      let x = lo +. (float_of_int i *. step) in
-      (x, eval t x))

@@ -8,14 +8,3 @@ val of_samples : float array -> t
 
 val eval : t -> float -> float
 (** [eval cdf x] = fraction of samples ≤ x. *)
-
-val quantile : t -> float -> float
-(** [quantile cdf q] with q in (0, 1]: smallest sample x with
-    [eval cdf x >= q]. *)
-
-val points : t -> n:int -> (float * float) array
-(** [points cdf ~n] samples the CDF at [n] evenly spaced x positions
-    spanning the sample range — the series a plot would draw. *)
-
-val support : t -> float * float
-(** (min sample, max sample). *)

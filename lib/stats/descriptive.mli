@@ -3,22 +3,14 @@
 val mean : float array -> float
 (** Arithmetic mean; 0 for the empty array. *)
 
-val variance : float array -> float
-(** Unbiased sample variance; 0 when fewer than two samples. *)
-
 val stddev : float array -> float
-
-val min : float array -> float
-(** Raises [Invalid_argument] on the empty array. *)
-
-val max : float array -> float
-(** Raises [Invalid_argument] on the empty array. *)
-
-val percentile : float array -> float -> float
-(** [percentile xs q] with [q] in [0,100]; linear interpolation between
-    order statistics.  Raises on the empty array. *)
+(** Square root of the unbiased sample variance; 0 when fewer than two
+    samples. *)
 
 val median : float array -> float
+(** The 50th percentile, by linear interpolation between order
+    statistics (as are {!summary}'s quartiles).  Raises
+    [Invalid_argument] on the empty array. *)
 
 type summary = {
   n : int;

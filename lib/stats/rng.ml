@@ -51,8 +51,6 @@ let rec uniform_pos t =
 
 let float t bound = uniform t *. bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let exponential t ~mean = -.mean *. log (uniform_pos t)
 
 let shuffle_in_place t a =

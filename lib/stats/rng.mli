@@ -50,8 +50,6 @@ val uniform_pos : t -> float
 (** [uniform_pos t] draws uniformly from (0, 1): never returns 0, so it is
     safe as the argument of [log]. *)
 
-val bool : t -> bool
-
 val exponential : t -> mean:float -> float
 (** [exponential t ~mean] draws from Exp(1/mean). *)
 

@@ -16,14 +16,6 @@ let ensure_capacity s =
     s.values <- values
   end
 
-let add s ~time ~value =
-  if s.len > 0 && time < s.times.(s.len - 1) then
-    invalid_arg "Timeseries.add: time must be non-decreasing";
-  ensure_capacity s;
-  s.times.(s.len) <- time;
-  s.values.(s.len) <- value;
-  s.len <- s.len + 1
-
 let points s = Array.init s.len (fun i -> (s.times.(i), s.values.(i)))
 
 let n_bins ~bin ~t_end =
@@ -51,37 +43,32 @@ let between s ~t_start ~t_end =
   |> Array.of_list
 
 module Counter = struct
-  type nonrec t = { series : t; mutable total : int }
+  type nonrec t = t
 
-  let create () = { series = create (); total = 0 }
+  let create = create
 
-  (* [add] inlined: called once per delivered packet, and routing the
-     floats through another function boundary would box them again.
-     The time is read from the caller's clock cell for the same
-     reason. *)
-  let record c ~clock ~bytes =
+  (* Called once per delivered packet: the time is read from the
+     caller's clock cell, and no float crosses a function boundary,
+     which would box it. *)
+  let record s ~clock ~bytes =
     let time = clock.Event_heap.cell_time in
-    let s = c.series in
     if s.len > 0 && time < s.times.(s.len - 1) then
-      invalid_arg "Timeseries.add: time must be non-decreasing";
+      invalid_arg "Timeseries.Counter.record: time must be non-decreasing";
     ensure_capacity s;
     s.times.(s.len) <- time;
     s.values.(s.len) <- float_of_int bytes;
-    s.len <- s.len + 1;
-    c.total <- c.total + bytes
-
-  let total_bytes c = c.total
+    s.len <- s.len + 1
 
   let throughput_bps c ~t_start ~t_end =
     if t_end <= t_start then 0.
     else begin
       let bytes =
-        between c.series ~t_start ~t_end
+        between c ~t_start ~t_end
         |> Array.fold_left (fun acc (_, v) -> acc +. v) 0.
       in
       bytes *. 8. /. (t_end -. t_start)
     end
 
   let rate_series_bps c ~bin ~t_end =
-    bin_rate c.series ~bin ~t_end |> Array.map (fun (t, v) -> (t, v *. 8.))
+    bin_rate c ~bin ~t_end |> Array.map (fun (t, v) -> (t, v *. 8.))
 end

@@ -27,7 +27,6 @@ type t = {
   rng : Stats.Rng.t;
   f : floats;
   rto : Rto_estimator.t;
-  mutable running : bool;
   mutable snd_una : int;  (* lowest unacknowledged seq *)
   mutable snd_nxt : int;  (* next seq to send *)
   mutable dupacks : int;
@@ -35,7 +34,6 @@ type t = {
   mutable recover : int;  (* snd_nxt when recovery entered *)
   mutable rtt_seq : int;  (* segment currently being timed; -1 if none *)
   mutable retx_timer : Netsim.Engine.handle option;
-  mutable retransmits : int;
   (* Jittered sends waiting for their emit time, oldest first: [emit_len]
      seqs from [emit_head] in the ring [emit_seqs].  Emit times strictly
      increase (see [send_segment]), so the engine fires the emits in the
@@ -126,44 +124,39 @@ let send_segment t seq =
   Netsim.Engine.at_unit t.engine ~base:t.emit_cell ~offset:0. t.emit_next
 
 let send_available t =
-  if t.running then begin
-    let window = int_of_float (Float.min t.f.cwnd max_cwnd) in
-    let limit = t.snd_una + Stdlib.max 1 window in
-    let sent_any = ref false in
-    while t.snd_nxt < limit do
-      send_segment t t.snd_nxt;
-      t.snd_nxt <- t.snd_nxt + 1;
-      sent_any := true
-    done;
-    if !sent_any && t.retx_timer = None then restart_timer t
-  end
+  let window = int_of_float (Float.min t.f.cwnd max_cwnd) in
+  let limit = t.snd_una + Stdlib.max 1 window in
+  let sent_any = ref false in
+  while t.snd_nxt < limit do
+    send_segment t t.snd_nxt;
+    t.snd_nxt <- t.snd_nxt + 1;
+    sent_any := true
+  done;
+  if !sent_any && t.retx_timer = None then restart_timer t
 
 let on_timeout t =
   t.retx_timer <- None;
-  if t.running then begin
-    Obs.Metrics.Counter.inc t.m_timeouts;
-    jnl t ~severity:Obs.Journal.Warn (Obs.Journal.Timeout { what = "rto" });
-    let f = t.f in
-    let from_pkts = f.cwnd in
-    f.ssthresh <- Float.max 2. (f.cwnd /. 2.);
-    f.cwnd <- 1.;
-    journal_cwnd t ~from_pkts ~reason:"rto";
-    t.dupacks <- 0;
-    t.in_recovery <- false;
-    t.rtt_seq <- -1;
-    Rto_estimator.backoff t.rto;
-    (* RFC 2582 "bugfix": dupacks for data sent before this timeout must
-       not trigger fast retransmit (they would re-inflate the window over
-       the rewound snd_nxt and burst thousands of segments). *)
-    t.recover <- t.snd_nxt;
-    (* Go-back-N from the first hole. *)
-    t.snd_nxt <- t.snd_una;
-    t.retransmits <- t.retransmits + 1;
-    Obs.Metrics.Counter.inc t.m_retransmits;
-    send_segment t t.snd_una;
-    t.snd_nxt <- t.snd_una + 1;
-    restart_timer t
-  end
+  Obs.Metrics.Counter.inc t.m_timeouts;
+  jnl t ~severity:Obs.Journal.Warn (Obs.Journal.Timeout { what = "rto" });
+  let f = t.f in
+  let from_pkts = f.cwnd in
+  f.ssthresh <- Float.max 2. (f.cwnd /. 2.);
+  f.cwnd <- 1.;
+  journal_cwnd t ~from_pkts ~reason:"rto";
+  t.dupacks <- 0;
+  t.in_recovery <- false;
+  t.rtt_seq <- -1;
+  Rto_estimator.backoff t.rto;
+  (* RFC 2582 "bugfix": dupacks for data sent before this timeout must
+     not trigger fast retransmit (they would re-inflate the window over
+     the rewound snd_nxt and burst thousands of segments). *)
+  t.recover <- t.snd_nxt;
+  (* Go-back-N from the first hole. *)
+  t.snd_nxt <- t.snd_una;
+  Obs.Metrics.Counter.inc t.m_retransmits;
+  send_segment t t.snd_una;
+  t.snd_nxt <- t.snd_una + 1;
+  restart_timer t
 
 let fast_retransmit t =
   let f = t.f in
@@ -171,7 +164,6 @@ let fast_retransmit t =
   f.ssthresh <- Float.max 2. (f.cwnd /. 2.);
   t.in_recovery <- true;
   t.recover <- t.snd_nxt;
-  t.retransmits <- t.retransmits + 1;
   Obs.Metrics.Counter.inc t.m_retransmits;
   t.rtt_seq <- -1;
   send_segment t t.snd_una;
@@ -220,10 +212,8 @@ let on_dupack t =
   end
 
 let on_ack t ack =
-  if t.running then begin
-    if ack > t.snd_una then on_new_ack t ack
-    else if ack = t.snd_una && t.snd_nxt > t.snd_una then on_dupack t
-  end
+  if ack > t.snd_una then on_new_ack t ack
+  else if ack = t.snd_una && t.snd_nxt > t.snd_una then on_dupack t
 
 let create topo ~conn ~flow ~src ~dst =
   let engine = Netsim.Topology.engine topo in
@@ -248,7 +238,6 @@ let create topo ~conn ~flow ~src ~dst =
           rtt_sent_at = 0.;
         };
       rto = Rto_estimator.create ();
-      running = false;
       snd_una = 0;
       snd_nxt = 0;
       dupacks = 0;
@@ -256,7 +245,6 @@ let create topo ~conn ~flow ~src ~dst =
       recover = 0;
       rtt_seq = -1;
       retx_timer = None;
-      retransmits = 0;
       emit_seqs = Array.make 16 0;
       emit_head = 0;
       emit_len = 0;
@@ -280,16 +268,7 @@ let create topo ~conn ~flow ~src ~dst =
   t
 
 let start t ~at =
-  t.running <- true;
   ignore
     (Netsim.Engine.at t.engine ~time:at (fun () ->
          t.f.cwnd <- initial_cwnd;
          send_available t))
-
-let stop t =
-  t.running <- false;
-  cancel_timer t
-
-let retransmits t = t.retransmits
-
-let highest_ack t = t.snd_una

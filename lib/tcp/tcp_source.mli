@@ -23,12 +23,6 @@ val create :
     up to 1 ms — ns-2's "overhead", a phase-effect breaker. *)
 
 val start : t -> at:float -> unit
-(** Schedules the first transmission at absolute time [at]. *)
-
-val stop : t -> unit
-(** Halts transmission and cancels the retransmit timer. *)
-
-val retransmits : t -> int
-
-val highest_ack : t -> int
-(** All segments with seq < highest_ack are acknowledged. *)
+(** Schedules the first transmission at absolute time [at]; the
+    connection then sends until the simulation ends.  Retransmissions
+    count under [tcp_retransmits_total{conn}]. *)

@@ -4,11 +4,6 @@ let check ~s ~rtt =
   if s <= 0 then invalid_arg "Mathis: packet size must be positive";
   if rtt <= 0. then invalid_arg "Mathis: rtt must be positive"
 
-let throughput ~s ~rtt ~p =
-  check ~s ~rtt;
-  if p < 0. || p > 1. then invalid_arg "Mathis.throughput: p out of range";
-  if p = 0. then infinity else float_of_int s /. rtt *. c /. sqrt p
-
 let inverse_loss ~s ~rtt ~rate =
   check ~s ~rtt;
   if rate <= 0. then invalid_arg "Mathis.inverse_loss: rate must be positive";
@@ -16,9 +11,3 @@ let inverse_loss ~s ~rtt ~rate =
   Float.min 1. (Float.max 1e-12 (x *. x))
 
 let initial_loss_interval ~s ~rtt ~rate = 1. /. inverse_loss ~s ~rtt ~rate
-
-let rescale_first_interval ~interval ~rtt_initial ~rtt_measured =
-  if rtt_initial <= 0. || rtt_measured <= 0. then
-    invalid_arg "Mathis.rescale_first_interval: RTTs must be positive";
-  let ratio = rtt_measured /. rtt_initial in
-  Float.max 1. (interval *. ratio *. ratio)

@@ -27,17 +27,11 @@ type t = {
   mutable last_arrival : float;
   mutable have_data : bool;
   mutable fb_timer : Netsim.Engine.handle option;
-  mutable received : int;
-  mutable fb_sent : int;
 }
 
 let window t = t.cwnd
 
 let epochs_completed t = t.epochs
-
-let packets_received t = t.received
-
-let feedback_sent t = t.fb_sent
 
 (* Weighted mean of epoch means, folding the running epoch in as the
    newest sample (like the open loss interval in WALI). *)
@@ -86,8 +80,7 @@ let send_feedback t =
         ~dst:(Netsim.Packet.Unicast (Netsim.Node.id t.sender))
         ~created:now payload
     in
-    Netsim.Topology.inject t.topo p;
-    t.fb_sent <- t.fb_sent + 1
+    Netsim.Topology.inject t.topo p
   end
 
 let rec schedule_feedback t =
@@ -111,7 +104,6 @@ let end_epoch t =
 
 let on_data t ~seq ~ts ~rtt =
   let now = Netsim.Engine.now t.engine in
-  t.received <- t.received + 1;
   t.have_data <- true;
   t.last_ts <- ts;
   t.last_arrival <- now;
@@ -168,8 +160,6 @@ let create topo ~conn ~node ~sender =
       last_arrival = nan;
       have_data = false;
       fb_timer = None;
-      received = 0;
-      fb_sent = 0;
     }
   in
   Netsim.Node.attach node (fun p ->

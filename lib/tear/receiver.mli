@@ -26,7 +26,3 @@ val rate_bytes_per_s : t -> float
 (** The rate the receiver currently advertises. *)
 
 val epochs_completed : t -> int
-
-val packets_received : t -> int
-
-val feedback_sent : t -> int

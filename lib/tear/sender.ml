@@ -6,11 +6,9 @@ type t = {
   src : Netsim.Node.t;
   dst : Netsim.Node.t;
   rng : Stats.Rng.t;
-  mutable running : bool;
   mutable rate : float;
   mutable srtt : float option;
   mutable seq : int;
-  mutable send_timer : Netsim.Engine.handle option;
   mutable nofeedback : Netsim.Engine.handle option;
   obs : Obs.Sink.t;
   scope : Obs.Journal.scope;
@@ -38,27 +36,24 @@ let cancel t h =
   | None -> None
 
 let rec send_packet t =
-  t.send_timer <- None;
-  if t.running then begin
-    let now = Netsim.Engine.now t.engine in
-    let payload =
-      Wire.Data { conn = t.conn; seq = t.seq; ts = now; rtt = rtt_or_default t }
-    in
-    t.seq <- t.seq + 1;
-    Obs.Metrics.Counter.inc t.m_sent;
-    Obs.Metrics.Gauge.set t.m_rate t.rate;
-    let p =
-      Netsim.Packet.alloc (Netsim.Engine.arena t.engine) ~flow:t.flow ~size:Wire.data_size
-        ~src:(Netsim.Node.id t.src)
-        ~dst:(Netsim.Packet.Unicast (Netsim.Node.id t.dst))
-        ~created:now payload
-    in
-    Netsim.Topology.inject t.topo p;
-    (* Pacing jitter, as for the other rate-based senders. *)
-    let jitter = 0.75 +. (0.5 *. Stats.Rng.uniform t.rng) in
-    let delay = jitter *. float_of_int Wire.data_size /. t.rate in
-    t.send_timer <- Some (Netsim.Engine.after t.engine ~delay (fun () -> send_packet t))
-  end
+  let now = Netsim.Engine.now t.engine in
+  let payload =
+    Wire.Data { conn = t.conn; seq = t.seq; ts = now; rtt = rtt_or_default t }
+  in
+  t.seq <- t.seq + 1;
+  Obs.Metrics.Counter.inc t.m_sent;
+  Obs.Metrics.Gauge.set t.m_rate t.rate;
+  let p =
+    Netsim.Packet.alloc (Netsim.Engine.arena t.engine) ~flow:t.flow ~size:Wire.data_size
+      ~src:(Netsim.Node.id t.src)
+      ~dst:(Netsim.Packet.Unicast (Netsim.Node.id t.dst))
+      ~created:now payload
+  in
+  Netsim.Topology.inject t.topo p;
+  (* Pacing jitter, as for the other rate-based senders. *)
+  let jitter = 0.75 +. (0.5 *. Stats.Rng.uniform t.rng) in
+  let delay = jitter *. float_of_int Wire.data_size /. t.rate in
+  Netsim.Engine.after_unit t.engine ~delay (fun () -> send_packet t)
 
 let rec restart_nofeedback t =
   t.nofeedback <- cancel t t.nofeedback;
@@ -67,18 +62,16 @@ let rec restart_nofeedback t =
     Some
       (Netsim.Engine.after t.engine ~delay (fun () ->
            t.nofeedback <- None;
-           if t.running then begin
-             let from_bps = t.rate in
-             t.rate <- Float.max min_rate (t.rate /. 2.);
-             Obs.Metrics.Counter.inc t.m_nofeedback;
-             jnl t ~severity:Obs.Journal.Warn
-               (Obs.Journal.Timeout { what = "nofeedback" });
-             if t.rate <> from_bps then
-               jnl t ~severity:Obs.Journal.Debug
-                 (Obs.Journal.Rate_change
-                    { from_bps; to_bps = t.rate; reason = "nofeedback-halve" });
-             restart_nofeedback t
-           end))
+           let from_bps = t.rate in
+           t.rate <- Float.max min_rate (t.rate /. 2.);
+           Obs.Metrics.Counter.inc t.m_nofeedback;
+           jnl t ~severity:Obs.Journal.Warn
+             (Obs.Journal.Timeout { what = "nofeedback" });
+           if t.rate <> from_bps then
+             jnl t ~severity:Obs.Journal.Debug
+               (Obs.Journal.Rate_change
+                  { from_bps; to_bps = t.rate; reason = "nofeedback-halve" });
+           restart_nofeedback t))
 
 let on_feedback t ~ts:_ ~echo_ts ~echo_delay ~rate =
   let now = Netsim.Engine.now t.engine in
@@ -115,11 +108,9 @@ let create topo ~conn ~flow ~src ~dst () =
       src;
       dst;
       rng = Netsim.Engine.split_rng engine;
-      running = false;
       rate = initial_rate;
       srtt = None;
       seq = 0;
-      send_timer = None;
       nofeedback = None;
       obs;
       scope =
@@ -135,21 +126,15 @@ let create topo ~conn ~flow ~src ~dst () =
       match p.Netsim.Packet.payload with
       | Wire.Feedback { conn; ts; echo_ts; echo_delay; rate } when conn = t.conn
         ->
-          if t.running then on_feedback t ~ts ~echo_ts ~echo_delay ~rate
+          on_feedback t ~ts ~echo_ts ~echo_delay ~rate
       | _ -> ());
   t
 
 let start t ~at =
-  t.running <- true;
   ignore
     (Netsim.Engine.at t.engine ~time:at (fun () ->
          send_packet t;
          restart_nofeedback t))
-
-let stop t =
-  t.running <- false;
-  t.send_timer <- cancel t t.send_timer;
-  t.nofeedback <- cancel t t.nofeedback
 
 let rate_bytes_per_s t = t.rate
 

@@ -16,8 +16,9 @@ val create :
 (** Sends one packet a second until the first feedback. *)
 
 val start : t -> at:float -> unit
-
-val stop : t -> unit
+(** Starts sending at [at]; the connection then runs until the
+    simulation ends.  Feedback it receives counts under
+    [tear_sender_feedback_total{conn}]. *)
 
 val rate_bytes_per_s : t -> float
 

@@ -17,18 +17,18 @@ type t = {
   env : Env.t;
   session : int;
   parent : int;
-  hold : float;
   mutable best : report option;
   mutable flush_timer : Env.timer option;
   mutable last_round_forwarded : int;
   mutable last_forwarded : report option;
   mutable reports_in : int;
-  mutable reports_out : int;
 }
 
-let reports_in t = t.reports_in
+(* The aggregation interval: the best report collected during it is
+   forwarded when it expires. *)
+let hold = 0.2
 
-let reports_out t = t.reports_out
+let reports_in t = t.reports_in
 
 (* Lower is more restrictive; loss reports dominate rate-only ones. *)
 let more_restrictive a b =
@@ -56,8 +56,7 @@ let forward t (r : report) ~leaving =
          round = r.r_round;
          has_loss = r.r_has_loss;
          leaving;
-       });
-  t.reports_out <- t.reports_out + 1
+       })
 
 let flush t =
   t.flush_timer <- None;
@@ -95,7 +94,7 @@ let on_report t (r : report) ~leaving =
     | Some cur when not (more_restrictive r cur) -> ()
     | Some _ | None -> t.best <- Some r);
     if t.flush_timer = None then
-      t.flush_timer <- Some (t.env.Env.after ~delay:t.hold (fun () -> flush t))
+      t.flush_timer <- Some (t.env.Env.after ~delay:hold (fun () -> flush t))
   end
   else begin
     match t.last_forwarded with
@@ -127,17 +126,14 @@ let deliver t msg =
         ~leaving:r.leaving
   | Wire.Report _ | Wire.Data _ -> ()
 
-let create ~env ~session ~parent ?(hold = 0.2) () =
-  if hold <= 0. then invalid_arg "Aggregator.create: hold must be positive";
+let create ~env ~session ~parent =
   {
     env;
     session;
     parent;
-    hold;
     best = None;
     flush_timer = None;
     last_round_forwarded = -1;
     last_forwarded = None;
     reports_in = 0;
-    reports_out = 0;
   }

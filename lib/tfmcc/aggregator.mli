@@ -16,14 +16,12 @@
 
 type t
 
-val create :
-  env:Env.t -> session:int -> parent:int -> ?hold:float -> unit -> t
+val create : env:Env.t -> session:int -> parent:int -> t
 (** [parent] is the node id reports are forwarded to (another
     aggregator or the sender).  Subtree reports arrive via {!deliver}.
-    [hold] is the aggregation interval (default 0.2 s): the best report
-    collected during it is forwarded when it expires.  The interval
-    should be well below the feedback round duration.  Does not consume
-    an RNG stream. *)
+    The aggregation interval is 0.2 s: the best report collected during
+    it is forwarded when it expires, well below the feedback round
+    duration.  Does not consume an RNG stream. *)
 
 val deliver : t -> Wire.msg -> unit
 (** Feeds one inbound message: reports of this session enter the
@@ -31,6 +29,3 @@ val deliver : t -> Wire.msg -> unit
 
 val reports_in : t -> int
 (** Reports received from the subtree. *)
-
-val reports_out : t -> int
-(** Aggregated reports forwarded to the parent. *)

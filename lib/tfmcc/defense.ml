@@ -62,13 +62,6 @@ type t = {
   mutable holddown_until : float;
   mutable holddown_rounds : float;
   mutable last_switch : float;
-  (* counters (mirrored into the metrics registry) *)
-  mutable implausible_n : int;
-  mutable outliers_n : int;
-  mutable spam_n : int;
-  mutable quarantined_drops_n : int;
-  mutable quarantines_n : int;
-  mutable damped_n : int;
   obs : Obs.Sink.t;
   scope : Obs.Journal.scope;
   m_implausible : Obs.Metrics.Counter.t;
@@ -90,12 +83,6 @@ let create ~cfg ~obs ~session ~node () =
     holddown_until = neg_infinity;
     holddown_rounds = Config.defense_holddown_rounds;
     last_switch = neg_infinity;
-    implausible_n = 0;
-    outliers_n = 0;
-    spam_n = 0;
-    quarantined_drops_n = 0;
-    quarantines_n = 0;
-    damped_n = 0;
     obs;
     scope = Obs.Journal.scope ~session ~node "tfmcc.defense";
     m_implausible =
@@ -109,18 +96,6 @@ let create ~cfg ~obs ~session ~node () =
     m_damped =
       Obs.Metrics.counter metrics ~labels "tfmcc_defense_clr_damped_total";
   }
-
-let implausible_rejects t = t.implausible_n
-
-let outlier_rejects t = t.outliers_n
-
-let spam_drops t = t.spam_n
-
-let quarantined_drops t = t.quarantined_drops_n
-
-let quarantines t = t.quarantines_n
-
-let clr_switches_damped t = t.damped_n
 
 let jnl t ~now ?severity ev =
   Obs.Sink.event t.obs ~time:now ?severity t.scope ev
@@ -179,7 +154,6 @@ let suspect t ~now ~round_duration rx =
       +. (scale *. Config.defense_quarantine_rounds *. round_duration);
     s.suspicion <- 0.;
     s.in_window <- false;
-    t.quarantines_n <- t.quarantines_n + 1;
     Obs.Metrics.Counter.inc t.m_quarantines;
     jnl t ~now ~severity:Obs.Journal.Warn (Obs.Journal.Quarantine { rx; until_ })
   end
@@ -187,18 +161,14 @@ let suspect t ~now ~round_duration rx =
 let reject t ~now ~round_duration ~rx ~counter what =
   (match counter with
   | `Implausible ->
-      t.implausible_n <- t.implausible_n + 1;
       Obs.Metrics.Counter.inc t.m_implausible;
       suspect t ~now ~round_duration rx
   | `Spam ->
-      t.spam_n <- t.spam_n + 1;
       Obs.Metrics.Counter.inc t.m_spam;
       suspect t ~now ~round_duration rx
   | `Quarantined ->
-      t.quarantined_drops_n <- t.quarantined_drops_n + 1;
       Obs.Metrics.Counter.inc t.m_quarantined_drops
   | `Outlier ->
-      t.outliers_n <- t.outliers_n + 1;
       Obs.Metrics.Counter.inc t.m_outliers;
       suspect t ~now ~round_duration rx);
   jnl t ~now ~severity:Obs.Journal.Warn
@@ -369,13 +339,11 @@ let may_lead t ~now ~round_duration rx =
 let may_switch t ~now ~sender_rate ~candidate_rate ~rx =
   if candidate_rate >= (1. -. Config.defense_clr_hysteresis) *. sender_rate
   then begin
-    t.damped_n <- t.damped_n + 1;
     Obs.Metrics.Counter.inc t.m_damped;
     jnl t ~now (Obs.Journal.Clr_damped { rx });
     false
   end
   else if now < t.holddown_until then begin
-    t.damped_n <- t.damped_n + 1;
     Obs.Metrics.Counter.inc t.m_damped;
     jnl t ~now (Obs.Journal.Clr_damped { rx });
     false

@@ -27,9 +27,6 @@ type reject =
   | Implausible_xrecv
   | Implausible_echo_delay
 
-val reject_name : reject -> string
-(** Stable kebab-case tag, also used in journal entries. *)
-
 val create :
   cfg:Config.t -> obs:Obs.Sink.t -> session:int -> node:int -> unit -> t
 
@@ -98,17 +95,3 @@ val on_round : t -> now:float -> round_duration:float -> sender_rate:float -> un
 val is_quarantined : t -> now:float -> int -> bool
 
 val suspicion : t -> int -> float
-
-(** Counter accessors (mirror the registry, convenient in tests). *)
-
-val implausible_rejects : t -> int
-
-val outlier_rejects : t -> int
-
-val spam_drops : t -> int
-
-val quarantined_drops : t -> int
-
-val quarantines : t -> int
-
-val clr_switches_damped : t -> int

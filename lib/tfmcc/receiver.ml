@@ -42,7 +42,6 @@ type t = {
   mutable received : int;
   mutable reports : int;
   mutable suppressed : int;
-  mutable malformed_data : int;
   (* Observability: journal scope plus registry handles. *)
   obs : Obs.Sink.t;
   scope : Obs.Journal.scope;
@@ -87,8 +86,6 @@ let packets_received t = t.received
 let reports_sent t = t.reports
 
 let timers_suppressed t = t.suppressed
-
-let malformed_data_dropped t = t.malformed_data
 
 (* The rate this receiver would report right now: the calculated rate
    once it has seen loss, the receive rate during slowstart. *)
@@ -395,7 +392,6 @@ let create ~env ~cfg ~session ~sender ?report_to ?(clock_offset = 0.)
         received = 0;
         reports = 0;
         suppressed = 0;
-        malformed_data = 0;
         obs;
         scope = Obs.Journal.scope ~session ~node:env.Env.id "tfmcc.receiver";
         m_received =
@@ -424,7 +420,6 @@ let deliver_data t ~size (d : Wire.data) =
         ~echo:d.echo ~fb:d.fb
     then on_data t ~size d
     else if t.joined then begin
-      t.malformed_data <- t.malformed_data + 1;
       Obs.Metrics.Counter.inc t.m_malformed;
       jnl t ~severity:Obs.Journal.Warn
         (Obs.Journal.Malformed_drop { what = "data-fields" })

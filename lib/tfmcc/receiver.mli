@@ -40,8 +40,10 @@ val deliver : t -> size:int -> Wire.msg -> unit
 (** Feeds one inbound message to the receiver.  [size] is the on-the-
     wire datagram size in bytes (feeds the receive-rate meter).  Data
     packets of this session are validated and processed; everything
-    else is ignored (invalid data of this session counts as malformed
-    once joined). *)
+    else is ignored.  Once joined, data of this session rejected before
+    touching any receiver state (non-finite timestamps or rates,
+    negative sequence numbers or round durations, corrupted echo
+    fields) counts under [tfmcc_receiver_malformed_drops_total]. *)
 
 val deliver_data : t -> size:int -> Wire.data -> unit
 (** {!deliver} for an already-unwrapped data record — the per-packet
@@ -79,8 +81,3 @@ val reports_sent : t -> int
 
 val timers_suppressed : t -> int
 (** Feedback timers cancelled by echoed feedback (diagnostic). *)
-
-val malformed_data_dropped : t -> int
-(** Inbound data packets of this session rejected before touching any
-    receiver state: non-finite timestamps or rates, negative sequence
-    numbers or round durations, corrupted echo fields. *)

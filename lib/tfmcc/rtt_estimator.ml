@@ -18,9 +18,6 @@ type t = {
   f : floats;
   mutable measured : bool;
   mutable ntp_init : bool;
-  mutable count : int;
-  mutable rejected : int;
-  mutable clock_anomalies : int;
   m_rejected : Obs.Metrics.Counter.t;
 }
 
@@ -44,9 +41,6 @@ let create ?(metrics = Obs.Metrics.null) ~cfg ~clock ~clock_offset () =
       };
     measured = false;
     ntp_init = false;
-    count = 0;
-    rejected = 0;
-    clock_anomalies = 0;
     m_rejected = Obs.Metrics.counter metrics "check_rtt_sample_rejected_total";
   }
 
@@ -54,15 +48,7 @@ let floats t = t.f
 
 let local_now t = t.clock.Event_heap.cell_time +. t.f.clock_offset
 
-let estimate t = t.f.rtt
-
 let has_measurement t = t.measured
-
-let measurements t = t.count
-
-let rejections t = t.rejected
-
-let clock_anomalies t = t.clock_anomalies
 
 (* Real clocks step backwards (NTP slew/step, VM migration); a backward
    local time would make delay terms negative and poison the EWMA.
@@ -74,7 +60,6 @@ let clock_anomalies t = t.clock_anomalies
 let sample_local_now t =
   let local_now = local_now t in
   if local_now < t.f.last_local_now then begin
-    t.clock_anomalies <- t.clock_anomalies + 1;
     Obs.Metrics.Counter.inc
       (Obs.Metrics.counter t.metrics
          ~labels:[ ("kind", "rtt-nonmonotonic-now") ]
@@ -92,15 +77,11 @@ let on_echo t ~rx_ts ~echo_delay ~pkt_ts ~is_clr =
      them to a small positive floor instead (the echo loop demonstrably
      closed, only the magnitude is garbage) and count the rejection; NaN
      carries no information at all and is dropped outright. *)
-  if Float.is_nan raw then begin
-    t.rejected <- t.rejected + 1;
-    Obs.Metrics.Counter.inc t.m_rejected
-  end
+  if Float.is_nan raw then Obs.Metrics.Counter.inc t.m_rejected
   else begin
     let inst =
       if raw > 0. then raw
       else begin
-        t.rejected <- t.rejected + 1;
         Obs.Metrics.Counter.inc t.m_rejected;
         sample_floor
       end
@@ -115,8 +96,7 @@ let on_echo t ~rx_ts ~echo_delay ~pkt_ts ~is_clr =
        adjustments are discarded. *)
     let d_forward = local_now -. pkt_ts in
     t.f.d_reverse <- inst -. d_forward;
-    t.measured <- true;
-    t.count <- t.count + 1
+    t.measured <- true
   end
 
 let init_from_oneway t ~oneway ~max_error =

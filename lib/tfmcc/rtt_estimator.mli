@@ -25,13 +25,15 @@
 type t
 
 type floats = private {
-  mutable rtt : float;  (** the current estimate, as {!estimate} *)
+  mutable rtt : float;
+      (** the current estimate (the configured initial value before the
+          first real measurement) *)
   mutable d_reverse : float;
       (** reverse-path delay from the last real measurement; NaN before *)
   mutable last_local_now : float;
       (** the latest local-time sample taken by {!on_data} or
-          {!on_echo}, clamped to never decrease (see
-          {!clock_anomalies}); [neg_infinity] before the first *)
+          {!on_echo}, clamped to never decrease (a clock anomaly);
+          [neg_infinity] before the first *)
   clock_offset : float;  (** local clock minus the runtime clock *)
 }
 (** All-float record (raw double storage): a field read is a raw double
@@ -47,36 +49,22 @@ val create :
 (** [clock] is the runtime clock the receiver runs on ([Env.clock]).
     [metrics] (default {!Obs.Metrics.null}) receives the
     [check_rtt_sample_rejected_total] counter: echo samples whose raw
-    value was non-positive (clock skew, corrupted echo delay) or NaN. *)
+    value was non-positive (clock skew, corrupted echo delay) or NaN.
+    It also receives
+    [tfmcc_rt_clock_anomaly_total{kind="rtt-nonmonotonic-now"}]:
+    local-time samples below an earlier sample — a real clock stepping
+    backwards (NTP step, VM migration); the simulator never produces
+    one — which are clamped to the high-water mark instead of
+    corrupting the delay terms.  That counter is registered on the
+    first anomaly, so deterministic runs keep their registry
+    unchanged. *)
 
 val floats : t -> floats
 
 val local_now : t -> float
 (** The runtime clock plus this receiver's clock offset. *)
 
-val estimate : t -> float
-(** Current estimate (the configured initial value before the first real
-    measurement). *)
-
 val has_measurement : t -> bool
-
-val measurements : t -> int
-(** Count of real (echo-based) measurements. *)
-
-val rejections : t -> int
-(** Echo samples rejected or clamped because the raw value
-    [local_now − rx_ts − echo_delay] was non-positive or NaN (skewed
-    clock, corrupted echo).  Mirrored in the
-    [check_rtt_sample_rejected_total] metric. *)
-
-val clock_anomalies : t -> int
-(** Local-time samples that arrived below an earlier sample — a real
-    clock stepping backwards (NTP step, VM migration); the simulator
-    never produces one.  The sample is clamped to the high-water mark
-    instead of corrupting the delay terms, and counted here and under
-    [tfmcc_rt_clock_anomaly_total{kind="rtt-nonmonotonic-now"}] (the
-    counter is registered lazily on first anomaly so deterministic runs
-    keep their metrics registry unchanged). *)
 
 val on_echo :
   t -> rx_ts:float -> echo_delay:float -> pkt_ts:float -> is_clr:bool -> unit
@@ -87,10 +75,10 @@ val on_echo :
     (sender clock, used to seed the one-way state).
 
     A sample whose raw value is non-positive is clamped to a 1 ms floor
-    (and counted under {!rejections}) rather than silently discarded:
-    the echo proves the measurement loop is closed, and discarding it
-    would leave the estimate stuck on the configured initial value for
-    as long as the skew persists.  NaN samples are dropped (and
+    (and counted under [check_rtt_sample_rejected_total]) rather than
+    silently discarded: the echo proves the measurement loop is closed,
+    and discarding it would leave the estimate stuck on the configured
+    initial value for as long as the skew persists.  NaN samples are dropped (and
     counted). *)
 
 val on_data : t -> pkt_ts:float -> unit

@@ -70,7 +70,6 @@ type t = {
   mutable last_report_arrival : float;
   mutable starved : bool;
   mutable starvations : int;
-  mutable malformed_dropped : int;
   mutable clr_lost : bool;
   mutable clr_failovers_n : int;
   (* Adversarial-receiver defenses (DESIGN.md §10); None unless
@@ -123,8 +122,6 @@ let clr_timeouts t = t.clr_timeouts
 let is_starved t = t.starved
 
 let feedback_starvations t = t.starvations
-
-let malformed_reports_dropped t = t.malformed_dropped
 
 let clr_failovers t = t.clr_failovers_n
 
@@ -644,7 +641,6 @@ let create ~env ~cfg ~session ?initial_rate () =
     last_report_arrival = 0.;
     starved = false;
     starvations = 0;
-    malformed_dropped = 0;
     clr_lost = false;
     clr_failovers_n = 0;
     defense =
@@ -733,7 +729,6 @@ let deliver_report t (r : Wire.report) =
               ~has_loss:r.has_loss ~leaving:r.leaving
         end
         else begin
-          t.malformed_dropped <- t.malformed_dropped + 1;
           Obs.Metrics.Counter.inc t.m_malformed;
           jnl t ~severity:Obs.Journal.Warn
             (Obs.Journal.Malformed_drop { what = "report-fields" })
@@ -742,7 +737,6 @@ let deliver_report t (r : Wire.report) =
   end
   else if t.running then begin
     (* Unknown session id: never let it near this sender's state. *)
-    t.malformed_dropped <- t.malformed_dropped + 1;
     Obs.Metrics.Counter.inc t.m_malformed;
     jnl t ~severity:Obs.Journal.Warn
       (Obs.Journal.Malformed_drop { what = "unknown-session" })

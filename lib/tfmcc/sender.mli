@@ -71,7 +71,11 @@ val max_rtt : t -> float
 val packets_sent : t -> int
 
 val reports_received : t -> int
-(** Validated reports accepted (malformed ones are counted separately). *)
+(** Validated reports accepted.  Inbound reports rejected before
+    touching any sender state — invalid field values (NaN/negative RTT,
+    p outside [0,1], non-finite rates), implausible rounds (future, or
+    older than the CLR timeout) and unknown session ids — count under
+    [tfmcc_sender_malformed_drops_total]. *)
 
 val clr_changes : t -> int
 
@@ -83,12 +87,6 @@ val is_starved : t -> bool
 
 val feedback_starvations : t -> int
 (** Transitions into the starved state so far. *)
-
-val malformed_reports_dropped : t -> int
-(** Inbound reports rejected before touching any sender state: invalid
-    field values (NaN/negative RTT, p outside [0,1], non-finite rates),
-    implausible rounds (future, or older than the CLR timeout) and
-    unknown session ids. *)
 
 val clr_failovers : t -> int
 (** Times a replacement CLR was installed after the previous one was lost

@@ -12,7 +12,6 @@ type t = {
   mutable event_start_time : float;
   mutable events : int;
   mutable seen : int;
-  mutable lost : int;
   (* Position of the synthetic first interval in [intervals], newest = 0;
      -1 when absent. *)
   mutable synthetic_pos : int;
@@ -45,7 +44,6 @@ let create ~clock ~rtt ?(n_intervals = 8) ?(first_interval = fun () -> None) () 
     event_start_time = neg_infinity;
     events = 0;
     seen = 0;
-    lost = 0;
     synthetic_pos = -1;
     gaps = [];
   }
@@ -90,8 +88,6 @@ let has_loss t = t.events > 0
 let loss_events t = t.events
 
 let packets_seen t = t.seen
-
-let packets_lost t = t.lost
 
 let closed_intervals t = t.intervals
 
@@ -141,7 +137,6 @@ let on_packet t ~seq =
          every later loss into one event. *)
       if not (rtt > 0. && rtt < infinity) then
         invalid_arg "Loss_history.on_packet: rtt must be finite and positive";
-      t.lost <- t.lost + n_lost;
       let first_lost = t.expected in
       t.gaps <- (first_lost, now) :: t.gaps;
       if List.length t.gaps > max_gap_log then

@@ -57,8 +57,6 @@ val loss_events : t -> int
 val packets_seen : t -> int
 (** Count of data packets that actually arrived. *)
 
-val packets_lost : t -> int
-
 val closed_intervals : t -> float list
 (** Most recent first; at most [n_intervals] values. *)
 

@@ -21,7 +21,6 @@ type t = {
   mutable head : int;
   mutable count : int;
   mutable in_window_bytes : int;
-  mutable total : int;
 }
 
 let initial_capacity = 64
@@ -41,7 +40,6 @@ let create ~clock ?(window = 1.) () =
     head = 0;
     count = 0;
     in_window_bytes = 0;
-    total = 0;
   }
 
 let window t = t.win
@@ -92,7 +90,6 @@ let record t ~bytes =
   Array.unsafe_set t.sizes i bytes;
   t.count <- t.count + 1;
   t.in_window_bytes <- t.in_window_bytes + bytes;
-  t.total <- t.total + bytes;
   expire t
 
 let rate_bytes_per_s t =
@@ -110,5 +107,3 @@ let rate_bytes_per_s t =
     in
     float_of_int t.in_window_bytes /. span
   end
-
-let total_bytes t = t.total

@@ -34,5 +34,3 @@ val rate_bytes_per_s : t -> float
     as an arbitrarily high rate; 0 before any arrival.
     @raise Invalid_argument on a window that is not finite and
     positive. *)
-
-val total_bytes : t -> int

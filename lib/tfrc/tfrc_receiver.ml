@@ -15,8 +15,6 @@ type t = {
   mutable last_data_arrival : float;
   mutable have_data : bool;
   mutable fb_timer : Netsim.Engine.handle option;
-  mutable received : int;
-  mutable fb_sent : int;
   m_received : Obs.Metrics.Counter.t;
   m_feedback : Obs.Metrics.Counter.t;
 }
@@ -43,7 +41,6 @@ let send_feedback t =
         ~created:now payload
     in
     Netsim.Topology.inject t.topo p;
-    t.fb_sent <- t.fb_sent + 1;
     Obs.Metrics.Counter.inc t.m_feedback
   end
 
@@ -56,7 +53,6 @@ let rec schedule_feedback t =
            schedule_feedback t))
 
 let on_data t ~seq ~ts ~rtt ~size =
-  t.received <- t.received + 1;
   Obs.Metrics.Counter.inc t.m_received;
   t.have_data <- true;
   t.last_data_ts <- ts;
@@ -104,8 +100,6 @@ let create topo ~conn ~node ~sender =
         last_data_arrival = nan;
         have_data = false;
         fb_timer = None;
-        received = 0;
-        fb_sent = 0;
         m_received =
           Obs.Metrics.counter metrics ~labels
             "tfrc_receiver_packets_received_total";
@@ -123,6 +117,3 @@ let create topo ~conn ~node ~sender =
 
 let loss_event_rate t = Loss_history.loss_event_rate t.history
 
-let packets_received t = t.received
-
-let feedback_sent t = t.fb_sent

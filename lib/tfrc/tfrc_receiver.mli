@@ -14,7 +14,6 @@ val create :
     monitor watches. *)
 
 val loss_event_rate : t -> float
-
-val packets_received : t -> int
-
-val feedback_sent : t -> int
+(** Data packets received and feedback sent count under
+    [tfrc_receiver_packets_received_total] and
+    [tfrc_receiver_feedback_total] (label [conn]). *)

@@ -1,6 +1,6 @@
 (* Surface audit over the typed trees the compiler writes (.cmt, .cmti).
 
-     audit.exe [--libs DIR] FILE.cmt|FILE.cmti ...
+     audit.exe [--libs DIR] FILE.cmt|FILE.cmti ... [HOOKS.txt]
 
    The .cmti of every library unit (not an executable's) declares the
    exports; the .cmt of every unit is a caller.  A finding is
@@ -17,8 +17,23 @@
 
    With [--libs DIR], every directory under DIR that holds a .ml file
    must contribute an input file, so a library missing from the inputs
-   fails the run.  Findings go to stdout, one a line, sorted; the exit
-   code is 1 if there is any.
+   fails the run.
+
+   A [.txt] input is an allow-list of test hooks, for a run whose
+   inputs leave out the tests: each line is
+
+     EXPORT | TEST FILE | CASE
+
+   where EXPORT is a finding's name ([M.v], or [?l of M.f]) and CASE
+   the name of a test case in TEST FILE (a path from the working
+   directory) that needs it.  A listed finding is not reported.  A line
+   is itself a finding when its export is no finding (stale), when it
+   names no test file and case, or when that file has no case of that
+   name or never mentions the value ([v], or [~l]).  Blank lines and
+   lines starting with [#] are skipped.
+
+   Findings go to stdout, one a line, sorted; the exit code is 1 if
+   there is any.
 
    Only Typedtree constructors that OCaml 5.1 and 5.2 share are
    matched; the unit name comes from the file name, not the cmt
@@ -232,16 +247,57 @@ let missing_libs root inputs =
                  (String.starts_with ~prefix:(dir ^ "/"))
                  inputs))
 
+let read_file file = In_channel.with_open_bin file In_channel.input_all
+
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec from i = i + n <= m && (String.sub s i n = sub || from (i + 1)) in
+  from 0
+
+(* [(line, export, Some (test file, case) | None)] of an allow-list. *)
+let read_hooks file =
+  String.split_on_char '\n' (read_file file)
+  |> List.mapi (fun i l -> (i + 1, String.trim l))
+  |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
+  |> List.map (fun (n, l) ->
+         match List.map String.trim (String.split_on_char '|' l) with
+         | [ key; test; case ] when test <> "" && case <> "" ->
+             (n, key, Some (test, case))
+         | key :: _ -> (n, key, None)
+         | [] -> (n, l, None))
+
+(* What a test file must mention to need [key]: the value's own name,
+   or [~l] for an optional argument. *)
+let mention key =
+  match String.index_opt key ' ' with
+  | Some i when key.[0] = '?' -> "~" ^ String.sub key 1 (i - 1)
+  | _ -> (
+      match String.rindex_opt key '.' with
+      | Some i -> String.sub key (i + 1) (String.length key - i - 1)
+      | None -> key)
+
+let hook_problem (test, case) key =
+  if not (Sys.file_exists test) then Some (test ^ " does not exist")
+  else
+    let text = read_file test in
+    if not (contains ~sub:("\"" ^ case ^ "\"") text) then
+      Some (Printf.sprintf "%s has no case \"%s\"" test case)
+    else if not (contains ~sub:(mention key) text) then
+      Some (Printf.sprintf "%s never mentions %s" test (mention key))
+    else None
+
 let () =
-  let libs = ref None and inputs = ref [] in
+  let libs = ref None and inputs = ref [] and hooks = ref [] in
   Arg.parse
     [
       ( "--libs",
         Arg.String (fun d -> libs := Some d),
         "DIR  each library directory under DIR must contribute an input" );
     ]
-    (fun f -> inputs := f :: !inputs)
-    "audit.exe [--libs DIR] FILE.cmt|FILE.cmti ...";
+    (fun f ->
+      if Filename.check_suffix f ".txt" then hooks := f :: !hooks
+      else inputs := f :: !inputs)
+    "audit.exe [--libs DIR] FILE.cmt|FILE.cmti ... [HOOKS.txt]";
   let inputs = List.rev !inputs in
   List.iter read inputs;
   let used = Hashtbl.create 1024 and passed = Hashtbl.create 256 in
@@ -259,7 +315,7 @@ let () =
       (fun e ->
         let at = (e.file, e.line) in
         if not (Hashtbl.mem used e.key) then
-          [ (at, display e.key ^ " is named by no other unit") ]
+          [ (at, display e.key, " is named by no other unit") ]
         else
           List.filter_map
             (fun l ->
@@ -267,10 +323,35 @@ let () =
               else
                 Some
                   ( at,
-                    Printf.sprintf "?%s of %s is passed by no other unit" l
-                      (display e.key) ))
+                    Printf.sprintf "?%s of %s" l (display e.key),
+                    " is passed by no other unit" ))
             e.optional)
       !exports
+  in
+  let hooks =
+    List.concat_map
+      (fun f ->
+        List.map (fun (line, key, test) -> ((f, line), key, test)) (read_hooks f))
+      !hooks
+  in
+  let is_finding key = List.exists (fun (_, k, _) -> k = key) findings in
+  let is_listed key = List.exists (fun (_, k, _) -> k = key) hooks in
+  let findings =
+    List.filter_map
+      (fun (at, key, what) ->
+        if is_listed key then None else Some (at, key ^ what))
+      findings
+    @ List.filter_map
+        (fun (at, key, test) ->
+          let problem =
+            if not (is_finding key) then Some "is listed but is no finding"
+            else
+              match test with
+              | None -> Some "is listed without a test file and case"
+              | Some test -> hook_problem test key
+          in
+          Option.map (fun p -> (at, key ^ ": " ^ p)) problem)
+        hooks
     @ (match !libs with
       | None -> []
       | Some root ->

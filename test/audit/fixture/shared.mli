@@ -9,3 +9,10 @@ val run : ?retries:int -> unit -> int
 
 (* Named by no other unit. *)
 val unused : int
+
+(* Named only by the probe, which stands for a test: the pass without
+   the probe lists [hooked] in hooks.txt, and reports [test_only]
+   (unlisted) and [untested] (listed without a test case). *)
+val hooked : int
+val test_only : int
+val untested : int

@@ -79,7 +79,7 @@ let test_plan_validation () =
    joined receiver, so drop windows are visible in the counters without
    protocol machinery on top. *)
 let raw_pair ~plan ~until =
-  let loop = Loop.create ~mode:Loop.Turbo ~seed:3 () in
+  let loop = Loop.create ~mode:Loop.Turbo ~obs:(Obs.Sink.create ()) ~seed:3 () in
   let net = Net.create loop () in
   let tx = Net.endpoint net ~session:1 in
   let rx = Net.endpoint net ~session:1 in
@@ -97,13 +97,19 @@ let raw_pair ~plan ~until =
       tx_env.Tfmcc_core.Env.after_unit ~delay:0.01 tick
   in
   tick ();
-  let chaos = Chaos.apply net plan in
+  ignore (Chaos.apply net plan : Chaos.t);
   Loop.run ~until loop;
-  (net, chaos, List.rev !got)
+  (net, List.rev !got)
+
+(* Chaos events of one kind fired so far, from the registry. *)
+let fired obs kind =
+  Obs.Metrics.labelled_values obs.Obs.Sink.metrics "tfmcc_rt_chaos_events_total"
+  |> List.assoc_opt [ ("kind", kind) ]
+  |> Option.value ~default:0
 
 let test_flap_window () =
-  let net, chaos, got = raw_pair ~plan:[ Chaos.Flap { down_at = 1.; up_at = 2. } ] ~until:3. in
-  Alcotest.(check int) "one flap" 1 (Chaos.flaps chaos);
+  let net, got = raw_pair ~plan:[ Chaos.Flap { down_at = 1.; up_at = 2. } ] ~until:3. in
+  Alcotest.(check int) "one flap" 1 (fired (Loop.obs (Net.loop net)) "flap_down");
   Alcotest.(check bool) "fabric back up" true (Net.fabric_up net);
   Alcotest.(check bool) "frames dropped while down" true (Net.flap_drops net > 50);
   let in_window =
@@ -359,9 +365,9 @@ let test_persistent_crash_fails () =
           ];
       }
   in
-  Alcotest.(check int) "restarts exhausted" Harness.max_restarts r.Harness.restarts;
-  Alcotest.(check int) "crashes = restarts + 1" (Harness.max_restarts + 1)
-    r.Harness.crashes;
+  (* A session is restarted at most 3 times. *)
+  Alcotest.(check int) "restarts exhausted" 3 r.Harness.restarts;
+  Alcotest.(check int) "crashes = restarts + 1" 4 r.Harness.crashes;
   Alcotest.(check int) "one session failed" 1 r.Harness.sessions_failed;
   (match List.assoc 1 r.Harness.outcomes with
   | Par.Failed _ -> ()
@@ -418,21 +424,17 @@ let soak_config = { Harness.chaos_soak with Harness.sessions = 20; seed = 7 }
 let strip_wall r = { r with Harness.wall_s = 0. }
 
 let test_chaos_determinism () =
-  let a = strip_wall (Harness.run soak_config) in
-  let b = strip_wall (Harness.run soak_config) in
-  (* The result records contain only floats/ints/lists — structural
-     equality is bit-identity.  [chaos] holds a mutable handle, compare
-     its counters separately. *)
-  let counts r =
-    match r.Harness.chaos with
-    | Some c -> (Chaos.flaps c, Chaos.churn_blocks c)
-    | None -> (0, 0)
+  let run () =
+    let obs = Obs.Sink.create () in
+    let r = strip_wall (Harness.run ~obs soak_config) in
+    (r, (fired obs "flap_down", fired obs "churn_down"))
   in
-  Alcotest.(check bool)
-    "two runs bit-identical" true
-    ({ a with Harness.chaos = None } = { b with Harness.chaos = None });
-  Alcotest.(check bool) "chaos counters identical" true (counts a = counts b);
-  Alcotest.(check bool) "chaos actually ran" true (counts a > (0, 0))
+  let a, counts_a = run () and b, counts_b = run () in
+  (* The result records contain only floats/ints/lists — structural
+     equality is bit-identity. *)
+  Alcotest.(check bool) "two runs bit-identical" true (a = b);
+  Alcotest.(check bool) "chaos counters identical" true (counts_a = counts_b);
+  Alcotest.(check bool) "chaos actually ran" true (counts_a > (0, 0))
 
 let test_chaos_soak_survives () =
   let r = Harness.run soak_config in

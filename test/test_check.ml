@@ -129,39 +129,48 @@ let test_time_monotonic () =
 
 (* ------------------------------------------------------ checker plumbing *)
 
+(* A live TFMCC session whose checker is told a 100 B/s rate cap, below
+   the sender's starting rate, so every sample breaks [rate_bounds]. *)
+let capped_session sink =
+  let s =
+    Experiments.Scenario.star ~seed:3 ~obs:sink ~link_bps:1e6
+      ~link_delays:[| 0.02 |] ()
+  in
+  Tfmcc_core.Session.start s.Experiments.Scenario.s_session ~at:0.;
+  (s.Experiments.Scenario.s_sc.Experiments.Scenario.engine, s.Experiments.Scenario.s_session)
+
+let capped = { Tfmcc_core.Config.default with max_rate = 100. }
+
+let violations sink =
+  Obs.Metrics.sum_counters sink.Obs.Sink.metrics "check_violations_total"
+
 let test_checker_counts_violations () =
   let sink = Obs.Sink.create () in
-  let engine = Netsim.Engine.create ~obs:sink () in
-  let t = I.create ~interval:0.1 () in
-  let fail_after = ref 0. in
-  I.watch_custom t engine ~id:"test_probe" (fun () ->
-      if Netsim.Engine.now engine > !fail_after then Error "synthetic" else Ok ());
-  fail_after := 0.55;
-  ignore (Netsim.Engine.at engine ~time:1.0 (fun () -> ()));
+  let engine, session = capped_session sink in
+  let t = I.create () in
+  I.watch_session t engine ~cfg:capped session;
   Netsim.Engine.run ~until:1.0 engine;
-  (* Samples at 0.1 .. 1.0; violations from the first sample past 0.55. *)
-  let v = I.violations t in
-  Alcotest.(check bool) "violations counted"
-    true
-    (v >= 4 && v <= 6);
-  Alcotest.(check int) "metric matches" v
-    (Obs.Metrics.counter_value sink.Obs.Sink.metrics
-       ~labels:[ ("invariant", "test_probe") ]
-       "check_violations_total");
-  Alcotest.(check bool) "samples counted" true
-    (Obs.Metrics.counter_value sink.Obs.Sink.metrics "check_samples_total" >= 9);
-  Alcotest.(check int) "journal notes" v
-    (Obs.Journal.count sink.Obs.Sink.journal ~component:"check"
-       ~min_severity:Obs.Journal.Error ())
+  (* Samples at 0.25, 0.5, 0.75 and 1.0, each one over the cap. *)
+  Alcotest.(check int) "samples counted" 4
+    (Obs.Metrics.counter_value sink.Obs.Sink.metrics "check_samples_total");
+  Alcotest.(check int) "violations counted" 4
+    (List.assoc
+       [ ("invariant", "rate_bounds") ]
+       (Obs.Metrics.labelled_values sink.Obs.Sink.metrics "check_violations_total"));
+  Alcotest.(check int) "journal notes" (violations sink)
+    (List.length
+       (List.filter
+          (fun (e : Obs.Journal.entry) ->
+            e.scope.component = "check" && e.severity = Obs.Journal.Error)
+          (Obs.Journal.entries sink.Obs.Sink.journal)))
 
 let test_checker_strict_aborts_with_window () =
   let sink = Obs.Sink.create () in
-  let engine = Netsim.Engine.create ~obs:sink () in
+  let engine, session = capped_session sink in
   Obs.Sink.event sink ~time:0. (Obs.Journal.scope "test")
     (Obs.Journal.Note "context before the violation");
-  let t = I.create ~strict:true ~interval:0.1 () in
-  I.watch_custom t engine ~id:"boom" (fun () -> Error "synthetic failure");
-  ignore (Netsim.Engine.at engine ~time:1.0 (fun () -> ()));
+  let t = I.create ~strict:true () in
+  I.watch_session t engine ~cfg:capped session;
   match Netsim.Engine.run ~until:1.0 engine with
   | () -> Alcotest.fail "strict checker did not abort"
   | exception I.Violation msg ->
@@ -172,9 +181,8 @@ let test_checker_strict_aborts_with_window () =
         in
         go 0
       in
-      Alcotest.(check bool) "names the invariant" true (contains "boom");
-      Alcotest.(check bool) "carries the detail" true
-        (contains "synthetic failure");
+      Alcotest.(check bool) "names the invariant" true (contains "rate_bounds");
+      Alcotest.(check bool) "carries the detail" true (contains "above cap 100");
       Alcotest.(check bool) "attaches the journal window" true
         (contains "journal window");
       Alcotest.(check bool) "window holds prior context" true
@@ -183,7 +191,7 @@ let test_checker_strict_aborts_with_window () =
 let test_checker_clean_run_no_violations () =
   (* A healthy dumbbell under the full watch set: engine, bottleneck
      link, TFMCC session.  Nothing may fire. *)
-  let t = I.create ~interval:0.25 () in
+  let t = I.create () in
   let sink = Obs.Sink.create () in
   Experiments.Scenario.with_cell ~checks:t sink (fun () ->
       let d =
@@ -192,7 +200,7 @@ let test_checker_clean_run_no_violations () =
       in
       Tfmcc_core.Session.start d.Experiments.Scenario.session ~at:0.;
       Experiments.Scenario.run_until d.Experiments.Scenario.sc 30.);
-  Alcotest.(check int) "no violations" 0 (I.violations t);
+  Alcotest.(check int) "no violations" 0 (violations sink);
   Alcotest.(check bool) "checker sampled" true
     (Obs.Metrics.counter_value sink.Obs.Sink.metrics "check_samples_total" > 0)
 
@@ -202,7 +210,7 @@ let test_link_probe_detects_tampering () =
      Instead check that a real run keeps the ledger balanced while a
      synthetic miscount trips the pure predicate (covered above), and
      that watch_link samples cleanly on live traffic. *)
-  let t = I.create ~interval:0.1 () in
+  let t = I.create () in
   let sc = Experiments.Scenario.base () in
   let a = Netsim.Topology.add_node sc.Experiments.Scenario.topo in
   let b = Netsim.Topology.add_node sc.Experiments.Scenario.topo in
@@ -214,22 +222,28 @@ let test_link_probe_detects_tampering () =
   (* Offer 3x the line rate so queue drops occur. *)
   let src =
     Netsim.Traffic.cbr sc.Experiments.Scenario.topo ~flow:9 ~src:a ~dst:b
-      ~rate_bps:240_000. ~packet_size:500 ()
+      ~rate_bps:240_000. ()
   in
   Netsim.Traffic.start src ~at:0.;
   Experiments.Scenario.run_until sc 6.;
-  Alcotest.(check int) "ledger balanced under overload" 0 (I.violations t);
+  Alcotest.(check int) "ledger balanced under overload" 0
+    (violations (Netsim.Engine.obs sc.Experiments.Scenario.engine));
   Alcotest.(check bool) "queue actually dropped" true
     (Netsim.Link.drops_queue ab > 0)
 
 (* ---------------------------------------------------------------- digest *)
 
+let of_string s =
+  let d = Check.Digest.create () in
+  Check.Digest.add_string d s;
+  Check.Digest.to_hex d
+
 let test_digest_known_vectors () =
   (* Published FNV-1a 64-bit vectors. *)
-  Alcotest.(check string) "empty" "cbf29ce484222325" (Check.Digest.of_string "");
-  Alcotest.(check string) "'a'" "af63dc4c8601ec8c" (Check.Digest.of_string "a");
+  Alcotest.(check string) "empty" "cbf29ce484222325" (of_string "");
+  Alcotest.(check string) "'a'" "af63dc4c8601ec8c" (of_string "a");
   Alcotest.(check string) "'foobar'" "85944171f73967e8"
-    (Check.Digest.of_string "foobar")
+    (of_string "foobar")
 
 let test_digest_streaming_equals_oneshot () =
   let d = Check.Digest.create () in
@@ -237,7 +251,7 @@ let test_digest_streaming_equals_oneshot () =
   Check.Digest.add_char d 'b';
   Check.Digest.add_string d "ar";
   Alcotest.(check string) "chunking irrelevant"
-    (Check.Digest.of_string "foobar") (Check.Digest.to_hex d)
+    (of_string "foobar") (Check.Digest.to_hex d)
 
 (* ---------------------------------------------------------------- oracle *)
 
@@ -247,14 +261,7 @@ let test_oracle_arithmetic () =
   Alcotest.(check (float 1e-12)) "ten percent" 0.1
     (Check.Oracle.relative_error ~expected:100. ~actual:110.);
   Alcotest.(check (float 1e-12)) "both zero" 0.
-    (Check.Oracle.relative_error ~expected:0. ~actual:0.);
-  Alcotest.(check bool) "within" true
-    (Check.Oracle.within_tolerance ~tolerance:0.1 ~expected:100. ~actual:105.);
-  Alcotest.(check bool) "outside" false
-    (Check.Oracle.within_tolerance ~tolerance:0.1 ~expected:100. ~actual:115.);
-  Alcotest.(check bool) "NaN never within" false
-    (Check.Oracle.within_tolerance ~tolerance:0.5 ~expected:Float.nan
-       ~actual:100.)
+    (Check.Oracle.relative_error ~expected:0. ~actual:0.)
 
 let test_equation_gap () =
   let b = 1. and s = 1000 and rtt = 0.05 and p = 0.01 in

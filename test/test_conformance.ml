@@ -219,7 +219,7 @@ let test_appendix_b_initialization () =
   (* x_recv at the loss ~ 50 kB/s; expected p = inverse Mathis at 25 kB/s
      with the initial 500 ms RTT. *)
   let expected =
-    Tcp_model.Mathis.inverse_loss ~s:1000 ~rtt:0.5 ~rate:25_000.
+    1. /. Tcp_model.Mathis.initial_loss_interval ~s:1000 ~rtt:0.5 ~rate:25_000.
   in
   Alcotest.(check bool)
     (Printf.sprintf "p (%.5f) within 2x of App. B seed (%.5f)" p expected)
@@ -285,17 +285,17 @@ let on_echo r ~now ~rx_ts ~echo_delay ~pkt_ts ~is_clr =
 let test_ntp_initialization_unit () =
   let est = new_estimator () in
   Tfmcc_core.Rtt_estimator.init_from_oneway est ~oneway:0.03 ~max_error:0.02;
-  Alcotest.(check (float 1e-9)) "2(d+eps)" 0.1 (Tfmcc_core.Rtt_estimator.estimate est);
+  Alcotest.(check (float 1e-9)) "2(d+eps)" 0.1 ((Tfmcc_core.Rtt_estimator.floats est).rtt);
   Alcotest.(check bool) "flagged" true (Tfmcc_core.Rtt_estimator.ntp_initialized est);
   (* A looser estimate must not replace a tighter one. *)
   Tfmcc_core.Rtt_estimator.init_from_oneway est ~oneway:0.2 ~max_error:0.1;
   Alcotest.(check (float 1e-9)) "keeps the tighter value" 0.1
-    (Tfmcc_core.Rtt_estimator.estimate est);
+    ((Tfmcc_core.Rtt_estimator.floats est).rtt);
   (* A real measurement takes over entirely. *)
   on_echo est ~now:1.06 ~rx_ts:1.0 ~echo_delay:0.
     ~pkt_ts:1.03 ~is_clr:true;
   Alcotest.(check (float 1e-9)) "real measurement wins" 0.06
-    (Tfmcc_core.Rtt_estimator.estimate est)
+    ((Tfmcc_core.Rtt_estimator.floats est).rtt)
 
 let test_ntp_initialization_receiver () =
   let rig = make_rig () in

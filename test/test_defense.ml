@@ -10,9 +10,16 @@ let cfg = { Config.default with Config.defense_enabled = true }
 
 let rd = 0.1 (* round duration used throughout the unit tests *)
 
+(* The sink of the newest [make]: the defense counters are read from
+   its registry, as the robustness experiments read them. *)
+let sink = ref Obs.Sink.null
+
 let make () =
-  let obs = Obs.Sink.create () in
-  Defense.create ~cfg ~obs ~session:1 ~node:0 ()
+  sink := Obs.Sink.create ();
+  Defense.create ~cfg ~obs:!sink ~session:1 ~node:0 ()
+
+let count name =
+  Obs.Metrics.sum_counters !sink.Obs.Sink.metrics ("tfmcc_defense_" ^ name ^ "_total")
 
 (* An honest report: rate consistent with the TCP equation at (rtt, p),
    modest x_recv, plausible claimed RTT. *)
@@ -28,28 +35,35 @@ let screen ?(now = 1.) ?(sender_rate = 1e5) ?(sender_round = 1) ?(rx = 3)
   Defense.screen d ~now ~round_duration:rd ~sender_rate ~sender_round ~rx
     ~rate ~have_rtt ~rtt ~p ~x_recv ~has_loss ~echo_delay ~rtt_sample ~is_clr
 
-let check_reject what = function
-  | Some r ->
-      Alcotest.(check string) "reject kind" what (Defense.reject_name r)
-  | None -> Alcotest.fail (Printf.sprintf "expected %s reject, got pass" what)
+let reject_kind =
+  Alcotest.testable
+    (fun ppf (r : Defense.reject) ->
+      Format.pp_print_string ppf
+        (match r with
+        | Quarantined -> "quarantined"
+        | Spam -> "spam"
+        | Implausible_rtt -> "implausible-rtt"
+        | Implausible_rate -> "implausible-rate"
+        | Implausible_xrecv -> "implausible-xrecv"
+        | Implausible_echo_delay -> "implausible-echo-delay"))
+    ( = )
 
-let check_pass = function
-  | None -> ()
-  | Some r ->
-      Alcotest.fail ("expected pass, got reject " ^ Defense.reject_name r)
+let check_reject what r = Alcotest.(check (option reject_kind)) "reject kind" (Some what) r
+
+let check_pass r = Alcotest.(check (option reject_kind)) "pass" None r
 
 let test_screen_honest_passes () =
   let d = make () in
   check_pass (screen d);
-  Alcotest.(check int) "no rejects" 0 (Defense.implausible_rejects d)
+  Alcotest.(check int) "no rejects" 0 (count "implausible")
 
 let test_screen_rtt_floor () =
   let d = make () in
   (* Sender-side sample says the round trip took 100 ms; claiming 1 ms is
      physically impossible. *)
-  check_reject "implausible-rtt"
+  check_reject Defense.Implausible_rtt
     (screen d ~rtt:0.001 ~rate:(honest_rate ~rtt:0.001 ~p:0.01));
-  Alcotest.(check int) "counted" 1 (Defense.implausible_rejects d);
+  Alcotest.(check int) "counted" 1 (count "implausible");
   (* Without a sender-side sample the floor cannot fire. *)
   let d = make () in
   check_pass
@@ -58,15 +72,15 @@ let test_screen_rtt_floor () =
 
 let test_screen_xrecv_ceiling () =
   let d = make () in
-  check_reject "implausible-xrecv" (screen d ~x_recv:1e7 ~sender_rate:1e5)
+  check_reject Defense.Implausible_xrecv (screen d ~x_recv:1e7 ~sender_rate:1e5)
 
 let test_screen_equation () =
   let d = make () in
   (* Claimed calculated rate 100x what the TCP model gives at the claimed
      (rtt, p): self-inconsistent. *)
-  check_reject "implausible-rate"
+  check_reject Defense.Implausible_rate
     (screen d ~rate:(100. *. honest_rate ~rtt:0.1 ~p:0.01));
-  check_reject "implausible-rate"
+  check_reject Defense.Implausible_rate
     (screen d ~rate:(honest_rate ~rtt:0.1 ~p:0.01 /. 100.));
   (* No-loss reports are receive-rate based, not equation based: exempt. *)
   let d = make () in
@@ -74,7 +88,7 @@ let test_screen_equation () =
 
 let test_screen_echo_delay () =
   let d = make () in
-  check_reject "implausible-echo-delay" (screen d ~echo_delay:(100. *. rd))
+  check_reject Defense.Implausible_echo_delay (screen d ~echo_delay:(100. *. rd))
 
 let test_screen_spam_non_clr () =
   let d = make () in
@@ -82,8 +96,8 @@ let test_screen_spam_non_clr () =
   for i = 1 to budget do
     check_pass (screen d ~now:(1. +. (0.001 *. float_of_int i)))
   done;
-  check_reject "spam" (screen d ~now:1.9);
-  Alcotest.(check int) "spam counted" 1 (Defense.spam_drops d);
+  check_reject Defense.Spam (screen d ~now:1.9);
+  Alcotest.(check int) "spam counted" 1 (count "spam_drops");
   (* Fresh round: budget resets. *)
   check_pass (screen d ~now:2. ~sender_round:2)
 
@@ -92,11 +106,11 @@ let test_screen_spam_clr_spacing () =
   (* CLR with a 100 ms RTT may report about once per RTT; back-to-back
      reports 10 ms apart violate the half-RTT spacing. *)
   check_pass (screen d ~now:1. ~is_clr:true);
-  check_reject "spam" (screen d ~now:1.01 ~is_clr:true);
+  check_reject Defense.Spam (screen d ~now:1.01 ~is_clr:true);
   check_pass (screen d ~now:1.2 ~is_clr:true);
   (* A forged tiny claimed RTT must not widen the budget: the sender-side
      sample dominates. *)
-  check_reject "spam" (screen d ~now:1.21 ~is_clr:true ~rtt:0.001
+  check_reject Defense.Spam (screen d ~now:1.21 ~is_clr:true ~rtt:0.001
      ~rate:(honest_rate ~rtt:0.001 ~p:0.01))
 
 let test_quarantine_cycle () =
@@ -104,14 +118,14 @@ let test_quarantine_cycle () =
   (* Suspicion threshold is 3: three implausible reports trigger
      quarantine. *)
   for i = 1 to 3 do
-    check_reject "implausible-xrecv"
+    check_reject Defense.Implausible_xrecv
       (screen d ~now:(float_of_int i *. 0.01) ~x_recv:1e9)
   done;
-  Alcotest.(check int) "quarantined once" 1 (Defense.quarantines d);
+  Alcotest.(check int) "quarantined once" 1 (count "quarantines");
   Alcotest.(check bool) "flagged" true (Defense.is_quarantined d ~now:0.1 3);
   (* While quarantined, even honest-looking reports are dropped. *)
-  check_reject "quarantined" (screen d ~now:0.1);
-  Alcotest.(check int) "drop counted" 1 (Defense.quarantined_drops d);
+  check_reject Defense.Quarantined (screen d ~now:0.1);
+  Alcotest.(check int) "drop counted" 1 (count "quarantined_drops");
   (* Quarantine expires after defense_quarantine_rounds rounds... *)
   let release = 0.03 +. (Config.defense_quarantine_rounds *. rd) +. 0.01 in
   Alcotest.(check bool) "released" false
@@ -140,7 +154,7 @@ let test_admit_quorum_outlier () =
   Alcotest.(check bool) "outlier rejected" false
     (Defense.admit d ~now:1. ~round_duration:rd ~sender_rate:1e5 ~rx:3
        ~rate:10.);
-  Alcotest.(check int) "outlier counted" 1 (Defense.outlier_rejects d);
+  Alcotest.(check int) "outlier counted" 1 (count "outliers");
   (* A merely degraded receiver within the band is believed. *)
   Alcotest.(check bool) "degraded admitted" true
     (Defense.admit d ~now:1. ~round_duration:rd ~sender_rate:1e5 ~rx:4
@@ -176,7 +190,7 @@ let test_may_switch_hysteresis () =
   Alcotest.(check bool) "within margin damped" false
     (Defense.may_switch d ~now:1. ~sender_rate:1e5 ~candidate_rate:0.99e5
        ~rx:3);
-  Alcotest.(check int) "damped counted" 1 (Defense.clr_switches_damped d);
+  Alcotest.(check int) "damped counted" 1 (count "clr_damped");
   Alcotest.(check bool) "real undercut allowed" true
     (Defense.may_switch d ~now:1. ~sender_rate:1e5 ~candidate_rate:0.5e5
        ~rx:3)
@@ -200,7 +214,7 @@ let test_may_switch_holddown () =
 
 let test_suspicion_decay () =
   let d = make () in
-  check_reject "implausible-xrecv" (screen d ~now:0.01 ~x_recv:1e9);
+  check_reject Defense.Implausible_xrecv (screen d ~now:0.01 ~x_recv:1e9);
   Alcotest.(check (float 1e-9)) "one point" 1. (Defense.suspicion d 3);
   Defense.on_round d ~now:0.1 ~round_duration:rd ~sender_rate:1e5;
   Alcotest.(check (float 1e-9)) "decayed" Config.defense_suspicion_decay
@@ -219,8 +233,8 @@ let test_ablation_acceptance () =
   let base_on = Rob_common.run_cell ~mode ~seed ~defense:true () in
   List.iter
     (fun attack ->
-      let name = Rob_common.attack_name attack in
       let off = Rob_common.run_cell ~mode ~seed ~attack ~defense:false () in
+      let name = off.Rob_common.c_attack in
       let on = Rob_common.run_cell ~mode ~seed ~attack ~defense:true () in
       let off_deg = Rob_common.degradation ~baseline:base_off off in
       let on_deg = Rob_common.degradation ~baseline:base_on on in

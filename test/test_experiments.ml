@@ -67,7 +67,7 @@ let test_series_render_ascii () =
 (* -------------------------------------------------------------- Registry *)
 
 let test_registry_ids_unique () =
-  let ids = Experiments.Registry.ids () in
+  let ids = List.map (fun (e : Experiments.Registry.experiment) -> e.id) Experiments.Registry.all in
   let sorted = List.sort_uniq compare ids in
   Alcotest.(check int) "no duplicate ids" (List.length ids) (List.length sorted)
 

@@ -18,12 +18,17 @@ type net = {
 }
 
 let two_nodes ?(seed = 11) () =
-  let engine = Netsim.Engine.create ~seed () in
+  let engine = Netsim.Engine.create ~seed ~obs:(Obs.Sink.create ()) () in
   let topo = Netsim.Topology.create engine in
   let a = Netsim.Topology.add_node topo in
   let b = Netsim.Topology.add_node topo in
   let ab, ba = Netsim.Topology.connect topo ~bandwidth_bps:1e7 ~delay_s:0.001 a b in
   { engine; topo; a; b; ab; ba }
+
+(* A fault counter, read from the registry the experiments report. *)
+let faults net name =
+  Obs.Metrics.counter_value (Netsim.Engine.obs net.engine).Obs.Sink.metrics
+    ("netsim_fault_" ^ name ^ "_total")
 
 let send_at net ~time ~tag =
   ignore
@@ -50,8 +55,8 @@ let test_partition_blocks_both_directions () =
   send_at net ~time:0.35 ~tag:2;
   Netsim.Engine.run ~until:1. net.engine;
   Alcotest.(check (list int)) "only post-heal packet" [ 2 ] (got ());
-  Alcotest.(check int) "one partition" 1 (Netsim.Fault.partitions f);
-  Alcotest.(check int) "both links flapped" 2 (Netsim.Fault.link_flaps f);
+  Alcotest.(check int) "one partition" 1 (faults net "partitions");
+  Alcotest.(check int) "both links flapped" 2 (faults net "link_flaps");
   Alcotest.(check bool) "healed" true
     (Netsim.Link.is_up net.ab && Netsim.Link.is_up net.ba)
 
@@ -65,7 +70,7 @@ let test_duplicate_injector () =
   done;
   Netsim.Engine.run ~until:1. net.engine;
   Alcotest.(check int) "every packet doubled" 10 (List.length (got ()));
-  Alcotest.(check int) "counted" 5 (Netsim.Fault.duplications f)
+  Alcotest.(check int) "counted" 5 (faults net "duplications")
 
 let test_corrupt_injector_replaces () =
   let net = two_nodes () in
@@ -77,7 +82,7 @@ let test_corrupt_injector_replaces () =
   send_at net ~time:0.01 ~tag:1;
   Netsim.Engine.run ~until:1. net.engine;
   Alcotest.(check (list int)) "replacement delivered" [ 999 ] (got ());
-  Alcotest.(check int) "counted" 1 (Netsim.Fault.corruptions f)
+  Alcotest.(check int) "counted" 1 (faults net "corruptions")
 
 let test_reorder_injector () =
   let net = two_nodes () in
@@ -97,7 +102,7 @@ let test_reorder_injector () =
        (String.concat "," (List.map string_of_int seen)))
     true
     (seen <> [ 1; 2; 3; 4 ]);
-  Alcotest.(check int) "every packet held" 4 (Netsim.Fault.reorderings f)
+  Alcotest.(check int) "every packet held" 4 (faults net "reorderings")
 
 (* Injectors on one link run in installation order and the first that
    acts wins: a corrupt-then-duplicate chain only ever corrupts, and the
@@ -112,7 +117,7 @@ let test_injector_order () =
       send_at net ~time:(0.01 *. float_of_int i) ~tag:i
     done;
     Netsim.Engine.run ~until:1. net.engine;
-    (got (), Netsim.Fault.corruptions f, Netsim.Fault.duplications f)
+    (got (), faults net "corruptions", faults net "duplications")
   in
   let corrupt f l =
     Netsim.Fault.corrupt f l ~rate:1.0
@@ -134,13 +139,13 @@ let test_crash_counter () =
   Netsim.Fault.crash f ~at:0.1 (fun () -> crash_seen := true);
   Netsim.Engine.run ~until:1. net.engine;
   Alcotest.(check bool) "callback ran" true !crash_seen;
-  Alcotest.(check int) "crashes" 1 (Netsim.Fault.crashes f)
+  Alcotest.(check int) "crashes" 1 (faults net "crashes")
 
 let test_engine_every () =
   let e = Netsim.Engine.create ~seed:1 () in
   let ticks = ref 0 in
-  Netsim.Engine.every e ~until:0.55 ~interval:0.1 (fun () -> incr ticks);
-  Netsim.Engine.run ~until:2. e;
+  Netsim.Engine.every e ~interval:0.1 (fun () -> incr ticks);
+  Netsim.Engine.run ~until:0.55 e;
   Alcotest.(check int) "ticks at 0.1..0.5" 5 !ticks
 
 (* --------------------------------------------------- TFMCC wire hardening *)
@@ -155,7 +160,7 @@ type rig = {
 }
 
 let make_rig () =
-  let r_engine = Netsim.Engine.create ~seed:71 () in
+  let r_engine = Netsim.Engine.create ~seed:71 ~obs:(Obs.Sink.create ()) () in
   let r_topo = Netsim.Topology.create r_engine in
   let sender_node = Netsim.Topology.add_node r_topo in
   let rx_node = Netsim.Topology.add_node r_topo in
@@ -165,6 +170,12 @@ let make_rig () =
   ignore
     (Netsim.Topology.connect r_topo ~bandwidth_bps:1e7 ~delay_s:0.01 sender_node rx2_node);
   { r_engine; r_topo; sender_node; rx_node; rx2_node }
+
+(* Malformed frames dropped at validation, from the registry counter
+   [tfmcc_<who>_malformed_drops_total]. *)
+let malformed rig who =
+  Obs.Metrics.sum_counters (Netsim.Engine.obs rig.r_engine).Obs.Sink.metrics
+    ("tfmcc_" ^ who ^ "_malformed_drops_total")
 
 let run_for rig dt =
   Netsim.Engine.run ~until:(Netsim.Engine.now rig.r_engine +. dt) rig.r_engine
@@ -241,7 +252,7 @@ let test_sender_rejects_bad_fields () =
   Alcotest.(check (triple (float 1e-9) (option int) int))
     "state untouched by malformed reports" baseline (sender_fingerprint snd);
   Alcotest.(check int) "every malformed report counted" (List.length bad)
-    (Tfmcc_core.Sender.malformed_reports_dropped snd)
+    (malformed rig "sender")
 
 let test_sender_rejects_unknown_session () =
   let rig = make_rig () in
@@ -250,7 +261,7 @@ let test_sender_rejects_unknown_session () =
     (report_payload rig ~rx_id:(Netsim.Node.id rig.rx_node) ~session:42 ());
   run_for rig 0.01;
   Alcotest.(check int) "not accepted" 0 (Tfmcc_core.Sender.reports_received snd);
-  Alcotest.(check int) "counted" 1 (Tfmcc_core.Sender.malformed_reports_dropped snd)
+  Alcotest.(check int) "counted" 1 (malformed rig "sender")
 
 let test_sender_rejects_implausible_rounds () =
   let rig = make_rig () in
@@ -265,7 +276,7 @@ let test_sender_rejects_implausible_rounds () =
   deliver_report rig (report_payload rig ~rx_id:rx ~round:(r - window - 1) ());
   run_for rig 0.01;
   Alcotest.(check int) "stale round dropped" 1
-    (Tfmcc_core.Sender.malformed_reports_dropped snd);
+    (malformed rig "sender");
   deliver_report rig (report_payload rig ~rx_id:rx ~round:r ());
   run_for rig 0.01;
   Alcotest.(check int) "current round accepted" 1
@@ -296,7 +307,7 @@ let test_sender_fuzz_corrupted_reports () =
   done;
   run_for rig 0.1;
   Alcotest.(check int) "every corrupted report rejected" n
-    (Tfmcc_core.Sender.malformed_reports_dropped snd);
+    (malformed rig "sender");
   Alcotest.(check bool) "rate finite and positive" true
     (let r = Tfmcc_core.Sender.rate_bytes_per_s snd in
      Float.is_finite r && r > 0.)
@@ -345,7 +356,7 @@ let test_receiver_rejects_bad_data () =
   Alcotest.(check int) "malformed data not counted as received" 1
     (Tfmcc_core.Receiver.packets_received r);
   Alcotest.(check int) "all dropped at validation" 6
-    (Tfmcc_core.Receiver.malformed_data_dropped r)
+    (malformed rig "receiver")
 
 let test_receiver_fuzz_corrupted_data () =
   let rig = make_rig () in
@@ -386,7 +397,7 @@ let test_receiver_fuzz_corrupted_data () =
   Alcotest.(check int) "no corrupted packet accepted" 0
     (Tfmcc_core.Receiver.packets_received r);
   Alcotest.(check bool) "drops counted" true
-    (Tfmcc_core.Receiver.malformed_data_dropped r > 0);
+    (malformed rig "receiver" > 0);
   let p = Tfmcc_core.Receiver.loss_event_rate r in
   Alcotest.(check bool) "loss rate still sane" true (Float.is_finite p && p >= 0.)
 

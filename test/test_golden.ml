@@ -8,13 +8,8 @@ let find_exn id =
   | None -> Alcotest.fail (Printf.sprintf "experiment %s not registered" id)
 
 (* Cheap figures only: fig01 is an analytic CDF, fig04 the feedback-timer
-   formula — both fast enough for tier-1. *)
+   formula — both fast enough for the serial/parallel check. *)
 let cheap = [ "fig01"; "fig04" ]
-
-(* The checked-in pins add rob03, which builds engines: its sink JSON
-   counts engine events, so it notices a digest run that gained a
-   watchdog or any other event source. *)
-let pinned = cheap @ [ "rob03" ]
 
 let test_digest_deterministic () =
   let e = find_exn "fig01" in
@@ -62,10 +57,12 @@ let test_diff_classification () =
   Alcotest.(check bool) "extra detected" true (find "d" = Some `Extra);
   Alcotest.(check int) "nothing else" 3 (List.length d)
 
+(* Every digest of the checked-in file, from one quick sweep of the
+   whole registry on two domains: tier-1 notices any output drift, as
+   [tfmcc-sim verify-golden] does.  The sink JSON of the experiments
+   that build engines counts engine events, so a digest run that gained
+   a watchdog or any other event source fails here too. *)
 let test_matches_checked_in_goldens () =
-  (* The full file is regenerated by [tfmcc-sim verify-golden --regen]
-     and verified across the whole registry by CI; here we pin just the
-     [pinned] figures so tier-1 stays fast but still notices drift. *)
   let path =
     (* cwd is test/ under [dune runtest], the project root under
        [dune exec]. *)
@@ -76,18 +73,23 @@ let test_matches_checked_in_goldens () =
   let len = in_channel_length ic in
   let text = really_input_string ic len in
   close_in ic;
-  let recorded = Experiments.Golden.parse_file_format text in
-  List.iter
-    (fun id ->
-      match List.assoc_opt id recorded with
-      | None -> Alcotest.fail (Printf.sprintf "%s absent from digests.txt" id)
-      | Some expected ->
-          let actual =
-            Experiments.Golden.digest_experiment (find_exn id)
-              ~mode:Experiments.Scenario.Quick ~seed:42
-          in
-          Alcotest.(check string) id expected actual)
-    pinned
+  let expected = Experiments.Golden.parse_file_format text in
+  let actual =
+    Experiments.Golden.compute ~jobs:2 ~mode:Experiments.Scenario.Quick ~seed:42 ()
+  in
+  Alcotest.(check int) "all 43 recorded" 43 (List.length expected);
+  match Experiments.Golden.diff ~expected ~actual with
+  | [] -> ()
+  | diffs ->
+      Alcotest.failf "%d digest(s) moved: %s" (List.length diffs)
+        (String.concat ", "
+           (List.map
+              (fun (id, d) ->
+                match d with
+                | `Missing -> id ^ " missing from the run"
+                | `Extra -> id ^ " not recorded"
+                | `Mismatch (e, a) -> Printf.sprintf "%s %s -> %s" id e a)
+              diffs))
 
 let () =
   Alcotest.run "golden"

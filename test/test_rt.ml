@@ -545,7 +545,8 @@ let test_round_duration_clamped () =
    runtime would. *)
 let rtt_clock = { Event_heap.cell_time = 0. }
 
-let new_estimator () = Tfmcc_core.Rtt_estimator.create ~cfg ~clock:rtt_clock ~clock_offset:0. ()
+let new_estimator metrics =
+  Tfmcc_core.Rtt_estimator.create ~metrics ~cfg ~clock:rtt_clock ~clock_offset:0. ()
 
 let on_echo r ~now ~rx_ts ~echo_delay ~pkt_ts ~is_clr =
   rtt_clock.cell_time <- now;
@@ -556,39 +557,45 @@ let on_data r ~now ~pkt_ts =
   Tfmcc_core.Rtt_estimator.on_data r ~pkt_ts
 
 let test_rtt_estimator_nonmonotonic_now () =
-  let e = new_estimator () in
+  let m = Obs.Metrics.create () in
+  let anomalies () = Obs.Metrics.sum_counters m "tfmcc_rt_clock_anomaly_total" in
+  let e = new_estimator m in
   on_echo e ~now:10.0 ~rx_ts:9.9 ~echo_delay:0.02
     ~pkt_ts:9.95 ~is_clr:true;
-  Alcotest.(check int) "no anomaly yet" 0 (Tfmcc_core.Rtt_estimator.clock_anomalies e);
+  Alcotest.(check int) "no anomaly yet" 0 (anomalies ());
   (* The local clock steps backwards: the sample is clamped to the
      high-water mark, counted, and the estimate stays finite. *)
   on_data e ~now:5.0 ~pkt_ts:9.96;
-  Alcotest.(check bool) "backstep counted" true
-    (Tfmcc_core.Rtt_estimator.clock_anomalies e >= 1);
-  let est = Tfmcc_core.Rtt_estimator.estimate e in
+  Alcotest.(check (list (pair (list (pair string string)) int))) "backstep counted"
+    [ ([ ("kind", "rtt-nonmonotonic-now") ], 1) ]
+    (Obs.Metrics.labelled_values m "tfmcc_rt_clock_anomaly_total");
+  let est = (Tfmcc_core.Rtt_estimator.floats e).rtt in
   Alcotest.(check bool) "estimate still sane" true (Float.is_finite est && est > 0.)
 
 let test_rtt_estimator_bad_echo () =
-  let e = new_estimator () in
+  let rejections m = Obs.Metrics.counter_value m "check_rtt_sample_rejected_total" in
+  let m = Obs.Metrics.create () in
+  let e = new_estimator m in
   (* Raw sample local_now - rx_ts - echo_delay is negative: clamped to
      the 1 ms floor, not discarded (the loop is proven closed). *)
   on_echo e ~now:1.0 ~rx_ts:2.0 ~echo_delay:0.
     ~pkt_ts:0.99 ~is_clr:true;
-  Alcotest.(check int) "rejection counted" 1 (Tfmcc_core.Rtt_estimator.rejections e);
+  Alcotest.(check int) "rejection counted" 1 (rejections m);
   Alcotest.(check bool) "measurement still recorded" true
     (Tfmcc_core.Rtt_estimator.has_measurement e);
-  let est = Tfmcc_core.Rtt_estimator.estimate e in
+  let est = (Tfmcc_core.Rtt_estimator.floats e).rtt in
   Alcotest.(check bool) "estimate finite positive" true (Float.is_finite est && est > 0.);
   (* NaN raw sample: dropped entirely. *)
-  let e2 = new_estimator () in
+  let m2 = Obs.Metrics.create () in
+  let e2 = new_estimator m2 in
   on_echo e2 ~now:1.0 ~rx_ts:0.9 ~echo_delay:Float.nan
     ~pkt_ts:0.95 ~is_clr:true;
-  Alcotest.(check int) "NaN rejected" 1 (Tfmcc_core.Rtt_estimator.rejections e2);
+  Alcotest.(check int) "NaN rejected" 1 (rejections m2);
   Alcotest.(check bool) "NaN sample not a measurement" false
     (Tfmcc_core.Rtt_estimator.has_measurement e2);
   Alcotest.(check (float 1e-9)) "estimate untouched"
     cfg.Tfmcc_core.Config.rtt_initial
-    (Tfmcc_core.Rtt_estimator.estimate e2)
+    ((Tfmcc_core.Rtt_estimator.floats e2).rtt)
 
 (* ------------------------------------------------------------------ *)
 (* Time-translation invariance (the satellite property)                 *)
@@ -627,7 +634,7 @@ let translation_exact seed =
   let run epoch =
     let r = harness_at ~seed ~epoch in
     ( r.Harness.end_time -. epoch,
-      { r with Harness.wall_s = 0.; end_time = 0.; outcomes = []; chaos = None } )
+      { r with Harness.wall_s = 0.; end_time = 0.; outcomes = [] } )
   in
   run binade_epoch = run (binade_epoch +. 1e9)
 
@@ -664,7 +671,7 @@ let test_turbo_determinism () =
    or RNG draws, and so the digest: test/golden/rt_digests.txt pins rt
    firing order the way test/golden/digests.txt pins the simulator.
    Regenerate it only for a deliberate behaviour change. *)
-let result_digest (r : Harness.result) =
+let result_digest ~(chaos : Chaos.plan) (obs : Obs.Sink.t) (r : Harness.result) =
   let b = Buffer.create 4096 in
   let f x = Printf.bprintf b "%h " x and i x = Printf.bprintf b "%d " x in
   let stat (s : Harness.session_stat) =
@@ -696,13 +703,18 @@ let result_digest (r : Harness.result) =
       r.frames_lost; r.frames_blocked; r.encode_drops; r.decode_errors; r.crashes;
       r.restarts; r.stalls; r.sessions_failed; r.loop_exceptions; r.clr_partitioned;
     ];
-  (match r.Harness.chaos with
-  | None -> Buffer.add_string b "no-chaos"
-  | Some c ->
+  (match chaos with
+  | [] -> Buffer.add_string b "no-chaos"
+  | _ ->
+      let fired kind =
+        Obs.Metrics.labelled_values obs.Obs.Sink.metrics "tfmcc_rt_chaos_events_total"
+        |> List.assoc_opt [ ("kind", kind) ]
+        |> Option.value ~default:0
+      in
       List.iter i
-        (* The two zeros keep the field layout rt_digests.txt was
-           recorded with. *)
-        [ Chaos.flaps c; 0; Chaos.churn_blocks c; 0 ]);
+        (* Flaps and churn take-downs; the two zeros keep the field
+           layout rt_digests.txt was recorded with. *)
+        [ fired "flap_down"; 0; fired "churn_down"; 0 ]);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* The [tfmcc-sim loopback] and [tfmcc-sim chaos-rt] defaults at a
@@ -733,7 +745,9 @@ let test_firing_order_golden name c () =
   match List.assoc_opt name (Lazy.force rt_digests) with
   | None -> Alcotest.failf "%s absent from rt_digests.txt" name
   | Some expected ->
-      Alcotest.(check string) (name ^ " digest") expected (result_digest (Harness.run c))
+      let obs = Obs.Sink.create () in
+      Alcotest.(check string) (name ^ " digest") expected
+        (result_digest ~chaos:c.Harness.chaos obs (Harness.run ~obs c))
 
 (* ------------------------------------------------------------------ *)
 (* Loopback transport                                                  *)
@@ -895,12 +909,15 @@ let test_loopback_decode_errors () =
   s_env.Tfmcc_core.Env.send ~dest:Tfmcc_core.Env.To_group ~flow:0 ~size:1000
     (Tfmcc_core.Wire.Data { (data ~seq:0 ~ts:0. ~clr:1) with session = -1 });
   Loop.run loop;
-  let value ?labels name = Obs.Metrics.counter_value obs.Obs.Sink.metrics ?labels name in
+  let value name = Obs.Metrics.counter_value obs.Obs.Sink.metrics name in
+  let decode_drops () =
+    List.assoc [ ("reason", "decode") ]
+      (Obs.Metrics.labelled_values obs.Obs.Sink.metrics "tfmcc_rt_frame_drop_total")
+  in
   Alcotest.(check int) "every copy offered" 4 (Net.frames_sent net);
   Alcotest.(check int) "every copy landed" 4 (Loop.timers_fired loop);
   Alcotest.(check int) "one error per hooked copy" 3 (Net.decode_errors net);
-  Alcotest.(check int) "decode-drop counter" (Net.decode_errors net)
-    (value ~labels:[ ("reason", "decode") ] "tfmcc_rt_frame_drop_total");
+  Alcotest.(check int) "decode-drop counter" (Net.decode_errors net) (decode_drops ());
   Alcotest.(check int) "nothing delivered" 0 (Net.frames_delivered net);
   Alcotest.(check int) "delivered counter" 0 (value "tfmcc_rt_frames_delivered_total");
   Alcotest.(check int) "no hook ran" 0 !hooked
@@ -1039,7 +1056,7 @@ let test_udp_frame_counters () =
           Loop.run ~until:(Loop.now loop +. 0.3) loop;
           Udp.close udp;
           let m = obs.Obs.Sink.metrics in
-          let value ?labels name = Obs.Metrics.counter_value m ?labels name in
+          let value name = Obs.Metrics.counter_value m name in
           Alcotest.(check int) "sent" 14 (Udp.frames_sent udp);
           Alcotest.(check int) "decode errors" 3 (Udp.decode_errors udp);
           Alcotest.(check int) "delivered" 11 (Udp.frames_delivered udp);
@@ -1048,7 +1065,8 @@ let test_udp_frame_counters () =
           Alcotest.(check int) "delivered counter" (Udp.frames_delivered udp)
             (value "tfmcc_rt_frames_delivered_total");
           Alcotest.(check int) "decode-drop counter" (Udp.decode_errors udp)
-            (value ~labels:[ ("reason", "decode") ] "tfmcc_rt_frame_drop_total"))
+            (List.assoc [ ("reason", "decode") ]
+               (Obs.Metrics.labelled_values m "tfmcc_rt_frame_drop_total")))
 
 (* Turbo mode must refuse kernel sockets: the virtual clock outruns
    any real fd. *)

@@ -74,33 +74,39 @@ let xsleep =
       Netsim.Engine.run ~until:5.0 e;
       ok_series ~id:"xsleep" ~seed)
 
-let policy = Experiments.Sweep.default_policy
+let policy = { Experiments.Sweep.task_timeout = None; max_events = None }
+
+(* The label the failure report prints for each cause. *)
+let cause_label : Experiments.Sweep.cause -> string = function
+  | Crashed -> "crashed"
+  | Timeout -> "timeout"
+  | Stall -> "stalled"
+  | Violation -> "violation"
 
 (* ------------------------------------------------------------ control *)
 
 let test_control_timeout () =
-  let c = Par.Control.create ~timeout:0.005 () in
-  Par.Control.check c;
-  Unix.sleepf 0.02;
-  (match Par.Control.check c with
-  | () -> Alcotest.fail "expired deadline should raise"
-  | exception Par.Cancelled (Par.Timeout t) ->
-      Alcotest.(check (float 1e-9)) "carries the budget" 0.005 t);
-  (* the timeout is sticky: a later check raises it again *)
-  match Par.Control.check c with
-  | () -> Alcotest.fail "a timed-out control should stay cancelled"
-  | exception Par.Cancelled (Par.Timeout _) -> ()
-
-let test_control_cancel () =
-  let c = Par.Control.create () in
-  Par.Control.cancel c (Par.Stall "stuck");
-  (match Par.Control.check c with
-  | () -> Alcotest.fail "cancelled control should raise"
-  | exception Par.Cancelled (Par.Stall r) ->
-      Alcotest.(check string) "reason" "stuck" r);
-  (* the inert control never fires, even when "cancelled" *)
-  Par.Control.cancel Par.Control.none (Par.Stall "ignored");
-  Par.Control.check Par.Control.none
+  match
+    Par.map_outcomes ~jobs:1 ~timeout:0.005
+      [
+        (fun c ->
+          Par.Control.check c;
+          Unix.sleepf 0.02;
+          match Par.Control.check c with
+          | () -> "expired deadline did not raise"
+          | exception Par.Cancelled (Par.Timeout t) -> (
+              if t <> 0.005 then "wrong budget"
+              else
+                (* the timeout is sticky: a later check raises it again *)
+                match Par.Control.check c with
+                | () -> "a timed-out control did not stay cancelled"
+                | exception Par.Cancelled (Par.Timeout _) -> "ok"));
+      ]
+  with
+  | [ Par.Ok msg ] -> Alcotest.(check string) "deadline armed, sticky" "ok" msg
+  | outcomes ->
+      Alcotest.failf "unexpected outcomes [%s]"
+        (String.concat "; " (List.map Par.outcome_label outcomes))
 
 (* ----------------------------------------------------------- outcomes *)
 
@@ -113,10 +119,8 @@ let test_map_outcomes_classifies () =
         [
           (fun _ -> 10);
           (fun _ -> raise (Boom 1));
-          (fun (c : Par.Control.t) ->
-            Par.Control.cancel c (Par.Stall "no progress");
-            Par.Control.check c;
-            0);
+          (* how a watchdog cancels a stalled task *)
+          (fun _ -> raise (Par.Cancelled (Par.Stall "no progress")));
           (fun _ -> 13);
         ]
       in
@@ -178,7 +182,7 @@ let test_crash_failure () =
   let r = supervised [ xcrash ] in
   let f = the_failure r in
   Alcotest.(check string) "cause" "crashed"
-    (Experiments.Sweep.cause_label f.f_cause);
+    (cause_label f.f_cause);
   Alcotest.(check string) "experiment" "xcrash" f.f_experiment;
   Alcotest.(check int) "seed" 42 f.f_seed;
   Alcotest.(check int) "exit code" 3 (Experiments.Sweep.exit_code r);
@@ -190,13 +194,13 @@ let test_flaky_fails_without_retry () =
   let r = supervised [ xflaky () ] in
   let f = the_failure r in
   Alcotest.(check string) "cause" "crashed"
-    (Experiments.Sweep.cause_label f.f_cause)
+    (cause_label f.f_cause)
 
 let test_stall_aborted () =
   let r = supervised [ xstall ] in
   let f = the_failure r in
   Alcotest.(check string) "cause" "stalled"
-    (Experiments.Sweep.cause_label f.f_cause);
+    (cause_label f.f_cause);
   (* the watchdog's abort note is the journal window's last entry *)
   let has_watchdog_note =
     let msg = f.f_journal and sub = "netsim.watchdog" in
@@ -211,13 +215,13 @@ let test_event_storm_aborted () =
   let r = supervised ~policy:{ policy with max_events = Some 5_000 } [ xstall ] in
   let f = the_failure r in
   Alcotest.(check string) "cause" "stalled"
-    (Experiments.Sweep.cause_label f.f_cause)
+    (cause_label f.f_cause)
 
 let test_sleep_times_out () =
   let r = supervised ~policy:{ policy with task_timeout = Some 0.2 } [ xsleep ] in
   let f = the_failure r in
   Alcotest.(check string) "cause" "timeout"
-    (Experiments.Sweep.cause_label f.f_cause)
+    (cause_label f.f_cause)
 
 let test_partial_sweep_keeps_successes () =
   (* one crashing and one stalling task must not cost the healthy
@@ -229,11 +233,7 @@ let test_partial_sweep_keeps_successes () =
   let render (r : Experiments.Sweep.report) =
     Experiments.Sweep.render ~seeds:1 r.results
   in
-  match
-    Check.Oracle.first_divergence ~expected:(render clean) ~actual:(render mixed)
-  with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "healthy figures diverged: %s" msg
+  Alcotest.(check string) "healthy figures unchanged" (render clean) (render mixed)
 
 let test_serial_parallel_agree () =
   let ids = [ find "fig01"; xcrash; find "fig04"; xstall ] in
@@ -242,19 +242,15 @@ let test_serial_parallel_agree () =
   let render (r : Experiments.Sweep.report) =
     Experiments.Sweep.render ~seeds:1 r.results
   in
-  (match
-     Check.Oracle.first_divergence ~expected:(render a) ~actual:(render b)
-   with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "-j 1 vs -j 4 diverged: %s" msg);
+  Alcotest.(check string) "-j 1 = -j 4" (render a) (render b);
   Alcotest.(check (list string)) "same failure causes"
     (List.map
        (fun (f : Experiments.Sweep.failure) ->
-         Experiments.Sweep.cause_label f.f_cause)
+         cause_label f.f_cause)
        a.failures)
     (List.map
        (fun (f : Experiments.Sweep.failure) ->
-         Experiments.Sweep.cause_label f.f_cause)
+         cause_label f.f_cause)
        b.failures)
 
 (* Cells are submitted in grid order, and with [-j 2] they finish in any
@@ -372,16 +368,11 @@ let test_sweep_observability () =
   in
   Alcotest.(check int) "one failure" 1 (List.length r.failures);
   Alcotest.(check int) "one sweep journal entry" 1
-    (Obs.Journal.count obs.Obs.Sink.journal ~component:"sweep" ());
-  let samples = Obs.Metrics.snapshot obs.Obs.Sink.metrics in
-  let value name =
-    List.fold_left
-      (fun acc (s : Obs.Metrics.sample) ->
-        if s.name = name then
-          match s.value with Obs.Metrics.Counter_v n -> acc + n | _ -> acc
-        else acc)
-      0 samples
-  in
+    (List.length
+       (List.filter
+          (fun (e : Obs.Journal.entry) -> e.scope.component = "sweep")
+          (Obs.Journal.entries obs.Obs.Sink.journal)));
+  let value = Obs.Metrics.sum_counters obs.Obs.Sink.metrics in
   Alcotest.(check int) "tasks total" 2 (value "sweep_tasks_total");
   Alcotest.(check int) "ok total" 1 (value "sweep_task_ok_total");
   Alcotest.(check int) "failed total" 1 (value "sweep_task_failed_total")
@@ -392,7 +383,6 @@ let () =
       ( "control",
         [
           Alcotest.test_case "deadline + arm" `Quick test_control_timeout;
-          Alcotest.test_case "cancel + inert none" `Quick test_control_cancel;
         ] );
       ( "outcomes",
         [

@@ -6,19 +6,17 @@ let check_float = Alcotest.(check (float 1e-9))
 
 let test_rto_initial () =
   let r = Tcp.Rto_estimator.create () in
-  check_float "initial RTO" 3. (Tcp.Rto_estimator.rto r);
-  Alcotest.(check (option (float 1e-9))) "no srtt yet" None (Tcp.Rto_estimator.srtt r)
+  check_float "initial RTO" 3. (Tcp.Rto_estimator.rto r)
 
 let test_rto_first_sample () =
   let r = Tcp.Rto_estimator.create () in
   Tcp.Rto_estimator.observe r 0.1;
-  Alcotest.(check (option (float 1e-9))) "srtt = sample" (Some 0.1)
-    (Tcp.Rto_estimator.srtt r);
   (* srtt + 4*rttvar = 0.1 + 4*0.05 = 0.3, clamped to the 1 s minimum *)
   check_float "rto after first sample" 1.0 (Tcp.Rto_estimator.rto r);
-  let r2 = Tcp.Rto_estimator.create ~min_rto:0.01 () in
-  Tcp.Rto_estimator.observe r2 0.1;
-  check_float "unclamped rto" 0.3 (Tcp.Rto_estimator.rto r2)
+  (* srtt = sample and rttvar = sample/2: 0.5 + 4*0.25 *)
+  let r2 = Tcp.Rto_estimator.create () in
+  Tcp.Rto_estimator.observe r2 0.5;
+  check_float "unclamped rto" 1.5 (Tcp.Rto_estimator.rto r2)
 
 let test_rto_backoff () =
   let r = Tcp.Rto_estimator.create () in
@@ -28,8 +26,9 @@ let test_rto_backoff () =
   check_float "doubled" (2. *. base) (Tcp.Rto_estimator.rto r);
   Tcp.Rto_estimator.backoff r;
   check_float "quadrupled" (4. *. base) (Tcp.Rto_estimator.rto r);
-  Tcp.Rto_estimator.reset_backoff r;
-  check_float "reset" base (Tcp.Rto_estimator.rto r)
+  (* A new sample resets the backoff: srtt 0.5, rttvar 0.75 * 0.25. *)
+  Tcp.Rto_estimator.observe r 0.5;
+  check_float "reset" (0.5 +. (4. *. 0.1875)) (Tcp.Rto_estimator.rto r)
 
 let test_rto_min_clamp () =
   let r = Tcp.Rto_estimator.create () in
@@ -39,14 +38,11 @@ let test_rto_min_clamp () =
 let test_rto_converges () =
   let r = Tcp.Rto_estimator.create () in
   for _ = 1 to 100 do
-    Tcp.Rto_estimator.observe r 0.25
+    Tcp.Rto_estimator.observe r 2.5
   done;
-  (match Tcp.Rto_estimator.srtt r with
-  | Some srtt -> Alcotest.(check (float 1e-3)) "srtt converges" 0.25 srtt
-  | None -> Alcotest.fail "no srtt");
-  match Tcp.Rto_estimator.rttvar r with
-  | Some v -> Alcotest.(check bool) "rttvar shrinks" true (v < 0.01)
-  | None -> Alcotest.fail "no rttvar"
+  (* srtt converges on the sample and rttvar shrinks towards 0, so the
+     timeout approaches the sample itself. *)
+  Alcotest.(check (float 0.04)) "rto converges" 2.5 (Tcp.Rto_estimator.rto r)
 
 (* ------------------------------------------------------------ Tcp_model *)
 
@@ -105,12 +101,15 @@ let test_loss_events_per_rtt_max () =
     true
     (b1 > 0.16 && b1 < 0.22)
 
+(* The Mathis rate T = (s / R) · √(3/2) / √p (paper Eq. (4)). *)
+let mathis_rate ~s ~rtt p = float_of_int s /. rtt *. sqrt 1.5 /. sqrt p
+
 let test_mathis_inverse_exact () =
   List.iter
     (fun p ->
-      let rate = Tcp_model.Mathis.throughput ~s:1000 ~rtt:0.1 ~p in
-      Alcotest.(check (float 1e-12)) "exact inverse" p
-        (Tcp_model.Mathis.inverse_loss ~s:1000 ~rtt:0.1 ~rate))
+      let rate = mathis_rate ~s:1000 ~rtt:0.1 p in
+      Alcotest.(check (float 1e-9)) "exact inverse" (1. /. p)
+        (Tcp_model.Mathis.initial_loss_interval ~s:1000 ~rtt:0.1 ~rate))
     [ 0.001; 0.01; 0.1 ]
 
 let test_mathis_more_conservative () =
@@ -120,8 +119,10 @@ let test_mathis_more_conservative () =
      moderate rates, i.e. a smaller (more conservative) initial interval is
      false too.  We just check the two agree within 2x at p=1%. *)
   let a = Tcp_model.Padhye.throughput ~s:1000 ~rtt:0.1 0.01 in
-  let b = Tcp_model.Mathis.throughput ~s:1000 ~rtt:0.1 ~p:0.01 in
-  Alcotest.(check bool) "same ballpark" true (b /. a > 0.8 && b /. a < 2.5)
+  (* The loss rate at which Mathis predicts Padhye's rate: b / a within
+     (0.8, 2.5) is p' / p = (b / a)² within (0.64, 6.25). *)
+  let p' = 1. /. Tcp_model.Mathis.initial_loss_interval ~s:1000 ~rtt:0.1 ~rate:a in
+  Alcotest.(check bool) "same ballpark" true (p' /. 0.01 > 0.64 && p' /. 0.01 < 6.25)
 
 let test_initial_loss_interval () =
   let rate = 125_000. (* 1 Mbit/s *) in
@@ -131,22 +132,10 @@ let test_initial_loss_interval () =
   let l1 = Tcp_model.Mathis.initial_loss_interval ~s:1000 ~rtt:0.1 ~rate:(2. *. rate) in
   Alcotest.(check (float 0.1)) "quadratic in rate" 4. (l1 /. l0)
 
-let test_rescale_first_interval () =
-  let i' =
-    Tcp_model.Mathis.rescale_first_interval ~interval:100. ~rtt_initial:0.5
-      ~rtt_measured:0.05
-  in
-  Alcotest.(check (float 1e-9)) "scaled by (R/R0)^2" 1. i';
-  let i2 =
-    Tcp_model.Mathis.rescale_first_interval ~interval:100. ~rtt_initial:0.5
-      ~rtt_measured:0.25
-  in
-  Alcotest.(check (float 1e-9)) "quarter" 25. i2
-
 (* ---------------------------------------------------- end-to-end TCP *)
 
-let dumbbell ~bandwidth_bps ~delay_s ~n_pairs =
-  let e = Netsim.Engine.create () in
+let dumbbell_on obs ~bandwidth_bps ~delay_s ~n_pairs =
+  let e = Netsim.Engine.create ~obs () in
   let topo = Netsim.Topology.create e in
   let r1 = Netsim.Topology.add_node topo in
   let r2 = Netsim.Topology.add_node topo in
@@ -161,6 +150,8 @@ let dumbbell ~bandwidth_bps ~delay_s ~n_pairs =
     receivers;
   (e, topo, senders, receivers)
 
+let dumbbell = dumbbell_on Obs.Sink.null
+
 let test_tcp_transfers_data () =
   let e, topo, s, r = dumbbell ~bandwidth_bps:1e6 ~delay_s:0.01 ~n_pairs:1 in
   let src = Tcp.Tcp_source.create topo ~conn:1 ~flow:1 ~src:s.(0) ~dst:r.(0) in
@@ -169,7 +160,8 @@ let test_tcp_transfers_data () =
   Netsim.Engine.run ~until:10. e;
   Alcotest.(check bool) "received many segments" true
     (Tcp.Tcp_sink.segments_received sink > 100);
-  Alcotest.(check bool) "acks advance" true (Tcp.Tcp_source.highest_ack src > 100)
+  (* The cumulative ACK the sink returns. *)
+  Alcotest.(check bool) "acks advance" true (Tcp.Tcp_sink.next_expected sink > 100)
 
 let test_tcp_utilizes_bottleneck () =
   let e, topo, s, r = dumbbell ~bandwidth_bps:1e6 ~delay_s:0.01 ~n_pairs:1 in
@@ -188,14 +180,18 @@ let test_tcp_utilizes_bottleneck () =
     true (bps <= 1.01e6)
 
 let test_tcp_experiences_loss_and_recovers () =
-  let e, topo, s, r = dumbbell ~bandwidth_bps:1e6 ~delay_s:0.01 ~n_pairs:1 in
+  let sink_obs = Obs.Sink.create () in
+  let e, topo, s, r =
+    dumbbell_on sink_obs ~bandwidth_bps:1e6 ~delay_s:0.01 ~n_pairs:1
+  in
   let src = Tcp.Tcp_source.create topo ~conn:1 ~flow:1 ~src:s.(0) ~dst:r.(0) in
   let sink = Tcp.Tcp_sink.create topo ~conn:1 ~node:r.(0) in
   Tcp.Tcp_source.start src ~at:0.;
   Netsim.Engine.run ~until:30. e;
   (* The buffer is finite, so Reno must hit loss and retransmit; the sink
      must still end up with a contiguous prefix. *)
-  Alcotest.(check bool) "some retransmits" true (Tcp.Tcp_source.retransmits src > 0);
+  Alcotest.(check bool) "some retransmits" true
+    (Obs.Metrics.sum_counters sink_obs.Obs.Sink.metrics "tcp_retransmits_total" > 0);
   Alcotest.(check bool) "in-order prefix grows" true
     (Tcp.Tcp_sink.next_expected sink > 1000)
 
@@ -218,18 +214,6 @@ let test_tcp_two_flows_share () =
     (Printf.sprintf "fair-ish share (ratio %.2f)" ratio)
     true
     (ratio > 0.4 && ratio < 2.5)
-
-let test_tcp_stop_halts () =
-  let e, topo, s, r = dumbbell ~bandwidth_bps:1e6 ~delay_s:0.01 ~n_pairs:1 in
-  let src = Tcp.Tcp_source.create topo ~conn:1 ~flow:1 ~src:s.(0) ~dst:r.(0) in
-  let sink = Tcp.Tcp_sink.create topo ~conn:1 ~node:r.(0) in
-  Tcp.Tcp_source.start src ~at:0.;
-  ignore (Netsim.Engine.at e ~time:5. (fun () -> Tcp.Tcp_source.stop src));
-  Netsim.Engine.run ~until:6. e;
-  let at_stop = Tcp.Tcp_sink.segments_received sink in
-  Netsim.Engine.run ~until:20. e;
-  Alcotest.(check int) "no segments after stop" at_stop
-    (Tcp.Tcp_sink.segments_received sink)
 
 (* Minor words per data segment the sink receives, over 30 simulated
    seconds of one Reno connection on the dumbbell after a 10 s warm-up.
@@ -287,7 +271,6 @@ let () =
           Alcotest.test_case "mathis inverse exact" `Quick test_mathis_inverse_exact;
           Alcotest.test_case "mathis vs padhye ballpark" `Quick test_mathis_more_conservative;
           Alcotest.test_case "initial loss interval" `Quick test_initial_loss_interval;
-          Alcotest.test_case "rescale first interval" `Quick test_rescale_first_interval;
         ] );
       ( "reno",
         [
@@ -295,7 +278,6 @@ let () =
           Alcotest.test_case "utilizes bottleneck" `Slow test_tcp_utilizes_bottleneck;
           Alcotest.test_case "loss + recovery" `Slow test_tcp_experiences_loss_and_recovers;
           Alcotest.test_case "two flows share" `Slow test_tcp_two_flows_share;
-          Alcotest.test_case "stop halts" `Quick test_tcp_stop_halts;
           Alcotest.test_case "words per segment" `Quick test_tcp_words_per_segment;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_padhye_inverse_monotone ]);

@@ -159,6 +159,13 @@ let rtt_clock = { Event_heap.cell_time = 0. }
 let new_estimator ?(clock_offset = 0.) () =
   Tfmcc_core.Rtt_estimator.create ~cfg ~clock:rtt_clock ~clock_offset ()
 
+(* An estimator with a registry of its own, for its rejection counter. *)
+let counted_estimator () =
+  let m = Obs.Metrics.create () in
+  (m, Tfmcc_core.Rtt_estimator.create ~metrics:m ~cfg ~clock:rtt_clock ~clock_offset:0. ())
+
+let rejections m = Obs.Metrics.counter_value m "check_rtt_sample_rejected_total"
+
 let on_echo r ~now ~rx_ts ~echo_delay ~pkt_ts ~is_clr =
   rtt_clock.cell_time <- now;
   Tfmcc_core.Rtt_estimator.on_echo r ~rx_ts ~echo_delay ~pkt_ts ~is_clr
@@ -169,7 +176,7 @@ let on_data r ~now ~pkt_ts =
 
 let test_rtt_initial_value () =
   let r = new_estimator () in
-  check_float "initial estimate" 0.5 (Tfmcc_core.Rtt_estimator.estimate r);
+  check_float "initial estimate" 0.5 ((Tfmcc_core.Rtt_estimator.floats r).rtt);
   Alcotest.(check bool) "no measurement" false (Tfmcc_core.Rtt_estimator.has_measurement r)
 
 let test_rtt_first_measurement_replaces () =
@@ -179,8 +186,8 @@ let test_rtt_first_measurement_replaces () =
   on_echo r ~now:1.08 ~rx_ts:1.0 ~echo_delay:0.02
     ~pkt_ts:1.05 ~is_clr:false;
   Alcotest.(check (float 1e-9)) "first measurement taken" 0.06
-    (Tfmcc_core.Rtt_estimator.estimate r);
-  Alcotest.(check int) "counted" 1 (Tfmcc_core.Rtt_estimator.measurements r)
+    ((Tfmcc_core.Rtt_estimator.floats r).rtt);
+  Alcotest.(check bool) "measured" true (Tfmcc_core.Rtt_estimator.has_measurement r)
 
 let test_rtt_ewma_gains () =
   let measure ~is_clr =
@@ -190,7 +197,7 @@ let test_rtt_ewma_gains () =
     (* second instantaneous sample of 200 ms *)
     on_echo r ~now:2.2 ~rx_ts:2.0 ~echo_delay:0.
       ~pkt_ts:2.1 ~is_clr;
-    Tfmcc_core.Rtt_estimator.estimate r
+    (Tfmcc_core.Rtt_estimator.floats r).rtt
   in
   (* CLR gain 0.05: 0.05*0.2 + 0.95*0.1 = 0.105 *)
   Alcotest.(check (float 1e-9)) "CLR smoothing" 0.105 (measure ~is_clr:true);
@@ -202,7 +209,7 @@ let test_rtt_oneway_adjustment_tracks_change () =
   (* Measurement: forward delay 30 ms, reverse 30 ms. *)
   on_echo r ~now:1.06 ~rx_ts:1.0 ~echo_delay:0.
     ~pkt_ts:1.03 ~is_clr:true;
-  check_float "baseline 60ms" 0.06 (Tfmcc_core.Rtt_estimator.estimate r);
+  check_float "baseline 60ms" 0.06 ((Tfmcc_core.Rtt_estimator.floats r).rtt);
   (* Forward delay doubles to 60 ms: one-way adjustments should pull the
      estimate up over many packets. *)
   for i = 1 to 2000 do
@@ -210,7 +217,7 @@ let test_rtt_oneway_adjustment_tracks_change () =
     on_data r ~now:t ~pkt_ts:(t -. 0.06)
   done;
   Alcotest.(check (float 0.005)) "converges to 90ms" 0.09
-    (Tfmcc_core.Rtt_estimator.estimate r)
+    ((Tfmcc_core.Rtt_estimator.floats r).rtt)
 
 let test_rtt_clock_offset_cancels () =
   (* A receiver whose clock is 100 s ahead must measure the same RTT. *)
@@ -221,14 +228,14 @@ let test_rtt_clock_offset_cancels () =
      estimator adds the offset to the clock itself. *)
   on_echo r ~now:1.06 ~rx_ts:(local 1.0)
     ~echo_delay:0. ~pkt_ts:1.03 (* sender clock! *) ~is_clr:true;
-  check_float "RTT unaffected by skew" 0.06 (Tfmcc_core.Rtt_estimator.estimate r);
+  check_float "RTT unaffected by skew" 0.06 ((Tfmcc_core.Rtt_estimator.floats r).rtt);
   (* One-way adjustments also cancel the offset. *)
   for i = 1 to 500 do
     let t = 1.06 +. (0.01 *. float_of_int i) in
     on_data r ~now:t ~pkt_ts:(t -. 0.03)
   done;
   Alcotest.(check (float 1e-6)) "stable under skew" 0.06
-    (Tfmcc_core.Rtt_estimator.estimate r)
+    ((Tfmcc_core.Rtt_estimator.floats r).rtt)
 
 let test_rtt_skewed_clock_sample_clamped () =
   (* Regression: a corrupted echo (or clock skew not cancelling, e.g. a
@@ -237,28 +244,27 @@ let test_rtt_skewed_clock_sample_clamped () =
      be discarded silently, leaving the estimate stuck on the 500 ms
      initial value forever; now they are clamped to a 1 ms floor and
      counted. *)
-  let r = new_estimator () in
+  let m, r = counted_estimator () in
   (* rx_ts claims the report left *after* the echo arrived: raw = -0.5 *)
   on_echo r ~now:1.0 ~rx_ts:1.4 ~echo_delay:0.1
     ~pkt_ts:0.9 ~is_clr:false;
   Alcotest.(check bool) "measurement loop counted as closed" true
     (Tfmcc_core.Rtt_estimator.has_measurement r);
-  Alcotest.(check int) "rejection counted" 1
-    (Tfmcc_core.Rtt_estimator.rejections r);
+  Alcotest.(check int) "rejection counted" 1 (rejections m);
   Alcotest.(check (float 1e-9)) "estimate clamped to the 1 ms floor" 0.001
-    (Tfmcc_core.Rtt_estimator.estimate r);
+    ((Tfmcc_core.Rtt_estimator.floats r).rtt);
   (* NaN samples (corrupted echo_delay) are dropped, not folded in. *)
   on_echo r ~now:2.0 ~rx_ts:1.9
     ~echo_delay:Float.nan ~pkt_ts:1.95 ~is_clr:false;
-  Alcotest.(check int) "NaN rejected too" 2 (Tfmcc_core.Rtt_estimator.rejections r);
+  Alcotest.(check int) "NaN rejected too" 2 (rejections m);
   Alcotest.(check (float 1e-9)) "estimate untouched by NaN" 0.001
-    (Tfmcc_core.Rtt_estimator.estimate r);
+    ((Tfmcc_core.Rtt_estimator.floats r).rtt);
   (* A subsequent sane sample recovers the estimate (non-CLR gain 0.5). *)
   on_echo r ~now:3.06 ~rx_ts:3.0 ~echo_delay:0.
     ~pkt_ts:3.03 ~is_clr:false;
   Alcotest.(check (float 1e-9)) "recovers once samples are sane"
     ((0.5 *. 0.06) +. (0.5 *. 0.001))
-    (Tfmcc_core.Rtt_estimator.estimate r)
+    ((Tfmcc_core.Rtt_estimator.floats r).rtt)
 
 (* ------------------------------------------------------------- Receiver *)
 

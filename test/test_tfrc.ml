@@ -37,16 +37,14 @@ let test_single_gap_is_loss () =
   let h = new_history () in
   feed h ~rtt:0.001 (range 0 10 @ range 11 20);
   Alcotest.(check bool) "loss detected" true (Tfrc.Loss_history.has_loss h);
-  Alcotest.(check int) "one event" 1 (Tfrc.Loss_history.loss_events h);
-  Alcotest.(check int) "one lost" 1 (Tfrc.Loss_history.packets_lost h)
+  Alcotest.(check int) "one event" 1 (Tfrc.Loss_history.loss_events h)
 
 let test_aggregation_within_rtt () =
   (* Three gaps arriving within one RTT = one loss event. *)
   let h = new_history () in
   let rtt = 10.0 (* larger than the whole feed *) in
   feed h ~rtt ([ 0; 1; 3; 5; 7 ] @ range 8 20);
-  Alcotest.(check int) "aggregated into one event" 1 (Tfrc.Loss_history.loss_events h);
-  Alcotest.(check int) "three packets lost" 3 (Tfrc.Loss_history.packets_lost h)
+  Alcotest.(check int) "aggregated into one event" 1 (Tfrc.Loss_history.loss_events h)
 
 let test_separate_events_beyond_rtt () =
   let h = new_history () in
@@ -137,7 +135,7 @@ let test_late_join_sync () =
   let h = new_history () in
   feed h ~rtt:0.1 (range 5000 5100);
   check_float "no loss after late join" 0. (Tfrc.Loss_history.loss_event_rate h);
-  Alcotest.(check int) "no lost packets" 0 (Tfrc.Loss_history.packets_lost h)
+  Alcotest.(check bool) "no loss event" false (Tfrc.Loss_history.has_loss h)
 
 let test_duplicates_ignored () =
   let h = new_history () in
@@ -293,10 +291,11 @@ let test_meter_burst_floor () =
     true (r <= 4000.)
 
 let test_meter_total () =
-  let m = new_meter () in
+  let m = new_meter ~window:10. () in
   record m ~now:0. ~bytes:5;
   record m ~now:1. ~bytes:7;
-  Alcotest.(check int) "total" 12 (Tfrc.Rate_meter.total_bytes m)
+  (* Both arrivals in the window, averaged over the 5 s span floor. *)
+  check_float "total over the span" (12. /. 5.) (rate m ~now:1.)
 
 let test_meter_set_window () =
   let m = new_meter ~window:10. () in
@@ -330,7 +329,8 @@ let test_meter_rejects_nan_time () =
   record m ~now:0. ~bytes:1000;
   raises_invalid "record at a NaN time" (fun () -> record m ~now:nan ~bytes:1000);
   raises_invalid "record at an infinite time" (fun () -> record m ~now:infinity ~bytes:1000);
-  Alcotest.(check int) "nothing recorded" 1000 (Tfrc.Rate_meter.total_bytes m)
+  (* Only the first arrival counts, over the 0.5 s span floor. *)
+  check_float "nothing recorded" 2000. (rate m ~now:0.5)
 
 let test_history_rejects_nan_rtt () =
   (* Four gaps 10 s apart are four loss events under any finite RTT
@@ -346,7 +346,7 @@ let test_history_rejects_nan_rtt () =
 (* ------------------------------------------------------------ TFRC e2e *)
 
 let tfrc_pair ~bottleneck_bps ~loss =
-  let e = Netsim.Engine.create ~seed:11 () in
+  let e = Netsim.Engine.create ~seed:11 ~obs:(Obs.Sink.create ()) () in
   let topo = Netsim.Topology.create e in
   let a = Netsim.Topology.add_node topo in
   let b = Netsim.Topology.add_node topo in
@@ -363,11 +363,15 @@ let tfrc_pair ~bottleneck_bps ~loss =
   (e, snd, rcv)
 
 let test_tfrc_slowstart_and_transfer () =
-  let e, snd, rcv = tfrc_pair ~bottleneck_bps:1e6 ~loss:0. in
+  let e, snd, _rcv = tfrc_pair ~bottleneck_bps:1e6 ~loss:0. in
   Tfrc.Tfrc_sender.start snd ~at:0.;
   Netsim.Engine.run ~until:30. e;
-  Alcotest.(check bool) "packets flowed" true (Tfrc.Tfrc_receiver.packets_received rcv > 500);
-  Alcotest.(check bool) "feedback flowed" true (Tfrc.Tfrc_receiver.feedback_sent rcv > 10);
+  let count name =
+    Obs.Metrics.sum_counters (Netsim.Engine.obs e).Obs.Sink.metrics name
+  in
+  Alcotest.(check bool) "packets flowed" true
+    (count "tfrc_receiver_packets_received_total" > 500);
+  Alcotest.(check bool) "feedback flowed" true (count "tfrc_receiver_feedback_total" > 10);
   match Tfrc.Tfrc_sender.rtt snd with
   | Some rtt -> Alcotest.(check bool) "plausible RTT" true (rtt > 0.03 && rtt < 0.8)
   | None -> Alcotest.fail "sender never measured RTT"
@@ -469,8 +473,10 @@ let prop_seen_plus_lost_bounded =
         (fun i seq ->
           on_packet h ~seq ~now:(0.01 *. float_of_int i) ~rtt:0.01)
         seqs;
+      (* Duplicates and packets older than the first are not counted. *)
       Tfrc.Loss_history.packets_seen h >= 1
-      && Tfrc.Loss_history.packets_lost h >= 0)
+      && Tfrc.Loss_history.packets_seen h
+         <= List.length (List.sort_uniq compare seqs))
 
 let () =
   Alcotest.run "tfrc"

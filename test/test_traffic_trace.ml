@@ -1,7 +1,7 @@
 (* Tests for the background-traffic generators and the packet tracer. *)
 
 let two_node ?(bandwidth_bps = 10e6) ?loss_p () =
-  let e = Netsim.Engine.create ~seed:61 () in
+  let e = Netsim.Engine.create ~seed:61 ~obs:(Obs.Sink.create ()) () in
   let topo = Netsim.Topology.create e in
   let a = Netsim.Topology.add_node topo in
   let b = Netsim.Topology.add_node topo in
@@ -59,26 +59,30 @@ let test_on_off_average () =
     true
     (bps > 0.6e6 && bps < 1.4e6)
 
-let test_traffic_stop () =
-  let e, topo, a, b, _ = two_node () in
-  let g = Netsim.Traffic.cbr topo ~flow:5 ~src:a ~dst:b ~rate_bps:1e6 () in
-  Netsim.Traffic.start g ~at:0.;
-  Netsim.Engine.run ~until:5. e;
-  Netsim.Traffic.stop g;
-  let sent = Netsim.Traffic.packets_sent g in
-  Netsim.Engine.run ~until:10. e;
-  Alcotest.(check int) "no packets after stop" sent (Netsim.Traffic.packets_sent g)
-
+(* Every generated packet is 1000 bytes: the receiver's monitor counts
+   bytes = packets * 1000. *)
 let test_traffic_byte_accounting () =
   let e, topo, a, b, _ = two_node () in
-  let g = Netsim.Traffic.cbr topo ~flow:5 ~src:a ~dst:b ~rate_bps:1e6 ~packet_size:500 () in
+  let mon = Netsim.Monitor.create e in
+  Netsim.Monitor.watch_node mon b;
+  let g = Netsim.Traffic.cbr topo ~flow:5 ~src:a ~dst:b ~rate_bps:1e6 () in
   Netsim.Traffic.start g ~at:0.;
   Netsim.Engine.run ~until:2. e;
-  Alcotest.(check int) "bytes = packets * size"
-    (500 * Netsim.Traffic.packets_sent g)
-    (Netsim.Traffic.bytes_sent g)
+  let total name =
+    Obs.Metrics.sum_counters (Netsim.Engine.obs e).Obs.Sink.metrics name
+  in
+  let packets = total "netsim_monitor_packets_total" in
+  Alcotest.(check bool) "packets delivered" true (packets > 200);
+  Alcotest.(check int) "bytes = packets * size" (1000 * packets)
+    (total "netsim_monitor_bytes_total")
 
 (* ---------------------------------------------------------------- Trace *)
+
+let lines tr =
+  List.filter (fun l -> l <> "") (String.split_on_char '\n' (Netsim.Trace.to_text tr))
+
+(* Retained events of one kind, by the kind character of their line. *)
+let count tr c = List.length (List.filter (fun l -> l.[0] = c) (lines tr))
 
 let test_trace_records_tx_and_deliver () =
   let e, topo, a, b, ab = two_node () in
@@ -87,8 +91,8 @@ let test_trace_records_tx_and_deliver () =
   let g = Netsim.Traffic.cbr topo ~flow:5 ~src:a ~dst:b ~rate_bps:1e6 () in
   Netsim.Traffic.start g ~at:0.;
   Netsim.Engine.run ~until:1. e;
-  let tx = Netsim.Trace.count tr ~kind:Netsim.Trace.Tx in
-  let rx = Netsim.Trace.count tr ~kind:Netsim.Trace.Deliver in
+  let tx = count tr '+' in
+  let rx = count tr 'r' in
   Alcotest.(check bool) "transmissions recorded" true (tx > 50);
   Alcotest.(check int) "all delivered on clean link" tx rx
 
@@ -99,9 +103,9 @@ let test_trace_records_loss () =
   let g = Netsim.Traffic.cbr topo ~flow:5 ~src:a ~dst:b ~rate_bps:1e6 () in
   Netsim.Traffic.start g ~at:0.;
   Netsim.Engine.run ~until:5. e;
-  let tx = Netsim.Trace.count tr ~kind:Netsim.Trace.Tx in
-  let lost = Netsim.Trace.count tr ~kind:Netsim.Trace.Drop_loss in
-  let rx = Netsim.Trace.count tr ~kind:Netsim.Trace.Deliver in
+  let tx = count tr '+' in
+  let lost = count tr 'x' in
+  let rx = count tr 'r' in
   Alcotest.(check int) "tx = lost + delivered" tx (lost + rx);
   Alcotest.(check bool) "roughly half lost" true
     (let frac = float_of_int lost /. float_of_int tx in
@@ -116,22 +120,23 @@ let test_trace_records_queue_drops () =
   Netsim.Traffic.start g ~at:0.;
   Netsim.Engine.run ~until:10. e;
   Alcotest.(check bool) "queue drops recorded" true
-    (Netsim.Trace.count tr ~kind:Netsim.Trace.Drop_queue > 0)
+    (count tr 'd' > 0)
 
+(* 125 packets/s for 500 s is 125,000 tx and deliver events: the ring
+   keeps the newest 100,000, oldest first. *)
 let test_trace_ring_buffer () =
   let e, topo, a, b, ab = two_node () in
-  let tr = Netsim.Trace.create ~capacity:10 () in
+  let tr = Netsim.Trace.create () in
   Netsim.Trace.attach tr ab;
   let g = Netsim.Traffic.cbr topo ~flow:5 ~src:a ~dst:b ~rate_bps:1e6 () in
   Netsim.Traffic.start g ~at:0.;
-  Netsim.Engine.run ~until:1. e;
-  Alcotest.(check int) "retains only capacity" 10
-    (List.length (Netsim.Trace.events tr));
+  Netsim.Engine.run ~until:500. e;
+  let lines = lines tr in
+  Alcotest.(check int) "retains only capacity" 100_000 (List.length lines);
   Alcotest.(check bool) "total keeps counting" true
-    (Netsim.Trace.total_recorded tr > 10);
-  (* events are time-ordered *)
-  let times = List.map (fun ev -> ev.Netsim.Trace.time) (Netsim.Trace.events tr) in
-  Alcotest.(check (list (float 1e-9))) "sorted" (List.sort compare times) times
+    (Netsim.Trace.total_recorded tr > 100_000);
+  let times = List.map (fun l -> Scanf.sscanf l "%c %f" (fun _ t -> t)) lines in
+  Alcotest.(check bool) "sorted" true (List.sort compare times = times)
 
 let test_trace_text_format () =
   let e, topo, a, b, ab = two_node () in
@@ -147,16 +152,6 @@ let test_trace_text_format () =
     (String.length first_line > 0
     && List.mem first_line.[0] [ '+'; 'd'; 'x'; 'r' ])
 
-let test_trace_clear () =
-  let e, topo, a, b, ab = two_node () in
-  let tr = Netsim.Trace.create () in
-  Netsim.Trace.attach tr ab;
-  let g = Netsim.Traffic.cbr topo ~flow:5 ~src:a ~dst:b ~rate_bps:1e6 () in
-  Netsim.Traffic.start g ~at:0.;
-  Netsim.Engine.run ~until:1. e;
-  Netsim.Trace.clear tr;
-  Alcotest.(check int) "cleared" 0 (List.length (Netsim.Trace.events tr))
-
 let () =
   Alcotest.run "traffic_trace"
     [
@@ -165,7 +160,6 @@ let () =
           Alcotest.test_case "CBR rate" `Quick test_cbr_rate;
           Alcotest.test_case "Poisson rate" `Quick test_poisson_rate_and_variability;
           Alcotest.test_case "on-off average" `Slow test_on_off_average;
-          Alcotest.test_case "stop" `Quick test_traffic_stop;
           Alcotest.test_case "byte accounting" `Quick test_traffic_byte_accounting;
         ] );
       ( "trace",
@@ -175,6 +169,5 @@ let () =
           Alcotest.test_case "queue drops" `Quick test_trace_records_queue_drops;
           Alcotest.test_case "ring buffer" `Quick test_trace_ring_buffer;
           Alcotest.test_case "text format" `Quick test_trace_text_format;
-          Alcotest.test_case "clear" `Quick test_trace_clear;
         ] );
     ]
