@@ -130,16 +130,3 @@ let render_ascii t ~col =
         (Printf.sprintf "%11s%-10s%*s\n" "" (fmt_cell xmin)
            (width - 8) (fmt_cell xmax));
       Buffer.contents buf
-
-let summary_stats t ~col =
-  if col < 0 || col >= List.length t.ylabels then
-    invalid_arg "Series.summary_stats: column out of range";
-  let values =
-    List.filter_map
-      (fun (_, ys) ->
-        let v = List.nth ys col in
-        if Float.is_nan v then None else Some v)
-      t.rows
-    |> Array.of_list
-  in
-  Stats.Descriptive.summarize values

@@ -30,7 +30,3 @@ val to_json : t -> Obs.Json.t
 val render_ascii : t -> col:int -> string
 (** A terminal plot of one y column against x: 12 text rows by 72
     columns, with a y-axis scale.  NaN points are skipped. *)
-
-val summary_stats : t -> col:int -> Stats.Descriptive.summary
-(** Summary of one y column (raises on an empty series or an
-    out-of-range column). *)

@@ -156,7 +156,7 @@ let run_task ~strict ~policy (e : Registry.experiment) ~mode ~seed control =
         exn
 
 let run ?(experiments = Registry.all) ?(strict = false)
-    ?(policy = default_policy) ?(obs = Obs.Sink.null) ~jobs ~mode ~seed
+    ?(policy = default_policy) ~jobs ~mode ~seed
     ?(seeds = 1) () =
   if seeds < 1 then invalid_arg "Sweep.run: seeds must be >= 1";
   (match policy.task_timeout with
@@ -192,27 +192,6 @@ let run ?(experiments = Registry.all) ?(strict = false)
   let failures =
     List.filter_map (function T_failed f -> Some f | T_ok _ -> None) statuses
   in
-  (* Sweep-level observability: counters plus one journal Task entry per
-     failed task, recorded into the coordinator's sink (default null). *)
-  let m = obs.Obs.Sink.metrics in
-  let bump ?labels name n =
-    if n > 0 then Obs.Metrics.Counter.add (Obs.Metrics.counter m ?labels name) n
-  in
-  bump "sweep_tasks_total" (List.length cells);
-  bump "sweep_task_ok_total" (List.length cells - List.length failures);
-  List.iter
-    (fun f ->
-      bump ~labels:[ ("cause", cause_label f.f_cause) ] "sweep_task_failed_total"
-        1;
-      Obs.Sink.event obs ~time:0. ~severity:Obs.Journal.Error
-        (Obs.Journal.scope "sweep")
-        (Obs.Journal.Task
-           {
-             id = task_label f;
-             outcome = cause_label f.f_cause;
-             detail = f.f_detail;
-           }))
-    failures;
   let results =
     List.concat
       (List.mapi

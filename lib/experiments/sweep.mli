@@ -82,7 +82,6 @@ val run :
   ?experiments:Registry.experiment list ->
   ?strict:bool ->
   ?policy:policy ->
-  ?obs:Obs.Sink.t ->
   jobs:int ->
   mode:Scenario.mode ->
   seed:int ->
@@ -99,9 +98,7 @@ val run :
     strict invariant checker.
 
     The report — results, failures, counters — is in grid order and
-    byte-identical whatever [jobs].  [obs] (default {!Obs.Sink.null})
-    receives sweep-level [sweep_task*] counters and one journal [Task]
-    entry per failed cell.  Raises [Invalid_argument], before any cell
+    byte-identical whatever [jobs].  Raises [Invalid_argument], before any cell
     runs, when [seeds < 1], [task_timeout] is not finite and > 0, or
     [max_events < 1]. *)
 

@@ -21,7 +21,6 @@ type event =
   | Join
   | Leave of { explicit : bool }
   | Fault of { kind : string; detail : string }
-  | Task of { id : string; outcome : string; detail : string }
   | Note of string
 
 type entry = {
@@ -64,11 +63,6 @@ let entries t =
 
 let total_recorded t = t.recorded
 
-let clear t =
-  Array.fill t.buffer 0 t.capacity None;
-  t.next <- 0;
-  t.recorded <- 0
-
 let severity_rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 
 let count t ?min_severity () =
@@ -100,7 +94,6 @@ let event_name = function
   | Join -> "join"
   | Leave _ -> "leave"
   | Fault _ -> "fault"
-  | Task _ -> "sweep_task"
   | Note _ -> "note"
 
 let severity_name = function
@@ -145,12 +138,6 @@ let event_fields = function
   | Leave { explicit } -> [ ("explicit", Json.Bool explicit) ]
   | Fault { kind; detail } ->
       [ ("kind", Json.Str kind); ("detail", Json.Str detail) ]
-  | Task { id; outcome; detail } ->
-      [
-        ("id", Json.Str id);
-        ("outcome", Json.Str outcome);
-        ("detail", Json.Str detail);
-      ]
   | Note note -> [ ("note", Json.Str note) ]
 
 let pp_entry ppf e =

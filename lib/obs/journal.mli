@@ -45,9 +45,6 @@ type event =
   | Join
   | Leave of { explicit : bool }
   | Fault of { kind : string; detail : string }
-  | Task of { id : string; outcome : string; detail : string }
-      (** a failed sweep task: [id] is ["<experiment>/s<seed>"],
-          [outcome] one of crashed/timeout/stalled/violation *)
   | Note of string
 
 type entry = {
@@ -73,9 +70,6 @@ val entries : t -> entry list
 
 val total_recorded : t -> int
 (** Every entry ever recorded, including those rotated out. *)
-
-val clear : t -> unit
-(** Empties the ring and resets {!total_recorded}. *)
 
 val count : t -> ?min_severity:severity -> unit -> int
 (** Retained entries of at least [min_severity] (default: all). *)

@@ -1,4 +1,4 @@
-(* Declarative chaos plans for the loopback fabric (see chaos.mli). *)
+(* Declarative chaos plans for the rt transport (see chaos.mli). *)
 
 type spec =
   | Flap of { down_at : float; up_at : float }

@@ -1,6 +1,7 @@
-(** Declarative chaos plans for the real-time loopback fabric.
+(** Declarative chaos plans for the real-time transport ({!Net}, on
+    either of its ways).
 
-    Fabric flaps and receiver churn (DESIGN.md §15): a [plan] is a
+    Transport flaps and receiver churn (DESIGN.md §15): a [plan] is a
     list of timed impairment windows that {!apply} compiles
     into ordinary loop timers against a {!Net.t}'s chaos hooks.  Because
     every mutation fires from a loop timer and every random choice (churn

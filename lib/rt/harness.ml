@@ -108,62 +108,6 @@ type result = {
   clr_partitioned : int;
 }
 
-(* One vtable per transport so the session-building code below is
-   written once. *)
-type ops = {
-  new_ep : session:int -> Env.t * ((size:int -> Wire.msg -> unit) -> unit);
-  totals : unit -> int * int * int * int * int * int;
-  block : int -> unit;  (* Partition_clr; loopback only *)
-  unblock : int -> unit;
-  set_on_fatal : (session:int -> endpoint:int -> exn -> unit) -> unit;
-  net : Net.t option;  (* chaos plans need the fabric; None on udp *)
-  shutdown : unit -> unit;
-}
-
-let loopback_ops loop ~impair =
-  let net = Net.create loop ~impair () in
-  {
-    new_ep =
-      (fun ~session ->
-        let ep = Net.endpoint net ~session in
-        (Net.env ep, Net.set_deliver ep));
-    totals =
-      (fun () ->
-        ( Net.frames_sent net,
-          Net.frames_delivered net,
-          Net.frames_lost net,
-          Net.encode_drops net,
-          Net.decode_errors net,
-          Net.partition_drops net + Net.flap_drops net ));
-    block = Net.block net;
-    unblock = Net.unblock net;
-    set_on_fatal = (fun _ -> ());
-    net = Some net;
-    shutdown = (fun () -> ());
-  }
-
-let udp_ops loop =
-  let net = Udp.create loop in
-  {
-    new_ep =
-      (fun ~session ->
-        let ep = Udp.endpoint net ~session in
-        (Udp.env ep, Udp.set_deliver ep));
-    totals =
-      (fun () ->
-        ( Udp.frames_sent net,
-          Udp.frames_delivered net,
-          0,
-          Udp.send_errors net,
-          Udp.decode_errors net,
-          Udp.send_shed net ));
-    block = (fun _ -> invalid_arg "Harness: Partition_clr needs the loopback fabric");
-    unblock = (fun _ -> ());
-    set_on_fatal = Udp.set_on_fatal net;
-    net = None;
-    shutdown = (fun () -> Udp.close net);
-  }
-
 (* Per-session supervision state (DESIGN.md §15).  [gen] is the crash
    generation: every timer, callback and delivery hook captures the
    generation it was installed under and mutes itself once the
@@ -208,8 +152,6 @@ let validate_faults c =
           if not (Float.is_finite at && at >= 0.) then
             invalid_arg "Harness: Stop_sender.at must be finite and >= 0"
       | Partition_clr { at; until } ->
-          if c.transport <> Loopback then
-            invalid_arg "Harness: Partition_clr needs the loopback fabric";
           if not (Float.is_finite at && at >= 0. && Float.is_finite until && until > at)
           then invalid_arg "Harness: Partition_clr window must be finite with until > at")
     c.faults;
@@ -228,16 +170,14 @@ let run ?obs c =
   if not (Float.is_finite c.epoch) then invalid_arg "Harness.run: epoch must be finite";
   if not (Float.is_finite c.supervise.probe_interval && c.supervise.probe_interval > 0.)
   then invalid_arg "Harness.run: probe_interval must be positive";
-  if c.chaos <> [] && c.transport <> Loopback then
-    invalid_arg "Harness.run: chaos plans need the loopback fabric";
   Chaos.validate c.chaos;
   validate_faults c;
   let obs = match obs with Some s -> s | None -> Obs.Sink.create () in
   let loop = Loop.create ~mode:c.mode ~epoch:c.epoch ~obs ~seed:c.seed () in
-  let ops =
+  let net =
     match c.transport with
-    | Loopback -> loopback_ops loop ~impair:c.impair
-    | Udp_sockets -> udp_ops loop
+    | Loopback -> Net.create loop ~impair:c.impair ()
+    | Udp_sockets -> Net.create_udp loop
   in
   let m = obs.Obs.Sink.metrics in
   let m_crashes = Obs.Metrics.counter m "tfmcc_rt_session_crashes_total" in
@@ -295,22 +235,22 @@ let run ?obs c =
     }
   and build_session sup ~start_at =
     let gen = sup.gen in
-    let sender_env, set_sender_deliver = ops.new_ep ~session:sup.sid in
-    let rx = List.init c.receivers (fun _ -> ops.new_ep ~session:sup.sid) in
-    let genv = guard_env sup ~gen sender_env in
+    let sender_ep = Net.endpoint net ~session:sup.sid in
+    let rx = List.init c.receivers (fun _ -> Net.endpoint net ~session:sup.sid) in
+    let genv = guard_env sup ~gen (Net.env sender_ep) in
     let s =
       Session.create ~sender_env:genv ~cfg:c.cfg ~session:sup.sid
-        ~receiver_envs:(List.map (fun (e, _) -> guard_env sup ~gen e) rx)
+        ~receiver_envs:(List.map (fun ep -> guard_env sup ~gen (Net.env ep)) rx)
         ()
     in
     let snd = Session.sender s in
-    set_sender_deliver (fun ~size:_ msg ->
+    Net.set_deliver sender_ep (fun ~size:_ msg ->
         if sup.gen = gen then
           try Sender.deliver snd msg
           with e -> on_crash sup e (Printexc.get_raw_backtrace ()));
     List.iter2
-      (fun (_, set_deliver) r ->
-        set_deliver (fun ~size msg ->
+      (fun ep r ->
+        Net.set_deliver ep (fun ~size msg ->
             if sup.gen = gen then
               try Receiver.deliver r ~size msg
               with e -> on_crash sup e (Printexc.get_raw_backtrace ())))
@@ -369,7 +309,7 @@ let run ?obs c =
   (* A fatal transport error is not restartable: the incarnation's
      socket is gone and every retry would rebuild state the kernel
      already refused.  Fail the session immediately. *)
-  ops.set_on_fatal (fun ~session ~endpoint e ->
+  Net.set_on_fatal net (fun ~session ~endpoint e ->
       let sup = sup_for session in
       match sup.state with
       | `Failed -> ()
@@ -465,7 +405,7 @@ let run ?obs c =
                   | `Running, Some s -> (
                       match Sender.clr (Session.sender s) with
                       | Some node ->
-                          ops.block node;
+                          Net.block net node;
                           incr clr_partitioned;
                           blocked := node :: !blocked;
                           journal sup ~severity:Obs.Journal.Error
@@ -474,11 +414,9 @@ let run ?obs c =
                       | None -> ())
                   | _ -> ())
                 sups);
-          arm ~at:until (fun () -> List.iter ops.unblock !blocked))
+          arm ~at:until (fun () -> List.iter (Net.unblock net) !blocked))
     c.faults;
-  (match (c.chaos, ops.net) with
-  | [], _ | _, None -> ()
-  | plan, Some net -> ignore (Chaos.apply net plan : Chaos.t));
+  if c.chaos <> [] then ignore (Chaos.apply net c.chaos : Chaos.t);
   let t0 = Unix.gettimeofday () in
   Loop.run ~until:(c.epoch +. c.duration) loop;
   let wall_s = Unix.gettimeofday () -. t0 in
@@ -524,8 +462,11 @@ let run ?obs c =
       (fun sup -> Option.map (stat_of sup) sup.sess)
       sups
   in
-  let sent, delivered, lost, enc, dec, blocked = ops.totals () in
-  ops.shutdown ();
+  (* One ledger for both ways: the encode step's drops and the socket
+     send errors, and every chaos or shedding drop. *)
+  let encode_drops = Net.encode_drops net + Net.send_errors net in
+  let frames_blocked = Net.partition_drops net + Net.flap_drops net + Net.send_shed net in
+  Net.close net;
   {
     stats;
     outcomes;
@@ -533,12 +474,12 @@ let run ?obs c =
     end_time = Loop.now loop;
     timers_fired = Loop.timers_fired loop;
     clock_anomalies = Loop.clock_anomalies loop;
-    frames_sent = sent;
-    frames_delivered = delivered;
-    frames_lost = lost;
-    frames_blocked = blocked;
-    encode_drops = enc;
-    decode_errors = dec;
+    frames_sent = Net.frames_sent net;
+    frames_delivered = Net.frames_delivered net;
+    frames_lost = Net.frames_lost net;
+    frames_blocked;
+    encode_drops;
+    decode_errors = Net.decode_errors net;
     crashes = List.fold_left (fun a s -> a + s.crashes) 0 sups;
     restarts = List.fold_left (fun a s -> a + s.restarts) 0 sups;
     stalls = List.fold_left (fun a s -> a + s.stalls) 0 sups;

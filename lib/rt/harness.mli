@@ -1,5 +1,5 @@
 (** Many-session soak driver for the real-time runtime: builds [n]
-    TFMCC sessions (one sender, [receivers] receivers each) as fabric
+    TFMCC sessions (one sender, [receivers] receivers each) as {!Net}
     endpoints on one loop, starts them staggered to decorrelate
     feedback rounds, runs for [duration] loop-seconds and reports
     per-session outcomes.  This is what [tfmcc-sim loopback],
@@ -14,9 +14,10 @@
     ends the run with a structured {!Par.outcome}. *)
 
 type transport =
-  | Loopback  (** in-process fabric ({!Net}); scales to thousands *)
+  | Loopback  (** {!Net.create}'s in-process fabric; scales to thousands *)
   | Udp_sockets
-      (** kernel UDP ({!Udp}); one fd per endpoint, realtime mode only *)
+      (** {!Net.create_udp}'s kernel UDP sockets; one fd per endpoint,
+          realtime mode only *)
 
 type supervision = {
   probe_interval : float;  (** seconds between health-probe sweeps *)
@@ -43,8 +44,7 @@ type fault =
       (** At [at], looks up every session's current CLR and blocks that
           endpoint on the fabric until [until] — the rt twin of the
           simulator's CLR-partition scenario.  Each window heals only
-          the endpoints it blocked, so overlapping windows compose.
-          Loopback only. *)
+          the endpoints it blocked, so overlapping windows compose. *)
 
 type config = {
   sessions : int;
@@ -57,7 +57,7 @@ type config = {
   epoch : float;
   seed : int;
   supervise : supervision;
-  chaos : Chaos.plan;  (** fabric impairment schedule; loopback only *)
+  chaos : Chaos.plan;  (** transport impairment schedule *)
   faults : fault list;  (** session-targeted fault schedule *)
 }
 
@@ -103,9 +103,8 @@ type result = {
   frames_sent : int;
   frames_delivered : int;
   frames_lost : int;
-  frames_blocked : int;
-      (** loopback: partition + flap chaos drops; udp: frames shed *)
-  encode_drops : int;
+  frames_blocked : int;  (** partition + flap chaos drops + socket sheds *)
+  encode_drops : int;  (** frames that failed to encode + socket send errors *)
   decode_errors : int;
   crashes : int;  (** session crashes caught across the run *)
   restarts : int;  (** session restarts performed *)
@@ -124,9 +123,8 @@ val run : ?obs:Obs.Sink.t -> config -> result
     ([tfmcc_rt_session_crashes_total], [tfmcc_rt_sessions_restarted_total],
     [tfmcc_rt_sessions_failed_total], [tfmcc_rt_session_stalls_total])
     and a [tfmcc_rt_sessions] gauge.  Raises [Invalid_argument] for a
-    chaos plan or [Partition_clr] fault on the UDP transport, a fault
-    or [Chaos.Churn] naming an unknown session, or a fault window that
-    is not finite with [until > at]. *)
+    fault or [Chaos.Churn] naming an unknown session, or a fault window
+    that is not finite with [until > at]. *)
 
 val converged : session_stat -> cfg:Tfmcc_core.Config.t -> bool
 (** Non-zero goodput, not in the starvation decay, and at least one

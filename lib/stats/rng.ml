@@ -19,8 +19,6 @@ let of_state s =
 
 let create seed = of_state (mix64 (Int64.of_int seed))
 
-let copy = Bytes.copy
-
 let[@inline] bits64 t =
   let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
   Bytes.set_int64_ne t 0 s;

@@ -11,10 +11,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator.  Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** [copy t] duplicates the generator state; the copy evolves
-    independently. *)
-
 val split : t -> t
 (** [split t] derives a statistically independent generator from [t],
     advancing [t].  Use one split stream per flow / receiver so that adding

@@ -173,24 +173,24 @@ let test_loop_backstop () =
   Alcotest.(check int) "counted" 3 (Loop.exceptions_caught loop)
 
 (* ------------------------------------------------------------------ *)
-(* UDP error taxonomy                                                  *)
+(* Socket error taxonomy                                               *)
 (* ------------------------------------------------------------------ *)
 
 let test_udp_classify () =
   let check_class name err expect =
-    Alcotest.(check bool) name true (Udp.classify err = expect)
+    Alcotest.(check bool) name true (Net.classify err = expect)
   in
-  check_class "EAGAIN transient" Unix.EAGAIN Udp.Transient;
-  check_class "ENOBUFS transient" Unix.ENOBUFS Udp.Transient;
-  check_class "EINTR transient" Unix.EINTR Udp.Transient;
-  check_class "ECONNREFUSED degraded" Unix.ECONNREFUSED Udp.Degraded;
-  check_class "EHOSTUNREACH degraded" Unix.EHOSTUNREACH Udp.Degraded;
-  check_class "EMSGSIZE degraded" Unix.EMSGSIZE Udp.Degraded;
-  check_class "EBADF fatal" Unix.EBADF Udp.Fatal;
-  check_class "EINVAL fatal" Unix.EINVAL Udp.Fatal;
-  Alcotest.(check string) "eagain label" "eagain" (Udp.kind_of_error Unix.EAGAIN);
-  Alcotest.(check string) "enobufs label" "enobufs" (Udp.kind_of_error Unix.ENOBUFS);
-  Alcotest.(check string) "fatal label" "fatal" (Udp.kind_of_error Unix.EBADF)
+  check_class "EAGAIN transient" Unix.EAGAIN Net.Transient;
+  check_class "ENOBUFS transient" Unix.ENOBUFS Net.Transient;
+  check_class "EINTR transient" Unix.EINTR Net.Transient;
+  check_class "ECONNREFUSED degraded" Unix.ECONNREFUSED Net.Degraded;
+  check_class "EHOSTUNREACH degraded" Unix.EHOSTUNREACH Net.Degraded;
+  check_class "EMSGSIZE degraded" Unix.EMSGSIZE Net.Degraded;
+  check_class "EBADF fatal" Unix.EBADF Net.Fatal;
+  check_class "EINVAL fatal" Unix.EINVAL Net.Fatal;
+  Alcotest.(check string) "eagain label" "eagain" (Net.kind_of_error Unix.EAGAIN);
+  Alcotest.(check string) "enobufs label" "enobufs" (Net.kind_of_error Unix.ENOBUFS);
+  Alcotest.(check string) "fatal label" "fatal" (Net.kind_of_error Unix.EBADF)
 
 (* ------------------------------------------------------------------ *)
 (* rt mirror of the simulator's CLR-partition-mid-slowstart test       *)

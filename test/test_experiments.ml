@@ -1,8 +1,6 @@
 (* Tests for the experiments library: series utilities, the registry, and
    smoke runs of the cheap (analytic / Monte-Carlo) harnesses. *)
 
-let check_float = Alcotest.(check (float 1e-9))
-
 (* ---------------------------------------------------------------- Series *)
 
 let test_series_validates_width () =
@@ -21,23 +19,6 @@ let test_series_csv () =
   in
   let csv = Experiments.Series.to_csv s in
   Alcotest.(check string) "csv" "x,a,b\n0,1,2\n1,3,4.5\n" csv
-
-let test_series_summary () =
-  let s =
-    Experiments.Series.make ~title:"t" ~xlabel:"x" ~ylabels:[ "a" ]
-      [ (0., [ 2. ]); (1., [ 4. ]); (2., [ 6. ]) ]
-  in
-  let sum = Experiments.Series.summary_stats s ~col:0 in
-  check_float "mean" 4. sum.Stats.Descriptive.mean;
-  Alcotest.(check int) "n" 3 sum.Stats.Descriptive.n
-
-let test_series_summary_skips_nan () =
-  let s =
-    Experiments.Series.make ~title:"t" ~xlabel:"x" ~ylabels:[ "a" ]
-      [ (0., [ 2. ]); (1., [ nan ]); (2., [ 6. ]) ]
-  in
-  let sum = Experiments.Series.summary_stats s ~col:0 in
-  Alcotest.(check int) "nan dropped" 2 sum.Stats.Descriptive.n
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -195,8 +176,6 @@ let () =
         [
           Alcotest.test_case "validates width" `Quick test_series_validates_width;
           Alcotest.test_case "csv" `Quick test_series_csv;
-          Alcotest.test_case "summary" `Quick test_series_summary;
-          Alcotest.test_case "summary skips NaN" `Quick test_series_summary_skips_nan;
           Alcotest.test_case "pp renders" `Quick test_series_pp_renders;
           Alcotest.test_case "render ascii" `Quick test_series_render_ascii;
         ] );

@@ -133,19 +133,6 @@ let test_journal_order_and_rotation () =
   Alcotest.(check (pair string string)) "oldest-first window" ("3", string_of_int n)
     (List.hd notes, List.nth notes 65535)
 
-let test_journal_clear () =
-  let j = Obs.Journal.create () in
-  for i = 1 to 9 do
-    Obs.Journal.record j ~time:(float_of_int i) scope Obs.Journal.Join
-  done;
-  Obs.Journal.clear j;
-  Alcotest.(check int) "retained after clear" 0
-    (List.length (Obs.Journal.entries j));
-  Alcotest.(check int) "total reset" 0 (Obs.Journal.total_recorded j);
-  (* And the ring keeps working after a clear. *)
-  Obs.Journal.record j ~time:10. scope Obs.Journal.Join;
-  Alcotest.(check int) "records again" 1 (Obs.Journal.total_recorded j)
-
 let test_journal_filters () =
   let j = Obs.Journal.create () in
   let other = Obs.Journal.scope "other" in
@@ -312,7 +299,6 @@ let () =
         [
           Alcotest.test_case "order and rotation" `Quick
             test_journal_order_and_rotation;
-          Alcotest.test_case "clear resets" `Quick test_journal_clear;
           Alcotest.test_case "count filters" `Quick test_journal_filters;
           Alcotest.test_case "null journal" `Quick test_journal_null;
         ] );

@@ -1008,73 +1008,130 @@ let test_udp_smoke () =
       Alcotest.(check int) "no decode errors" 0 r.Harness.decode_errors;
       Alcotest.(check int) "no send errors" 0 r.Harness.encode_drops
 
-(* The UDP transport exports the frame families the loopback fabric
-   does.  One endpoint sends another valid data frames and a report,
-   plus data frames with a negative session, which encode but fail
-   decode; each registry counter must equal the transport's own. *)
+(* Two endpoints on the socket way, or [None] where the host forbids
+   sockets (reported, not failed, like the UDP smoke). *)
+let udp_pair ~what loop =
+  let skipped (e, fn) =
+    Printf.printf "%s skipped: %s in %s\n%!" what (Unix.error_message e) fn;
+    None
+  in
+  match Net.create_udp loop with
+  | exception Unix.Unix_error (e, fn, _) -> skipped (e, fn)
+  | net -> (
+      match (Net.endpoint net ~session:1, Net.endpoint net ~session:1) with
+      | exception Unix.Unix_error (e, fn, _) ->
+          Net.close net;
+          skipped (e, fn)
+      | a, b -> Some (net, a, b))
+
+let send_to_b a b ?(size = 1000) msg =
+  (Net.env a).Tfmcc_core.Env.send
+    ~dest:(Tfmcc_core.Env.To_node (Net.endpoint_id b))
+    ~flow:0 ~size msg
+
+(* Sockets export the frame families the fabric does.  One endpoint
+   sends another valid data frames and a report, plus data frames with
+   a negative session, which encode but fail decode; each registry
+   counter must equal the transport's own. *)
 let test_udp_frame_counters () =
   let obs = Obs.Sink.create () in
   let loop = Loop.create ~mode:Loop.Realtime ~obs () in
-  match Udp.create loop with
+  match udp_pair ~what:"udp counters" loop with
+  | None -> ()
+  | Some (net, a, b) ->
+      Net.set_deliver b (fun ~size:_ _ -> ());
+      for seq = 0 to 9 do
+        send_to_b a b (data_msg ~seq ~ts:0. ~clr:1)
+      done;
+      for seq = 0 to 2 do
+        send_to_b a b (Tfmcc_core.Wire.Data { (data ~seq ~ts:0. ~clr:1) with session = -1 })
+      done;
+      send_to_b a b ~size:Tfmcc_core.Wire.report_size
+        (Tfmcc_core.Wire.Report
+           {
+             Tfmcc_core.Wire.session = 1;
+             rx_id = Net.endpoint_id a;
+             ts = 0.;
+             echo_ts = 0.;
+             echo_delay = 0.;
+             rate = 1e5;
+             have_rtt = true;
+             rtt = 0.05;
+             p = 0.01;
+             x_recv = 1e5;
+             round = 1;
+             has_loss = true;
+             leaving = false;
+           });
+      Loop.run ~until:(Loop.now loop +. 0.3) loop;
+      Net.close net;
+      let m = obs.Obs.Sink.metrics in
+      let value name = Obs.Metrics.counter_value m name in
+      Alcotest.(check int) "sent" 14 (Net.frames_sent net);
+      Alcotest.(check int) "decode errors" 3 (Net.decode_errors net);
+      Alcotest.(check int) "delivered" 11 (Net.frames_delivered net);
+      Alcotest.(check int) "sent counter" (Net.frames_sent net)
+        (value "tfmcc_rt_frames_sent_total");
+      Alcotest.(check int) "delivered counter" (Net.frames_delivered net)
+        (value "tfmcc_rt_frames_delivered_total");
+      Alcotest.(check int) "decode-drop counter" (Net.decode_errors net)
+        (List.assoc [ ("reason", "decode") ]
+           (Obs.Metrics.labelled_values m "tfmcc_rt_frame_drop_total"))
+
+(* The send-time partition check is shared: on sockets a blocked
+   endpoint's datagrams never reach the kernel, and each copy counts
+   under the same drop family as on the fabric. *)
+let test_udp_partition_drop () =
+  let obs = Obs.Sink.create () in
+  let loop = Loop.create ~mode:Loop.Realtime ~obs () in
+  match udp_pair ~what:"udp partition" loop with
+  | None -> ()
+  | Some (net, a, b) ->
+      let got = ref 0 in
+      Net.set_deliver b (fun ~size:_ _ -> incr got);
+      Net.block net (Net.endpoint_id b);
+      for seq = 0 to 4 do
+        send_to_b a b (data_msg ~seq ~ts:0. ~clr:1)
+      done;
+      Net.unblock net (Net.endpoint_id b);
+      send_to_b a b (data_msg ~seq:5 ~ts:0. ~clr:1);
+      Loop.run ~until:(Loop.now loop +. 0.3) loop;
+      Net.close net;
+      Alcotest.(check int) "only the copy after the heal landed" 1 !got;
+      Alcotest.(check int) "partition drops" 5 (Net.partition_drops net);
+      Alcotest.(check int) "partition counter" 5
+        (List.assoc [ ("reason", "partition") ]
+           (Obs.Metrics.labelled_values obs.Obs.Sink.metrics "tfmcc_rt_frame_drop_total"))
+
+(* [Partition_clr] runs on sockets too: the harness blocks each
+   session's CLR on the one transport it built. *)
+let test_udp_partition_clr () =
+  match
+    Harness.run
+      {
+        Harness.default with
+        sessions = 1;
+        receivers = 2;
+        duration = 1.0;
+        cfg = { Tfmcc_core.Config.default with rtt_initial = 0.05 };
+        mode = Loop.Realtime;
+        transport = Harness.Udp_sockets;
+        faults = [ Harness.Partition_clr { at = 0.6; until = 0.8 } ];
+      }
+  with
   | exception Unix.Unix_error (e, fn, _) ->
-      Printf.printf "udp counters skipped: %s in %s\n%!" (Unix.error_message e) fn
-  | udp -> (
-      match (Udp.endpoint udp ~session:1, Udp.endpoint udp ~session:1) with
-      | exception Unix.Unix_error (e, fn, _) ->
-          Udp.close udp;
-          Printf.printf "udp counters skipped: %s in %s\n%!" (Unix.error_message e) fn
-      | a, b ->
-          Udp.set_deliver b (fun ~size:_ _ -> ());
-          let send ?(size = 1000) msg =
-            (Udp.env a).Tfmcc_core.Env.send
-              ~dest:(Tfmcc_core.Env.To_node (Udp.endpoint_id b))
-              ~flow:0 ~size msg
-          in
-          for seq = 0 to 9 do
-            send (data_msg ~seq ~ts:0. ~clr:1)
-          done;
-          for seq = 0 to 2 do
-            send (Tfmcc_core.Wire.Data { (data ~seq ~ts:0. ~clr:1) with session = -1 })
-          done;
-          send ~size:Tfmcc_core.Wire.report_size
-            (Tfmcc_core.Wire.Report
-               {
-                 Tfmcc_core.Wire.session = 1;
-                 rx_id = Udp.endpoint_id a;
-                 ts = 0.;
-                 echo_ts = 0.;
-                 echo_delay = 0.;
-                 rate = 1e5;
-                 have_rtt = true;
-                 rtt = 0.05;
-                 p = 0.01;
-                 x_recv = 1e5;
-                 round = 1;
-                 has_loss = true;
-                 leaving = false;
-               });
-          Loop.run ~until:(Loop.now loop +. 0.3) loop;
-          Udp.close udp;
-          let m = obs.Obs.Sink.metrics in
-          let value name = Obs.Metrics.counter_value m name in
-          Alcotest.(check int) "sent" 14 (Udp.frames_sent udp);
-          Alcotest.(check int) "decode errors" 3 (Udp.decode_errors udp);
-          Alcotest.(check int) "delivered" 11 (Udp.frames_delivered udp);
-          Alcotest.(check int) "sent counter" (Udp.frames_sent udp)
-            (value "tfmcc_rt_frames_sent_total");
-          Alcotest.(check int) "delivered counter" (Udp.frames_delivered udp)
-            (value "tfmcc_rt_frames_delivered_total");
-          Alcotest.(check int) "decode-drop counter" (Udp.decode_errors udp)
-            (List.assoc [ ("reason", "decode") ]
-               (Obs.Metrics.labelled_values m "tfmcc_rt_frame_drop_total")))
+      Printf.printf "udp partition_clr skipped: %s in %s\n%!" (Unix.error_message e) fn
+  | r ->
+      Alcotest.(check int) "CLR partitioned" 1 r.Harness.clr_partitioned;
+      Alcotest.(check bool) "its copies dropped" true (r.Harness.frames_blocked > 0)
 
 (* Turbo mode must refuse kernel sockets: the virtual clock outruns
    any real fd. *)
 let test_udp_rejects_turbo () =
   let loop = Loop.create ~mode:Loop.Turbo () in
   Alcotest.check_raises "turbo UDP rejected"
-    (Invalid_argument "Udp.create: needs a realtime loop (virtual time outruns sockets)") (fun () ->
-      ignore (Udp.create loop))
+    (Invalid_argument "Net.create_udp: needs a realtime loop (virtual time outruns sockets)")
+    (fun () -> ignore (Net.create_udp loop))
 
 let () =
   Alcotest.run "rt"
@@ -1154,5 +1211,7 @@ let () =
           Alcotest.test_case "udp smoke" `Quick test_udp_smoke;
           Alcotest.test_case "udp rejects turbo" `Quick test_udp_rejects_turbo;
           Alcotest.test_case "udp frame counters" `Quick test_udp_frame_counters;
+          Alcotest.test_case "udp partition drop" `Quick test_udp_partition_drop;
+          Alcotest.test_case "udp partition_clr" `Quick test_udp_partition_clr;
         ] );
     ]

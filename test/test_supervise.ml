@@ -359,24 +359,6 @@ let test_exit_codes () =
            [ f Experiments.Sweep.Crashed; f Experiments.Sweep.Violation ];
        })
 
-let test_sweep_observability () =
-  let obs = Obs.Sink.create () in
-  let r =
-    Experiments.Sweep.run
-      ~experiments:[ find "fig04"; xcrash ]
-      ~policy ~obs ~jobs:1 ~mode:quick ~seed:42 ()
-  in
-  Alcotest.(check int) "one failure" 1 (List.length r.failures);
-  Alcotest.(check int) "one sweep journal entry" 1
-    (List.length
-       (List.filter
-          (fun (e : Obs.Journal.entry) -> e.scope.component = "sweep")
-          (Obs.Journal.entries obs.Obs.Sink.journal)));
-  let value = Obs.Metrics.sum_counters obs.Obs.Sink.metrics in
-  Alcotest.(check int) "tasks total" 2 (value "sweep_tasks_total");
-  Alcotest.(check int) "ok total" 1 (value "sweep_task_ok_total");
-  Alcotest.(check int) "failed total" 1 (value "sweep_task_failed_total")
-
 let () =
   Alcotest.run "supervise"
     [
@@ -416,7 +398,5 @@ let () =
           Alcotest.test_case "failure JSON shape" `Quick
             test_failure_report_json_shape;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
-          Alcotest.test_case "counters + journal" `Quick
-            test_sweep_observability;
         ] );
     ]
