@@ -432,8 +432,8 @@ let trace_cmd =
     Netsim.Trace.attach tracer ab;
     Netsim.Trace.attach tracer ba;
     let session =
-      Netsim_env.Session.create topo ~session:1 ~sender_node:sender
-        ~receiver_nodes:[ rx ] ()
+      Tfmcc_core.Session.build (Netsim_env.backend topo ~session:1) ~session:1
+        ~sender ~receivers:[ rx ] ()
     in
     Tfmcc_core.Session.start session ~at:0.;
     Netsim.Engine.run ~until:duration e;

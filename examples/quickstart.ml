@@ -28,8 +28,8 @@ let () =
   (* 3. A TFMCC session: sender plus receivers, all with default
      (paper) parameters. *)
   let session =
-    Netsim_env.Session.create topo ~session:1 ~sender_node:sender
-      ~receiver_nodes:[ rx_fast; rx_mid; rx_slow ] ()
+    Tfmcc_core.Session.build (Netsim_env.backend topo ~session:1) ~session:1
+      ~sender ~receivers:[ rx_fast; rx_mid; rx_slow ] ()
   in
   Tfmcc_core.Session.start session ~at:0.;
 

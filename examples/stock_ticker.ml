@@ -29,8 +29,8 @@ let () =
         rx)
   in
   let session =
-    Netsim_env.Session.create topo ~session:1 ~sender_node:sender
-      ~receiver_nodes:receivers ()
+    Tfmcc_core.Session.build (Netsim_env.backend topo ~session:1) ~session:1
+      ~sender ~receivers ()
   in
   Tfmcc_core.Session.start session ~at:0.;
   let snd = Tfmcc_core.Session.sender session in

@@ -53,8 +53,8 @@ let () =
     { Tfmcc_core.Config.default with max_rate = 3e6 /. 8. (* bytes/s *) }
   in
   let session =
-    Netsim_env.Session.create topo ~cfg ~session:1 ~sender_node:sender
-      ~receiver_nodes:(List.map snd viewers) ()
+    Tfmcc_core.Session.build (Netsim_env.backend topo ~session:1) ~cfg ~session:1
+      ~sender ~receivers:(List.map snd viewers) ()
   in
   (* Staggered joins; the wifi viewers leave midway through. *)
   let receivers =

@@ -1,4 +1,4 @@
-open Netsim_env
+open Tfmcc_core
 
 let run_one ~seed ~red ~t_end ~n_tcp =
   let sc = Scenario.base ~seed () in
@@ -28,8 +28,9 @@ let run_one ~seed ~red ~t_end ~n_tcp =
   let rx = mk_right () in
   Netsim.Monitor.watch_node_flow sc.Scenario.monitor rx ~flow:Scenario.tfmcc_flow;
   let session =
-    Session.create topo ~session:Scenario.tfmcc_flow ~sender_node:sender
-      ~receiver_nodes:[ rx ] ()
+    Session.build
+      (Netsim_env.backend topo ~session:Scenario.tfmcc_flow)
+      ~session:Scenario.tfmcc_flow ~sender ~receivers:[ rx ] ()
   in
   for i = 0 to n_tcp - 1 do
     let src = mk_left () and dst = mk_right () in

@@ -1,4 +1,4 @@
-open Netsim_env
+open Tfmcc_core
 
 type cross = No_cross | Cbr | On_off | Poisson
 
@@ -36,8 +36,9 @@ let run_one ~seed ~cross ~t_end =
       in
       Netsim.Traffic.start g ~at:0.);
   let session =
-    Session.create topo ~session:Scenario.tfmcc_flow ~sender_node:sender
-      ~receiver_nodes:[ rx ] ()
+    Session.build
+      (Netsim_env.backend topo ~session:Scenario.tfmcc_flow)
+      ~session:Scenario.tfmcc_flow ~sender ~receivers:[ rx ] ()
   in
   Session.start session ~at:0.;
   Scenario.run_until sc t_end;

@@ -1,5 +1,4 @@
 open Tfmcc_core
-open Netsim_env
 
 let run_one ~seed ~remodel ~t_end ~join_at =
   let cfg = { Config.default with remodel_on_first_rtt = remodel } in
@@ -13,12 +12,12 @@ let run_one ~seed ~remodel ~t_end ~join_at =
   ignore (Netsim.Topology.connect topo ~bandwidth_bps:8e6 ~delay_s:0.005 hub fast);
   let slow = Netsim.Topology.add_node topo in
   ignore (Netsim.Topology.connect topo ~bandwidth_bps:200e3 ~delay_s:0.005 hub slow);
+  let backend = Netsim_env.backend topo ~session:Scenario.tfmcc_flow in
   let session =
-    Session.create topo ~cfg ~session:Scenario.tfmcc_flow ~sender_node:sender
-      ~receiver_nodes:[ fast ] ()
+    Session.build backend ~cfg ~session:Scenario.tfmcc_flow ~sender ~receivers:[ fast ] ()
   in
   Session.start session ~at:0.;
-  let late = Session.add_receiver topo session ~node:slow ~join_now:false () in
+  let late = Session.add_receiver backend session slow ~join_now:false in
   ignore (Netsim.Engine.at eng ~time:join_at (fun () -> Receiver.join late));
   (* Integrate the rate excess above the 200 kbit/s tail capacity over
      the post-join window. *)

@@ -48,9 +48,10 @@ let series_stats sc ~t_end ~warmup =
 let run_tfmcc ~seed ~t_end =
   let b = build ~seed in
   let session =
-    Netsim_env.Session.create b.b_sc.Scenario.topo ~session:Scenario.tfmcc_flow
-      ~sender_node:b.b_sender
-      ~receiver_nodes:[ b.b_rx_clean; b.b_rx_lossy ]
+    Tfmcc_core.Session.build
+      (Netsim_env.backend b.b_sc.Scenario.topo ~session:Scenario.tfmcc_flow)
+      ~session:Scenario.tfmcc_flow ~sender:b.b_sender
+      ~receivers:[ b.b_rx_clean; b.b_rx_lossy ]
       ()
   in
   Tfmcc_core.Session.start session ~at:0.;

@@ -18,8 +18,8 @@ let run ~mode ~seed =
   (* TFMCC session (flow 1). *)
   let tf_sender = mk_left () and tf_rx = mk_right () in
   let session =
-    Netsim_env.Session.create topo ~session:1 ~sender_node:tf_sender
-      ~receiver_nodes:[ tf_rx ] ()
+    Tfmcc_core.Session.build (Netsim_env.backend topo ~session:1) ~session:1
+      ~sender:tf_sender ~receivers:[ tf_rx ] ()
   in
   Netsim.Monitor.watch_node_flow sc.Scenario.monitor tf_rx ~flow:1;
   (* PGMCC session (flow 2). *)

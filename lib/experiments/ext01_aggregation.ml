@@ -1,5 +1,4 @@
 open Tfmcc_core
-open Netsim_env
 
 (* Two-level tree: sender -- hub -- k branch nodes -- m receivers each.
    Receiver 0 of branch 0 has the worst loss and must end up CLR. *)
@@ -60,8 +59,9 @@ let run_plain ~seed ~k ~m ~t_end =
   let b = build ~seed ~k ~m in
   let receivers = Array.to_list b.rx_nodes |> List.concat_map Array.to_list in
   let session =
-    Session.create b.sc.Scenario.topo ~session:Scenario.tfmcc_flow
-      ~sender_node:b.sender ~receiver_nodes:receivers ()
+    Session.build
+      (Netsim_env.backend b.sc.Scenario.topo ~session:Scenario.tfmcc_flow)
+      ~session:Scenario.tfmcc_flow ~sender:b.sender ~receivers ()
   in
   Session.start session ~at:0.;
   measure b ~t_end (Session.sender session)
@@ -69,15 +69,20 @@ let run_plain ~seed ~k ~m ~t_end =
 let run_aggregated ~seed ~k ~m ~t_end =
   let b = build ~seed ~k ~m in
   let cfg = { Config.default with use_suppression = false } in
+  let be = Netsim_env.backend b.sc.Scenario.topo ~session:Scenario.tfmcc_flow in
   let sender_agent =
-    Sender.create b.sc.Scenario.topo ~cfg ~session:Scenario.tfmcc_flow
-      ~node:b.sender ()
+    Sender.create ~env:(be.env b.sender) ~cfg ~session:Scenario.tfmcc_flow ()
   in
+  be.on_report b.sender (Sender.deliver_report sender_agent);
   let aggs =
     Array.map
       (fun branch ->
-        Aggregator.create b.sc.Scenario.topo ~session:Scenario.tfmcc_flow
-          ~node:branch ~parent:b.sender)
+        let a =
+          Aggregator.create ~env:(be.env branch) ~session:Scenario.tfmcc_flow
+            ~parent:(Netsim.Node.id b.sender)
+        in
+        be.on_report branch (Aggregator.deliver_report a);
+        a)
       b.branches
   in
   let receivers =
@@ -86,10 +91,11 @@ let run_aggregated ~seed ~k ~m ~t_end =
         Array.map
           (fun rx ->
             let r =
-              Receiver.create b.sc.Scenario.topo ~cfg
-                ~session:Scenario.tfmcc_flow ~node:rx ~sender:b.sender
-                ~report_to:b.branches.(bi) ()
+              Receiver.create ~env:(be.env rx) ~cfg ~session:Scenario.tfmcc_flow
+                ~sender:(Netsim.Node.id b.sender)
+                ~report_to:(Netsim.Node.id b.branches.(bi)) ()
             in
+            be.on_data rx (Receiver.deliver_data r);
             Receiver.join r;
             r)
           row)

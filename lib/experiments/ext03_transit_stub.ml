@@ -1,4 +1,4 @@
-open Netsim_env
+open Tfmcc_core
 
 let run ~mode ~seed =
   let t_end = Scenario.scale mode ~quick:90. ~full:240. in
@@ -40,8 +40,10 @@ let run ~mode ~seed =
   in
   Netsim.Traffic.start cross ~at:0.;
   let session =
-    Session.create topo ~session:Scenario.tfmcc_flow ~sender_node
-      ~receiver_nodes:(Array.to_list receivers_nodes) ()
+    Session.build
+      (Netsim_env.backend topo ~session:Scenario.tfmcc_flow)
+      ~session:Scenario.tfmcc_flow ~sender:sender_node
+      ~receivers:(Array.to_list receivers_nodes) ()
   in
   Netsim.Monitor.watch_node_flow sc.Scenario.monitor worst ~flow:Scenario.tfmcc_flow;
   Session.start session ~at:0.;

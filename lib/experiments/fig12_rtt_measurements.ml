@@ -1,4 +1,4 @@
-open Netsim_env
+open Tfmcc_core
 
 let run ~mode ~seed =
   let n = Scenario.scale mode ~quick:200 ~full:1000 in
@@ -22,8 +22,9 @@ let run ~mode ~seed =
         rx)
   in
   let session =
-    Session.create topo ~session:Scenario.tfmcc_flow ~sender_node:sender
-      ~receiver_nodes:rx_nodes ()
+    Session.build
+      (Netsim_env.backend topo ~session:Scenario.tfmcc_flow)
+      ~session:Scenario.tfmcc_flow ~sender ~receivers:rx_nodes ()
   in
   let samples = ref [] in
   Scenario.sample_every sc ~dt:2. ~t_end (fun t ->

@@ -1,4 +1,4 @@
-open Netsim_env
+open Tfmcc_core
 
 let setup ~seed ~with_tail_tcp ~join_at ~leave_at =
   let d =
@@ -17,7 +17,9 @@ let setup ~seed ~with_tail_tcp ~join_at ~leave_at =
      must not be swept up by Session.start's join. *)
   Session.start d.Scenario.session ~at:0.;
   let late =
-    Session.add_receiver topo d.Scenario.session ~node:slow ~join_now:false ()
+    Session.add_receiver
+      (Netsim_env.backend topo ~session:Scenario.tfmcc_flow)
+      d.Scenario.session slow ~join_now:false
   in
   ignore (Netsim.Engine.at eng ~time:join_at (fun () -> Receiver.join late));
   ignore (Netsim.Engine.at eng ~time:leave_at (fun () -> Receiver.leave late ()));

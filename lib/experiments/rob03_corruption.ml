@@ -1,4 +1,4 @@
-open Netsim_env
+open Tfmcc_core
 
 (* Robustness: corrupted, duplicated and reordered packets on every
    receiver link, both directions.

@@ -1,5 +1,4 @@
 open Tfmcc_core
-open Netsim_env
 
 (* Shared harness of the Byzantine robustness suite (rob04–rob07).
 
@@ -75,10 +74,12 @@ let run_cell ~mode ~seed ?attack ~defense () =
           (Netsim.Topology.connect sc.Scenario.topo
              ~bandwidth_bps:(10. *. bottleneck_bps) ~delay_s:0.001
              d.Scenario.right_router node);
+        let b = Netsim_env.backend sc.Scenario.topo ~session:Scenario.tfmcc_flow in
         let adv =
-          Adversary.create sc.Scenario.topo ~cfg ~session:Scenario.tfmcc_flow
-            ~node ~sender:d.Scenario.sender_node ~strategy:(strategy a) ()
+          Adversary.create ~env:(b.env node) ~cfg ~session:Scenario.tfmcc_flow
+            ~sender:(Netsim.Node.id d.Scenario.sender_node) ~strategy:(strategy a) ()
         in
+        b.on_data node (fun ~size:_ data -> Adversary.deliver_data adv data);
         Adversary.start adv ~at:attack_start;
         Some adv
   in

@@ -107,8 +107,9 @@ let dumbbell ?seed ?obs ?(cfg = Tfmcc_core.Config.default) ~bottleneck_bps
   let tfmcc_sender = mk_left () in
   let rx_nodes = List.init n_tfmcc_rx (fun _ -> mk_right ()) in
   let session =
-    Netsim_env.Session.create sc.topo ~cfg ~session:tfmcc_flow
-      ~sender_node:tfmcc_sender ~receiver_nodes:rx_nodes ()
+    Tfmcc_core.Session.build
+      (Netsim_env.backend sc.topo ~session:tfmcc_flow)
+      ~cfg ~session:tfmcc_flow ~sender:tfmcc_sender ~receivers:rx_nodes ()
   in
   List.iter (fun n -> Netsim.Monitor.watch_node_flow sc.monitor n ~flow:tfmcc_flow)
     rx_nodes;
@@ -182,8 +183,9 @@ let star ?seed ?obs ?(cfg = Tfmcc_core.Config.default) ?uplink_bps ~link_bps
   done;
   let rx_links = Array.map Option.get rx_links in
   let session =
-    Netsim_env.Session.create sc.topo ~cfg ~session:tfmcc_flow ~sender_node:sender
-      ~receiver_nodes:(Array.to_list rx_nodes) ()
+    Tfmcc_core.Session.build
+      (Netsim_env.backend sc.topo ~session:tfmcc_flow)
+      ~cfg ~session:tfmcc_flow ~sender ~receivers:(Array.to_list rx_nodes) ()
   in
   Array.iter
     (fun nd -> Netsim.Monitor.watch_node_flow sc.monitor nd ~flow:tfmcc_flow)

@@ -41,110 +41,25 @@ let env topo ~session node =
     obs = Netsim.Engine.obs eng;
   }
 
-(* Passes every local TFMCC payload, with its on-the-wire packet size,
-   to [f]; other payloads are ignored. *)
-let attach node f =
-  Netsim.Node.attach node (fun p ->
-      match msg_of_payload p.Netsim.Packet.payload with
-      | Some msg -> f ~size:p.Netsim.Packet.size msg
-      | None -> ())
-
-(* Per-packet attaches for the sender/receiver hot paths: dispatch on the
-   payload constructor directly, so a delivery re-boxes neither an option
-   nor a [Wire.msg]. *)
-let attach_receiver node r =
-  Netsim.Node.attach node (fun p ->
-      match p.Netsim.Packet.payload with
-      | Data d -> Tfmcc_core.Receiver.deliver_data r ~size:p.Netsim.Packet.size d
-      | _ -> ())
-
-let attach_sender node s =
-  Netsim.Node.attach node (fun p ->
-      match p.Netsim.Packet.payload with
-      | Report r -> Tfmcc_core.Sender.deliver_report s r
-      | _ -> ())
+(* Node handlers dispatch on the payload constructor directly, so a
+   delivery re-boxes neither an option nor a [Wire.msg]. *)
+let backend topo ~session =
+  {
+    Session.env = env topo ~session;
+    on_data =
+      (fun node f ->
+        Netsim.Node.attach node (fun p ->
+            match p.Netsim.Packet.payload with
+            | Data d -> f ~size:p.Netsim.Packet.size d
+            | _ -> ()));
+    on_report =
+      (fun node f ->
+        Netsim.Node.attach node (fun p ->
+            match p.Netsim.Packet.payload with Report r -> f r | _ -> ()));
+  }
 
 let corrupt_packet rng (pkt : Netsim.Packet.t) =
   match msg_of_payload pkt.Netsim.Packet.payload with
   | Some msg ->
       Netsim.Packet.with_payload pkt (payload_of_msg (Wire.corrupt_msg rng msg))
   | None -> pkt
-
-module Sender = struct
-  include Tfmcc_core.Sender
-
-  let create topo ~cfg ~session ~node ?initial_rate () =
-    let t =
-      Tfmcc_core.Sender.create ~env:(env topo ~session node) ~cfg ~session
-        ?initial_rate ()
-    in
-    attach_sender node t;
-    t
-end
-
-module Receiver = struct
-  include Tfmcc_core.Receiver
-
-  let create topo ~cfg ~session ~node ~sender ?report_to ?ntp_error () =
-    let t =
-      Tfmcc_core.Receiver.create ~env:(env topo ~session node) ~cfg ~session
-        ~sender:(Netsim.Node.id sender)
-        ?report_to:(Option.map Netsim.Node.id report_to)
-        ?ntp_error ()
-    in
-    attach_receiver node t;
-    t
-end
-
-module Session = struct
-  include Tfmcc_core.Session
-
-  let create topo ?cfg ~session ~sender_node ~receiver_nodes ?clock_offsets ()
-      =
-    let t =
-      Tfmcc_core.Session.create
-        ~sender_env:(env topo ~session sender_node)
-        ?cfg ~session
-        ~receiver_envs:(List.map (env topo ~session) receiver_nodes)
-        ?clock_offsets ()
-    in
-    attach_sender sender_node (sender t);
-    (* [Tfmcc_core.Session.create] builds receivers in node-list order. *)
-    List.iter2
-      (fun node r -> attach_receiver node r)
-      receiver_nodes (receivers t);
-    t
-
-  let add_receiver topo t ~node ~join_now () =
-    let r =
-      Tfmcc_core.Session.add_receiver t
-        ~env:(env topo ~session:(session_id t) node)
-        ~join_now ()
-    in
-    attach_receiver node r;
-    r
-end
-
-module Adversary = struct
-  include Tfmcc_core.Adversary
-
-  let create topo ~cfg ~session ~node ~sender ~strategy () =
-    let t =
-      Tfmcc_core.Adversary.create ~env:(env topo ~session node) ~cfg ~session
-        ~sender:(Netsim.Node.id sender) ~strategy ()
-    in
-    attach node (fun ~size:_ msg -> deliver t msg);
-    t
-end
-
-module Aggregator = struct
-  include Tfmcc_core.Aggregator
-
-  let create topo ~session ~node ~parent =
-    let t =
-      Tfmcc_core.Aggregator.create ~env:(env topo ~session node) ~session
-        ~parent:(Netsim.Node.id parent)
-    in
-    attach node (fun ~size:_ msg -> deliver t msg);
-    t
-end

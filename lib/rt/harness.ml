@@ -233,30 +233,35 @@ let run ?obs c =
       after_unit = (fun ~delay fn -> env.Env.after_unit ~delay (guard sup ~gen fn));
       at = (fun ~time fn -> env.Env.at ~time (guard sup ~gen fn));
     }
+  (* One incarnation's backend: [Net.backend] with every timer and both
+     hooks under [guard]'s rule.  The sender's env is kept: kill faults
+     inject through it. *)
+  and guarded sup ~gen ~sender =
+    {
+      Session.env =
+        (fun ep ->
+          let env = guard_env sup ~gen (Net.env ep) in
+          if ep == sender then sup.guarded_env <- Some env;
+          env);
+      on_data =
+        (fun ep f ->
+          Net.backend.on_data ep (fun ~size d ->
+              if sup.gen = gen then
+                try f ~size d with e -> on_crash sup e (Printexc.get_raw_backtrace ())));
+      on_report =
+        (fun ep f ->
+          Net.backend.on_report ep (fun r ->
+              if sup.gen = gen then
+                try f r with e -> on_crash sup e (Printexc.get_raw_backtrace ())));
+    }
   and build_session sup ~start_at =
-    let gen = sup.gen in
-    let sender_ep = Net.endpoint net ~session:sup.sid in
-    let rx = List.init c.receivers (fun _ -> Net.endpoint net ~session:sup.sid) in
-    let genv = guard_env sup ~gen (Net.env sender_ep) in
+    let sender = Net.endpoint net ~session:sup.sid in
+    let receivers = List.init c.receivers (fun _ -> Net.endpoint net ~session:sup.sid) in
     let s =
-      Session.create ~sender_env:genv ~cfg:c.cfg ~session:sup.sid
-        ~receiver_envs:(List.map (fun ep -> guard_env sup ~gen (Net.env ep)) rx)
-        ()
+      Session.build (guarded sup ~gen:sup.gen ~sender) ~cfg:c.cfg ~session:sup.sid ~sender
+        ~receivers ()
     in
-    let snd = Session.sender s in
-    Net.set_deliver sender_ep (fun ~size:_ msg ->
-        if sup.gen = gen then
-          try Sender.deliver snd msg
-          with e -> on_crash sup e (Printexc.get_raw_backtrace ()));
-    List.iter2
-      (fun ep r ->
-        Net.set_deliver ep (fun ~size msg ->
-            if sup.gen = gen then
-              try Receiver.deliver r ~size msg
-              with e -> on_crash sup e (Printexc.get_raw_backtrace ())))
-      rx (Session.receivers s);
     sup.sess <- Some s;
-    sup.guarded_env <- Some genv;
     Session.start s ~at:start_at
   and teardown sup =
     (* Advance the generation first: everything the dead incarnation

@@ -599,6 +599,19 @@ let env ep =
     obs = Loop.obs ep.net.loop;
   }
 
+let backend =
+  {
+    Session.env;
+    on_data =
+      (fun ep f ->
+        set_deliver ep (fun ~size msg ->
+            match msg with Wire.Data d -> f ~size d | Wire.Report _ -> ()));
+    on_report =
+      (fun ep f ->
+        set_deliver ep (fun ~size:_ msg ->
+            match msg with Wire.Report r -> f r | Wire.Data _ -> ()));
+  }
+
 let close t =
   Hashtbl.iter
     (fun _ ep ->

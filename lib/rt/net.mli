@@ -113,13 +113,19 @@ val env : endpoint -> Tfmcc_core.Env.t
     simulator's engine. *)
 
 val set_deliver : endpoint -> (size:int -> Tfmcc_core.Wire.msg -> unit) -> unit
-(** Installs the inbound hook ([Sender.deliver] / [Receiver.deliver]).
+(** Installs the inbound hook, replacing any earlier one.
     [size] is the datagram size in bytes: the [size] the sender passed,
     raised to the codec length when smaller (data frames keep the
     configured packet size, mirroring the simulated packet; reports
     arrive at their codec length).  The fabric carries only the decoded
     message and this size beside it, not a zero-padded datagram; a
     socket sends the zero-padded datagram. *)
+
+val backend : endpoint Tfmcc_core.Session.backend
+(** Endpoints of this transport: [env] is {!env}, and [on_data] /
+    [on_report] install a deliver hook ({!set_deliver}) that passes the
+    endpoint's data frames (with their size) or reports to the hook and
+    ignores the other kind. *)
 
 val endpoint_id : endpoint -> int
 

@@ -124,11 +124,9 @@ let on_data t ~ts ~rate ~round ~max_rtt =
           send_report t
         end
 
-let deliver t msg =
-  match msg with
-  | Wire.Data d when d.Wire.session = t.session ->
-      on_data t ~ts:d.ts ~rate:d.rate ~round:d.round ~max_rtt:d.max_rtt
-  | Wire.Data _ | Wire.Report _ -> ()
+let deliver_data t (d : Wire.data) =
+  if d.session = t.session then
+    on_data t ~ts:d.ts ~rate:d.rate ~round:d.round ~max_rtt:d.max_rtt
 
 let create ~env ~cfg ~session ~sender ~strategy () =
   let t =

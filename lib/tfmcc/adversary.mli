@@ -31,13 +31,13 @@ type t
 val create :
   env:Env.t -> cfg:Config.t -> session:int -> sender:int -> strategy:strategy -> unit -> t
 (** Joins the session's multicast group immediately ([env.join]);
-    snooped data packets arrive via {!deliver}.  Forged reports start
+    snooped data packets arrive via {!deliver_data}.  Forged reports start
     flowing after {!start}.  Does not consume an RNG stream. *)
 
-val deliver : t -> Wire.msg -> unit
-(** Snoops one inbound message: data-packet headers of this session
-    update the forged-report state (and trigger a report per strategy
-    once started); everything else is ignored. *)
+val deliver_data : t -> Wire.data -> unit
+(** Snoops one inbound data packet: headers of this session update the
+    forged-report state (and trigger a report per strategy once
+    started); other sessions' data is ignored. *)
 
 val start : t -> at:float -> unit
 

@@ -105,26 +105,24 @@ let on_report t (r : report) ~leaving =
     | None -> forward t r ~leaving:false
   end
 
-let deliver t msg =
-  match msg with
-  | Wire.Report r when r.Wire.session = t.session ->
-      on_report t
-        {
-          r_rx_id = r.rx_id;
-          r_ts = r.ts;
-          r_echo_ts = r.echo_ts;
-          r_echo_delay = r.echo_delay;
-          r_rate = r.rate;
-          r_have_rtt = r.have_rtt;
-          r_rtt = r.rtt;
-          r_p = r.p;
-          r_x_recv = r.x_recv;
-          r_round = r.round;
-          r_has_loss = r.has_loss;
-          r_arrival = t.env.Env.clock.Event_heap.cell_time;
-        }
-        ~leaving:r.leaving
-  | Wire.Report _ | Wire.Data _ -> ()
+let deliver_report t (r : Wire.report) =
+  if r.session = t.session then
+    on_report t
+      {
+        r_rx_id = r.rx_id;
+        r_ts = r.ts;
+        r_echo_ts = r.echo_ts;
+        r_echo_delay = r.echo_delay;
+        r_rate = r.rate;
+        r_have_rtt = r.have_rtt;
+        r_rtt = r.rtt;
+        r_p = r.p;
+        r_x_recv = r.x_recv;
+        r_round = r.round;
+        r_has_loss = r.has_loss;
+        r_arrival = t.env.Env.clock.Event_heap.cell_time;
+      }
+      ~leaving:r.leaving
 
 let create ~env ~session ~parent =
   {

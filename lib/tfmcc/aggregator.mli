@@ -18,14 +18,14 @@ type t
 
 val create : env:Env.t -> session:int -> parent:int -> t
 (** [parent] is the node id reports are forwarded to (another
-    aggregator or the sender).  Subtree reports arrive via {!deliver}.
+    aggregator or the sender).  Subtree reports arrive via {!deliver_report}.
     The aggregation interval is 0.2 s: the best report collected during
     it is forwarded when it expires, well below the feedback round
     duration.  Does not consume an RNG stream. *)
 
-val deliver : t -> Wire.msg -> unit
-(** Feeds one inbound message: reports of this session enter the
-    aggregation window; everything else is ignored. *)
+val deliver_report : t -> Wire.report -> unit
+(** Feeds one inbound report: reports of this session enter the
+    aggregation window; others are ignored. *)
 
 val reports_in : t -> int
 (** Reports received from the subtree. *)

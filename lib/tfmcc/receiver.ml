@@ -410,8 +410,6 @@ let create ~env ~cfg ~session ~sender ?report_to ?(clock_offset = 0.)
   in
   Lazy.force t
 
-(* Direct entry for hosts that already hold the unwrapped record: skips
-   re-boxing the message on the per-packet path. *)
 let deliver_data t ~size (d : Wire.data) =
   if d.Wire.session = t.session then begin
     if
@@ -425,11 +423,6 @@ let deliver_data t ~size (d : Wire.data) =
         (Obs.Journal.Malformed_drop { what = "data-fields" })
     end
   end
-
-let deliver t ~size msg =
-  match msg with
-  | Wire.Data d -> deliver_data t ~size d
-  | Wire.Report _ -> ()
 
 let join t =
   if t.left then invalid_arg "Receiver.join: receiver has left the session";

@@ -9,7 +9,7 @@
     first loss.
 
     Runtime-agnostic like the sender: all IO goes through the {!Env.t},
-    inbound data packets arrive via {!deliver} from the hosting
+    inbound data packets arrive via {!deliver_data} from the hosting
     environment. *)
 
 type t
@@ -36,19 +36,14 @@ val create :
     [clock_offset] within [ntp_error] for the model to be meaningful).
     Report packets carry the accounting tag -1.  Calls [env.split_rng] exactly once. *)
 
-val deliver : t -> size:int -> Wire.msg -> unit
-(** Feeds one inbound message to the receiver.  [size] is the on-the-
-    wire datagram size in bytes (feeds the receive-rate meter).  Data
-    packets of this session are validated and processed; everything
-    else is ignored.  Once joined, data of this session rejected before
-    touching any receiver state (non-finite timestamps or rates,
+val deliver_data : t -> size:int -> Wire.data -> unit
+(** Feeds one inbound data packet to the receiver.  [size] is the
+    on-the-wire datagram size in bytes (feeds the receive-rate meter).
+    Data of this session is validated and processed; data of another
+    session is ignored.  Once joined, data of this session rejected
+    before touching any receiver state (non-finite timestamps or rates,
     negative sequence numbers or round durations, corrupted echo
     fields) counts under [tfmcc_receiver_malformed_drops_total]. *)
-
-val deliver_data : t -> size:int -> Wire.data -> unit
-(** {!deliver} for an already-unwrapped data record — the per-packet
-    entry for hosts that dispatch on their own payload representation,
-    avoiding a [Wire.msg] box per packet. *)
 
 val join : t -> unit
 (** Joins the multicast group (idempotent). *)

@@ -664,8 +664,6 @@ let create ~env ~cfg ~session ?initial_rate () =
     m_rate = Obs.Metrics.gauge metrics ~labels "tfmcc_sender_rate_bytes_per_s";
   }
 
-(* Direct entry for hosts that already hold the unwrapped record (see
-   [Receiver.deliver_data]). *)
 let deliver_report t (r : Wire.report) =
   if r.Wire.session = t.session then begin
       if t.running then begin
@@ -741,11 +739,6 @@ let deliver_report t (r : Wire.report) =
     jnl t ~severity:Obs.Journal.Warn
       (Obs.Journal.Malformed_drop { what = "unknown-session" })
   end
-
-let deliver t msg =
-  match msg with
-  | Wire.Report r -> deliver_report t r
-  | Wire.Data _ -> ()
 
 let start t ~at =
   t.running <- true;

@@ -21,7 +21,7 @@
 
     The sender is runtime-agnostic: it talks to the world only through
     its {!Env.t} (clock, timers, datagram send, observability) and
-    receives inbound reports via {!deliver} from whichever environment
+    receives inbound reports via {!deliver_report} from whichever environment
     hosts it — the simulator adapter ([Netsim_env]) or the real-time
     loopback/UDP runtime ([Rt]). *)
 
@@ -33,16 +33,11 @@ val create :
     their accounting flow tag.  [initial_rate] defaults to one packet per
     initial RTT.  Calls [env.split_rng] exactly once. *)
 
-val deliver : t -> Wire.msg -> unit
-(** Feeds one inbound message to the sender.  Reports for this session
+val deliver_report : t -> Wire.report -> unit
+(** Feeds one inbound report to the sender.  Reports for this session
     are validated (field sanity, round staleness, defense screen) and
     then drive rate control; reports for a foreign session count as
-    malformed; data messages are ignored.  No-op while stopped. *)
-
-val deliver_report : t -> Wire.report -> unit
-(** {!deliver} for an already-unwrapped report record — avoids boxing a
-    [Wire.msg] per report for hosts with their own payload
-    representation. *)
+    malformed.  No-op while stopped. *)
 
 val start : t -> at:float -> unit
 

@@ -212,14 +212,9 @@ let test_clr_partition_mid_slowstart_rt () =
   let tx = Net.endpoint net ~session:1 in
   let rx = Net.endpoint net ~session:1 in
   let s =
-    Tfmcc_core.Session.create ~sender_env:(Net.env tx) ~cfg ~session:1
-      ~receiver_envs:[ Net.env rx ] ()
+    Tfmcc_core.Session.build Net.backend ~cfg ~session:1 ~sender:tx ~receivers:[ rx ] ()
   in
   let snd = Tfmcc_core.Session.sender s in
-  Net.set_deliver tx (fun ~size:_ msg -> Tfmcc_core.Sender.deliver snd msg);
-  (match Tfmcc_core.Session.receivers s with
-  | [ r ] -> Net.set_deliver rx (fun ~size msg -> Tfmcc_core.Receiver.deliver r ~size msg)
-  | _ -> assert false);
   Tfmcc_core.Session.start s ~at:0.;
   let t_cut = 2.5 and t_heal = 12.0 in
   let pre_slowstart = ref false and pre_clr = ref None and pre_rate = ref 0. in

@@ -28,6 +28,25 @@ let make_rig () =
 let run_for rig dt =
   Netsim.Engine.run ~until:(Netsim.Engine.now rig.engine +. dt) rig.engine
 
+(* The sender, or a receiver on [node], hooked as [Session.build] hooks
+   them. *)
+let sender_at rig ?initial_rate () =
+  let b = Netsim_env.backend rig.topo ~session:1 in
+  let s =
+    Tfmcc_core.Sender.create ~env:(b.env rig.sender_node) ~cfg ~session:1 ?initial_rate ()
+  in
+  b.on_report rig.sender_node (Tfmcc_core.Sender.deliver_report s);
+  s
+
+let receiver_at rig ?ntp_error node =
+  let b = Netsim_env.backend rig.topo ~session:1 in
+  let r =
+    Tfmcc_core.Receiver.create ~env:(b.env node) ~cfg ~session:1
+      ~sender:(Netsim.Node.id rig.sender_node) ?ntp_error ()
+  in
+  b.on_data node (Tfmcc_core.Receiver.deliver_data r);
+  r
+
 let forge_report rig ~rx_id ?(rate = 50_000.) ?(have_rtt = true) ?(rtt = 0.05)
     ?(x_recv = 50_000.) ?(round = 0) ?(has_loss = true) () =
   let now = Netsim.Engine.now rig.engine in
@@ -96,10 +115,7 @@ let test_echo_priority_no_rtt_first () =
   let rig = make_rig () in
   Netsim.Topology.join rig.topo ~group:1 rig.rx1;
   let echoes = watch_echoes rig in
-  let snd =
-    Netsim_env.Sender.create rig.topo ~cfg ~session:1 ~node:rig.sender_node
-      ~initial_rate:20_000. ()
-  in
+  let snd = sender_at rig ~initial_rate:20_000. () in
   Tfmcc_core.Sender.start snd ~at:0.;
   run_for rig 0.2;
   (* rx1 becomes CLR (lowest rate). *)
@@ -132,10 +148,7 @@ let test_echo_priority_no_rtt_first () =
    ramp beyond ~2 x 10 kB/s. *)
 let test_slowstart_cap_two_times_min () =
   let rig = make_rig () in
-  let snd =
-    Netsim_env.Sender.create rig.topo ~cfg ~session:1 ~node:rig.sender_node
-      ~initial_rate:5_000. ()
-  in
+  let snd = sender_at rig ~initial_rate:5_000. () in
   Tfmcc_core.Sender.start snd ~at:0.;
   run_for rig 0.1;
   for round = 0 to 30 do
@@ -156,9 +169,7 @@ let test_slowstart_cap_two_times_min () =
    restarts. *)
 let test_slowstart_terminates_once () =
   let rig = make_rig () in
-  let snd =
-    Netsim_env.Sender.create rig.topo ~cfg ~session:1 ~node:rig.sender_node ()
-  in
+  let snd = sender_at rig () in
   Tfmcc_core.Sender.start snd ~at:0.;
   run_for rig 0.1;
   forge_report rig ~rx_id:(Netsim.Node.id rig.rx1) ~has_loss:true ~rate:30_000. ();
@@ -174,10 +185,7 @@ let test_slowstart_terminates_once () =
    r/2 (using its current — initial — RTT). *)
 let test_appendix_b_initialization () =
   let rig = make_rig () in
-  let rx =
-    Netsim_env.Receiver.create rig.topo ~cfg ~session:1 ~node:rig.rx1
-      ~sender:rig.sender_node ()
-  in
+  let rx = receiver_at rig rig.rx1 in
   Tfmcc_core.Receiver.join rx;
   Netsim.Topology.join rig.topo ~group:1 rig.rx1;
   (* Steady 50 packets/s = 50 kB/s for 2 s, then a gap. *)
@@ -230,10 +238,7 @@ let test_appendix_b_initialization () =
    stop its periodic reports. *)
 let test_clr_exempt_from_suppression () =
   let rig = make_rig () in
-  let rx =
-    Netsim_env.Receiver.create rig.topo ~cfg ~session:1 ~node:rig.rx1
-      ~sender:rig.sender_node ()
-  in
+  let rx = receiver_at rig rig.rx1 in
   Tfmcc_core.Receiver.join rx;
   let forge ~fb =
     let now = Netsim.Engine.now rig.engine in
@@ -299,10 +304,7 @@ let test_ntp_initialization_unit () =
 
 let test_ntp_initialization_receiver () =
   let rig = make_rig () in
-  let rx =
-    Netsim_env.Receiver.create rig.topo ~cfg ~session:1 ~node:rig.rx1
-      ~sender:rig.sender_node ~ntp_error:0.03 ()
-  in
+  let rx = receiver_at rig ~ntp_error:0.03 rig.rx1 in
   Tfmcc_core.Receiver.join rx;
   let now = Netsim.Engine.now rig.engine in
   (* A data packet stamped 25 ms ago: oneway 25 ms, eps 30 ms ->
@@ -343,9 +345,7 @@ let test_clr_timeout_constant () =
    value (and so are the first feedback rounds: T = 6 x 0.5 = 3 s). *)
 let test_initial_round_duration () =
   let rig = make_rig () in
-  let snd =
-    Netsim_env.Sender.create rig.topo ~cfg ~session:1 ~node:rig.sender_node ()
-  in
+  let snd = sender_at rig () in
   Tfmcc_core.Sender.start snd ~at:0.;
   run_for rig 0.05;
   Alcotest.(check (float 1e-9)) "R_max = initial" 0.5 (Tfmcc_core.Sender.max_rtt snd);

@@ -171,6 +171,16 @@ let make_rig () =
     (Netsim.Topology.connect r_topo ~bandwidth_bps:1e7 ~delay_s:0.01 sender_node rx2_node);
   { r_engine; r_topo; sender_node; rx_node; rx2_node }
 
+(* A receiver on [rx_node], hooked as [Session.build] hooks it. *)
+let rx_receiver rig =
+  let b = Netsim_env.backend rig.r_topo ~session:1 in
+  let r =
+    Tfmcc_core.Receiver.create ~env:(b.env rig.rx_node) ~cfg ~session:1
+      ~sender:(Netsim.Node.id rig.sender_node) ()
+  in
+  b.on_data rig.rx_node (Tfmcc_core.Receiver.deliver_data r);
+  r
+
 (* Malformed frames dropped at validation, from the registry counter
    [tfmcc_<who>_malformed_drops_total]. *)
 let malformed rig who =
@@ -210,10 +220,11 @@ let deliver_report rig payload =
        ~created:now payload)
 
 let started_sender ?(cfg = cfg) ?initial_rate rig =
+  let b = Netsim_env.backend rig.r_topo ~session:1 in
   let snd =
-    Netsim_env.Sender.create rig.r_topo ~cfg ~session:1 ~node:rig.sender_node
-      ?initial_rate ()
+    Tfmcc_core.Sender.create ~env:(b.env rig.sender_node) ~cfg ~session:1 ?initial_rate ()
   in
+  b.on_report rig.sender_node (Tfmcc_core.Sender.deliver_report snd);
   Tfmcc_core.Sender.start snd ~at:0.;
   run_for rig 0.1;
   snd
@@ -314,10 +325,7 @@ let test_sender_fuzz_corrupted_reports () =
 
 let test_receiver_rejects_bad_data () =
   let rig = make_rig () in
-  let r =
-    Netsim_env.Receiver.create rig.r_topo ~cfg ~session:1 ~node:rig.rx_node
-      ~sender:rig.sender_node ()
-  in
+  let r = rx_receiver rig in
   Tfmcc_core.Receiver.join r;
   let deliver_data ?(rate = 50_000.) ?(round_duration = 1.) ?(ts = nan)
       ?(max_rtt = 0.5) ?(seq = 0) () =
@@ -360,10 +368,7 @@ let test_receiver_rejects_bad_data () =
 
 let test_receiver_fuzz_corrupted_data () =
   let rig = make_rig () in
-  let r =
-    Netsim_env.Receiver.create rig.r_topo ~cfg ~session:1 ~node:rig.rx_node
-      ~sender:rig.sender_node ()
-  in
+  let r = rx_receiver rig in
   Tfmcc_core.Receiver.join r;
   let rng = Stats.Rng.create 99 in
   for seq = 0 to 299 do
@@ -488,10 +493,7 @@ let test_graceful_leave_failover () =
 let test_receiver_volunteers_on_lost_clr () =
   let volunteer ~clr =
     let rig = make_rig () in
-    let r =
-      Netsim_env.Receiver.create rig.r_topo ~cfg ~session:1 ~node:rig.rx_node
-        ~sender:rig.sender_node ()
-    in
+    let r = rx_receiver rig in
     Tfmcc_core.Receiver.join r;
     let data ~seq ~round =
       let now = Netsim.Engine.now rig.r_engine in

@@ -262,8 +262,8 @@ let test_clock_skew_harmless () =
   let rx = Netsim.Topology.add_node topo in
   ignore (Netsim.Topology.connect topo ~bandwidth_bps:1e6 ~delay_s:0.02 sender rx);
   let session =
-    Netsim_env.Session.create topo ~session:1 ~sender_node:sender
-      ~receiver_nodes:[ rx ] ~clock_offsets:[ 3600. ] ()
+    Tfmcc_core.Session.build (Netsim_env.backend topo ~session:1) ~session:1
+      ~sender ~receivers:[ rx ] ~clock_offsets:[ 3600. ] ()
   in
   Tfmcc_core.Session.start session ~at:0.;
   Netsim.Engine.run ~until:30. e;

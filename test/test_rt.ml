@@ -945,14 +945,8 @@ let test_loopback_minor_words_budget () =
   let s_ep = Net.endpoint net ~session:1 in
   let rx_eps = List.init 4 (fun _ -> Net.endpoint net ~session:1) in
   let s =
-    Tfmcc_core.Session.create ~sender_env:(Net.env s_ep) ~cfg ~session:1
-      ~receiver_envs:(List.map Net.env rx_eps) ()
+    Tfmcc_core.Session.build Net.backend ~cfg ~session:1 ~sender:s_ep ~receivers:rx_eps ()
   in
-  let snd = Tfmcc_core.Session.sender s in
-  Net.set_deliver s_ep (fun ~size:_ msg -> Tfmcc_core.Sender.deliver snd msg);
-  List.iter2
-    (fun ep r -> Net.set_deliver ep (fun ~size msg -> Tfmcc_core.Receiver.deliver r ~size msg))
-    rx_eps (Tfmcc_core.Session.receivers s);
   Tfmcc_core.Session.start s ~at:0.;
   Loop.run ~until:31. loop;
   let w0 = Gc.minor_words () in
@@ -963,6 +957,76 @@ let test_loopback_minor_words_budget () =
   let budget = 19_345. in
   if w > budget then
     Alcotest.failf "%.2f minor words per loop-second (budget %.0f)" w budget
+
+(* ------------------------------------------------------------------ *)
+(* One aggregation tree on either backend                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A sender, an aggregator (§6.1) and two receivers that report to it,
+   wired through [b] alone: each role gets [b.env] and one typed hook.
+   The sender stops at 10 s; at 15 s nothing is in flight.  Every
+   receiver report must reach the aggregator, so none reaches the
+   sender directly, and the sender must hear the aggregated stream,
+   which is thinner than what the aggregator took in. *)
+let check_aggregation (b : _ Tfmcc_core.Session.backend) ~id ~sender ~agg ~receivers
+    ~run_until =
+  let open Tfmcc_core in
+  let cfg = { Config.default with use_suppression = false } in
+  let snd = Sender.create ~env:(b.env sender) ~cfg ~session:1 () in
+  let heard = ref 0 in
+  b.on_report sender (fun r ->
+      incr heard;
+      Sender.deliver_report snd r);
+  let a = Aggregator.create ~env:(b.env agg) ~session:1 ~parent:(id sender) in
+  b.on_report agg (Aggregator.deliver_report a);
+  let rxs =
+    List.map
+      (fun ep ->
+        let r =
+          Receiver.create ~env:(b.env ep) ~cfg ~session:1 ~sender:(id sender)
+            ~report_to:(id agg) ()
+        in
+        b.on_data ep (Receiver.deliver_data r);
+        Receiver.join r;
+        r)
+      receivers
+  in
+  Sender.start snd ~at:0.;
+  run_until 10.;
+  Sender.stop snd;
+  run_until 15.;
+  let sent = List.fold_left (fun n r -> n + Receiver.reports_sent r) 0 rxs in
+  Alcotest.(check bool) "receivers reported" true (sent > 0);
+  Alcotest.(check int) "every receiver report reached the aggregator" sent
+    (Aggregator.reports_in a);
+  Alcotest.(check bool) "the sender took in aggregated reports" true
+    (Sender.reports_received snd > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "aggregation thinned %d reports to %d" sent !heard)
+    true (!heard < sent)
+
+let test_aggregator_sim () =
+  let engine = Netsim.Engine.create ~seed:41 () in
+  let topo = Netsim.Topology.create engine in
+  let node () = Netsim.Topology.add_node topo in
+  let sender = node () and agg = node () in
+  let receivers = [ node (); node () ] in
+  ignore (Netsim.Topology.connect topo ~bandwidth_bps:1e7 ~delay_s:0.01 sender agg);
+  List.iter
+    (fun rx -> ignore (Netsim.Topology.connect topo ~bandwidth_bps:1e7 ~delay_s:0.01 agg rx))
+    receivers;
+  check_aggregation (Netsim_env.backend topo ~session:1) ~id:Netsim.Node.id ~sender ~agg
+    ~receivers ~run_until:(fun t -> Netsim.Engine.run ~until:t engine)
+
+let test_aggregator_rt () =
+  let loop = Loop.create ~seed:41 () in
+  (* The simulator's path delay: two 10 ms hops. *)
+  let net = Net.create loop ~impair:(Net.impairment ~delay:0.02 ()) () in
+  let ep () = Net.endpoint net ~session:1 in
+  let sender = ep () and agg = ep () in
+  let receivers = [ ep (); ep () ] in
+  check_aggregation Net.backend ~id:Net.endpoint_id ~sender ~agg ~receivers
+    ~run_until:(fun t -> Loop.run ~until:t loop)
 
 (* ------------------------------------------------------------------ *)
 (* Realtime mode                                                       *)
@@ -1202,6 +1266,11 @@ let () =
           Alcotest.test_case "FIFO horizon across a delay cut" `Quick test_net_fifo_horizon;
           Alcotest.test_case "words per delivered frame" `Quick test_loopback_frame_words;
           Alcotest.test_case "decode errors per copy" `Quick test_loopback_decode_errors;
+        ] );
+      ( "backends",
+        [
+          Alcotest.test_case "aggregator on the simulator" `Quick test_aggregator_sim;
+          Alcotest.test_case "aggregator on the loopback fabric" `Quick test_aggregator_rt;
         ] );
       ( "realtime",
         [

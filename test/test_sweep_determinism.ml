@@ -1,7 +1,10 @@
 (* Determinism of the parallel sweep: for a fixed seed the fan-out over
    domains must be invisible in the output.  Serial (jobs=1) and parallel
    (jobs=4) full-registry sweeps, repeated parallel runs, and multi-seed
-   aggregates must all produce byte-identical CSV for every series. *)
+   aggregates must all produce byte-identical CSV for every series.  The
+   full registry's parallel pass runs under the strict invariant checker
+   (DESIGN.md §11): a violation is a failed cell, and the checker must
+   not move the output. *)
 
 let csv_of_result (r : Experiments.Sweep.result) =
   let buf = Buffer.create 4096 in
@@ -21,11 +24,13 @@ let csv_of_result (r : Experiments.Sweep.result) =
         series);
   Buffer.contents buf
 
-let run ?experiments ~jobs ?seeds () =
+let run ?experiments ?strict ~jobs ?seeds () =
   let report =
-    Experiments.Sweep.run ?experiments ~jobs ~mode:Experiments.Scenario.Quick
+    Experiments.Sweep.run ?experiments ?strict ~jobs ~mode:Experiments.Scenario.Quick
       ~seed:42 ?seeds ()
   in
+  (* A strict violation's journal window, or any other failure's cause. *)
+  prerr_string (Experiments.Sweep.render_failures report);
   Alcotest.(check int)
     (Printf.sprintf "no failures (-j %d)" jobs)
     0
@@ -59,8 +64,8 @@ let check_same_results msg (a : Experiments.Sweep.result list)
 
 let test_full_registry_serial_vs_parallel () =
   let serial = run ~jobs:1 () in
-  let parallel = run ~jobs:4 () in
-  check_same_results "serial vs -j 4" serial parallel
+  let parallel = run ~strict:true ~jobs:4 () in
+  check_same_results "serial vs strict -j 4" serial parallel
 
 let test_repeated_parallel_runs () =
   let experiments = cheap_subset () in

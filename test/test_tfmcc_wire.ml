@@ -60,10 +60,11 @@ let run_for rig dt =
 (* -------------------------------------------------------------- Sender *)
 
 let started_sender ?initial_rate rig =
+  let b = Netsim_env.backend rig.topo ~session:1 in
   let snd =
-    Netsim_env.Sender.create rig.topo ~cfg ~session:1 ~node:rig.sender_node
-      ?initial_rate ()
+    Tfmcc_core.Sender.create ~env:(b.env rig.sender_node) ~cfg ~session:1 ?initial_rate ()
   in
+  b.on_report rig.sender_node (Tfmcc_core.Sender.deliver_report snd);
   Tfmcc_core.Sender.start snd ~at:0.;
   (* let the first packet and round start *)
   run_for rig 0.1;
@@ -190,10 +191,12 @@ let forge_data rig ~seq ?(rate = 50_000.) ?(round = 0) ?(round_duration = 1.)
   Netsim.Node.deliver_local rig.rx_node p
 
 let make_receiver rig =
+  let b = Netsim_env.backend rig.topo ~session:1 in
   let r =
-    Netsim_env.Receiver.create rig.topo ~cfg ~session:1 ~node:rig.rx_node
-      ~sender:rig.sender_node ()
+    Tfmcc_core.Receiver.create ~env:(b.env rig.rx_node) ~cfg ~session:1
+      ~sender:(Netsim.Node.id rig.sender_node) ()
   in
+  b.on_data rig.rx_node (Tfmcc_core.Receiver.deliver_data r);
   Tfmcc_core.Receiver.join r;
   r
 
@@ -354,12 +357,19 @@ let count_reports_at node =
       | _ -> ());
   n
 
+(* An aggregator on [rx_node] below the sender, hooked to its reports. *)
+let make_aggregator rig =
+  let b = Netsim_env.backend rig.topo ~session:1 in
+  let a =
+    Tfmcc_core.Aggregator.create ~env:(b.env rig.rx_node) ~session:1
+      ~parent:(Netsim.Node.id rig.sender_node)
+  in
+  b.on_report rig.rx_node (Tfmcc_core.Aggregator.deliver_report a);
+  a
+
 let test_aggregator_forwards_minimum () =
   let rig = make_rig () in
-  let agg =
-    Netsim_env.Aggregator.create rig.topo ~session:1 ~node:rig.rx_node
-      ~parent:rig.sender_node
-  in
+  let agg = make_aggregator rig in
   let out = count_reports_at rig.sender_node in
   let seen = ref None in
   Netsim.Node.attach rig.sender_node (fun p ->
@@ -379,10 +389,7 @@ let test_aggregator_forwards_minimum () =
 
 let test_aggregator_loss_dominates () =
   let rig = make_rig () in
-  let _agg =
-    Netsim_env.Aggregator.create rig.topo ~session:1 ~node:rig.rx_node
-      ~parent:rig.sender_node
-  in
+  let _agg = make_aggregator rig in
   let seen = ref None in
   Netsim.Node.attach rig.sender_node (fun p ->
       match p.Netsim.Packet.payload with
@@ -400,10 +407,7 @@ let test_aggregator_loss_dominates () =
 
 let test_aggregator_one_per_round () =
   let rig = make_rig () in
-  let agg =
-    Netsim_env.Aggregator.create rig.topo ~session:1 ~node:rig.rx_node
-      ~parent:rig.sender_node
-  in
+  let agg = make_aggregator rig in
   let out = count_reports_at rig.sender_node in
   (* Ten reports of the same round from distinct receivers, spaced wider
      than the 0.2 s hold: only the first flush (plus more-restrictive
@@ -425,10 +429,7 @@ let test_aggregator_one_per_round () =
 
 let test_aggregator_leave_passes_through () =
   let rig = make_rig () in
-  let _agg =
-    Netsim_env.Aggregator.create rig.topo ~session:1 ~node:rig.rx_node
-      ~parent:rig.sender_node
-  in
+  let _agg = make_aggregator rig in
   let n = count_reports_at rig.sender_node in
   forge_report_to rig ~dst:rig.rx_node ~rx_id:101 ~rate:50_000. ~round:1
     ~has_loss:true ~leaving:true ();
@@ -438,10 +439,7 @@ let test_aggregator_leave_passes_through () =
 
 let test_aggregator_clr_passthrough () =
   let rig = make_rig () in
-  let _agg =
-    Netsim_env.Aggregator.create rig.topo ~session:1 ~node:rig.rx_node
-      ~parent:rig.sender_node
-  in
+  let _agg = make_aggregator rig in
   let out = count_reports_at rig.sender_node in
   (* Establish rx 101 as the subtree's spoken-for receiver... *)
   forge_report_to rig ~dst:rig.rx_node ~rx_id:101 ~rate:50_000. ~round:1
