@@ -226,11 +226,27 @@ let run ?obs c =
     if sup.gen = gen then
       try fn ()
       with e -> on_crash sup e (Printexc.get_raw_backtrace ())
+  (* [after] and [after_unit] keep a one-entry memo keyed by the
+     callback itself: [last.(i)] is the callback hook [i] last wrapped
+     and [last.(i + 1)] its wrapper.  The roles re-arm callbacks built
+     once ([Sender]'s pacing and round, [Receiver]'s CLR report and
+     feedback round), and [gen] is fixed for this env, so the memoized
+     wrapper is the one a fresh [guard] would build.  The initial
+     [ignore] stands for [guard sup ~gen ignore], which also does
+     nothing. *)
   and guard_env sup ~gen (env : Env.t) =
+    let last = Array.make 4 ignore in
+    let memo i fn =
+      if fn != last.(i) then begin
+        last.(i) <- fn;
+        last.(i + 1) <- guard sup ~gen fn
+      end;
+      last.(i + 1)
+    in
     {
       env with
-      Env.after = (fun ~delay fn -> env.Env.after ~delay (guard sup ~gen fn));
-      after_unit = (fun ~delay fn -> env.Env.after_unit ~delay (guard sup ~gen fn));
+      Env.after = (fun ~delay fn -> env.Env.after ~delay (memo 0 fn));
+      after_unit = (fun ~delay fn -> env.Env.after_unit ~delay (memo 2 fn));
       at = (fun ~time fn -> env.Env.at ~time (guard sup ~gen fn));
     }
   (* One incarnation's backend: [Net.backend] with every timer and both

@@ -71,11 +71,11 @@ and t = {
   loop : Loop.t;
   way : way; (* how a copy travels, fixed at construction *)
   buf : bytes;
-      (* every send's codec scratch.  On the fabric it is decoded once
-         before [send] returns, so no copy in flight holds it; on sockets
-         [Unix.sendto] copies it into the kernel synchronously, and only
-         the codec header is ever written, so its padding tail stays
-         all-zero *)
+      (* every send's codec scratch.  On the fabric nothing reads it
+         back: the encode only vets the frame, and copies carry the
+         sender's own message; on sockets [Unix.sendto] copies it into
+         the kernel synchronously, and only the codec header is ever
+         written, so its padding tail stays all-zero *)
   endpoints : (int, endpoint) Hashtbl.t;
   groups : (int, int list) Hashtbl.t; (* session -> member ids, ascending *)
   (* Chaos state (DESIGN.md §15).  [blocked] refcounts endpoints taken
@@ -266,9 +266,10 @@ let fatal t s ep sock ~dir exn ~kind =
 (* ---------------------------------------------------------- endpoints *)
 
 (* What a copy that cannot be decoded carries: on the fabric, every
-   copy of a frame that failed decode still travels its path; on
-   sockets, a drain hands it on for a datagram it cannot decode.  Either
-   way it counts a decode error where its endpoint would deliver. *)
+   copy of a frame that fails [Wire.frame_valid] still travels its
+   path; on sockets, a drain hands it on for a datagram it cannot
+   decode.  Either way it counts a decode error where its endpoint would
+   deliver. *)
 let undecodable =
   Wire.Data
     {
@@ -531,12 +532,6 @@ let socket_copy ep s frame frame_len ~src_blocked dst =
         else send_one t s ep src peer frame frame_len
   | _ -> ()
 
-(* [Wire.decode]'s [?len] for each frame kind, built once so a decode
-   allocates no [Some]. *)
-let report_len = Some Wire.encoded_report_size
-
-let data_len = Some Wire.encoded_data_size
-
 let send ep ~dest ~flow:_ ~size msg =
   let t = ep.net in
   (* The frame is encoded once into the transport's scratch buffer.
@@ -560,10 +555,12 @@ let send ep ~dest ~flow:_ ~size msg =
       let src_blocked = is_blocked t ep.ep_id in
       match t.way with
       | Fabric f -> (
-          (* Decoded once here; every copy carries that one message and
-             the datagram size beside it into its frame slot. *)
-          let len = match msg with Wire.Report _ -> report_len | Wire.Data _ -> data_len in
-          let msg = match Wire.decode ?len t.buf with Ok m -> m | Error _ -> undecodable in
+          (* No decode: every copy carries the sender's own immutable
+             message, as the simulator does, and the datagram size
+             beside it into its frame slot.  [Wire.frame_valid] holds
+             exactly when a decode of [t.buf] would succeed, and that
+             decode would return a message equal to [msg]. *)
+          let msg = if Wire.frame_valid msg then msg else undecodable in
           match dest with
           | Env.To_node id -> if id <> ep.ep_id then fabric_copy ep f msg dsize ~src_blocked id
           | Env.To_group -> fabric_fan_out ep f msg dsize ~src_blocked (members t ep.session))

@@ -20,10 +20,12 @@
     joined member except the sender, [To_node] unicasts.  Each send
     encodes its message once into the transport's scratch buffer
     ({!Tfmcc_core.Wire.encode_report_into} / [encode_data_into]).  On
-    the fabric it is then decoded once ({!Tfmcc_core.Wire.decode}) and
-    every copy carries that one immutable message, as the simulator's
-    receivers share a packet; on sockets every copy is the encoded
-    datagram, decoded in place by the receiving endpoint.
+    the fabric nothing decodes it: every copy carries the sender's own
+    immutable message, as the simulator's receivers share a packet, and
+    {!Tfmcc_core.Wire.frame_valid} decides what a decode would have
+    (the two agree on every message that encodes); on sockets every
+    copy is the encoded datagram, decoded in place by the receiving
+    endpoint.
 
     Frames that fail to encode (non-finite field escaping the protocol
     core) are dropped and counted under [tfmcc_rt_frame_drop_total
@@ -117,9 +119,9 @@ val set_deliver : endpoint -> (size:int -> Tfmcc_core.Wire.msg -> unit) -> unit
     [size] is the datagram size in bytes: the [size] the sender passed,
     raised to the codec length when smaller (data frames keep the
     configured packet size, mirroring the simulated packet; reports
-    arrive at their codec length).  The fabric carries only the decoded
-    message and this size beside it, not a zero-padded datagram; a
-    socket sends the zero-padded datagram. *)
+    arrive at their codec length).  The fabric carries only the
+    sender's message and this size beside it, not a zero-padded
+    datagram; a socket sends the zero-padded datagram. *)
 
 val backend : endpoint Tfmcc_core.Session.backend
 (** Endpoints of this transport: [env] is {!env}, and [on_data] /
@@ -176,7 +178,7 @@ val frames_sent : t -> int
     between dead sockets is not offered. *)
 
 val frames_delivered : t -> int
-(** Copies decoded and handed to a deliver hook. *)
+(** Copies that passed the codec and were handed to a deliver hook. *)
 
 val frames_lost : t -> int
 (** Dropped by the fabric's loss draw; always 0 on sockets. *)
@@ -185,7 +187,8 @@ val encode_drops : t -> int
 (** Frames (not copies) that failed to encode. *)
 
 val decode_errors : t -> int
-(** Copies that reached a deliver hook and failed decode. *)
+(** Copies that reached a deliver hook and failed decode (on the
+    fabric: {!Tfmcc_core.Wire.frame_valid}). *)
 
 val partition_drops : t -> int
 (** Copies dropped because an endpoint on the path was blocked. *)

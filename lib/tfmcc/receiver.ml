@@ -50,6 +50,10 @@ type t = {
   m_suppressed : Obs.Metrics.Counter.t;
   m_malformed : Obs.Metrics.Counter.t;
   m_loss_events : Obs.Metrics.Counter.t;
+  (* The CLR-report and feedback-round timer callbacks, built once by
+     [create] so a re-arm allocates no closure. *)
+  clr_cb : unit -> unit;
+  fb_cb : unit -> unit;
 }
 
 let now t = t.env.Env.clock.Event_heap.cell_time
@@ -137,18 +141,19 @@ let send_leave_report t =
       ~flow:report_flow ~size:Wire.report_size
       (report_msg t ~leaving:true)
 
-(* CLR duty: immediate unsuppressed feedback, once per RTT. *)
-let rec schedule_clr_report t =
+(* CLR duty: immediate unsuppressed feedback, once per RTT.  The
+   timer fires [t.clr_cb], which is [clr_report_due t]. *)
+let schedule_clr_report t =
   cancel_clr_timer t;
   let delay = Float.max 1e-3 (rtt t) in
-  t.clr_timer <-
-    Some
-      (t.env.Env.after ~delay (fun () ->
-           t.clr_timer <- None;
-           if t.is_clr && t.joined then begin
-             send_report t;
-             schedule_clr_report t
-           end))
+  t.clr_timer <- Some (t.env.Env.after ~delay t.clr_cb)
+
+let clr_report_due t =
+  t.clr_timer <- None;
+  if t.is_clr && t.joined then begin
+    send_report t;
+    schedule_clr_report t
+  end
 
 let become_clr t =
   if not t.is_clr then begin
@@ -192,6 +197,12 @@ let bias_ratio t =
     Float.max 0. (Float.min 1. r)
   end
 
+(* A feedback-round timer's expiry: [t.fb_cb]. *)
+let fb_round_due t =
+  t.fb_timer <- None;
+  (* Re-check: conditions may have improved since round start. *)
+  if t.joined && (not t.is_clr) && wants_to_report t then send_report t
+
 let start_round t ~round ~duration =
   t.round <- round;
   t.hot.round_duration <- duration;
@@ -204,12 +215,7 @@ let start_round t ~round ~duration =
         ~n_estimate:Config.n_estimate ~ratio:(bias_ratio t)
     in
     t.fb_round <- round;
-    t.fb_timer <-
-      Some
-        (t.env.Env.after ~delay (fun () ->
-             t.fb_timer <- None;
-             (* Re-check: conditions may have improved since round start. *)
-             if t.joined && (not t.is_clr) && wants_to_report t then send_report t))
+    t.fb_timer <- Some (t.env.Env.after ~delay t.fb_cb)
   end
 
 (* Suppression by the lowest feedback echoed so far this round. *)
@@ -406,6 +412,8 @@ let create ~env ~cfg ~session ~sender ?report_to ?(clock_offset = 0.)
             "tfmcc_receiver_malformed_drops_total";
         m_loss_events =
           Obs.Metrics.counter metrics ~labels "tfmcc_receiver_loss_events_total";
+        clr_cb = (fun () -> clr_report_due (Lazy.force t));
+        fb_cb = (fun () -> fb_round_due (Lazy.force t));
       }
   in
   Lazy.force t

@@ -87,6 +87,9 @@ type t = {
   m_malformed : Obs.Metrics.Counter.t;
   m_failovers : Obs.Metrics.Counter.t;
   m_rate : Obs.Metrics.Gauge.t;
+  (* The round timer's callback, [start_round t], built by [start] like
+     [pacing_cb] so that arming a round allocates no closure. *)
+  mutable round_cb : unit -> unit;
 }
 
 let now t = t.env.Env.clock.Event_heap.cell_time
@@ -500,7 +503,7 @@ let check_starvation t =
     journal_rate_change t ~from_bps ~reason:"starvation-decay"
   end
 
-let rec start_round t =
+let start_round t =
   t.round_timer <- None;
   if t.running then begin
     let now = now t in
@@ -537,7 +540,7 @@ let rec start_round t =
     check_clr_timeout t;
     check_starvation t;
     t.round_timer <-
-      Some (t.env.Env.after ~delay:t.round_duration (fun () -> start_round t))
+      Some (t.env.Env.after ~delay:t.round_duration t.round_cb)
   end
 
 (* --------------------------------------------------------------- pacing *)
@@ -662,6 +665,7 @@ let create ~env ~cfg ~session ?initial_rate () =
     m_failovers =
       Obs.Metrics.counter metrics ~labels "tfmcc_sender_clr_failovers_total";
     m_rate = Obs.Metrics.gauge metrics ~labels "tfmcc_sender_rate_bytes_per_s";
+    round_cb = ignore;  (* installed by [start] *)
   }
 
 let deliver_report t (r : Wire.report) =
@@ -745,6 +749,7 @@ let start t ~at =
   t.pacing_gen <- t.pacing_gen + 1;
   let gen = t.pacing_gen in
   t.pacing_cb <- (fun () -> send_packet t ~gen);
+  t.round_cb <- (fun () -> start_round t);
   ignore
     (t.env.Env.at ~time:at (fun () ->
          t.last_rate_change <- now t;

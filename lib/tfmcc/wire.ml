@@ -93,6 +93,12 @@ let data_valid (d : data) =
     ~round_duration:d.round_duration ~max_rtt:d.max_rtt ~clr:d.clr ~echo:d.echo
     ~fb:d.fb
 
+(* What a decode of [m]'s own encoding accepts: the decoders' session
+   check plus the same validators, read off the record itself. *)
+let frame_valid = function
+  | Report r -> r.session >= 0 && report_valid r
+  | Data d -> d.session >= 0 && data_valid d
+
 (* ----------------------------------------------------------- byte codec *)
 
 (* Field access at a byte offset, little-endian.  These are top-level

@@ -155,13 +155,24 @@ val decode : ?len:int -> bytes -> (msg, string) result
 (** Dispatches on the magic byte: report or data frame.  [len]
     (default [Bytes.length b]) is the frame's length: [decode ~len b]
     reads [b]'s first [len] bytes and returns exactly what
-    [decode (Bytes.sub b 0 len)] returns, so a transport can decode a
-    datagram in its receive buffer without copying it out.  Raises
-    [Invalid_argument] if [len] is negative or exceeds [Bytes.length b].
+    [decode (Bytes.sub b 0 len)] returns, so the socket transport
+    decodes each datagram in its receive buffer without copying it
+    out.  Raises [Invalid_argument] if [len] is negative or exceeds
+    [Bytes.length b].
 
     A decode allocates only the decoded message: 25 words for a data
     frame, 10 more with an echo and 8 more with an fb echo, and 32
     words for a report.  The encoders allocate nothing. *)
+
+val frame_valid : msg -> bool
+(** Whether [decode] accepts [m]'s own encoding, decided from [m]
+    without decoding it: a non-negative session and the fields
+    {!report_fields_valid} / {!data_fields_valid} check.  For every [m]
+    that encodes, [frame_valid m] holds exactly when decoding the
+    encoding succeeds, and the decoded message is then structurally
+    equal to [m].  So a transport that carries [m] by value past an
+    encode (the loopback fabric) can hand on [m] itself, and count a
+    decode error where this is false.  Allocates nothing. *)
 
 val corrupt_msg : Stats.Rng.t -> msg -> msg
 (** Returns a copy of the message with one randomly chosen field

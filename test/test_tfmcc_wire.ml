@@ -797,6 +797,85 @@ let prop_decode_len_matches_copy =
        frame_in_buffer_gen)
     (fun (b, len) -> W.decode ~len b = W.decode (Bytes.sub b 0 len))
 
+(* [W.frame_valid] stands in for a decode on the loopback fabric, so it
+   must agree with one on every message that encodes, and a message
+   that decodes must come back equal to itself.  Each int and float
+   field is plausible, or one of the extreme values above (negative
+   sessions and ids, non-finite floats) one time in seven; half the
+   messages then pass through [W.corrupt_msg]. *)
+let extreme_int_gen =
+  QCheck.Gen.(
+    oneof
+      [ return 0; return (-1); return (-2); return max_int; return min_int; int_range (-1000) 1000 ])
+
+let msg_gen st =
+  let open QCheck.Gen in
+  let f () = frequency [ (6, float_range 1e-3 1.); (1, extreme_float_gen) ] st in
+  let i () = frequency [ (6, int_range 0 1000); (1, extreme_int_gen) ] st in
+  let b () = bool st in
+  let m =
+    if b () then
+      W.Report
+        {
+          session = i ();
+          rx_id = i ();
+          ts = f ();
+          echo_ts = f ();
+          echo_delay = f ();
+          rate = f ();
+          have_rtt = b ();
+          rtt = f ();
+          p = f ();
+          x_recv = f ();
+          round = i ();
+          has_loss = b ();
+          leaving = b ();
+        }
+    else
+      W.Data
+        {
+          session = i ();
+          seq = i ();
+          ts = f ();
+          rate = f ();
+          round = i ();
+          round_duration = f ();
+          max_rtt = f ();
+          clr = i ();
+          in_slowstart = b ();
+          echo =
+            (if b () then Some { W.rx_id = i (); rx_ts = f (); echo_delay = f () } else None);
+          fb = (if b () then Some { W.fb_rx_id = i (); fb_rate = f (); fb_has_loss = b () } else None);
+          app = i ();
+        }
+  in
+  if b () then W.corrupt_msg (Stats.Rng.create (int st)) m else m
+
+let print_msg = function
+  | W.Report r ->
+      Printf.sprintf
+        "Report session %d rx_id %d ts %h echo_ts %h echo_delay %h rate %h rtt %h p %h x_recv %h round %d"
+        r.session r.rx_id r.ts r.echo_ts r.echo_delay r.rate r.rtt r.p r.x_recv r.round
+  | W.Data d ->
+      Printf.sprintf
+        "Data session %d seq %d ts %h rate %h round %d round_duration %h max_rtt %h clr %d echo %s fb %s"
+        d.session d.seq d.ts d.rate d.round d.round_duration d.max_rtt d.clr
+        (match d.echo with
+        | Some e -> Printf.sprintf "(%d %h %h)" e.rx_id e.rx_ts e.echo_delay
+        | None -> "-")
+        (match d.fb with Some f -> Printf.sprintf "(%d %h)" f.fb_rx_id f.fb_rate | None -> "-")
+
+let prop_frame_valid_is_decode =
+  QCheck.Test.make ~name:"frame_valid agrees with decoding the encoding" ~count:3000
+    (QCheck.make ~print:print_msg msg_gen)
+    (fun m ->
+      match match m with W.Report r -> W.encode_report r | W.Data d -> W.encode_data d with
+      | exception Invalid_argument _ -> true
+      | b -> (
+          match W.decode b with
+          | Ok m' -> W.frame_valid m && m' = m
+          | Error _ -> not (W.frame_valid m)))
+
 (* Absolute allocation budgets of the codec, in minor words per call.
    An encode writes into the caller's buffer and allocates nothing; a
    decode allocates only the decoded message: the [Ok] and [Data] or
@@ -844,6 +923,18 @@ let test_codec_decode_budget () =
   let frame = valid_report_bytes () in
   check_words "decode report" ~budget:32. (words_per_call (fun () -> ignore (W.decode frame)))
 
+let test_frame_valid_budget () =
+  let r =
+    match W.decode_report (valid_report_bytes ()) with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (name, m) ->
+      check_words ("frame_valid " ^ name) ~budget:0.
+        (words_per_call (fun () -> ignore (W.frame_valid m : bool))))
+    [ ("data", W.Data (data_with ~echo:true ~fb:true)); ("report", r) ]
+
 let () =
   Alcotest.run "tfmcc_wire"
     [
@@ -888,6 +979,7 @@ let () =
                   Alcotest.test_case "encode allocates nothing" `Quick test_codec_encode_budget;
           Alcotest.test_case "decode allocates only the message" `Quick
             test_codec_decode_budget;
+          Alcotest.test_case "frame_valid allocates nothing" `Quick test_frame_valid_budget;
         ] );
       ( "codec fuzz",
         List.map QCheck_alcotest.to_alcotest
@@ -899,5 +991,6 @@ let () =
             prop_encode_report_finite_guard;
             prop_encode_data_finite_guard;
             prop_decode_len_matches_copy;
+            prop_frame_valid_is_decode;
           ] );
     ]
