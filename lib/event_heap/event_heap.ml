@@ -45,6 +45,11 @@
 
 type handle = { h_slot : int; h_seq : int }
 
+(* A slot's owner is a seq (>= 0) or -1, never -2, so [cancel] finds
+   this handle's entry gone and does nothing.  Slot 0 exists in every
+   heap ([initial_capacity] > 0). *)
+let no_handle = { h_slot = 0; h_seq = -2 }
+
 (* All-float cell (raw double storage): [step] writes the popped time
    here so the caller's clock update is a plain store, and [insert]
    reads a deadline's base from one. *)

@@ -37,6 +37,10 @@ type 'a t
 type handle
 (** Identifies a closure entry for cancellation. *)
 
+val no_handle : handle
+(** A handle of no entry in any heap: {!cancel} on it does nothing.
+    An owner keeps it where no timer is armed, instead of an option. *)
+
 type time_cell = { mutable cell_time : float }
 (** All-float record (raw double storage): writes to it never box, and
     a read of [cell_time] is a raw double load.  Both backends keep

@@ -8,8 +8,9 @@
 
 type t
 
-type handle
-(** A scheduled event; cancellable. *)
+type handle = Event_heap.handle
+(** A scheduled event; cancellable.  [Event_heap.no_handle] is the
+    handle of none. *)
 
 val create : ?seed:int -> ?obs:Obs.Sink.t -> unit -> t
 (** [create ~seed ()] makes an engine at time 0.  Default seed 42.

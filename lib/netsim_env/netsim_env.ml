@@ -14,16 +14,16 @@ let msg_of_payload = function
 let env topo ~session node =
   let eng = Netsim.Topology.engine topo in
   let id = Netsim.Node.id node in
-  let timer h = { Env.cancel = (fun () -> Netsim.Engine.cancel eng h) } in
   (* Shared by every multicast send of this endpoint: the constructor is
      immutable, so allocating it per packet would be pure garbage. *)
   let group_dst = Netsim.Packet.Multicast session in
   {
     Env.id;
     clock = Netsim.Engine.time_cell eng;
-    after = (fun ~delay f -> timer (Netsim.Engine.after eng ~delay f));
+    after = (fun ~delay f -> Netsim.Engine.after eng ~delay f);
     after_unit = (fun ~delay f -> Netsim.Engine.after_unit eng ~delay f);
-    at = (fun ~time f -> timer (Netsim.Engine.at eng ~time f));
+    at = (fun ~time f -> Netsim.Engine.at eng ~time f);
+    cancel = (fun h -> Netsim.Engine.cancel eng h);
     send =
       (fun ~dest ~flow ~size msg ->
         let dst =

@@ -46,6 +46,8 @@ let create () =
 
 let null = { on = false; capacity = 1; buffer = [| None |]; next = 0; recorded = 0 }
 
+let enabled t = t.on
+
 let record t ~time ?(severity = Info) scope event =
   if t.on then begin
     t.buffer.(t.next) <- Some { time; severity; scope; event };

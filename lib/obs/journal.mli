@@ -62,6 +62,10 @@ val create : unit -> t
 val null : t
 (** The shared disabled journal: {!record} is a no-op. *)
 
+val enabled : t -> bool
+(** [false] for {!null}: a caller can skip building an event's payload
+    that {!record} would drop. *)
+
 val record : t -> time:float -> ?severity:severity -> scope -> event -> unit
 (** O(1); default severity [Info]. *)
 

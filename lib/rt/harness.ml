@@ -383,7 +383,7 @@ let run ?obs c =
                  end
              | _ -> ())
            sups)
-      : Env.timer);
+      : unit -> unit);
   (* Fault injection (times relative to the epoch, like chaos plans).
      Kills are injected through the session's own guarded env so the
      exception exercises the real crash path, not a shortcut. *)

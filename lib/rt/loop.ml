@@ -161,8 +161,6 @@ let obs t = t.obs
 
 let split_rng t = Stats.Rng.split t.rng
 
-let timer_of t h = { Tfmcc_core.Env.cancel = (fun () -> Event_heap.cancel t.heap h) }
-
 let set_exn_handler t h = t.exn_handler <- Some h
 
 let exceptions_caught t = t.exns_caught
@@ -177,7 +175,7 @@ let checked_delay t delay =
   end
 
 let after t ~delay fn =
-  timer_of t (Event_heap.add t.heap ~base:t.clock ~offset:(checked_delay t delay) fn)
+  Event_heap.add t.heap ~base:t.clock ~offset:(checked_delay t delay) fn
 
 let after_unit t ~delay fn =
   Event_heap.add_unit t.heap ~base:t.clock ~offset:(checked_delay t delay) fn
@@ -190,37 +188,35 @@ let at t ~time fn =
       now t
     end
   in
-  timer_of t (Event_heap.add t.heap ~base:Event_heap.time_zero ~offset:time fn)
+  Event_heap.add t.heap ~base:Event_heap.time_zero ~offset:time fn
+
+let cancel t h = Event_heap.cancel t.heap h
 
 let frame_at t ~base ~offset deliver msg size =
   Event_heap.add_msg t.heap ~base ~offset deliver msg size
 
 (* Self-rescheduling periodic timer.  The next occurrence is queued
    before [fn] runs, so the chain survives a callback exception when an
-   exn handler is installed, and cancel works mid-chain: the [cancelled]
-   flag mutes whichever heap entry is current. *)
+   exn handler is installed, and the stop works mid-chain: the
+   [stopped] flag mutes whichever heap entry is current, and the
+   current entry is cancelled as well. *)
 let every t ~interval fn =
   if not (Float.is_finite interval && interval > 0.) then
     invalid_arg "Loop.every: interval must be finite and positive";
-  let cancelled = ref false in
-  let cur = ref None in
+  let stopped = ref false in
+  let cur = ref Event_heap.no_handle in
   let rec arm ~time =
-    let h =
+    cur :=
       Event_heap.add t.heap ~base:Event_heap.time_zero ~offset:time (fun () ->
-          if not !cancelled then begin
+          if not !stopped then begin
             arm ~time:(time +. interval);
             fn ()
           end)
-    in
-    cur := Some h
   in
   arm ~time:(now t +. interval);
-  {
-    Tfmcc_core.Env.cancel =
-      (fun () ->
-        cancelled := true;
-        match !cur with None -> () | Some h -> Event_heap.cancel t.heap h);
-  }
+  fun () ->
+    stopped := true;
+    Event_heap.cancel t.heap !cur
 
 let watch_fd t fd cb = t.fds <- (fd, cb) :: List.remove_assoc fd t.fds
 

@@ -64,6 +64,12 @@ val at : t -> time:float -> (unit -> unit) -> Tfmcc_core.Env.timer
     moving {!now} back.  A non-finite [time] is replaced by {!now} and
     counted as a clock anomaly (kind ["bad-delay"]). *)
 
+val cancel : t -> Tfmcc_core.Env.timer -> unit
+(** [Env.cancel] for the loop's endpoints: the entry stays in the heap
+    and never fires (lazy deletion), so a cancel allocates nothing.
+    Cancelling a fired or cancelled timer, or [Env.no_timer], does
+    nothing. *)
+
 val frame_at :
   t ->
   base:Event_heap.time_cell ->
@@ -85,9 +91,9 @@ val frame_at :
     finite arrival times.
     @raise Invalid_argument on a NaN due time. *)
 
-val every : t -> interval:float -> (unit -> unit) -> Tfmcc_core.Env.timer
+val every : t -> interval:float -> (unit -> unit) -> unit -> unit
 (** Periodic timer: first fires [interval] seconds from now, then every
-    [interval] after, until the returned timer is cancelled.  The chain
+    [interval] after, until the returned function is called.  The chain
     survives a callback exception when {!set_exn_handler} is installed.
     @raise Invalid_argument on a non-finite or non-positive interval. *)
 

@@ -69,6 +69,7 @@ and sock = {
 
 and t = {
   loop : Loop.t;
+  cancel : Env.timer -> unit; (* every endpoint's [Env.cancel], built once *)
   way : way; (* how a copy travels, fixed at construction *)
   buf : bytes;
       (* every send's codec scratch.  On the fabric nothing reads it
@@ -134,6 +135,7 @@ let make loop way buf =
   let m = (Loop.obs loop).Obs.Sink.metrics in
   {
     loop;
+    cancel = (fun h -> Loop.cancel loop h);
     way;
     buf;
     endpoints = Hashtbl.create 64;
@@ -589,6 +591,7 @@ let env ep =
     after = (fun ~delay fn -> Loop.after ep.net.loop ~delay fn);
     after_unit = (fun ~delay fn -> Loop.after_unit ep.net.loop ~delay fn);
     at = (fun ~time fn -> Loop.at ep.net.loop ~time fn);
+    cancel = ep.net.cancel;
     send = (fun ~dest ~flow ~size msg -> send ep ~dest ~flow ~size msg);
     join = (fun () -> join ep);
     leave = (fun () -> leave ep);

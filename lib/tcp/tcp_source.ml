@@ -33,7 +33,7 @@ type t = {
   mutable in_recovery : bool;
   mutable recover : int;  (* snd_nxt when recovery entered *)
   mutable rtt_seq : int;  (* segment currently being timed; -1 if none *)
-  mutable retx_timer : Netsim.Engine.handle option;
+  mutable retx_timer : Netsim.Engine.handle;  (* [Event_heap.no_handle] when idle *)
   (* Jittered sends waiting for their emit time, oldest first: [emit_len]
      seqs from [emit_head] in the ring [emit_seqs].  Emit times strictly
      increase (see [send_segment]), so the engine fires the emits in the
@@ -62,16 +62,13 @@ let journal_cwnd t ~from_pkts ~reason =
     (Obs.Journal.Cwnd_change { from_pkts; to_pkts = t.f.cwnd; reason })
 
 let cancel_timer t =
-  match t.retx_timer with
-  | Some h ->
-      Netsim.Engine.cancel t.engine h;
-      t.retx_timer <- None
-  | None -> ()
+  Netsim.Engine.cancel t.engine t.retx_timer;
+  t.retx_timer <- Event_heap.no_handle
 
 let restart_timer t =
   cancel_timer t;
   let delay = Rto_estimator.rto t.rto in
-  t.retx_timer <- Some (Netsim.Engine.after t.engine ~delay t.timeout)
+  t.retx_timer <- Netsim.Engine.after t.engine ~delay t.timeout
 
 (* Puts data segment [seq] on the wire.  The packet is allocated here,
    at emit time, which fixes its uid and [created]. *)
@@ -132,10 +129,10 @@ let send_available t =
     t.snd_nxt <- t.snd_nxt + 1;
     sent_any := true
   done;
-  if !sent_any && t.retx_timer = None then restart_timer t
+  if !sent_any && t.retx_timer == Event_heap.no_handle then restart_timer t
 
 let on_timeout t =
-  t.retx_timer <- None;
+  t.retx_timer <- Event_heap.no_handle;
   Obs.Metrics.Counter.inc t.m_timeouts;
   jnl t ~severity:Obs.Journal.Warn (Obs.Journal.Timeout { what = "rto" });
   let f = t.f in
@@ -244,7 +241,7 @@ let create topo ~conn ~flow ~src ~dst =
       in_recovery = false;
       recover = 0;
       rtt_seq = -1;
-      retx_timer = None;
+      retx_timer = Event_heap.no_handle;
       emit_seqs = Array.make 16 0;
       emit_head = 0;
       emit_len = 0;

@@ -1,6 +1,10 @@
 let t_rto_factor = 4.
 
-let check_domain ~b ~s ~rtt ~p =
+type cell = { mutable rtt : float; mutable p : float; mutable rate : float }
+
+(* Inlined into both entry points, so [throughput_cell]'s floats stay
+   unboxed from its cell to its cell. *)
+let[@inline] check_domain ~b ~s ~rtt ~p =
   if b <= 0. then invalid_arg "Padhye: b must be positive";
   if s <= 0 then invalid_arg "Padhye: packet size must be positive";
   if rtt <= 0. then invalid_arg "Padhye: rtt must be positive";
@@ -8,13 +12,17 @@ let check_domain ~b ~s ~rtt ~p =
 
 (* Denominator divided by R:
    f(p) = sqrt(2bp/3) + t_rto_factor * 3*sqrt(3bp/8) * p * (1+32p^2) *)
-let f ~b p =
+let[@inline] f ~b p =
   sqrt (2. *. b *. p /. 3.)
   +. (t_rto_factor *. 3. *. sqrt (3. *. b *. p /. 8.) *. p *. (1. +. (32. *. p *. p)))
 
-let throughput ?(b = 1.) ~s ~rtt p =
+let[@inline] model ~b ~s ~rtt p =
   check_domain ~b ~s ~rtt ~p;
   if p = 0. then infinity else float_of_int s /. (rtt *. f ~b p)
+
+let throughput ?(b = 1.) ~s ~rtt p = model ~b ~s ~rtt p
+
+let throughput_cell ~b ~s c = c.rate <- model ~b ~s ~rtt:c.rtt c.p
 
 let inverse_loss ?(b = 1.) ~s ~rtt rate =
   if rate <= 0. then invalid_arg "Padhye.inverse_loss: rate must be positive";

@@ -13,6 +13,16 @@ val throughput : ?b:float -> s:int -> rtt:float -> float -> float
     corresponds to delayed ACKs, b = 2).  Returns [infinity] when
     [p = 0].  Raises [Invalid_argument] outside those domains. *)
 
+type cell = { mutable rtt : float; mutable p : float; mutable rate : float }
+(** All-float record (raw double storage): the equation's inputs [rtt]
+    and [p] and its output [rate].  A float passed or returned across a
+    module boundary is boxed; one read or written through this cell is
+    not. *)
+
+val throughput_cell : b:float -> s:int -> cell -> unit
+(** [c.rate <- throughput ~b ~s ~rtt:c.rtt c.p], with the same float
+    operations and checks, and no float boxed. *)
+
 val inverse_loss : ?b:float -> s:int -> rtt:float -> float -> float
 (** [inverse_loss ~s ~rtt rate] is the loss event rate at which the model
     yields [rate] bytes/s — the numeric inverse of {!throughput} in [p]

@@ -18,7 +18,7 @@ type t = {
   session : int;
   parent : int;
   mutable best : report option;
-  mutable flush_timer : Env.timer option;
+  mutable flush_timer : Env.timer;  (* [Env.no_timer] when idle *)
   mutable last_round_forwarded : int;
   mutable last_forwarded : report option;
   mutable reports_in : int;
@@ -59,7 +59,7 @@ let forward t (r : report) ~leaving =
        })
 
 let flush t =
-  t.flush_timer <- None;
+  t.flush_timer <- Env.no_timer;
   match t.best with
   | Some r ->
       t.best <- None;
@@ -93,8 +93,8 @@ let on_report t (r : report) ~leaving =
     (match t.best with
     | Some cur when not (more_restrictive r cur) -> ()
     | Some _ | None -> t.best <- Some r);
-    if t.flush_timer = None then
-      t.flush_timer <- Some (t.env.Env.after ~delay:hold (fun () -> flush t))
+    if t.flush_timer == Env.no_timer then
+      t.flush_timer <- t.env.Env.after ~delay:hold (fun () -> flush t)
   end
   else begin
     match t.last_forwarded with
@@ -130,7 +130,7 @@ let create ~env ~session ~parent =
     session;
     parent;
     best = None;
-    flush_timer = None;
+    flush_timer = Env.no_timer;
     last_round_forwarded = -1;
     last_forwarded = None;
     reports_in = 0;

@@ -1,4 +1,6 @@
-type timer = { cancel : unit -> unit }
+type timer = Event_heap.handle
+
+let no_timer = Event_heap.no_handle
 
 type dest = To_group | To_node of int
 
@@ -12,18 +14,13 @@ type t = {
      counter or [running] flag) instead of cancelling. *)
   after_unit : delay:float -> (unit -> unit) -> unit;
   at : time:float -> (unit -> unit) -> timer;
+  cancel : timer -> unit;
   send : dest:dest -> flow:int -> size:int -> Wire.msg -> unit;
   join : unit -> unit;
   leave : unit -> unit;
   split_rng : unit -> Stats.Rng.t;
   obs : Obs.Sink.t;
 }
-
-let cancel_opt = function
-  | Some timer ->
-      timer.cancel ();
-      None
-  | None -> None
 
 (* The counter is resolved on first anomaly rather than at startup:
    registration mutates the metrics registry, which is part of the

@@ -18,7 +18,10 @@
       start at zero and the protocol must not assume any particular
       epoch (the time-translation property test enforces this).
     - [after]/[after_unit]/[at] schedule a callback; [after] and [at]
-      return a cancellable timer.  Callbacks run on the environment's
+      return the runtime's heap handle, which [cancel] takes.
+      Cancelling is lazy deletion: the entry stays in the heap and
+      never fires, and cancelling a fired or cancelled timer, or
+      {!no_timer}, does nothing.  Callbacks run on the environment's
       (single) event loop; the protocol core is not thread-safe and
       relies on run-to-completion callback semantics.
     - [send] transmits one protocol message.  [size] is the on-the-wire
@@ -33,7 +36,15 @@
       environments can preserve stream assignment across refactors.
     - [obs] is the observability plane (metrics registry + journal). *)
 
-type timer = { cancel : unit -> unit }
+type timer = Event_heap.handle
+(** A cancellable timer is the runtime's own {!Event_heap.handle}: an
+    arm allocates that handle and nothing else, and no closure stands
+    between a role and its cancel. *)
+
+val no_timer : timer
+(** The handle of no timer: a role keeps it in its timer field while
+    nothing is armed, instead of an option, and [cancel] on it does
+    nothing. *)
 
 (** Datagram destination: the session's multicast group, or one
     endpoint (receiver reports, aggregation-tree forwarding). *)
@@ -51,16 +62,14 @@ type t = {
           Callbacks that may outlive their purpose guard themselves
           (generation counter or running flag) instead of cancelling. *)
   at : time:float -> (unit -> unit) -> timer;
+  cancel : timer -> unit;
+      (** Cancels a timer [after] or [at] returned, before it fires. *)
   send : dest:dest -> flow:int -> size:int -> Wire.msg -> unit;
   join : unit -> unit;
   leave : unit -> unit;
   split_rng : unit -> Stats.Rng.t;
   obs : Obs.Sink.t;
 }
-
-val cancel_opt : timer option -> timer option
-(** Cancels the timer if present; always returns [None] (the idiom used
-    for [mutable t.xxx_timer <- cancel_opt t.xxx_timer]). *)
 
 val clock_anomaly : t -> kind:string -> unit
 (** Counts one real-clock hazard (non-monotonic sample, late timer

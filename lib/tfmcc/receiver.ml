@@ -21,6 +21,7 @@ type t = {
   rng : Stats.Rng.t;
   rtt_est : Rtt_estimator.t;
   rtt_f : Rtt_estimator.floats;  (* [rtt_est]'s floats, read directly *)
+  eq : Tcp_model.Padhye.cell;  (* the control equation's rtt, p and rate *)
   history : Tfrc.Loss_history.t;
   meter : Tfrc.Rate_meter.t;
   mutable joined : bool;
@@ -35,10 +36,12 @@ type t = {
   mutable sender_clr : int;  (* CLR id from the newest data packet; -1 none *)
   mutable round : int;
   mutable is_clr : bool;
-  (* Feedback round state. *)
-  mutable fb_timer : Env.timer option;
+  (* Feedback round state.  A timer field holds [Env.no_timer] while
+     nothing is armed. *)
+  mutable fb_timer : Env.timer;
   mutable fb_round : int;  (* round the pending timer belongs to *)
-  mutable clr_timer : Env.timer option;
+  mutable fb_first_loss : bool;  (* the pending timer is §2.6's first-loss report *)
+  mutable clr_timer : Env.timer;
   mutable received : int;
   mutable reports : int;
   mutable suppressed : int;
@@ -50,11 +53,15 @@ type t = {
   m_suppressed : Obs.Metrics.Counter.t;
   m_malformed : Obs.Metrics.Counter.t;
   m_loss_events : Obs.Metrics.Counter.t;
-  (* The CLR-report and feedback-round timer callbacks, built once by
-     [create] so a re-arm allocates no closure. *)
+  (* The CLR-report and feedback timer callbacks, built once by
+     [create] so a re-arm allocates no closure, and the feedback draws'
+     late-timer hook, [no_hook] until the first draw builds it. *)
   clr_cb : unit -> unit;
   fb_cb : unit -> unit;
+  mutable late_timer : unit -> unit;
 }
+
+let no_hook () = ()
 
 let now t = t.env.Env.clock.Event_heap.cell_time
 
@@ -76,12 +83,15 @@ let has_loss t = Tfrc.Loss_history.has_loss t.history
 
 let x_recv t = Tfrc.Rate_meter.rate_bytes_per_s t.meter
 
+(* The control equation's rate from the loss event rate in [t.eq.p],
+   into [t.eq.rate]. *)
 let calculated_rate t =
-  let p = loss_event_rate t in
-  if p <= 0. then infinity
-  else
-    Tcp_model.Padhye.throughput ~b:t.cfg.Config.b ~s:t.cfg.Config.packet_size
-      ~rtt:(rtt t) p
+  let eq = t.eq in
+  if eq.p <= 0. then eq.rate <- infinity
+  else begin
+    eq.rtt <- rtt t;
+    Tcp_model.Padhye.throughput_cell ~b:t.cfg.Config.b ~s:t.cfg.Config.packet_size eq
+  end
 
 let is_clr t = t.is_clr
 
@@ -91,17 +101,41 @@ let reports_sent t = t.reports
 
 let timers_suppressed t = t.suppressed
 
-(* The rate this receiver would report right now: the calculated rate
-   once it has seen loss, the receive rate during slowstart. *)
-let report_rate t = if has_loss t then calculated_rate t else x_recv t
+(* The rate this receiver would report right now, into [t.eq.rate]:
+   the calculated rate once it has seen loss, the receive rate during
+   slowstart. *)
+let update_report_rate t =
+  if has_loss t then begin
+    Tfrc.Loss_history.loss_event_rate_into t.history t.eq;
+    calculated_rate t
+  end
+  else t.eq.rate <- x_recv t
 
-let cancel_fb_timer t = t.fb_timer <- Env.cancel_opt t.fb_timer
+let cancel_fb_timer t =
+  t.env.Env.cancel t.fb_timer;
+  t.fb_timer <- Env.no_timer
 
-let cancel_clr_timer t = t.clr_timer <- Env.cancel_opt t.clr_timer
+let cancel_clr_timer t =
+  t.env.Env.cancel t.clr_timer;
+  t.clr_timer <- Env.no_timer
 
+(* Each float is read from a cell or returned boxed once, and that box
+   is the report's: the loss event rate is computed once, for both the
+   rate and [p], and the local time is [Rtt_estimator.local_now]'s sum
+   read here, so neither is boxed on its way back. *)
 let report_msg t ~leaving =
-  let now_local = local_now t in
-  let rate = report_rate t in
+  let eq = t.eq in
+  let now_local = now t +. t.rtt_f.Rtt_estimator.clock_offset in
+  let has_loss = has_loss t in
+  Tfrc.Loss_history.loss_event_rate_into t.history eq;
+  let x_recv = x_recv t in
+  let rate =
+    if has_loss then begin
+      calculated_rate t;
+      eq.rate
+    end
+    else x_recv
+  in
   let rate =
     if leaving then rate
     else if Float.is_finite rate then rate
@@ -117,10 +151,10 @@ let report_msg t ~leaving =
       rate;
       have_rtt = has_rtt_measurement t;
       rtt = rtt t;
-      p = loss_event_rate t;
-      x_recv = x_recv t;
+      p = eq.p;
+      x_recv;
       round = t.round;
-      has_loss = has_loss t;
+      has_loss;
       leaving;
     }
 
@@ -146,10 +180,10 @@ let send_leave_report t =
 let schedule_clr_report t =
   cancel_clr_timer t;
   let delay = Float.max 1e-3 (rtt t) in
-  t.clr_timer <- Some (t.env.Env.after ~delay t.clr_cb)
+  t.clr_timer <- t.env.Env.after ~delay t.clr_cb
 
 let clr_report_due t =
-  t.clr_timer <- None;
+  t.clr_timer <- Env.no_timer;
   if t.is_clr && t.joined then begin
     send_report t;
     schedule_clr_report t
@@ -184,24 +218,37 @@ let wants_to_report t =
        receive rate so the sender knows the group is still populated and
        the channel alive. *)
     t.sender_clr < 0
-  else
-    report_rate t < t.hot.sender_rate
+  else begin
+    update_report_rate t;
+    t.eq.rate < t.hot.sender_rate
     (* The sender lost its CLR (leave/timeout): volunteer so it can pick
        the new limiting receiver instead of ramping blindly. *)
     || t.sender_clr < 0
+  end
 
 let bias_ratio t =
   if t.hot.sender_rate <= 0. then 1.
   else begin
-    let r = report_rate t /. t.hot.sender_rate in
+    update_report_rate t;
+    let r = t.eq.rate /. t.hot.sender_rate in
     Float.max 0. (Float.min 1. r)
   end
 
-(* A feedback-round timer's expiry: [t.fb_cb]. *)
+(* A feedback timer's expiry: [t.fb_cb].  A round's timer re-checks
+   the conditions, which may have improved since round start; the
+   first-loss timer reports unconditionally (only other loss reports
+   may have suppressed it). *)
 let fb_round_due t =
-  t.fb_timer <- None;
-  (* Re-check: conditions may have improved since round start. *)
-  if t.joined && (not t.is_clr) && wants_to_report t then send_report t
+  t.fb_timer <- Env.no_timer;
+  if t.joined && (not t.is_clr) && (t.fb_first_loss || wants_to_report t) then
+    send_report t
+
+(* The late-timer hook of the feedback draws, built at the first draw
+   rather than with the receiver. *)
+let late_timer t =
+  if t.late_timer == no_hook then
+    t.late_timer <- (fun () -> Env.clock_anomaly t.env ~kind:"late-timer");
+  t.late_timer
 
 let start_round t ~round ~duration =
   t.round <- round;
@@ -209,41 +256,42 @@ let start_round t ~round ~duration =
   cancel_fb_timer t;
   if (not t.is_clr) && wants_to_report t then begin
     let delay =
-      Feedback_timer.draw_clamped t.rng
-        ~on_anomaly:(fun () -> Env.clock_anomaly t.env ~kind:"late-timer")
+      Feedback_timer.draw_clamped t.rng ~on_anomaly:(late_timer t)
         ~bias:t.cfg.Config.bias ~t_max:duration ~delta:Config.fb_delta
         ~n_estimate:Config.n_estimate ~ratio:(bias_ratio t)
     in
     t.fb_round <- round;
-    t.fb_timer <- Some (t.env.Env.after ~delay t.fb_cb)
+    t.fb_first_loss <- false;
+    t.fb_timer <- t.env.Env.after ~delay t.fb_cb
   end
 
 (* Suppression by the lowest feedback echoed so far this round. *)
 let consider_suppression t (fb : Wire.fb_echo) =
-  if not t.cfg.Config.use_suppression then ()
-  else
-  match t.fb_timer with
-  | None -> ()
-  | Some _ ->
-      let mine_has_loss = has_loss t in
-      (* During slowstart a loss report cannot be suppressed by a
-         rate-only report (§2.6). *)
-      if mine_has_loss && not fb.fb_has_loss then ()
-      else begin
-        let cancel =
-          (* A pure receive-rate report (slowstart, no loss yet) carries
-             no information beyond the minimum already echoed: any echo
-             suppresses it.  Loss reports use the ζ rule. *)
-          (not mine_has_loss)
-          || Feedback_timer.should_cancel ~zeta:t.cfg.Config.zeta
-               ~own_rate:(report_rate t) ~echoed_rate:fb.fb_rate
-        in
-        if cancel then begin
-          cancel_fb_timer t;
-          t.suppressed <- t.suppressed + 1;
-          Obs.Metrics.Counter.inc t.m_suppressed
-        end
+  (* Only a pending feedback timer can be suppressed. *)
+  if t.cfg.Config.use_suppression && t.fb_timer != Env.no_timer then begin
+    let mine_has_loss = has_loss t in
+    (* During slowstart a loss report cannot be suppressed by a
+       rate-only report (§2.6). *)
+    if mine_has_loss && not fb.fb_has_loss then ()
+    else begin
+      let cancel =
+        (* A pure receive-rate report (slowstart, no loss yet) carries
+           no information beyond the minimum already echoed: any echo
+           suppresses it.  Loss reports use the ζ rule. *)
+        (not mine_has_loss)
+        || begin
+             update_report_rate t;
+             Feedback_timer.should_cancel ~zeta:t.cfg.Config.zeta
+               ~own_rate:t.eq.rate ~echoed_rate:fb.fb_rate
+           end
+      in
+      if cancel then begin
+        cancel_fb_timer t;
+        t.suppressed <- t.suppressed + 1;
+        Obs.Metrics.Counter.inc t.m_suppressed
       end
+    end
+  end
 
 let on_data t ~size (d : Wire.data) =
   if t.joined then begin
@@ -304,8 +352,9 @@ let on_data t ~size (d : Wire.data) =
     in
     if new_loss_events > 0 then begin
       Obs.Metrics.Counter.add t.m_loss_events new_loss_events;
-      jnl t ~severity:Obs.Journal.Debug
-        (Obs.Journal.Loss_event { p = loss_event_rate t })
+      if Obs.Journal.enabled t.obs.Obs.Sink.journal then
+        jnl t ~severity:Obs.Journal.Debug
+          (Obs.Journal.Loss_event { p = loss_event_rate t })
     end;
     (* First loss while the sender is in slowstart: report within one
        feedback delay (§2.6) even if this round's rate-based timer was
@@ -315,18 +364,14 @@ let on_data t ~size (d : Wire.data) =
     then begin
       cancel_fb_timer t;
       let delay =
-        Feedback_timer.draw_clamped t.rng
-          ~on_anomaly:(fun () -> Env.clock_anomaly t.env ~kind:"late-timer")
+        Feedback_timer.draw_clamped t.rng ~on_anomaly:(late_timer t)
           ~bias:t.cfg.Config.bias ~t_max:d.round_duration
           ~delta:Config.fb_delta ~n_estimate:Config.n_estimate
           ~ratio:0.
       in
       t.fb_round <- d.round;
-      t.fb_timer <-
-        Some
-          (t.env.Env.after ~delay (fun () ->
-               t.fb_timer <- None;
-               if t.joined && not t.is_clr then send_report t))
+      t.fb_first_loss <- true;
+      t.fb_timer <- t.env.Env.after ~delay t.fb_cb
     end;
     (* CLR status. *)
     if d.clr = node_id t then become_clr t else stop_being_clr t;
@@ -359,6 +404,7 @@ let create ~env ~cfg ~session ~sender ?report_to ?(clock_offset = 0.)
         rng = env.Env.split_rng ();
         rtt_est;
         rtt_f;
+        eq = { Tcp_model.Padhye.rtt = 0.; p = 0.; rate = 0. };
         history =
           Tfrc.Loss_history.create ~clock
             ~rtt:(fun () -> rtt_f.Rtt_estimator.rtt)
@@ -392,9 +438,10 @@ let create ~env ~cfg ~session ~sender ?report_to ?(clock_offset = 0.)
         sender_clr = -1;
         round = -1;
         is_clr = false;
-        fb_timer = None;
+        fb_timer = Env.no_timer;
         fb_round = -1;
-        clr_timer = None;
+        fb_first_loss = false;
+        clr_timer = Env.no_timer;
         received = 0;
         reports = 0;
         suppressed = 0;
@@ -414,6 +461,7 @@ let create ~env ~cfg ~session ~sender ?report_to ?(clock_offset = 0.)
           Obs.Metrics.counter metrics ~labels "tfmcc_receiver_loss_events_total";
         clr_cb = (fun () -> clr_report_due (Lazy.force t));
         fb_cb = (fun () -> fb_round_due (Lazy.force t));
+        late_timer = no_hook;
       }
   in
   Lazy.force t

@@ -15,12 +15,24 @@ type pending_echo = Echo_queue.entry = {
   pe_rate : float;
 }
 
-type clr_state = {
-  mutable clr_id : int;
+(* The floats a report writes, in an all-float record: a store is a
+   raw double, where a [mutable float] in the mixed [t] boxes a fresh
+   float on every write.  [rate], [round_duration] and [max_rtt] stay
+   in [t]: every data header shares their boxes. *)
+type floats = {
+  mutable last_rate_change : float;
+  mutable last_report_arrival : float;
+  (* The current CLR's, meaningful while [clr_id >= 0]. *)
   mutable clr_rtt : float;
   mutable clr_rate : float;  (* last (adjusted) rate the CLR reported *)
   mutable clr_last_report : float;
+  (* The CLR default echo's report arrival, while [clr_echo_rx >= 0]. *)
+  mutable clr_echo_arrival : float;
 }
+
+(* A receiver's R_max input: the RTT of its last report and when it
+   came, all-float, made at its first report and rewritten in place. *)
+type rtt_entry = { mutable rmax_rtt : float; mutable seen : float }
 
 type prev_clr = { prev_id : int; prev_rate : float; prev_until : float }
 
@@ -40,18 +52,21 @@ type t = {
   mutable seq : int;
   mutable round : int;
   mutable round_duration : float;
-  mutable round_started : float;
   mutable max_rtt : float;
+  f : floats;
   (* Last RTT sample and its arrival time per receiver; entries leave
      with an explicit leave report, on CLR timeout, or by staleness. *)
-  rtt_table : (int, float * float) Hashtbl.t;
-  mutable clr : clr_state option;
+  rtt_table : (int, rtt_entry) Hashtbl.t;
+  mutable clr_id : int;  (* the current CLR; -1 none *)
   mutable prev_clr : prev_clr option;
-  (* Lowest report seen this round, echoed in data packets. *)
+  (* Lowest report seen this round, echoed in data packets.  In-flight
+     data headers share it, so it is replaced, never mutated. *)
   mutable round_fb : Wire.fb_echo option;
   mutable pending_echoes : pending_echo list;  (* sorted by (class, rate) *)
-  mutable clr_echo : pending_echo option;  (* CLR default echo *)
-  mutable last_rate_change : float;
+  (* CLR default echo: the receiver (-1 none) and its report's
+     timestamp; the arrival is [f.clr_echo_arrival]. *)
+  mutable clr_echo_rx : int;
+  mutable clr_echo_ts : float;
   (* Pacing rides fire-and-forget events ([Env.after_unit]): the one
      closure per [start] is stored here and re-scheduled for every
      packet, so steady-state pacing allocates neither a closure nor a
@@ -59,15 +74,14 @@ type t = {
      cancelling; a stale event fires into a generation check and dies. *)
   mutable pacing_gen : int;
   mutable pacing_cb : unit -> unit;
-  mutable round_timer : Env.timer option;
+  mutable round_timer : Env.timer;  (* [Env.no_timer] when not armed *)
   mutable sent : int;
   mutable reports : int;
   mutable clr_changes : int;
   mutable clr_timeouts : int;
-  (* Degradation state machine (see DESIGN.md §7): [last_report_arrival]
+  (* Degradation state machine (see DESIGN.md §7): [f.last_report_arrival]
      feeds starvation detection; [clr_lost] is set when the CLR vanished
      (timeout or leave) and cleared when a replacement is installed. *)
-  mutable last_report_arrival : float;
   mutable starved : bool;
   mutable starvations : int;
   mutable clr_lost : bool;
@@ -88,9 +102,14 @@ type t = {
   m_failovers : Obs.Metrics.Counter.t;
   m_rate : Obs.Metrics.Gauge.t;
   (* The round timer's callback, [start_round t], built by [start] like
-     [pacing_cb] so that arming a round allocates no closure. *)
+     [pacing_cb] so that arming a round allocates no closure, and the
+     round duration's late-timer hook, [no_hook] until the first round
+     builds it. *)
   mutable round_cb : unit -> unit;
+  mutable late_timer : unit -> unit;
 }
+
+let no_hook () = ()
 
 let now t = t.env.Env.clock.Event_heap.cell_time
 
@@ -102,9 +121,9 @@ let s_float t = float_of_int t.cfg.Config.packet_size
 
 let rate_bytes_per_s t = t.rate
 
-let clr t = match t.clr with None -> None | Some c -> Some c.clr_id
+let clr t = if t.clr_id < 0 then None else Some t.clr_id
 
-let clr_rate t = match t.clr with None -> None | Some c -> Some c.clr_rate
+let clr_rate t = if t.clr_id < 0 then None else Some t.f.clr_rate
 
 let in_slowstart t = t.in_ss
 
@@ -131,7 +150,7 @@ let clr_failovers t = t.clr_failovers_n
 (* NaN-safe: validation keeps NaN out of the inputs, but the rate is the
    one value that must never be poisoned, so the clamp itself is the last
    line of defence (Float.max propagates NaN). *)
-let clamp_rate t x =
+let[@inline] clamp_rate t x =
   if Float.is_nan x then min_rate t
   else Float.min t.cfg.Config.max_rate (Float.max (min_rate t) x)
 
@@ -145,38 +164,46 @@ let pop_echo t =
       t.pending_echoes <- rest;
       Some
         { Wire.rx_id = pe.pe_rx; rx_ts = pe.pe_ts; echo_delay = now t -. pe.pe_arrival }
-  | [] -> (
-      match t.clr_echo with
-      | Some pe ->
-          Some
-            { Wire.rx_id = pe.pe_rx; rx_ts = pe.pe_ts; echo_delay = now t -. pe.pe_arrival }
-      | None -> None)
+  | [] ->
+      if t.clr_echo_rx < 0 then None
+      else
+        Some
+          {
+            Wire.rx_id = t.clr_echo_rx;
+            rx_ts = t.clr_echo_ts;
+            echo_delay = now t -. t.f.clr_echo_arrival;
+          }
 
 (* ------------------------------------------------------------ rate moves *)
 
+(* A journal payload is built only for a journal that records it. *)
+let journaling t = Obs.Journal.enabled t.obs.Obs.Sink.journal
+
 let journal_rate_change t ~from_bps ~reason =
-  if t.rate <> from_bps then
+  if t.rate <> from_bps && journaling t then
     jnl t ~severity:Obs.Journal.Debug
       (Obs.Journal.Rate_change { from_bps; to_bps = t.rate; reason })
 
-let apply_decrease t new_rate =
+(* The rate moves and [check_prev_clr] are inlined into [on_report], so
+   the report's floats reach them unboxed. *)
+let[@inline] apply_decrease t new_rate =
   let from_bps = t.rate in
   t.rate <- clamp_rate t new_rate;
-  t.last_rate_change <- now t;
+  t.f.last_rate_change <- now t;
   journal_rate_change t ~from_bps ~reason:"decrease"
 
 (* Increase toward [desired], at most [increase_limit_packets] packets per
    RTT since the last change. *)
-let apply_capped_increase t ~desired ~rtt =
+let[@inline] apply_capped_increase t ~desired ~rtt =
   let now = now t in
-  let dt = Float.max 0. (now -. t.last_rate_change) in
+  let dt = Float.max 0. (now -. t.f.last_rate_change) in
   let rtt = Float.max 1e-3 rtt in
   let cap =
     t.rate +. (Config.increase_limit_packets *. s_float t *. (dt /. rtt))
   in
   let from_bps = t.rate in
   t.rate <- clamp_rate t (Float.min desired cap);
-  t.last_rate_change <- now;
+  t.f.last_rate_change <- now;
   journal_rate_change t ~from_bps ~reason:"capped-increase"
 
 (* -------------------------------------------------------------- the CLR *)
@@ -190,52 +217,45 @@ let set_clr t ~rx ~rtt ~rate_adj =
     t.clr_failovers_n <- t.clr_failovers_n + 1;
     Obs.Metrics.Counter.inc t.m_failovers
   end;
-  (match t.clr with
-  | Some c when c.clr_id = rx ->
-      c.clr_rtt <- rtt;
-      c.clr_rate <- rate_adj;
-      c.clr_last_report <- now
-  | Some c ->
-      (* Remember the outgoing CLR for conservative switch-back (App. C). *)
-      if t.cfg.Config.remember_clr then
-        t.prev_clr <-
-          Some
-            {
-              prev_id = c.clr_id;
-              prev_rate = c.clr_rate;
-              prev_until = now +. (Config.remember_clr_rtts *. Float.max c.clr_rtt 1e-3);
-            };
-      t.clr_changes <- t.clr_changes + 1;
-      Obs.Metrics.Counter.inc t.m_clr_changes;
-      jnl t (Obs.Journal.Clr_change { prev = c.clr_id; clr = rx });
-      t.clr <- Some { clr_id = rx; clr_rtt = rtt; clr_rate = rate_adj; clr_last_report = now }
-  | None ->
-      t.clr_changes <- t.clr_changes + 1;
-      Obs.Metrics.Counter.inc t.m_clr_changes;
-      jnl t (Obs.Journal.Clr_change { prev = -1; clr = rx });
-      t.clr <- Some { clr_id = rx; clr_rtt = rtt; clr_rate = rate_adj; clr_last_report = now })
+  let f = t.f in
+  if t.clr_id <> rx then begin
+    (* Remember the outgoing CLR for conservative switch-back (App. C). *)
+    if t.clr_id >= 0 && t.cfg.Config.remember_clr then
+      t.prev_clr <-
+        Some
+          {
+            prev_id = t.clr_id;
+            prev_rate = f.clr_rate;
+            prev_until = now +. (Config.remember_clr_rtts *. Float.max f.clr_rtt 1e-3);
+          };
+    t.clr_changes <- t.clr_changes + 1;
+    Obs.Metrics.Counter.inc t.m_clr_changes;
+    jnl t (Obs.Journal.Clr_change { prev = t.clr_id; clr = rx });
+    t.clr_id <- rx
+  end;
+  f.clr_rtt <- rtt;
+  f.clr_rate <- rate_adj;
+  f.clr_last_report <- now
 
 let drop_clr t ~reason =
-  (match t.clr with
-  | Some c ->
-      Hashtbl.remove t.rtt_table c.clr_id;
-      t.clr_lost <- true;
-      jnl t ~severity:Obs.Journal.Warn
-        (Obs.Journal.Clr_drop { clr = c.clr_id; reason })
-  | None -> ());
-  t.clr <- None;
-  t.clr_echo <- None
+  if t.clr_id >= 0 then begin
+    Hashtbl.remove t.rtt_table t.clr_id;
+    t.clr_lost <- true;
+    jnl t ~severity:Obs.Journal.Warn
+      (Obs.Journal.Clr_drop { clr = t.clr_id; reason })
+  end;
+  t.clr_id <- -1;
+  t.clr_echo_rx <- -1
 
 (* App. C: if the stored previous CLR's rate is lower than where the rate
    is heading, switch back to it without waiting for feedback. *)
-let check_prev_clr t ~desired =
+let[@inline] check_prev_clr t ~desired =
   match t.prev_clr with
   | Some p when now t <= p.prev_until ->
       if desired > p.prev_rate then begin
-        (match t.clr with
-        | Some c ->
-            set_clr t ~rx:p.prev_id ~rtt:c.clr_rtt ~rate_adj:p.prev_rate
-        | None -> set_clr t ~rx:p.prev_id ~rtt:t.cfg.Config.rtt_initial ~rate_adj:p.prev_rate);
+        set_clr t ~rx:p.prev_id
+          ~rtt:(if t.clr_id >= 0 then t.f.clr_rtt else t.cfg.Config.rtt_initial)
+          ~rate_adj:p.prev_rate;
         t.prev_clr <- None;
         p.prev_rate
       end
@@ -247,9 +267,21 @@ let check_prev_clr t ~desired =
 
 (* --------------------------------------------------------------- reports *)
 
-let sender_side_rtt t ~echo_ts ~echo_delay =
+(* A sender-side RTT sample from a report's echo, or NaN when it is no
+   usable sample.  Inlined, so the sample stays unboxed. *)
+let[@inline] echo_sample t ~echo_ts ~echo_delay =
   let sample = now t -. echo_ts -. echo_delay in
-  if Float.is_nan sample || sample <= 0. then None else Some sample
+  if Float.is_nan sample || sample <= 0. then Float.nan else sample
+
+(* X ∝ 1/R (§2.4.4): a rate the receiver computed with its initial RTT,
+   rescaled to the sender-side sample.  Not inlined: its boxed result
+   keeps [rate_adj] a boxed value, so a report that needs no rescale
+   shares the report's own box. *)
+let[@inline never] rescaled_rate ~rate ~rtt ~sample = rate *. rtt /. sample
+
+let sender_side_rtt t ~echo_ts ~echo_delay =
+  let sample = echo_sample t ~echo_ts ~echo_delay in
+  if Float.is_nan sample then None else Some sample
 
 let on_report t ~rx ~ts ~echo_ts ~echo_delay ~rate ~have_rtt ~rtt ~p:_ ~x_recv
     ~round:report_round ~has_loss ~leaving =
@@ -259,25 +291,24 @@ let on_report t ~rx ~ts ~echo_ts ~echo_delay ~rate ~have_rtt ~rtt ~p:_ ~x_recv
   (* Any validated report proves the feedback channel is alive: leave the
      starved state (the decayed rate recovers through the normal capped
      increase once a CLR re-establishes itself). *)
-  t.last_report_arrival <- now;
+  t.f.last_report_arrival <- now;
   t.starved <- false;
   if leaving then begin
     Hashtbl.remove t.rtt_table rx;
-    match t.clr with
-    | Some c when c.clr_id = rx ->
-        (* The limiting receiver left: drop it and let the capped ramp
-           find the next CLR. *)
-        drop_clr t ~reason:"leave";
-        t.clr_timeouts <- t.clr_timeouts + 1;
-        Obs.Metrics.Counter.inc t.m_clr_timeouts
-    | _ -> ()
+    if t.clr_id = rx then begin
+      (* The limiting receiver left: drop it and let the capped ramp
+         find the next CLR. *)
+      drop_clr t ~reason:"leave";
+      t.clr_timeouts <- t.clr_timeouts + 1;
+      Obs.Metrics.Counter.inc t.m_clr_timeouts
+    end
   end
   else begin
     (* Sender-side RTT: used to rescale rate reports that were computed
-       with the initial RTT (§2.4.4). *)
-    let rtt_sender = sender_side_rtt t ~echo_ts ~echo_delay in
+       with the initial RTT (§2.4.4).  NaN when there is none. *)
+    let rtt_sender = echo_sample t ~echo_ts ~echo_delay in
     let rtt_best =
-      if have_rtt then rtt else Option.value rtt_sender ~default:rtt
+      if have_rtt || Float.is_nan rtt_sender then rtt else rtt_sender
     in
     (* R_max must reflect the RTT the receiver itself operates with: a
        receiver still using the 500 ms initial estimate draws feedback
@@ -285,12 +316,15 @@ let on_report t ~rx ~ts ~echo_ts ~echo_delay ~rate ~have_rtt ~rtt ~p:_ ~x_recv
        measurement (paper footnote 7).  [rtt] is the receiver's own
        current estimate. *)
     let rtt_for_rmax = if have_rtt then rtt else Float.max rtt rtt_best in
-    Hashtbl.replace t.rtt_table rx (rtt_for_rmax, now);
+    (match Hashtbl.find t.rtt_table rx with
+    | e ->
+        e.rmax_rtt <- rtt_for_rmax;
+        e.seen <- now
+    | exception Not_found ->
+        Hashtbl.add t.rtt_table rx { rmax_rtt = rtt_for_rmax; seen = now });
     let rate_adj =
-      if has_loss && not have_rtt then
-        match rtt_sender with
-        | Some r when r > 0. -> rate *. rtt /. r  (* X ∝ 1/R *)
-        | Some _ | None -> rate
+      if has_loss && (not have_rtt) && not (Float.is_nan rtt_sender) then
+        rescaled_rate ~rate ~rtt ~sample:rtt_sender
       else rate
     in
     (* Cross-receiver outlier screen: a report whose rate is a low
@@ -318,17 +352,16 @@ let on_report t ~rx ~ts ~echo_ts ~echo_delay ~rate ~have_rtt ~rtt ~p:_ ~x_recv
     (* Track the lowest report of this round for suppression echoing.
        Loss reports dominate slowstart receive-rate reports. *)
     (if admitted then
-       let candidate =
-         { Wire.fb_rx_id = rx; fb_rate = rate_adj; fb_has_loss = has_loss }
-       in
-       match t.round_fb with
-       | None -> t.round_fb <- Some candidate
-       | Some cur ->
-           let better =
+       let better =
+         match t.round_fb with
+         | None -> true
+         | Some cur ->
              if has_loss <> cur.Wire.fb_has_loss then has_loss
              else rate_adj < cur.Wire.fb_rate
-           in
-           if better then t.round_fb <- Some candidate);
+       in
+       if better then
+         t.round_fb <-
+           Some { Wire.fb_rx_id = rx; fb_rate = rate_adj; fb_has_loss = has_loss });
     (* Slowstart bookkeeping. *)
     if t.in_ss then begin
       if has_loss then begin
@@ -351,14 +384,11 @@ let on_report t ~rx ~ts ~echo_ts ~echo_delay ~rate ~have_rtt ~rtt ~p:_ ~x_recv
           t.ss_min_xrecv <- x_recv;
           set_clr t ~rx ~rtt:rtt_best ~rate_adj:x_recv
         end
-        else begin
-          match t.clr with
-          | Some c when c.clr_id = rx ->
-              c.clr_last_report <- now;
-              c.clr_rtt <- rtt_best;
-              (* CLR's fresh receive rate drives the target. *)
-              if admitted then t.ss_min_xrecv <- x_recv
-          | _ -> ()
+        else if t.clr_id = rx then begin
+          t.f.clr_last_report <- now;
+          t.f.clr_rtt <- rtt_best;
+          (* CLR's fresh receive rate drives the target. *)
+          if admitted then t.ss_min_xrecv <- x_recv
         end;
         (* Until some report was allowed to set the minimum, there is no
            evidence to raise the target on. *)
@@ -373,7 +403,7 @@ let on_report t ~rx ~ts ~echo_ts ~echo_delay ~rate ~have_rtt ~rtt ~p:_ ~x_recv
             t.ss_round <- report_round;
             t.ss_target <- proposed
           end;
-          if t.ss_target <> prev_target then
+          if t.ss_target <> prev_target && journaling t then
             jnl t ~severity:Obs.Journal.Debug
               (Obs.Journal.Rate_change
                  {
@@ -384,85 +414,84 @@ let on_report t ~rx ~ts ~echo_ts ~echo_delay ~rate ~have_rtt ~rtt ~p:_ ~x_recv
         end
       end
     end
-    else begin
-      (* Congestion-avoidance rate control. *)
-      match t.clr with
-      | None ->
-          (* Failover install: no current CLR, so no flap damping — but
-             the outlier screen and the track-record gate still apply (a
-             vacant election is the understater's favourite moment to
-             volunteer). *)
-          if has_loss && leads then begin
-            set_clr t ~rx ~rtt:rtt_best ~rate_adj;
-            if rate_adj < t.rate then apply_decrease t rate_adj
-            else apply_capped_increase t ~desired:(check_prev_clr t ~desired:rate_adj) ~rtt:rtt_best
-          end
-      | Some c ->
-          if rx = c.clr_id then begin
-            c.clr_last_report <- now;
-            (* A non-admitted CLR report (low outlier) keeps the CLR
-               alive but moves nothing: a turncoat CLR can freeze the
-               rate, never crash it. *)
-            if admitted then begin
-              c.clr_rtt <- rtt_best;
-              c.clr_rate <- rate_adj;
-              if rate_adj < t.rate then apply_decrease t rate_adj
-              else begin
-                let desired = check_prev_clr t ~desired:rate_adj in
-                apply_capped_increase t ~desired ~rtt:rtt_best
-              end
-            end
-          end
-          else if has_loss && rate_adj < t.rate then begin
-            (* A lower-rate receiver takes over as CLR — subject to the
-               outlier screen and flap damping (hysteresis + hold-down). *)
-            let allowed =
-              leads
-              &&
-              match t.defense with
-              | None -> true
-              | Some d ->
-                  Defense.may_switch d ~now ~sender_rate:t.rate
-                    ~candidate_rate:rate_adj ~rx
-            in
-            if allowed then begin
-              (match t.defense with
-              | Some d ->
-                  Defense.note_switch d ~now ~round_duration:t.round_duration
-              | None -> ());
-              set_clr t ~rx ~rtt:rtt_best ~rate_adj;
-              apply_decrease t rate_adj
-            end
-          end
+    (* Congestion-avoidance rate control. *)
+    else if t.clr_id < 0 then begin
+      (* Failover install: no current CLR, so no flap damping — but the
+         outlier screen and the track-record gate still apply (a vacant
+         election is the understater's favourite moment to volunteer). *)
+      if has_loss && leads then begin
+        set_clr t ~rx ~rtt:rtt_best ~rate_adj;
+        if rate_adj < t.rate then apply_decrease t rate_adj
+        else apply_capped_increase t ~desired:(check_prev_clr t ~desired:rate_adj) ~rtt:rtt_best
+      end
+    end
+    else if rx = t.clr_id then begin
+      t.f.clr_last_report <- now;
+      (* A non-admitted CLR report (low outlier) keeps the CLR alive but
+         moves nothing: a turncoat CLR can freeze the rate, never crash
+         it. *)
+      if admitted then begin
+        t.f.clr_rtt <- rtt_best;
+        t.f.clr_rate <- rate_adj;
+        if rate_adj < t.rate then apply_decrease t rate_adj
+        else begin
+          let desired = check_prev_clr t ~desired:rate_adj in
+          apply_capped_increase t ~desired ~rtt:rtt_best
+        end
+      end
+    end
+    else if has_loss && rate_adj < t.rate then begin
+      (* A lower-rate receiver takes over as CLR — subject to the outlier
+         screen and flap damping (hysteresis + hold-down). *)
+      let allowed =
+        leads
+        &&
+        match t.defense with
+        | None -> true
+        | Some d ->
+            Defense.may_switch d ~now ~sender_rate:t.rate ~candidate_rate:rate_adj ~rx
+      in
+      if allowed then begin
+        (match t.defense with
+        | Some d -> Defense.note_switch d ~now ~round_duration:t.round_duration
+        | None -> ());
+        set_clr t ~rx ~rtt:rtt_best ~rate_adj;
+        apply_decrease t rate_adj
+      end
     end;
-    (* Echo scheduling. *)
-    let is_new_clr = match t.clr with Some c -> c.clr_id = rx | None -> false in
+    (* Echo scheduling.  The CLR's echo is rewritten in place; any other
+       report queues one entry. *)
+    let is_clr = t.clr_id = rx in
     let pe_class =
-      if is_new_clr && (match t.clr_echo with Some e -> e.pe_rx <> rx | None -> true)
-      then class_new_clr
+      if is_clr && t.clr_echo_rx <> rx then class_new_clr
       else if not have_rtt then class_no_rtt
-      else if match t.clr with Some c -> c.clr_id = rx | None -> false then class_clr
+      else if is_clr then class_clr
       else class_non_clr
     in
-    let pe = { pe_rx = rx; pe_ts = ts; pe_arrival = now; pe_class; pe_rate = rate_adj } in
     (* One pending echo per receiver: the newest report wins. *)
-    if pe_class = class_clr then t.clr_echo <- Some pe
-    else t.pending_echoes <- Echo_queue.insert t.pending_echoes pe;
-    if is_new_clr then t.clr_echo <- Some pe
+    if pe_class <> class_clr then
+      t.pending_echoes <-
+        Echo_queue.insert t.pending_echoes
+          { pe_rx = rx; pe_ts = ts; pe_arrival = now; pe_class; pe_rate = rate_adj };
+    if is_clr then begin
+      t.clr_echo_rx <- rx;
+      t.clr_echo_ts <- ts;
+      t.f.clr_echo_arrival <- now
+    end
   end
 
 (* ---------------------------------------------------------------- rounds *)
 
 let check_clr_timeout t =
-  match t.clr with
-  | Some c
-    when now t -. c.clr_last_report
-         > Config.clr_timeout_rounds *. t.round_duration ->
-      jnl t ~severity:Obs.Journal.Warn (Obs.Journal.Timeout { what = "clr" });
-      drop_clr t ~reason:"timeout";
-      t.clr_timeouts <- t.clr_timeouts + 1;
-      Obs.Metrics.Counter.inc t.m_clr_timeouts
-  | _ -> ()
+  if
+    t.clr_id >= 0
+    && now t -. t.f.clr_last_report > Config.clr_timeout_rounds *. t.round_duration
+  then begin
+    jnl t ~severity:Obs.Journal.Warn (Obs.Journal.Timeout { what = "clr" });
+    drop_clr t ~reason:"timeout";
+    t.clr_timeouts <- t.clr_timeouts + 1;
+    Obs.Metrics.Counter.inc t.m_clr_timeouts
+  end
 
 (* Total feedback starvation (paper's feedback-timeout rule, extended to
    the no-feedback-at-all case): when not a single receiver has been
@@ -473,7 +502,7 @@ let check_clr_timeout t =
    valid report ends the state immediately. *)
 let check_starvation t =
   let now = now t in
-  if now -. t.last_report_arrival
+  if now -. t.f.last_report_arrival
      > Config.starvation_rounds *. t.round_duration
   then begin
     if not t.starved then begin
@@ -489,26 +518,29 @@ let check_starvation t =
          futile once rounds stretch with the decaying rate.  Dropping it
          here makes the data header advertise clr = -1, which is what
          tells surviving receivers to volunteer — the failover path. *)
-      match t.clr with
-      | Some _ ->
-          drop_clr t ~reason:"starvation";
-          t.clr_timeouts <- t.clr_timeouts + 1;
-          Obs.Metrics.Counter.inc t.m_clr_timeouts
-      | None -> ()
+      if t.clr_id >= 0 then begin
+        drop_clr t ~reason:"starvation";
+        t.clr_timeouts <- t.clr_timeouts + 1;
+        Obs.Metrics.Counter.inc t.m_clr_timeouts
+      end
     end;
     let from_bps = t.rate in
     t.rate <- clamp_rate t (t.rate *. Config.starvation_decay);
     t.ss_target <- Float.min t.ss_target t.rate;
-    t.last_rate_change <- now;
+    t.f.last_rate_change <- now;
     journal_rate_change t ~from_bps ~reason:"starvation-decay"
   end
 
+let late_timer t =
+  if t.late_timer == no_hook then
+    t.late_timer <- (fun () -> Env.clock_anomaly t.env ~kind:"late-timer");
+  t.late_timer
+
 let start_round t =
-  t.round_timer <- None;
+  t.round_timer <- Env.no_timer;
   if t.running then begin
     let now = now t in
     t.round <- t.round + 1;
-    t.round_started <- now;
     t.round_fb <- None;
     (* R_max: the maximum RTT over receivers heard from within the last
        two rounds, falling back to the initial value when nobody
@@ -517,21 +549,21 @@ let start_round t =
     let horizon = now -. (2. *. t.round_duration) in
     let stale =
       Hashtbl.fold
-        (fun rx (_, seen) acc -> if seen < horizon then rx :: acc else acc)
+        (fun rx e acc -> if e.seen < horizon then rx :: acc else acc)
         t.rtt_table []
     in
     List.iter (Hashtbl.remove t.rtt_table) stale;
     let observed =
-      Hashtbl.fold (fun _ (rtt, _) acc -> Float.max rtt acc) t.rtt_table 0.
+      Hashtbl.fold (fun _ e acc -> Float.max e.rmax_rtt acc) t.rtt_table 0.
     in
     t.max_rtt <- (if observed > 0. then observed else t.cfg.Config.rtt_initial);
     t.round_duration <-
-      Feedback_timer.round_duration_clamped
-        ~on_anomaly:(fun () -> Env.clock_anomaly t.env ~kind:"late-timer")
+      Feedback_timer.round_duration_clamped ~on_anomaly:(late_timer t)
         ~cfg:t.cfg ~max_rtt:t.max_rtt ~rate:t.rate;
-    jnl t ~severity:Obs.Journal.Debug
-      (Obs.Journal.Round_start
-         { round = t.round; duration = t.round_duration; max_rtt = t.max_rtt });
+    if journaling t then
+      jnl t ~severity:Obs.Journal.Debug
+        (Obs.Journal.Round_start
+           { round = t.round; duration = t.round_duration; max_rtt = t.max_rtt });
     (match t.defense with
     | Some d ->
         Defense.on_round d ~now ~round_duration:t.round_duration
@@ -539,8 +571,7 @@ let start_round t =
     | None -> ());
     check_clr_timeout t;
     check_starvation t;
-    t.round_timer <-
-      Some (t.env.Env.after ~delay:t.round_duration t.round_cb)
+    t.round_timer <- t.env.Env.after ~delay:t.round_duration t.round_cb
   end
 
 (* --------------------------------------------------------------- pacing *)
@@ -558,7 +589,7 @@ let send_packet t ~gen =
          t.rate <- clamp_rate t (t.rate +. step)
        end
      end
-     else if (not t.in_ss) && t.clr = None && not t.starved then begin
+     else if (not t.in_ss) && t.clr_id < 0 && not t.starved then begin
        (* No CLR (timeout/leave) but feedback is flowing: ramp up at the
           capped rate until a receiver objects and becomes CLR.  While
           starved the rate only decays (see check_starvation). *)
@@ -578,7 +609,7 @@ let send_packet t ~gen =
           round = t.round;
           round_duration = t.round_duration;
           max_rtt = t.max_rtt;
-          clr = (match t.clr with Some c -> c.clr_id | None -> -1);
+          clr = t.clr_id;
           in_slowstart = t.in_ss;
           echo = pop_echo t;
           fb = t.round_fb;
@@ -625,23 +656,30 @@ let create ~env ~cfg ~session ?initial_rate () =
     seq = 0;
     round = -1;
     round_duration = cfg.Config.rtt_initial *. Config.round_rtt_factor;
-    round_started = 0.;
     max_rtt = cfg.Config.rtt_initial;
+    f =
+      {
+        last_rate_change = 0.;
+        last_report_arrival = 0.;
+        clr_rtt = 0.;
+        clr_rate = 0.;
+        clr_last_report = 0.;
+        clr_echo_arrival = 0.;
+      };
     rtt_table = Hashtbl.create 64;
-    clr = None;
+    clr_id = -1;
     prev_clr = None;
     round_fb = None;
     pending_echoes = [];
-    clr_echo = None;
-    last_rate_change = 0.;
+    clr_echo_rx = -1;
+    clr_echo_ts = 0.;
     pacing_gen = 0;
     pacing_cb = ignore;  (* installed by [start] *)
-    round_timer = None;
+    round_timer = Env.no_timer;
     sent = 0;
     reports = 0;
     clr_changes = 0;
     clr_timeouts = 0;
-    last_report_arrival = 0.;
     starved = false;
     starvations = 0;
     clr_lost = false;
@@ -666,6 +704,7 @@ let create ~env ~cfg ~session ?initial_rate () =
       Obs.Metrics.counter metrics ~labels "tfmcc_sender_clr_failovers_total";
     m_rate = Obs.Metrics.gauge metrics ~labels "tfmcc_sender_rate_bytes_per_s";
     round_cb = ignore;  (* installed by [start] *)
+    late_timer = no_hook;
   }
 
 let deliver_report t (r : Wire.report) =
@@ -692,11 +731,7 @@ let deliver_report t (r : Wire.report) =
             | None -> false
             | Some _ when r.leaving -> false
             | Some d ->
-                let is_clr =
-                  match t.clr with
-                  | Some c -> c.clr_id = r.rx_id
-                  | None -> false
-                in
+                let is_clr = t.clr_id = r.rx_id in
                 let rtt_sample =
                   sender_side_rtt t ~echo_ts:r.echo_ts ~echo_delay:r.echo_delay
                 in
@@ -752,12 +787,13 @@ let start t ~at =
   t.round_cb <- (fun () -> start_round t);
   ignore
     (t.env.Env.at ~time:at (fun () ->
-         t.last_rate_change <- now t;
-         t.last_report_arrival <- now t;
+         t.f.last_rate_change <- now t;
+         t.f.last_report_arrival <- now t;
          start_round t;
          send_packet t ~gen))
 
 let stop t =
   t.running <- false;
   t.pacing_gen <- t.pacing_gen + 1;
-  t.round_timer <- Env.cancel_opt t.round_timer
+  t.env.Env.cancel t.round_timer;
+  t.round_timer <- Env.no_timer

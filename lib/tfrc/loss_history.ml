@@ -1,3 +1,7 @@
+(* All-float scratch (raw double storage): the weighted averages land
+   here instead of being returned boxed. *)
+type floats = { mutable avg : float }
+
 type t = {
   n : int;
   weights : float array;
@@ -15,9 +19,15 @@ type t = {
   (* Position of the synthetic first interval in [intervals], newest = 0;
      -1 when absent. *)
   mutable synthetic_pos : int;
-  (* Recent loss gaps (first lost seq, detection time), newest first,
-     capped — the raw material for App. A's remodel. *)
-  mutable gaps : (int * float) list;
+  (* Recent loss gaps (first lost seq, detection time), the raw material
+     for App. A's remodel: a ring of the newest [max_gap_log], the newest
+     at [gap_next - 1].  The arrays are made at the first gap, so a
+     history that never sees loss never holds them. *)
+  mutable gap_seqs : int array;
+  mutable gap_times : float array;
+  mutable gap_next : int;  (* slot the next gap takes *)
+  mutable gap_count : int;
+  f : floats;
 }
 
 let max_gap_log = 64
@@ -45,15 +55,30 @@ let create ~clock ~rtt ?(n_intervals = 8) ?(first_interval = fun () -> None) () 
     events = 0;
     seen = 0;
     synthetic_pos = -1;
-    gaps = [];
+    gap_seqs = [||];
+    gap_times = [||];
+    gap_next = 0;
+    gap_count = 0;
+    f = { avg = 0. };
   }
 
-(* values: newest first; the first n count.  A loop rather than a
-   closure over [List.iteri], so the running sums stay unboxed locals;
-   the summation order is the list order, as before. *)
-let weighted_average t values =
+(* The weighted average of [values] (newest first; the first n count),
+   led by the open interval when [with_open], into [t.f.avg].  A loop
+   rather than a closure over [List.iteri], so the running sums stay
+   unboxed locals; the summation order is the list order, with the open
+   interval first, so the open interval needs no list cell. *)
+let weighted_average t ~with_open values =
   let num = ref 0. and den = ref 0. in
   let rest = ref values and i = ref 0 in
+  if with_open then begin
+    let v =
+      if t.event_start_seq < 0 then 0.
+      else float_of_int (t.expected - t.event_start_seq)
+    in
+    num := !num +. (t.weights.(0) *. v);
+    den := !den +. t.weights.(0);
+    i := 1
+  end;
   while !i < t.n do
     match !rest with
     | v :: tl ->
@@ -63,25 +88,34 @@ let weighted_average t values =
         incr i
     | [] -> i := t.n
   done;
-  if !den = 0. then 0. else !num /. !den
+  t.f.avg <- (if !den = 0. then 0. else !num /. !den)
 
-let open_interval t =
-  if t.event_start_seq < 0 then 0.
-  else float_of_int (t.expected - t.event_start_seq)
-
-let mean_interval t =
+(* The governing mean interval, into [t.f.avg]. *)
+let update_mean t =
   match t.intervals with
-  | [] -> infinity
-  | _ ->
-      let closed = weighted_average t t.intervals in
+  | [] -> t.f.avg <- infinity
+  | intervals ->
+      weighted_average t ~with_open:false intervals;
+      let closed = t.f.avg in
       (* Include the open interval in place of the oldest if it increases
          the average (i.e. decreases p). *)
-      let with_open = weighted_average t (open_interval t :: t.intervals) in
-      Float.max closed with_open
+      weighted_average t ~with_open:true intervals;
+      t.f.avg <- Float.max closed t.f.avg
+
+let mean_interval t =
+  update_mean t;
+  t.f.avg
+
+let[@inline] p_of_mean m =
+  if m = infinity then 0. else Float.min 1. (1. /. Float.max 1. m)
 
 let loss_event_rate t =
-  let m = mean_interval t in
-  if m = infinity then 0. else Float.min 1. (1. /. Float.max 1. m)
+  update_mean t;
+  p_of_mean t.f.avg
+
+let loss_event_rate_into t (eq : Tcp_model.Padhye.cell) =
+  update_mean t;
+  eq.p <- p_of_mean t.f.avg
 
 let has_loss t = t.events > 0
 
@@ -91,10 +125,19 @@ let packets_seen t = t.seen
 
 let closed_intervals t = t.intervals
 
+(* The first [k] elements of [l]: [l] itself, not a copy, when it has
+   no more, so only a full history pays for dropping its oldest. *)
+let rec truncate k l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      if k = 0 then []
+      else
+        let rest' = truncate (k - 1) rest in
+        if rest' == rest then l else x :: rest'
+
 let push_interval t v =
-  t.intervals <- v :: t.intervals;
-  if List.length t.intervals > t.n then
-    t.intervals <- List.filteri (fun i _ -> i < t.n) t.intervals;
+  t.intervals <- truncate t.n (v :: t.intervals);
   if t.synthetic_pos >= 0 then begin
     t.synthetic_pos <- t.synthetic_pos + 1;
     if t.synthetic_pos >= t.n then t.synthetic_pos <- -1
@@ -120,6 +163,28 @@ let new_loss_event t ~first_lost_seq ~now =
   t.event_start_seq <- first_lost_seq;
   t.event_start_time <- now
 
+(* Logs a gap opening now at [seq] in the ring, over its oldest entry
+   once it holds [max_gap_log]. *)
+let push_gap t seq =
+  if Array.length t.gap_seqs = 0 then begin
+    t.gap_seqs <- Array.make max_gap_log 0;
+    t.gap_times <- Array.make max_gap_log 0.
+  end;
+  let i = t.gap_next in
+  t.gap_seqs.(i) <- seq;
+  t.gap_times.(i) <- t.clock.Event_heap.cell_time;
+  t.gap_next <- (if i + 1 = max_gap_log then 0 else i + 1);
+  if t.gap_count < max_gap_log then t.gap_count <- t.gap_count + 1
+
+let gap_log t =
+  let acc = ref [] in
+  (* Oldest to newest, each consed in front: newest first. *)
+  for j = 0 to t.gap_count - 1 do
+    let i = (t.gap_next - t.gap_count + j + max_gap_log) mod max_gap_log in
+    acc := (t.gap_seqs.(i), t.gap_times.(i)) :: !acc
+  done;
+  !acc
+
 let on_packet t ~seq =
   if seq < 0 then invalid_arg "Loss_history.on_packet: negative seq";
   if not t.synced then begin
@@ -138,9 +203,7 @@ let on_packet t ~seq =
       if not (rtt > 0. && rtt < infinity) then
         invalid_arg "Loss_history.on_packet: rtt must be finite and positive";
       let first_lost = t.expected in
-      t.gaps <- (first_lost, now) :: t.gaps;
-      if List.length t.gaps > max_gap_log then
-        t.gaps <- List.filteri (fun i _ -> i < max_gap_log) t.gaps;
+      push_gap t first_lost;
       (* Aggregate: losses within one RTT of the current event's start
          belong to it and open no new interval. *)
       if t.events = 0 || now -. t.event_start_time > rtt then
@@ -154,7 +217,7 @@ let on_packet t ~seq =
 let remodel t ~rtt =
   if not (rtt > 0. && rtt < infinity) then
     invalid_arg "Loss_history.remodel: rtt must be finite and positive";
-  match List.rev t.gaps with
+  match List.rev (gap_log t) with
   | [] -> ()
   | (seq0, time0) :: rest ->
       (* Re-aggregate the retained gaps under the new RTT. *)

@@ -45,6 +45,12 @@ val on_packet : t -> seq:int -> unit
 val loss_event_rate : t -> float
 (** p ∈ [0, 1]; 0 before the first loss event. *)
 
+val loss_event_rate_into : t -> Tcp_model.Padhye.cell -> unit
+(** Writes {!loss_event_rate} into the control equation's [p]: the
+    same float operations, with nothing boxed on the way out, so an
+    owner computes p once and feeds it to
+    {!Tcp_model.Padhye.throughput_cell} (DESIGN.md §14). *)
+
 val mean_interval : t -> float
 (** 1/p, i.e. the governing weighted average interval; [infinity] before
     the first loss event. *)
@@ -59,6 +65,10 @@ val packets_seen : t -> int
 
 val closed_intervals : t -> float list
 (** Most recent first; at most [n_intervals] values. *)
+
+val gap_log : t -> (int * float) list
+(** The retained loss gaps (first lost seq, detection time), newest
+    first: at most the 64 newest, which {!remodel} re-aggregates. *)
 
 val remodel : t -> rtt:float -> unit
 (** App. A's full correction: re-aggregates the retained log of recent

@@ -143,15 +143,15 @@ let test_block_refcount () =
 let test_loop_every () =
   let loop = Loop.create ~mode:Loop.Turbo ~seed:1 () in
   let fired = ref 0 in
-  let timer = Loop.every loop ~interval:0.1 (fun () -> incr fired) in
+  let stop = Loop.every loop ~interval:0.1 (fun () -> incr fired) in
   Loop.run ~until:1.05 loop;
   Alcotest.(check int) "ten firings" 10 !fired;
-  timer.Tfmcc_core.Env.cancel ();
+  stop ();
   Loop.run ~until:2.0 loop;
   Alcotest.(check int) "cancelled: no more" 10 !fired;
   Alcotest.(check bool)
     "bad interval rejected" true
-    (invalid (fun () -> ignore (Loop.every loop ~interval:0. (fun () -> ()))))
+    (invalid (fun () -> ignore (Loop.every loop ~interval:0. (fun () -> ()) : unit -> unit)))
 
 let test_loop_backstop () =
   let loop = Loop.create ~mode:Loop.Turbo ~seed:1 () in
@@ -165,7 +165,8 @@ let test_loop_backstop () =
   ignore
     (Loop.every loop ~interval:0.05 (fun () ->
          incr chain;
-         if !chain <= 2 then failwith "periodic boom"));
+         if !chain <= 2 then failwith "periodic boom")
+      : unit -> unit);
   Loop.run ~until:0.30 loop;
   Alcotest.(check int) "handler saw the one-shot + 2 periodic crashes" 3 !handled;
   Alcotest.(check int) "sibling timer survived" 1 !survivors;

@@ -214,6 +214,28 @@ let test_engine_schedule_words () =
   check "after_pkt" (per_event (fun () -> Netsim.Engine.after_pkt e ~delay:1e-3 on_pkt p));
   check "after_unit" (per_event (fun () -> Netsim.Engine.after_unit e ~delay:1e-3 on_unit))
 
+(* A cancellable timer through the simulator's [Env]: an arm and its
+   cancel allocate the heap's handle (3 words) and nothing else, no
+   closure, record or option around it.  A cancelled entry stays in the
+   heap until it surfaces, so each round ends by draining them. *)
+let test_env_timer_words () =
+  let e = Netsim.Engine.create () in
+  let topo = Netsim.Topology.create e in
+  let env = Netsim_env.env topo ~session:1 (Netsim.Topology.add_node topo) in
+  let delay = 1. in
+  let arm_cancel k =
+    for _ = 1 to k do
+      env.Tfmcc_core.Env.cancel (env.Tfmcc_core.Env.after ~delay ignore)
+    done;
+    Netsim.Engine.run e
+  in
+  (* grow the slot arrays before measuring *)
+  arm_cancel 20_000;
+  let w = marginal_words arm_cancel in
+  Alcotest.(check int) "no cancelled timer fired" 0 (Netsim.Engine.events_processed e);
+  if w > 3. then
+    Alcotest.failf "Env.after + Env.cancel allocate %.2f words (max 3, the handle)" w
+
 (* A handle outlives its event: once the event fired (or was cancelled)
    its slot is reused, and the stale handle must not cancel the new
    occupant. *)
@@ -1635,6 +1657,8 @@ let () =
           Alcotest.test_case "allocation-free fast path" `Quick test_heap_fast_path;
           Alcotest.test_case "engine schedules allocation-free" `Quick
             test_engine_schedule_words;
+          Alcotest.test_case "Env timer arm + cancel: the handle only" `Quick
+            test_env_timer_words;
           Alcotest.test_case "stale handle" `Quick test_heap_stale_handle;
           Alcotest.test_case "512-entry tie run" `Quick test_heap_tie_run;
           Alcotest.test_case "peek_time skips cancelled" `Quick

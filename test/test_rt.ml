@@ -65,13 +65,13 @@ let test_wheel_cancel () =
   let t1 = Loop.after loop ~delay:0.01 (fun () -> incr hits) in
   let t2 = Loop.after loop ~delay:0.02 (fun () -> incr hits) in
   Alcotest.(check int) "both pending" 2 (Loop.timers_pending loop);
-  t1.Tfmcc_core.Env.cancel ();
+  Loop.cancel loop t1;
   Alcotest.(check int) "pending drops on cancel" 1 (Loop.timers_pending loop);
-  t1.Tfmcc_core.Env.cancel () (* idempotent *);
+  Loop.cancel loop t1 (* idempotent *);
   Alcotest.(check int) "second cancel is a no-op" 1 (Loop.timers_pending loop);
   Loop.run loop;
   Alcotest.(check int) "only t2 fired" 1 !hits;
-  t2.Tfmcc_core.Env.cancel () (* after fire: no-op *);
+  Loop.cancel loop t2 (* after fire: no-op *);
   Alcotest.(check int) "fired total" 1 (Loop.timers_fired loop)
 
 (* Deadlines seconds to minutes out sit in the same heap as near ones:
@@ -98,7 +98,7 @@ let test_wheel_cancel_overflow () =
   let loop = Loop.create () in
   let t = Loop.at loop ~time:10.0 (fun () -> Alcotest.fail "cancelled timer fired") in
   ignore (Loop.at loop ~time:20.0 ignore : Tfmcc_core.Env.timer);
-  t.Tfmcc_core.Env.cancel ();
+  Loop.cancel loop t;
   Alcotest.(check int) "tombstone not pending" 1 (Loop.timers_pending loop);
   Loop.run ~until:30.0 loop;
   Alcotest.(check int) "one fired" 1 (Loop.timers_fired loop)
@@ -247,7 +247,7 @@ let run_loop ops =
     | Cancel_id j -> cancel j
     | Emit d -> frame (!now +. d) false
   and cancel j =
-    Option.iter (fun tm -> tm.Tfmcc_core.Env.cancel ()) (Hashtbl.find_opt handles j)
+    Option.iter (Loop.cancel loop) (Hashtbl.find_opt handles j)
   in
   let run () =
     match Loop.run ~until:!now loop with
@@ -889,6 +889,36 @@ let test_loopback_frame_words () =
   if w_deliver > 0. then
     Alcotest.failf "delivery: %.0f minor words for 4 copies (bound 0)" w_deliver
 
+(* A cancellable timer through a fabric endpoint's [Env]: an arm and
+   its cancel allocate the heap's handle (3 words) and nothing else.
+   It used to be about 11: the handle, a [{cancel}] record and its
+   closure, and the [Some] a role kept it in.  The cancelled entries
+   are dropped when they surface, so each round ends by running the
+   loop. *)
+let test_env_timer_words () =
+  let loop = Loop.create () in
+  let net = Net.create loop () in
+  let env = Net.env (Net.endpoint net ~session:1) in
+  let delay = 1. in
+  let arm_cancel k =
+    for _ = 1 to k do
+      env.Tfmcc_core.Env.cancel (env.Tfmcc_core.Env.after ~delay ignore)
+    done;
+    Loop.run loop
+  in
+  let per_arm n =
+    let w0 = Gc.minor_words () in
+    arm_cancel n;
+    Gc.minor_words () -. w0
+  in
+  (* grow the slot arrays before measuring *)
+  arm_cancel 20_000;
+  let n = 10_000 in
+  let w = (per_arm (2 * n) -. per_arm n) /. float_of_int n in
+  Alcotest.(check int) "no cancelled timer fired" 0 (Loop.timers_fired loop);
+  if w > 3. then
+    Alcotest.failf "Env.after + Env.cancel allocate %.2f words (max 3, the handle)" w
+
 (* A frame that encodes but fails decode (a negative session) still
    goes out as one copy per member and lands on the loop like any
    other; each copy that reaches a deliver hook counts one decode
@@ -925,11 +955,11 @@ let test_loopback_decode_errors () =
    loopback fabric at 1% loss and 20 ms delay, wired straight to the
    endpoints without the harness's supervision.  Minor-heap words per
    loop-second, averaged over 60 s after a warm-up to 30 s and one
-   settling second.  The budget is 1.10x the 9855.93 words measured
-   once the fabric stopped decoding (every copy carries the sender's
-   own message) and the receiver's CLR-report and feedback-round
-   callbacks and the sender's round callback were built once per
-   object.  Earlier readings: 107728.67
+   settling second.  The budget is 1.10x the 6386.95 words measured
+   once the report pair stopped boxing (the receiver computes p once
+   and hands floats over in cells, the sender keeps a report's floats
+   in all-float records and rewrites its CLR state in place) and a
+   cancellable timer became the heap's handle.  Earlier readings: 107728.67
    with a closure per frame in flight, 70537.30 with frames in heap
    slots, 69327.42 on the shared event heap, 59761.68 (budget 65738)
    with the clock cell and an allocation-free receiver, 56774.28 just
@@ -938,7 +968,9 @@ let test_loopback_decode_errors () =
    fabric scheduled each copy from its path's horizon cell,
    40492.27 just before the shared decode, and 17586.12 (budget 19345)
    with the fabric decoding each send once, from one scratch buffer,
-   and handing every copy the same message. *)
+   and handing every copy the same message, and 9855.93 (budget
+   10842) once the fabric stopped decoding and the roles built their
+   timer callbacks once. *)
 let test_loopback_minor_words_budget () =
   let loop = Loop.create ~seed:77 () in
   let net =
@@ -956,7 +988,7 @@ let test_loopback_minor_words_budget () =
     Loop.run ~until:(float_of_int t) loop
   done;
   let w = (Gc.minor_words () -. w0) /. 60. in
-  let budget = 10_842. in
+  let budget = 7_026. in
   if w > budget then
     Alcotest.failf "%.2f minor words per loop-second (budget %.0f)" w budget
 
@@ -964,17 +996,19 @@ let test_loopback_minor_words_budget () =
    plan ([Harness.chaos_soak]) at 20 sessions, seed 42, in minor words
    per delivered frame over the whole [Harness.run].  Every timer and
    hook goes through the harness's crash guard here.  The budget is
-   1.10x the 23.84 words measured once the fabric stopped decoding, the
-   guard kept one wrapper per callback and the roles built their timer
-   callbacks once; the same run read 40.67 with one decode per send
-   and 26.37 without the guard's memo. *)
+   1.10x the 15.27 words measured once the report pair stopped boxing
+   and a cancellable timer became the heap's handle; the same run read
+   23.84 (budget 26.22) before that, with the fabric no longer decoding,
+   the guard keeping one wrapper per callback and the roles building
+   their timer callbacks once, 40.67 with one decode per send and 26.37
+   without the guard's memo. *)
 let test_harness_minor_words_budget () =
   let c = { Harness.chaos_soak with sessions = 20 } in
   let w0 = Gc.minor_words () in
   let r = Harness.run c in
   let w = (Gc.minor_words () -. w0) /. float_of_int r.Harness.frames_delivered in
   Alcotest.(check int) "frames delivered at seed 42" 71_109 r.Harness.frames_delivered;
-  let budget = 26.22 in
+  let budget = 16.80 in
   if w > budget then
     Alcotest.failf "%.2f minor words per delivered frame (budget %.2f)" w budget
 
@@ -1286,6 +1320,8 @@ let () =
           Alcotest.test_case "harness words per frame" `Quick test_harness_minor_words_budget;
           Alcotest.test_case "FIFO horizon across a delay cut" `Quick test_net_fifo_horizon;
           Alcotest.test_case "words per delivered frame" `Quick test_loopback_frame_words;
+          Alcotest.test_case "Env timer arm + cancel: the handle only" `Quick
+            test_env_timer_words;
           Alcotest.test_case "decode errors per copy" `Quick test_loopback_decode_errors;
         ] );
       ( "backends",

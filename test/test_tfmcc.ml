@@ -268,6 +268,73 @@ let test_rtt_skewed_clock_sample_clamped () =
 
 (* ------------------------------------------------------------- Receiver *)
 
+(* A stub environment on a clock cell, for the allocation budgets:
+   [send] keeps the last message in [sent], [after]/[at] keep the last
+   callback in [armed] and return [Env.no_timer], so a timer runs only
+   when the test calls it, and neither allocates. *)
+let stub_env ~id clock ~sent ~armed =
+  {
+    Tfmcc_core.Env.id;
+    clock;
+    after =
+      (fun ~delay:_ f ->
+        armed := f;
+        Tfmcc_core.Env.no_timer);
+    after_unit = (fun ~delay:_ _ -> ());
+    at =
+      (fun ~time:_ f ->
+        armed := f;
+        Tfmcc_core.Env.no_timer);
+    cancel = ignore;
+    send = (fun ~dest:_ ~flow:_ ~size:_ m -> sent := m);
+    join = ignore;
+    leave = ignore;
+    split_rng = (fun () -> Stats.Rng.create 1);
+    obs = Obs.Sink.null;
+  }
+
+(* Minor words per call of [f i], i = 0 .. n-1. *)
+let words_per_call n f =
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let no_msg =
+  Tfmcc_core.Wire.Report
+    {
+      session = 0;
+      rx_id = 0;
+      ts = 0.;
+      echo_ts = 0.;
+      echo_delay = 0.;
+      rate = 0.;
+      have_rtt = false;
+      rtt = 0.;
+      p = 0.;
+      x_recv = 0.;
+      round = 0;
+      has_loss = false;
+      leaving = false;
+    }
+
+let data_packet ?echo ~seq ~clr () =
+  {
+    Tfmcc_core.Wire.session = 1;
+    seq;
+    ts = 0.001 *. float_of_int seq;
+    rate = 125_000.;
+    round = 0;
+    round_duration = 0.5;
+    max_rtt = 0.1;
+    clr;
+    in_slowstart = false;
+    echo;
+    fb = None;
+    app = -1;
+  }
+
 (* Allocation budget of the per-delivery path, the cost the paper's
    scaling case multiplies by n: [Receiver.deliver_data] on loss-free,
    echo-free data packets, with a stub environment on a clock cell.  The
@@ -278,44 +345,14 @@ let test_rtt_skewed_clock_sample_clamped () =
    rate window and the receive rate were boxed at each call). *)
 let test_receiver_deliver_words () =
   let clock = { Event_heap.cell_time = 0. } in
-  let no_timer = { Tfmcc_core.Env.cancel = ignore } in
-  let env =
-    {
-      Tfmcc_core.Env.id = 1;
-      clock;
-      after = (fun ~delay:_ _ -> no_timer);
-      after_unit = (fun ~delay:_ _ -> ());
-      at = (fun ~time:_ _ -> no_timer);
-      send = (fun ~dest:_ ~flow:_ ~size:_ _ -> ());
-      join = ignore;
-      leave = ignore;
-      split_rng = (fun () -> Stats.Rng.create 1);
-      obs = Obs.Sink.null;
-    }
-  in
+  let env = stub_env ~id:1 clock ~sent:(ref no_msg) ~armed:(ref ignore) in
   let r = Tfmcc_core.Receiver.create ~env ~cfg ~session:1 ~sender:0 () in
   Tfmcc_core.Receiver.join r;
   (* 1 ms apart at the sender's 125 kB/s: a 1 s rate window holds about
      1000 of them, so the warm-up grows the meter's ring to its
      steady-state size before the measurement starts. *)
   let warmup = 5_000 and n = 100_000 in
-  let packets =
-    Array.init (warmup + n) (fun seq ->
-        {
-          Tfmcc_core.Wire.session = 1;
-          seq;
-          ts = 0.001 *. float_of_int seq;
-          rate = 125_000.;
-          round = 0;
-          round_duration = 0.5;
-          max_rtt = 0.1;
-          clr = 2;
-          in_slowstart = false;
-          echo = None;
-          fb = None;
-          app = -1;
-        })
-  in
+  let packets = Array.init (warmup + n) (fun seq -> data_packet ~seq ~clr:2 ()) in
   let deliver first count =
     for i = first to first + count - 1 do
       clock.cell_time <- 0.05 +. (0.001 *. float_of_int i);
@@ -331,6 +368,111 @@ let test_receiver_deliver_words () =
   Alcotest.(check bool) "loss-free" false (Tfmcc_core.Receiver.has_loss r);
   if w > 1. then
     Alcotest.failf "%.2f minor words per delivered data packet (budget 1)" w
+
+(* Allocation budget of one receiver report as the CLR sends it, once
+   per RTT (§2.4-2.5): the CLR-report timer's callback on a receiver
+   that has seen loss and measured its RTT, each call building and
+   sending one report through [send_report] and re-arming the timer.
+   The message itself is 30 words (the [Report] box and record, 16,
+   and its 7 boxed floats, 14) and the re-arm's delay 4 more.  The
+   budget is 1.10x the 34 words measured once the loss event rate was
+   computed once per report and no float crossed a module boundary
+   boxed; the same callback read 66 before. *)
+let test_report_build_words () =
+  let clock = { Event_heap.cell_time = 0. } in
+  let sent = ref no_msg and armed = ref ignore in
+  let env = stub_env ~id:1 clock ~sent ~armed in
+  let r = Tfmcc_core.Receiver.create ~env ~cfg ~session:1 ~sender:0 () in
+  Tfmcc_core.Receiver.join r;
+  (* Every 50th packet lost; packet 10 echoes this receiver's report
+     (an RTT measurement); every packet names it the CLR. *)
+  for seq = 0 to 999 do
+    clock.cell_time <- 0.05 +. (0.001 *. float_of_int seq);
+    if seq mod 50 <> 49 then
+      let echo =
+        if seq = 10 then
+          Some { Tfmcc_core.Wire.rx_id = 1; rx_ts = 0.; echo_delay = 0.01 }
+        else None
+      in
+      Tfmcc_core.Receiver.deliver_data r ~size:1000 (data_packet ?echo ~seq ~clr:1 ())
+  done;
+  Alcotest.(check bool) "CLR" true (Tfmcc_core.Receiver.is_clr r);
+  let clr_report = !armed in
+  let n = 10_000 in
+  let w =
+    words_per_call n (fun i ->
+        clock.cell_time <- 1.1 +. (0.01 *. float_of_int i);
+        clr_report ())
+  in
+  (match !sent with
+  | Tfmcc_core.Wire.Report rep ->
+      Alcotest.(check bool) "has loss" true rep.has_loss;
+      Alcotest.(check bool) "has rtt" true rep.have_rtt;
+      Alcotest.(check bool) "p > 0" true (rep.p > 0.)
+  | Tfmcc_core.Wire.Data _ -> Alcotest.fail "no report sent");
+  Alcotest.(check int) "one report per call" (n + 1) (Tfmcc_core.Receiver.reports_sent r);
+  let budget = 37.4 in
+  if w > budget then
+    Alcotest.failf "%.2f minor words per CLR report (budget %.2f)" w budget
+
+(* Allocation budget of the sender's handling of one receiver report,
+   in congestion avoidance with a current CLR and a null journal: a
+   report from the CLR (rate control and its echo) and one from another
+   receiver that has seen loss at a higher rate (its RTT entry and a
+   queued echo).  The budgets are 1.10x the 0.94 and 14 words measured
+   once the report's floats went into all-float records, the RTT table
+   and the CLR's echo were rewritten in place and the round's lowest
+   report was allocated only when it won: the CLR's report now boxes
+   only a capped rate, the other allocates its queued echo (6 words, 2
+   for its arrival time) and the queue cells before it.  Both read
+   42.76 and 48 before. *)
+let test_deliver_report_words () =
+  let clock = { Event_heap.cell_time = 0. } in
+  let sent = ref no_msg and armed = ref ignore in
+  let env = stub_env ~id:0 clock ~sent ~armed in
+  let s = Tfmcc_core.Sender.create ~env ~cfg ~session:1 () in
+  Tfmcc_core.Sender.start s ~at:0.;
+  !armed ();
+  let report ~rx ~rate =
+    {
+      Tfmcc_core.Wire.session = 1;
+      rx_id = rx;
+      ts = 0.5;
+      echo_ts = 0.;
+      echo_delay = 0.01;
+      rate;
+      have_rtt = true;
+      rtt = 0.1;
+      p = 0.01;
+      x_recv = rate;
+      round = 0;
+      has_loss = true;
+      leaving = false;
+    }
+  in
+  let clr_report = report ~rx:1 ~rate:50_000. and other = report ~rx:2 ~rate:80_000. in
+  clock.cell_time <- 0.2;
+  Tfmcc_core.Sender.deliver_report s clr_report;
+  Tfmcc_core.Sender.deliver_report s other;
+  Alcotest.(check (option int)) "rx 1 is the CLR" (Some 1) (Tfmcc_core.Sender.clr s);
+  Alcotest.(check bool) "congestion avoidance" false (Tfmcc_core.Sender.in_slowstart s);
+  let n = 10_000 in
+  let per rep =
+    words_per_call n (fun i ->
+        clock.cell_time <- 0.3 +. (0.001 *. float_of_int i);
+        Tfmcc_core.Sender.deliver_report s rep)
+  in
+  let w_clr = per clr_report in
+  let w_other = per other in
+  Alcotest.(check (option int)) "rx 1 still the CLR" (Some 1) (Tfmcc_core.Sender.clr s);
+  Alcotest.(check int) "every report counted" (2 + (2 * n))
+    (Tfmcc_core.Sender.reports_received s);
+  let check what w budget =
+    if w > budget then
+      Alcotest.failf "%.2f minor words per %s report (budget %.2f)" w what budget
+  in
+  check "CLR" w_clr 1.03;
+  check "other" w_other 15.4
 
 (* ------------------------------------------------------ Feedback_process *)
 
@@ -536,6 +678,13 @@ let () =
         [
           Alcotest.test_case "deliver_data minor words budget" `Quick
             test_receiver_deliver_words;
+          Alcotest.test_case "report build minor words budget" `Quick
+            test_report_build_words;
+        ] );
+      ( "sender",
+        [
+          Alcotest.test_case "deliver_report minor words budget" `Quick
+            test_deliver_report_words;
         ] );
       ( "feedback_process",
         [

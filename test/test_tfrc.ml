@@ -478,6 +478,34 @@ let prop_seen_plus_lost_bounded =
       && Tfrc.Loss_history.packets_seen h
          <= List.length (List.sort_uniq compare seqs))
 
+(* The gap log is a ring of the 64 newest gaps; its list model is the
+   log it replaced: every gap consed in front, the list cut back to 64.
+   Steps are 0-3 packets lost before the next arrival, or -1 for a
+   duplicate (ignored, no gap), so 300 steps wrap the ring several
+   times. *)
+let prop_gap_log_model =
+  QCheck.Test.make ~name:"gap log = newest-first list of the 64 newest gaps" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 300) (int_range (-1) 3))
+    (fun steps ->
+      let h = new_history () in
+      let model = ref [] and expected = ref (-1) and next = ref 0 in
+      let ok = ref true in
+      List.iteri
+        (fun i step ->
+          let now = 0.01 *. float_of_int i in
+          let seq = if step < 0 then Stdlib.max 0 (!next - 1) else !next + step in
+          if step >= 0 then next := seq + 1;
+          if !expected < 0 then expected := seq + 1
+          else if seq >= !expected then begin
+            if seq > !expected then
+              model := List.filteri (fun k _ -> k < 64) ((!expected, now) :: !model);
+            expected := seq + 1
+          end;
+          on_packet h ~seq ~now ~rtt:0.05;
+          if Tfrc.Loss_history.gap_log h <> !model then ok := false)
+        steps;
+      !ok)
+
 let () =
   Alcotest.run "tfrc"
     [
@@ -528,5 +556,6 @@ let () =
             prop_loss_rate_bounded; prop_loss_events_monotone;
             prop_meter_rate_nonneg; prop_mean_interval_inverse_of_p;
             prop_seen_plus_lost_bounded;
+            prop_gap_log_model;
           ] );
     ]
