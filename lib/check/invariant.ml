@@ -164,9 +164,11 @@ let attachment_for t engine =
         Obs.Metrics.counter
           (Netsim.Engine.obs engine).Obs.Sink.metrics "check_samples_total"
       in
-      Netsim.Engine.every engine ~interval (fun () ->
-          Obs.Metrics.Counter.inc samples;
-          run_probes t att ());
+      ignore
+        (Netsim.Engine.every engine ~interval (fun () ->
+             Obs.Metrics.Counter.inc samples;
+             run_probes t att ())
+          : unit -> unit);
       att
 
 let add_probe t engine ~id run =

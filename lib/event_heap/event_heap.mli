@@ -1,7 +1,7 @@
-(** The scheduler core of both backends: a binary min-heap of timed
-    entries with O(1) cancellation (lazy deletion).  [Netsim.Engine]
-    and [Rt.Loop] each own one.  Ties in time are broken by insertion
-    order, so two runs that schedule identically fire identically.
+(** The heap under {!Event_loop}, the loop both backends run: a binary
+    min-heap of timed entries with O(1) cancellation (lazy deletion).
+    Ties in time are broken by insertion order, so two runs that
+    schedule identically fire identically.
 
     Representation: the heap is three parallel unboxed arrays (time,
     insertion seq, payload slot), so a sift moves only floats and ints.
@@ -80,21 +80,20 @@ val cancel : 'a t -> handle -> unit
     also once its slot holds a later entry. *)
 
 val step : 'a t -> limit:float -> into:time_cell -> pre:(unit -> unit) -> bool
-(** The one dispatch primitive.  Discards cancelled entries surfacing
-    at the root; if the earliest live entry is due at or before
-    [limit], removes it, writes its time into [into], runs [pre] (the
-    caller's per-entry accounting) and then the entry, and returns
-    [true].  Returns [false] when the heap is empty or the next entry
-    is after [limit].  The entry leaves the heap before [pre] runs, so
-    if [pre] or the entry raises, that entry is consumed and every other
-    stays pending.  Entries fire in (time, insertion order), so an
+(** The one dispatch primitive, which {!Event_loop} drives.  Discards
+    cancelled entries surfacing at the root; if the earliest live entry
+    is due at or before [limit], removes it, writes its time into
+    [into], runs [pre] (the caller's per-entry accounting) and then the
+    entry, and returns [true].  Returns [false] when the heap is empty
+    or the next entry is after [limit].  The entry leaves the heap
+    before [pre] runs, so if [pre] or the entry raises, that entry is
+    consumed and every other stays pending.  Entries fire in (time, insertion order), so an
     entry added at the current time by a callback fires after every
     existing entry sharing that time. *)
 
 val livelock_events : int
-(** 1,000,000: the most entries either backend lets fire without the
-    clock moving before it calls the run a livelock.
-    [Netsim.Watchdog] aborts the task; [Rt.Loop.run] fails. *)
+(** 1,000,000: the most entries {!Event_loop.run} lets fire in a row
+    without the due time rising before it calls the run a livelock. *)
 
 val peek_time : 'a t -> float option
 (** Time of the earliest live entry without removing it. *)

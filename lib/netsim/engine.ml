@@ -1,8 +1,5 @@
-(* The clock is an {!Event_heap.time_cell}: an all-float record storing
-   a raw double, so the per-event [now] update — written directly by
-   [Event_heap.step] — is a plain store.  A [mutable float] in the
-   mixed engine record would allocate a fresh boxed float on every one
-   of the millions of events. *)
+(* An {!Event_loop} over packets (the loop [Rt.Loop] runs too), plus the
+   arena, link counters, events counter and watchdog hook (engine.mli). *)
 type link_counters = {
   m_tx : Obs.Metrics.Counter.t;
   m_deliver : Obs.Metrics.Counter.t;
@@ -13,52 +10,29 @@ type link_counters = {
 }
 
 type t = {
-  heap : Packet.t Event_heap.t;
+  loop : Packet.t Event_loop.t;
+  clock : Event_heap.time_cell; (* the loop's *)
   arena : Packet.arena;  (* free records of this engine's packets *)
-  clock : Event_heap.time_cell;
   rng : Stats.Rng.t;
-  mutable stopped : bool;
-  mutable processed : int;
   obs : Obs.Sink.t;
-  ev_counter : Obs.Metrics.Counter.t;  (* engine-loop events processed *)
-  mutable link_counters : link_counters option;  (* built by the first link *)
-  (* Watchdog hook: [watchdog] runs every [wd_every] processed events.
-     [wd_countdown] starts at [max_int] when no watchdog is installed,
-     so the per-event cost without one is a single decrement that never
-     reaches zero. *)
-  mutable watchdog : (unit -> unit) option;
-  mutable wd_every : int;
-  mutable wd_countdown : int;
+  link_counters : link_counters Lazy.t;  (* registered by the first link *)
 }
 
 type handle = Event_heap.handle
 
 let create ?(seed = 42) ?(obs = Obs.Sink.null) () =
+  let loop = Event_loop.create ~dummy:Packet.dummy ~epoch:0. in
+  let metrics = obs.Obs.Sink.metrics in
+  let events = Obs.Metrics.counter metrics "netsim_engine_events_total" in
+  Event_loop.on_entry loop (fun _ -> Obs.Metrics.Counter.inc events);
   {
-    heap = Event_heap.create ~dummy:Packet.dummy;
+    loop;
+    clock = Event_loop.clock loop;
     arena = Packet.arena ();
-    clock = { Event_heap.cell_time = 0. };
     rng = Stats.Rng.create seed;
-    stopped = false;
-    processed = 0;
     obs;
-    ev_counter = Obs.Metrics.counter obs.Obs.Sink.metrics "netsim_engine_events_total";
-    link_counters = None;
-    watchdog = None;
-    wd_every = max_int;
-    wd_countdown = max_int;
-  }
-
-let obs t = t.obs
-
-let arena t = t.arena
-
-let link_counters t =
-  match t.link_counters with
-  | Some c -> c
-  | None ->
-      let metrics = t.obs.Obs.Sink.metrics in
-      let c =
+    link_counters =
+      lazy
         {
           m_tx = Obs.Metrics.counter metrics "netsim_link_tx_total";
           m_deliver = Obs.Metrics.counter metrics "netsim_link_deliver_total";
@@ -66,27 +40,27 @@ let link_counters t =
           m_drop_loss = Obs.Metrics.counter metrics "netsim_link_drop_loss_total";
           m_drop_down = Obs.Metrics.counter metrics "netsim_link_drop_down_total";
           m_drop_ttl = Obs.Metrics.counter metrics "netsim_link_drop_ttl_total";
-        }
-      in
-      t.link_counters <- Some c;
-      c
+        };
+  }
+
+let obs t = t.obs
+
+let arena t = t.arena
+
+let link_counters t = Lazy.force t.link_counters
 
 let set_watchdog t ?(every_events = 4096) f =
   if every_events < 1 then
     invalid_arg "Engine.set_watchdog: every_events must be >= 1";
-  t.watchdog <- Some f;
-  t.wd_every <- every_events;
-  t.wd_countdown <- every_events
+  let countdown = ref every_events in
+  Event_loop.after_entry t.loop (fun () ->
+      decr countdown;
+      if !countdown = 0 then begin
+        countdown := every_events;
+        f ()
+      end)
 
-(* Called from the event loop after each processed event.  An exception
-   from the watchdog callback (a cancellation or stall abort) propagates
-   out of [run] to the caller owning this engine's task. *)
-let wd_tick t =
-  t.wd_countdown <- t.wd_countdown - 1;
-  if t.wd_countdown = 0 then begin
-    t.wd_countdown <- t.wd_every;
-    match t.watchdog with Some f -> f () | None -> ()
-  end
+let on_livelock t f = Event_loop.on_livelock t.loop f
 
 let now t = t.clock.Event_heap.cell_time
 
@@ -96,80 +70,42 @@ let rng t = t.rng
 
 let split_rng t = Stats.Rng.split t.rng
 
+let past name time t =
+  invalid_arg (Printf.sprintf "Engine.%s: time %g is in the past (now %g)" name time (now t))
+
 let at t ~time callback =
-  if time < t.clock.Event_heap.cell_time then
-    invalid_arg
-      (Printf.sprintf "Engine.at: time %g is in the past (now %g)" time t.clock.Event_heap.cell_time);
-  Event_heap.add t.heap ~base:Event_heap.time_zero ~offset:time callback
+  if time < t.clock.Event_heap.cell_time then past "at" time t;
+  Event_loop.at t.loop ~time callback
 
 let after t ~delay callback =
   if delay < 0. then invalid_arg "Engine.after: negative delay";
-  Event_heap.add t.heap ~base:t.clock ~offset:delay callback
+  Event_loop.after t.loop ~delay callback
 
-(* Fire-and-forget scheduling: no handle is allocated or returned, and
-   the heap sums the deadline from the clock cell, so the
-   engine-internal hot paths (link transmissions/arrivals) schedule
-   without allocating (the payload goes into the heap's slot tables). *)
 let after_unit t ~delay callback =
   if delay < 0. then invalid_arg "Engine.after_unit: negative delay";
-  Event_heap.add_unit t.heap ~base:t.clock ~offset:delay callback
+  Event_loop.after_unit t.loop ~delay callback
 
 let after_pkt t ~delay pcb p =
   if delay < 0. then invalid_arg "Engine.after_pkt: negative delay";
-  Event_heap.add_msg t.heap ~base:t.clock ~offset:delay pcb p 0
+  Event_loop.msg_at t.loop ~base:t.clock ~offset:delay pcb p 0
 
-(* The due time is summed and checked here, so a caller that keeps its
-   deadline in a cell (a link's transmission end) boxes nothing; the
-   heap sums [base + offset] again, bit for bit the same. *)
+(* Checked on an unboxed sum; the heap's is bit for bit the same. *)
 let at_unit t ~base ~offset callback =
   let time = base.Event_heap.cell_time +. offset in
-  if time < t.clock.Event_heap.cell_time then
-    invalid_arg
-      (Printf.sprintf "Engine.at_unit: time %g is in the past (now %g)" time
-         t.clock.Event_heap.cell_time);
-  Event_heap.add_unit t.heap ~base ~offset callback
+  if time < t.clock.Event_heap.cell_time then past "at_unit" time t;
+  Event_loop.at_unit t.loop ~base ~offset callback
 
-let cancel t handle = Event_heap.cancel t.heap handle
+let cancel t handle = Event_loop.cancel t.loop handle
 
-let every t ~interval callback =
-  if interval <= 0. then invalid_arg "Engine.every: interval must be positive";
-  let rec tick time =
-    Event_heap.add_unit t.heap ~base:Event_heap.time_zero ~offset:time (fun () ->
-        callback ();
-        tick (time +. interval))
-  in
-  tick (t.clock.Event_heap.cell_time +. interval)
+let every t ~interval callback = Event_loop.every t.loop ~interval callback
 
-(* Per-event accounting, run by [Event_heap.step] between the clock
-   write and the callback. *)
-let count t () =
-  t.processed <- t.processed + 1;
-  Obs.Metrics.Counter.inc t.ev_counter
+let run ?until t = Event_loop.run ?until t.loop
 
-let run ?until t =
-  t.stopped <- false;
-  (* [infinity] admits every event, including ones scheduled at
-     [infinity]. *)
-  let limit = match until with Some l -> l | None -> infinity in
-  if Float.is_nan limit then invalid_arg "Engine.run: until is NaN";
-  let pre = count t in
-  (* One event per iteration in (time, seq) order.  [stop], or an
-     exception from a callback or the watchdog, leaves every event not
-     yet popped — including the rest of a timestamp tie — pending. *)
-  while (not t.stopped) && Event_heap.step t.heap ~limit ~into:t.clock ~pre do
-    wd_tick t
-  done;
-  match until with
-  | Some limit when (not t.stopped) && t.clock.Event_heap.cell_time < limit -> t.clock.Event_heap.cell_time <- limit
-  | _ -> ()
+let stop t = Event_loop.stop t.loop
 
-let stop t = t.stopped <- true
-
-let events_processed t = t.processed
+let events_processed t = Event_loop.fired t.loop
 
 let queue_consistent t =
-  Event_heap.well_formed t.heap
-  &&
-  match Event_heap.peek_time t.heap with
-  | None -> true
-  | Some next -> next >= t.clock.Event_heap.cell_time
+  let heap = Event_loop.heap t.loop in
+  Event_heap.well_formed heap
+  && Option.fold ~none:true ~some:(fun next -> next >= now t) (Event_heap.peek_time heap)

@@ -1,16 +1,16 @@
 (** Engine-level progress watchdog (DESIGN.md §12).
 
     Supervised experiment tasks must stay bounded: a simulation that
-    livelocks (callbacks rescheduling at a frozen simulated instant),
-    explodes into an event storm, or blocks on wall-clock work would
-    otherwise hold its worker domain forever.  [install] arms two
-    read-only probes on an engine:
+    livelocks, explodes into an event storm, or blocks on wall-clock
+    work would otherwise hold its worker domain forever.  [install] arms
+    three read-only probes on an engine:
 
+    - a {e livelock} handler ({!Engine.on_livelock}), which aborts when
+      the engine's loop detects a livelock;
     - an {e event-count} hook ({!Engine.set_watchdog}, every 4096
-      events) that aborts when simulated time has not advanced for
-      {!Event_heap.livelock_events} consecutive events (livelock) or the
-      total event count exceeds [max_events] (event storm), and polls
-      the task's {!Par.Control} for wall-clock deadlines;
+      events) that aborts when the total event count exceeds
+      [max_events] (event storm), and polls the task's {!Par.Control}
+      for wall-clock deadlines;
     - a {e sim-time} hook ({!Engine.every}, every 0.25 simulated
       seconds) that polls the control too, catching wall overruns in
       runs that process few events.
@@ -29,5 +29,5 @@ type config = {
 }
 
 val install : config -> Engine.t -> unit
-(** Arms both hooks on [engine].  Raises [Invalid_argument] on a
+(** Arms the probes on [engine].  Raises [Invalid_argument] on a
     non-positive [max_events]. *)

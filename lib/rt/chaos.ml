@@ -15,15 +15,15 @@ type plan = spec list
 
 let check_window name ~from_ ~until =
   if not (Float.is_finite from_ && from_ >= 0.) then
-    invalid_arg (Printf.sprintf "Chaos.%s: start must be finite and >= 0" name);
+    invalid_arg (name ^ ": start must be finite and >= 0");
   if not (Float.is_finite until && until > from_) then
-    invalid_arg (Printf.sprintf "Chaos.%s: end must follow start" name)
+    invalid_arg (name ^ ": end must be finite and follow start")
 
 let validate_spec = function
   | Flap { down_at; up_at } ->
-      check_window "flap" ~from_:down_at ~until:up_at
+      check_window "Chaos.flap" ~from_:down_at ~until:up_at
   | Churn { sessions = _; fraction; from_; until; period; down_for } ->
-      check_window "churn" ~from_ ~until;
+      check_window "Chaos.churn" ~from_ ~until;
       if not (Float.is_finite fraction && fraction > 0. && fraction <= 1.) then
         invalid_arg "Chaos.churn: fraction must be in (0,1]";
       if not (Float.is_finite period && period > 0.) then

@@ -43,6 +43,12 @@ type plan = spec list
 type t
 (** An applied plan. *)
 
+val check_window : string -> from_:float -> until:float -> unit
+(** [check_window name ~from_ ~until] is the one fault-window rule, for
+    chaos specs and harness faults alike: [from_] finite and ≥ 0,
+    [until] finite and after it.
+    @raise Invalid_argument, naming [name], if not. *)
+
 val validate : plan -> unit
 (** @raise Invalid_argument on an empty window, a churn fraction
     outside (0,1], a non-positive period, or a non-finite time. *)

@@ -143,17 +143,13 @@ let validate_faults c =
           need_session session "Kill_session_every";
           if not (Float.is_finite period && period > 0.) then
             invalid_arg "Harness: Kill_session_every.period must be positive";
-          if not (Float.is_finite at && at >= 0. && Float.is_finite until && until > at)
-          then
-            invalid_arg
-              "Harness: Kill_session_every window must be finite with until > at"
+          Chaos.check_window "Harness: Kill_session_every" ~from_:at ~until
       | Stop_sender { session; at } ->
           need_session session "Stop_sender";
           if not (Float.is_finite at && at >= 0.) then
             invalid_arg "Harness: Stop_sender.at must be finite and >= 0"
       | Partition_clr { at; until } ->
-          if not (Float.is_finite at && at >= 0. && Float.is_finite until && until > at)
-          then invalid_arg "Harness: Partition_clr window must be finite with until > at")
+          Chaos.check_window "Harness: Partition_clr" ~from_:at ~until)
     c.faults;
   List.iter
     (function

@@ -144,7 +144,7 @@ let test_crash_counter () =
 let test_engine_every () =
   let e = Netsim.Engine.create ~seed:1 () in
   let ticks = ref 0 in
-  Netsim.Engine.every e ~interval:0.1 (fun () -> incr ticks);
+  ignore (Netsim.Engine.every e ~interval:0.1 (fun () -> incr ticks) : unit -> unit);
   Netsim.Engine.run ~until:0.55 e;
   Alcotest.(check int) "ticks at 0.1..0.5" 5 !ticks
 

@@ -689,6 +689,24 @@ let test_engine_tie_watchdog () =
   Alcotest.(check (list string)) "third fires on next run" [ "a"; "b"; "c" ]
     (List.rev !log)
 
+(* The engine's loop caps a zero-delay chain as the rt loop's does: the
+   run fails instead of hanging, after the livelock handler ran, and
+   the clock never moved. *)
+let test_engine_runaway_cap () =
+  let e = Netsim.Engine.create () in
+  let handled = ref false in
+  Netsim.Engine.on_livelock e (fun () -> handled := true);
+  let rec again () = Netsim.Engine.after_unit e ~delay:0. again in
+  Netsim.Engine.after_unit e ~delay:0. again;
+  (match Netsim.Engine.run e with
+  | () -> Alcotest.fail "runaway chain returned"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "livelock handler ran" true !handled;
+  Alcotest.(check int) "one past the cap"
+    (Event_heap.livelock_events + 2)
+    (Netsim.Engine.events_processed e);
+  check_float "clock stuck" 0. (Netsim.Engine.now e)
+
 (* ----------------------------------------------------------- Queue_disc *)
 
 let test_droptail_fifo () =
@@ -1680,6 +1698,8 @@ let () =
             test_engine_tie_exception;
           Alcotest.test_case "tie: watchdog raise keeps siblings" `Quick
             test_engine_tie_watchdog;
+          Alcotest.test_case "runaway zero-delay chain fails" `Quick
+            test_engine_runaway_cap;
         ] );
       ( "queue_disc",
         [

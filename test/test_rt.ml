@@ -143,16 +143,26 @@ let test_wheel_nan_deadline_rejected () =
    run steps drive a turbo loop and a sorted list of pending
    (deadline, id) pairs; both must fire the same timers in the same
    order.  Callbacks act too: they schedule at or after the run's
-   [until] (zero-delay chains included), queue frame deliveries and
-   cancel other timers, fired, pending or not yet scheduled.  Frame
+   [until] (zero-delay chains included), queue frame deliveries, cancel
+   other timers (fired, pending or not yet scheduled), start a periodic
+   timer that emits a frame per tick and stops itself after 1-3 ticks,
+   or stop the run.  Frame
    deliveries ([Loop.frame_at]) interleave with closure timers; they
    have no handle, so a cancel aimed at one is a no-op, and some raise.
    With no exn handler a raising entry is consumed and ends its run,
-   and every other due entry stays pending for the next one.  Deadlines
-   sit on a 0.25 s grid so ties are common, and a scheduled offset may
-   be negative (already due).  A burst (2-16 timers and frames in a
-   row at one deadline) builds the heap's tie runs on purpose. *)
-type heap_action = Quiet | Spawn of float * int | Cancel_id of int | Emit of float
+   and every other due entry stays pending for the next one; a stop
+   ends the run the same way, after its entry.  Deadlines sit on a
+   0.25 s grid so ties are common, and a scheduled offset may be
+   negative (already due).  A burst (2-16 timers and frames in a row at
+   one deadline) builds the heap's tie runs on purpose, so a stop often
+   lands in the middle of one. *)
+type heap_action =
+  | Quiet
+  | Spawn of float * int
+  | Cancel_id of int
+  | Emit of float
+  | Every of float * int (* interval, ticks before it stops itself *)
+  | Stop
 
 type heap_op =
   | Sched of float * heap_action
@@ -166,6 +176,8 @@ let rec show_heap_op = function
   | Sched (off, Spawn (d, k)) -> Printf.sprintf "sched %+g spawn(%g,%d)" off d k
   | Sched (off, Cancel_id j) -> Printf.sprintf "sched %+g cancel(%d)" off j
   | Sched (off, Emit d) -> Printf.sprintf "sched %+g emit(%g)" off d
+  | Sched (off, Every (i, k)) -> Printf.sprintf "sched %+g every(%g,%d)" off i k
+  | Sched (off, Stop) -> Printf.sprintf "sched %+g stop" off
   | Frame (off, raises) -> Printf.sprintf "frame %+g%s" off (if raises then " raises" else "")
   | Cancel j -> Printf.sprintf "cancel %d" j
   | Advance d -> Printf.sprintf "advance %g" d
@@ -181,6 +193,8 @@ let gen_heap_ops =
         (1, map2 (fun d k -> Spawn (quarter d, k)) (int_bound 2) (int_bound 3));
         (1, map (fun j -> Cancel_id j) (int_bound 40));
         (1, map (fun d -> Emit (quarter d)) (int_bound 2));
+        (1, map2 (fun d k -> Every (quarter (d + 1), k + 1)) (int_bound 3) (int_bound 2));
+        (1, return Stop);
       ]
   in
   let member =
@@ -206,39 +220,108 @@ let gen_heap_ops =
   in
   list_size (int_range 1 80) op
 
+(* The programs a [Netsim.Engine] accepts: it refuses past deadlines. *)
+let nonneg ops =
+  let rec go = function
+    | Sched (off, a) -> Sched (Float.abs off, a)
+    | Frame (off, raises) -> Frame (Float.abs off, raises)
+    | Burst ops -> Burst (List.map go ops)
+    | (Cancel _ | Advance _) as op -> op
+  in
+  List.map go ops
+
 let child = function Spawn (d, k) when k > 0 -> Spawn (d, k - 1) | _ -> Quiet
 
 exception Boom
 
-(* Both interpreters number timers and frames in schedule order, so an
-   id is also the heap's insertion seq.  The trace records each fired
-   id, -2 where a raise ended a run and -1 after each run, and the
-   pending count after each run is kept beside it.  The final drain
-   runs until nothing is due. *)
-let run_loop ops =
+exception Halt
+
+(* A backend as the interpreter drives it.  [frame] queues a message
+   entry that calls the interpreter's [deliver id raises]; [stop] ends
+   the run after the current entry; [pending] is -1 where the backend
+   does not count. *)
+type backend = {
+  at : float -> (unit -> unit) -> Event_heap.handle;
+  cancel : Event_heap.handle -> unit;
+  frame : float -> int -> bool -> unit;
+  every : float -> (unit -> unit) -> unit -> unit;
+  stop : unit -> unit;
+  run : float -> unit;
+  pending : unit -> int;
+  total : unit -> int;
+}
+
+(* The loop has no stop: a raise out of the entry stands in for it, and
+   consumes the entry the same way. *)
+let loop_backend ~deliver =
   let loop = Loop.create () in
-  let handles = Hashtbl.create 64 in
+  let on_frame msg raises =
+    match msg with
+    | Tfmcc_core.Wire.Data d -> deliver d.seq (raises = 1)
+    | Tfmcc_core.Wire.Report _ -> assert false
+  in
+  {
+    at = (fun time fn -> Loop.at loop ~time fn);
+    cancel = Loop.cancel loop;
+    frame =
+      (fun time id raises ->
+        Loop.frame_at loop ~base:Event_heap.time_zero ~offset:time on_frame
+          (data_msg ~seq:id ~ts:0. ~clr:1)
+          (if raises then 1 else 0));
+    every = (fun interval fn -> Loop.every loop ~interval fn);
+    stop = (fun () -> raise Halt);
+    run = (fun until -> Loop.run ~until loop);
+    pending = (fun () -> Loop.timers_pending loop);
+    total = (fun () -> Loop.timers_fired loop);
+  }
+
+(* Frames ride [Engine.after_pkt] as packets tagged with their id; on
+   the quarter grid [now + (time - now)] is [time] exactly. *)
+let engine_backend ~deliver =
+  let e = Netsim.Engine.create () in
+  let on_pkt (p : Netsim.Packet.t) _ =
+    match p.payload with Netsim.Packet.Raw id -> deliver id (p.flow = 1) | _ -> assert false
+  in
+  {
+    at = (fun time fn -> Netsim.Engine.at e ~time fn);
+    cancel = Netsim.Engine.cancel e;
+    frame =
+      (fun time id raises ->
+        Netsim.Engine.after_pkt e ~delay:(time -. Netsim.Engine.now e) on_pkt
+          (Netsim.Packet.make ~flow:(Bool.to_int raises) ~size:1 ~src:0
+             ~dst:(Netsim.Packet.Unicast 0) ~created:0. (Netsim.Packet.Raw id)));
+    every = (fun interval fn -> Netsim.Engine.every e ~interval fn);
+    stop = (fun () -> Netsim.Engine.stop e);
+    run = (fun until -> Netsim.Engine.run ~until e);
+    pending = (fun () -> -1);
+    total = (fun () -> Netsim.Engine.events_processed e);
+  }
+
+(* Both interpreters number entries in schedule order, a periodic
+   timer's occurrences included, so an id is also the heap's insertion
+   seq.  The trace records each fired id, -2 where a raise ended a run,
+   -3 where a stop did, and -1 after each run; the pending count after
+   each run is kept beside it.  The final drain runs until nothing is
+   due. *)
+let run_backend make ops =
   let fired = ref [] and pend = ref [] and next_id = ref 0 and now = ref 0. in
-  (* One deliver fn for every frame, as one endpoint's: the message's
-     [seq] carries the id and the size whether to raise. *)
-  let deliver msg raises =
-    (match msg with
-    | Tfmcc_core.Wire.Data d -> fired := d.seq :: !fired
-    | Tfmcc_core.Wire.Report _ -> assert false);
-    if raises = 1 then raise Boom
+  let halted = ref false in
+  let deliver id raises =
+    fired := id :: !fired;
+    if raises then raise Boom
   in
-  let frame time raises =
+  let b = make ~deliver in
+  let handles = Hashtbl.create 64 in
+  let fresh () =
     let id = !next_id in
     incr next_id;
-    Loop.frame_at loop ~base:Event_heap.time_zero ~offset:time deliver
-      (data_msg ~seq:id ~ts:0. ~clr:1)
-      (if raises then 1 else 0)
+    id
   in
+  let frame time raises = b.frame time (fresh ()) raises in
   let rec sched time action =
-    let id = !next_id in
-    incr next_id;
+    let id = fresh () in
     Hashtbl.replace handles id
-      (Loop.at loop ~time (fun () ->
+      (b.at time (fun () ->
            fired := id :: !fired;
            act action))
   and act = function
@@ -246,14 +329,34 @@ let run_loop ops =
     | Spawn (d, _) as a -> sched (!now +. d) (child a)
     | Cancel_id j -> cancel j
     | Emit d -> frame (!now +. d) false
-  and cancel j =
-    Option.iter (Loop.cancel loop) (Hashtbl.find_opt handles j)
-  in
+    | Every (interval, k) ->
+        (* Each occurrence is queued before the previous one's callback
+           runs, so the next id is taken there, before the frame each
+           tick emits. *)
+        let cur = ref (fresh ()) and ticks = ref 0 and stop = ref ignore in
+        stop :=
+          b.every interval (fun () ->
+              fired := !cur :: !fired;
+              cur := fresh ();
+              frame !now false;
+              incr ticks;
+              if !ticks = k then !stop ())
+    | Stop ->
+        halted := true;
+        b.stop ()
+  and cancel j = Option.iter b.cancel (Hashtbl.find_opt handles j) in
   let run () =
-    match Loop.run ~until:!now loop with
-    | () -> true
-    | exception Boom ->
-        fired := -2 :: !fired;
+    let ended =
+      match b.run !now with
+      | () -> if !halted then Some (-3) else None
+      | exception Halt -> Some (-3)
+      | exception Boom -> Some (-2)
+    in
+    halted := false;
+    match ended with
+    | None -> true
+    | Some mark ->
+        fired := mark :: !fired;
         false
   in
   let rec exec = function
@@ -264,60 +367,80 @@ let run_loop ops =
         now := !now +. d;
         ignore (run () : bool);
         fired := -1 :: !fired;
-        pend := Loop.timers_pending loop :: !pend
+        pend := b.pending () :: !pend
     | Burst ops -> List.iter exec ops
   in
   List.iter exec ops;
-  let mid_pending = Loop.timers_pending loop in
+  let mid_pending = b.pending () in
   now := !now +. 1000.;
   while not (run ()) do
     ()
   done;
-  (List.rev !fired, List.rev !pend, mid_pending, Loop.timers_fired loop)
+  (List.rev !fired, List.rev !pend, mid_pending, b.total ())
 
-type model_entry = Timer of heap_action | Frame_entry of bool
+type model_entry =
+  | Timer of heap_action
+  | Frame_entry of bool
+  | Tick of { interval : float; limit : int; mutable ticks : int }
 
+(* The model's clock follows the backends': each fired entry moves it
+   forward to its deadline, and a run that is not cut short lands it on
+   [until].  A periodic timer starts from it. *)
 let run_model ops =
   let pending = ref [] (* sorted by (at, id) *) in
   let fired = ref [] and pend = ref [] and next_id = ref 0 and now = ref 0. in
-  let total = ref 0 in
+  let clock = ref 0. and total = ref 0 in
   let add at entry =
     let id = !next_id in
     incr next_id;
-    pending := List.merge compare !pending [ (at, id, entry) ]
+    pending := List.merge compare !pending [ (at, id, entry) ];
+    id
   in
+  let remove pred = pending := List.filter (fun e -> not (pred e)) !pending in
   let rec act = function
     | Quiet -> ()
-    | Spawn (d, _) as a -> add (!now +. d) (Timer (child a))
-    | Cancel_id j -> cancel j
-    | Emit d -> add (!now +. d) (Frame_entry false)
-  and cancel j =
-    pending :=
-      List.filter
-        (function _, id, Timer _ -> id <> j | _, _, Frame_entry _ -> true)
-        !pending
-  in
-  let rec advance () =
+    | Spawn (d, _) as a -> ignore (add (!now +. d) (Timer (child a)) : int)
+    | Cancel_id j -> remove (function _, id, Timer _ -> id = j | _ -> false)
+    | Emit d -> ignore (add (!now +. d) (Frame_entry false) : int)
+    | Every (interval, limit) ->
+        ignore (add (!clock +. interval) (Tick { interval; limit; ticks = 0 }) : int)
+    | Stop -> ()
+  (* [true] when nothing due is left, [false] when a raise or stop
+     ended the run. *)
+  and advance () =
     match !pending with
     | (at, id, entry) :: rest when at <= !now -> (
         pending := rest;
         fired := id :: !fired;
         incr total;
+        clock := Float.max !clock at;
         match entry with
+        | Timer Stop ->
+            fired := -3 :: !fired;
+            false
         | Timer action ->
             act action;
             advance ()
-        | Frame_entry true -> fired := -2 :: !fired
-        | Frame_entry false -> advance ())
-    | _ -> ()
+        | Frame_entry true ->
+            fired := -2 :: !fired;
+            false
+        | Frame_entry false -> advance ()
+        | Tick tk as tick ->
+            let next = add (at +. tk.interval) tick in
+            ignore (add !now (Frame_entry false) : int);
+            tk.ticks <- tk.ticks + 1;
+            if tk.ticks = tk.limit then remove (fun (_, id, _) -> id = next);
+            advance ())
+    | _ -> true
   in
+  let run () = if advance () then clock := Float.max !clock !now in
   let rec exec = function
-    | Sched (off, a) -> add (!now +. off) (Timer a)
-    | Frame (off, raises) -> add (!now +. off) (Frame_entry raises)
-    | Cancel j -> cancel j
+    | Sched (off, a) -> ignore (add (!now +. off) (Timer a) : int)
+    | Frame (off, raises) -> ignore (add (!now +. off) (Frame_entry raises) : int)
+    | Cancel j -> act (Cancel_id j)
     | Advance d ->
         now := !now +. d;
-        advance ();
+        run ();
         fired := -1 :: !fired;
         pend := List.length !pending :: !pend
     | Burst ops -> List.iter exec ops
@@ -326,15 +449,29 @@ let run_model ops =
   let mid_pending = List.length !pending in
   now := !now +. 1000.;
   while List.exists (fun (at, _, _) -> at <= !now) !pending do
-    advance ()
+    run ()
   done;
   (List.rev !fired, List.rev !pend, mid_pending, !total)
+
+let show_ops ops = String.concat "; " (List.map show_heap_op ops)
 
 let prop_loop_matches_model =
   QCheck.Test.make ~name:"fires in exact (deadline, seq) order vs a sorted-list model"
     ~count:500 ~long_factor:20
-    (QCheck.make gen_heap_ops ~print:(fun ops -> String.concat "; " (List.map show_heap_op ops)))
-    (fun ops -> run_loop ops = run_model ops)
+    (QCheck.make gen_heap_ops ~print:show_ops)
+    (fun ops -> run_backend loop_backend ops = run_model ops)
+
+(* One model pins both backends' firing order: the engine runs the same
+   programs with past offsets made positive, and must fire what the
+   model and the loop fire (it does not count pending entries). *)
+let prop_backends_match_model =
+  QCheck.Test.make ~name:"engine and loop fire in the model's order"
+    ~count:500 ~long_factor:20
+    (QCheck.make (QCheck.Gen.map nonneg gen_heap_ops) ~print:show_ops)
+    (fun ops ->
+      let ((fired, _, _, total) as model) = run_model ops in
+      let e_fired, _, _, e_total = run_backend engine_backend ops in
+      run_backend loop_backend ops = model && e_fired = fired && e_total = total)
 
 (* A zero-delay timer that keeps rescheduling itself is a runaway chain:
    [run] fails instead of hanging, and the exn handler does not swallow
@@ -1269,6 +1406,9 @@ let () =
           QCheck_alcotest.to_alcotest ~speed_level:`Quick
             ~rand:(Random.State.make [| 12 |])
             prop_loop_matches_model;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            ~rand:(Random.State.make [| 13 |])
+            prop_backends_match_model;
         ] );
       ( "loop",
         [
